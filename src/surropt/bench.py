@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -79,6 +79,19 @@ class BenchmarkConfig:
                     f"budget {self.budgets[d]} must exceed warm-up "
                     f"{self.warmup[d]} for dimension {d}"
                 )
+
+    def to_dict(self) -> dict:
+        """JSON-ready snapshot of every setting except ``suite``."""
+        return {
+            "algorithms": list(self.algorithms),
+            "problems": list(self.problems),
+            "dims": list(self.dims),
+            "repetitions": self.repetitions,
+            "budgets": {str(k): v for k, v in self.budgets.items()},
+            "warmup": {str(k): v for k, v in self.warmup.items()},
+            "seed": self.seed,
+            "violation_threshold": self.violation_threshold,
+        }
 
 
 @dataclass
@@ -215,15 +228,33 @@ def _read_rep_csv(path: Path):
     return bsf, G
 
 
-def _score_cells(curves, viol_stats, problems, algorithms, threshold):
-    """Aggregate per-rep curves into a ScoreTable (pure reduction)."""
+class _InProcess(Executor):
+    """Runs each submitted call at once, in this process and on this thread."""
+
+    def submit(self, fn, /, *args, **kwargs):
+        future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+def _score_table(suite, problems, algorithms, repetitions, threshold, load, status):
+    """Score every (problem, algorithm) from its repetitions (pure reduction).
+
+    ``load(key, algo, rep)`` returns the best-so-far curve and the G rows of
+    one repetition, or None when that repetition is missing.
+    """
     n_effective, r_all, p_all, feas, mviol, convergence = {}, {}, {}, {}, {}, []
     for key, dim, n_e, n_c in problems:
-        per_algo = {}
+        per_algo, G_rows = {}, {}
         for algo in algorithms:
-            reps = curves.get((key, algo))
-            if reps:
-                per_algo[algo] = np.array(reps)  # (n_reps, n)
+            cells = [load(key, algo, rep) for rep in range(repetitions)]
+            cells = [c for c in cells if c is not None]
+            if cells:
+                per_algo[algo] = np.array([bsf[n_c:] for bsf, _ in cells])  # warm-up dropped
+                G_rows[algo] = np.vstack([G for _, G in cells])
         if not per_algo:
             continue
         n = next(iter(per_algo.values())).shape[1]
@@ -236,9 +267,8 @@ def _score_cells(curves, viol_stats, problems, algorithms, threshold):
             r = np.array([score_r(worst[k], best[k], mc[k]) for k in range(n)])
             r_all[(key, algo)] = r
             p_all[(key, algo)] = score_p(r)
-            G_all = viol_stats[(key, algo)]
             feas[(key, algo)], mviol[(key, algo)] = count_violations(
-                G_all, threshold
+                G_rows[algo], threshold
             )
         for algo in sorted(per_algo):
             c = per_algo[algo]
@@ -254,7 +284,10 @@ def _score_cells(curves, viol_stats, problems, algorithms, threshold):
                         float(np.percentile(vals, 90)),
                     )
                 )
-    return n_effective, r_all, p_all, feas, mviol, convergence
+    return ScoreTable(
+        suite, [k for k, *_ in problems], list(algorithms), n_effective, r_all,
+        p_all, feas, mviol, convergence=convergence, cell_status=status,
+    )
 
 
 def run_benchmark(
@@ -275,48 +308,26 @@ def run_benchmark(
                 tasks.append((key, dim, n_e, n_c, algo, rep, seed))
 
     trajectories, status = {}, {}
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {
-                pool.submit(_run_cell, algo, key, n_e, seed): (key, algo, rep)
-                for key, dim, n_e, n_c, algo, rep, seed in tasks
-            }
-            for fut, (key, algo, rep) in futures.items():
-                try:
-                    trajectories[(key, algo, rep)] = fut.result()
-                    status[f"{key}/{algo}/rep{rep}"] = "ok"
-                except Exception as exc:
-                    status[f"{key}/{algo}/rep{rep}"] = f"failed: {exc}"
-                    logger.warning("cell %s/%s rep %d failed: %s", key, algo, rep, exc)
-    else:
-        for key, dim, n_e, n_c, algo, rep, seed in tasks:
+    # jobs == 1 runs every cell on the calling thread, so thread CPU clocks see it
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else _InProcess() as pool:
+        futures = {
+            pool.submit(_run_cell, algo, key, n_e, seed): (key, algo, rep)
+            for key, dim, n_e, n_c, algo, rep, seed in tasks
+        }
+        for fut, (key, algo, rep) in futures.items():
             try:
-                trajectories[(key, algo, rep)] = _run_cell(algo, key, n_e, seed)
+                trajectories[(key, algo, rep)] = fut.result()
                 status[f"{key}/{algo}/rep{rep}"] = "ok"
             except Exception as exc:
                 status[f"{key}/{algo}/rep{rep}"] = f"failed: {exc}"
                 logger.warning("cell %s/%s rep %d failed: %s", key, algo, rep, exc)
 
-    curves, viol = {}, {}
-    for key, dim, n_e, n_c in problems:
-        for algo in config.algorithms:
-            rep_curves, g_rows = [], []
-            for rep in range(config.repetitions):
-                traj = trajectories.get((key, algo, rep))
-                if traj is None:
-                    continue
-                rep_curves.append(best_so_far(traj)[n_c:])  # warm-up dropped
-                g_rows.append(traj.gs)
-            if rep_curves:
-                curves[(key, algo)] = rep_curves
-                viol[(key, algo)] = np.vstack(g_rows)
+    def load(key, algo, rep):
+        traj = trajectories.get((key, algo, rep))
+        return None if traj is None else (best_so_far(traj), traj.gs)
 
-    parts = _score_cells(curves, viol, problems, config.algorithms,
-                         config.violation_threshold)
-    table = ScoreTable(
-        config.suite, [k for k, *_ in problems], list(config.algorithms),
-        *parts[:5], convergence=parts[5], cell_status=status,
-    )
+    table = _score_table(config.suite, problems, config.algorithms, config.repetitions,
+                         config.violation_threshold, load, status)
 
     if out_dir is not None:
         root = Path(out_dir) / config.suite
@@ -333,16 +344,7 @@ def _write_scores(root: Path, config, problems, table: ScoreTable) -> None:
     root.mkdir(parents=True, exist_ok=True)
     payload = {
         "suite": config.suite,
-        "config": {
-            "algorithms": list(config.algorithms),
-            "problems": list(config.problems),
-            "dims": list(config.dims),
-            "repetitions": config.repetitions,
-            "budgets": {str(k): v for k, v in config.budgets.items()},
-            "warmup": {str(k): v for k, v in config.warmup.items()},
-            "seed": config.seed,
-            "violation_threshold": config.violation_threshold,
-        },
+        "config": config.to_dict(),
         "cells": {
             key: {"dim": d, "n_e": n_e, "n_c": n_c}
             for key, d, n_e, n_c in problems
@@ -380,25 +382,14 @@ def score_results(results_dir: str, suite: Optional[str] = None) -> ScoreTable:
     problems = [
         (key, meta["dim"], meta["n_e"], meta["n_c"]) for key, meta in cells.items()
     ]
-    algorithms = cfg["algorithms"]
-    curves, viol, status = {}, {}, {}
-    for key, dim, n_e, n_c in problems:
-        for algo in algorithms:
-            rep_curves, g_rows = [], []
-            for rep in range(cfg["repetitions"]):
-                path = root / key / algo / f"rep{rep}.csv"
-                if not path.exists():
-                    continue
-                bsf, G = _read_rep_csv(path)
-                rep_curves.append(bsf[n_c:])
-                g_rows.append(G)
-                status[f"{key}/{algo}/rep{rep}"] = "ok"
-            if rep_curves:
-                curves[(key, algo)] = rep_curves
-                viol[(key, algo)] = np.vstack(g_rows)
-    parts = _score_cells(curves, viol, problems, algorithms,
-                         cfg["violation_threshold"])
-    return ScoreTable(
-        payload["suite"], [k for k, *_ in problems], list(algorithms),
-        *parts[:5], convergence=parts[5], cell_status=status,
-    )
+    status = {}
+
+    def load(key, algo, rep):
+        path = root / key / algo / f"rep{rep}.csv"
+        if not path.exists():
+            return None
+        status[f"{key}/{algo}/rep{rep}"] = "ok"
+        return _read_rep_csv(path)
+
+    return _score_table(payload["suite"], problems, cfg["algorithms"], cfg["repetitions"],
+                        cfg["violation_threshold"], load, status)

@@ -25,7 +25,7 @@ import difflib
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
@@ -68,17 +68,7 @@ SUITES = {
 
 DEFAULT_DIMS = [2, 5, 7]
 
-_CONFIG_KEYS = (
-    "suite",
-    "algorithms",
-    "problems",
-    "dims",
-    "repetitions",
-    "budgets",
-    "warmup",
-    "seed",
-    "violation_threshold",
-)
+_CONFIG_KEYS = tuple(f.name for f in fields(BenchmarkConfig))
 
 
 def _version() -> str:
@@ -109,22 +99,12 @@ class RunManifest:
             for algo in config.algorithms:
                 for rep in range(config.repetitions):
                     cells[f"{key}/{algo}/rep{rep}"] = "planned"
-        snapshot = {
-            "algorithms": list(config.algorithms),
-            "problems": list(config.problems),
-            "dims": list(config.dims),
-            "repetitions": config.repetitions,
-            "budgets": {str(k): v for k, v in config.budgets.items()},
-            "warmup": {str(k): v for k, v in config.warmup.items()},
-            "seed": config.seed,
-            "violation_threshold": config.violation_threshold,
-        }
         return cls(
             suite=config.suite,
             version=_version(),
             timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
             seed=config.seed,
-            config=snapshot,
+            config=config.to_dict(),
             cells=cells,
         )
 

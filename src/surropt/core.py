@@ -42,7 +42,7 @@ class BudgetExhausted(RuntimeError):
 
 
 class EvaluationFailed(RuntimeError):
-    """Raised when the objective returns a non-finite value."""
+    """Raised when the objective or a constraint returns a non-finite value."""
 
 
 class ConfigError(ValueError):
@@ -269,7 +269,7 @@ def evaluate(
     When a trajectory is supplied the evaluation is counted against its
     budget and appended; exceeding the budget raises :class:`BudgetExhausted`
     (distinct from :class:`EvaluationFailed`, which signals a non-finite
-    objective value).
+    objective or constraint value).
     """
     if trajectory is not None and trajectory.remaining <= 0:
         raise BudgetExhausted(
@@ -288,6 +288,8 @@ def evaluate(
             raise EvaluationFailed(
                 f"constraints returned {g.size} values, expected {problem.n_constraints}"
             )
+        if not np.all(np.isfinite(g)):
+            raise EvaluationFailed(f"constraints returned non-finite values at x={x}")
         if problem.noise.constraint_sigma > 0:
             g = g + problem.noise.constraint_sigma * rng.standard_normal(g.size)
     else:

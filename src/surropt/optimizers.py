@@ -1,14 +1,13 @@
 """Optimization strategies sharing one step contract: history in, next point out.
 
-Six methods are provided:
+Seven methods are provided:
 
 - ``bo`` / ``cbo``: Gaussian-process Bayesian optimization with a lower
-  confidence bound acquisition, the constrained variant filtering candidates
-  through per-constraint GP means.
-- ``lsqm``: PSD-projected quadratic least-squares surrogate minimized inside
-  a trust region.
+  confidence bound acquisition; ``cbo`` ranks candidates feasible-first
+  through per-constraint GP means, and ``bo`` is ``cbo`` without them.
 - ``cuatro``: PSD quadratic surrogates for objective and constraints,
   feasibility-first candidate search inside the trust region.
+- ``lsqm``: ``cuatro`` whose step ignores the constraints.
 - ``cobyla``: linear surrogates on a maintained simplex, merit
   f + penalty * [max g]_+ minimized within half the trust-region radius.
 - ``cobyqa``: quadratic regression surrogates with the penalized merit
@@ -16,10 +15,11 @@ Six methods are provided:
 - ``dycors``: cubic-RBF surrogate with stochastic coordinate perturbations
   and a cycling value/distance weighted score.
 
-All inner argmins use the same derivative-free candidate-pool search
-(seeded pool + analytic Newton/Cauchy candidates + coordinate pattern
-refinement), so every step operation is a pure function of (data, state,
-seed).
+The four trust-region methods share one step and one runner loop and differ
+only in the fields of ``_TR_METHODS``. All inner argmins use the same
+derivative-free candidate-pool search (seeded pool + analytic Newton/Cauchy
+candidates + coordinate pattern refinement), so every step operation is a
+pure function of (data, state, seed).
 """
 
 from __future__ import annotations
@@ -246,6 +246,17 @@ def _plain_keys(values: np.ndarray) -> tuple:
     return np.zeros(values.shape, dtype=int), values
 
 
+def _feasibility_first_keys(values, margins):
+    """Rank candidates with all margins <= 0 by value, the rest by total violation."""
+    if not margins:
+        return _plain_keys(values)
+    viol = np.zeros(values.shape[0])
+    for m in margins:
+        viol += np.maximum(m, 0.0)
+    infeasible = (viol > 0).astype(int)
+    return infeasible, np.where(infeasible == 0, values, viol)
+
+
 # ------------------------------------------------------------------ BO / CBO
 
 
@@ -265,22 +276,12 @@ def propose_bo(
     data: Dataset, bounds: Bounds, config: AcquisitionConfig = AcquisitionConfig(),
     seed: int = 0,
 ) -> np.ndarray:
-    """Minimize the LCB of a freshly fitted GP over the candidate pool."""
-    n_pool = config.candidate_pool or 100 * bounds.dim
-    try:
-        model = fit_gp(data, seed=derive_seed(seed, "gp"))
-    except SurrogateFitError as exc:
-        logger.warning("GP fit failed (%s); falling back to random proposal", exc)
-        return substream(seed, "bo-fallback").uniform(bounds.lower, bounds.upper)
+    """Minimize the LCB of a freshly fitted GP over the candidate pool.
 
-    def keys(X):
-        mu, var = gp_posterior(model, X)
-        return _plain_keys(lcb(mu, np.sqrt(var), config.gamma))
-
-    incumbent = data.X[int(np.argmin(data.y))]
-    return _pool_minimize(
-        keys, bounds, seed, n_pool, config.refine_steps, extra=[incumbent]
-    )
+    This is :func:`propose_cbo` with no constraint models: constraint
+    observations in ``data`` are ignored.
+    """
+    return _propose_gp(Dataset(data.X, data.y), bounds, config, None, seed)
 
 
 def propose_cbo(
@@ -297,12 +298,17 @@ def propose_cbo(
     """
     if data.G is None or data.G.shape[1] < 1:
         raise ConfigError("propose_cbo needs constraint observations")
+    return _propose_gp(data, bounds, config, merit, seed)
+
+
+def _propose_gp(data, bounds, config, merit, seed):
     n_pool = config.candidate_pool or 100 * bounds.dim
+    n_g = 0 if data.G is None else data.G.shape[1]
     try:
         f_model = fit_gp(data, seed=derive_seed(seed, "gp"))
         g_models = [
             fit_gp(Dataset(data.X, data.G[:, i]), seed=derive_seed(seed, "gp-con", i))
-            for i in range(data.G.shape[1])
+            for i in range(n_g)
         ]
     except SurrogateFitError as exc:
         logger.warning("GP fit failed (%s); falling back to random proposal", exc)
@@ -310,17 +316,11 @@ def propose_cbo(
 
     def keys(X):
         mu, var = gp_posterior(f_model, X)
-        acq = mu - config.gamma * np.sqrt(var)
-        total_viol = np.zeros(X.shape[0])
-        worst = np.full(X.shape[0], -np.inf)
+        margins = []
         for gm in g_models:
             mu_g, var_g = gp_posterior(gm, X)
-            margin = mu_g + np.sqrt(var_g) if config.feasibility_backoff else mu_g
-            total_viol += np.maximum(margin, 0.0)
-            worst = np.maximum(worst, margin)
-        infeasible = (worst > 0).astype(int)
-        secondary = np.where(infeasible == 0, acq, total_viol)
-        return infeasible, secondary
+            margins.append(mu_g + np.sqrt(var_g) if config.feasibility_backoff else mu_g)
+        return _feasibility_first_keys(lcb(mu, np.sqrt(var), config.gamma), margins)
 
     threshold = merit.feasibility_threshold if merit else 1e-3
     incumbent = data.X[_best_index(data.y, data.G, threshold)]
@@ -332,15 +332,6 @@ def propose_cbo(
 # ------------------------------------------------------------------ trust region
 
 
-def _newton_point(model, center):
-    # unconstrained minimizer of the quadratic surrogate, min-norm when singular
-    try:
-        x_n, *_ = np.linalg.lstsq(2.0 * model.Q, -model.c, rcond=None)
-        return x_n
-    except np.linalg.LinAlgError:
-        return None
-
-
 def _cauchy_point(grad, center, radius):
     norm = float(np.linalg.norm(grad))
     if norm == 0:
@@ -350,9 +341,12 @@ def _cauchy_point(grad, center, radius):
 
 def _quad_extras(model, center, radius):
     extras = [center]
-    x_n = _newton_point(model, center)
-    if x_n is not None and np.all(np.isfinite(x_n)):
-        extras.append(x_n)
+    try:  # unconstrained minimizer of the quadratic surrogate, min-norm when singular
+        x_n, *_ = np.linalg.lstsq(2.0 * model.Q, -model.c, rcond=None)
+        if np.all(np.isfinite(x_n)):
+            extras.append(x_n)
+    except np.linalg.LinAlgError:
+        pass
     grad = 2.0 * model.Q @ center + model.c
     x_c = _cauchy_point(grad, center, radius)
     if x_c is not None:
@@ -360,37 +354,12 @@ def _quad_extras(model, center, radius):
     return extras
 
 
-def _boundary_flag(x, center, radius):
-    return float(np.linalg.norm(x - center)) >= radius * (1.0 - 1e-3)
-
-
-def _lsqm_impl(data, bounds, tr, seed, n_pool=None, refine_steps=20):
-    model = fit_quadratic(data, psd=True)
-    n_pool = n_pool or 100 * bounds.dim
-
-    def keys(X):
-        return _plain_keys(model.predict(X))
-
-    x = _pool_minimize(
-        keys, bounds, seed, n_pool, refine_steps,
-        center=tr.center, radius=tr.radius,
-        extra=_quad_extras(model, tr.center, tr.radius),
-    )
-    info = {
-        "pred_center": model.predict(tr.center),
-        "pred_new": model.predict(x),
-        "boundary": _boundary_flag(x, tr.center, tr.radius),
-        "f_model": model,
-        "g_models": [],
-    }
-    return x, info
-
-
-def lsqm_step(data: Dataset, bounds: Bounds, tr: TrustRegionState, seed: int = 0):
-    """Minimize the PSD-projected quadratic surrogate over ball and bounds."""
-    if data.n < bounds.dim + 1:
-        raise ConfigError("lsqm_step needs at least n_x + 1 samples")
-    return _lsqm_impl(data, bounds, tr, seed)[0]
+def _linear_extras(model, center, radius):
+    extras = [center]
+    x_c = _cauchy_point(model.g_hat, center, radius)
+    if x_c is not None:
+        extras.append(x_c)
+    return extras
 
 
 def _penalized_merit(f_vals, g_list, penalties):
@@ -400,93 +369,12 @@ def _penalized_merit(f_vals, g_list, penalties):
     return merit
 
 
-def _cuatro_impl(data, bounds, tr, merit, seed, n_pool=None, refine_steps=20):
-    f_model = fit_quadratic(data, psd=True)
-    n_g = 0 if data.G is None else data.G.shape[1]
-    g_models = [
-        fit_quadratic(Dataset(data.X, data.G[:, i]), psd=True) for i in range(n_g)
-    ]
-    n_pool = n_pool or 100 * bounds.dim
-
-    def keys(X):
-        f_hat = f_model.predict(X)
-        if not g_models:
-            return _plain_keys(f_hat)
-        viol = np.zeros(X.shape[0])
-        for gm in g_models:
-            viol += np.maximum(gm.predict(X), 0.0)
-        infeasible = (viol > 0).astype(int)
-        return infeasible, np.where(infeasible == 0, f_hat, viol)
-
-    x = _pool_minimize(
-        keys, bounds, seed, n_pool, refine_steps,
-        center=tr.center, radius=tr.radius,
-        extra=_quad_extras(f_model, tr.center, tr.radius),
-    )
-    pen = merit.penalties if merit else np.array([100.0])
-    info = {
-        "pred_center": _penalized_merit(
-            [f_model.predict(tr.center)], [[gm.predict(tr.center)] for gm in g_models], pen
-        )[0],
-        "pred_new": _penalized_merit(
-            [f_model.predict(x)], [[gm.predict(x)] for gm in g_models], pen
-        )[0],
-        "boundary": _boundary_flag(x, tr.center, tr.radius),
-        "f_model": f_model,
-        "g_models": g_models,
-    }
-    return x, info
-
-
-def cuatro_step(
-    data: Dataset, bounds: Bounds, tr: TrustRegionState,
-    merit: Optional[MeritConfig] = None, seed: int = 0,
-):
-    """Feasibility-first minimization of PSD quadratic surrogates in the ball."""
-    if data.n < bounds.dim + 1:
-        raise ConfigError("cuatro_step needs at least n_x + 1 samples")
-    return _cuatro_impl(data, bounds, tr, merit or MeritConfig(), seed)[0]
-
-
-def _cobyqa_impl(data, bounds, tr, merit, seed, n_pool=None, refine_steps=20):
-    f_model = fit_quadratic(data)
-    n_g = 0 if data.G is None else data.G.shape[1]
-    g_models = [fit_quadratic(Dataset(data.X, data.G[:, i])) for i in range(n_g)]
-    pen = merit.penalties
-    n_pool = n_pool or 100 * bounds.dim
-
-    def merit_values(X):
-        f_hat = f_model.predict(X)
-        return _penalized_merit(f_hat, [gm.predict(X) for gm in g_models], pen)
-
-    def keys(X):
-        return _plain_keys(merit_values(X))
-
-    x = _pool_minimize(
-        keys, bounds, seed, n_pool, refine_steps,
-        center=tr.center, radius=tr.radius,
-        extra=_quad_extras(f_model, tr.center, tr.radius),
-    )
-    info = {
-        "pred_center": float(merit_values(tr.center[None, :])[0]),
-        "pred_new": float(merit_values(x[None, :])[0]),
-        "boundary": _boundary_flag(x, tr.center, tr.radius),
-        "f_model": f_model,
-        "g_models": g_models,
-    }
-    return x, info
-
-
-def cobyqa_step(
-    data: Dataset, bounds: Bounds, tr: TrustRegionState,
-    merit: Optional[MeritConfig] = None, seed: int = 0,
-):
-    """Minimize f_hat + sum_i rho_i [g_hat_i]_+ over the trust-region ball."""
-    if data.n < bounds.dim + 1:
-        raise ConfigError("cobyqa_step needs at least n_x + 1 samples")
-    n_g = 0 if data.G is None else data.G.shape[1]
-    merit = merit or MeritConfig.for_constraints(n_g)
-    return _cobyqa_impl(data, bounds, tr, merit, seed)[0]
+def _max_merit(f_vals, g_list, penalties):
+    # cobyla_merit over a batch: f + max(penalties) * [max_i g_i]_+
+    if not g_list:
+        return np.asarray(f_vals, dtype=float)
+    worst = np.max(g_list, axis=0)
+    return f_vals + float(np.max(penalties)) * np.maximum(worst, 0.0)
 
 
 def cobyla_merit(f_value: float, g_values, penalty: float) -> float:
@@ -497,42 +385,122 @@ def cobyla_merit(f_value: float, g_values, penalty: float) -> float:
     return float(f_value + penalty * max(0.0, float(np.max(g))))
 
 
-def _cobyla_impl(data, bounds, tr, merit, seed, n_pool=None, refine_steps=20):
-    f_model = fit_linear(data)
-    n_g = 0 if data.G is None else data.G.shape[1]
-    g_models = [fit_linear(Dataset(data.X, data.G[:, i])) for i in range(n_g)]
-    mu = float(np.max(merit.penalties))
-    half = tr.radius / 2.0
-    n_pool = n_pool or 100 * bounds.dim
+def _observed_merit(y, g, penalties):
+    g = np.atleast_1d(np.asarray(g, dtype=float))
+    if g.size == 0:
+        return float(y)
+    return float(y + np.sum(penalties[: g.size] * np.maximum(g, 0.0)))
 
-    def merit_values(X):
-        f_hat = f_model.predict(X)
-        if not g_models:
-            return np.asarray(f_hat, dtype=float)
-        worst = np.full(X.shape[0], -np.inf)
-        for gm in g_models:
-            worst = np.maximum(worst, gm.predict(X))
-        return f_hat + mu * np.maximum(worst, 0.0)
+
+def _vertex_merit(y, g, penalties):
+    return cobyla_merit(y, g, float(np.max(penalties)))
+
+
+@dataclass(frozen=True)
+class _TrustRegionMethod:
+    """What sets one trust-region method apart from the others.
+
+    ``batch_predict`` sends the predicted merits through ``predict``'s batch
+    branch rather than its 1-D branch; the two round differently.
+    """
+
+    fit: Callable  # Dataset -> surrogate, for the objective and each constraint
+    merit: Callable  # (f_hat, g_hats, penalties) -> predicted merit
+    extras: Callable  # (model, center, radius) -> analytic pool candidates
+    feasibility_first: bool = False  # rank feasible-first instead of by merit
+    batch_predict: bool = True
+    radius_scale: float = 1.0  # searched ball radius / trust radius
+    observed_merit: Callable = _observed_merit  # (y, g, penalties) of an evaluation
+    grows_penalty: bool = False  # raise the penalties after an infeasible step
+    sees_constraints: bool = True  # False: the step fits the objective alone
+    simplex: bool = False  # the step sees COBYLA's simplex, not the history
+
+
+# fits are looked up at call time so that wrappers set on this module apply
+_CUATRO = _TrustRegionMethod(
+    fit=lambda data: fit_quadratic(data, psd=True), merit=_penalized_merit,
+    extras=_quad_extras, feasibility_first=True, batch_predict=False,
+    grows_penalty=True,
+)
+_TR_METHODS = {
+    "lsqm": replace(_CUATRO, grows_penalty=False, sees_constraints=False),
+    "cuatro": _CUATRO,
+    "cobyqa": _TrustRegionMethod(
+        fit=lambda data: fit_quadratic(data), merit=_penalized_merit,
+        extras=_quad_extras, grows_penalty=True,
+    ),
+    "cobyla": _TrustRegionMethod(
+        fit=lambda data: fit_linear(data), merit=_max_merit, extras=_linear_extras,
+        radius_scale=0.5, observed_merit=_vertex_merit, simplex=True,
+    ),
+}
+
+
+def _tr_propose(kind, data, bounds, tr, merit, seed):
+    """One trust-region step of method ``kind``.
+
+    Returns the step x, the predicted merit at the centre and at x, and
+    whether x lies on the boundary of the searched ball.
+    """
+    method = _TR_METHODS[kind]
+    f_model = method.fit(data)
+    n_g = 0 if data.G is None else data.G.shape[1]
+    penalties = (merit or MeritConfig.for_constraints(n_g)).penalties
+    g_models = [method.fit(Dataset(data.X, data.G[:, i])) for i in range(n_g)]
+    radius = tr.radius * method.radius_scale
+
+    def predict(X):
+        return f_model.predict(X), [gm.predict(X) for gm in g_models]
 
     def keys(X):
-        return _plain_keys(merit_values(X))
+        f_hat, g_hats = predict(X)
+        if method.feasibility_first:
+            return _feasibility_first_keys(f_hat, g_hats)
+        return _plain_keys(method.merit(f_hat, g_hats, penalties))
 
-    extras = [tr.center]
-    x_c = _cauchy_point(f_model.g_hat, tr.center, half)
-    if x_c is not None:
-        extras.append(x_c)
+    def merit_at(x):
+        if method.batch_predict:
+            return float(method.merit(*predict(x[None, :]), penalties)[0])
+        return float(method.merit(*predict(x), penalties))
+
     x = _pool_minimize(
-        keys, bounds, seed, n_pool, refine_steps,
-        center=tr.center, radius=half, extra=extras,
+        keys, bounds, seed, 100 * bounds.dim, 20,
+        center=tr.center, radius=radius,
+        extra=method.extras(f_model, tr.center, radius),
     )
-    info = {
-        "pred_center": float(merit_values(tr.center[None, :])[0]),
-        "pred_new": float(merit_values(x[None, :])[0]),
-        "boundary": _boundary_flag(x, tr.center, half),
-        "f_model": f_model,
-        "g_models": g_models,
-    }
-    return x, info
+    on_boundary = float(np.linalg.norm(x - tr.center)) >= radius * (1.0 - 1e-3)
+    return x, merit_at(tr.center), merit_at(x), on_boundary
+
+
+def lsqm_step(data: Dataset, bounds: Bounds, tr: TrustRegionState, seed: int = 0):
+    """Minimize the PSD-projected quadratic surrogate over ball and bounds.
+
+    This is :func:`cuatro_step` on the objective alone: constraint
+    observations in ``data`` are ignored.
+    """
+    if data.n < bounds.dim + 1:
+        raise ConfigError("lsqm_step needs at least n_x + 1 samples")
+    return cuatro_step(Dataset(data.X, data.y), bounds, tr, seed=seed)
+
+
+def cuatro_step(
+    data: Dataset, bounds: Bounds, tr: TrustRegionState,
+    merit: Optional[MeritConfig] = None, seed: int = 0,
+):
+    """Feasibility-first minimization of PSD quadratic surrogates in the ball."""
+    if data.n < bounds.dim + 1:
+        raise ConfigError("cuatro_step needs at least n_x + 1 samples")
+    return _tr_propose("cuatro", data, bounds, tr, merit, seed)[0]
+
+
+def cobyqa_step(
+    data: Dataset, bounds: Bounds, tr: TrustRegionState,
+    merit: Optional[MeritConfig] = None, seed: int = 0,
+):
+    """Minimize f_hat + sum_i rho_i [g_hat_i]_+ over the trust-region ball."""
+    if data.n < bounds.dim + 1:
+        raise ConfigError("cobyqa_step needs at least n_x + 1 samples")
+    return _tr_propose("cobyqa", data, bounds, tr, merit, seed)[0]
 
 
 def cobyla_step(
@@ -544,9 +512,7 @@ def cobyla_step(
     ``data`` holds the current simplex of n_x + 1 points (plus constraint
     observations when present).
     """
-    n_g = 0 if data.G is None else data.G.shape[1]
-    merit = merit or MeritConfig.for_constraints(n_g)
-    return _cobyla_impl(data, bounds, tr, merit, seed)[0]
+    return _tr_propose("cobyla", data, bounds, tr, merit, seed)[0]
 
 
 def trust_region_update(
@@ -671,15 +637,6 @@ def initial_design_size(algorithm: str, dim: int) -> int:
     return max(5, 2 * dim)
 
 
-def _observed_merit(y, g, penalties, linear=False):
-    g = np.atleast_1d(np.asarray(g, dtype=float))
-    if g.size == 0:
-        return float(y)
-    if linear:
-        return float(y + float(np.max(penalties)) * max(0.0, float(np.max(g))))
-    return float(y + np.sum(penalties[: g.size] * np.maximum(g, 0.0)))
-
-
 class _BoStrategy:
     def __init__(self, problem: Problem, acquisition: AcquisitionConfig, constrained: bool):
         self.problem = problem
@@ -702,185 +659,124 @@ class _BoStrategy:
         pass
 
 
+class _Simplex:
+    """COBYLA's n_x + 1 interpolation points as (x, y, g) vertices.
+
+    A degenerate simplex is replaced by a right-angled one around the centre
+    at the current radius, whose ``pending`` points are evaluated one per
+    step.
+    """
+
+    def __init__(self, data: Dataset):
+        G = data.G
+        self.vertices = [
+            (data.X[i].copy(), float(data.y[i]), G[i].copy() if G is not None else np.empty(0))
+            for i in range(data.n)
+        ]
+        self.pending: list = []
+
+    def dataset(self) -> Dataset:
+        X = np.array([v[0] for v in self.vertices])
+        y = np.array([v[1] for v in self.vertices])
+        G = np.array([v[2] for v in self.vertices]) if self.vertices[0][2].size else None
+        return Dataset(X, y, G)
+
+    def degenerate(self) -> bool:
+        V = np.array([v[0] for v in self.vertices])
+        E = V[1:] - V[0]
+        if np.linalg.matrix_rank(E) < V.shape[1]:
+            return True
+        return np.linalg.cond(E) > 1e8
+
+    def queue_rebuild(self, bounds: Bounds, tr: TrustRegionState, center_y, center_g):
+        c = tr.center
+        room_up, room_dn = bounds.upper - c, c - bounds.lower
+        length = np.minimum(tr.radius, np.maximum(room_up, room_dn))
+        direction = np.where(room_up >= room_dn, 1.0, -1.0)
+        pts = np.tile(c, (c.size, 1))
+        pts[np.diag_indices(c.size)] += direction * np.maximum(length, 1e-8)
+        self.pending = list(pts)
+        self.vertices = [(c.copy(), center_y, center_g.copy())]
+
+    def replace_worst(self, x, y, g, center, penalties):
+        # the worst vertex by merit that is not the centre makes way for x
+        merits = [_vertex_merit(v[1], v[2], penalties) for v in self.vertices]
+        for idx in np.argsort(merits)[::-1]:
+            if not np.array_equal(self.vertices[idx][0], center):
+                self.vertices[idx] = (x, y, g)
+                break
+
+
 class _TrustRegionStrategy:
-    """Shared runner-side state for lsqm, cuatro, and cobyqa."""
+    """Runner-side state of lsqm, cuatro, cobyqa and cobyla."""
 
     def __init__(self, problem: Problem, kind: str, merit: Optional[MeritConfig]):
         self.problem = problem
         self.kind = kind
-        n_g = problem.n_constraints
-        self.merit = merit or MeritConfig.for_constraints(n_g)
+        self.method = _TR_METHODS[kind]
+        self.merit = merit or MeritConfig.for_constraints(problem.n_constraints)
         self.n_init = initial_design_size(kind, problem.dim)
         self.tr: Optional[TrustRegionState] = None
         self.center_y = math.inf
         self.center_g = np.empty(0)
-        self._info = None
-
-    def _initial_radius(self) -> TrustRegionState:
-        width = float(np.max(self.problem.bounds.width))
-        return TrustRegionState(
-            center=np.zeros(self.problem.dim),
-            radius=0.1 * width,
-            min_radius=1e-6,
-            max_radius=width,
-        )
+        self.simplex: Optional[_Simplex] = None
+        self._step = None  # (pred_center, pred_new, boundary); None for a rebuild point
 
     def start(self, data: Dataset):
         i = _best_index(data.y, data.G, self.merit.feasibility_threshold)
-        tr = self._initial_radius()
-        self.tr = replace(tr, center=data.X[i].copy())
-        self.center_y = float(data.y[i])
-        self.center_g = (
-            data.G[i].copy() if data.G is not None else np.empty(0)
+        width = float(np.max(self.problem.bounds.width))
+        self.tr = TrustRegionState(
+            center=data.X[i].copy(), radius=0.1 * width, min_radius=1e-6, max_radius=width,
         )
+        self.center_y = float(data.y[i])
+        self.center_g = data.G[i].copy() if data.G is not None else np.empty(0)
+        if self.method.simplex:
+            self.simplex = _Simplex(data)
 
     def propose(self, data: Dataset, seed: int):
-        impl = {"lsqm": _lsqm_impl, "cuatro": _cuatro_impl, "cobyqa": _cobyqa_impl}[
-            self.kind
-        ]
-        if self.kind == "lsqm":
-            x, info = impl(data, self.problem.bounds, self.tr, seed)
-        else:
-            x, info = impl(data, self.problem.bounds, self.tr, self.merit, seed)
-        self._info = info
+        if self.simplex is not None:
+            if not self.simplex.pending and self.simplex.degenerate():
+                self.simplex.queue_rebuild(
+                    self.problem.bounds, self.tr, self.center_y, self.center_g
+                )
+            if self.simplex.pending:
+                self._step = None
+                return self.simplex.pending[0]
+            data = self.simplex.dataset()
+        elif not self.method.sees_constraints:
+            data = Dataset(data.X, data.y)
+        x, *self._step = _tr_propose(
+            self.kind, data, self.problem.bounds, self.tr, self.merit, seed
+        )
         return x
 
     def update(self, x, y, g):
-        info = self._info
-        pen = self.merit.penalties
-        predicted = float(info["pred_center"] - info["pred_new"])
-        actual = _observed_merit(self.center_y, self.center_g, pen) - _observed_merit(
-            y, g, pen
-        )
+        y = float(y)
         g_arr = np.atleast_1d(np.asarray(g, dtype=float))
+        if self._step is None:  # a vertex of the rebuilt simplex
+            self.simplex.pending.pop(0)
+            self.simplex.vertices.append((x, y, g_arr.copy()))
+            return
+        pred_center, pred_new, boundary = self._step
+        pen = self.merit.penalties
+        predicted = float(pred_center - pred_new)
+        observed = self.method.observed_merit
+        actual = observed(self.center_y, self.center_g, pen) - observed(y, g_arr, pen)
         feasible = g_arr.size == 0 or float(np.max(g_arr)) <= self.merit.feasibility_threshold
-        moved = actual > 0 and feasible
+        if self.simplex is not None:
+            self.simplex.replace_worst(x, y, g_arr.copy(), self.tr.center, pen)
         self.tr = trust_region_update(
-            self.tr, predicted, actual, info["boundary"], new_point=x, feasible=feasible
+            self.tr, predicted, actual, boundary, new_point=x, feasible=feasible
         )
-        if moved:
-            self.center_y = float(y)
+        if actual > 0 and feasible:
+            self.center_y = y
             self.center_g = g_arr.copy()
-        if self.kind in ("cuatro", "cobyqa") and g_arr.size and float(np.max(g_arr)) > self.merit.feasibility_threshold:
+        if not feasible and self.method.grows_penalty:
             grown = np.minimum(
                 self.merit.penalties * self.merit.penalty_growth,
                 self.merit.penalty_cap,
             )
             self.merit = replace(self.merit, penalties=grown)
-
-
-class _CobylaStrategy:
-    def __init__(self, problem: Problem, merit: Optional[MeritConfig]):
-        self.problem = problem
-        self.merit = merit or MeritConfig.for_constraints(problem.n_constraints)
-        self.n_init = problem.dim + 1
-        self.tr: Optional[TrustRegionState] = None
-        self.simplex: list = []  # [(x, y, g)]
-        self.center_y = math.inf
-        self.center_g = np.empty(0)
-        self._info = None
-        self._pending: list = []
-        self._rebuilt: list = []
-
-    def _vertex_merit(self, y, g):
-        return _observed_merit(y, g, self.merit.penalties, linear=True)
-
-    def start(self, data: Dataset):
-        G = data.G
-        self.simplex = [
-            (
-                data.X[i].copy(),
-                float(data.y[i]),
-                G[i].copy() if G is not None else np.empty(0),
-            )
-            for i in range(data.n)
-        ]
-        i = _best_index(data.y, G, self.merit.feasibility_threshold)
-        width = float(np.max(self.problem.bounds.width))
-        self.tr = TrustRegionState(
-            center=data.X[i].copy(), radius=0.1 * width,
-            min_radius=1e-6, max_radius=width,
-        )
-        self.center_y = float(data.y[i])
-        self.center_g = G[i].copy() if G is not None else np.empty(0)
-
-    def _degenerate(self) -> bool:
-        V = np.array([v[0] for v in self.simplex])
-        E = V[1:] - V[0]
-        if np.linalg.matrix_rank(E) < self.problem.dim:
-            return True
-        return np.linalg.cond(E) > 1e8
-
-    def _queue_rebuild(self):
-        # fresh right-angled simplex around the incumbent at the current radius
-        b = self.problem.bounds
-        c = self.tr.center
-        r = self.tr.radius
-        pts = []
-        for i in range(self.problem.dim):
-            room_up = b.upper[i] - c[i]
-            room_dn = c[i] - b.lower[i]
-            length = min(r, max(room_up, room_dn))
-            direction = 1.0 if room_up >= room_dn else -1.0
-            p = c.copy()
-            p[i] += direction * max(length, 1e-8)
-            pts.append(p)
-        self._pending = pts
-        self._rebuilt = [(c.copy(), self.center_y, self.center_g.copy())]
-
-    def propose(self, data: Dataset, seed: int):
-        if not self._pending and self._rebuilt == [] and self._degenerate():
-            self._queue_rebuild()
-        if self._pending:
-            self._info = None
-            return self._pending[0]
-        X = np.array([v[0] for v in self.simplex])
-        y = np.array([v[1] for v in self.simplex])
-        G = (
-            np.array([v[2] for v in self.simplex])
-            if self.simplex[0][2].size
-            else None
-        )
-        x, info = _cobyla_impl(
-            Dataset(X, y, G), self.problem.bounds, self.tr, self.merit, seed
-        )
-        self._info = info
-        return x
-
-    def update(self, x, y, g):
-        g_arr = np.atleast_1d(np.asarray(g, dtype=float))
-        if self._pending:
-            self._pending.pop(0)
-            self._rebuilt.append((np.asarray(x, dtype=float), float(y), g_arr.copy()))
-            if not self._pending:
-                self.simplex = self._rebuilt
-                self._rebuilt = []
-            return
-        info = self._info
-        predicted = float(info["pred_center"] - info["pred_new"])
-        actual = self._vertex_merit(self.center_y, self.center_g) - self._vertex_merit(
-            y, g_arr
-        )
-        feasible = (
-            g_arr.size == 0
-            or float(np.max(g_arr)) <= self.merit.feasibility_threshold
-        )
-        moved = actual > 0 and feasible
-        # replace the worst non-center vertex with the evaluated point
-        center = self.tr.center
-        merits = [self._vertex_merit(v[1], v[2]) for v in self.simplex]
-        order = np.argsort(merits)[::-1]
-        for idx in order:
-            if not np.array_equal(self.simplex[idx][0], center):
-                self.simplex[idx] = (np.asarray(x, dtype=float), float(y), g_arr.copy())
-                break
-        self.tr = trust_region_update(
-            self.tr, predicted, actual, info["boundary"], new_point=x, feasible=feasible
-        )
-        if moved:
-            self.center_y = float(y)
-            self.center_g = g_arr.copy()
-        self._rebuilt = []
 
 
 class _DycorsStrategy:
@@ -916,16 +812,13 @@ class _DycorsStrategy:
 
 
 def _make_strategy(algorithm, problem, budget, acquisition, merit):
-    if algorithm == "bo":
-        return _BoStrategy(problem, acquisition or AcquisitionConfig(), constrained=False)
-    if algorithm == "cbo":
-        if problem.n_constraints < 1:
+    if algorithm in ("bo", "cbo"):
+        constrained = algorithm == "cbo"
+        if constrained and problem.n_constraints < 1:
             raise ConfigError("cbo requires a constrained problem")
-        return _BoStrategy(problem, acquisition or AcquisitionConfig(), constrained=True)
-    if algorithm in ("lsqm", "cuatro", "cobyqa"):
+        return _BoStrategy(problem, acquisition or AcquisitionConfig(), constrained)
+    if algorithm in _TR_METHODS:
         return _TrustRegionStrategy(problem, algorithm, merit)
-    if algorithm == "cobyla":
-        return _CobylaStrategy(problem, merit)
     if algorithm == "dycors":
         return _DycorsStrategy(problem, budget)
     raise ConfigError(
@@ -944,9 +837,12 @@ def run_optimizer(
     """Run one optimizer for exactly ``budget`` evaluations.
 
     The run starts with a Latin hypercube design, then loops
-    propose -> clip -> evaluate -> update. Internal optimizer failures spend
-    the remaining budget on random search (logged in ``trajectory.meta``), so
-    the returned trajectory always has exactly ``budget`` evaluations.
+    propose -> clip -> evaluate -> update. A numerical failure inside a
+    proposal (a surrogate fit error, ``LinAlgError`` or ``FloatingPointError``)
+    spends the remaining budget on random search, logged in
+    ``trajectory.meta``, so the trajectory still has exactly ``budget``
+    evaluations. Any other exception propagates, including
+    :class:`~surropt.core.EvaluationFailed` from the problem.
     """
     algorithm = str(algorithm).lower()
     strategy = _make_strategy(algorithm, problem, budget, acquisition, merit)
@@ -966,7 +862,7 @@ def run_optimizer(
         step_seed = derive_seed(seed, "step", k)
         try:
             x = strategy.propose(Dataset.from_trajectory(traj), step_seed)
-        except Exception as exc:  # internal failure: spend the rest randomly
+        except (SurrogateFitError, np.linalg.LinAlgError, FloatingPointError) as exc:
             logger.warning(
                 "%s failed at iteration %d (%s); random search for remaining budget",
                 algorithm, k, exc,

@@ -164,6 +164,21 @@ def test_evaluate_budget_exhaustion_is_distinct_from_failure():
         evaluate(bad, [0.0], rng)
 
 
+@pytest.mark.parametrize("bad_g", [float("nan"), float("inf"), -float("inf")])
+def test_evaluate_rejects_non_finite_constraints(bad_g):
+    p = Problem(
+        name="bad-con",
+        bounds=Bounds.cube(-1, 1, 2),
+        objective=lambda x: float(x[0]),
+        constraints=lambda x: np.array([x[0], bad_g]),
+        n_constraints=2,
+    )
+    traj = Trajectory(budget=2, seed=0)
+    with pytest.raises(EvaluationFailed, match="constraint"):
+        evaluate(p, [0.0, 0.0], substream(0, "noise"), trajectory=traj)
+    assert len(traj) == 0
+
+
 def test_trajectory_indices_and_dataset():
     p = Problem(
         name="lin-con",

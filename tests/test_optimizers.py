@@ -34,7 +34,7 @@ from surropt.optimizers import (
     trust_region_update,
 )
 from surropt.problems import get_problem
-from surropt.surrogates import fit_gp, fit_linear, fit_quadratic, fit_rbf, gp_posterior, rbf_predict
+from surropt.surrogates import SurrogateFitError, fit_gp, fit_linear, fit_quadratic, fit_rbf, gp_posterior, rbf_predict
 
 # ---------------------------------------------------------------- lcb
 
@@ -541,9 +541,9 @@ def test_run_optimizer_fallback_fills_budget(monkeypatch, caplog):
     import surropt.optimizers as opt
 
     def boom(*args, **kwargs):
-        raise RuntimeError("synthetic failure")
+        raise SurrogateFitError("synthetic failure")
 
-    monkeypatch.setattr(opt, "_lsqm_impl", boom)
+    monkeypatch.setattr(opt, "fit_quadratic", boom)
     prob = get_problem("ackley-d2")
     with caplog.at_level(logging.WARNING, logger="surropt.optimizers"):
         traj = run_optimizer("lsqm", prob, budget=12, seed=5)
@@ -551,6 +551,17 @@ def test_run_optimizer_fallback_fills_budget(monkeypatch, caplog):
     assert traj.meta["fallback_at"] == 4  # first point after the 3-point design
     assert "synthetic failure" in traj.meta["fallback_reason"]
     assert all(prob.bounds.contains(ev.x) for ev in traj.evaluations)
+
+
+def test_run_optimizer_programming_error_propagates(monkeypatch):
+    import surropt.optimizers as opt
+
+    def broken(*args, **kwargs):
+        raise TypeError("synthetic bug")
+
+    monkeypatch.setattr(opt, "fit_quadratic", broken)
+    with pytest.raises(TypeError, match="synthetic bug"):
+        run_optimizer("lsqm", get_problem("ackley-d2"), budget=12, seed=5)
 
 
 def test_run_optimizer_all_algorithms_complete():
