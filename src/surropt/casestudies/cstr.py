@@ -148,19 +148,14 @@ def _rk4_steps(rhs, y, u, h, n):
     return y
 
 
-def _default_valid(y):
-    return bool(np.all(np.isfinite(y)) and np.max(np.abs(y)) < 1e6)
-
-
-def integrate(rhs, state0, controls_schedule, dt, horizon, substeps=1, valid=None):
+def integrate(rhs, state0, controls_schedule, dt, horizon, substeps=1):
     """Fixed-step classical RK4 under a piecewise-constant control schedule.
 
     ``controls_schedule`` holds one control vector per interval of length
     ``dt``; ``horizon`` must equal ``len(schedule) * dt``. Returns
     ``(states, failed)`` where states has one row per interval boundary.
-    A state that goes non-finite, exceeds 1e6 in magnitude, or fails the
-    optional ``valid`` predicate truncates the trajectory with
-    ``failed=True``.
+    A state that goes non-finite or exceeds 1e6 in magnitude truncates the
+    trajectory with ``failed=True``.
     """
     if dt <= 0:
         raise ConfigError("dt must be > 0")
@@ -168,14 +163,13 @@ def integrate(rhs, state0, controls_schedule, dt, horizon, substeps=1, valid=Non
     n_steps = schedule.shape[0]
     if abs(n_steps * dt - horizon) > 1e-9 * max(1.0, abs(horizon)):
         raise ConfigError("horizon must equal len(controls_schedule) * dt")
-    check = valid or _default_valid
     y = state0.as_array() if isinstance(state0, CstrState) else np.asarray(
         state0, dtype=float
     ).copy()
     states = [y.copy()]
     for k in range(n_steps):
         y = _rk4_steps(rhs, y, schedule[k], dt / substeps, substeps)
-        if not (np.all(np.isfinite(y)) and check(y)):
+        if not (np.all(np.isfinite(y)) and np.max(np.abs(y)) < 1e6):
             return np.array(states), True
         states.append(y.copy())
     return np.array(states), False

@@ -248,8 +248,8 @@ def cmd_optimize(args) -> int:
     problem = get_problem(args.problem)
     budget = args.budget
     if budget is None:
-        presets = {"cstr-pid": 150, "williams-otto": 20}
-        budget = presets.get(args.problem, DEFAULT_BUDGETS.get(problem.dim))
+        presets = {**DEFAULT_BUDGETS, **SUITES["casestudies"]["budgets"]}
+        budget = presets.get(problem.dim)
     if budget is None:
         raise ConfigError(f"no budget preset for dimension {problem.dim}; pass --budget")
     traj = run_optimizer(args.algo, problem, budget, args.seed)

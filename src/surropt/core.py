@@ -77,9 +77,9 @@ class Bounds:
     def clip(self, x) -> np.ndarray:
         return np.clip(np.asarray(x, dtype=float), self.lower, self.upper)
 
-    def contains(self, x, tol: float = 0.0) -> bool:
+    def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
+        return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
 
     @staticmethod
     def cube(lo: float, hi: float, dim: int) -> "Bounds":
@@ -88,18 +88,16 @@ class Bounds:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Additive Gaussian observation noise; sigma = 0 means deterministic.
+    """Additive Gaussian noise on the objective; sigma = 0 means deterministic.
 
-    Constraint observations are noiseless unless ``constraint_sigma`` is set
-    explicitly (off by default).
+    Constraint observations are always noiseless.
     """
 
     sigma: float = 0.0
-    constraint_sigma: float = 0.0
 
     def __post_init__(self):
-        if self.sigma < 0 or self.constraint_sigma < 0:
-            raise ConfigError("noise standard deviations must be >= 0")
+        if self.sigma < 0:
+            raise ConfigError("noise standard deviation must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -196,7 +194,9 @@ class Trajectory:
 
     @property
     def gs(self) -> np.ndarray:
-        # shape (n, n_g); (n, 0) when the problem is unconstrained
+        # shape (n, n_g); (n, 0) when the problem is unconstrained, (0, 0) when empty
+        if not self.evaluations:
+            return np.empty((0, 0))
         return np.array([ev.g for ev in self.evaluations]).reshape(len(self), -1)
 
 
@@ -290,8 +290,6 @@ def evaluate(
             )
         if not np.all(np.isfinite(g)):
             raise EvaluationFailed(f"constraints returned non-finite values at x={x}")
-        if problem.noise.constraint_sigma > 0:
-            g = g + problem.noise.constraint_sigma * rng.standard_normal(g.size)
     else:
         g = np.empty(0)
     if index is None:

@@ -20,6 +20,11 @@ only in the fields of ``_TR_METHODS``. All inner argmins use the same
 derivative-free candidate-pool search (seeded pool + analytic Newton/Cauchy
 candidates + coordinate pattern refinement), so every step operation is a
 pure function of (data, state, seed).
+
+Each method runs at one fixed setting: LCB weight gamma = 2; a search pool
+of 100 * n_x candidates refined for 20 pattern steps; penalties of 100 per
+constraint, multiplied by 10 after each infeasible step (cuatro, cobyqa) up
+to a cap of 1e8; and a sample counts as feasible when max_i g_i <= 1e-3.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ from .core import (
 )
 from .surrogates import (
     SurrogateFitError,
+    _distances,
     fit_gp,
     fit_linear,
     fit_quadratic,
@@ -78,6 +84,12 @@ ALGORITHMS = ("bo", "cbo", "lsqm", "cuatro", "cobyla", "cobyqa", "dycors")
 
 DYCORS_WEIGHTS = (0.3, 0.5, 0.8, 0.95)
 
+_POOL_PER_DIM = 100  # inner-search pool: candidates per input dimension
+_REFINE_STEPS = 20  # pattern-refinement steps after the pool
+_PENALTY_GROWTH = 10.0
+_PENALTY_CAP = 1e8
+_FEASIBILITY_THRESHOLD = 1e-3
+
 
 # ------------------------------------------------------------------ state types
 
@@ -100,12 +112,9 @@ class TrustRegionState:
 
 @dataclass(frozen=True)
 class AcquisitionConfig:
-    """LCB acquisition settings and inner-search effort."""
+    """LCB acquisition weight on the posterior standard deviation."""
 
     gamma: float = 2.0
-    candidate_pool: Optional[int] = None  # defaults to 100 * n_x
-    refine_steps: int = 20
-    feasibility_backoff: bool = False  # require mu + sigma <= 0 instead of mu <= 0
 
     def __post_init__(self):
         if self.gamma < 0:
@@ -117,16 +126,11 @@ class MeritConfig:
     """Per-constraint penalties for merit functions."""
 
     penalties: np.ndarray = field(default_factory=lambda: np.array([100.0]))
-    penalty_growth: float = 10.0
-    penalty_cap: float = 1e8
-    feasibility_threshold: float = 1e-3
 
     def __post_init__(self):
         pen = np.atleast_1d(np.asarray(self.penalties, dtype=float))
         if np.any(pen <= 0):
             raise ConfigError("all penalties must be > 0")
-        if self.penalty_growth <= 1:
-            raise ConfigError("penalty_growth must be > 1")
         object.__setattr__(self, "penalties", pen)
 
     @staticmethod
@@ -199,12 +203,11 @@ def _pool_minimize(
     keys_fn: Callable[[np.ndarray], tuple],
     bounds: Bounds,
     seed: int,
-    n_pool: int,
-    refine_steps: int,
     center=None,
     radius=None,
     extra: Optional[list] = None,
 ) -> np.ndarray:
+    n_pool = _POOL_PER_DIM * bounds.dim
     if center is not None:
         rng = substream(seed, "pool")
         X = _ball_candidates(center, radius, bounds, n_pool, rng)
@@ -224,7 +227,7 @@ def _pool_minimize(
     best_key = (primary[i], secondary[i])
 
     d = bounds.dim
-    for _ in range(refine_steps):
+    for _ in range(_REFINE_STEPS):
         trials = np.repeat(x[None, :], 2 * d, axis=0)
         for j in range(d):
             trials[2 * j, j] += step
@@ -260,12 +263,12 @@ def _feasibility_first_keys(values, margins):
 # ------------------------------------------------------------------ BO / CBO
 
 
-def _best_index(y, G=None, threshold=1e-3):
+def _best_index(y, G=None):
     """Feasible-first incumbent: min y among feasible, else min total violation."""
     if G is None or G.size == 0:
         return int(np.argmin(y))
     viol = np.sum(np.maximum(G, 0.0), axis=1)
-    feasible = np.max(G, axis=1) <= threshold
+    feasible = np.max(G, axis=1) <= _FEASIBILITY_THRESHOLD
     if np.any(feasible):
         idx = np.where(feasible)[0]
         return int(idx[np.argmin(np.asarray(y)[idx])])
@@ -281,14 +284,11 @@ def propose_bo(
     This is :func:`propose_cbo` with no constraint models: constraint
     observations in ``data`` are ignored.
     """
-    return _propose_gp(Dataset(data.X, data.y), bounds, config, None, seed)
+    return _propose_gp(Dataset(data.X, data.y), bounds, config, seed)
 
 
 def propose_cbo(
-    data: Dataset,
-    bounds: Bounds,
-    config: AcquisitionConfig = AcquisitionConfig(),
-    merit: Optional[MeritConfig] = None,
+    data: Dataset, bounds: Bounds, config: AcquisitionConfig = AcquisitionConfig(),
     seed: int = 0,
 ) -> np.ndarray:
     """Constrained BO: LCB among candidates whose constraint-GP means are <= 0.
@@ -298,11 +298,10 @@ def propose_cbo(
     """
     if data.G is None or data.G.shape[1] < 1:
         raise ConfigError("propose_cbo needs constraint observations")
-    return _propose_gp(data, bounds, config, merit, seed)
+    return _propose_gp(data, bounds, config, seed)
 
 
-def _propose_gp(data, bounds, config, merit, seed):
-    n_pool = config.candidate_pool or 100 * bounds.dim
+def _propose_gp(data, bounds, config, seed):
     n_g = 0 if data.G is None else data.G.shape[1]
     try:
         f_model = fit_gp(data, seed=derive_seed(seed, "gp"))
@@ -318,15 +317,11 @@ def _propose_gp(data, bounds, config, merit, seed):
         mu, var = gp_posterior(f_model, X)
         margins = []
         for gm in g_models:
-            mu_g, var_g = gp_posterior(gm, X)
-            margins.append(mu_g + np.sqrt(var_g) if config.feasibility_backoff else mu_g)
+            margins.append(gp_posterior(gm, X)[0])
         return _feasibility_first_keys(lcb(mu, np.sqrt(var), config.gamma), margins)
 
-    threshold = merit.feasibility_threshold if merit else 1e-3
-    incumbent = data.X[_best_index(data.y, data.G, threshold)]
-    return _pool_minimize(
-        keys, bounds, seed, n_pool, config.refine_steps, extra=[incumbent]
-    )
+    incumbent = data.X[_best_index(data.y, data.G)]
+    return _pool_minimize(keys, bounds, seed, extra=[incumbent])
 
 
 # ------------------------------------------------------------------ trust region
@@ -389,7 +384,7 @@ def _observed_merit(y, g, penalties):
     g = np.atleast_1d(np.asarray(g, dtype=float))
     if g.size == 0:
         return float(y)
-    return float(y + np.sum(penalties[: g.size] * np.maximum(g, 0.0)))
+    return float(y + np.sum(penalties * np.maximum(g, 0.0)))
 
 
 def _vertex_merit(y, g, penalties):
@@ -464,8 +459,7 @@ def _tr_propose(kind, data, bounds, tr, merit, seed):
         return float(method.merit(*predict(x), penalties))
 
     x = _pool_minimize(
-        keys, bounds, seed, 100 * bounds.dim, 20,
-        center=tr.center, radius=radius,
+        keys, bounds, seed, center=tr.center, radius=radius,
         extra=method.extras(f_model, tr.center, radius),
     )
     on_boundary = float(np.linalg.norm(x - tr.center)) >= radius * (1.0 - 1e-3)
@@ -596,9 +590,7 @@ def dycors_step(
         return trials[0]
 
     v_f = _unit_rescale(rbf_predict(model, trials))
-    diff = trials[:, None, :] - data.X[None, :, :]
-    nearest = np.sqrt(np.sum(diff**2, axis=2)).min(axis=1)
-    v_d = _unit_rescale(nearest)
+    v_d = _unit_rescale(_distances(trials, data.X).min(axis=1))
     w = DYCORS_WEIGHTS[state.weight_cycle_index % len(DYCORS_WEIGHTS)]
     score = w * v_f + (1.0 - w) * (1.0 - v_d)
     return trials[int(np.argmin(score))]
@@ -638,22 +630,17 @@ def initial_design_size(algorithm: str, dim: int) -> int:
 
 
 class _BoStrategy:
-    def __init__(self, problem: Problem, acquisition: AcquisitionConfig, constrained: bool):
+    def __init__(self, problem: Problem, constrained: bool):
         self.problem = problem
-        self.acq = acquisition
         self.constrained = constrained
-        self.merit = MeritConfig.for_constraints(problem.n_constraints)
         self.n_init = initial_design_size("bo", problem.dim)
 
     def start(self, data: Dataset):
         pass
 
     def propose(self, data: Dataset, seed: int):
-        if self.constrained:
-            return propose_cbo(
-                data, self.problem.bounds, self.acq, self.merit, seed
-            )
-        return propose_bo(data, self.problem.bounds, self.acq, seed)
+        propose = propose_cbo if self.constrained else propose_bo
+        return propose(data, self.problem.bounds, seed=seed)
 
     def update(self, x, y, g):
         pass
@@ -710,11 +697,11 @@ class _Simplex:
 class _TrustRegionStrategy:
     """Runner-side state of lsqm, cuatro, cobyqa and cobyla."""
 
-    def __init__(self, problem: Problem, kind: str, merit: Optional[MeritConfig]):
+    def __init__(self, problem: Problem, kind: str):
         self.problem = problem
         self.kind = kind
         self.method = _TR_METHODS[kind]
-        self.merit = merit or MeritConfig.for_constraints(problem.n_constraints)
+        self.merit = MeritConfig.for_constraints(problem.n_constraints)
         self.n_init = initial_design_size(kind, problem.dim)
         self.tr: Optional[TrustRegionState] = None
         self.center_y = math.inf
@@ -723,7 +710,7 @@ class _TrustRegionStrategy:
         self._step = None  # (pred_center, pred_new, boundary); None for a rebuild point
 
     def start(self, data: Dataset):
-        i = _best_index(data.y, data.G, self.merit.feasibility_threshold)
+        i = _best_index(data.y, data.G)
         width = float(np.max(self.problem.bounds.width))
         self.tr = TrustRegionState(
             center=data.X[i].copy(), radius=0.1 * width, min_radius=1e-6, max_radius=width,
@@ -762,7 +749,7 @@ class _TrustRegionStrategy:
         predicted = float(pred_center - pred_new)
         observed = self.method.observed_merit
         actual = observed(self.center_y, self.center_g, pen) - observed(y, g_arr, pen)
-        feasible = g_arr.size == 0 or float(np.max(g_arr)) <= self.merit.feasibility_threshold
+        feasible = g_arr.size == 0 or float(np.max(g_arr)) <= _FEASIBILITY_THRESHOLD
         if self.simplex is not None:
             self.simplex.replace_worst(x, y, g_arr.copy(), self.tr.center, pen)
         self.tr = trust_region_update(
@@ -772,11 +759,8 @@ class _TrustRegionStrategy:
             self.center_y = y
             self.center_g = g_arr.copy()
         if not feasible and self.method.grows_penalty:
-            grown = np.minimum(
-                self.merit.penalties * self.merit.penalty_growth,
-                self.merit.penalty_cap,
-            )
-            self.merit = replace(self.merit, penalties=grown)
+            grown = np.minimum(pen * _PENALTY_GROWTH, _PENALTY_CAP)
+            self.merit = MeritConfig(penalties=grown)
 
 
 class _DycorsStrategy:
@@ -811,14 +795,14 @@ class _DycorsStrategy:
         self.state = dycors_update(self.state, success)
 
 
-def _make_strategy(algorithm, problem, budget, acquisition, merit):
+def _make_strategy(algorithm, problem, budget):
     if algorithm in ("bo", "cbo"):
         constrained = algorithm == "cbo"
         if constrained and problem.n_constraints < 1:
             raise ConfigError("cbo requires a constrained problem")
-        return _BoStrategy(problem, acquisition or AcquisitionConfig(), constrained)
+        return _BoStrategy(problem, constrained)
     if algorithm in _TR_METHODS:
-        return _TrustRegionStrategy(problem, algorithm, merit)
+        return _TrustRegionStrategy(problem, algorithm)
     if algorithm == "dycors":
         return _DycorsStrategy(problem, budget)
     raise ConfigError(
@@ -826,14 +810,7 @@ def _make_strategy(algorithm, problem, budget, acquisition, merit):
     )
 
 
-def run_optimizer(
-    algorithm: str,
-    problem: Problem,
-    budget: int,
-    seed: int,
-    acquisition: Optional[AcquisitionConfig] = None,
-    merit: Optional[MeritConfig] = None,
-) -> Trajectory:
+def run_optimizer(algorithm: str, problem: Problem, budget: int, seed: int) -> Trajectory:
     """Run one optimizer for exactly ``budget`` evaluations.
 
     The run starts with a Latin hypercube design, then loops
@@ -845,7 +822,7 @@ def run_optimizer(
     :class:`~surropt.core.EvaluationFailed` from the problem.
     """
     algorithm = str(algorithm).lower()
-    strategy = _make_strategy(algorithm, problem, budget, acquisition, merit)
+    strategy = _make_strategy(algorithm, problem, budget)
     if budget < strategy.n_init:
         raise ConfigError(
             f"budget {budget} is below the initial design size {strategy.n_init}"

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import difflib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict
 
 import numpy as np
@@ -75,7 +75,6 @@ class TestFunctionSpec:
     fn: Callable[[np.ndarray], float]
     optimum_x: np.ndarray
     optimum_f: float = 0.0
-    constants: dict = field(default_factory=dict)
 
     def bounds(self) -> Bounds:
         return Bounds.cube(-5.0, 5.0, self.dim)
@@ -110,17 +109,8 @@ def _optimum_x(name: str, dim: int) -> np.ndarray:
 def test_function_spec(name: str, dim: int) -> TestFunctionSpec:
     if name not in _UNCONSTRAINED:
         raise ConfigError(f"unknown test function '{name}'")
-    constants = {}
-    if name == "ackley":
-        constants = {"a": 20.0, "b": 0.2, "c": 2.0 * math.pi}
-    elif name == "quadratic":
-        constants = {"a": 1.9}
     return TestFunctionSpec(
-        name=name,
-        dim=dim,
-        fn=_UNCONSTRAINED[name],
-        optimum_x=_optimum_x(name, dim),
-        constants=constants,
+        name=name, dim=dim, fn=_UNCONSTRAINED[name], optimum_x=_optimum_x(name, dim),
     )
 
 

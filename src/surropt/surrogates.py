@@ -47,21 +47,30 @@ class SurrogateFitError(RuntimeError):
     """Raised when a surrogate cannot be fitted (singular or non-PD system)."""
 
 
+def _distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of A and the rows of B.
+
+    Summed over the difference tensor rather than by the Gram identity,
+    which is not exact at zero distance.
+    """
+    return np.sqrt(np.sum((A[:, None, :] - B[None, :, :]) ** 2, axis=2))
+
+
 def _merge_duplicates(X: np.ndarray, y: np.ndarray, tol: float = _DUPLICATE_TOL):
-    """Merge rows of X closer than ``tol`` (their y values are averaged)."""
-    keep_X: list[np.ndarray] = []
-    keep_y: list[list[float]] = []
-    for xi, yi in zip(X, y):
-        for k, xk in enumerate(keep_X):
-            if np.linalg.norm(xi - xk) < tol:
-                keep_y[k].append(yi)
-                break
-        else:
-            keep_X.append(xi)
-            keep_y.append([yi])
-    Xm = np.array(keep_X)
-    ym = np.array([np.mean(v) for v in keep_y])
-    return Xm, ym
+    """Merge rows of X closer than ``tol`` (their y values are averaged).
+
+    A row joins the first kept row within ``tol``; each kept row's y is the
+    mean of its members in row order.
+    """
+    rows = np.arange(X.shape[0])
+    close = np.tril(_distances(X, X) < tol, k=-1)
+    owner = rows.copy()
+    for i in np.flatnonzero(close.any(axis=1)):
+        hits = np.flatnonzero(close[i, :i] & (owner[:i] == rows[:i]))
+        if hits.size:
+            owner[i] = hits[0]
+    kept = rows[owner == rows]
+    return X[kept], np.array([np.mean(y[owner == k]) for k in kept])
 
 
 def _sq_dists(A: np.ndarray, B: np.ndarray, lengthscales: np.ndarray) -> np.ndarray:
@@ -107,12 +116,32 @@ class GpModel:
     y_std: float
 
 
-def _build_gp(X, y_std_units, lengthscales, signal_variance, noise_variance,
-              y_mean, y_scale) -> GpModel:
+def _standardize(y):
+    """(y - mean) / std with the mean and scale; constant targets keep unit scale."""
+    y_mean = float(np.mean(y))
+    y_scale = float(np.std(y))
+    if y_scale <= 0:
+        y_scale = 1.0
+    return (y - y_mean) / y_scale, y_mean, y_scale
+
+
+def _factor(X, ys, lengthscales, signal_variance, noise_variance):
+    """Cholesky factor L of the noisy training kernel and alpha = K^-1 ys."""
     K = _se_kernel(X, X, lengthscales, signal_variance)
     K[np.diag_indices_from(K)] += noise_variance
     L, _ = _chol_with_jitter(K)
-    alpha = np.linalg.solve(L.T, np.linalg.solve(L, y_std_units))
+    return L, np.linalg.solve(L.T, np.linalg.solve(L, ys))
+
+
+def _lml(ys, L, alpha) -> float:
+    return float(
+        -0.5 * ys @ alpha - np.sum(np.log(np.diag(L))) - 0.5 * ys.size * math.log(2 * math.pi)
+    )
+
+
+def _build_gp(X, y_std_units, lengthscales, signal_variance, noise_variance,
+              y_mean, y_scale) -> GpModel:
+    L, alpha = _factor(X, y_std_units, lengthscales, signal_variance, noise_variance)
     return GpModel(
         X_train=X,
         y_train=y_std_units,
@@ -143,11 +172,7 @@ def gp_from_hyperparameters(
         np.asarray(lengthscales, dtype=float), (X.shape[1],)
     ).copy()
     if standardize:
-        y_mean = float(np.mean(y))
-        y_scale = float(np.std(y))
-        if y_scale <= 0:
-            y_scale = 1.0
-        ys = (y - y_mean) / y_scale
+        ys, y_mean, y_scale = _standardize(y)
         nv = noise_variance / y_scale**2
     else:
         y_mean, y_scale = 0.0, 1.0
@@ -157,17 +182,11 @@ def gp_from_hyperparameters(
 
 
 def _gp_lml(X, ys, lengthscales, signal_variance, noise_variance) -> float:
-    K = _se_kernel(X, X, lengthscales, signal_variance)
-    K[np.diag_indices_from(K)] += noise_variance
     try:
-        L, _ = _chol_with_jitter(K)
+        L, alpha = _factor(X, ys, lengthscales, signal_variance, noise_variance)
     except SurrogateFitError:
         return -np.inf
-    alpha = np.linalg.solve(L.T, np.linalg.solve(L, ys))
-    n = ys.size
-    return float(
-        -0.5 * ys @ alpha - np.sum(np.log(np.diag(L))) - 0.5 * n * math.log(2 * math.pi)
-    )
+    return _lml(ys, L, alpha)
 
 
 def _golden_section(f, lo, hi, iters=16):
@@ -204,12 +223,7 @@ def fit_gp(
     if X.shape[0] < 1:
         raise SurrogateFitError("no samples to fit")
     d = X.shape[1]
-
-    y_mean = float(np.mean(y))
-    y_scale = float(np.std(y))
-    if y_scale <= 0:
-        y_scale = 1.0  # degenerate targets: fall back to unit scale
-    ys = (y - y_mean) / y_scale
+    ys, y_mean, y_scale = _standardize(y)
 
     widths = X.max(axis=0) - X.min(axis=0)
     widths[widths <= 0] = 1.0
@@ -290,13 +304,7 @@ def gp_posterior(model: GpModel, x):
 
 def gp_log_marginal_likelihood(model: GpModel) -> float:
     """log p(y | X, theta) of the stored (standardized) training targets."""
-    L = model.chol_factor
-    n = model.y_train.size
-    return float(
-        -0.5 * model.y_train @ model.alpha
-        - np.sum(np.log(np.diag(L)))
-        - 0.5 * n * math.log(2 * math.pi)
-    )
+    return _lml(model.y_train, model.chol_factor, model.alpha)
 
 
 # ------------------------------------------------------------------ quadratic
@@ -387,19 +395,14 @@ class LinModel:
         return x @ self.g_hat + self.b
 
 
-def fit_linear(data: Dataset, ridge: float = 0.0) -> LinModel:
-    """Least-squares affine fit (ridge-regularized when ridge > 0).
+def fit_linear(data: Dataset) -> LinModel:
+    """Least-squares affine fit.
 
     Interpolates exactly on a non-degenerate simplex of n_x + 1 points.
     """
     X, y = data.X, data.y
     A = np.column_stack([X, np.ones(X.shape[0])])
-    if ridge > 0:
-        A_aug = np.vstack([A, math.sqrt(ridge) * np.eye(A.shape[1])])
-        y_aug = np.concatenate([y, np.zeros(A.shape[1])])
-        beta, *_ = np.linalg.lstsq(A_aug, y_aug, rcond=None)
-    else:
-        beta, *_ = np.linalg.lstsq(A, y, rcond=None)
+    beta, *_ = np.linalg.lstsq(A, y, rcond=None)
     return LinModel(g_hat=beta[:-1].copy(), b=float(beta[-1]))
 
 
@@ -413,7 +416,6 @@ class RbfModel:
     centers: np.ndarray
     lam: np.ndarray
     poly_coeffs: np.ndarray  # [a_1..a_d, b]
-    kernel: str = "cubic"
 
 
 def fit_rbf(data: Dataset) -> RbfModel:
@@ -433,9 +435,7 @@ def fit_rbf(data: Dataset) -> RbfModel:
         raise SurrogateFitError(
             "rank-deficient polynomial tail: sample points are affinely degenerate"
         )
-    diff = X[:, None, :] - X[None, :, :]
-    R = np.sqrt(np.sum(diff**2, axis=2))
-    Phi = R**3
+    Phi = _distances(X, X) ** 3
     M = np.zeros((n + d + 1, n + d + 1))
     M[:n, :n] = Phi
     M[:n, n:] = P
@@ -456,9 +456,7 @@ def rbf_predict(model: RbfModel, x):
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     Xq = np.atleast_2d(x)
-    diff = Xq[:, None, :] - model.centers[None, :, :]
-    R = np.sqrt(np.sum(diff**2, axis=2))
     a = model.poly_coeffs[:-1]
     b = model.poly_coeffs[-1]
-    vals = (R**3) @ model.lam + Xq @ a + b
+    vals = (_distances(Xq, model.centers) ** 3) @ model.lam + Xq @ a + b
     return float(vals[0]) if single else vals

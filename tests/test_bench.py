@@ -89,6 +89,12 @@ def test_count_violations_unconstrained():
     assert count_violations(np.empty((4, 0))) == (1.0, 0.0)
 
 
+def test_count_violations_empty_trajectory():
+    traj = Trajectory(budget=3, seed=0)
+    assert traj.gs.shape == (0, 0)
+    assert count_violations(traj) == (1.0, 0.0)
+
+
 def test_count_violations_trajectory_input():
     traj = Trajectory(budget=3, seed=0)
     for i, g in enumerate([0.5, -0.2, 0.003]):

@@ -218,6 +218,14 @@ def test_optimize_writes_trajectory(tmp_path, capsys):
     assert "best y" in capsys.readouterr().out
 
 
+def test_optimize_default_budget_for_case_study(tmp_path):
+    out = tmp_path / "wo.csv"
+    code = main(["optimize", "--algo", "cobyla", "--problem", "williams-otto", "--out", str(out)])
+    assert code == 0
+    with open(out, newline="") as fh:
+        assert len(list(csv.reader(fh))) - 1 == 20
+
+
 def test_optimize_unknown_algo(capsys):
     assert main(["optimize", "--algo", "dycor", "--problem", "ackley-d2"]) == 2
     assert "dycors" in capsys.readouterr().err

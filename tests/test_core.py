@@ -179,6 +179,22 @@ def test_evaluate_rejects_non_finite_constraints(bad_g):
     assert len(traj) == 0
 
 
+def test_evaluate_constraints_are_noiseless():
+    p = Problem(
+        name="noisy-con",
+        bounds=Bounds.cube(-1, 1, 2),
+        objective=lambda x: float(x[0]),
+        constraints=lambda x: np.array([x[0] + 0.3 * x[1], x[1] ** 2 - 0.1]),
+        n_constraints=2,
+        noise=NoiseSpec(sigma=0.5),
+    )
+    rng = substream(3, "noise")
+    for x in latin_hypercube(p.bounds, 5, seed=3):
+        ev = evaluate(p, x, rng)
+        assert ev.y != p.objective(ev.x)
+        assert np.array_equal(ev.g, p.constraints(ev.x))
+
+
 def test_trajectory_indices_and_dataset():
     p = Problem(
         name="lin-con",

@@ -137,7 +137,7 @@ def test_propose_cbo_inactive_constraints_match_bo():
     bounds = Bounds.cube(-1.0, 1.0, 1)
     cfg = AcquisitionConfig(gamma=2.0)
     a = propose_bo(data, bounds, cfg, seed=12)
-    b = propose_cbo(cdata, bounds, cfg, MeritConfig(), seed=12)
+    b = propose_cbo(cdata, bounds, cfg, seed=12)
     assert np.array_equal(a, b)
 
 
@@ -146,7 +146,7 @@ def test_propose_cbo_active_constraint_mean_nonpositive():
     data = Dataset(x, -x[:, 0], x.copy())  # f = -x wants x=1; g = x <= 0
     bounds = Bounds.cube(-1.0, 1.0, 1)
     seed = 5
-    x_star = propose_cbo(data, bounds, AcquisitionConfig(), MeritConfig(), seed=seed)
+    x_star = propose_cbo(data, bounds, AcquisitionConfig(), seed=seed)
     g_model = fit_gp(Dataset(x, x[:, 0]), seed=derive_seed(seed, "gp-con", 0))
     mu_g, _ = gp_posterior(g_model, x_star)
     assert mu_g <= 1e-3
@@ -157,14 +157,14 @@ def test_propose_cbo_all_infeasible_minimizes_violation():
     x = np.linspace(0.5, 1.5, 21).reshape(-1, 1)
     data = Dataset(x, np.cos(x[:, 0]), x.copy())  # g = x >= 0.5 > 0 everywhere
     bounds = Bounds(np.array([0.5]), np.array([1.5]))
-    x_star = propose_cbo(data, bounds, AcquisitionConfig(), MeritConfig(), seed=3)
+    x_star = propose_cbo(data, bounds, AcquisitionConfig(), seed=3)
     assert x_star[0] <= 0.51  # violation ~ x is minimized at the left edge
 
 
 def test_propose_cbo_requires_constraints():
     data = _quad_1d_data()
     with pytest.raises(ConfigError):
-        propose_cbo(data, Bounds.cube(-1, 1, 1), AcquisitionConfig(), MeritConfig(), 0)
+        propose_cbo(data, Bounds.cube(-1, 1, 1), AcquisitionConfig(), 0)
 
 
 # ---------------------------------------------------------------- lsqm_step
@@ -586,8 +586,6 @@ def test_config_validation():
         AcquisitionConfig(gamma=-0.5)
     with pytest.raises(ConfigError):
         MeritConfig(penalties=np.array([0.0]))
-    with pytest.raises(ConfigError):
-        MeritConfig(penalty_growth=1.0)
     with pytest.raises(ConfigError):
         DycorsState(iteration=5, max_iterations=3, step_size=0.2, initial_step_size=0.2)
     with pytest.raises(ConfigError):
