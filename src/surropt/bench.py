@@ -14,7 +14,9 @@ exceeds the violation threshold.
 
 Artifacts: ``<out>/<suite>/<problem>/<algorithm>/rep<k>.csv`` (one row per
 evaluation, floats at 17 significant digits), ``scores.json``,
-``convergence.csv``, and ``cells.json`` with per-cell statuses.
+``convergence.csv``, and ``cells.json`` with per-cell statuses: ``ok``,
+``fallback@<k>: <reason>`` (random search from evaluation k on) or
+``failed: <error>``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import logging
 from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -158,35 +160,54 @@ def count_violations(trajectory, threshold: float = 1e-3):
     return feasible_fraction, mean_violation
 
 
-def _resolve_problems(config: BenchmarkConfig):
-    """Expand config problem entries into (key, dim, n_e, n_c) cells."""
-    entries = []
-    for name in config.problems:
-        if name in BASE_FUNCTIONS:
-            if not config.dims:
-                raise ConfigError(f"'{name}' needs a non-empty dims list")
-            for d in config.dims:
-                entries.append((f"{name}-d{d}", int(d)))
+class Cell(NamedTuple):
+    """One (problem, algorithm, repetition) run of a benchmark."""
+
+    name: str  # "<key>/<algo>/rep<k>", as in cells.json and manifest.json
+    key: str
+    budget: int
+    algo: str
+    rep: int
+    seed: int
+
+
+def expand_problems(names, dims, dim_of=lambda name: get_problem(name).dim):
+    """(key, dim) of each problem name, in order; a base function expands over dims."""
+    pairs = []
+    for name in names:
+        if name not in BASE_FUNCTIONS:
+            pairs.append((name, dim_of(name)))
+        elif not dims:
+            raise ConfigError(f"'{name}' needs a non-empty dims list")
         else:
-            entries.append((name, get_problem(name).dim))
-    resolved = []
-    for key, d in entries:
+            pairs += [(f"{name}-d{d}", int(d)) for d in dims]
+    return pairs
+
+
+def plan_cells(config: BenchmarkConfig, dim_of=lambda name: get_problem(name).dim):
+    """The problems (key, dim, n_e, n_c) and the cells of a run, both in run order."""
+    problems = []
+    for key, d in expand_problems(config.problems, config.dims, dim_of):
         if d not in config.budgets or d not in config.warmup:
             raise ConfigError(
                 f"no budget/warm-up preset for dimension {d} (problem '{key}'); "
                 f"known dimensions: {sorted(config.budgets)}"
             )
-        n_e, n_c = int(config.budgets[d]), int(config.warmup[d])
-        if n_e <= n_c:
-            raise ConfigError(f"budget {n_e} must exceed warm-up {n_c} for '{key}'")
-        resolved.append((key, d, n_e, n_c))
-    return resolved
+        problems.append((key, d, int(config.budgets[d]), int(config.warmup[d])))
+    cells = [
+        Cell(f"{key}/{algo}/rep{rep}", key, n_e, algo, rep,
+             derive_seed(config.seed, algo, key, d, rep))
+        for key, d, n_e, _ in problems
+        for algo in config.algorithms
+        for rep in range(config.repetitions)
+    ]
+    return problems, cells
 
 
-def _run_cell(algo: str, key: str, budget: int, seed: int) -> Trajectory:
+def _run_cell(cell: Cell) -> Trajectory:
     # module-level so process pools can import it; rebuilds the problem
     # from its registry key instead of pickling closures
-    return run_optimizer(algo, get_problem(key), budget, seed)
+    return run_optimizer(cell.algo, get_problem(cell.key), cell.budget, cell.seed)
 
 
 def _fmt(x: float) -> str:
@@ -240,18 +261,18 @@ class _InProcess(Executor):
         return future
 
 
-def _score_table(suite, problems, algorithms, repetitions, threshold, load, status):
+def _score_table(config: BenchmarkConfig, problems, runs, status) -> ScoreTable:
     """Score every (problem, algorithm) from its repetitions (pure reduction).
 
-    ``load(key, algo, rep)`` returns the best-so-far curve and the G rows of
-    one repetition, or None when that repetition is missing.
+    ``runs`` maps (key, algo, rep) to the best-so-far curve and the G rows of
+    each repetition that ran.
     """
     n_effective, r_all, p_all, feas, mviol, convergence = {}, {}, {}, {}, {}, []
     for key, dim, n_e, n_c in problems:
         per_algo, G_rows = {}, {}
-        for algo in algorithms:
-            cells = [load(key, algo, rep) for rep in range(repetitions)]
-            cells = [c for c in cells if c is not None]
+        for algo in config.algorithms:
+            cells = [runs[key, algo, rep] for rep in range(config.repetitions)
+                     if (key, algo, rep) in runs]
             if cells:
                 per_algo[algo] = np.array([bsf[n_c:] for bsf, _ in cells])  # warm-up dropped
                 G_rows[algo] = np.vstack([G for _, G in cells])
@@ -268,7 +289,7 @@ def _score_table(suite, problems, algorithms, repetitions, threshold, load, stat
             r_all[(key, algo)] = r
             p_all[(key, algo)] = score_p(r)
             feas[(key, algo)], mviol[(key, algo)] = count_violations(
-                G_rows[algo], threshold
+                G_rows[algo], config.violation_threshold
             )
         for algo in sorted(per_algo):
             c = per_algo[algo]
@@ -285,8 +306,8 @@ def _score_table(suite, problems, algorithms, repetitions, threshold, load, stat
                     )
                 )
     return ScoreTable(
-        suite, [k for k, *_ in problems], list(algorithms), n_effective, r_all,
-        p_all, feas, mviol, convergence=convergence, cell_status=status,
+        config.suite, [k for k, *_ in problems], list(config.algorithms), n_effective,
+        r_all, p_all, feas, mviol, convergence=convergence, cell_status=status,
     )
 
 
@@ -299,40 +320,28 @@ def run_benchmark(
     aggregation; everything else proceeds. Results are bit-reproducible for
     a fixed config regardless of ``jobs``.
     """
-    problems = _resolve_problems(config)
-    tasks = []
-    for key, dim, n_e, n_c in problems:
-        for algo in config.algorithms:
-            for rep in range(config.repetitions):
-                seed = derive_seed(config.seed, algo, key, dim, rep)
-                tasks.append((key, dim, n_e, n_c, algo, rep, seed))
-
-    trajectories, status = {}, {}
+    problems, cells = plan_cells(config)
+    root = None if out_dir is None else Path(out_dir) / config.suite
+    runs, status = {}, {}
     # jobs == 1 runs every cell on the calling thread, so thread CPU clocks see it
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else _InProcess() as pool:
-        futures = {
-            pool.submit(_run_cell, algo, key, n_e, seed): (key, algo, rep)
-            for key, dim, n_e, n_c, algo, rep, seed in tasks
-        }
-        for fut, (key, algo, rep) in futures.items():
+        futures = [pool.submit(_run_cell, cell) for cell in cells]
+        for cell, fut in zip(cells, futures):
             try:
-                trajectories[(key, algo, rep)] = fut.result()
-                status[f"{key}/{algo}/rep{rep}"] = "ok"
+                traj = fut.result()
             except Exception as exc:
-                status[f"{key}/{algo}/rep{rep}"] = f"failed: {exc}"
-                logger.warning("cell %s/%s rep %d failed: %s", key, algo, rep, exc)
+                status[cell.name] = f"failed: {exc}"
+                logger.warning("cell %s failed: %s", cell.name, exc)
+                continue
+            meta = traj.meta
+            status[cell.name] = (f"fallback@{meta['fallback_at']}: {meta['fallback_reason']}"
+                                 if "fallback_at" in meta else "ok")
+            runs[cell.key, cell.algo, cell.rep] = (best_so_far(traj), traj.gs)
+            if root is not None:
+                _write_rep_csv(root / f"{cell.name}.csv", traj)
 
-    def load(key, algo, rep):
-        traj = trajectories.get((key, algo, rep))
-        return None if traj is None else (best_so_far(traj), traj.gs)
-
-    table = _score_table(config.suite, problems, config.algorithms, config.repetitions,
-                         config.violation_threshold, load, status)
-
-    if out_dir is not None:
-        root = Path(out_dir) / config.suite
-        for (key, algo, rep), traj in sorted(trajectories.items()):
-            _write_rep_csv(root / key / algo / f"rep{rep}.csv", traj)
+    table = _score_table(config, problems, runs, status)
+    if root is not None:
         _write_scores(root, config, problems, table)
         _write_convergence(root / "convergence.csv", table.convergence)
         with open(root / "cells.json", "w") as fh:
@@ -377,19 +386,16 @@ def score_results(results_dir: str, suite: Optional[str] = None) -> ScoreTable:
         raise ConfigError(f"no scores.json under {root}")
     with open(scores_path) as fh:
         payload = json.load(fh)
-    cfg = payload["config"]
-    cells = payload["cells"]
-    problems = [
-        (key, meta["dim"], meta["n_e"], meta["n_c"]) for key, meta in cells.items()
-    ]
-    status = {}
-
-    def load(key, algo, rep):
-        path = root / key / algo / f"rep{rep}.csv"
-        if not path.exists():
-            return None
-        status[f"{key}/{algo}/rep{rep}"] = "ok"
-        return _read_rep_csv(path)
-
-    return _score_table(payload["suite"], problems, cfg["algorithms"], cfg["repetitions"],
-                        cfg["violation_threshold"], load, status)
+    cfg = dict(payload["config"], suite=payload["suite"])
+    for name in ("budgets", "warmup"):
+        cfg[name] = {int(d): v for d, v in cfg[name].items()}
+    config = BenchmarkConfig(**cfg)
+    stored = payload["cells"]
+    problems, cells = plan_cells(config, dim_of=lambda key: stored[key]["dim"])
+    runs, status = {}, {}
+    for cell in cells:
+        path = root / f"{cell.name}.csv"
+        if path.exists():
+            runs[cell.key, cell.algo, cell.rep] = _read_rep_csv(path)
+            status[cell.name] = "ok"
+    return _score_table(config, problems, runs, status)

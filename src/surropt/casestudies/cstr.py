@@ -256,10 +256,9 @@ def cstr_objective(theta, noise: NoiseSpec | None = None, seed: int = 0,
     return float(value)
 
 
-def make_cstr_problem(noise_sigma: float | None = None) -> Problem:
+def make_cstr_problem() -> Problem:
     """The 32-dimensional PID tuning problem over the unit cube."""
-    cfg = load_defaults()["cstr"]
-    sigma = float(cfg["noise_sigma"]) if noise_sigma is None else float(noise_sigma)
+    sigma = float(load_defaults()["cstr"]["noise_sigma"])
     params = CstrParams.from_config()
     return Problem(
         name="cstr-pid",

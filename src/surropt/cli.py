@@ -38,8 +38,9 @@ from .bench import (
     DEFAULT_WARMUP,
     BASE_FUNCTIONS,
     BenchmarkConfig,
-    _resolve_problems,
     _write_rep_csv,
+    expand_problems,
+    plan_cells,
     run_benchmark,
     score_results,
 )
@@ -94,18 +95,14 @@ class RunManifest:
 
     @classmethod
     def plan(cls, config: BenchmarkConfig) -> "RunManifest":
-        cells = {}
-        for key, dim, n_e, n_c in _resolve_problems(config):
-            for algo in config.algorithms:
-                for rep in range(config.repetitions):
-                    cells[f"{key}/{algo}/rep{rep}"] = "planned"
+        _, cells = plan_cells(config)
         return cls(
             suite=config.suite,
             version=_version(),
             timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
             seed=config.seed,
             config=config.to_dict(),
-            cells=cells,
+            cells={cell.name: "planned" for cell in cells},
         )
 
     def write(self, path: Path) -> None:
@@ -178,12 +175,7 @@ def parse_config(path: Optional[str] = None, flags: Optional[dict] = None) -> Be
 
     # keep only the dimensions this config can actually touch, so a scalar
     # --budget never trips the budget>warmup check for unused presets
-    dims_in_use = set()
-    for name in problems:
-        if name in BASE_FUNCTIONS:
-            dims_in_use.update(dims)
-        else:
-            dims_in_use.add(get_problem(name).dim)
+    dims_in_use = {d for _, d in expand_problems(problems, dims)}
     if "budget" in flags:
         budgets = {d: int(flags["budget"]) for d in dims_in_use}
     else:
@@ -228,12 +220,12 @@ def cmd_run(args) -> int:
     manifest.write(root / config.suite / "manifest.json")
     jobs = args.jobs or os.cpu_count() or 1
     table = run_benchmark(config, out_dir=root, jobs=jobs)
-    failed = sorted(k for k, v in table.cell_status.items() if v != "ok")
+    not_ok = sorted(k for k, v in table.cell_status.items() if v != "ok")
     _print_table(table)
     print(f"results under {root / config.suite}")
-    if failed:
-        print(f"{len(failed)} cell(s) failed:", file=sys.stderr)
-        for cell in failed:
+    if not_ok:
+        print(f"{len(not_ok)} cell(s) not ok:", file=sys.stderr)
+        for cell in not_ok:
             print(f"  {cell}: {table.cell_status[cell]}", file=sys.stderr)
         if args.strict:
             return 1
@@ -313,7 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--threshold", dest="violation_threshold", type=float, default=None)
     run.add_argument("--out", default=None, help="output root (default ./results or $SURROPT_RESULTS)")
     run.add_argument("--jobs", type=int, default=None, help="parallel cells (default: cpu count)")
-    run.add_argument("--strict", action="store_true", help="nonzero exit if any cell fails")
+    run.add_argument("--strict", action="store_true", help="nonzero exit if any cell is not ok")
     run.set_defaults(fn=cmd_run)
 
     opt = sub.add_parser("optimize", help="run one algorithm on one problem")

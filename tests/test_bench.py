@@ -21,6 +21,7 @@ from surropt import (
 )
 from surropt.bench import DEFAULT_BUDGETS, DEFAULT_WARMUP
 from surropt.core import Evaluation, Trajectory
+from surropt.surrogates import SurrogateFitError
 
 
 # ---------------------------------------------------------------- score math
@@ -202,12 +203,18 @@ def test_rerun_is_bit_identical(mini_run):
         assert table.mean_violation[key] == again.mean_violation[key]
 
 
-def test_parallel_run_matches_serial(mini_run):
-    _, table = mini_run
-    par = run_benchmark(BenchmarkConfig(**MINI), jobs=2)
+def test_parallel_run_matches_serial(mini_run, tmp_path):
+    out, table = mini_run
+    par = run_benchmark(BenchmarkConfig(**MINI), out_dir=tmp_path, jobs=2)
     for key in table.r:
         assert np.array_equal(table.r[key], par.r[key])
         assert table.p[key] == par.p[key]
+    # every file written at jobs=2 is byte-identical to the jobs=1 run
+    serial = sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
+    parallel = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p.is_file())
+    assert serial == parallel and len(serial) == 7
+    for rel in serial:
+        assert (out / rel).read_bytes() == (tmp_path / rel).read_bytes(), rel
 
 
 def test_independent_scoring_oracle(mini_run):
@@ -314,6 +321,19 @@ def test_rescoring_is_bit_identical(mini_run):
     assert rescored.n_effective == table.n_effective
 
 
+def test_rescoring_keeps_run_order(tmp_path):
+    problems = ["rosenbrock-c", "quadratic-c", "matyas-c"]
+    config = BenchmarkConfig(
+        algorithms=["cobyla"], problems=problems, repetitions=1,
+        budgets={2: 8}, warmup={2: 3}, suite="order",
+    )
+    table = run_benchmark(config, out_dir=tmp_path)
+    rescored = score_results(tmp_path, suite="order")
+    assert table.problems == problems
+    assert rescored.problems == table.problems
+    assert rescored.convergence == table.convergence
+
+
 def test_score_results_accepts_suite_dir(mini_run):
     out, table = mini_run
     rescored = score_results(out / "mini")
@@ -363,6 +383,27 @@ def test_failed_cells_are_skipped(tmp_path):
     with open(tmp_path / "fail" / "scores.json") as fh:
         payload = json.load(fh)
     assert list(payload["scores"]["quadratic-d2"]) == ["lsqm"]
+
+
+def test_fallback_cell_is_not_ok(tmp_path, monkeypatch):
+    import surropt.optimizers as opt
+
+    def boom(*args, **kwargs):
+        raise SurrogateFitError("synthetic failure")
+
+    monkeypatch.setattr(opt, "fit_quadratic", boom)
+    config = BenchmarkConfig(
+        algorithms=["lsqm"], problems=["quadratic"], dims=[2], repetitions=1,
+        budgets={2: 12}, warmup={2: 3}, seed=5, suite="fb",
+    )
+    table = run_benchmark(config, out_dir=tmp_path)  # jobs=1: the patch reaches the cell
+    status = table.cell_status["quadratic-d2/lsqm/rep0"]
+    assert status.startswith("fallback@4: SurrogateFitError")
+    assert "synthetic failure" in status
+    with open(tmp_path / "fb" / "cells.json") as fh:
+        assert json.load(fh) == table.cell_status
+    with open(tmp_path / "fb" / "quadratic-d2" / "lsqm" / "rep0.csv", newline="") as fh:
+        assert len(list(csv.reader(fh))) - 1 == 12
 
 
 def test_handcrafted_three_algorithm_table(tmp_path):
