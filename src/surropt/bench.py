@@ -24,16 +24,18 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from concurrent.futures import Executor, Future, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import ConfigError, Trajectory, best_so_far, derive_seed
+from .core import VIOLATION_THRESHOLD, ConfigError, Trajectory, best_so_far, derive_seed
 from .optimizers import run_optimizer
-from .problems import get_problem
+from .problems import BASE_FUNCTIONS, get_problem
 
 __all__ = [
     "BenchmarkConfig",
@@ -52,9 +54,6 @@ logger = logging.getLogger(__name__)
 DEFAULT_BUDGETS = {2: 20, 5: 50, 7: 80, 10: 100}
 DEFAULT_WARMUP = {2: 5, 5: 10, 7: 13, 10: 15}
 
-# registry base names that expand over the configured dimension list
-BASE_FUNCTIONS = ("ackley", "levy", "rosenbrock", "quadratic")
-
 
 @dataclass
 class BenchmarkConfig:
@@ -65,7 +64,7 @@ class BenchmarkConfig:
     budgets: dict = field(default_factory=lambda: dict(DEFAULT_BUDGETS))
     warmup: dict = field(default_factory=lambda: dict(DEFAULT_WARMUP))
     seed: int = 0
-    violation_threshold: float = 1e-3
+    violation_threshold: float = VIOLATION_THRESHOLD
     suite: str = "custom"
 
     def __post_init__(self):
@@ -141,7 +140,7 @@ def score_p(r_values) -> float:
     return float(np.mean(r))
 
 
-def count_violations(trajectory, threshold: float = 1e-3):
+def count_violations(trajectory, threshold: float = VIOLATION_THRESHOLD):
     """(feasible_fraction, mean_violation) for a trajectory or raw G array.
 
     An evaluation violates when max_i g_i > threshold; the mean violation
@@ -173,25 +172,27 @@ class Cell(NamedTuple):
 
 def expand_problems(names, dims, dim_of=lambda name: get_problem(name).dim):
     """(key, dim) of each problem name, in order; a base function expands over dims."""
-    pairs = []
+    keys = []
     for name in names:
         if name not in BASE_FUNCTIONS:
-            pairs.append((name, dim_of(name)))
+            keys.append(name)
         elif not dims:
             raise ConfigError(f"'{name}' needs a non-empty dims list")
         else:
-            pairs += [(f"{name}-d{d}", int(d)) for d in dims]
-    return pairs
+            keys += [f"{name}-d{d}" for d in dims]
+    return [(key, dim_of(key)) for key in keys]
 
 
 def plan_cells(config: BenchmarkConfig, dim_of=lambda name: get_problem(name).dim):
     """The problems (key, dim, n_e, n_c) and the cells of a run, both in run order."""
     problems = []
     for key, d in expand_problems(config.problems, config.dims, dim_of):
-        if d not in config.budgets or d not in config.warmup:
+        missing = [name for name, table in (("budget", config.budgets),
+                                            ("warm-up", config.warmup)) if d not in table]
+        if missing:
             raise ConfigError(
-                f"no budget/warm-up preset for dimension {d} (problem '{key}'); "
-                f"known dimensions: {sorted(config.budgets)}"
+                f"no {' or '.join(missing)} for dimension {d} (problem '{key}'); "
+                f"dimensions with both: {sorted(set(config.budgets) & set(config.warmup))}"
             )
         problems.append((key, d, int(config.budgets[d]), int(config.warmup[d])))
     cells = [
@@ -247,18 +248,6 @@ def _read_rep_csv(path: Path):
     bsf = np.array([float(r[i_bsf]) for r in body])
     G = np.array([[float(r[j]) for j in g_cols] for r in body]).reshape(len(body), -1)
     return bsf, G
-
-
-class _InProcess(Executor):
-    """Runs each submitted call at once, in this process and on this thread."""
-
-    def submit(self, fn, /, *args, **kwargs):
-        future = Future()
-        try:
-            future.set_result(fn(*args, **kwargs))
-        except Exception as exc:
-            future.set_exception(exc)
-        return future
 
 
 def _score_table(config: BenchmarkConfig, problems, runs, status) -> ScoreTable:
@@ -323,12 +312,14 @@ def run_benchmark(
     problems, cells = plan_cells(config)
     root = None if out_dir is None else Path(out_dir) / config.suite
     runs, status = {}, {}
-    # jobs == 1 runs every cell on the calling thread, so thread CPU clocks see it
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else _InProcess() as pool:
-        futures = [pool.submit(_run_cell, cell) for cell in cells]
-        for cell, fut in zip(cells, futures):
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        # jobs == 1 runs each cell on the calling thread when the loop reaches it,
+        # so thread CPU clocks see it and its CSV is written before the next starts
+        results = ([pool.submit(_run_cell, cell).result for cell in cells] if jobs > 1
+                   else [partial(_run_cell, cell) for cell in cells])
+        for cell, result in zip(cells, results):
             try:
-                traj = fut.result()
+                traj = result()
             except Exception as exc:
                 status[cell.name] = f"failed: {exc}"
                 logger.warning("cell %s failed: %s", cell.name, exc)
@@ -377,6 +368,7 @@ def score_results(results_dir: str, suite: Optional[str] = None) -> ScoreTable:
 
     ``results_dir`` points at either the suite directory itself (holding
     scores.json) or its parent, in which case ``suite`` selects the child.
+    Cell statuses come from the run's cells.json (none when it is missing).
     """
     root = Path(results_dir)
     if suite is not None:
@@ -392,10 +384,11 @@ def score_results(results_dir: str, suite: Optional[str] = None) -> ScoreTable:
     config = BenchmarkConfig(**cfg)
     stored = payload["cells"]
     problems, cells = plan_cells(config, dim_of=lambda key: stored[key]["dim"])
-    runs, status = {}, {}
+    runs = {}
     for cell in cells:
         path = root / f"{cell.name}.csv"
         if path.exists():
             runs[cell.key, cell.algo, cell.rep] = _read_rep_csv(path)
-            status[cell.name] = "ok"
+    cells_path = root / "cells.json"
+    status = json.loads(cells_path.read_text()) if cells_path.exists() else {}
     return _score_table(config, problems, runs, status)

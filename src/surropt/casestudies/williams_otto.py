@@ -130,9 +130,9 @@ def wo_constraints(w, params: WoParams | None = None) -> np.ndarray:
     return np.array([w[0] - p.w_a_max, w[4] - p.w_g_max])
 
 
-def _newton(w0, T, FB, params, tol, max_iter=200):
+def _newton(w0, T, FB, params, tol):
     w = w0.copy()
-    for _ in range(max_iter):
+    for _ in range(200):
         r = wo_residuals(w, (T, FB), params)
         if np.max(np.abs(r)) < tol:
             return w, True

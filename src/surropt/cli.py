@@ -36,7 +36,6 @@ import yaml
 from .bench import (
     DEFAULT_BUDGETS,
     DEFAULT_WARMUP,
-    BASE_FUNCTIONS,
     BenchmarkConfig,
     _write_rep_csv,
     expand_problems,
@@ -44,16 +43,16 @@ from .bench import (
     run_benchmark,
     score_results,
 )
-from .core import ConfigError
+from .core import VIOLATION_THRESHOLD, ConfigError
 from .optimizers import ALGORITHMS, run_optimizer
-from .problems import get_problem, list_problems
+from .problems import BASE_FUNCTIONS, get_problem, list_problems
 
 __all__ = ["RunManifest", "parse_config", "main"]
 
 SUITES = {
     "unconstrained": {
         "algorithms": ["bo", "lsqm", "cobyla", "cobyqa", "cuatro", "dycors"],
-        "problems": ["ackley", "levy", "rosenbrock", "quadratic"],
+        "problems": list(BASE_FUNCTIONS),
     },
     "constrained": {
         "algorithms": ["cbo", "cobyla", "cobyqa", "cuatro"],
@@ -119,12 +118,6 @@ def _suggest(value: str, valid, kind: str) -> ConfigError:
     )
 
 
-def _check_names(values, valid, kind: str) -> None:
-    for v in values:
-        if v not in valid:
-            raise _suggest(v, valid, kind)
-
-
 def parse_config(path: Optional[str] = None, flags: Optional[dict] = None) -> BenchmarkConfig:
     """Merge a YAML config file and command-line flags into a BenchmarkConfig.
 
@@ -161,9 +154,9 @@ def parse_config(path: Optional[str] = None, flags: Optional[dict] = None) -> Be
         raise ConfigError("no algorithms selected; pass --algos or --suite")
     if not problems:
         raise ConfigError("no problems selected; pass --problems or --suite")
-    _check_names(algorithms, ALGORITHMS, "algorithm")
-    valid_problems = set(list_problems()) | set(BASE_FUNCTIONS)
-    _check_names(problems, valid_problems, "problem")
+    for algo in algorithms:
+        if algo not in ALGORITHMS:
+            raise _suggest(algo, ALGORITHMS, "algorithm")
 
     dims = [int(d) for d in pick("dims", DEFAULT_DIMS)]
     budgets = dict(DEFAULT_BUDGETS)
@@ -190,7 +183,7 @@ def parse_config(path: Optional[str] = None, flags: Optional[dict] = None) -> Be
         budgets=budgets,
         warmup=warmup,
         seed=int(pick("seed", 0)),
-        violation_threshold=float(pick("violation_threshold", 1e-3)),
+        violation_threshold=float(pick("violation_threshold", VIOLATION_THRESHOLD)),
         suite=suite or "custom",
     )
 
@@ -235,8 +228,6 @@ def cmd_run(args) -> int:
 def cmd_optimize(args) -> int:
     if args.algo not in ALGORITHMS:
         raise _suggest(args.algo, ALGORITHMS, "algorithm")
-    if args.problem not in list_problems():
-        raise _suggest(args.problem, list_problems(), "problem")
     problem = get_problem(args.problem)
     budget = args.budget
     if budget is None:

@@ -29,12 +29,17 @@ __all__ = [
     "BudgetExhausted",
     "EvaluationFailed",
     "ConfigError",
+    "VIOLATION_THRESHOLD",
     "derive_seed",
     "substream",
     "latin_hypercube",
     "evaluate",
     "best_so_far",
 ]
+
+
+# a sample is feasible when its largest constraint value is at most this
+VIOLATION_THRESHOLD = 1e-3
 
 
 class BudgetExhausted(RuntimeError):
@@ -262,7 +267,6 @@ def evaluate(
     x,
     rng: np.random.Generator,
     trajectory: Optional[Trajectory] = None,
-    index: Optional[int] = None,
 ) -> Evaluation:
     """Evaluate ``problem`` at ``x`` (clipped to bounds) with observation noise.
 
@@ -292,9 +296,8 @@ def evaluate(
             raise EvaluationFailed(f"constraints returned non-finite values at x={x}")
     else:
         g = np.empty(0)
-    if index is None:
-        index = len(trajectory) + 1 if trajectory is not None else 1
-    ev = Evaluation(x=x, y=y, g=g, index=int(index))
+    index = len(trajectory) + 1 if trajectory is not None else 1
+    ev = Evaluation(x=x, y=y, g=g, index=index)
     if trajectory is not None:
         trajectory.append(ev)
     return ev

@@ -42,6 +42,7 @@ from .core import (
     Dataset,
     Problem,
     Trajectory,
+    VIOLATION_THRESHOLD,
     derive_seed,
     evaluate,
     latin_hypercube,
@@ -88,7 +89,6 @@ _POOL_PER_DIM = 100  # inner-search pool: candidates per input dimension
 _REFINE_STEPS = 20  # pattern-refinement steps after the pool
 _PENALTY_GROWTH = 10.0
 _PENALTY_CAP = 1e8
-_FEASIBILITY_THRESHOLD = 1e-3
 
 
 # ------------------------------------------------------------------ state types
@@ -268,7 +268,7 @@ def _best_index(y, G=None):
     if G is None or G.size == 0:
         return int(np.argmin(y))
     viol = np.sum(np.maximum(G, 0.0), axis=1)
-    feasible = np.max(G, axis=1) <= _FEASIBILITY_THRESHOLD
+    feasible = np.max(G, axis=1) <= VIOLATION_THRESHOLD
     if np.any(feasible):
         idx = np.where(feasible)[0]
         return int(idx[np.argmin(np.asarray(y)[idx])])
@@ -749,7 +749,7 @@ class _TrustRegionStrategy:
         predicted = float(pred_center - pred_new)
         observed = self.method.observed_merit
         actual = observed(self.center_y, self.center_g, pen) - observed(y, g_arr, pen)
-        feasible = g_arr.size == 0 or float(np.max(g_arr)) <= _FEASIBILITY_THRESHOLD
+        feasible = g_arr.size == 0 or float(np.max(g_arr)) <= VIOLATION_THRESHOLD
         if self.simplex is not None:
             self.simplex.replace_worst(x, y, g_arr.copy(), self.tr.center, pen)
         self.tr = trust_region_update(

@@ -56,14 +56,14 @@ def _distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum((A[:, None, :] - B[None, :, :]) ** 2, axis=2))
 
 
-def _merge_duplicates(X: np.ndarray, y: np.ndarray, tol: float = _DUPLICATE_TOL):
-    """Merge rows of X closer than ``tol`` (their y values are averaged).
+def _merge_duplicates(X: np.ndarray, y: np.ndarray):
+    """Merge rows of X closer than ``_DUPLICATE_TOL``, averaging their y.
 
-    A row joins the first kept row within ``tol``; each kept row's y is the
+    A row joins the first kept row that close; each kept row's y is the
     mean of its members in row order.
     """
     rows = np.arange(X.shape[0])
-    close = np.tril(_distances(X, X) < tol, k=-1)
+    close = np.tril(_distances(X, X) < _DUPLICATE_TOL, k=-1)
     owner = rows.copy()
     for i in np.flatnonzero(close.any(axis=1)):
         hits = np.flatnonzero(close[i, :i] & (owner[:i] == rows[:i]))
@@ -189,13 +189,13 @@ def _gp_lml(X, ys, lengthscales, signal_variance, noise_variance) -> float:
     return _lml(ys, L, alpha)
 
 
-def _golden_section(f, lo, hi, iters=16):
+def _golden_section(f, lo, hi):
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(iters):
+    for _ in range(16):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)

@@ -30,7 +30,6 @@ from surropt.casestudies import (
 )
 from surropt.cli import main
 from surropt.core import NoiseSpec
-from surropt.problems import test_function_spec as function_spec
 from surropt.surrogates import fit_gp, fit_quadratic, fit_rbf, gp_posterior, rbf_predict
 
 
@@ -49,8 +48,9 @@ def test_criterion_01_test_function_optima():
     bad = []
     for name in ("ackley", "levy", "rosenbrock", "quadratic"):
         for d in (2, 5, 7, 10):
-            spec = function_spec(name, d)
-            v = abs(spec.fn(spec.optimum_x))
+            problem = get_problem(f"{name}-d{d}")
+            x_star, f_star = problem.known_optimum
+            v = abs(problem.objective(x_star) - f_star)
             if v > 1e-9:
                 bad.append(f"{name}-d{d}: {v:.2e}")
     matyas_g = get_problem("matyas-c").constraints(np.zeros(2))[0]

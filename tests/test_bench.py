@@ -135,6 +135,19 @@ def test_unknown_dimension_rejected():
         run_benchmark(config)
 
 
+def test_missing_warmup_named_alone():
+    config = BenchmarkConfig(
+        algorithms=["cobyla"], problems=["rosenbrock"], dims=[3],
+        budgets={2: 20, 3: 8}, warmup={2: 5},
+    )
+    with pytest.raises(ConfigError) as err:
+        run_benchmark(config)
+    message = str(err.value)
+    assert "no warm-up for dimension 3" in message
+    assert "budget" not in message.split(";")[0]
+    assert message.endswith("dimensions with both: [2]")
+
+
 # ---------------------------------------------------------------- runs
 
 MINI = dict(
@@ -383,6 +396,7 @@ def test_failed_cells_are_skipped(tmp_path):
     with open(tmp_path / "fail" / "scores.json") as fh:
         payload = json.load(fh)
     assert list(payload["scores"]["quadratic-d2"]) == ["lsqm"]
+    assert score_results(tmp_path, suite="fail").cell_status == table.cell_status
 
 
 def test_fallback_cell_is_not_ok(tmp_path, monkeypatch):
@@ -404,6 +418,27 @@ def test_fallback_cell_is_not_ok(tmp_path, monkeypatch):
         assert json.load(fh) == table.cell_status
     with open(tmp_path / "fb" / "quadratic-d2" / "lsqm" / "rep0.csv", newline="") as fh:
         assert len(list(csv.reader(fh))) - 1 == 12
+    assert score_results(tmp_path, suite="fb").cell_status == table.cell_status
+
+
+def test_serial_csvs_written_as_cells_finish(tmp_path, monkeypatch):
+    import surropt.bench as bench
+
+    root = tmp_path / "lazy"
+    config = BenchmarkConfig(
+        algorithms=["cobyla", "lsqm"], problems=["quadratic"], dims=[2], repetitions=2,
+        budgets={2: 6}, warmup={2: 2}, suite="lazy",
+    )
+    started, real = [], bench.run_optimizer
+
+    def spy(algo, problem, budget, seed):
+        # every CSV of the cells before this one is on disk already
+        started.append(len(list(root.rglob("*.csv"))))
+        return real(algo, problem, budget, seed)
+
+    monkeypatch.setattr(bench, "run_optimizer", spy)
+    run_benchmark(config, out_dir=tmp_path, jobs=1)
+    assert started == [0, 1, 2, 3]
 
 
 def test_handcrafted_three_algorithm_table(tmp_path):

@@ -41,6 +41,11 @@ def test_unknown_problem_names_nearest_key():
         parse_config(None, {"algorithms": ["lsqm"], "problems": ["ackly-d2"]})
 
 
+def test_dimension_the_registry_rejects():
+    with pytest.raises(ConfigError, match="unknown problem key 'ackley-d0'"):
+        parse_config(None, {"algorithms": ["lsqm"], "problems": ["ackley"], "dims": [0]})
+
+
 def test_unknown_algorithm_names_nearest_key():
     with pytest.raises(ConfigError, match="cobyla"):
         parse_config(None, {"algorithms": ["cobila"], "problems": ["quadratic"]})
@@ -224,6 +229,32 @@ def test_optimize_default_budget_for_case_study(tmp_path):
     assert code == 0
     with open(out, newline="") as fh:
         assert len(list(csv.reader(fh))) - 1 == 20
+
+
+def test_optimize_any_registry_dimension(tmp_path):
+    out = tmp_path / "r3.csv"
+    code = main(["optimize", "--algo", "cobyla", "--problem", "rosenbrock-d3",
+                 "--budget", "8", "--out", str(out)])
+    assert code == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) - 1 == 8
+    assert rows[0][:4] == ["iteration", "x0", "x1", "x2"]
+
+
+def test_optimize_unknown_problem_names_nearest_key(capsys):
+    assert main(["optimize", "--algo", "cobyla", "--problem", "rosenbrok-d2"]) == 2
+    assert "rosenbrock-d2" in capsys.readouterr().err
+
+
+def test_run_any_registry_dimension_with_warmup(tmp_path):
+    path = tmp_path / "d3.yaml"
+    path.write_text("warmup: {3: 3}\n")
+    args = ["run", "--config", str(path), "--algos", "cobyla", "--problems", "rosenbrock-d3",
+            "--budget", "8", "--reps", "1", "--jobs", "1", "--out", str(tmp_path)]
+    assert main(args) == 0
+    with open(tmp_path / "custom" / "rosenbrock-d3" / "cobyla" / "rep0.csv", newline="") as fh:
+        assert len(list(csv.reader(fh))) - 1 == 8
 
 
 def test_optimize_unknown_algo(capsys):

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surropt.core import ConfigError
+import surropt.optimizers as opt
+from surropt.bench import BenchmarkConfig, count_violations
+from surropt.cli import parse_config
+from surropt.core import VIOLATION_THRESHOLD, ConfigError
 from surropt.problems import (
     ackley,
-    constrained_suite,
     get_problem,
     levy,
     list_problems,
@@ -92,32 +94,39 @@ def test_all_functions_zero_at_optimum_and_finite():
 
 
 def test_matyas_constraint_at_origin():
-    spec = constrained_suite("matyas")
-    assert spec.objective([0.0, 0.0]) == 0.0
-    g = spec.constraint([0.0, 0.0])
+    problem = get_problem("matyas-c")
+    assert problem.objective([0.0, 0.0]) == 0.0
+    g = problem.constraints([0.0, 0.0])
     assert g[0] == pytest.approx(3.60, abs=1e-12)
-    assert g[0] > spec.violation_threshold  # origin is infeasible
+    assert g[0] > VIOLATION_THRESHOLD  # origin is infeasible
 
 
 def test_quadratic_constraint_boundary():
-    spec = constrained_suite("quadratic")
-    assert spec.constraint([0.0, 0.6])[0] == pytest.approx(0.0, abs=1e-12)
+    problem = get_problem("quadratic-c")
+    assert problem.constraints([0.0, 0.6])[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_rosenbrock_constraint_root_substitution():
-    spec = constrained_suite("rosenbrock")
+    problem = get_problem("rosenbrock-c")
     x1 = -1.27 + 2.83 - 0.69
-    assert spec.constraint([x1, 1.0])[0] == pytest.approx(0.0, abs=1e-12)
+    assert problem.constraints([x1, 1.0])[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_constrained_suite_unknown_name():
-    with pytest.raises(ConfigError):
-        constrained_suite("ackley")
+    with pytest.raises(ConfigError, match="unknown problem key 'ackley-c'"):
+        get_problem("ackley-c")
 
 
 def test_violation_threshold_default():
-    for name in ("rosenbrock", "quadratic", "matyas"):
-        assert constrained_suite(name).violation_threshold == 0.001
+    # one threshold: the scoring, config and optimizer defaults all use it
+    assert VIOLATION_THRESHOLD == 0.001
+    assert BenchmarkConfig(["lsqm"], ["quadratic"]).violation_threshold == VIOLATION_THRESHOLD
+    assert parse_config(None, {"suite": "constrained"}).violation_threshold == VIOLATION_THRESHOLD
+    on, above = VIOLATION_THRESHOLD, np.nextafter(VIOLATION_THRESHOLD, 1.0)
+    assert count_violations([[on], [above]]) == (0.5, above)
+    # incumbent: g == threshold is feasible (row 0 wins on y), g just above is not
+    assert opt._best_index([0.0, 1.0], np.array([[on], [-1.0]])) == 0
+    assert opt._best_index([0.0, 1.0], np.array([[above], [on]])) == 1
 
 
 # ------------------------------------------------------------ registry
