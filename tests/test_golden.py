@@ -12,6 +12,8 @@ import hashlib
 import numpy as np
 import pytest
 
+from surropt.casestudies import cstr_objective
+from surropt.core import NoiseSpec
 from surropt.optimizers import ALGORITHMS, run_optimizer
 from surropt.problems import get_problem
 
@@ -104,7 +106,47 @@ def test_golden_trajectory(case):
     assert digest(traj) == GOLDEN[case]
 
 
+# The CSTR simulator is locked on its own: objective values at fixed theta,
+# plus two full-budget runs at d=32 whose trust-region steps feed it
+# off-grid points.
+_HAND_TUNED = np.zeros((4, 2, 4))
+_HAND_TUNED[:, :, 0] = 0.5
+_HAND_TUNED[:, :, 1] = 0.3
+_HAND_TUNED[:, :, 3] = 0.8
+
+
+def cstr_values() -> np.ndarray:
+    thetas = list(np.random.default_rng(0).uniform(size=(32, 32)))
+    thetas += [np.zeros(32), _HAND_TUNED.ravel()]
+    values = [cstr_objective(t) for t in thetas]
+    noise = NoiseSpec(sigma=5.0)
+    values += [cstr_objective(_HAND_TUNED.ravel(), noise=noise, seed=s) for s in (0, 1)]
+    return np.array(values)
+
+
+CSTR_VALUES = "1fd85d81852f483b5b8aafc4d595f22bfdd08640a8c763645b4e644b4c5fb46d"
+CSTR_GOLDEN = {
+    ("cstr-pid", "cobyla", 0, 34): "2dd0772b56931f8069f822b9ea52cf0fbfacf7ddddfaa789ad074ddf996f9675",
+    ("cstr-pid", "cuatro", 0, 34): "7b64bbd3d8418191781c935a1e9ee9ba9fe2157ecf9efb01f73519a3aab870ea",
+}
+
+
+def test_golden_cstr_values():
+    values = cstr_values()
+    assert hashlib.sha256(values.tobytes()).hexdigest() == CSTR_VALUES
+
+
+@pytest.mark.parametrize("case", list(CSTR_GOLDEN), ids=lambda c: "-".join(map(str, c)))
+def test_golden_cstr_trajectory(case):
+    key, algo, seed, budget = case
+    assert digest(run_optimizer(algo, get_problem(key), budget, seed)) == CSTR_GOLDEN[case]
+
+
 if __name__ == "__main__":
     for case in _cases():
+        key, algo, seed, budget = case
+        print(f"    {case!r}: \"{digest(run_optimizer(algo, get_problem(key), budget, seed))}\",")
+    print(f"CSTR_VALUES = \"{hashlib.sha256(cstr_values().tobytes()).hexdigest()}\"")
+    for case in CSTR_GOLDEN:
         key, algo, seed, budget = case
         print(f"    {case!r}: \"{digest(run_optimizer(algo, get_problem(key), budget, seed))}\",")
