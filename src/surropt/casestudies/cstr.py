@@ -122,30 +122,37 @@ def cstr_rhs(state, controls, params: CstrParams | None = None) -> np.ndarray:
         state = np.asarray(state, dtype=float)
         if state.shape != (3,) or not np.all(np.isfinite(state)):
             raise ConfigError("state must be 3 finite values (CA, CB, T)")
-        CA, CB, T = state
+        CA, CB, T = state.tolist()
     Fin, Tc = float(controls[0]), float(controls[1])
-    p = params or CstrParams.from_config()
-    rA = p.k0_AB * np.exp(-p.E_AB / (p.R * T)) * CA
-    rB = p.k0_BC * np.exp(-p.E_BC / (p.R * T)) * CB
-    dCA = (Fin / p.V) * (p.CAf - CA) - rA
-    dCB = -(Fin / p.V) * CB + rA - rB
+    return np.array(_cstr_rates(CA, CB, T, Fin, Tc, params or CstrParams.from_config()))
+
+
+def _cstr_rates(CA, CB, T, Fin, Tc, p: CstrParams):
+    """The balance equations on Python floats: (dCA/dt, dCB/dt, dT/dt).
+
+    Each Arrhenius factor goes through ``np.exp``, whose results
+    ``math.exp`` does not always reproduce to the last bit. A state with
+    ``R * T == 0`` takes numpy's division (±inf or nan, as an array state
+    would), since float division by zero raises.
+    """
+    RT = p.R * T
+    if RT:
+        xA, xB = -p.E_AB / RT, -p.E_BC / RT
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xA, xB = float(np.divide(-p.E_AB, RT)), float(np.divide(-p.E_BC, RT))
+    rA = p.k0_AB * float(np.exp(xA)) * CA
+    rB = p.k0_BC * float(np.exp(xB)) * CB
+    q = Fin / p.V
+    dCA = q * (p.CAf - CA) - rA
+    dCB = -q * CB + rA - rB
     dT = (
-        (Fin / p.V) * (p.Tf - T)
+        q * (p.Tf - T)
         + (p.dH_AB / (p.rho * p.Cp)) * rA
         + (p.dH_BC / (p.rho * p.Cp)) * rB
         + (p.UA / (p.V * p.rho * p.Cp)) * (Tc - T)
     )
-    return np.array([dCA, dCB, dT])
-
-
-def _rk4_steps(rhs, y, u, h, n):
-    for _ in range(n):
-        k1 = rhs(y, u)
-        k2 = rhs(y + h / 2 * k1, u)
-        k3 = rhs(y + h / 2 * k2, u)
-        k4 = rhs(y + h * k3, u)
-        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    return y
+    return dCA, dCB, dT
 
 
 def integrate(rhs, state0, controls_schedule, dt, horizon, substeps=1):
@@ -166,9 +173,15 @@ def integrate(rhs, state0, controls_schedule, dt, horizon, substeps=1):
     y = state0.as_array() if isinstance(state0, CstrState) else np.asarray(
         state0, dtype=float
     ).copy()
+    h = dt / substeps
     states = [y.copy()]
-    for k in range(n_steps):
-        y = _rk4_steps(rhs, y, schedule[k], dt / substeps, substeps)
+    for u in schedule:
+        for _ in range(substeps):
+            k1 = rhs(y, u)
+            k2 = rhs(y + h / 2 * k1, u)
+            k3 = rhs(y + h / 2 * k2, u)
+            k4 = rhs(y + h * k3, u)
+            y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         if not (np.all(np.isfinite(y)) and np.max(np.abs(y)) < 1e6):
             return np.array(states), True
         states.append(y.copy())
@@ -194,6 +207,8 @@ def theta_to_gains(theta, cfg: dict | None = None) -> np.ndarray:
     theta = np.asarray(theta, dtype=float).ravel()
     if theta.size != 32:
         raise ConfigError(f"theta must have length 32, got {theta.size}")
+    if not np.all(np.isfinite(theta)):
+        raise ConfigError("theta must be finite")
     t = theta.reshape(4, 2, 4)
     scales = np.asarray(cfg["gain_scales"], dtype=float)
     lo = np.array([cfg["flow_bounds"][0], cfg["coolant_bounds"][0]])
@@ -209,24 +224,31 @@ def cstr_objective(theta, noise: NoiseSpec | None = None, seed: int = 0,
     """Closed-loop cost of one PID parameterization.
 
     Simulates the setpoint schedule and returns sum(e_t^2) plus the weighted
-    sum of squared control moves; a diverged simulation yields the configured
-    finite penalty instead. With ``noise`` given, one Gaussian draw from
-    ``substream(seed, "cstr-noise")`` is added. Deterministic in
-    (theta, seed).
+    sum of squared control moves. A simulation that diverges, at a control
+    interval's end or inside an RK4 stage (a non-finite state, CA or CB
+    below -1e-9, or |T| above 1e6), yields the configured finite penalty
+    instead. Non-finite ``theta`` raises :class:`ConfigError`. With
+    ``noise`` given, one Gaussian draw from ``substream(seed, "cstr-noise")``
+    is added. Deterministic in (theta, seed).
+
+    The loop runs on Python floats and gives the same bits as
+    :func:`pid_control` plus :func:`integrate` over :func:`cstr_rhs`.
     """
     cfg = load_defaults()["cstr"]
     p = params or CstrParams.from_config()
-    gains = theta_to_gains(theta, cfg)
-    lo = np.array([cfg["flow_bounds"][0], cfg["coolant_bounds"][0]])
-    hi = np.array([cfg["flow_bounds"][1], cfg["coolant_bounds"][1]])
+    gains = theta_to_gains(theta, cfg).tolist()
+    lo = (float(cfg["flow_bounds"][0]), float(cfg["coolant_bounds"][0]))
+    hi = (float(cfg["flow_bounds"][1]), float(cfg["coolant_bounds"][1]))
     setpoints = cfg["setpoints"]
     dt = float(cfg["control_interval"])
     substeps = int(cfg["integrator_substeps"])
     lam = float(cfg["control_change_weight"])
     n_steps = int(round(float(cfg["horizon"]) / dt))
     seg_len = n_steps // len(setpoints)
+    h = dt / substeps
+    h2, h6 = h / 2, h / 6
 
-    y = np.asarray(cfg["initial_state"], dtype=float).copy()
+    CA, CB, T = (float(v) for v in cfg["initial_state"])
     cost = 0.0
     u_prev = None
     e_prev = e_int = 0.0
@@ -236,18 +258,31 @@ def cstr_objective(theta, noise: NoiseSpec | None = None, seed: int = 0,
         seg = min(t // seg_len, len(setpoints) - 1)
         if t % seg_len == 0:
             e_int, e_prev, first = 0.0, 0.0, True  # PID memory reset per segment
-        e = setpoints[seg] - y[2]
+        e = setpoints[seg] - T
         e_int += e * dt
         e_der = 0.0 if first else (e - e_prev) / dt
         first = False
-        u = pid_control(gains[seg], (e, e_int, e_der), lo, hi)
+        # pid_control per manipulated variable; min(max()) keeps np.clip's NaN
+        g0, g1 = gains[seg]
+        Fin = min(max(g0[3] + g0[0] * e + g0[1] * e_int + g0[2] * e_der, lo[0]), hi[0])
+        Tc = min(max(g1[3] + g1[0] * e + g1[1] * e_int + g1[2] * e_der, lo[1]), hi[1])
         cost += e * e
         if u_prev is not None:
-            cost += lam * float(np.sum((u - u_prev) ** 2))
-        u_prev = u
+            d0, d1 = Fin - u_prev[0], Tc - u_prev[1]
+            cost += lam * (d0 * d0 + d1 * d1)
+        u_prev = (Fin, Tc)
         e_prev = e
-        y = _rk4_steps(lambda s, c: cstr_rhs(s, c, p), y, u, dt / substeps, substeps)
-        if not np.all(np.isfinite(y)) or y[0] < -1e-9 or y[1] < -1e-9 or abs(y[2]) > 1e6:
+        for _ in range(substeps):  # integrate's RK4 on three floats
+            a1, b1, c1 = _cstr_rates(CA, CB, T, Fin, Tc, p)
+            a2, b2, c2 = _cstr_rates(CA + h2 * a1, CB + h2 * b1, T + h2 * c1, Fin, Tc, p)
+            a3, b3, c3 = _cstr_rates(CA + h2 * a2, CB + h2 * b2, T + h2 * c2, Fin, Tc, p)
+            a4, b4, c4 = _cstr_rates(CA + h * a3, CB + h * b3, T + h * c3, Fin, Tc, p)
+            CA = CA + h6 * (a1 + 2 * a2 + 2 * a3 + a4)
+            CB = CB + h6 * (b1 + 2 * b2 + 2 * b3 + b4)
+            T = T + h6 * (c1 + 2 * c2 + 2 * c3 + c4)
+        # a non-finite RK4 stage leaves a non-finite state, so this catches it
+        if (not (math.isfinite(CA) and math.isfinite(CB) and math.isfinite(T))
+                or CA < -1e-9 or CB < -1e-9 or abs(T) > 1e6):
             failed = True
             break
     value = float(cfg["failure_penalty"]) if failed else cost

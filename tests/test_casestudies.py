@@ -181,14 +181,26 @@ def test_cstr_objective_finite_on_random_inputs():
         assert np.isfinite(v)
 
 
-def test_cstr_objective_failure_penalty(monkeypatch):
-    import surropt.casestudies.cstr as mod
+def test_cstr_objective_failure_penalty():
+    # a heat of reaction this large runs the temperature away
+    p = replace(CstrParams.from_config(), dH_AB=1e9)
+    assert cstr_objective(np.zeros(32), params=p) == 1e6
 
-    def explode(state, controls, params=None):
-        return np.array([0.0, 0.0, 1e12])
 
-    monkeypatch.setattr(mod, "cstr_rhs", explode)
-    assert cstr_objective(np.zeros(32)) == 1e6
+def test_cstr_objective_penalizes_divergence_inside_a_stage():
+    # the state turns non-finite inside an RK4 stage, not at an interval's end
+    p = replace(CstrParams.from_config(), k0_AB=1e30, dH_AB=1e15)
+    assert cstr_objective(np.zeros(32), params=p) == 1e6
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_cstr_objective_rejects_non_finite_theta(bad):
+    theta = np.full(32, 0.5)
+    theta[5] = bad
+    with pytest.raises(ConfigError, match="finite"):
+        theta_to_gains(theta)
+    with pytest.raises(ConfigError, match="finite"):
+        cstr_objective(theta)
 
 
 def test_theta_validation():
