@@ -224,12 +224,13 @@ def cstr_objective(theta, noise: NoiseSpec | None = None, seed: int = 0,
     """Closed-loop cost of one PID parameterization.
 
     Simulates the setpoint schedule and returns sum(e_t^2) plus the weighted
-    sum of squared control moves. A simulation that diverges, at a control
-    interval's end or inside an RK4 stage (a non-finite state, CA or CB
-    below -1e-9, or |T| above 1e6), yields the configured finite penalty
-    instead. Non-finite ``theta`` raises :class:`ConfigError`. With
-    ``noise`` given, one Gaussian draw from ``substream(seed, "cstr-noise")``
-    is added. Deterministic in (theta, seed).
+    sum of squared control moves. A diverged simulation yields the
+    configured finite penalty instead: a state that turns non-finite, even
+    inside an RK4 stage, or one with CA or CB below -1e-9 or |T| above 1e6
+    at a control interval's end. Non-finite ``theta`` raises
+    :class:`ConfigError`. With ``noise`` given, one Gaussian draw from
+    ``substream(seed, "cstr-noise")`` is added. Deterministic in
+    (theta, seed).
 
     The loop runs on Python floats and gives the same bits as
     :func:`pid_control` plus :func:`integrate` over :func:`cstr_rhs`.

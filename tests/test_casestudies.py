@@ -56,6 +56,14 @@ def test_cstr_rhs_rejects_bad_state():
         CstrState(0.5, 0.0, -1.0)
 
 
+def test_cstr_rhs_at_zero_temperature_has_no_reaction():
+    # exp(-E / (R * 0)) = exp(-inf) = 0, as numpy divides; float division raises
+    p = CstrParams.from_config()
+    d = cstr_rhs(np.array([0.5, 0.2, 0.0]), (100.0, 300.0), p)
+    q = 100.0 / p.V
+    assert np.array_equal(d[:2], [q * (p.CAf - 0.5), -q * 0.2])
+
+
 def test_cstr_params_validation():
     with pytest.raises(ConfigError):
         replace(CstrParams.from_config(), V=0.0)
@@ -179,6 +187,44 @@ def test_cstr_objective_finite_on_random_inputs():
     for _ in range(5):
         v = cstr_objective(rng.uniform(size=32))
         assert np.isfinite(v)
+
+
+def _array_objective(theta):
+    """cstr_objective built from the public array functions, as a reference."""
+    cfg = load_defaults()["cstr"]
+    p = CstrParams.from_config()
+    gains = theta_to_gains(theta, cfg)
+    lo = [cfg["flow_bounds"][0], cfg["coolant_bounds"][0]]
+    hi = [cfg["flow_bounds"][1], cfg["coolant_bounds"][1]]
+    dt = cfg["control_interval"]
+    n_steps = int(round(cfg["horizon"] / dt))
+    seg_len = n_steps // len(cfg["setpoints"])
+    y = np.array(cfg["initial_state"], dtype=float)
+    cost, u_prev = 0.0, None
+    rhs = lambda s, c: cstr_rhs(s, c, p)  # noqa: E731
+    for t in range(n_steps):
+        seg = t // seg_len
+        if t % seg_len == 0:
+            e_int, e_prev, first = 0.0, 0.0, True
+        e = cfg["setpoints"][seg] - y[2]
+        e_int += e * dt
+        e_der = 0.0 if first else (e - e_prev) / dt
+        first = False
+        u = pid_control(gains[seg], (e, e_int, e_der), lo, hi)
+        cost += e * e
+        if u_prev is not None:
+            cost += cfg["control_change_weight"] * float(np.sum((u - u_prev) ** 2))
+        u_prev, e_prev = u, e
+        states, failed = integrate(rhs, y, [u], dt, dt, cfg["integrator_substeps"])
+        assert not failed
+        y = states[-1]
+    return float(cost)
+
+
+def test_cstr_objective_matches_array_functions_bitwise():
+    rng = np.random.default_rng(3)
+    for theta in [HAND_TUNED, *rng.uniform(size=(3, 32))]:
+        assert cstr_objective(theta) == _array_objective(theta)
 
 
 def test_cstr_objective_failure_penalty():

@@ -107,8 +107,7 @@ def test_golden_trajectory(case):
 
 
 # The CSTR simulator is locked on its own: objective values at fixed theta,
-# plus two full-budget runs at d=32 whose trust-region steps feed it
-# off-grid points.
+# plus two cstr-pid runs whose trust-region steps feed it points off that set.
 _HAND_TUNED = np.zeros((4, 2, 4))
 _HAND_TUNED[:, :, 0] = 0.5
 _HAND_TUNED[:, :, 1] = 0.3
