@@ -69,6 +69,7 @@ SUITES = {
 DEFAULT_DIMS = [2, 5, 7]
 
 _CONFIG_KEYS = tuple(f.name for f in fields(BenchmarkConfig))
+_CONFIG_KINDS = {"budgets": dict, "warmup": dict, "algorithms": list, "problems": list, "dims": list}
 
 
 def _version() -> str:
@@ -134,9 +135,15 @@ def parse_config(path: Optional[str] = None, flags: Optional[dict] = None) -> Be
         data = yaml.safe_load(p.read_text()) or {}
         if not isinstance(data, dict):
             raise ConfigError("config file must be a YAML mapping")
-        for key in data:
+        for key, value in data.items():
             if key not in _CONFIG_KEYS:
                 raise _suggest(key, _CONFIG_KEYS, "config key")
+            kind = _CONFIG_KINDS.get(key)
+            if kind is not None and not isinstance(value, kind):
+                raise ConfigError(
+                    f"config key '{key}' must be a {'mapping' if kind is dict else 'list'}, "
+                    f"got {value!r}"
+                )
 
     suite = flags.get("suite", data.get("suite"))
     if suite is None and "algorithms" not in flags and "algorithms" not in data:

@@ -140,6 +140,8 @@ class Problem:
             raise ConfigError("n_constraints must be >= 0")
         if self.n_constraints > 0 and self.constraints is None:
             raise ConfigError("n_constraints > 0 requires a constraints callable")
+        if self.n_constraints == 0 and self.constraints is not None:
+            raise ConfigError("a constraints callable requires n_constraints > 0")
         if self.known_optimum is not None:
             x_star = np.asarray(self.known_optimum[0], dtype=float)
             if x_star.shape != (self.dim,) or not self.bounds.contains(x_star):
@@ -207,7 +209,11 @@ class Trajectory:
 
 @dataclass
 class Dataset:
-    """Sampled inputs and outputs; rows are samples (n_d x n_x)."""
+    """Sampled inputs and outputs; rows are samples (n_d x n_x).
+
+    ``G`` holds the constraint values, shape (n_d, n_g); left out, it is
+    (n_d, 0), which is how an unconstrained dataset looks.
+    """
 
     X: np.ndarray
     y: np.ndarray
@@ -218,10 +224,11 @@ class Dataset:
         self.y = np.asarray(self.y, dtype=float).ravel()
         if self.X.shape[0] != self.y.size:
             raise ConfigError("X and y must have the same number of rows")
-        if self.G is not None:
-            self.G = np.atleast_2d(np.asarray(self.G, dtype=float))
-            if self.G.shape[0] != self.y.size:
-                raise ConfigError("G must have the same number of rows as X")
+        if self.G is None:
+            self.G = np.empty((self.y.size, 0))
+        self.G = np.atleast_2d(np.asarray(self.G, dtype=float))
+        if self.G.shape[0] != self.y.size:
+            raise ConfigError("G must have the same number of rows as X")
 
     @property
     def n(self) -> int:
@@ -233,8 +240,7 @@ class Dataset:
 
     @staticmethod
     def from_trajectory(traj: Trajectory) -> "Dataset":
-        G = traj.gs
-        return Dataset(traj.xs, traj.ys, G if G.shape[1] > 0 else None)
+        return Dataset(traj.xs, traj.ys, traj.gs)
 
 
 def derive_seed(base_seed: int, *tokens) -> int:

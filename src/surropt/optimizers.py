@@ -263,9 +263,9 @@ def _feasibility_first_keys(values, margins):
 # ------------------------------------------------------------------ BO / CBO
 
 
-def _best_index(y, G=None):
+def _best_index(y, G):
     """Feasible-first incumbent: min y among feasible, else min total violation."""
-    if G is None or G.size == 0:
+    if G.size == 0:
         return int(np.argmin(y))
     viol = np.sum(np.maximum(G, 0.0), axis=1)
     feasible = np.max(G, axis=1) <= VIOLATION_THRESHOLD
@@ -282,7 +282,8 @@ def propose_bo(
     """Minimize the LCB of a freshly fitted GP over the candidate pool.
 
     This is :func:`propose_cbo` with no constraint models: constraint
-    observations in ``data`` are ignored.
+    observations in ``data`` are ignored. A failed GP fit raises
+    :class:`~surropt.surrogates.SurrogateFitError`.
     """
     return _propose_gp(Dataset(data.X, data.y), bounds, config, seed)
 
@@ -294,24 +295,20 @@ def propose_cbo(
     """Constrained BO: LCB among candidates whose constraint-GP means are <= 0.
 
     Falls back to minimizing total predicted violation when no candidate is
-    predicted feasible.
+    predicted feasible. A failed GP fit raises
+    :class:`~surropt.surrogates.SurrogateFitError`.
     """
-    if data.G is None or data.G.shape[1] < 1:
+    if data.G.shape[1] < 1:
         raise ConfigError("propose_cbo needs constraint observations")
     return _propose_gp(data, bounds, config, seed)
 
 
 def _propose_gp(data, bounds, config, seed):
-    n_g = 0 if data.G is None else data.G.shape[1]
-    try:
-        f_model = fit_gp(data, seed=derive_seed(seed, "gp"))
-        g_models = [
-            fit_gp(Dataset(data.X, data.G[:, i]), seed=derive_seed(seed, "gp-con", i))
-            for i in range(n_g)
-        ]
-    except SurrogateFitError as exc:
-        logger.warning("GP fit failed (%s); falling back to random proposal", exc)
-        return substream(seed, "bo-fallback").uniform(bounds.lower, bounds.upper)
+    f_model = fit_gp(data, seed=derive_seed(seed, "gp"))
+    g_models = [
+        fit_gp(Dataset(data.X, data.G[:, i]), seed=derive_seed(seed, "gp-con", i))
+        for i in range(data.G.shape[1])
+    ]
 
     def keys(X):
         mu, var = gp_posterior(f_model, X)
@@ -365,7 +362,7 @@ def _penalized_merit(f_vals, g_list, penalties):
 
 
 def _max_merit(f_vals, g_list, penalties):
-    # cobyla_merit over a batch: f + max(penalties) * [max_i g_i]_+
+    # COBYLA's merit over a batch: f + max(penalties) * [max_i g_i]_+
     if not g_list:
         return np.asarray(f_vals, dtype=float)
     worst = np.max(g_list, axis=0)
@@ -375,37 +372,21 @@ def _max_merit(f_vals, g_list, penalties):
 def cobyla_merit(f_value: float, g_values, penalty: float) -> float:
     """Linear-method merit: f + penalty * [max_i g_i]_+ (0 when unconstrained)."""
     g = np.atleast_1d(np.asarray(g_values, dtype=float))
-    if g.size == 0:
-        return float(f_value)
-    return float(f_value + penalty * max(0.0, float(np.max(g))))
-
-
-def _observed_merit(y, g, penalties):
-    g = np.atleast_1d(np.asarray(g, dtype=float))
-    if g.size == 0:
-        return float(y)
-    return float(y + np.sum(penalties * np.maximum(g, 0.0)))
-
-
-def _vertex_merit(y, g, penalties):
-    return cobyla_merit(y, g, float(np.max(penalties)))
+    return float(_max_merit(np.array([f_value], dtype=float), list(g[:, None]), penalty)[0])
 
 
 @dataclass(frozen=True)
 class _TrustRegionMethod:
     """What sets one trust-region method apart from the others.
 
-    ``batch_predict`` sends the predicted merits through ``predict``'s batch
-    branch rather than its 1-D branch; the two round differently.
+    ``merit`` scores a batch, whether of predicted or of observed values.
     """
 
     fit: Callable  # Dataset -> surrogate, for the objective and each constraint
-    merit: Callable  # (f_hat, g_hats, penalties) -> predicted merit
+    merit: Callable  # (f (m,), [g_i (m,)], penalties) -> merits (m,)
     extras: Callable  # (model, center, radius) -> analytic pool candidates
     feasibility_first: bool = False  # rank feasible-first instead of by merit
-    batch_predict: bool = True
     radius_scale: float = 1.0  # searched ball radius / trust radius
-    observed_merit: Callable = _observed_merit  # (y, g, penalties) of an evaluation
     grows_penalty: bool = False  # raise the penalties after an infeasible step
     sees_constraints: bool = True  # False: the step fits the objective alone
     simplex: bool = False  # the step sees COBYLA's simplex, not the history
@@ -414,8 +395,7 @@ class _TrustRegionMethod:
 # fits are looked up at call time so that wrappers set on this module apply
 _CUATRO = _TrustRegionMethod(
     fit=lambda data: fit_quadratic(data, psd=True), merit=_penalized_merit,
-    extras=_quad_extras, feasibility_first=True, batch_predict=False,
-    grows_penalty=True,
+    extras=_quad_extras, feasibility_first=True, grows_penalty=True,
 )
 _TR_METHODS = {
     "lsqm": replace(_CUATRO, grows_penalty=False, sees_constraints=False),
@@ -426,7 +406,7 @@ _TR_METHODS = {
     ),
     "cobyla": _TrustRegionMethod(
         fit=lambda data: fit_linear(data), merit=_max_merit, extras=_linear_extras,
-        radius_scale=0.5, observed_merit=_vertex_merit, simplex=True,
+        radius_scale=0.5, simplex=True,
     ),
 }
 
@@ -439,7 +419,7 @@ def _tr_propose(kind, data, bounds, tr, merit, seed):
     """
     method = _TR_METHODS[kind]
     f_model = method.fit(data)
-    n_g = 0 if data.G is None else data.G.shape[1]
+    n_g = data.G.shape[1]
     penalties = (merit or MeritConfig.for_constraints(n_g)).penalties
     g_models = [method.fit(Dataset(data.X, data.G[:, i])) for i in range(n_g)]
     radius = tr.radius * method.radius_scale
@@ -454,9 +434,7 @@ def _tr_propose(kind, data, bounds, tr, merit, seed):
         return _plain_keys(method.merit(f_hat, g_hats, penalties))
 
     def merit_at(x):
-        if method.batch_predict:
-            return float(method.merit(*predict(x[None, :]), penalties)[0])
-        return float(method.merit(*predict(x), penalties))
+        return float(method.merit(*predict(x[None, :]), penalties)[0])
 
     x = _pool_minimize(
         keys, bounds, seed, center=tr.center, radius=radius,
@@ -567,7 +545,10 @@ def _unit_rescale(v: np.ndarray) -> np.ndarray:
 def dycors_step(
     data: Dataset, bounds: Bounds, state: DycorsState, incumbent, seed: int = 0,
 ) -> np.ndarray:
-    """Perturb incumbent coordinates stochastically, score by RBF value and distance."""
+    """Perturb incumbent coordinates stochastically, score by RBF value and distance.
+
+    A failed RBF fit raises :class:`~surropt.surrogates.SurrogateFitError`.
+    """
     incumbent = np.asarray(incumbent, dtype=float)
     d = bounds.dim
     n_trials = 100 * d
@@ -583,12 +564,7 @@ def dycors_step(
     trials = incumbent + mask * (noise * sigma)
     trials = np.clip(trials, bounds.lower, bounds.upper)
 
-    try:
-        model = fit_rbf(data)
-    except SurrogateFitError as exc:
-        logger.warning("RBF fit failed (%s); random perturbation proposal", exc)
-        return trials[0]
-
+    model = fit_rbf(data)
     v_f = _unit_rescale(rbf_predict(model, trials))
     v_d = _unit_rescale(_distances(trials, data.X).min(axis=1))
     w = DYCORS_WEIGHTS[state.weight_cycle_index % len(DYCORS_WEIGHTS)]
@@ -655,25 +631,21 @@ class _Simplex:
     """
 
     def __init__(self, data: Dataset):
-        G = data.G
         self.vertices = [
-            (data.X[i].copy(), float(data.y[i]), G[i].copy() if G is not None else np.empty(0))
-            for i in range(data.n)
+            (data.X[i].copy(), float(data.y[i]), data.G[i].copy()) for i in range(data.n)
         ]
         self.pending: list = []
 
     def dataset(self) -> Dataset:
         X = np.array([v[0] for v in self.vertices])
         y = np.array([v[1] for v in self.vertices])
-        G = np.array([v[2] for v in self.vertices]) if self.vertices[0][2].size else None
+        G = np.array([v[2] for v in self.vertices])
         return Dataset(X, y, G)
 
     def degenerate(self) -> bool:
+        # a rank-deficient E has a condition number of 1e15 or more, or inf
         V = np.array([v[0] for v in self.vertices])
-        E = V[1:] - V[0]
-        if np.linalg.matrix_rank(E) < V.shape[1]:
-            return True
-        return np.linalg.cond(E) > 1e8
+        return np.linalg.cond(V[1:] - V[0]) > 1e8
 
     def queue_rebuild(self, bounds: Bounds, tr: TrustRegionState, center_y, center_g):
         c = tr.center
@@ -685,9 +657,10 @@ class _Simplex:
         self.pending = list(pts)
         self.vertices = [(c.copy(), center_y, center_g.copy())]
 
-    def replace_worst(self, x, y, g, center, penalties):
+    def replace_worst(self, x, y, g, center, merit):
         # the worst vertex by merit that is not the centre makes way for x
-        merits = [_vertex_merit(v[1], v[2], penalties) for v in self.vertices]
+        data = self.dataset()
+        merits = merit(data.y, data.G)
         for idx in np.argsort(merits)[::-1]:
             if not np.array_equal(self.vertices[idx][0], center):
                 self.vertices[idx] = (x, y, g)
@@ -709,6 +682,10 @@ class _TrustRegionStrategy:
         self.simplex: Optional[_Simplex] = None
         self._step = None  # (pred_center, pred_new, boundary); None for a rebuild point
 
+    def _merits(self, y: np.ndarray, G: np.ndarray) -> np.ndarray:
+        """The method's merit of observed values y (m,) and G (m, n_g)."""
+        return self.method.merit(y, list(G.T), self.merit.penalties)
+
     def start(self, data: Dataset):
         i = _best_index(data.y, data.G)
         width = float(np.max(self.problem.bounds.width))
@@ -716,7 +693,7 @@ class _TrustRegionStrategy:
             center=data.X[i].copy(), radius=0.1 * width, min_radius=1e-6, max_radius=width,
         )
         self.center_y = float(data.y[i])
-        self.center_g = data.G[i].copy() if data.G is not None else np.empty(0)
+        self.center_g = data.G[i].copy()
         if self.method.simplex:
             self.simplex = _Simplex(data)
 
@@ -745,13 +722,14 @@ class _TrustRegionStrategy:
             self.simplex.vertices.append((x, y, g_arr.copy()))
             return
         pred_center, pred_new, boundary = self._step
-        pen = self.merit.penalties
         predicted = float(pred_center - pred_new)
-        observed = self.method.observed_merit
-        actual = observed(self.center_y, self.center_g, pen) - observed(y, g_arr, pen)
+        merit_center, merit_new = self._merits(
+            np.array([self.center_y, y]), np.array([self.center_g, g_arr])
+        )
+        actual = float(merit_center - merit_new)
         feasible = g_arr.size == 0 or float(np.max(g_arr)) <= VIOLATION_THRESHOLD
         if self.simplex is not None:
-            self.simplex.replace_worst(x, y, g_arr.copy(), self.tr.center, pen)
+            self.simplex.replace_worst(x, y, g_arr.copy(), self.tr.center, self._merits)
         self.tr = trust_region_update(
             self.tr, predicted, actual, boundary, new_point=x, feasible=feasible
         )
@@ -759,7 +737,7 @@ class _TrustRegionStrategy:
             self.center_y = y
             self.center_g = g_arr.copy()
         if not feasible and self.method.grows_penalty:
-            grown = np.minimum(pen * _PENALTY_GROWTH, _PENALTY_CAP)
+            grown = np.minimum(self.merit.penalties * _PENALTY_GROWTH, _PENALTY_CAP)
             self.merit = MeritConfig(penalties=grown)
 
 
@@ -814,12 +792,14 @@ def run_optimizer(algorithm: str, problem: Problem, budget: int, seed: int) -> T
     """Run one optimizer for exactly ``budget`` evaluations.
 
     The run starts with a Latin hypercube design, then loops
-    propose -> clip -> evaluate -> update. A numerical failure inside a
-    proposal (a surrogate fit error, ``LinAlgError`` or ``FloatingPointError``)
-    spends the remaining budget on random search, logged in
-    ``trajectory.meta``, so the trajectory still has exactly ``budget``
-    evaluations. Any other exception propagates, including
-    :class:`~surropt.core.EvaluationFailed` from the problem.
+    propose -> clip -> evaluate -> update. This is the one failure policy
+    of all seven methods, whose steps raise rather than substitute a point:
+    a numerical failure inside a proposal (a surrogate fit error,
+    ``LinAlgError`` or ``FloatingPointError``) spends the remaining budget
+    on random search, logged and recorded as ``fallback_at`` and
+    ``fallback_reason`` in ``trajectory.meta``, so the trajectory still has
+    exactly ``budget`` evaluations. Any other exception propagates,
+    including :class:`~surropt.core.EvaluationFailed` from the problem.
     """
     algorithm = str(algorithm).lower()
     strategy = _make_strategy(algorithm, problem, budget)

@@ -319,20 +319,11 @@ class QuadModel:
     b: float
 
     def predict(self, x):
+        """Value at a point (a float) or at each row of an (m, d) batch."""
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return float(x @ self.Q @ x + self.c @ x + self.b)
-        return np.einsum("ij,jk,ik->i", x, self.Q, x) + x @ self.c + self.b
-
-
-def _quad_features(X: np.ndarray) -> np.ndarray:
-    n, d = X.shape
-    cols = [np.ones(n)]
-    cols.extend(X[:, i] for i in range(d))
-    for i in range(d):
-        for j in range(i, d):
-            cols.append(X[:, i] * X[:, j])
-    return np.column_stack(cols)
+        X = x[None, :] if x.ndim == 1 else x
+        vals = np.einsum("ij,jk,ik->i", X, self.Q, X) + X @ self.c + self.b
+        return float(vals[0]) if x.ndim == 1 else vals
 
 
 def psd_project(Q: np.ndarray) -> np.ndarray:
@@ -355,7 +346,8 @@ def fit_quadratic(
     X = data.X
     y = data.y
     n, d = X.shape
-    A = _quad_features(X)
+    iu, ju = np.triu_indices(d)  # the x_i * x_j terms, i <= j in row-major order
+    A = np.column_stack([np.ones(n), X, X[:, iu] * X[:, ju]])
     if ridge > 0:
         A_aug = np.vstack([A, math.sqrt(ridge) * np.eye(A.shape[1])])
         y_aug = np.concatenate([y, np.zeros(A.shape[1])])
@@ -364,15 +356,9 @@ def fit_quadratic(
         beta, *_ = np.linalg.lstsq(A, y, rcond=None)
     b = beta[0]
     c = beta[1 : 1 + d].copy()
+    q = beta[1 + d :]
     Q = np.zeros((d, d))
-    k = 1 + d
-    for i in range(d):
-        for j in range(i, d):
-            if i == j:
-                Q[i, i] = beta[k]
-            else:
-                Q[i, j] = Q[j, i] = 0.5 * beta[k]
-            k += 1
+    Q[iu, ju] = Q[ju, iu] = np.where(iu == ju, q, 0.5 * q)
     if psd:
         Q = psd_project(Q)
     return QuadModel(Q=Q, c=c, b=float(b))
@@ -389,10 +375,10 @@ class LinModel:
     b: float
 
     def predict(self, x):
+        """Value at a point (a float) or at each row of an (m, d) batch."""
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return float(self.g_hat @ x + self.b)
-        return x @ self.g_hat + self.b
+        vals = (x[None, :] if x.ndim == 1 else x) @ self.g_hat + self.b
+        return float(vals[0]) if x.ndim == 1 else vals
 
 
 def fit_linear(data: Dataset) -> LinModel:

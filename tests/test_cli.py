@@ -58,6 +58,19 @@ def test_unknown_config_key_rejected(tmp_path):
         parse_config(str(path))
 
 
+@pytest.mark.parametrize(
+    "line",
+    ["budgets: 30", "warmup: [1, 2]", "dims: 5", "algorithms: bo", "problems: {ackley: 2}"],
+    ids=lambda line: line.split(":")[0],
+)
+def test_config_value_of_wrong_type_rejected(tmp_path, line):
+    key = line.split(":")[0]
+    path = tmp_path / "c.yaml"
+    path.write_text(line + "\n")
+    with pytest.raises(ConfigError, match=key):
+        parse_config(str(path))
+
+
 def test_missing_config_file():
     with pytest.raises(ConfigError, match="not found"):
         parse_config("/nonexistent/config.yaml")

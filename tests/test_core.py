@@ -195,6 +195,26 @@ def test_evaluate_constraints_are_noiseless():
         assert np.array_equal(ev.g, p.constraints(ev.x))
 
 
+def test_constraints_without_count_rejected():
+    # with n_constraints=0 the callable would never be called
+    with pytest.raises(ConfigError, match="n_constraints"):
+        Problem(
+            name="dropped",
+            bounds=Bounds.cube(-1, 1, 2),
+            objective=lambda x: float(x[0]),
+            constraints=lambda x: np.array([0.4]),
+        )
+
+
+def test_unconstrained_dataset_has_empty_constraint_columns():
+    traj = Trajectory(budget=2, seed=0)
+    rng = substream(0, "noise")
+    for pt in ([0.1, 0.2], [-0.3, 0.0]):
+        evaluate(quad_problem(), pt, rng, trajectory=traj)
+    assert Dataset.from_trajectory(traj).G.shape == (2, 0)
+    assert Dataset(traj.xs, traj.ys).G.shape == (2, 0)
+
+
 def test_trajectory_indices_and_dataset():
     p = Problem(
         name="lin-con",

@@ -487,15 +487,14 @@ def test_dycors_update_advances_cycle_and_iteration():
     assert s.iteration == 2  # clamped at max_iterations
 
 
-def test_dycors_fallback_on_rbf_failure(caplog):
-    # two points cannot support a full-rank linear tail in 2-D
+def test_dycors_step_raises_on_rbf_failure():
+    # two points cannot support a full-rank linear tail in 2-D; the runner,
+    # not the step, decides what a failed fit leads to
     X = np.array([[0.0, 0.0], [1.0, 1.0]])
     data = Dataset(X, np.array([0.0, 1.0]))
     bounds = Bounds.cube(-2.0, 2.0, 2)
-    with caplog.at_level(logging.WARNING, logger="surropt.optimizers"):
-        x = dycors_step(data, bounds, _dycors_state(), np.zeros(2), seed=5)
-    assert bounds.contains(x)
-    assert any("RBF" in rec.message for rec in caplog.records)
+    with pytest.raises(SurrogateFitError):
+        dycors_step(data, bounds, _dycors_state(), np.zeros(2), seed=5)
 
 
 # ---------------------------------------------------------------- run_optimizer
@@ -537,20 +536,38 @@ def test_run_optimizer_cbo_needs_constraints():
         run_optimizer("cbo", prob, budget=20, seed=0)
 
 
-def test_run_optimizer_fallback_fills_budget(monkeypatch, caplog):
+FIT_OF = {
+    "bo": "fit_gp", "cbo": "fit_gp", "lsqm": "fit_quadratic", "cuatro": "fit_quadratic",
+    "cobyqa": "fit_quadratic", "cobyla": "fit_linear", "dycors": "fit_rbf",
+}
+
+
+@pytest.mark.parametrize("algo", sorted(FIT_OF))
+def test_run_optimizer_fallback_fills_budget(algo, monkeypatch, caplog, tmp_path):
     import surropt.optimizers as opt
+    from surropt.bench import BenchmarkConfig, run_benchmark
 
     def boom(*args, **kwargs):
         raise SurrogateFitError("synthetic failure")
 
-    monkeypatch.setattr(opt, "fit_quadratic", boom)
-    prob = get_problem("ackley-d2")
+    monkeypatch.setattr(opt, FIT_OF[algo], boom)
+    key = "matyas-c" if algo == "cbo" else "ackley-d2"
+    prob = get_problem(key)
+    n_init = opt.initial_design_size(algo, prob.dim)
     with caplog.at_level(logging.WARNING, logger="surropt.optimizers"):
-        traj = run_optimizer("lsqm", prob, budget=12, seed=5)
+        traj = run_optimizer(algo, prob, budget=12, seed=5)
     assert len(traj) == 12
-    assert traj.meta["fallback_at"] == 4  # first point after the 3-point design
+    assert traj.meta["fallback_at"] == n_init + 1  # the first proposed point
     assert "synthetic failure" in traj.meta["fallback_reason"]
     assert all(prob.bounds.contains(ev.x) for ev in traj.evaluations)
+    assert any("random search" in rec.message for rec in caplog.records)
+
+    config = BenchmarkConfig(
+        algorithms=[algo], problems=[key], dims=[2], repetitions=1,
+        budgets={2: 12}, warmup={2: 3}, seed=5, suite="fb",
+    )
+    table = run_benchmark(config, out_dir=tmp_path)  # jobs=1: the patch reaches the cell
+    assert table.cell_status[f"{key}/{algo}/rep0"].startswith(f"fallback@{n_init + 1}:")
 
 
 def test_run_optimizer_programming_error_propagates(monkeypatch):

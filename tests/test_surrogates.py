@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -189,6 +191,43 @@ def test_quadratic_recovers_cross_term_coefficients():
     assert np.allclose(m.Q, [[1.0, 0.475], [0.475, 5.9]], atol=1e-6)
     assert np.allclose(m.c, 0.0, atol=1e-6)
     assert abs(m.b) < 1e-6
+
+
+def test_quadratic_fit_matches_double_loop_reference():
+    # the reference builds the features and the Hessian term by term
+    rng = np.random.default_rng(9)
+    n, d = 9, 4
+    X = rng.uniform(-2, 2, size=(n, d))
+    y = rng.standard_normal(n)
+    cols = [np.ones(n)] + [X[:, i] for i in range(d)]
+    for i in range(d):
+        for j in range(i, d):
+            cols.append(X[:, i] * X[:, j])
+    A = np.column_stack(cols)
+    p = A.shape[1]
+    A_aug = np.vstack([A, math.sqrt(1e-8) * np.eye(p)])
+    beta, *_ = np.linalg.lstsq(A_aug, np.concatenate([y, np.zeros(p)]), rcond=None)
+    Q = np.zeros((d, d))
+    k = 1 + d
+    for i in range(d):
+        for j in range(i, d):
+            Q[i, j] = Q[j, i] = beta[k] if i == j else 0.5 * beta[k]
+            k += 1
+    m = fit_quadratic(Dataset(X, y), ridge=1e-8)
+    assert np.array_equal(m.Q, Q)
+    assert np.array_equal(m.c, beta[1 : 1 + d])
+    assert m.b == beta[0]
+
+
+def test_predict_of_a_point_is_a_batch_of_one():
+    rng = np.random.default_rng(10)
+    X = rng.uniform(-2, 2, size=(12, 3))
+    data = Dataset(X, rng.standard_normal(12))
+    for model in (fit_quadratic(data), fit_linear(data)):
+        for x in X:
+            value = model.predict(x)
+            assert isinstance(value, float)
+            assert value == model.predict(x[None, :])[0]
 
 
 def test_psd_projection_clips_negative_eigenvalue():
