@@ -119,6 +119,15 @@ def _suggest(value: str, valid, kind: str) -> ConfigError:
     )
 
 
+def _convert(kind, key: str, value):
+    """``kind(value)``, or a ConfigError naming ``key`` if the value does not convert."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"config key '{key}' must be {what}, got {value!r}") from None
+
+
 def parse_config(path: Optional[str] = None, flags: Optional[dict] = None) -> BenchmarkConfig:
     """Merge a YAML config file and command-line flags into a BenchmarkConfig.
 
@@ -165,13 +174,13 @@ def parse_config(path: Optional[str] = None, flags: Optional[dict] = None) -> Be
         if algo not in ALGORITHMS:
             raise _suggest(algo, ALGORITHMS, "algorithm")
 
-    dims = [int(d) for d in pick("dims", DEFAULT_DIMS)]
+    dims = [_convert(int, "dims", d) for d in pick("dims", DEFAULT_DIMS)]
     budgets = dict(DEFAULT_BUDGETS)
     budgets.update(preset.get("budgets", {}))
-    budgets.update(data.get("budgets", {}))
+    budgets.update({d: _convert(int, "budgets", b) for d, b in data.get("budgets", {}).items()})
     warmup = dict(DEFAULT_WARMUP)
     warmup.update(preset.get("warmup", {}))
-    warmup.update(data.get("warmup", {}))
+    warmup.update({d: _convert(int, "warmup", w) for d, w in data.get("warmup", {}).items()})
 
     # keep only the dimensions this config can actually touch, so a scalar
     # --budget never trips the budget>warmup check for unused presets
@@ -186,11 +195,13 @@ def parse_config(path: Optional[str] = None, flags: Optional[dict] = None) -> Be
         algorithms=list(algorithms),
         problems=list(problems),
         dims=dims,
-        repetitions=int(pick("repetitions", 5)),
+        repetitions=_convert(int, "repetitions", pick("repetitions", 5)),
         budgets=budgets,
         warmup=warmup,
-        seed=int(pick("seed", 0)),
-        violation_threshold=float(pick("violation_threshold", VIOLATION_THRESHOLD)),
+        seed=_convert(int, "seed", pick("seed", 0)),
+        violation_threshold=_convert(
+            float, "violation_threshold", pick("violation_threshold", VIOLATION_THRESHOLD)
+        ),
         suite=suite or "custom",
     )
 

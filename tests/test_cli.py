@@ -71,6 +71,27 @@ def test_config_value_of_wrong_type_rejected(tmp_path, line):
         parse_config(str(path))
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "repetitions: abc",
+        "seed: [1]",
+        "dims: [abc]",
+        "budgets: {2: abc}",
+        "warmup: {2: abc}",
+        "violation_threshold: abc",
+    ],
+    ids=lambda line: line.split(":")[0],
+)
+def test_config_value_that_does_not_convert_rejected(tmp_path, line):
+    key = line.split(":")[0]
+    path = tmp_path / "c.yaml"
+    path.write_text(line + "\n")
+    with pytest.raises(ConfigError, match=key):
+        parse_config(str(path))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+
+
 def test_missing_config_file():
     with pytest.raises(ConfigError, match="not found"):
         parse_config("/nonexistent/config.yaml")

@@ -49,54 +49,54 @@ def digest(traj) -> str:
 GOLDEN = {
     ("quadratic-d2", "bo", 0, 10): "5f0a068ecaf52f5d7f0426e9d07b03c761a9dc3f8c6f98b422751d26b1e81898",
     ("quadratic-d2", "bo", 1, 10): "6ed523bc9e9f7c67f497ecef3d1332141cb2ad78ab9f776ce0d8a3d2bb1a2194",
-    ("quadratic-d2", "lsqm", 0, 10): "bbd6333a47890205d1c96f8615095979d9a63992108018a22bf426e382d832d8",
-    ("quadratic-d2", "lsqm", 1, 10): "3ded9e8494045c828c19b02f9b71a302dd5e5b880a59a1eef589136c458dce11",
-    ("quadratic-d2", "cuatro", 0, 10): "bbd6333a47890205d1c96f8615095979d9a63992108018a22bf426e382d832d8",
-    ("quadratic-d2", "cuatro", 1, 10): "3ded9e8494045c828c19b02f9b71a302dd5e5b880a59a1eef589136c458dce11",
+    ("quadratic-d2", "lsqm", 0, 10): "eeb7a74c61dde10b5b9aac9ce064405e3ee817294bd9148a67a488f319fba5cf",
+    ("quadratic-d2", "lsqm", 1, 10): "ed0cf6973cae8b7171f85afebff5d02d93031a7361600f5f92d125d374e587b4",
+    ("quadratic-d2", "cuatro", 0, 10): "eeb7a74c61dde10b5b9aac9ce064405e3ee817294bd9148a67a488f319fba5cf",
+    ("quadratic-d2", "cuatro", 1, 10): "ed0cf6973cae8b7171f85afebff5d02d93031a7361600f5f92d125d374e587b4",
     ("quadratic-d2", "cobyla", 0, 10): "d13864d1ad84909f478b514304a2f38a1d528d7ccb6603b729107f6b91f7554f",
     ("quadratic-d2", "cobyla", 1, 10): "1afd239b0ca1e666e9c9b2f7aad7ffaafcafc6555d34b9e42efa6f6e1a0ccab5",
-    ("quadratic-d2", "cobyqa", 0, 10): "3258d2836e4e417d0f0f3b41a22a91187a56ff8df577dfb455a72b496c73fda2",
-    ("quadratic-d2", "cobyqa", 1, 10): "7f40cd8a3a77ceb942676e32b9b4784b107c48733cffbc412f2b912b158a1253",
+    ("quadratic-d2", "cobyqa", 0, 10): "c01f214e9256ef21430ea3695b566910f68ac9acd364d61f2dc29178afe1595a",
+    ("quadratic-d2", "cobyqa", 1, 10): "c569e9581967eb29fd8521da4ece65244d24b8da3bbacc630ea58d67f521cb7d",
     ("quadratic-d2", "dycors", 0, 10): "553e9f59ee17a31775c0633f73d5ba0b927bc70f325ea950383409ee8b2921b7",
     ("quadratic-d2", "dycors", 1, 10): "605b845cce6c372b30a9a953272180c361439e339333ac0e9657932c77890dab",
     ("levy-d5", "bo", 0, 13): "c800500490b9b5003eaf1b880d88598b5efb825cc86d11b74c26f1483b3a48f2",
     ("levy-d5", "bo", 1, 13): "8b5e8da7f651847cc4e1593384530ec356f1a6ef21cf082d0b8187a155a17cb1",
-    ("levy-d5", "lsqm", 0, 13): "c0758e7cf5a36841f39266c5de9d4fc86c2ab3b17c13cd48a04b5897e8dc31fc",
-    ("levy-d5", "lsqm", 1, 13): "a0a61de1aa1f1094c873063b86ca142a21dce141830634909adcfedb4f04ad2b",
-    ("levy-d5", "cuatro", 0, 13): "c0758e7cf5a36841f39266c5de9d4fc86c2ab3b17c13cd48a04b5897e8dc31fc",
-    ("levy-d5", "cuatro", 1, 13): "a0a61de1aa1f1094c873063b86ca142a21dce141830634909adcfedb4f04ad2b",
+    ("levy-d5", "lsqm", 0, 13): "948bf9d793b9df6c81286ff433fb69e863e2b0d3b73972695e3abc7bb82441ce",
+    ("levy-d5", "lsqm", 1, 13): "08ed14c8feb72f7b81ad4e9e2faf2e959be64deeb70514bcd83c440e6098d640",
+    ("levy-d5", "cuatro", 0, 13): "948bf9d793b9df6c81286ff433fb69e863e2b0d3b73972695e3abc7bb82441ce",
+    ("levy-d5", "cuatro", 1, 13): "08ed14c8feb72f7b81ad4e9e2faf2e959be64deeb70514bcd83c440e6098d640",
     ("levy-d5", "cobyla", 0, 13): "010b8ee16e6cf9a646a8d0185b8b2f4344e3400e464a035d4b58db7ce3017cce",
     ("levy-d5", "cobyla", 1, 13): "efa3bf8afb70bae0439336155945f2d7dbb0cda7685d4ae66cdf58e49623fb9b",
-    ("levy-d5", "cobyqa", 0, 13): "a905187168beb558742c942619f9aa55f04c0fdf7b7f3bd4d28d25a1900db6aa",
-    ("levy-d5", "cobyqa", 1, 13): "01871637c8c02c45ee4ff38d4638e71093dffb61d7a8ba9ec42b4930b94b72bc",
+    ("levy-d5", "cobyqa", 0, 13): "79e0e8a2719b14c63d8a03836924a13999b26b3025bc125feab761232cde8be2",
+    ("levy-d5", "cobyqa", 1, 13): "517be91e5d8a9ce591963b8389ce5b2d50b97bfec4306e7d6c204b63bb93f824",
     ("levy-d5", "dycors", 0, 13): "e57922a9d4ec2b0741498c8513427397323fd45500af2ed586c229fce117373e",
     ("levy-d5", "dycors", 1, 13): "62a4b3c8b35df53e0e4055cabd6d2f2b09fe20abc97866a70cf551b814e15e0b",
     ("matyas-c", "bo", 0, 10): "1774a7342d8be5e59fdd0036a5d0ec518fe7998f5ae9cbb9848878c901ff590f",
     ("matyas-c", "bo", 1, 10): "165b3c55c9c4002d0d980088a45443256cbb38da66c0320d5ca4d47b5286b0fe",
     ("matyas-c", "cbo", 0, 10): "31fa040379fb8cac7147dc1e38c8f6e6083ea5c1ab7b61820392f5bad2d37bb3",
     ("matyas-c", "cbo", 1, 10): "dc594f8a8868f1beb9e48a94b622967ceb9b7f2a6e90d9ac673a95dca49af224",
-    ("matyas-c", "lsqm", 0, 10): "6d4628e11675d99a51b594f2c56242d33e20da98714a52d9f1f0d3757b7ae099",
-    ("matyas-c", "lsqm", 1, 10): "e0b00d25024287df3e8bce6e1e453a88a514da329e0352a6e730dbcf87a8ee7a",
-    ("matyas-c", "cuatro", 0, 10): "4f5c31423cbb9fe9e487d5a6b85e2c31b3692adc2c257e36c536493bcf0630eb",
-    ("matyas-c", "cuatro", 1, 10): "2266a161eef8e5e7b3248f0ce14e82b2356ef30a2451f4bc96eee53041c80763",
+    ("matyas-c", "lsqm", 0, 10): "529680903080f68238d6c47dd1a37c6eb4f0a0d425a7e38bacb35c011f2d84d1",
+    ("matyas-c", "lsqm", 1, 10): "caa03e8bc43d308dafc605c1ed294ecb06fd4a38b30a389573b39afa303aaf7c",
+    ("matyas-c", "cuatro", 0, 10): "c0721ab4cdd11148744af5254933524dccc99b4e1ded7950019959c2ebcddf1f",
+    ("matyas-c", "cuatro", 1, 10): "9565c729af9e2bb7879c22b9a680aa85f70abcf2ccc3ff64a7cefef0c3dd0dea",
     ("matyas-c", "cobyla", 0, 10): "e9f4c7b286cef30406336b6651709a8de4e65baf5884704d9bfa69978dd2b06d",
     ("matyas-c", "cobyla", 1, 10): "4a75b352edad7edc49b44eb4474f7c90d94e9e41208aed4d4d5e54e82b862563",
-    ("matyas-c", "cobyqa", 0, 10): "578adeadbdd0eff7a0561350873b45024360fe752433a17ead8850882f8545bd",
-    ("matyas-c", "cobyqa", 1, 10): "7b77c62f10ed200da99e91ebbba473a545eb69ec9f1009be291b9b5eb40e8ff0",
+    ("matyas-c", "cobyqa", 0, 10): "01efd351b9180ce959605b602217af12bf9a31163d09bd2d3fc148704b78972f",
+    ("matyas-c", "cobyqa", 1, 10): "68b3ba46837041c573cced54b904fe6a2e28e41a54943169fab3b9f28c182b47",
     ("matyas-c", "dycors", 0, 10): "4781936fb9f6d21e999cf3c75f8ff8d3157553219a3dfb1af0d626e272dc6ee2",
     ("matyas-c", "dycors", 1, 10): "f8b76693852ee3599f5c479b9cd7acf36fadce69d5ced296645faab943c8ebf1",
     ("williams-otto", "bo", 0, 10): "65b7f6907cbf96fbb65210a1435061f839da643293578ecf3a3f3f55a99e7ea2",
     ("williams-otto", "bo", 1, 10): "a1104b9d03e8dde979bf7e7c345256e6894d4569e1832fc11b80c52f5e667722",
     ("williams-otto", "cbo", 0, 10): "1a4709ad0aa1487f3f065ec7a84de36f142eecb8f6f757bc395d975c52a2feee",
     ("williams-otto", "cbo", 1, 10): "c2e07527b0251699b554e024683ba777d90d0c81aaf85af8d459573b7fcf765c",
-    ("williams-otto", "lsqm", 0, 10): "bf8cc2719cb9aa356f6f05197bcb41154c20f30e41f04a22c2c9862d05ed4f82",
+    ("williams-otto", "lsqm", 0, 10): "5925e23b0603746beaa194a88746c2e8d68afd209123b332d684b3d43424524e",
     ("williams-otto", "lsqm", 1, 10): "c4df0574d7cdf90e9725bafbe9482cd0121edc8c27b7589aef25b788dfc0d7e5",
     ("williams-otto", "cuatro", 0, 10): "b839483fb7f668778063bd2d34945fbce3007df01b8452120649660f657ee461",
     ("williams-otto", "cuatro", 1, 10): "938a57e54707f206da54cd302af8e28b7d1825daf1c9997f2b230c7fffe97feb",
     ("williams-otto", "cobyla", 0, 10): "35212c931ff2e031bae2917ec1b8c0aea9dd7bb9f32b44aa3e594672cb8f6baf",
     ("williams-otto", "cobyla", 1, 10): "e8eca468d753084c41a4200daf6e5cc3b306da733d9c3ce673ef311a3b24a9b4",
     ("williams-otto", "cobyqa", 0, 10): "7862d2342a792367fba7a0df73a15fd2560625ec016b85cbe975dbd8fe99d1e4",
-    ("williams-otto", "cobyqa", 1, 10): "2d112e7521738adc694c3ba039559b02e8b461bb972175ab6a852782fd5977aa",
+    ("williams-otto", "cobyqa", 1, 10): "6eff8c857b8bc984b2e07772b8146442cb077c63b06f1e2d70b85322b3e9c5d4",
     ("williams-otto", "dycors", 0, 10): "9d16e0608071ba286399a5852c27088a59abe0577ae2e6a5a376103003f2e21e",
     ("williams-otto", "dycors", 1, 10): "46c8f1d5d183fd993cb5ad9762dbe285d3ced6ce4a655631e2fc8c4d23e38aeb",
     ("matyas-c", "cobyla", 1, 32): "f25ae748fc18bace7546ccf2df9fed22ac1faff85608dc4d7628b2e914003990",
@@ -130,7 +130,7 @@ def cstr_values() -> np.ndarray:
 CSTR_VALUES = "1fd85d81852f483b5b8aafc4d595f22bfdd08640a8c763645b4e644b4c5fb46d"
 CSTR_GOLDEN = {
     ("cstr-pid", "cobyla", 0, 34): "2dd0772b56931f8069f822b9ea52cf0fbfacf7ddddfaa789ad074ddf996f9675",
-    ("cstr-pid", "cuatro", 0, 34): "7b64bbd3d8418191781c935a1e9ee9ba9fe2157ecf9efb01f73519a3aab870ea",
+    ("cstr-pid", "cuatro", 0, 34): "31fcc28cf914efa84f952fd11348628a7d7225d65e4fb35f37c7266f8e5317a4",
 }
 
 
@@ -139,15 +139,16 @@ def test_golden_cstr_values():
     assert hashlib.sha256(values.tobytes()).hexdigest() == CSTR_VALUES
 
 
-# At d=32 cuatro's quadratic fits are least-squares solves large enough for
-# OpenBLAS to split across threads, and the split changes their rounding, so
-# the cuatro run differs bit-for-bit between one BLAS thread and several. The
-# CSTR runs are digested in a child process on one BLAS thread, the setting
-# perfbench runs every workload in.
-ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+# A 561-column least-squares solve is large enough for OpenBLAS to split across
+# threads, and the split changes its rounding. The golden CSTR runs are digested
+# in a child process on one BLAS thread, the setting perfbench runs every
+# workload in. While n < p = 561 a d=32 quadratic fit solves the n-column dual
+# system instead, and the test below checks that the trajectory then does not
+# depend on the thread count.
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def one_thread_digest(case) -> str:
+def child_digest(case, threads: int = 1) -> str:
     here = Path(__file__).resolve().parent
     path = [str(here), str(here.parent / "src"), os.environ.get("PYTHONPATH", "")]
     code = (
@@ -155,7 +156,8 @@ def one_thread_digest(case) -> str:
         f"key, algo, seed, budget = {case!r}\n"
         "print(digest(run_optimizer(algo, get_problem(key), budget, seed)))\n"
     )
-    env = {**os.environ, **ONE_THREAD, "PYTHONPATH": os.pathsep.join(path)}
+    env = {**os.environ, **dict.fromkeys(BLAS_THREADS, str(threads))}
+    env["PYTHONPATH"] = os.pathsep.join(path)
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=300
     )
@@ -164,7 +166,15 @@ def one_thread_digest(case) -> str:
 
 @pytest.mark.parametrize("case", list(CSTR_GOLDEN), ids=lambda c: "-".join(map(str, c)))
 def test_golden_cstr_trajectory(case):
-    assert one_thread_digest(case) == CSTR_GOLDEN[case]
+    assert child_digest(case) == CSTR_GOLDEN[case]
+
+
+# Budget 40 gives each run 7 quadratic-model steps past its 33-point initial
+# design; with the 561-column primal fit both runs differ from budget 34 on.
+@pytest.mark.parametrize("algo", ["cuatro", "cobyqa"])
+def test_cstr_trajectory_same_under_one_and_two_blas_threads(algo):
+    case = ("cstr-pid", algo, 0, 40)
+    assert child_digest(case, threads=1) == child_digest(case, threads=2)
 
 
 if __name__ == "__main__":
@@ -173,4 +183,4 @@ if __name__ == "__main__":
         print(f"    {case!r}: \"{digest(run_optimizer(algo, get_problem(key), budget, seed))}\",")
     print(f"CSTR_VALUES = \"{hashlib.sha256(cstr_values().tobytes()).hexdigest()}\"")
     for case in CSTR_GOLDEN:
-        print(f"    {case!r}: \"{one_thread_digest(case)}\",")
+        print(f"    {case!r}: \"{child_digest(case)}\",")

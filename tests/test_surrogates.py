@@ -193,20 +193,42 @@ def test_quadratic_recovers_cross_term_coefficients():
     assert abs(m.b) < 1e-6
 
 
-def test_quadratic_fit_matches_double_loop_reference():
-    # the reference builds the features and the Hessian term by term
-    rng = np.random.default_rng(9)
-    n, d = 9, 4
-    X = rng.uniform(-2, 2, size=(n, d))
-    y = rng.standard_normal(n)
+def _quadratic_features(X):
+    # the features term by term: 1, x_i, then x_i * x_j for i <= j
+    n, d = X.shape
     cols = [np.ones(n)] + [X[:, i] for i in range(d)]
     for i in range(d):
         for j in range(i, d):
             cols.append(X[:, i] * X[:, j])
-    A = np.column_stack(cols)
+    return np.column_stack(cols)
+
+
+def _primal_ridge_beta(A, y, ridge):
     p = A.shape[1]
-    A_aug = np.vstack([A, math.sqrt(1e-8) * np.eye(p)])
+    A_aug = np.vstack([A, math.sqrt(ridge) * np.eye(p)])
     beta, *_ = np.linalg.lstsq(A_aug, np.concatenate([y, np.zeros(p)]), rcond=None)
+    return beta
+
+
+def _dual_ridge_beta(A, y, ridge):
+    n, p = A.shape
+    s = math.sqrt(ridge)
+    A_aug = np.vstack([A.T, s * np.eye(n)])
+    w, *_ = np.linalg.lstsq(A_aug, np.concatenate([np.zeros(p), y / s]), rcond=None)
+    return A.T @ w
+
+
+# at d = 4 there are p = 15 coefficients: n = 9 takes the dual solve, n = 20 the primal
+@pytest.mark.parametrize(
+    "n, reference", [(9, _dual_ridge_beta), (20, _primal_ridge_beta)], ids=["dual", "primal"]
+)
+def test_quadratic_fit_matches_double_loop_reference(n, reference):
+    # the reference builds the features and the Hessian term by term
+    rng = np.random.default_rng(9)
+    d = 4
+    X = rng.uniform(-2, 2, size=(n, d))
+    y = rng.standard_normal(n)
+    beta = reference(_quadratic_features(X), y, 1e-8)
     Q = np.zeros((d, d))
     k = 1 + d
     for i in range(d):
@@ -217,6 +239,27 @@ def test_quadratic_fit_matches_double_loop_reference():
     assert np.array_equal(m.Q, Q)
     assert np.array_equal(m.c, beta[1 : 1 + d])
     assert m.b == beta[0]
+
+
+@pytest.mark.parametrize("design", ["random", "clustered"])
+@pytest.mark.parametrize("d", [2, 5, 10, 32])
+def test_quadratic_dual_fit_matches_primal_solve(d, design):
+    # below p samples the fit solves the n-column dual system; its coefficients
+    # are the primal ridge solution's up to rounding
+    rng = np.random.default_rng(d)
+    p = 1 + d + d * (d + 1) // 2
+    for n in (d + 1, min((d + 1 + p) // 2, 80)):
+        if design == "random":
+            X = rng.uniform(-2, 2, size=(n, d))
+        else:
+            X = 0.5 + 1e-4 * rng.standard_normal((n, d))
+        y = rng.standard_normal(n)
+        ref = _primal_ridge_beta(_quadratic_features(X), y, 1e-8)
+        m = fit_quadratic(Dataset(X, y), ridge=1e-8)
+        iu, ju = np.triu_indices(d)
+        q = np.where(iu == ju, m.Q[iu, ju], 2.0 * m.Q[iu, ju])
+        beta = np.concatenate([[m.b], m.c, q])
+        assert np.max(np.abs(beta - ref)) <= 1e-7 * np.max(np.abs(ref))
 
 
 def test_predict_of_a_point_is_a_batch_of_one():
