@@ -24,9 +24,7 @@ from .core import (
 )
 from .optimizers import (
     ALGORITHMS,
-    AcquisitionConfig,
     DycorsState,
-    MeritConfig,
     TrustRegionState,
     run_optimizer,
 )

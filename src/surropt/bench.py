@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -74,6 +75,10 @@ class BenchmarkConfig:
             raise ConfigError("at least one problem is required")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
+        if not math.isfinite(self.violation_threshold):
+            raise ConfigError(
+                f"violation_threshold must be finite, got {self.violation_threshold}"
+            )
         for d in set(self.budgets) & set(self.warmup):
             if self.budgets[d] <= self.warmup[d]:
                 raise ConfigError(
@@ -309,6 +314,8 @@ def run_benchmark(
     aggregation; everything else proceeds. Results are bit-reproducible for
     a fixed config regardless of ``jobs``.
     """
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     problems, cells = plan_cells(config)
     root = None if out_dir is None else Path(out_dir) / config.suite
     runs, status = {}, {}

@@ -229,7 +229,7 @@ def cmd_run(args) -> int:
     root = _out_root(args.out)
     manifest = RunManifest.plan(config)
     manifest.write(root / config.suite / "manifest.json")
-    jobs = args.jobs or os.cpu_count() or 1
+    jobs = (os.cpu_count() or 1) if args.jobs is None else args.jobs
     table = run_benchmark(config, out_dir=root, jobs=jobs)
     not_ok = sorted(k for k, v in table.cell_status.items() if v != "ok")
     _print_table(table)

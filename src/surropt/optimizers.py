@@ -15,8 +15,9 @@ Seven methods are provided:
 - ``dycors``: cubic-RBF surrogate with stochastic coordinate perturbations
   and a cycling value/distance weighted score.
 
-The four trust-region methods share one step and one runner loop and differ
-only in the fields of ``_TR_METHODS``. All inner argmins use the same
+The four trust-region methods differ only in the fields of ``_TR_METHODS``.
+They share one public step, ``trust_region_step(kind, ...)``, which the
+runner calls too, and one runner loop. All inner argmins use the same
 derivative-free candidate-pool search (seeded pool + analytic Newton/Cauchy
 candidates + coordinate pattern refinement), so every step operation is a
 pure function of (data, state, seed).
@@ -31,8 +32,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -61,21 +62,20 @@ from .surrogates import (
 
 __all__ = [
     "TrustRegionState",
-    "AcquisitionConfig",
-    "MeritConfig",
+    "TrustRegionStep",
     "DycorsState",
     "lcb",
     "propose_bo",
     "propose_cbo",
-    "lsqm_step",
-    "cuatro_step",
-    "cobyla_step",
-    "cobyqa_step",
+    "cobyla_merit",
+    "trust_region_step",
     "trust_region_update",
+    "dycors_select_probability",
     "dycors_step",
     "dycors_update",
     "run_optimizer",
     "ALGORITHMS",
+    "DYCORS_WEIGHTS",
     "initial_design_size",
 ]
 
@@ -96,46 +96,26 @@ _PENALTY_CAP = 1e8
 
 @dataclass(frozen=True)
 class TrustRegionState:
-    """Center, radius, and adaptation counters of a trust-region method."""
+    """Center and radius of a trust-region method, with the radius limits."""
 
     center: np.ndarray
     radius: float
     min_radius: float = 1e-6
     max_radius: float = math.inf
-    success_count: int = 0
-    fail_count: int = 0
 
     def __post_init__(self):
         if not (self.min_radius <= self.radius <= self.max_radius):
             raise ConfigError("need min_radius <= radius <= max_radius")
 
 
-@dataclass(frozen=True)
-class AcquisitionConfig:
-    """LCB acquisition weight on the posterior standard deviation."""
+class TrustRegionStep(NamedTuple):
+    """A trust-region step: the point, the merit reduction the surrogates
+    predict from the centre to it, and whether it lies on the boundary of
+    the searched ball."""
 
-    gamma: float = 2.0
-
-    def __post_init__(self):
-        if self.gamma < 0:
-            raise ConfigError("gamma must be >= 0")
-
-
-@dataclass(frozen=True)
-class MeritConfig:
-    """Per-constraint penalties for merit functions."""
-
-    penalties: np.ndarray = field(default_factory=lambda: np.array([100.0]))
-
-    def __post_init__(self):
-        pen = np.atleast_1d(np.asarray(self.penalties, dtype=float))
-        if np.any(pen <= 0):
-            raise ConfigError("all penalties must be > 0")
-        object.__setattr__(self, "penalties", pen)
-
-    @staticmethod
-    def for_constraints(n_g: int) -> "MeritConfig":
-        return MeritConfig(penalties=np.full(max(n_g, 1), 100.0))
+    x: np.ndarray
+    predicted_reduction: float
+    on_boundary: bool
 
 
 @dataclass(frozen=True)
@@ -276,8 +256,7 @@ def _best_index(y, G):
 
 
 def propose_bo(
-    data: Dataset, bounds: Bounds, config: AcquisitionConfig = AcquisitionConfig(),
-    seed: int = 0,
+    data: Dataset, bounds: Bounds, gamma: float = 2.0, seed: int = 0,
 ) -> np.ndarray:
     """Minimize the LCB of a freshly fitted GP over the candidate pool.
 
@@ -285,12 +264,11 @@ def propose_bo(
     observations in ``data`` are ignored. A failed GP fit raises
     :class:`~surropt.surrogates.SurrogateFitError`.
     """
-    return _propose_gp(Dataset(data.X, data.y), bounds, config, seed)
+    return _propose_gp(Dataset(data.X, data.y), bounds, gamma, seed)
 
 
 def propose_cbo(
-    data: Dataset, bounds: Bounds, config: AcquisitionConfig = AcquisitionConfig(),
-    seed: int = 0,
+    data: Dataset, bounds: Bounds, gamma: float = 2.0, seed: int = 0,
 ) -> np.ndarray:
     """Constrained BO: LCB among candidates whose constraint-GP means are <= 0.
 
@@ -300,10 +278,12 @@ def propose_cbo(
     """
     if data.G.shape[1] < 1:
         raise ConfigError("propose_cbo needs constraint observations")
-    return _propose_gp(data, bounds, config, seed)
+    return _propose_gp(data, bounds, gamma, seed)
 
 
-def _propose_gp(data, bounds, config, seed):
+def _propose_gp(data, bounds, gamma, seed):
+    if not gamma >= 0:
+        raise ConfigError("gamma must be >= 0")
     f_model = fit_gp(data, seed=derive_seed(seed, "gp"))
     g_models = [
         fit_gp(Dataset(data.X, data.G[:, i]), seed=derive_seed(seed, "gp-con", i))
@@ -315,7 +295,7 @@ def _propose_gp(data, bounds, config, seed):
         margins = []
         for gm in g_models:
             margins.append(gp_posterior(gm, X)[0])
-        return _feasibility_first_keys(lcb(mu, np.sqrt(var), config.gamma), margins)
+        return _feasibility_first_keys(lcb(mu, np.sqrt(var), gamma), margins)
 
     incumbent = data.X[_best_index(data.y, data.G)]
     return _pool_minimize(keys, bounds, seed, extra=[incumbent])
@@ -357,7 +337,7 @@ def _linear_extras(model, center, radius):
 def _penalized_merit(f_vals, g_list, penalties):
     merit = np.array(f_vals, dtype=float, copy=True)
     for i, g in enumerate(g_list):
-        merit += penalties[min(i, len(penalties) - 1)] * np.maximum(g, 0.0)
+        merit += penalties[i] * np.maximum(g, 0.0)
     return merit
 
 
@@ -411,17 +391,38 @@ _TR_METHODS = {
 }
 
 
-def _tr_propose(kind, data, bounds, tr, merit, seed):
-    """One trust-region step of method ``kind``.
+def _initial_penalties(n_g: int) -> np.ndarray:
+    return np.full(max(n_g, 1), 100.0)
 
-    Returns the step x, the predicted merit at the centre and at x, and
-    whether x lies on the boundary of the searched ball.
+
+def trust_region_step(
+    kind: str, data: Dataset, bounds: Bounds, tr: TrustRegionState,
+    penalties=None, seed: int = 0,
+) -> TrustRegionStep:
+    """One step of trust-region method ``kind``: lsqm, cuatro, cobyqa or cobyla.
+
+    Fits the method's surrogates to ``data``, at least n_x + 1 samples
+    (``lsqm`` ignores the constraint columns, ``cobyla`` expects its
+    simplex), and searches the trust-region ball within ``bounds``.
+    ``penalties`` holds one value > 0 per constraint column of ``data``, one
+    value when there are none, and defaults to 100 each.
     """
     method = _TR_METHODS[kind]
-    f_model = method.fit(data)
+    if data.n < bounds.dim + 1:
+        raise ConfigError(f"the {kind} step needs at least n_x + 1 samples")
     n_g = data.G.shape[1]
-    penalties = (merit or MeritConfig.for_constraints(n_g)).penalties
-    g_models = [method.fit(Dataset(data.X, data.G[:, i])) for i in range(n_g)]
+    if penalties is None:
+        penalties = _initial_penalties(n_g)
+    penalties = np.atleast_1d(np.asarray(penalties, dtype=float))
+    if penalties.shape != (max(n_g, 1),) or not np.all(penalties > 0):
+        raise ConfigError(
+            f"need {max(n_g, 1)} penalties > 0, one per constraint column; got {penalties}"
+        )
+    if not method.sees_constraints:
+        data = Dataset(data.X, data.y)
+
+    f_model = method.fit(data)
+    g_models = [method.fit(Dataset(data.X, data.G[:, i])) for i in range(data.G.shape[1])]
     radius = tr.radius * method.radius_scale
 
     def predict(X):
@@ -441,50 +442,7 @@ def _tr_propose(kind, data, bounds, tr, merit, seed):
         extra=method.extras(f_model, tr.center, radius),
     )
     on_boundary = float(np.linalg.norm(x - tr.center)) >= radius * (1.0 - 1e-3)
-    return x, merit_at(tr.center), merit_at(x), on_boundary
-
-
-def lsqm_step(data: Dataset, bounds: Bounds, tr: TrustRegionState, seed: int = 0):
-    """Minimize the PSD-projected quadratic surrogate over ball and bounds.
-
-    This is :func:`cuatro_step` on the objective alone: constraint
-    observations in ``data`` are ignored.
-    """
-    if data.n < bounds.dim + 1:
-        raise ConfigError("lsqm_step needs at least n_x + 1 samples")
-    return cuatro_step(Dataset(data.X, data.y), bounds, tr, seed=seed)
-
-
-def cuatro_step(
-    data: Dataset, bounds: Bounds, tr: TrustRegionState,
-    merit: Optional[MeritConfig] = None, seed: int = 0,
-):
-    """Feasibility-first minimization of PSD quadratic surrogates in the ball."""
-    if data.n < bounds.dim + 1:
-        raise ConfigError("cuatro_step needs at least n_x + 1 samples")
-    return _tr_propose("cuatro", data, bounds, tr, merit, seed)[0]
-
-
-def cobyqa_step(
-    data: Dataset, bounds: Bounds, tr: TrustRegionState,
-    merit: Optional[MeritConfig] = None, seed: int = 0,
-):
-    """Minimize f_hat + sum_i rho_i [g_hat_i]_+ over the trust-region ball."""
-    if data.n < bounds.dim + 1:
-        raise ConfigError("cobyqa_step needs at least n_x + 1 samples")
-    return _tr_propose("cobyqa", data, bounds, tr, merit, seed)[0]
-
-
-def cobyla_step(
-    data: Dataset, bounds: Bounds, tr: TrustRegionState,
-    merit: Optional[MeritConfig] = None, seed: int = 0,
-):
-    """Linear-surrogate step within half the trust-region radius.
-
-    ``data`` holds the current simplex of n_x + 1 points (plus constraint
-    observations when present).
-    """
-    return _tr_propose("cobyla", data, bounds, tr, merit, seed)[0]
+    return TrustRegionStep(x, merit_at(tr.center) - merit_at(x), on_boundary)
 
 
 def trust_region_update(
@@ -511,18 +469,10 @@ def trust_region_update(
         radius = min(radius * 2.0, tr.max_radius)
     elif ratio < 0.25 or actual_reduction <= 0:
         radius = max(radius * 0.5, tr.min_radius)
-    success = actual_reduction > 0
     center = tr.center
-    if success and feasible and new_point is not None:
+    if actual_reduction > 0 and feasible and new_point is not None:
         center = np.asarray(new_point, dtype=float)
-    return TrustRegionState(
-        center=center,
-        radius=radius,
-        min_radius=tr.min_radius,
-        max_radius=tr.max_radius,
-        success_count=tr.success_count + 1 if success else 0,
-        fail_count=0 if success else tr.fail_count + 1,
-    )
+    return replace(tr, center=center, radius=radius)
 
 
 # ------------------------------------------------------------------ DYCORS
@@ -674,17 +624,17 @@ class _TrustRegionStrategy:
         self.problem = problem
         self.kind = kind
         self.method = _TR_METHODS[kind]
-        self.merit = MeritConfig.for_constraints(problem.n_constraints)
+        self.penalties = _initial_penalties(problem.n_constraints)
         self.n_init = initial_design_size(kind, problem.dim)
         self.tr: Optional[TrustRegionState] = None
         self.center_y = math.inf
         self.center_g = np.empty(0)
         self.simplex: Optional[_Simplex] = None
-        self._step = None  # (pred_center, pred_new, boundary); None for a rebuild point
+        self._step: Optional[TrustRegionStep] = None  # None for a rebuild point
 
     def _merits(self, y: np.ndarray, G: np.ndarray) -> np.ndarray:
         """The method's merit of observed values y (m,) and G (m, n_g)."""
-        return self.method.merit(y, list(G.T), self.merit.penalties)
+        return self.method.merit(y, list(G.T), self.penalties)
 
     def start(self, data: Dataset):
         i = _best_index(data.y, data.G)
@@ -707,12 +657,10 @@ class _TrustRegionStrategy:
                 self._step = None
                 return self.simplex.pending[0]
             data = self.simplex.dataset()
-        elif not self.method.sees_constraints:
-            data = Dataset(data.X, data.y)
-        x, *self._step = _tr_propose(
-            self.kind, data, self.problem.bounds, self.tr, self.merit, seed
+        self._step = trust_region_step(
+            self.kind, data, self.problem.bounds, self.tr, self.penalties, seed
         )
-        return x
+        return self._step.x
 
     def update(self, x, y, g):
         y = float(y)
@@ -721,8 +669,6 @@ class _TrustRegionStrategy:
             self.simplex.pending.pop(0)
             self.simplex.vertices.append((x, y, g_arr.copy()))
             return
-        pred_center, pred_new, boundary = self._step
-        predicted = float(pred_center - pred_new)
         merit_center, merit_new = self._merits(
             np.array([self.center_y, y]), np.array([self.center_g, g_arr])
         )
@@ -731,14 +677,14 @@ class _TrustRegionStrategy:
         if self.simplex is not None:
             self.simplex.replace_worst(x, y, g_arr.copy(), self.tr.center, self._merits)
         self.tr = trust_region_update(
-            self.tr, predicted, actual, boundary, new_point=x, feasible=feasible
+            self.tr, self._step.predicted_reduction, actual, self._step.on_boundary,
+            new_point=x, feasible=feasible,
         )
         if actual > 0 and feasible:
             self.center_y = y
             self.center_g = g_arr.copy()
         if not feasible and self.method.grows_penalty:
-            grown = np.minimum(self.merit.penalties * _PENALTY_GROWTH, _PENALTY_CAP)
-            self.merit = MeritConfig(penalties=grown)
+            self.penalties = np.minimum(self.penalties * _PENALTY_GROWTH, _PENALTY_CAP)
 
 
 class _DycorsStrategy:

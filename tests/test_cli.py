@@ -6,7 +6,7 @@ import json
 import pytest
 
 from surropt import ConfigError
-from surropt.bench import DEFAULT_BUDGETS, DEFAULT_WARMUP
+from surropt.bench import DEFAULT_BUDGETS, DEFAULT_WARMUP, run_benchmark
 from surropt.cli import RunManifest, main, parse_config
 
 
@@ -90,6 +90,34 @@ def test_config_value_that_does_not_convert_rejected(tmp_path, line):
     with pytest.raises(ConfigError, match=key):
         parse_config(str(path))
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize(
+    "yaml_value, value", [(".nan", "nan"), (".inf", "inf"), ("-.inf", "-inf")],
+    ids=["nan", "inf", "-inf"],
+)
+def test_non_finite_violation_threshold_rejected(tmp_path, capsys, yaml_value, value):
+    path = tmp_path / "c.yaml"
+    path.write_text(f"violation_threshold: {yaml_value}\n")
+    with pytest.raises(ConfigError, match="violation_threshold"):
+        parse_config(str(path), {"suite": "constrained"})
+    out = tmp_path / "out"
+    run = ["run", "--suite", "constrained", "--budget", "8", "--reps", "1", "--out", str(out)]
+    assert main(run + ["--config", str(path)]) == 2
+    assert main(run + [f"--threshold={value}"]) == 2
+    assert capsys.readouterr().err.count("violation_threshold must be finite") == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_jobs_below_one_rejected(tmp_path, capsys, jobs):
+    config = parse_config(None, {"suite": "constrained", "budget": 8, "repetitions": 1})
+    with pytest.raises(ConfigError, match="jobs"):
+        run_benchmark(config, jobs=jobs)
+    run = ["run", "--suite", "constrained", "--budget", "8", "--reps", "1"]
+    assert main(run + ["--jobs", str(jobs), "--out", str(tmp_path)]) == 2
+    assert "jobs must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "constrained" / "scores.json").exists()
 
 
 def test_missing_config_file():

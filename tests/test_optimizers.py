@@ -15,22 +15,17 @@ from surropt.core import (
     substream,
 )
 from surropt.optimizers import (
-    AcquisitionConfig,
     DycorsState,
-    MeritConfig,
     TrustRegionState,
     cobyla_merit,
-    cobyla_step,
-    cobyqa_step,
-    cuatro_step,
     dycors_select_probability,
     dycors_step,
     dycors_update,
     lcb,
-    lsqm_step,
     propose_bo,
     propose_cbo,
     run_optimizer,
+    trust_region_step,
     trust_region_update,
 )
 from surropt.problems import get_problem
@@ -72,7 +67,7 @@ def test_propose_bo_exploitation_matches_grid_oracle():
     data = _quad_1d_data()
     bounds = Bounds.cube(-1.0, 1.0, 1)
     seed = 4
-    x_star = propose_bo(data, bounds, AcquisitionConfig(gamma=0.0), seed=seed)
+    x_star = propose_bo(data, bounds, 0.0, seed=seed)
     # oracle: dense-grid argmin of the same posterior mean
     model = fit_gp(data, seed=derive_seed(seed, "gp"))
     grid = np.linspace(-1.0, 1.0, 2001).reshape(-1, 1)
@@ -88,7 +83,7 @@ def test_propose_bo_max_uncertainty_runs_from_cluster():
     data = Dataset(x, np.sin(x[:, 0]))
     bounds = Bounds.cube(-1.0, 1.0, 1)
     seed = 2
-    x_star = propose_bo(data, bounds, AcquisitionConfig(gamma=1e6), seed=seed)
+    x_star = propose_bo(data, bounds, 1e6, seed=seed)
     model = fit_gp(data, seed=derive_seed(seed, "gp"))
     pool = latin_hypercube(bounds, 100, derive_seed(seed, "pool"))
     _, var_pool = gp_posterior(model, pool)
@@ -100,9 +95,9 @@ def test_propose_bo_max_uncertainty_runs_from_cluster():
 def test_propose_bo_deterministic():
     data = _quad_1d_data()
     bounds = Bounds.cube(-1.0, 1.0, 1)
-    cfg = AcquisitionConfig(gamma=2.0)
-    a = propose_bo(data, bounds, cfg, seed=9)
-    b = propose_bo(data, bounds, cfg, seed=9)
+    gamma = 2.0
+    a = propose_bo(data, bounds, gamma, seed=9)
+    b = propose_bo(data, bounds, gamma, seed=9)
     assert np.array_equal(a, b)
 
 
@@ -110,7 +105,7 @@ def test_propose_bo_improves_surrogate_mean_over_incumbent():
     data = _quad_1d_data()
     bounds = Bounds.cube(-1.0, 1.0, 1)
     seed = 7
-    x_star = propose_bo(data, bounds, AcquisitionConfig(gamma=0.0), seed=seed)
+    x_star = propose_bo(data, bounds, 0.0, seed=seed)
     model = fit_gp(data, seed=derive_seed(seed, "gp"))
     mu_star, _ = gp_posterior(model, x_star)
     incumbent = data.X[int(np.argmin(data.y))]
@@ -123,7 +118,7 @@ def test_propose_bo_within_bounds():
     for seed in range(3):
         X = latin_hypercube(bounds, 8, seed=100 + seed)
         data = Dataset(X, np.sum(X**2, axis=1))
-        x = propose_bo(data, bounds, AcquisitionConfig(), seed=seed)
+        x = propose_bo(data, bounds, seed=seed)
         assert bounds.contains(x)
 
 
@@ -135,9 +130,9 @@ def test_propose_cbo_inactive_constraints_match_bo():
     g = np.full((data.n, 1), -5.0)  # feasible with wide margin everywhere
     cdata = Dataset(data.X, data.y, g)
     bounds = Bounds.cube(-1.0, 1.0, 1)
-    cfg = AcquisitionConfig(gamma=2.0)
-    a = propose_bo(data, bounds, cfg, seed=12)
-    b = propose_cbo(cdata, bounds, cfg, seed=12)
+    gamma = 2.0
+    a = propose_bo(data, bounds, gamma, seed=12)
+    b = propose_cbo(cdata, bounds, gamma, seed=12)
     assert np.array_equal(a, b)
 
 
@@ -146,7 +141,7 @@ def test_propose_cbo_active_constraint_mean_nonpositive():
     data = Dataset(x, -x[:, 0], x.copy())  # f = -x wants x=1; g = x <= 0
     bounds = Bounds.cube(-1.0, 1.0, 1)
     seed = 5
-    x_star = propose_cbo(data, bounds, AcquisitionConfig(), seed=seed)
+    x_star = propose_cbo(data, bounds, seed=seed)
     g_model = fit_gp(Dataset(x, x[:, 0]), seed=derive_seed(seed, "gp-con", 0))
     mu_g, _ = gp_posterior(g_model, x_star)
     assert mu_g <= 1e-3
@@ -157,24 +152,24 @@ def test_propose_cbo_all_infeasible_minimizes_violation():
     x = np.linspace(0.5, 1.5, 21).reshape(-1, 1)
     data = Dataset(x, np.cos(x[:, 0]), x.copy())  # g = x >= 0.5 > 0 everywhere
     bounds = Bounds(np.array([0.5]), np.array([1.5]))
-    x_star = propose_cbo(data, bounds, AcquisitionConfig(), seed=3)
+    x_star = propose_cbo(data, bounds, seed=3)
     assert x_star[0] <= 0.51  # violation ~ x is minimized at the left edge
 
 
 def test_propose_cbo_requires_constraints():
     data = _quad_1d_data()
     with pytest.raises(ConfigError):
-        propose_cbo(data, Bounds.cube(-1, 1, 1), AcquisitionConfig(), 0)
+        propose_cbo(data, Bounds.cube(-1, 1, 1), seed=0)
 
 
-# ---------------------------------------------------------------- lsqm_step
+# ---------------------------------------------------------------- trust_region_step("lsqm")
 
 
 def test_lsqm_interior_minimum():
     x = np.linspace(-1.5, 2.0, 8).reshape(-1, 1)
     data = Dataset(x, x[:, 0] ** 2)
     tr = TrustRegionState(center=np.array([0.5]), radius=2.0, max_radius=10.0)
-    x_star = lsqm_step(data, Bounds.cube(-3.0, 3.0, 1), tr, seed=1)
+    x_star = trust_region_step("lsqm", data, Bounds.cube(-3.0, 3.0, 1), tr, seed=1).x
     assert abs(x_star[0]) <= 1e-3
 
 
@@ -184,7 +179,7 @@ def test_lsqm_boundary_solution():
     data = Dataset(x, 2.0 * x[:, 0] + 1.0)
     center = np.array([0.0])
     tr = TrustRegionState(center=center, radius=0.5, max_radius=10.0)
-    x_star = lsqm_step(data, Bounds.cube(-3.0, 3.0, 1), tr, seed=2)
+    x_star = trust_region_step("lsqm", data, Bounds.cube(-3.0, 3.0, 1), tr, seed=2).x
     assert abs(np.linalg.norm(x_star - center) - 0.5) <= 1e-6
     assert x_star[0] < 0  # downhill side
 
@@ -197,7 +192,7 @@ def test_lsqm_matches_grid_oracle_on_ill_conditioned_quadratic():
     data = Dataset(X, np.array([quadratic_ill(x) for x in X]))
     center = np.zeros(2)
     tr = TrustRegionState(center=center, radius=100.0, max_radius=200.0)
-    x_star = lsqm_step(data, bounds, tr, seed=6)
+    x_star = trust_region_step("lsqm", data, bounds, tr, seed=6).x
 
     model = fit_quadratic(data, psd=True)
     g = np.linspace(-5.0, 5.0, 1001)
@@ -211,7 +206,7 @@ def test_lsqm_needs_enough_samples():
     data = Dataset(np.zeros((2, 2)), np.zeros(2))
     tr = TrustRegionState(center=np.zeros(2), radius=1.0)
     with pytest.raises(ConfigError):
-        lsqm_step(data, Bounds.cube(-1, 1, 2), tr, seed=0)
+        trust_region_step("lsqm", data, Bounds.cube(-1, 1, 2), tr, seed=0)
 
 
 def test_trust_region_steps_stay_in_ball():
@@ -221,17 +216,28 @@ def test_trust_region_steps_stay_in_ball():
     g = (X[:, :1] - 0.2)
     tr = TrustRegionState(center=X[3].copy(), radius=0.6, max_radius=4.0)
     for seed in range(3):
-        x1 = lsqm_step(Dataset(X, y), bounds, tr, seed=seed)
+        x1 = trust_region_step("lsqm", Dataset(X, y), bounds, tr, seed=seed).x
         assert np.linalg.norm(x1 - tr.center) <= 0.6 + 1e-9
-        x2 = cuatro_step(Dataset(X, y, g), bounds, tr, seed=seed)
+        x2 = trust_region_step("cuatro", Dataset(X, y, g), bounds, tr, seed=seed).x
         assert np.linalg.norm(x2 - tr.center) <= 0.6 + 1e-9
-        x3 = cobyqa_step(Dataset(X, y, g), bounds, tr, seed=seed)
+        x3 = trust_region_step("cobyqa", Dataset(X, y, g), bounds, tr, seed=seed).x
         assert np.linalg.norm(x3 - tr.center) <= 0.6 + 1e-9
-        x4 = cobyla_step(Dataset(X, y, g), bounds, tr, seed=seed)
+        x4 = trust_region_step("cobyla", Dataset(X, y, g), bounds, tr, seed=seed).x
         assert np.linalg.norm(x4 - tr.center) <= 0.3 + 1e-9  # half radius
 
 
-# ---------------------------------------------------------------- cuatro_step
+@pytest.mark.parametrize("penalties", [[100.0], [100.0, 100.0, 100.0], [100.0, np.nan]])
+def test_trust_region_step_rejects_wrongly_sized_penalties(penalties):
+    bounds = Bounds.cube(-2.0, 2.0, 2)
+    X = latin_hypercube(bounds, 9, seed=8)
+    data = Dataset(X, np.sum(X**2, axis=1), X - 0.2)  # two constraint columns
+    tr = TrustRegionState(center=X[0].copy(), radius=0.6, max_radius=4.0)
+    for kind in ("lsqm", "cuatro", "cobyqa", "cobyla"):
+        with pytest.raises(ConfigError):
+            trust_region_step(kind, data, bounds, tr, penalties, seed=0)
+
+
+# ---------------------------------------------------------------- trust_region_step("cuatro")
 
 
 def test_cuatro_unconstrained_equals_lsqm():
@@ -239,8 +245,8 @@ def test_cuatro_unconstrained_equals_lsqm():
     X = latin_hypercube(bounds, 8, seed=5)
     y = np.sum(X**2, axis=1) + 0.3 * X[:, 0]
     tr = TrustRegionState(center=X[0].copy(), radius=0.8, max_radius=4.0)
-    a = lsqm_step(Dataset(X, y), bounds, tr, seed=7)
-    b = cuatro_step(Dataset(X, y), bounds, tr, seed=7)
+    a = trust_region_step("lsqm", Dataset(X, y), bounds, tr, seed=7).x
+    b = trust_region_step("cuatro", Dataset(X, y), bounds, tr, seed=7).x
     assert np.array_equal(a, b)
 
 
@@ -250,7 +256,7 @@ def test_cuatro_respects_active_constraint():
     y = (X[:, 0] - 1.0) ** 2 + X[:, 1] ** 2  # unconstrained optimum (1, 0)
     g = X[:, :1].copy()  # x1 <= 0
     tr = TrustRegionState(center=np.zeros(2), radius=3.0, max_radius=8.0)
-    x_star = cuatro_step(Dataset(X, y, g), bounds, tr, seed=4)
+    x_star = trust_region_step("cuatro", Dataset(X, y, g), bounds, tr, seed=4).x
     assert x_star[0] <= 1e-3
     assert abs(x_star[1]) <= 0.2
 
@@ -262,11 +268,11 @@ def test_cuatro_small_radius_boundary():
     g = np.full((9, 1), -1.0)  # never active
     center = np.array([1.0])
     tr = TrustRegionState(center=center, radius=0.25, max_radius=6.0)
-    x_star = cuatro_step(Dataset(x, y, g), bounds, tr, seed=1)
+    x_star = trust_region_step("cuatro", Dataset(x, y, g), bounds, tr, seed=1).x
     assert abs(np.linalg.norm(x_star - center) - 0.25) <= 1e-6
 
 
-# ---------------------------------------------------------------- cobyla_step
+# ---------------------------------------------------------------- trust_region_step("cobyla")
 
 
 def _linear_dataset(f, g=None):
@@ -279,7 +285,7 @@ def _linear_dataset(f, g=None):
 def test_cobyla_closed_form_step():
     data = _linear_dataset(lambda x: x[0])  # gradient (1, 0)
     tr = TrustRegionState(center=np.zeros(2), radius=1.0, max_radius=4.0)
-    x_star = cobyla_step(data, Bounds.cube(-2.0, 2.0, 2), tr, seed=0)
+    x_star = trust_region_step("cobyla", data, Bounds.cube(-2.0, 2.0, 2), tr, seed=0).x
     assert np.allclose(x_star, [-0.5, 0.0], atol=1e-6)
 
 
@@ -291,9 +297,10 @@ def test_cobyla_merit_arithmetic():
 
 def test_cobyla_constrained_step():
     data = _linear_dataset(lambda x: x[0] + x[1], g=lambda x: -x[0] - 0.1)
-    merit = MeritConfig(penalties=np.array([1e6]))
+    penalties = np.array([1e6])
     tr = TrustRegionState(center=np.zeros(2), radius=1.0, max_radius=4.0)
-    x_star = cobyla_step(data, Bounds.cube(-2.0, 2.0, 2), tr, merit, seed=2)
+    bounds = Bounds.cube(-2.0, 2.0, 2)
+    x_star = trust_region_step("cobyla", data, bounds, tr, penalties, seed=2).x
     assert x_star[0] >= -0.1 - 1e-3
     # merit no worse than the unconstrained steepest step at half radius
     f_model = fit_linear(Dataset(data.X, data.y))
@@ -307,7 +314,7 @@ def test_cobyla_constrained_step():
     assert np.linalg.norm(x_star) <= 0.5 + 1e-9
 
 
-# ---------------------------------------------------------------- cobyqa_step
+# ---------------------------------------------------------------- trust_region_step("cobyqa")
 
 
 def test_cobyqa_interior_minimum():
@@ -315,7 +322,7 @@ def test_cobyqa_interior_minimum():
     X = latin_hypercube(bounds, 12, seed=9)
     y = (X[:, 0] - 0.4) ** 2 + 2.0 * (X[:, 1] + 0.3) ** 2
     tr = TrustRegionState(center=np.zeros(2), radius=3.0, max_radius=8.0)
-    x_star = cobyqa_step(Dataset(X, y), bounds, tr, seed=3)
+    x_star = trust_region_step("cobyqa", Dataset(X, y), bounds, tr, seed=3).x
     assert np.allclose(x_star, [0.4, -0.3], atol=1e-3)
 
 
@@ -325,8 +332,8 @@ def test_cobyqa_inactive_constraints_match_unconstrained():
     y = np.sum((X - 0.2) ** 2, axis=1)
     g = np.full((12, 1), -1.0)
     tr = TrustRegionState(center=np.zeros(2), radius=1.0, max_radius=4.0)
-    a = cobyqa_step(Dataset(X, y), bounds, tr, seed=6)
-    b = cobyqa_step(Dataset(X, y, g), bounds, tr, seed=6)
+    a = trust_region_step("cobyqa", Dataset(X, y), bounds, tr, seed=6).x
+    b = trust_region_step("cobyqa", Dataset(X, y, g), bounds, tr, seed=6).x
     assert np.array_equal(a, b)
 
 
@@ -338,9 +345,9 @@ def test_cobyqa_merit_not_worse_than_center():
     G = np.array([prob.constraints(x) for x in X]).reshape(10, -1)
     center = X[int(np.argmin(y))].copy()
     tr = TrustRegionState(center=center, radius=1.5, max_radius=20.0)
-    merit = MeritConfig(penalties=np.array([100.0]))
+    penalties = np.array([100.0])
     data = Dataset(X, y, G)
-    x_star = cobyqa_step(data, bounds, tr, merit, seed=4)
+    x_star = trust_region_step("cobyqa", data, bounds, tr, penalties, seed=4).x
 
     f_model = fit_quadratic(data)
     g_model = fit_quadratic(Dataset(X, G[:, 0]))
@@ -379,10 +386,8 @@ def test_tr_update_cap_floor_and_center():
     p = np.array([0.3, -0.1])
     moved = trust_region_update(_tr(), 1.0, 0.5, False, new_point=p)
     assert np.array_equal(moved.center, p)
-    assert moved.success_count == 1 and moved.fail_count == 0
     stay = trust_region_update(_tr(), 1.0, -0.2, False, new_point=p)
     assert np.array_equal(stay.center, np.zeros(2))
-    assert stay.fail_count == 1 and stay.success_count == 0
     infeas = trust_region_update(_tr(), 1.0, 0.5, False, new_point=p, feasible=False)
     assert np.array_equal(infeas.center, np.zeros(2))
 
@@ -524,6 +529,39 @@ def test_run_optimizer_deterministic():
     assert np.array_equal(t1.gs, t2.gs)
 
 
+# williams-otto at seed 1 starts from an infeasible design with two
+# constraints, where lsqm's step differs from cuatro's and the cobyqa and
+# cobyla steps move with the penalties
+@pytest.mark.parametrize("problem_key", ["williams-otto", "levy-d2"])
+@pytest.mark.parametrize("kind", ["lsqm", "cuatro", "cobyqa", "cobyla"])
+def test_runner_steps_through_trust_region_step(kind, problem_key):
+    import surropt.optimizers as opt
+
+    prob, seed = get_problem(problem_key), 1
+    n_init = opt.initial_design_size(kind, prob.dim)
+    traj = run_optimizer(kind, prob, budget=n_init + 1, seed=seed)
+    data = Dataset(traj.xs[:n_init], traj.ys[:n_init], traj.gs[:n_init])
+    width = float(np.max(prob.bounds.width))
+    start = TrustRegionState(
+        center=data.X[opt._best_index(data.y, data.G)], radius=0.1 * width,
+        min_radius=1e-6, max_radius=width,
+    )
+    step = trust_region_step(
+        kind, data, prob.bounds, start, seed=derive_seed(seed, "step", 0)
+    )
+    assert np.array_equal(traj.xs[n_init], prob.bounds.clip(step.x))
+
+
+def test_optimizers_all_lists_the_public_names():
+    import surropt.optimizers as opt
+
+    defined = {
+        name for name, obj in vars(opt).items()
+        if not name.startswith("_") and getattr(obj, "__module__", None) == opt.__name__
+    }
+    assert set(opt.__all__) == defined | {"ALGORITHMS", "DYCORS_WEIGHTS"}
+
+
 def test_run_optimizer_unknown_algorithm():
     prob = get_problem("ackley-d2")
     with pytest.raises(ConfigError):
@@ -599,10 +637,13 @@ def test_run_optimizer_all_algorithms_complete():
 
 
 def test_config_validation():
+    data = _quad_1d_data()
+    bounds = Bounds.cube(-1.0, 1.0, 1)
     with pytest.raises(ConfigError):
-        AcquisitionConfig(gamma=-0.5)
+        propose_bo(data, bounds, gamma=-0.5)
+    tr = TrustRegionState(center=np.zeros(1), radius=0.5)
     with pytest.raises(ConfigError):
-        MeritConfig(penalties=np.array([0.0]))
+        trust_region_step("cobyqa", data, bounds, tr, penalties=[0.0])
     with pytest.raises(ConfigError):
         DycorsState(iteration=5, max_iterations=3, step_size=0.2, initial_step_size=0.2)
     with pytest.raises(ConfigError):
