@@ -305,6 +305,13 @@ def _score_table(config: BenchmarkConfig, problems, runs, status) -> ScoreTable:
     )
 
 
+def check_jobs(jobs: int) -> int:
+    """Return ``jobs``, the number of parallel cells, or raise a ConfigError below 1."""
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    return jobs
+
+
 def run_benchmark(
     config: BenchmarkConfig, out_dir: Optional[str] = None, jobs: int = 1
 ) -> ScoreTable:
@@ -314,8 +321,7 @@ def run_benchmark(
     aggregation; everything else proceeds. Results are bit-reproducible for
     a fixed config regardless of ``jobs``.
     """
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    check_jobs(jobs)
     problems, cells = plan_cells(config)
     root = None if out_dir is None else Path(out_dir) / config.suite
     runs, status = {}, {}

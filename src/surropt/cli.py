@@ -38,6 +38,7 @@ from .bench import (
     DEFAULT_WARMUP,
     BenchmarkConfig,
     _write_rep_csv,
+    check_jobs,
     expand_problems,
     plan_cells,
     run_benchmark,
@@ -226,10 +227,10 @@ def _print_table(table) -> None:
 
 def cmd_run(args) -> int:
     config = parse_config(args.config, vars(args))
+    jobs = check_jobs((os.cpu_count() or 1) if args.jobs is None else args.jobs)
     root = _out_root(args.out)
     manifest = RunManifest.plan(config)
     manifest.write(root / config.suite / "manifest.json")
-    jobs = (os.cpu_count() or 1) if args.jobs is None else args.jobs
     table = run_benchmark(config, out_dir=root, jobs=jobs)
     not_ok = sorted(k for k, v in table.cell_status.items() if v != "ok")
     _print_table(table)

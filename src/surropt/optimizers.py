@@ -159,14 +159,25 @@ def _lex_best(primary: np.ndarray, secondary: np.ndarray) -> int:
     return int(order[0])
 
 
-def _project(x, bounds: Bounds, center=None, radius=None):
-    x = bounds.clip(x)
-    if center is not None:
-        d = x - center
-        norm = float(np.linalg.norm(d))
-        if radius is not None and norm > radius:
-            x = center + d * (radius / norm)
-    return x
+def _project(X, bounds: Bounds, center=None, radius=None) -> np.ndarray:
+    """Project each row of an (m, d) batch into the box, then into the ball.
+
+    Every row is clipped to ``bounds``. When ``center`` is given, a clipped
+    row farther than ``radius`` from it is scaled back onto the sphere along
+    its direction from the centre. Returns a new (m, d) array whose rows
+    equal, bit for bit, what projecting each row on its own gives: the
+    norms come from a batched matmul, which matches the 1-D
+    ``np.linalg.norm`` where ``norm(axis=1)``, ``np.sum`` and ``einsum``
+    round differently.
+    """
+    X = bounds.clip(X)
+    if center is None:
+        return X
+    D = X - center
+    norms = np.sqrt((D[:, None, :] @ D[:, :, None])[:, 0, 0])
+    out = norms > radius
+    X[out] = center + D[out] * (radius / norms[out])[:, None]
+    return X
 
 
 def _ball_candidates(center, radius, bounds, n, rng):
@@ -195,26 +206,20 @@ def _pool_minimize(
     else:
         X = latin_hypercube(bounds, n_pool, derive_seed(seed, "pool"))
         step = float(np.max(bounds.width)) / 10.0
-    rows = [X]
     if extra:
-        rows.append(
-            np.array([_project(e, bounds, center, radius) for e in extra])
-        )
-    X = np.vstack(rows)
+        X = np.vstack([X, _project(extra, bounds, center, radius)])
     primary, secondary = keys_fn(X)
     i = _lex_best(primary, secondary)
     x = X[i]
     best_key = (primary[i], secondary[i])
 
     d = bounds.dim
+    j = np.arange(d)
     for _ in range(_REFINE_STEPS):
         trials = np.repeat(x[None, :], 2 * d, axis=0)
-        for j in range(d):
-            trials[2 * j, j] += step
-            trials[2 * j + 1, j] -= step
-        trials = np.array(
-            [_project(t, bounds, center, radius) for t in trials]
-        )
+        trials[2 * j, j] += step
+        trials[2 * j + 1, j] -= step
+        trials = _project(trials, bounds, center, radius)
         p, s = keys_fn(trials)
         i = _lex_best(p, s)
         if (p[i], s[i]) < best_key:

@@ -41,6 +41,8 @@ __all__ = [
 
 _DUPLICATE_TOL = 1e-10
 _JITTERS = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
+# Floats per block of the (m, n, d) difference tensor in _distances (2 MB).
+_BLOCK_FLOATS = 1 << 18
 
 
 class SurrogateFitError(RuntimeError):
@@ -48,12 +50,22 @@ class SurrogateFitError(RuntimeError):
 
 
 def _distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Euclidean distances between the rows of A and the rows of B.
+    """(m, n) Euclidean distances between the rows of A (m, d) and B (n, d).
 
     Summed over the difference tensor rather than by the Gram identity,
-    which is not exact at zero distance.
+    which is not exact at zero distance. The tensor is built for a block of
+    rows of A at a time, at most ``_BLOCK_FLOATS`` floats (and at least one
+    row) per block, so memory does not grow with m. Each entry is still
+    ``sqrt(sum((a - b) ** 2))`` over the same d differences, whatever the
+    block size.
     """
-    return np.sqrt(np.sum((A[:, None, :] - B[None, :, :]) ** 2, axis=2))
+    out = np.empty((A.shape[0], B.shape[0]))
+    rows = max(1, _BLOCK_FLOATS // max(B.size, 1))
+    for i in range(0, A.shape[0], rows):
+        diff = A[i:i + rows, None, :] - B[None, :, :]
+        np.square(diff, out=diff)
+        np.sum(diff, axis=2, out=out[i:i + rows])
+    return np.sqrt(out, out=out)
 
 
 def _merge_duplicates(X: np.ndarray, y: np.ndarray):
@@ -73,23 +85,34 @@ def _merge_duplicates(X: np.ndarray, y: np.ndarray):
     return X[kept], np.array([np.mean(y[owner == k]) for k in kept])
 
 
-def _sq_dists(A: np.ndarray, B: np.ndarray, lengthscales: np.ndarray) -> np.ndarray:
+def _se_kernel(A, lengthscales, signal_variance, B=None) -> np.ndarray:
+    """SE-ARD kernel between the rows of A and of B; B defaults to A itself.
+
+    Scaled squared distances come from the Gram identity, floored at 0, and
+    the rest is done in place on the one (m, n) buffer. The matmul's left
+    operand is the separate buffer ``2.0 * As``: numpy sends ``As @ As.T``
+    on one buffer to BLAS syrk, which rounds differently from gemm.
+    """
     As = A / lengthscales
-    Bs = B / lengthscales
-    aa = np.sum(As**2, axis=1)[:, None]
-    bb = np.sum(Bs**2, axis=1)[None, :]
-    d2 = aa + bb - 2.0 * As @ Bs.T
-    return np.maximum(d2, 0.0)
-
-
-def _se_kernel(A, B, lengthscales, signal_variance):
-    return signal_variance * np.exp(-0.5 * _sq_dists(A, B, lengthscales))
+    aa = np.sum(As**2, axis=1)
+    if B is None:
+        Bs, bb = As, aa
+    else:
+        Bs = B / lengthscales
+        bb = np.sum(Bs**2, axis=1)
+    K = aa[:, None] + bb[None, :]
+    K -= (2.0 * As) @ Bs.T
+    np.maximum(K, 0.0, out=K)
+    K *= -0.5
+    np.exp(K, out=K)
+    K *= signal_variance
+    return K
 
 
 def _chol_with_jitter(K: np.ndarray):
     for jitter in _JITTERS:
         try:
-            L = np.linalg.cholesky(K + jitter * np.eye(K.shape[0]))
+            L = np.linalg.cholesky(K if jitter == 0.0 else K + jitter * np.eye(K.shape[0]))
             return L, jitter
         except np.linalg.LinAlgError:
             continue
@@ -127,8 +150,8 @@ def _standardize(y):
 
 def _factor(X, ys, lengthscales, signal_variance, noise_variance):
     """Cholesky factor L of the noisy training kernel and alpha = K^-1 ys."""
-    K = _se_kernel(X, X, lengthscales, signal_variance)
-    K[np.diag_indices_from(K)] += noise_variance
+    K = _se_kernel(X, lengthscales, signal_variance)
+    K.flat[::K.shape[0] + 1] += noise_variance
     L, _ = _chol_with_jitter(K)
     return L, np.linalg.solve(L.T, np.linalg.solve(L, ys))
 
@@ -290,7 +313,7 @@ def gp_posterior(model: GpModel, x):
     single = x.ndim == 1
     X_query = np.atleast_2d(x)
     k_star = _se_kernel(
-        X_query, model.X_train, model.kernel_lengthscales, model.signal_variance
+        X_query, model.kernel_lengthscales, model.signal_variance, B=model.X_train
     )
     mu_std = k_star @ model.alpha
     v = np.linalg.solve(model.chol_factor, k_star.T)

@@ -120,6 +120,18 @@ def test_jobs_below_one_rejected(tmp_path, capsys, jobs):
     assert not (tmp_path / "constrained" / "scores.json").exists()
 
 
+def test_rejected_jobs_writes_nothing(tmp_path, capsys):
+    run = ["run", "--suite", "constrained", "--budget", "8", "--reps", "1", "--jobs", "0"]
+    assert main(run + ["--out", str(tmp_path / "new")]) == 2
+    assert not (tmp_path / "new" / "constrained").exists()
+    manifest = tmp_path / "old" / "constrained" / "manifest.json"
+    manifest.parent.mkdir(parents=True)
+    manifest.write_bytes(b'{"created": "earlier run"}\n')
+    assert main(run + ["--out", str(tmp_path / "old")]) == 2
+    assert manifest.read_bytes() == b'{"created": "earlier run"}\n'
+    assert capsys.readouterr().err.count("jobs must be >= 1") == 2
+
+
 def test_missing_config_file():
     with pytest.raises(ConfigError, match="not found"):
         parse_config("/nonexistent/config.yaml")

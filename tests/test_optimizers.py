@@ -17,6 +17,7 @@ from surropt.core import (
 from surropt.optimizers import (
     DycorsState,
     TrustRegionState,
+    _project,
     cobyla_merit,
     dycors_select_probability,
     dycors_step,
@@ -52,6 +53,46 @@ def test_lcb_monotone(mu, sigma, gamma, d_mu, d_sigma):
     base = lcb(mu, sigma, gamma)
     assert lcb(mu - d_mu, sigma, gamma) <= base
     assert lcb(mu, sigma + d_sigma, gamma) <= base
+
+
+# ---------------------------------------------------------------- _project
+
+
+def _project_row(x, bounds, center=None, radius=None):
+    """Reference: one row at a time, as the inner search projected before batching."""
+    x = bounds.clip(x)
+    if center is not None:
+        d = x - center
+        norm = float(np.linalg.norm(d))
+        if radius is not None and norm > radius:
+            x = center + d * (radius / norm)
+    return x
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    d=st.integers(min_value=1, max_value=32),
+    m=st.integers(min_value=1, max_value=40),
+)
+def test_batched_project_matches_per_row_bit_for_bit(seed, d, m):
+    rng = np.random.default_rng(seed)
+    lower = rng.uniform(-5.0, 5.0, d)
+    bounds = Bounds(lower, lower + 10.0 ** rng.uniform(-3.0, 2.0, d))
+    center = rng.uniform(bounds.lower, bounds.upper)
+    radius = float(10.0 ** rng.uniform(-4.0, 1.0)) * float(np.max(bounds.width))
+    directions = rng.standard_normal((m, d))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    # rows inside the ball, just past it, far past it (and past the box)
+    reach = radius * rng.choice([0.3, 0.999, 1.001, 3.0, 1e3], size=(m, 1))
+    X = center + directions * reach
+    X[0] = center  # norm 0
+    if m > 1:
+        X[1] = bounds.upper + bounds.width  # outside the box in every coordinate
+    for args in ((center, radius), ()):
+        batched = _project(X, bounds, *args)
+        reference = np.array([_project_row(x, bounds, *args) for x in X])
+        assert batched.tobytes() == reference.tobytes()
 
 
 # ---------------------------------------------------------------- propose_bo

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,9 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from surropt import surrogates
 from surropt.core import Dataset
 from surropt.surrogates import (
     SurrogateFitError,
+    _distances,
+    _factor,
+    _se_kernel,
     fit_gp,
     fit_linear,
     fit_quadratic,
@@ -169,6 +174,90 @@ def test_gp_variance_never_increases_with_more_data():
     _, v_small = gp_posterior(m_small, queries)
     _, v_big = gp_posterior(m_big, queries)
     assert np.all(v_big <= v_small + 1e-8)
+
+
+# References for the in-place kernel: the formulas as they stood before it.
+
+
+def _se_kernel_reference(A, B, lengthscales, signal_variance):
+    As = A / lengthscales
+    Bs = B / lengthscales
+    aa = np.sum(As**2, axis=1)[:, None]
+    bb = np.sum(Bs**2, axis=1)[None, :]
+    d2 = aa + bb - 2.0 * As @ Bs.T
+    return signal_variance * np.exp(-0.5 * np.maximum(d2, 0.0))
+
+
+def _factor_reference(X, ys, lengthscales, signal_variance, noise_variance):
+    K = _se_kernel_reference(X, X, lengthscales, signal_variance)
+    K[np.diag_indices_from(K)] += noise_variance
+    for jitter in surrogates._JITTERS:
+        try:
+            L = np.linalg.cholesky(K + jitter * np.eye(K.shape[0]))
+            break
+        except np.linalg.LinAlgError:
+            continue
+    else:
+        raise SurrogateFitError("not positive definite")
+    return L, np.linalg.solve(L.T, np.linalg.solve(L, ys))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=1, max_value=100),
+    d=st.integers(min_value=1, max_value=10),
+)
+def test_training_kernel_and_factor_match_reference_bit_for_bit(seed, n, d):
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-2.0, 2.0, (n, d))
+    ys = rng.standard_normal(n)
+    ls = 10.0 ** rng.uniform(-1.5, 1.5, d)
+    sv = float(10.0 ** rng.uniform(-1.0, 1.0))
+    nv = float(10.0 ** rng.uniform(-8.0, -1.0))
+    assert _se_kernel(X, ls, sv).tobytes() == _se_kernel_reference(X, X, ls, sv).tobytes()
+    Xq = rng.uniform(-2.0, 2.0, (int(rng.integers(1, 50)), d))
+    assert (_se_kernel(Xq, ls, sv, B=X).tobytes()
+            == _se_kernel_reference(Xq, X, ls, sv).tobytes())
+    try:
+        expected = _factor_reference(X, ys, ls, sv, nv)
+    except SurrogateFitError:
+        with pytest.raises(SurrogateFitError):
+            _factor(X, ys, ls, sv, nv)
+        return
+    L, alpha = _factor(X, ys, ls, sv, nv)
+    assert L.tobytes() == expected[0].tobytes()
+    assert alpha.tobytes() == expected[1].tobytes()
+
+
+def _distances_reference(A, B):
+    return np.sqrt(np.sum((A[:, None, :] - B[None, :, :]) ** 2, axis=2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    m=st.integers(min_value=1, max_value=60),
+    n=st.integers(min_value=1, max_value=30),
+    d=st.integers(min_value=1, max_value=12),
+    block=st.sampled_from([1, 5, 64, 333, surrogates._BLOCK_FLOATS]),
+)
+def test_blocked_distances_match_one_shot_bit_for_bit(seed, m, n, d, block):
+    rng = np.random.default_rng(seed)
+    A = rng.uniform(-3.0, 3.0, (m, d)) * 10.0 ** rng.uniform(-3.0, 3.0, d)
+    B = np.vstack([A[: n // 2], rng.uniform(-3.0, 3.0, (n - n // 2, d))])  # some zero distances
+    with mock.patch.object(surrogates, "_BLOCK_FLOATS", block):
+        assert _distances(A, B).tobytes() == _distances_reference(A, B).tobytes()
+
+
+def test_blocked_distances_at_dycors_size():
+    # d = 32 and 80 points, as on cstr-pid: 102-row blocks, the last one of 88 rows
+    rng = np.random.default_rng(12)
+    A = rng.uniform(0.0, 1.0, (700, 32))
+    B = rng.uniform(0.0, 1.0, (80, 32))
+    assert surrogates._BLOCK_FLOATS // B.size == 102
+    assert _distances(A, B).tobytes() == _distances_reference(A, B).tobytes()
+    assert _distances(A[:1], B).tobytes() == _distances_reference(A[:1], B).tobytes()
 
 
 # ---------------------------------------------------------------- quadratic
