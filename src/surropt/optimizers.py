@@ -638,8 +638,13 @@ class _TrustRegionStrategy:
         self._step: Optional[TrustRegionStep] = None  # None for a rebuild point
 
     def _merits(self, y: np.ndarray, G: np.ndarray) -> np.ndarray:
-        """The method's merit of observed values y (m,) and G (m, n_g)."""
-        return self.method.merit(y, list(G.T), self.penalties)
+        """The method's merit of observed values y (m,) and G (m, n_g).
+
+        A method whose step does not see the constraints scores y alone, as
+        its step's predicted reduction does.
+        """
+        g_list = list(G.T) if self.method.sees_constraints else []
+        return self.method.merit(y, g_list, self.penalties)
 
     def start(self, data: Dataset):
         i = _best_index(data.y, data.G)

@@ -43,6 +43,8 @@ _DUPLICATE_TOL = 1e-10
 _JITTERS = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
 # Floats per block of the (m, n, d) difference tensor in _distances (2 MB).
 _BLOCK_FLOATS = 1 << 18
+# Corner of the bordered kernel in _factor: far above any ys' K^-1 ys it meets.
+_BORDER_CORNER = 1e300
 
 
 class SurrogateFitError(RuntimeError):
@@ -149,22 +151,42 @@ def _standardize(y):
 
 
 def _factor(X, ys, lengthscales, signal_variance, noise_variance):
-    """Cholesky factor L of the noisy training kernel and alpha = K^-1 ys."""
-    K = _se_kernel(X, lengthscales, signal_variance)
-    K.flat[::K.shape[0] + 1] += noise_variance
-    L, _ = _chol_with_jitter(K)
-    return L, np.linalg.solve(L.T, np.linalg.solve(L, ys))
+    """L with L L' = K + nv I (the noisy training kernel) and v = L^-1 ys.
+
+    Both come from one Cholesky, of the kernel bordered by ys::
+
+        M = [[K + nv I, ys],      chol(M) = [[L,  0],
+             [ys',      c ]]                 [v', s]]
+
+    so LAPACK's factorization does the forward substitution for v, and
+    s^2 = c - v'v. Border row and column are both filled, so the result does
+    not depend on which triangle LAPACK reads. The corner c is
+    ``_BORDER_CORNER`` (1e300). v'v = ys'(K + nv I)^-1 ys is at most
+    ||ys||^2 / lambda_min, where ||ys||^2 = n for standardized targets, so
+    no kernel that factors comes near c. Were v'v >= c, the last pivot
+    would fail and the jitter ladder would run, as for a kernel that is not
+    positive definite.
+    """
+    n = X.shape[0]
+    M = np.empty((n + 1, n + 1))
+    M[:n, :n] = _se_kernel(X, lengthscales, signal_variance)
+    M.flat[:n * (n + 2):n + 2] += noise_variance
+    M[:n, n] = M[n, :n] = ys
+    M[n, n] = _BORDER_CORNER
+    F, _ = _chol_with_jitter(M)
+    return F[:n, :n], F[n, :n]
 
 
-def _lml(ys, L, alpha) -> float:
+def _lml(L, v) -> float:
+    """-v'v/2 - sum(log L_ii) - (n/2) log(2 pi), with v = L^-1 ys (R&W Alg. 2.1)."""
     return float(
-        -0.5 * ys @ alpha - np.sum(np.log(np.diag(L))) - 0.5 * ys.size * math.log(2 * math.pi)
+        -0.5 * v @ v - np.sum(np.log(np.diag(L))) - 0.5 * v.size * math.log(2 * math.pi)
     )
 
 
 def _build_gp(X, y_std_units, lengthscales, signal_variance, noise_variance,
               y_mean, y_scale) -> GpModel:
-    L, alpha = _factor(X, y_std_units, lengthscales, signal_variance, noise_variance)
+    L, v = _factor(X, y_std_units, lengthscales, signal_variance, noise_variance)
     return GpModel(
         X_train=X,
         y_train=y_std_units,
@@ -172,7 +194,7 @@ def _build_gp(X, y_std_units, lengthscales, signal_variance, noise_variance,
         signal_variance=float(signal_variance),
         noise_variance=float(noise_variance),
         chol_factor=L,
-        alpha=alpha,
+        alpha=np.linalg.solve(L.T, v),
         y_mean=float(y_mean),
         y_std=float(y_scale),
     )
@@ -206,10 +228,9 @@ def gp_from_hyperparameters(
 
 def _gp_lml(X, ys, lengthscales, signal_variance, noise_variance) -> float:
     try:
-        L, alpha = _factor(X, ys, lengthscales, signal_variance, noise_variance)
+        return _lml(*_factor(X, ys, lengthscales, signal_variance, noise_variance))
     except SurrogateFitError:
         return -np.inf
-    return _lml(ys, L, alpha)
 
 
 def _golden_section(f, lo, hi):
@@ -240,7 +261,10 @@ def fit_gp(
     ``noise_variance`` is either ``"estimated"`` (fitted alongside the kernel
     hyperparameters) or a fixed float in output units. The search draws 8
     seeded random starts in the log-hyperparameter box and refines the best
-    with one coordinate-wise golden-section sweep.
+    with one coordinate-wise golden-section sweep. Each likelihood it
+    evaluates costs one Cholesky, of the kernel bordered by the targets
+    (``_factor``), and no solve; ``alpha = K^-1 ys`` is solved for once, for
+    the model returned.
     """
     X, y = _merge_duplicates(data.X, data.y)
     if X.shape[0] < 1:
@@ -326,8 +350,16 @@ def gp_posterior(model: GpModel, x):
 
 
 def gp_log_marginal_likelihood(model: GpModel) -> float:
-    """log p(y | X, theta) of the stored (standardized) training targets."""
-    return _lml(model.y_train, model.chol_factor, model.alpha)
+    """log p(y | X, theta) of the stored (standardized) training targets.
+
+    Re-factors the model's X, y and hyperparameters through ``_factor`` and
+    ``_lml``, the one likelihood formula the hyperparameter search uses, so
+    it equals the value the search saw for these hyperparameters.
+    """
+    return _lml(*_factor(
+        model.X_train, model.y_train, model.kernel_lengthscales,
+        model.signal_variance, model.noise_variance,
+    ))
 
 
 # ------------------------------------------------------------------ quadratic

@@ -47,7 +47,7 @@ def digest(traj) -> str:
 
 
 GOLDEN = {
-    ("quadratic-d2", "bo", 0, 10): "5f0a068ecaf52f5d7f0426e9d07b03c761a9dc3f8c6f98b422751d26b1e81898",
+    ("quadratic-d2", "bo", 0, 10): "ba889f9999aeefb945b6f3077406757a5f613e03b0f4df513acaf2a7e1ade49c",
     ("quadratic-d2", "bo", 1, 10): "6ed523bc9e9f7c67f497ecef3d1332141cb2ad78ab9f776ce0d8a3d2bb1a2194",
     ("quadratic-d2", "lsqm", 0, 10): "eeb7a74c61dde10b5b9aac9ce064405e3ee817294bd9148a67a488f319fba5cf",
     ("quadratic-d2", "lsqm", 1, 10): "ed0cf6973cae8b7171f85afebff5d02d93031a7361600f5f92d125d374e587b4",
@@ -75,8 +75,8 @@ GOLDEN = {
     ("matyas-c", "bo", 1, 10): "165b3c55c9c4002d0d980088a45443256cbb38da66c0320d5ca4d47b5286b0fe",
     ("matyas-c", "cbo", 0, 10): "31fa040379fb8cac7147dc1e38c8f6e6083ea5c1ab7b61820392f5bad2d37bb3",
     ("matyas-c", "cbo", 1, 10): "dc594f8a8868f1beb9e48a94b622967ceb9b7f2a6e90d9ac673a95dca49af224",
-    ("matyas-c", "lsqm", 0, 10): "529680903080f68238d6c47dd1a37c6eb4f0a0d425a7e38bacb35c011f2d84d1",
-    ("matyas-c", "lsqm", 1, 10): "caa03e8bc43d308dafc605c1ed294ecb06fd4a38b30a389573b39afa303aaf7c",
+    ("matyas-c", "lsqm", 0, 10): "dd6f4a7e52665e353ba8c599033378426de73355e2d5c929ef2aa7a7d0ab7bac",
+    ("matyas-c", "lsqm", 1, 10): "ce751f114a8f4d6bc104cc115832341742b70791e7b1cf2400c45471f1294236",
     ("matyas-c", "cuatro", 0, 10): "c0721ab4cdd11148744af5254933524dccc99b4e1ded7950019959c2ebcddf1f",
     ("matyas-c", "cuatro", 1, 10): "9565c729af9e2bb7879c22b9a680aa85f70abcf2ccc3ff64a7cefef0c3dd0dea",
     ("matyas-c", "cobyla", 0, 10): "e9f4c7b286cef30406336b6651709a8de4e65baf5884704d9bfa69978dd2b06d",
@@ -86,8 +86,8 @@ GOLDEN = {
     ("matyas-c", "dycors", 0, 10): "4781936fb9f6d21e999cf3c75f8ff8d3157553219a3dfb1af0d626e272dc6ee2",
     ("matyas-c", "dycors", 1, 10): "f8b76693852ee3599f5c479b9cd7acf36fadce69d5ced296645faab943c8ebf1",
     ("williams-otto", "bo", 0, 10): "65b7f6907cbf96fbb65210a1435061f839da643293578ecf3a3f3f55a99e7ea2",
-    ("williams-otto", "bo", 1, 10): "a1104b9d03e8dde979bf7e7c345256e6894d4569e1832fc11b80c52f5e667722",
-    ("williams-otto", "cbo", 0, 10): "1a4709ad0aa1487f3f065ec7a84de36f142eecb8f6f757bc395d975c52a2feee",
+    ("williams-otto", "bo", 1, 10): "fd6bdcbc3fe0164726bb737bf52e03ca392eaab76063d17dcf91ed0410db1c28",
+    ("williams-otto", "cbo", 0, 10): "7bb56b75370fe0b65689516a0928e6b0b943432f358fe01f2456cd6af256dd8d",
     ("williams-otto", "cbo", 1, 10): "c2e07527b0251699b554e024683ba777d90d0c81aaf85af8d459573b7fcf765c",
     ("williams-otto", "lsqm", 0, 10): "5925e23b0603746beaa194a88746c2e8d68afd209123b332d684b3d43424524e",
     ("williams-otto", "lsqm", 1, 10): "c4df0574d7cdf90e9725bafbe9482cd0121edc8c27b7589aef25b788dfc0d7e5",
@@ -139,42 +139,54 @@ def test_golden_cstr_values():
     assert hashlib.sha256(values.tobytes()).hexdigest() == CSTR_VALUES
 
 
-# A 561-column least-squares solve is large enough for OpenBLAS to split across
-# threads, and the split changes its rounding. The golden CSTR runs are digested
-# in a child process on one BLAS thread, the setting perfbench runs every
-# workload in. While n < p = 561 a d=32 quadratic fit solves the n-column dual
-# system instead, and the test below checks that the trajectory then does not
-# depend on the thread count.
+@pytest.mark.parametrize("case", list(CSTR_GOLDEN), ids=lambda c: "-".join(map(str, c)))
+def test_golden_cstr_trajectory(case):
+    key, algo, seed, budget = case
+    assert digest(run_optimizer(algo, get_problem(key), budget, seed)) == CSTR_GOLDEN[case]
+
+
+# Trajectories do not depend on the BLAS thread count: each child process below
+# digests its cases with OpenBLAS (or OMP/MKL) held to one thread or to two. A
+# 561-column primal least-squares fit (d=32, n >= p = 561, past every suite
+# budget) is large enough for OpenBLAS to split across threads, which changes
+# its rounding; while n < p a d=32 quadratic fit solves the n-column dual system.
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def child_digest(case, threads: int = 1) -> str:
+def child_digests(cases):
+    """The digests of ``cases`` on one and on two BLAS threads, one child process each."""
     here = Path(__file__).resolve().parent
     path = [str(here), str(here.parent / "src"), os.environ.get("PYTHONPATH", "")]
     code = (
         "from test_golden import digest, get_problem, run_optimizer\n"
-        f"key, algo, seed, budget = {case!r}\n"
-        "print(digest(run_optimizer(algo, get_problem(key), budget, seed)))\n"
+        f"for key, algo, seed, budget in {list(cases)!r}:\n"
+        "    print(digest(run_optimizer(algo, get_problem(key), budget, seed)))\n"
     )
-    env = {**os.environ, **dict.fromkeys(BLAS_THREADS, str(threads))}
-    env["PYTHONPATH"] = os.pathsep.join(path)
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=300
-    )
-    return out.stdout.strip()
+    digests = []
+    for threads in (1, 2):
+        env = {**os.environ, **dict.fromkeys(BLAS_THREADS, str(threads))}
+        env["PYTHONPATH"] = os.pathsep.join(path)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+            timeout=600,
+        )
+        digests.append(out.stdout.split())
+    return digests
 
 
-@pytest.mark.parametrize("case", list(CSTR_GOLDEN), ids=lambda c: "-".join(map(str, c)))
-def test_golden_cstr_trajectory(case):
-    assert child_digest(case) == CSTR_GOLDEN[case]
+def test_golden_table_same_under_one_and_two_blas_threads():
+    table = {**GOLDEN, **CSTR_GOLDEN}
+    one, two = child_digests(list(table))
+    assert one == two
+    assert one == list(table.values())
 
 
 # Budget 40 gives each run 7 quadratic-model steps past its 33-point initial
 # design; with the 561-column primal fit both runs differ from budget 34 on.
 @pytest.mark.parametrize("algo", ["cuatro", "cobyqa"])
 def test_cstr_trajectory_same_under_one_and_two_blas_threads(algo):
-    case = ("cstr-pid", algo, 0, 40)
-    assert child_digest(case, threads=1) == child_digest(case, threads=2)
+    one, two = child_digests([("cstr-pid", algo, 0, 40)])
+    assert one == two
 
 
 if __name__ == "__main__":
@@ -183,4 +195,5 @@ if __name__ == "__main__":
         print(f"    {case!r}: \"{digest(run_optimizer(algo, get_problem(key), budget, seed))}\",")
     print(f"CSTR_VALUES = \"{hashlib.sha256(cstr_values().tobytes()).hexdigest()}\"")
     for case in CSTR_GOLDEN:
-        print(f"    {case!r}: \"{child_digest(case)}\",")
+        key, algo, seed, budget = case
+        print(f"    {case!r}: \"{digest(run_optimizer(algo, get_problem(key), budget, seed))}\",")

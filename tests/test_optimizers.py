@@ -593,6 +593,32 @@ def test_runner_steps_through_trust_region_step(kind, problem_key):
     assert np.array_equal(traj.xs[n_init], prob.bounds.clip(step.x))
 
 
+def test_lsqm_ratio_scores_the_objective_alone(monkeypatch):
+    # lsqm's step predicts the objective alone, so the observed reduction its
+    # ratio divides by is center_y - y, with no penalty; at seed 1 every
+    # williams-otto sample is infeasible, where a penalized merit would differ
+    import surropt.optimizers as opt
+
+    calls = []
+    real = opt.trust_region_update
+
+    def spy(tr, predicted, actual, on_boundary, new_point=None, feasible=True):
+        calls.append((tr.center, actual, new_point))
+        return real(tr, predicted, actual, on_boundary, new_point=new_point, feasible=feasible)
+
+    monkeypatch.setattr(opt, "trust_region_update", spy)
+    prob = get_problem("williams-otto")
+    traj = run_optimizer("lsqm", prob, budget=30, seed=1)
+    assert np.all(np.max(traj.gs, axis=1) > 0)
+
+    def y_at(x):
+        return traj.ys[np.flatnonzero((traj.xs == x).all(axis=1))[0]]
+
+    assert len(calls) == 30 - opt.initial_design_size("lsqm", prob.dim)
+    for center, actual, x in calls:
+        assert actual == y_at(center) - y_at(x)
+
+
 def test_optimizers_all_lists_the_public_names():
     import surropt.optimizers as opt
 

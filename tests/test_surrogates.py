@@ -176,7 +176,7 @@ def test_gp_variance_never_increases_with_more_data():
     assert np.all(v_big <= v_small + 1e-8)
 
 
-# References for the in-place kernel: the formulas as they stood before it.
+# Reference for the in-place kernel: the formula as it stood before it.
 
 
 def _se_kernel_reference(A, B, lengthscales, signal_variance):
@@ -188,18 +188,12 @@ def _se_kernel_reference(A, B, lengthscales, signal_variance):
     return signal_variance * np.exp(-0.5 * np.maximum(d2, 0.0))
 
 
-def _factor_reference(X, ys, lengthscales, signal_variance, noise_variance):
-    K = _se_kernel_reference(X, X, lengthscales, signal_variance)
-    K[np.diag_indices_from(K)] += noise_variance
-    for jitter in surrogates._JITTERS:
-        try:
-            L = np.linalg.cholesky(K + jitter * np.eye(K.shape[0]))
-            break
-        except np.linalg.LinAlgError:
-            continue
-    else:
-        raise SurrogateFitError("not positive definite")
-    return L, np.linalg.solve(L.T, np.linalg.solve(L, ys))
+def _dense_lml(K, ys):
+    sign, logdet = np.linalg.slogdet(K)
+    assert sign > 0
+    fit = ys @ np.linalg.solve(K, ys)
+    const = ys.size * math.log(2 * math.pi)
+    return -0.5 * (fit + logdet + const), 0.5 * (abs(fit) + abs(logdet) + const)
 
 
 @settings(max_examples=120, deadline=None)
@@ -208,26 +202,46 @@ def _factor_reference(X, ys, lengthscales, signal_variance, noise_variance):
     n=st.integers(min_value=1, max_value=100),
     d=st.integers(min_value=1, max_value=10),
 )
-def test_training_kernel_and_factor_match_reference_bit_for_bit(seed, n, d):
+def test_training_kernel_bit_for_bit_and_bordered_factor_properties(seed, n, d):
     rng = np.random.default_rng(seed)
     X = rng.uniform(-2.0, 2.0, (n, d))
     ys = rng.standard_normal(n)
     ls = 10.0 ** rng.uniform(-1.5, 1.5, d)
     sv = float(10.0 ** rng.uniform(-1.0, 1.0))
     nv = float(10.0 ** rng.uniform(-8.0, -1.0))
-    assert _se_kernel(X, ls, sv).tobytes() == _se_kernel_reference(X, X, ls, sv).tobytes()
+    K = _se_kernel(X, ls, sv)
+    assert K.tobytes() == _se_kernel_reference(X, X, ls, sv).tobytes()
     Xq = rng.uniform(-2.0, 2.0, (int(rng.integers(1, 50)), d))
     assert (_se_kernel(Xq, ls, sv, B=X).tobytes()
             == _se_kernel_reference(Xq, X, ls, sv).tobytes())
-    try:
-        expected = _factor_reference(X, ys, ls, sv, nv)
-    except SurrogateFitError:
-        with pytest.raises(SurrogateFitError):
-            _factor(X, ys, ls, sv, nv)
-        return
-    L, alpha = _factor(X, ys, ls, sv, nv)
-    assert L.tobytes() == expected[0].tobytes()
-    assert alpha.tobytes() == expected[1].tobytes()
+    # nv / sv >= 1e-9 keeps the condition number under 1e12: no jitter
+    L, v = _factor(X, ys, ls, sv, nv)
+    Kn = K + nv * np.eye(n)
+    assert np.max(np.abs(L @ L.T - Kn)) <= 1e-13 * np.max(np.abs(K))
+    assert np.max(np.abs(L @ v - ys)) <= 1e-14 * n * np.max(np.abs(L)) * np.max(np.abs(v))
+    if nv >= 1e-3:  # where the dense oracle is itself accurate
+        lml, scale = _dense_lml(Kn, ys)
+        assert abs(surrogates._lml(L, v) - lml) <= 1e-10 * scale
+
+
+def test_bordered_factor_corner_stays_out_of_the_jitter_ladder():
+    # three tight clusters and no noise: K is near singular and ys' K^-1 ys
+    # runs to about 5e5, so a corner within reach would fail the last pivot
+    # and push the jitter above the kernel's own
+    rng = np.random.default_rng(0)
+    centers = np.array([[0.0, 0.0], [0.5, 0.5], [1.0, 0.0]])
+    X = np.vstack([c + 1e-6 * rng.standard_normal((6, 2)) for c in centers])
+    y = np.sin(3 * X[:, 0]) + X[:, 1] ** 2 + 1e-3 * rng.standard_normal(18)
+    fixed = gp_from_hyperparameters(Dataset(X, y), 1.0, 1.0, 0.0)
+    assert fixed.y_train @ fixed.alpha > 1e5
+    K = _se_kernel(fixed.X_train, fixed.kernel_lengthscales, fixed.signal_variance)
+    _, jitter = surrogates._chol_with_jitter(K)
+    L = fixed.chol_factor
+    assert np.max(np.abs(L @ L.T - (K + jitter * np.eye(18)))) <= 1e-13 * np.max(np.abs(K))
+    assert np.isfinite(gp_log_marginal_likelihood(fixed))
+    fitted = fit_gp(Dataset(X, y), noise_variance=0.0, seed=0)
+    assert fitted.noise_variance == 0.0
+    assert np.isfinite(gp_log_marginal_likelihood(fitted))
 
 
 def _distances_reference(A, B):
