@@ -192,6 +192,8 @@ def plan_cells(config: BenchmarkConfig, dim_of=lambda name: get_problem(name).di
     """The problems (key, dim, n_e, n_c) and the cells of a run, both in run order."""
     problems = []
     for key, d in expand_problems(config.problems, config.dims, dim_of):
+        if any(key == k for k, *_ in problems):
+            raise ConfigError(f"problem '{key}' is listed twice; its cells would run twice")
         missing = [name for name, table in (("budget", config.budgets),
                                             ("warm-up", config.warmup)) if d not in table]
         if missing:

@@ -13,7 +13,6 @@ from .cstr import (
 )
 from .williams_otto import (
     WoParams,
-    WoState,
     make_williams_otto_problem,
     solve_wo,
     wo_constraints,
@@ -33,7 +32,6 @@ __all__ = [
     "theta_to_gains",
     "make_williams_otto_problem",
     "WoParams",
-    "WoState",
     "solve_wo",
     "wo_constraints",
     "wo_objective",

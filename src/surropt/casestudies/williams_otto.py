@@ -14,12 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import Bounds, ConfigError, Problem
+from ..core import Bounds, Problem
 from .cstr import load_defaults
 
 __all__ = [
     "WoParams",
-    "WoState",
     "wo_residuals",
     "wo_constraints",
     "solve_wo",
@@ -68,40 +67,17 @@ class WoParams:
         )
 
 
-@dataclass(frozen=True)
-class WoState:
-    """Converged operating point: outlet mass fractions plus the inputs."""
-
-    w: np.ndarray  # fractions of (A, B, C, E, G, P)
-    T_R: float
-    M_B_in: float
-
-    def __post_init__(self):
-        w = np.asarray(self.w, dtype=float)
-        if w.shape != (6,) or not np.all(np.isfinite(w)):
-            raise ConfigError("w must be 6 finite mass fractions")
-        if np.any(w < -1e-8) or np.any(w > 1 + 1e-8):
-            raise ConfigError("mass fractions must lie in [0, 1]")
-        object.__setattr__(self, "w", w)
-
-
-def wo_residuals(state, inputs=None, params: WoParams | None = None) -> np.ndarray:
+def wo_residuals(w, inputs, params: WoParams | None = None) -> np.ndarray:
     """Component mass-balance residuals (kg/s) for (A, B, C, E, G, P).
 
-    ``state`` is a :class:`WoState` or a 6-vector of mass fractions; in the
-    latter case ``inputs`` supplies (T_R, M_B_in). Mass-basis stoichiometry:
-    reaction 1 turns 1 kg A + 1 kg B into 2 kg C, reaction 2 turns 1 kg B +
-    2 kg C into 2 kg E + 1 kg P, reaction 3 turns 1 kg C + 0.5 kg P into
-    1.5 kg G. Zero residual defines the steady state.
+    ``w`` holds the six outlet mass fractions and ``inputs`` the operating
+    point (T_R, M_B_in). Mass-basis stoichiometry: reaction 1 turns 1 kg A +
+    1 kg B into 2 kg C, reaction 2 turns 1 kg B + 2 kg C into 2 kg E + 1 kg
+    P, reaction 3 turns 1 kg C + 0.5 kg P into 1.5 kg G. Zero residual
+    defines the steady state.
     """
     p = params or WoParams.from_config()
-    if isinstance(state, WoState):
-        w, (T, FB) = state.w, (state.T_R, state.M_B_in)
-    else:
-        w = np.asarray(state, dtype=float)
-        if inputs is None:
-            raise ConfigError("inputs (T_R, M_B_in) required with a raw vector")
-        T, FB = float(inputs[0]), float(inputs[1])
+    T, FB = float(inputs[0]), float(inputs[1])
     xA, xB, xC, xE, xG, xP = w
     FA = p.feed_a
     F = FA + FB
@@ -160,21 +136,15 @@ def _newton(w0, T, FB, params, tol):
 def solve_wo(T_R: float, M_B_in: float, params: WoParams | None = None):
     """Outlet mass fractions at steady state; returns (w, converged).
 
-    Damped Newton from the no-reaction feed split, with a pseudo-transient
-    fallback (mass dynamics relaxed forward in time) before a second Newton
-    attempt.
+    Damped Newton from the no-reaction feed split, the one solve path.
+    ``converged`` is False when it stops short of the residual tolerance
+    (200 iterations, or a singular Jacobian); :func:`wo_objective` then
+    scores the failure penalty.
     """
     p = params or WoParams.from_config()
     F = p.feed_a + M_B_in
     w0 = np.array([p.feed_a / F, M_B_in / F, 0.0, 0.0, 0.0, 0.0])
-    w, ok = _newton(w0, T_R, M_B_in, p, p.residual_tolerance)
-    if ok:
-        return w, True
-    # pseudo-transient continuation: dw/dt = residual / holdup
-    w = w0.copy()
-    for _ in range(3000):
-        w = np.clip(w + wo_residuals(w, (T_R, M_B_in), p) / p.holdup, 0.0, 1.0)
-    return _newton(w, T_R, M_B_in, p, p.residual_tolerance)
+    return _newton(w0, T_R, M_B_in, p, p.residual_tolerance)
 
 
 def wo_objective(T_R: float, M_B_in: float, params: WoParams | None = None):
@@ -199,15 +169,13 @@ def wo_objective(T_R: float, M_B_in: float, params: WoParams | None = None):
 
 def make_williams_otto_problem() -> Problem:
     p = WoParams.from_config()
-    cache: dict = {}
+    last = [None, None]  # the latest (T_R, M_B_in) and its solve: f, then g, at one x
 
     def solved(x):
         key = (float(x[0]), float(x[1]))
-        if key not in cache:
-            if len(cache) > 64:
-                cache.clear()
-            cache[key] = wo_objective(key[0], key[1], p)
-        return cache[key]
+        if last[0] != key:
+            last[:] = key, wo_objective(key[0], key[1], p)
+        return last[1]
 
     return Problem(
         name="williams-otto",

@@ -176,12 +176,14 @@ def parse_config(path: Optional[str] = None, flags: Optional[dict] = None) -> Be
             raise _suggest(algo, ALGORITHMS, "algorithm")
 
     dims = [_convert(int, "dims", d) for d in pick("dims", DEFAULT_DIMS)]
-    budgets = dict(DEFAULT_BUDGETS)
-    budgets.update(preset.get("budgets", {}))
-    budgets.update({d: _convert(int, "budgets", b) for d, b in data.get("budgets", {}).items()})
-    warmup = dict(DEFAULT_WARMUP)
-    warmup.update(preset.get("warmup", {}))
-    warmup.update({d: _convert(int, "warmup", w) for d, w in data.get("warmup", {}).items()})
+
+    def per_dim(key, defaults):
+        # JSON files, scores.json's config block among them, key dimensions by strings
+        pairs = data.get(key, {}).items()
+        return {**defaults, **preset.get(key, {}),
+                **{_convert(int, key, d): _convert(int, key, v) for d, v in pairs}}
+
+    budgets, warmup = per_dim("budgets", DEFAULT_BUDGETS), per_dim("warmup", DEFAULT_WARMUP)
 
     # keep only the dimensions this config can actually touch, so a scalar
     # --budget never trips the budget>warmup check for unused presets

@@ -234,10 +234,6 @@ class Dataset:
     def n(self) -> int:
         return self.y.size
 
-    @property
-    def dim(self) -> int:
-        return self.X.shape[1]
-
     @staticmethod
     def from_trajectory(traj: Trajectory) -> "Dataset":
         return Dataset(traj.xs, traj.ys, traj.gs)

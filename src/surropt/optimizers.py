@@ -25,7 +25,8 @@ pure function of (data, state, seed).
 Each method runs at one fixed setting: LCB weight gamma = 2; a search pool
 of 100 * n_x candidates refined for 20 pattern steps; penalties of 100 per
 constraint, multiplied by 10 after each infeasible step (cuatro, cobyqa) up
-to a cap of 1e8; and a sample counts as feasible when max_i g_i <= 1e-3.
+to a cap of 1e8; a DYCORS step of 0.2 of each box width to start, which
+is also its cap; and a sample counts as feasible when max_i g_i <= 1e-3.
 """
 
 from __future__ import annotations
@@ -86,6 +87,7 @@ ALGORITHMS = ("bo", "cbo", "lsqm", "cuatro", "cobyla", "cobyqa", "dycors")
 DYCORS_WEIGHTS = (0.3, 0.5, 0.8, 0.95)
 
 _POOL_PER_DIM = 100  # inner-search pool: candidates per input dimension
+_DYCORS_STEP = 0.2  # DYCORS's initial step, a fraction of each box width; also its cap
 _REFINE_STEPS = 20  # pattern-refinement steps after the pool
 _PENALTY_GROWTH = 10.0
 _PENALTY_CAP = 1e8
@@ -120,13 +122,15 @@ class TrustRegionStep(NamedTuple):
 
 @dataclass(frozen=True)
 class DycorsState:
-    """Iteration counter, step size, and weight-cycle position."""
+    """Iteration counter, step size, and success and failure streaks.
+
+    ``iteration`` counts updates and also selects the weight of the score,
+    cycling through ``DYCORS_WEIGHTS``.
+    """
 
     iteration: int
     max_iterations: int
     step_size: float
-    initial_step_size: float
-    weight_cycle_index: int = 0
     success_count: int = 0
     fail_count: int = 0
 
@@ -522,7 +526,7 @@ def dycors_step(
     model = fit_rbf(data)
     v_f = _unit_rescale(rbf_predict(model, trials))
     v_d = _unit_rescale(_distances(trials, data.X).min(axis=1))
-    w = DYCORS_WEIGHTS[state.weight_cycle_index % len(DYCORS_WEIGHTS)]
+    w = DYCORS_WEIGHTS[state.iteration % len(DYCORS_WEIGHTS)]
     score = w * v_f + (1.0 - w) * (1.0 - v_d)
     return trials[int(np.argmin(score))]
 
@@ -534,18 +538,17 @@ def dycors_update(state: DycorsState, success: bool) -> DycorsState:
     if success:
         succ, fail = succ + 1, 0
         if succ >= 3:
-            step = min(step * 2.0, state.initial_step_size)  # capped at initial
+            step = min(step * 2.0, _DYCORS_STEP)  # capped at initial
             succ = 0
     else:
         succ, fail = 0, fail + 1
         if fail >= 5:
-            step = max(step * 0.5, 1e-3 * state.initial_step_size)
+            step = max(step * 0.5, 1e-3 * _DYCORS_STEP)
             fail = 0
     return replace(
         state,
         iteration=min(state.iteration + 1, state.max_iterations),
         step_size=step,
-        weight_cycle_index=state.weight_cycle_index + 1,
         success_count=succ,
         fail_count=fail,
     )
@@ -555,7 +558,7 @@ def dycors_update(state: DycorsState, success: bool) -> DycorsState:
 
 
 def initial_design_size(algorithm: str, dim: int) -> int:
-    if algorithm in ("lsqm", "cuatro", "cobyla", "cobyqa"):
+    if algorithm in _TR_METHODS:
         return dim + 1
     return max(5, 2 * dim)
 
@@ -703,28 +706,21 @@ class _DycorsStrategy:
         self.n_init = initial_design_size("dycors", problem.dim)
         self.state: Optional[DycorsState] = None
         self.budget = budget
-        self.incumbent_x = None
         self.incumbent_y = math.inf
 
     def start(self, data: Dataset):
         steps = max(self.budget - self.n_init, 1)
-        self.state = DycorsState(
-            iteration=0, max_iterations=steps, step_size=0.2,
-            initial_step_size=0.2,
-        )
-        i = int(np.argmin(data.y))
-        self.incumbent_x = data.X[i].copy()
-        self.incumbent_y = float(data.y[i])
+        self.state = DycorsState(iteration=0, max_iterations=steps, step_size=_DYCORS_STEP)
+        self.incumbent_y = float(np.min(data.y))
 
     def propose(self, data: Dataset, seed: int):
-        return dycors_step(
-            data, self.problem.bounds, self.state, self.incumbent_x, seed
-        )
+        # the first sample of least y: updates move the incumbent only on strict improvement
+        incumbent = data.X[int(np.argmin(data.y))]
+        return dycors_step(data, self.problem.bounds, self.state, incumbent, seed)
 
     def update(self, x, y, g):
         success = y < self.incumbent_y
         if success:
-            self.incumbent_x = np.asarray(x, dtype=float)
             self.incumbent_y = float(y)
         self.state = dycors_update(self.state, success)
 
@@ -757,7 +753,6 @@ def run_optimizer(algorithm: str, problem: Problem, budget: int, seed: int) -> T
     exactly ``budget`` evaluations. Any other exception propagates,
     including :class:`~surropt.core.EvaluationFailed` from the problem.
     """
-    algorithm = str(algorithm).lower()
     strategy = _make_strategy(algorithm, problem, budget)
     if budget < strategy.n_init:
         raise ConfigError(

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from surropt.core import ConfigError, NoiseSpec
+from surropt.core import ConfigError, NoiseSpec, evaluate
 from surropt.casestudies import (
     CstrParams,
     CstrState,
     WoParams,
-    WoState,
     cstr_objective,
     cstr_rhs,
     integrate,
@@ -347,12 +346,35 @@ def test_wo_failure_path(monkeypatch):
     assert np.array_equal(g, [1.0, 1.0])
 
 
-def test_wo_state_validation():
-    with pytest.raises(ConfigError):
-        WoState(np.array([1.5, 0, 0, 0, 0, 0]), 360.0, 4.5)
-    s = WoState(np.array([0.1, 0.4, 0.0, 0.3, 0.1, 0.1]), 360.0, 4.5)
-    r = wo_residuals(s)
-    assert r.shape == (6,)
+def test_wo_newton_converges_over_the_box():
+    # solve_wo has one path, damped Newton from the feed split; if changed
+    # constants ever need a fallback, a point of this grid fails
+    p = WoParams.from_config()
+    for T in np.linspace(*p.temperature_bounds, 21):
+        for FB in np.linspace(*p.feed_b_bounds, 21):
+            w, ok = solve_wo(T, FB, p)
+            assert ok, (T, FB)
+            assert np.max(np.abs(wo_residuals(w, (T, FB), p))) < p.residual_tolerance
+            assert wo_objective(T, FB, p)[0] != p.failure_penalty
+
+
+def test_wo_problem_solves_once_per_evaluation(monkeypatch):
+    import surropt.casestudies.williams_otto as mod
+
+    calls = []
+
+    def counted(T, FB, params=None):
+        calls.append((T, FB))
+        return wo_objective(T, FB, params)
+
+    monkeypatch.setattr(mod, "wo_objective", counted)
+    prob = make_williams_otto_problem()
+    rng = np.random.default_rng(0)
+    xs = [np.array([355.0, 4.0]), np.array([360.0, 4.5]), np.array([360.0, 4.5])]
+    evs = [evaluate(prob, x, rng) for x in xs]
+    assert calls == [(355.0, 4.0), (360.0, 4.5)]  # the repeated x is not solved again
+    assert evs[1].y == evs[2].y and np.array_equal(evs[1].g, evs[2].g)
+    assert evs[0].y == wo_objective(355.0, 4.0)[0]
 
 
 def test_make_williams_otto_problem():

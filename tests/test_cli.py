@@ -6,7 +6,7 @@ import json
 import pytest
 
 from surropt import ConfigError
-from surropt.bench import DEFAULT_BUDGETS, DEFAULT_WARMUP, run_benchmark
+from surropt.bench import DEFAULT_BUDGETS, DEFAULT_WARMUP, BenchmarkConfig, run_benchmark
 from surropt.cli import RunManifest, main, parse_config
 
 
@@ -142,6 +142,24 @@ def test_budget_leq_warmup_rejected(tmp_path):
     path.write_text("budgets: {2: 5}\n")
     with pytest.raises(ConfigError, match="exceed"):
         parse_config(str(path))
+
+
+def test_json_config_round_trips(tmp_path):
+    # JSON, as in scores.json's config block, keys the dimensions by strings
+    config = BenchmarkConfig(["cbo"], ["quadratic-c"], dims=[2], repetitions=2,
+                             budgets={2: 8}, warmup={2: 3}, seed=7)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config.to_dict()))
+    assert parse_config(str(path)).to_dict() == config.to_dict()
+
+
+def test_repeated_problem_key_rejected(tmp_path, capsys):
+    out = tmp_path / "out"
+    run = ["run", "--algos", "cobyla", "--problems", "quadratic", "--dims", "2", "2",
+           "--reps", "1", "--budget", "8", "--jobs", "1", "--out", str(out)]
+    assert main(run) == 2
+    assert "problem 'quadratic-d2' is listed twice" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_suite_presets():

@@ -445,7 +445,6 @@ def _dycors_state(**kw):
     kw.setdefault("iteration", 0)
     kw.setdefault("max_iterations", 40)
     kw.setdefault("step_size", 0.2)
-    kw.setdefault("initial_step_size", 0.2)
     return DycorsState(**kw)
 
 
@@ -475,7 +474,7 @@ def test_dycors_step_matches_replicated_pipeline():
     X = latin_hypercube(bounds, 8, seed=21)
     y = np.sum(X**2, axis=1)
     data = Dataset(X, y)
-    state = _dycors_state(iteration=3, weight_cycle_index=3)
+    state = _dycors_state(iteration=3)
     incumbent = X[int(np.argmin(y))]
     seed = 17
     x_star = dycors_step(data, bounds, state, incumbent, seed=seed)
@@ -527,7 +526,7 @@ def test_dycors_step_size_rule():
 def test_dycors_update_advances_cycle_and_iteration():
     s = _dycors_state(max_iterations=2)
     s = dycors_update(s, True)
-    assert (s.iteration, s.weight_cycle_index) == (1, 1)
+    assert s.iteration == 1  # the weight-cycle position too
     s = dycors_update(s, False)
     s = dycors_update(s, False)
     assert s.iteration == 2  # clamped at max_iterations
@@ -635,6 +634,12 @@ def test_run_optimizer_unknown_algorithm():
         run_optimizer("bfgs", prob, budget=20, seed=0)
 
 
+def test_run_optimizer_names_are_exact():
+    # the same names that parse_config and `surropt optimize` accept
+    with pytest.raises(ConfigError, match="unknown algorithm 'BO'"):
+        run_optimizer("BO", get_problem("ackley-d2"), budget=20, seed=0)
+
+
 def test_run_optimizer_cbo_needs_constraints():
     prob = get_problem("ackley-d2")
     with pytest.raises(ConfigError):
@@ -712,6 +717,6 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         trust_region_step("cobyqa", data, bounds, tr, penalties=[0.0])
     with pytest.raises(ConfigError):
-        DycorsState(iteration=5, max_iterations=3, step_size=0.2, initial_step_size=0.2)
+        DycorsState(iteration=5, max_iterations=3, step_size=0.2)
     with pytest.raises(ConfigError):
         TrustRegionState(center=np.zeros(2), radius=0.5, min_radius=1.0)
