@@ -190,6 +190,9 @@ def expand_problems(names, dims, dim_of=lambda name: get_problem(name).dim):
 
 def plan_cells(config: BenchmarkConfig, dim_of=lambda name: get_problem(name).dim):
     """The problems (key, dim, n_e, n_c) and the cells of a run, both in run order."""
+    for i, algo in enumerate(config.algorithms):
+        if algo in config.algorithms[:i]:
+            raise ConfigError(f"algorithm '{algo}' is listed twice; its cells would run twice")
     problems = []
     for key, d in expand_problems(config.problems, config.dims, dim_of):
         if any(key == k for k, *_ in problems):

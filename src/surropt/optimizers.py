@@ -53,12 +53,13 @@ from .core import (
 from .surrogates import (
     SurrogateFitError,
     _distances,
+    _rbf_values,
     fit_gp,
     fit_linear,
     fit_quadratic,
     fit_rbf,
     gp_posterior,
-    rbf_predict,
+    rbf_predict,  # not called here; perfbench's tracer wraps optimizers.rbf_predict
 )
 
 __all__ = [
@@ -506,6 +507,11 @@ def dycors_step(
 ) -> np.ndarray:
     """Perturb incumbent coordinates stochastically, score by RBF value and distance.
 
+    One trial-to-center distance matrix serves both scores: the cubic RBF's
+    value and each trial's distance to its nearest sample. The centers are
+    ``data.X`` with rows closer than 1e-10 merged (``fit_rbf``), so the
+    distance score differs from one taken over ``data.X`` itself only when
+    ``data`` holds two points that close, and then by at most 1e-10.
     A failed RBF fit raises :class:`~surropt.surrogates.SurrogateFitError`.
     """
     incumbent = np.asarray(incumbent, dtype=float)
@@ -524,8 +530,9 @@ def dycors_step(
     trials = np.clip(trials, bounds.lower, bounds.upper)
 
     model = fit_rbf(data)
-    v_f = _unit_rescale(rbf_predict(model, trials))
-    v_d = _unit_rescale(_distances(trials, data.X).min(axis=1))
+    dist = _distances(trials, model.centers)
+    v_f = _unit_rescale(_rbf_values(model, trials, dist))
+    v_d = _unit_rescale(dist.min(axis=1))
     w = DYCORS_WEIGHTS[state.iteration % len(DYCORS_WEIGHTS)]
     score = w * v_f + (1.0 - w) * (1.0 - v_d)
     return trials[int(np.argmin(score))]

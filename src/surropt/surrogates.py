@@ -45,6 +45,11 @@ _JITTERS = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
 _BLOCK_FLOATS = 1 << 18
 # Corner of the bordered kernel in _factor: far above any ys' K^-1 ys it meets.
 _BORDER_CORNER = 1e300
+# Cap on the scaled squared distance in _se_kernel. exp(-230 / 2) is about
+# 1.2e-50, a normal number, so no kernel entry is subnormal: np.exp and
+# LAPACK run many times slower on subnormal values. Only entries already
+# below 1.2e-50 sv move.
+_SQDIST_CAP = 230.0
 
 
 class SurrogateFitError(RuntimeError):
@@ -90,10 +95,14 @@ def _merge_duplicates(X: np.ndarray, y: np.ndarray):
 def _se_kernel(A, lengthscales, signal_variance, B=None) -> np.ndarray:
     """SE-ARD kernel between the rows of A and of B; B defaults to A itself.
 
-    Scaled squared distances come from the Gram identity, floored at 0, and
-    the rest is done in place on the one (m, n) buffer. The matmul's left
-    operand is the separate buffer ``2.0 * As``: numpy sends ``As @ As.T``
-    on one buffer to BLAS syrk, which rounds differently from gemm.
+    Scaled squared distances come from the Gram identity, bounded to
+    [0, ``_SQDIST_CAP``], and the rest is done in place on the one (m, n)
+    buffer. The bound keeps every entry at or above ``sv * exp(-115)``
+    (about 1.2e-50 sv), so neither ``np.exp`` nor the Cholesky and products
+    downstream ever meet a subnormal number; it moves only entries that were
+    already below that. The matmul's left operand is the separate buffer
+    ``2.0 * As``: numpy sends ``As @ As.T`` on one buffer to BLAS syrk,
+    which rounds differently from gemm.
     """
     As = A / lengthscales
     aa = np.sum(As**2, axis=1)
@@ -105,6 +114,7 @@ def _se_kernel(A, lengthscales, signal_variance, B=None) -> np.ndarray:
     K = aa[:, None] + bb[None, :]
     K -= (2.0 * As) @ Bs.T
     np.maximum(K, 0.0, out=K)
+    np.minimum(K, _SQDIST_CAP, out=K)
     K *= -0.5
     np.exp(K, out=K)
     K *= signal_variance
@@ -128,7 +138,12 @@ def _chol_with_jitter(K: np.ndarray):
 
 @dataclass(frozen=True)
 class GpModel:
-    """Fitted zero-mean GP on standardized targets (SE-ARD kernel)."""
+    """Fitted zero-mean GP on standardized targets (SE-ARD kernel).
+
+    ``chol_factor`` is L with L L' = K + nv I, ``chol_inverse`` is L^-1,
+    computed once at fit time so that a posterior needs no solve, and
+    ``alpha`` is (K + nv I)^-1 ys.
+    """
 
     X_train: np.ndarray
     y_train: np.ndarray  # standardized
@@ -136,6 +151,7 @@ class GpModel:
     signal_variance: float
     noise_variance: float  # standardized units
     chol_factor: np.ndarray
+    chol_inverse: np.ndarray
     alpha: np.ndarray
     y_mean: float
     y_std: float
@@ -180,7 +196,7 @@ def _factor(X, ys, lengthscales, signal_variance, noise_variance):
 def _lml(L, v) -> float:
     """-v'v/2 - sum(log L_ii) - (n/2) log(2 pi), with v = L^-1 ys (R&W Alg. 2.1)."""
     return float(
-        -0.5 * v @ v - np.sum(np.log(np.diag(L))) - 0.5 * v.size * math.log(2 * math.pi)
+        -0.5 * v @ v - np.log(L.diagonal()).sum() - 0.5 * v.size * math.log(2 * math.pi)
     )
 
 
@@ -194,6 +210,7 @@ def _build_gp(X, y_std_units, lengthscales, signal_variance, noise_variance,
         signal_variance=float(signal_variance),
         noise_variance=float(noise_variance),
         chol_factor=L,
+        chol_inverse=np.linalg.solve(L, np.eye(L.shape[0])),
         alpha=np.linalg.solve(L.T, v),
         y_mean=float(y_mean),
         y_std=float(y_scale),
@@ -331,7 +348,10 @@ def gp_posterior(model: GpModel, x):
     """Posterior mean and variance at ``x`` (de-standardized).
 
     Accepts a single point (returns two floats) or an (m, d) batch
-    (returns two arrays).
+    (returns two arrays). With k* the (m, n) cross kernel, the mean is
+    k* alpha and the variance sv - rowsum(W**2) with W = k* L^-T: one gemm
+    against the model's stored ``chol_inverse``, no solve per call
+    (R&W 2006, Alg. 2.1).
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
@@ -340,8 +360,8 @@ def gp_posterior(model: GpModel, x):
         X_query, model.kernel_lengthscales, model.signal_variance, B=model.X_train
     )
     mu_std = k_star @ model.alpha
-    v = np.linalg.solve(model.chol_factor, k_star.T)
-    var_std = np.maximum(model.signal_variance - np.sum(v**2, axis=0), 0.0)
+    W = k_star @ model.chol_inverse.T
+    var_std = np.maximum(model.signal_variance - np.sum(W**2, axis=1), 0.0)
     mu = mu_std * model.y_std + model.y_mean
     var = var_std * model.y_std**2
     if single:
@@ -509,12 +529,16 @@ def fit_rbf(data: Dataset) -> RbfModel:
     return RbfModel(centers=X, lam=sol[:n].copy(), poly_coeffs=sol[n:].copy())
 
 
+def _rbf_values(model: RbfModel, Xq: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """The interpolant at the rows of Xq, given ``dist = _distances(Xq, model.centers)``."""
+    a = model.poly_coeffs[:-1]
+    b = model.poly_coeffs[-1]
+    return (dist ** 3) @ model.lam + Xq @ a + b
+
+
 def rbf_predict(model: RbfModel, x):
     """Evaluate the RBF interpolant at a point or an (m, d) batch."""
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
     Xq = np.atleast_2d(x)
-    a = model.poly_coeffs[:-1]
-    b = model.poly_coeffs[-1]
-    vals = (_distances(Xq, model.centers) ** 3) @ model.lam + Xq @ a + b
-    return float(vals[0]) if single else vals
+    vals = _rbf_values(model, Xq, _distances(Xq, model.centers))
+    return float(vals[0]) if x.ndim == 1 else vals

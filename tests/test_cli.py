@@ -162,6 +162,15 @@ def test_repeated_problem_key_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_repeated_algorithm_rejected(tmp_path, capsys):
+    out = tmp_path / "out"
+    run = ["run", "--algos", "cobyla", "cobyla", "--problems", "quadratic", "--dims", "2",
+           "--reps", "1", "--budget", "8", "--jobs", "1", "--out", str(out)]
+    assert main(run) == 2
+    assert "algorithm 'cobyla' is listed twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_suite_presets():
     con = parse_config(None, {"suite": "constrained"})
     assert con.algorithms == ["cbo", "cobyla", "cobyqa", "cuatro"]

@@ -505,6 +505,23 @@ def test_dycors_step_matches_replicated_pipeline():
     assert np.array_equal(x_star, trials[int(np.argmin(score))])
 
 
+@pytest.mark.parametrize("d,seed", [(2, 0), (2, 5), (5, 1), (10, 2)])
+def test_dycors_step_ignores_an_exact_duplicate_row(d, seed):
+    # the RBF merges the duplicate into its original, and the distance score
+    # is taken to the RBF's centers, so neither score sees the copy
+    bounds = Bounds.cube(-2.0, 2.0, d)
+    X = latin_hypercube(bounds, 2 * d + 4, seed=seed)
+    y = np.sum(X**2, axis=1) + X[:, 0]
+    state = _dycors_state(iteration=seed)
+    incumbent = X[int(np.argmin(y))]
+    x_star = dycors_step(Dataset(X, y), bounds, state, incumbent, seed=seed)
+    j = seed % X.shape[0]
+    Xd = np.insert(X, j + 1, X[j], axis=0)
+    yd = np.insert(y, j + 1, y[j])
+    x_dup = dycors_step(Dataset(Xd, yd), bounds, state, incumbent, seed=seed)
+    assert np.array_equal(x_star, x_dup)
+
+
 def test_dycors_step_size_rule():
     s = _dycors_state(step_size=0.05)
     for _ in range(3):

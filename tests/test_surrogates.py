@@ -176,16 +176,17 @@ def test_gp_variance_never_increases_with_more_data():
     assert np.all(v_big <= v_small + 1e-8)
 
 
-# Reference for the in-place kernel: the formula as it stood before it.
+# Reference for the in-place kernel: the formula as it stood before it,
+# with the scaled squared distance bounded to [0, 230] as in _se_kernel.
 
 
-def _se_kernel_reference(A, B, lengthscales, signal_variance):
+def _se_kernel_reference(A, B, lengthscales, signal_variance, cap=230.0):
     As = A / lengthscales
     Bs = B / lengthscales
     aa = np.sum(As**2, axis=1)[:, None]
     bb = np.sum(Bs**2, axis=1)[None, :]
     d2 = aa + bb - 2.0 * As @ Bs.T
-    return signal_variance * np.exp(-0.5 * np.maximum(d2, 0.0))
+    return signal_variance * np.exp(-0.5 * np.minimum(np.maximum(d2, 0.0), cap))
 
 
 def _dense_lml(K, ys):
@@ -222,6 +223,80 @@ def test_training_kernel_bit_for_bit_and_bordered_factor_properties(seed, n, d):
     if nv >= 1e-3:  # where the dense oracle is itself accurate
         lml, scale = _dense_lml(Kn, ys)
         assert abs(surrogates._lml(L, v) - lml) <= 1e-10 * scale
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=1, max_value=60),
+    d=st.integers(min_value=1, max_value=10),
+)
+def test_kernel_floor_keeps_entries_normal_and_moves_only_tiny_ones(seed, n, d):
+    # lengthscales down to 1e-3 of the box width, where most unfloored
+    # entries underflow to subnormals or to 0
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-2.0, 2.0, (n, d))
+    Xq = rng.uniform(-2.0, 2.0, (int(rng.integers(1, 40)), d))
+    ls = 4.0 * 10.0 ** rng.uniform(-3.0, 0.0, d)
+    sv = float(10.0 ** rng.uniform(-4.0, 4.0))
+    floor = sv * np.exp(-0.5 * 230.0)
+    for K, raw in ((_se_kernel(X, ls, sv), _se_kernel_reference(X, X, ls, sv, np.inf)),
+                   (_se_kernel(Xq, ls, sv, B=X), _se_kernel_reference(Xq, X, ls, sv, np.inf))):
+        assert np.all(K >= np.finfo(float).tiny)  # no entry subnormal or 0
+        kept = raw >= floor
+        assert K[kept].tobytes() == raw[kept].tobytes()
+        assert np.all(K[~kept] == floor)
+
+
+def test_kernel_floor_applies_where_the_formula_underflows():
+    X = np.array([[0.0], [1.0]])
+    raw = _se_kernel_reference(X, X, 0.01, 1.0, np.inf)
+    assert raw[0, 1] == 0.0  # exp(-5000)
+    K = _se_kernel(X, 0.01, 1.0)
+    assert K[0, 1] == np.exp(-115.0) and K[0, 0] == 1.0
+
+
+# Posterior oracle: dense solves with K + nv I, no Cholesky. The tolerance is
+# relative to |k*| |a| for the mean and to sv for the variance.
+_POSTERIOR_RTOL = 1e-10
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=1, max_value=100),
+    d=st.integers(min_value=1, max_value=10),
+)
+def test_posterior_matches_dense_solve_oracle(seed, n, d):
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-2.0, 2.0, (n, d))
+    y = rng.standard_normal(n)
+    ls = 10.0 ** rng.uniform(-1.0, 1.0, d)
+    sv = float(10.0 ** rng.uniform(-1.0, 1.0))
+    # nv / sv >= 1e-3 keeps cond(K + nv I) under about 1e5: an accurate oracle
+    nv = sv * float(10.0 ** rng.uniform(-3.0, 0.0))
+    model = gp_from_hyperparameters(Dataset(X, y), ls, sv, nv, standardize=False)
+    n_kept = model.X_train.shape[0]
+    Xq = np.vstack([rng.uniform(-2.5, 2.5, (int(rng.integers(1, 50)), d)), X[:3]])
+    mu, var = gp_posterior(model, Xq)
+
+    Kn = _se_kernel(model.X_train, ls, sv) + nv * np.eye(n_kept)
+    k_star = _se_kernel(Xq, ls, sv, B=model.X_train)
+    a = np.linalg.solve(Kn, model.y_train)
+    mu_o = k_star @ a
+    var_o = np.maximum(sv - np.sum(k_star * np.linalg.solve(Kn, k_star.T).T, axis=1), 0.0)
+    assert np.all(np.abs(mu - mu_o) <= _POSTERIOR_RTOL * (np.abs(k_star) @ np.abs(a)))
+    assert np.all(np.abs(var - var_o) <= _POSTERIOR_RTOL * sv)
+    assert np.max(np.abs(model.chol_inverse @ model.chol_factor - np.eye(n_kept))) <= 1e-10
+
+
+def test_gp_model_stores_the_inverse_cholesky_factor():
+    rng = np.random.default_rng(3)
+    X = rng.uniform(0.0, 1.0, (30, 4))
+    model = fit_gp(Dataset(X, np.sin(4 * X).sum(axis=1)), seed=0)
+    L, Li = model.chol_factor, model.chol_inverse
+    assert Li.shape == L.shape
+    assert np.allclose(Li @ L, np.eye(30), rtol=0.0, atol=1e-8)
 
 
 def test_bordered_factor_corner_stays_out_of_the_jitter_ladder():
