@@ -53,6 +53,7 @@ from .core import (
 from .surrogates import (
     SurrogateFitError,
     _distances,
+    _posterior_mean,
     _rbf_values,
     fit_gp,
     fit_linear,
@@ -302,9 +303,7 @@ def _propose_gp(data, bounds, gamma, seed):
 
     def keys(X):
         mu, var = gp_posterior(f_model, X)
-        margins = []
-        for gm in g_models:
-            margins.append(gp_posterior(gm, X)[0])
+        margins = [_posterior_mean(gm, X)[0] for gm in g_models]  # no variance needed
         return _feasibility_first_keys(lcb(mu, np.sqrt(var), gamma), margins)
 
     incumbent = data.X[_best_index(data.y, data.G)]

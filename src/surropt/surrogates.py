@@ -43,9 +43,9 @@ _DUPLICATE_TOL = 1e-10
 _JITTERS = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
 # Floats per block of the (m, n, d) difference tensor in _distances (2 MB).
 _BLOCK_FLOATS = 1 << 18
-# Corner of the bordered kernel in _factor: far above any ys' K^-1 ys it meets.
+# Corner of the bordered kernel (_BorderedKernel): far above any ys' K^-1 ys it meets.
 _BORDER_CORNER = 1e300
-# Cap on the scaled squared distance in _se_kernel. exp(-230 / 2) is about
+# Cap on the scaled squared distance in the SE kernel. exp(-230 / 2) is about
 # 1.2e-50, a normal number, so no kernel entry is subnormal: np.exp and
 # LAPACK run many times slower on subnormal values. Only entries already
 # below 1.2e-50 sv move.
@@ -92,26 +92,56 @@ def _merge_duplicates(X: np.ndarray, y: np.ndarray):
     return X[kept], np.array([np.mean(y[owner == k]) for k in kept])
 
 
+def _planes(X: np.ndarray) -> np.ndarray:
+    """The (d, n*n) planes P_k[i, j] = -(x_ik - x_jk)^2 / 2 of the rows of X.
+
+    Filled in place on one (d, n, n) buffer, with no (n, n, d) temporary.
+    Each plane is symmetric and zero on its diagonal, exactly.
+    """
+    n, d = X.shape
+    P = np.empty((d, n, n))
+    Xt = X.T
+    np.subtract(Xt[:, :, None], Xt[:, None, :], out=P)
+    np.square(P, out=P)
+    P *= -0.5
+    return P.reshape(d, n * n)
+
+
+def _unit_kernel(planes: np.ndarray, lengthscales) -> np.ndarray:
+    """The flat (n*n,) SE training kernel at unit signal variance.
+
+    One gemv weighs the planes by 1 / l_k^2, giving minus half the scaled
+    squared distance; it is bounded below by ``-_SQDIST_CAP / 2`` and
+    exponentiated in place. The diagonal is exactly 1, and so no entry is
+    below exp(-115).
+    """
+    S = (1.0 / (lengthscales * lengthscales)) @ planes
+    np.maximum(S, -0.5 * _SQDIST_CAP, out=S)
+    return np.exp(S, out=S)
+
+
 def _se_kernel(A, lengthscales, signal_variance, B=None) -> np.ndarray:
     """SE-ARD kernel between the rows of A and of B; B defaults to A itself.
 
-    Scaled squared distances come from the Gram identity, bounded to
-    [0, ``_SQDIST_CAP``], and the rest is done in place on the one (m, n)
-    buffer. The bound keeps every entry at or above ``sv * exp(-115)``
-    (about 1.2e-50 sv), so neither ``np.exp`` nor the Cholesky and products
-    downstream ever meet a subnormal number; it moves only entries that were
-    already below that. The matmul's left operand is the separate buffer
-    ``2.0 * As``: numpy sends ``As @ As.T`` on one buffer to BLAS syrk,
-    which rounds differently from gemm.
+    With B omitted this is the training kernel of every GP likelihood,
+    ``sv * _unit_kernel(_planes(A), lengthscales)``. Between two point sets
+    (the posterior's k*) the scaled squared distances come from the Gram
+    identity, bounded to [0, ``_SQDIST_CAP``], and the rest is done in place
+    on the one (m, n) buffer. Either way every entry is at or above
+    ``sv * exp(-115)`` (about 1.2e-50 sv), so neither ``np.exp`` nor the
+    Cholesky and products downstream ever meet a subnormal number. The
+    matmul's left operand is the separate buffer ``2.0 * As``: numpy sends
+    ``As @ As.T`` on one buffer to BLAS syrk, which rounds differently from
+    gemm.
     """
-    As = A / lengthscales
-    aa = np.sum(As**2, axis=1)
     if B is None:
-        Bs, bb = As, aa
-    else:
-        Bs = B / lengthscales
-        bb = np.sum(Bs**2, axis=1)
-    K = aa[:, None] + bb[None, :]
+        n, d = A.shape
+        K = _unit_kernel(_planes(A), np.broadcast_to(lengthscales, (d,))).reshape(n, n)
+        K *= signal_variance
+        return K
+    As = A / lengthscales
+    Bs = B / lengthscales
+    K = np.sum(As**2, axis=1)[:, None] + np.sum(Bs**2, axis=1)[None, :]
     K -= (2.0 * As) @ Bs.T
     np.maximum(K, 0.0, out=K)
     np.minimum(K, _SQDIST_CAP, out=K)
@@ -166,31 +196,64 @@ def _standardize(y):
     return (y - y_mean) / y_scale, y_mean, y_scale
 
 
-def _factor(X, ys, lengthscales, signal_variance, noise_variance):
-    """L with L L' = K + nv I (the noisy training kernel) and v = L^-1 ys.
+class _BorderedKernel:
+    """The training kernel of one GP fit, bordered by its targets.
 
-    Both come from one Cholesky, of the kernel bordered by ys::
+    One Cholesky of the bordered matrix::
 
         M = [[K + nv I, ys],      chol(M) = [[L,  0],
              [ys',      c ]]                 [v', s]]
 
-    so LAPACK's factorization does the forward substitution for v, and
-    s^2 = c - v'v. Border row and column are both filled, so the result does
-    not depend on which triangle LAPACK reads. The corner c is
-    ``_BORDER_CORNER`` (1e300). v'v = ys'(K + nv I)^-1 ys is at most
-    ||ys||^2 / lambda_min, where ||ys||^2 = n for standardized targets, so
-    no kernel that factors comes near c. Were v'v >= c, the last pivot
-    would fail and the jitter ladder would run, as for a kernel that is not
-    positive definite.
+    gives both L, with L L' = K + nv I, and v = L^-1 ys: LAPACK's
+    factorization does the forward substitution, and s^2 = c - v'v. Border
+    row and column are both filled, so the result does not depend on which
+    triangle LAPACK reads. The corner c is ``_BORDER_CORNER`` (1e300).
+    v'v = ys'(K + nv I)^-1 ys is at most ||ys||^2 / lambda_min, where
+    ||ys||^2 = n for standardized targets, so no kernel that factors comes
+    near c. Were v'v >= c, the last pivot would fail and the jitter ladder
+    would run, as for a kernel that is not positive definite.
+
+    The planes of X, the border and the corner are written once per fit;
+    each factorization writes only the K block, ``E * sv`` for a unit
+    kernel E from :meth:`unit`, and adds nv on its diagonal. A search that
+    varies only sv and nv reuses one E.
     """
-    n = X.shape[0]
-    M = np.empty((n + 1, n + 1))
-    M[:n, :n] = _se_kernel(X, lengthscales, signal_variance)
-    M.flat[:n * (n + 2):n + 2] += noise_variance
-    M[:n, n] = M[n, :n] = ys
-    M[n, n] = _BORDER_CORNER
-    F, _ = _chol_with_jitter(M)
-    return F[:n, :n], F[n, :n]
+
+    def __init__(self, X: np.ndarray, ys: np.ndarray):
+        n = X.shape[0]
+        self.X, self.ys = X, ys
+        self.planes = _planes(X)
+        self.M = np.empty((n + 1, n + 1))
+        self.M[:n, n] = self.M[n, :n] = ys
+        self.M[n, n] = _BORDER_CORNER
+        self.K = self.M[:n, :n]
+        self.K_diagonal = self.M.reshape(-1)[:n * (n + 2):n + 2]
+
+    def unit(self, lengthscales) -> np.ndarray:
+        """The (n, n) training kernel at these lengthscales and unit sv."""
+        n = self.X.shape[0]
+        return _unit_kernel(self.planes, lengthscales).reshape(n, n)
+
+    def factor(self, E, signal_variance, noise_variance):
+        """L and v = L^-1 ys for the training kernel ``E * sv + nv I``."""
+        n = self.X.shape[0]
+        np.multiply(E, signal_variance, out=self.K)
+        self.K_diagonal += noise_variance
+        F, _ = _chol_with_jitter(self.M)
+        return F[:n, :n], F[n, :n]
+
+    def lml(self, E, signal_variance, noise_variance) -> float:
+        """The log marginal likelihood, or -inf where the kernel does not factor."""
+        try:
+            return _lml(*self.factor(E, signal_variance, noise_variance))
+        except SurrogateFitError:
+            return -np.inf
+
+
+def _factor(X, ys, lengthscales, signal_variance, noise_variance):
+    """L with L L' = K + nv I (the noisy training kernel) and v = L^-1 ys."""
+    bk = _BorderedKernel(X, ys)
+    return bk.factor(bk.unit(lengthscales), signal_variance, noise_variance)
 
 
 def _lml(L, v) -> float:
@@ -200,12 +263,12 @@ def _lml(L, v) -> float:
     )
 
 
-def _build_gp(X, y_std_units, lengthscales, signal_variance, noise_variance,
+def _build_gp(bk: _BorderedKernel, lengthscales, signal_variance, noise_variance,
               y_mean, y_scale) -> GpModel:
-    L, v = _factor(X, y_std_units, lengthscales, signal_variance, noise_variance)
+    L, v = bk.factor(bk.unit(lengthscales), signal_variance, noise_variance)
     return GpModel(
-        X_train=X,
-        y_train=y_std_units,
+        X_train=bk.X,
+        y_train=bk.ys,
         kernel_lengthscales=np.asarray(lengthscales, dtype=float),
         signal_variance=float(signal_variance),
         noise_variance=float(noise_variance),
@@ -240,14 +303,8 @@ def gp_from_hyperparameters(
         y_mean, y_scale = 0.0, 1.0
         ys = y
         nv = noise_variance
-    return _build_gp(X, ys, lengthscales, signal_variance, nv, y_mean, y_scale)
-
-
-def _gp_lml(X, ys, lengthscales, signal_variance, noise_variance) -> float:
-    try:
-        return _lml(*_factor(X, ys, lengthscales, signal_variance, noise_variance))
-    except SurrogateFitError:
-        return -np.inf
+    return _build_gp(_BorderedKernel(X, ys), lengthscales, signal_variance, nv,
+                     y_mean, y_scale)
 
 
 def _golden_section(f, lo, hi):
@@ -278,16 +335,19 @@ def fit_gp(
     ``noise_variance`` is either ``"estimated"`` (fitted alongside the kernel
     hyperparameters) or a fixed float in output units. The search draws 8
     seeded random starts in the log-hyperparameter box and refines the best
-    with one coordinate-wise golden-section sweep. Each likelihood it
-    evaluates costs one Cholesky, of the kernel bordered by the targets
-    (``_factor``), and no solve; ``alpha = K^-1 ys`` is solved for once, for
-    the model returned.
+    with one coordinate-wise golden-section sweep. The fit computes the
+    planes of X once (``_BorderedKernel``); each likelihood it evaluates
+    then costs one gemv for the kernel and one Cholesky, of the kernel
+    bordered by the targets, and no solve. The sweeps over signal and noise
+    variance leave the lengthscales fixed, so they share one unit kernel.
+    ``alpha = K^-1 ys`` is solved for once, for the model returned.
     """
     X, y = _merge_duplicates(data.X, data.y)
     if X.shape[0] < 1:
         raise SurrogateFitError("no samples to fit")
     d = X.shape[1]
     ys, y_mean, y_scale = _standardize(y)
+    bk = _BorderedKernel(X, ys)
 
     widths = X.max(axis=0) - X.min(axis=0)
     widths[widths <= 0] = 1.0
@@ -304,15 +364,14 @@ def fit_gp(
         lo = np.concatenate([lo, [math.log(1e-8)]])
         hi = np.concatenate([hi, [math.log(1.0)]])
 
-    def unpack(theta):
-        ls = np.exp(theta[:d])
-        sv = math.exp(theta[d])
-        nv = math.exp(theta[d + 1]) if estimate_noise else fixed_nv
-        return ls, sv, nv
+    def variances(theta):
+        return math.exp(theta[d]), math.exp(theta[d + 1]) if estimate_noise else fixed_nv
 
-    def objective(theta):
-        ls, sv, nv = unpack(theta)
-        return -_gp_lml(X, ys, ls, sv, nv)
+    def objective(theta, E=None):
+        """-LML at theta; E, if given, is the unit kernel of theta's lengthscales."""
+        if E is None:
+            E = bk.unit(np.exp(theta[:d]))
+        return -bk.lml(E, *variances(theta))
 
     rng = substream(seed, "gp-hypers")
     starts = rng.uniform(lo, hi, size=(8, lo.size))
@@ -326,22 +385,32 @@ def fit_gp(
 
     # coordinate-wise golden-section refinement around the best start
     span = 1.5 * math.log(10.0)
+    E = None
     for k in range(lo.size):
+        if k == d:  # the lengthscales are final from here on
+            E = bk.unit(np.exp(best_theta[:d]))
         a = max(lo[k], best_theta[k] - span)
         b = min(hi[k], best_theta[k] + span)
 
         def along(t, k=k):
             trial = best_theta.copy()
             trial[k] = t
-            return objective(trial)
+            return objective(trial, E)
 
         t_best, f_best = _golden_section(along, a, b)
         if f_best < best_obj:
             best_theta[k] = t_best
             best_obj = f_best
 
-    ls, sv, nv = unpack(best_theta)
-    return _build_gp(X, ys, ls, sv, nv, y_mean, y_scale)
+    return _build_gp(bk, np.exp(best_theta[:d]), *variances(best_theta), y_mean, y_scale)
+
+
+def _posterior_mean(model: GpModel, X_query: np.ndarray):
+    """De-standardized posterior mean k* alpha at the rows of X_query, and k*."""
+    k_star = _se_kernel(
+        X_query, model.kernel_lengthscales, model.signal_variance, B=model.X_train
+    )
+    return (k_star @ model.alpha) * model.y_std + model.y_mean, k_star
 
 
 def gp_posterior(model: GpModel, x):
@@ -349,20 +418,15 @@ def gp_posterior(model: GpModel, x):
 
     Accepts a single point (returns two floats) or an (m, d) batch
     (returns two arrays). With k* the (m, n) cross kernel, the mean is
-    k* alpha and the variance sv - rowsum(W**2) with W = k* L^-T: one gemm
-    against the model's stored ``chol_inverse``, no solve per call
-    (R&W 2006, Alg. 2.1).
+    k* alpha (``_posterior_mean``) and the variance sv - rowsum(W**2) with
+    W = k* L^-T: one gemm against the model's stored ``chol_inverse``, no
+    solve per call (R&W 2006, Alg. 2.1).
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
-    X_query = np.atleast_2d(x)
-    k_star = _se_kernel(
-        X_query, model.kernel_lengthscales, model.signal_variance, B=model.X_train
-    )
-    mu_std = k_star @ model.alpha
+    mu, k_star = _posterior_mean(model, np.atleast_2d(x))
     W = k_star @ model.chol_inverse.T
     var_std = np.maximum(model.signal_variance - np.sum(W**2, axis=1), 0.0)
-    mu = mu_std * model.y_std + model.y_mean
     var = var_std * model.y_std**2
     if single:
         return float(mu[0]), float(var[0])
@@ -374,7 +438,7 @@ def gp_log_marginal_likelihood(model: GpModel) -> float:
 
     Re-factors the model's X, y and hyperparameters through ``_factor`` and
     ``_lml``, the one likelihood formula the hyperparameter search uses, so
-    it equals the value the search saw for these hyperparameters.
+    it equals the value the search saw for these hyperparameters bit for bit.
     """
     return _lml(*_factor(
         model.X_train, model.y_train, model.kernel_lengthscales,

@@ -59,7 +59,7 @@ GOLDEN = {
     ("quadratic-d2", "cobyqa", 1, 10): "c569e9581967eb29fd8521da4ece65244d24b8da3bbacc630ea58d67f521cb7d",
     ("quadratic-d2", "dycors", 0, 10): "553e9f59ee17a31775c0633f73d5ba0b927bc70f325ea950383409ee8b2921b7",
     ("quadratic-d2", "dycors", 1, 10): "605b845cce6c372b30a9a953272180c361439e339333ac0e9657932c77890dab",
-    ("levy-d5", "bo", 0, 13): "c800500490b9b5003eaf1b880d88598b5efb825cc86d11b74c26f1483b3a48f2",
+    ("levy-d5", "bo", 0, 13): "7d8dd10b2b02f51eeddb0cfa8836255189b3a8da93172d1140950348904acbb9",
     ("levy-d5", "bo", 1, 13): "8b5e8da7f651847cc4e1593384530ec356f1a6ef21cf082d0b8187a155a17cb1",
     ("levy-d5", "lsqm", 0, 13): "948bf9d793b9df6c81286ff433fb69e863e2b0d3b73972695e3abc7bb82441ce",
     ("levy-d5", "lsqm", 1, 13): "08ed14c8feb72f7b81ad4e9e2faf2e959be64deeb70514bcd83c440e6098d640",
@@ -71,9 +71,9 @@ GOLDEN = {
     ("levy-d5", "cobyqa", 1, 13): "517be91e5d8a9ce591963b8389ce5b2d50b97bfec4306e7d6c204b63bb93f824",
     ("levy-d5", "dycors", 0, 13): "e57922a9d4ec2b0741498c8513427397323fd45500af2ed586c229fce117373e",
     ("levy-d5", "dycors", 1, 13): "62a4b3c8b35df53e0e4055cabd6d2f2b09fe20abc97866a70cf551b814e15e0b",
-    ("matyas-c", "bo", 0, 10): "1774a7342d8be5e59fdd0036a5d0ec518fe7998f5ae9cbb9848878c901ff590f",
+    ("matyas-c", "bo", 0, 10): "5ada24968556e0e10c9021007609339b02fb0085c3c01bf90c45e8efc2064b4c",
     ("matyas-c", "bo", 1, 10): "165b3c55c9c4002d0d980088a45443256cbb38da66c0320d5ca4d47b5286b0fe",
-    ("matyas-c", "cbo", 0, 10): "31fa040379fb8cac7147dc1e38c8f6e6083ea5c1ab7b61820392f5bad2d37bb3",
+    ("matyas-c", "cbo", 0, 10): "7468521dc5e289b417fb837727ce7184060f85a8dcd85017bb3532259b4242a9",
     ("matyas-c", "cbo", 1, 10): "dc594f8a8868f1beb9e48a94b622967ceb9b7f2a6e90d9ac673a95dca49af224",
     ("matyas-c", "lsqm", 0, 10): "dd6f4a7e52665e353ba8c599033378426de73355e2d5c929ef2aa7a7d0ab7bac",
     ("matyas-c", "lsqm", 1, 10): "ce751f114a8f4d6bc104cc115832341742b70791e7b1cf2400c45471f1294236",
@@ -85,7 +85,7 @@ GOLDEN = {
     ("matyas-c", "cobyqa", 1, 10): "68b3ba46837041c573cced54b904fe6a2e28e41a54943169fab3b9f28c182b47",
     ("matyas-c", "dycors", 0, 10): "4781936fb9f6d21e999cf3c75f8ff8d3157553219a3dfb1af0d626e272dc6ee2",
     ("matyas-c", "dycors", 1, 10): "f8b76693852ee3599f5c479b9cd7acf36fadce69d5ced296645faab943c8ebf1",
-    ("williams-otto", "bo", 0, 10): "65b7f6907cbf96fbb65210a1435061f839da643293578ecf3a3f3f55a99e7ea2",
+    ("williams-otto", "bo", 0, 10): "cb6c35f6b5dcb9adbe52d0a4f536ce31610508f1da4666121c435661f21a68ca",
     ("williams-otto", "bo", 1, 10): "fd6bdcbc3fe0164726bb737bf52e03ca392eaab76063d17dcf91ed0410db1c28",
     ("williams-otto", "cbo", 0, 10): "7bb56b75370fe0b65689516a0928e6b0b943432f358fe01f2456cd6af256dd8d",
     ("williams-otto", "cbo", 1, 10): "c2e07527b0251699b554e024683ba777d90d0c81aaf85af8d459573b7fcf765c",

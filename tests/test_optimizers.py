@@ -189,6 +189,27 @@ def test_propose_cbo_active_constraint_mean_nonpositive():
     assert x_star[0] >= -0.2  # constraint active, not hiding deep inside
 
 
+def test_propose_cbo_constraint_gps_compute_the_mean_only(monkeypatch):
+    # the objective GP's posterior runs once per batch of keys; each of the
+    # two constraint GPs gives only its mean, with no variance
+    import surropt.optimizers as opt
+
+    rng = np.random.default_rng(8)
+    X = rng.uniform(-1.0, 1.0, (10, 2))
+    data = Dataset(X, np.sum(X**2, axis=1), np.column_stack([X[:, 0], X[:, 1] - 0.5]))
+    bounds = Bounds.cube(-1.0, 1.0, 2)
+    expected = propose_cbo(data, bounds, seed=4)
+    calls = {"gp_posterior": 0, "_posterior_mean": 0}
+    for name in calls:
+        def counted(*args, fn=getattr(opt, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(opt, name, counted)
+    assert np.array_equal(propose_cbo(data, bounds, seed=4), expected)
+    assert calls["gp_posterior"] > 0
+    assert calls["_posterior_mean"] == 2 * calls["gp_posterior"]
+
+
 def test_propose_cbo_all_infeasible_minimizes_violation():
     x = np.linspace(0.5, 1.5, 21).reshape(-1, 1)
     data = Dataset(x, np.cos(x[:, 0]), x.copy())  # g = x >= 0.5 > 0 everywhere

@@ -189,6 +189,20 @@ def _se_kernel_reference(A, B, lengthscales, signal_variance, cap=230.0):
     return signal_variance * np.exp(-0.5 * np.minimum(np.maximum(d2, 0.0), cap))
 
 
+# Reference for the training kernel: the planes -(x_ik - x_jk)^2 / 2 built by
+# broadcasting, weighed by 1 / l_k^2 in one gemv, bounded below by -cap / 2.
+# The planes are a C-contiguous (d, n*n) array as in _planes: on the
+# transposed layout the gemv rounds differently.
+
+
+def _plane_kernel_reference(X, lengthscales, signal_variance, cap=230.0):
+    n, d = X.shape
+    diff = X.T[:, :, None] - X.T[:, None, :]
+    planes = np.ascontiguousarray(-0.5 * diff**2).reshape(d, n * n)
+    S = (1.0 / lengthscales**2) @ planes
+    return signal_variance * np.exp(np.maximum(S, -0.5 * cap)).reshape(n, n)
+
+
 def _dense_lml(K, ys):
     sign, logdet = np.linalg.slogdet(K)
     assert sign > 0
@@ -211,7 +225,7 @@ def test_training_kernel_bit_for_bit_and_bordered_factor_properties(seed, n, d):
     sv = float(10.0 ** rng.uniform(-1.0, 1.0))
     nv = float(10.0 ** rng.uniform(-8.0, -1.0))
     K = _se_kernel(X, ls, sv)
-    assert K.tobytes() == _se_kernel_reference(X, X, ls, sv).tobytes()
+    assert K.tobytes() == _plane_kernel_reference(X, ls, sv).tobytes()
     Xq = rng.uniform(-2.0, 2.0, (int(rng.integers(1, 50)), d))
     assert (_se_kernel(Xq, ls, sv, B=X).tobytes()
             == _se_kernel_reference(Xq, X, ls, sv).tobytes())
@@ -240,7 +254,7 @@ def test_kernel_floor_keeps_entries_normal_and_moves_only_tiny_ones(seed, n, d):
     ls = 4.0 * 10.0 ** rng.uniform(-3.0, 0.0, d)
     sv = float(10.0 ** rng.uniform(-4.0, 4.0))
     floor = sv * np.exp(-0.5 * 230.0)
-    for K, raw in ((_se_kernel(X, ls, sv), _se_kernel_reference(X, X, ls, sv, np.inf)),
+    for K, raw in ((_se_kernel(X, ls, sv), _plane_kernel_reference(X, ls, sv, np.inf)),
                    (_se_kernel(Xq, ls, sv, B=X), _se_kernel_reference(Xq, X, ls, sv, np.inf))):
         assert np.all(K >= np.finfo(float).tiny)  # no entry subnormal or 0
         kept = raw >= floor
@@ -254,6 +268,84 @@ def test_kernel_floor_applies_where_the_formula_underflows():
     assert raw[0, 1] == 0.0  # exp(-5000)
     K = _se_kernel(X, 0.01, 1.0)
     assert K[0, 1] == np.exp(-115.0) and K[0, 0] == 1.0
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=1, max_value=100),
+    d=st.integers(min_value=1, max_value=10),
+)
+def test_plane_kernel_symmetric_exact_diagonal_and_close_to_gram(seed, n, d):
+    # lengthscales down to 1e-3 of the box width, as in the floor test
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-2.0, 2.0, (n, d))
+    ls = 4.0 * 10.0 ** rng.uniform(-3.0, 0.0, d)
+    sv = float(10.0 ** rng.uniform(-4.0, 4.0))
+    K = _se_kernel(X, ls, sv)
+    assert K.tobytes() == K.T.copy().tobytes()
+    assert np.all(K.diagonal() == sv)
+    assert np.all(K >= sv * np.exp(-115.0))
+    # The Gram identity rounds at the scale of |a|^2 + |b|^2, not of the
+    # distance, so the reference is only that close.
+    aa = np.sum((X / ls) ** 2, axis=1)
+    ref = _se_kernel_reference(X, X, ls, sv)
+    assert np.all(np.abs(K - ref) <= 1e-12 * (1.0 + aa[:, None] + aa[None, :]) * ref)
+
+
+def _record_likelihoods():
+    """Patch _BorderedKernel.lml to log (unit kernel, sv, nv, value) per call."""
+    calls = []
+    real = surrogates._BorderedKernel.lml
+
+    def spy(self, E, sv, nv):
+        value = real(self, E, sv, nv)
+        calls.append((E, sv, nv, value))
+        return value
+
+    return calls, mock.patch.object(surrogates._BorderedKernel, "lml", spy)
+
+
+@pytest.mark.parametrize("noise", ["estimated", 1e-6])
+@pytest.mark.parametrize("n, d", [(1, 1), (12, 2), (20, 2), (40, 5)])
+def test_search_and_model_share_one_likelihood_formula(n, d, noise):
+    rng = np.random.default_rng(n + d)
+    X = rng.uniform(0.0, 1.0, (n, d))
+    y = np.sin(3.0 * X).sum(axis=1) + 0.1 * rng.standard_normal(n)
+    calls, patch = _record_likelihoods()
+    with patch:
+        model = fit_gp(Dataset(X, y), noise_variance=noise, seed=3)
+    # the search's best objective is -LML of the model it returns, bit for bit
+    assert -max(c[3] for c in calls) == -gp_log_marginal_likelihood(model)
+    # the sv and nv sweeps share one unit kernel; each value equals a fresh
+    # evaluation at the model's lengthscales, bit for bit
+    shared = [c for c in calls if sum(e[0] is c[0] for e in calls) > 1]
+    assert len(shared) == (36 if noise == "estimated" else 18)
+    for _, sv, nv, value in shared:
+        fresh = surrogates._lml(*_factor(
+            model.X_train, model.y_train, model.kernel_lengthscales, sv, nv))
+        assert value == fresh
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=1, max_value=40),
+    d=st.integers(min_value=1, max_value=6),
+)
+def test_posterior_mean_helper_is_gp_posterior_mean(seed, n, d):
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1.0, 1.0, (n, d))
+    model = fit_gp(Dataset(X, np.cos(2.0 * X).sum(axis=1) + X[:, 0]), seed=0)
+    Xq = rng.uniform(-1.5, 1.5, (int(rng.integers(1, 30)), d))
+    mu, _ = gp_posterior(model, Xq)
+    mean, k_star = surrogates._posterior_mean(model, Xq)
+    assert mean.tobytes() == mu.tobytes()
+    # the formula gp_posterior's mean has always had: k* alpha, de-standardized
+    k_ref = _se_kernel(Xq, model.kernel_lengthscales, model.signal_variance, B=model.X_train)
+    assert k_star.tobytes() == k_ref.tobytes()
+    assert mean.tobytes() == ((k_ref @ model.alpha) * model.y_std + model.y_mean).tobytes()
+    assert surrogates._posterior_mean(model, Xq[:1])[0][0] == gp_posterior(model, Xq[0])[0]
 
 
 # Posterior oracle: dense solves with K + nv I, no Cholesky. The tolerance is
