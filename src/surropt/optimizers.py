@@ -20,7 +20,9 @@ They share one public step, ``trust_region_step(kind, ...)``, which the
 runner calls too, and one runner loop. All inner argmins use the same
 derivative-free candidate-pool search (seeded pool + analytic Newton/Cauchy
 candidates + coordinate pattern refinement), so every step operation is a
-pure function of (data, state, seed).
+pure function of (data, state, seed). The refinement evaluates its step
+levels ahead, several per call as one stack of batches, and takes the moves
+that one level per call would take, bit for bit.
 
 Each method runs at one fixed setting: LCB weight gamma = 2; a search pool
 of 100 * n_x candidates refined for 20 pattern steps; penalties of 100 per
@@ -91,6 +93,7 @@ DYCORS_WEIGHTS = (0.3, 0.5, 0.8, 0.95)
 _POOL_PER_DIM = 100  # inner-search pool: candidates per input dimension
 _DYCORS_STEP = 0.2  # DYCORS's initial step, a fraction of each box width; also its cap
 _REFINE_STEPS = 20  # pattern-refinement steps after the pool
+_REFINE_ROWS = 40  # trial rows per stack of refinement levels (at least one level)
 _PENALTY_GROWTH = 10.0
 _PENALTY_CAP = 1e8
 
@@ -154,10 +157,11 @@ def lcb(mu: float, sigma: float, gamma: float):
 # ------------------------------------------------------------------ inner search
 #
 # Candidate-pool minimization with feasibility-first lexicographic keys.
-# A key function maps an (m, d) batch to (primary, secondary) arrays;
-# candidates are ranked by primary first (0 = predicted feasible), then
-# secondary. Pattern refinement tries +/- step moves per coordinate,
-# projecting trials into bounds and (when given) the trust-region ball.
+# A key function maps an (L, m, d) stack of batches to (primary, secondary)
+# arrays of shape (L, m); candidates are ranked by primary first (0 =
+# predicted feasible), then secondary. Pattern refinement tries +/- step
+# moves per coordinate, projecting trials into bounds and (when given) the
+# trust-region ball.
 
 
 def _lex_best(primary: np.ndarray, secondary: np.ndarray) -> int:
@@ -204,6 +208,25 @@ def _pool_minimize(
     radius=None,
     extra: Optional[list] = None,
 ) -> np.ndarray:
+    """The best point found for ``keys_fn`` within ``bounds`` (and the ball).
+
+    ``keys_fn`` maps an (L, m, d) stack of candidate batches to (primary,
+    secondary) arrays of shape (L, m). A seeded pool of 100 * d candidates
+    (a Latin hypercube, or uniform draws in the ball around ``center``), plus
+    ``extra``, is ranked as a stack of one. Its best point x is refined by
+    ``_REFINE_STEPS`` pattern steps: x moves to the best of its 2d trials
+    x +/- step * e_j if that beats x's key, and otherwise the step halves.
+
+    The steps are evaluated ahead, r step levels at a time (step, step/2,
+    ...) as one (r, 2d, d) stack, with r = min(steps left,
+    max(1, _REFINE_ROWS // 2d)). The walk moves at the first level that
+    beats x, or halves past the last level, and builds the next stack from
+    there, so it takes the same moves as one level per call. Predictions
+    make one BLAS call per slice of a stack and reduce along its last axis,
+    so each level gets the same bits as a (2d, d) batch on its own, and the
+    trajectory does not depend on r (``tests/test_surrogates.py`` checks
+    every prediction at these shapes).
+    """
     n_pool = _POOL_PER_DIM * bounds.dim
     if center is not None:
         rng = substream(seed, "pool")
@@ -214,25 +237,36 @@ def _pool_minimize(
         step = float(np.max(bounds.width)) / 10.0
     if extra:
         X = np.vstack([X, _project(extra, bounds, center, radius)])
-    primary, secondary = keys_fn(X)
+    (primary,), (secondary,) = keys_fn(X[None])
     i = _lex_best(primary, secondary)
     x = X[i]
     best_key = (primary[i], secondary[i])
 
     d = bounds.dim
-    j = np.arange(d)
-    for _ in range(_REFINE_STEPS):
-        trials = np.repeat(x[None, :], 2 * d, axis=0)
-        trials[2 * j, j] += step
-        trials[2 * j + 1, j] -= step
-        trials = _project(trials, bounds, center, radius)
+    levels = max(1, _REFINE_ROWS // (2 * d))
+    halvings = 0.5 ** np.arange(levels)[:, None]
+    left = _REFINE_STEPS
+    while left:
+        r = min(left, levels)
+        steps = step * halvings[:r]  # step, step/2, ...: exact, as halving step by step
+        trials = np.empty((r, 2 * d, d))
+        trials[:] = x
+        # trial 2j moves up along axis j, trial 2j + 1 down: in each flat
+        # level these entries sit at j(2d + 1) and d + j(2d + 1)
+        flat = trials.reshape(r, 2 * d * d)
+        flat[:, ::2 * d + 1] += steps
+        flat[:, d::2 * d + 1] -= steps
+        trials = _project(flat.reshape(-1, d), bounds, center, radius).reshape(r, 2 * d, d)
         p, s = keys_fn(trials)
-        i = _lex_best(p, s)
-        if (p[i], s[i]) < best_key:
-            x = trials[i]
-            best_key = (p[i], s[i])
+        for k in range(r):
+            i = _lex_best(p[k], s[k])
+            if (p[k, i], s[k, i]) < best_key:
+                x, best_key, step = trials[k, i], (p[k, i], s[k, i]), steps[k, 0]
+                left -= k + 1
+                break
         else:
-            step *= 0.5
+            step = steps[-1, 0] * 0.5
+            left -= r
     return x
 
 
@@ -244,7 +278,7 @@ def _feasibility_first_keys(values, margins):
     """Rank candidates with all margins <= 0 by value, the rest by total violation."""
     if not margins:
         return _plain_keys(values)
-    viol = np.zeros(values.shape[0])
+    viol = np.zeros(values.shape)
     for m in margins:
         viol += np.maximum(m, 0.0)
     infeasible = (viol > 0).astype(int)

@@ -120,28 +120,25 @@ def _unit_kernel(planes: np.ndarray, lengthscales) -> np.ndarray:
     return np.exp(S, out=S)
 
 
-def _se_kernel(A, lengthscales, signal_variance, B=None) -> np.ndarray:
-    """SE-ARD kernel between the rows of A and of B; B defaults to A itself.
+def _se_kernel(A, B, lengthscales, signal_variance) -> np.ndarray:
+    """SE-ARD cross kernel k(a, b) between the rows of A and of B (n, d).
 
-    With B omitted this is the training kernel of every GP likelihood,
-    ``sv * _unit_kernel(_planes(A), lengthscales)``. Between two point sets
-    (the posterior's k*) the scaled squared distances come from the Gram
+    A is an (m, d) batch or an (..., m, d) stack of them; the result has
+    shape (..., m, n). The scaled squared distances come from the Gram
     identity, bounded to [0, ``_SQDIST_CAP``], and the rest is done in place
-    on the one (m, n) buffer. Either way every entry is at or above
-    ``sv * exp(-115)`` (about 1.2e-50 sv), so neither ``np.exp`` nor the
-    Cholesky and products downstream ever meet a subnormal number. The
-    matmul's left operand is the separate buffer ``2.0 * As``: numpy sends
-    ``As @ As.T`` on one buffer to BLAS syrk, which rounds differently from
-    gemm.
+    on the one output buffer, so every entry is at or above
+    ``sv * exp(-115)`` (about 1.2e-50 sv) and no product downstream meets a
+    subnormal number. The matmul's left operand is the separate buffer
+    ``2.0 * As``: numpy sends ``As @ As.T`` on one buffer to BLAS syrk,
+    which rounds differently from gemm. A stacked matmul makes one BLAS
+    call per (m, d) slice and the row sums run along the last axis, so each
+    slice of a stack equals, bit for bit, the kernel of that slice alone.
+    The training kernel of a GP fit is built from planes instead
+    (``_BorderedKernel.unit``).
     """
-    if B is None:
-        n, d = A.shape
-        K = _unit_kernel(_planes(A), np.broadcast_to(lengthscales, (d,))).reshape(n, n)
-        K *= signal_variance
-        return K
     As = A / lengthscales
     Bs = B / lengthscales
-    K = np.sum(As**2, axis=1)[:, None] + np.sum(Bs**2, axis=1)[None, :]
+    K = np.sum(As**2, axis=-1)[..., None] + np.sum(Bs**2, axis=1)
     K -= (2.0 * As) @ Bs.T
     np.maximum(K, 0.0, out=K)
     np.minimum(K, _SQDIST_CAP, out=K)
@@ -406,9 +403,13 @@ def fit_gp(
 
 
 def _posterior_mean(model: GpModel, X_query: np.ndarray):
-    """De-standardized posterior mean k* alpha at the rows of X_query, and k*."""
+    """De-standardized posterior mean k* alpha at the rows of X_query, and k*.
+
+    X_query is an (m, d) batch or an (..., m, d) stack; the mean has its
+    leading shape, (..., m), and k* is (..., m, n).
+    """
     k_star = _se_kernel(
-        X_query, model.kernel_lengthscales, model.signal_variance, B=model.X_train
+        X_query, model.X_train, model.kernel_lengthscales, model.signal_variance
     )
     return (k_star @ model.alpha) * model.y_std + model.y_mean, k_star
 
@@ -416,17 +417,19 @@ def _posterior_mean(model: GpModel, X_query: np.ndarray):
 def gp_posterior(model: GpModel, x):
     """Posterior mean and variance at ``x`` (de-standardized).
 
-    Accepts a single point (returns two floats) or an (m, d) batch
-    (returns two arrays). With k* the (m, n) cross kernel, the mean is
-    k* alpha (``_posterior_mean``) and the variance sv - rowsum(W**2) with
+    Accepts a single point (returns two floats), an (m, d) batch or an
+    (..., m, d) stack of batches (returns two arrays of shape (m,) or
+    (..., m)). With k* the cross kernel, the mean is k* alpha
+    (``_posterior_mean``) and the variance sv - rowsum(W**2) with
     W = k* L^-T: one gemm against the model's stored ``chol_inverse``, no
-    solve per call (R&W 2006, Alg. 2.1).
+    solve per call (R&W 2006, Alg. 2.1). Each slice of a stack gets the
+    same bits as that slice passed on its own.
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     mu, k_star = _posterior_mean(model, np.atleast_2d(x))
     W = k_star @ model.chol_inverse.T
-    var_std = np.maximum(model.signal_variance - np.sum(W**2, axis=1), 0.0)
+    var_std = np.maximum(model.signal_variance - np.sum(W**2, axis=-1), 0.0)
     var = var_std * model.y_std**2
     if single:
         return float(mu[0]), float(var[0])
@@ -458,10 +461,17 @@ class QuadModel:
     b: float
 
     def predict(self, x):
-        """Value at a point (a float) or at each row of an (m, d) batch."""
+        """Value at a point (a float), or at each row of an (m, d) batch or
+        an (..., m, d) stack.
+
+        Each slice of a stack gets the bits it gets on its own, except
+        slices of one or two rows at d = 2: ``einsum`` runs a stack as one
+        batch, and at d = 2 it rounds batches of one or two rows
+        differently from longer ones.
+        """
         x = np.asarray(x, dtype=float)
         X = x[None, :] if x.ndim == 1 else x
-        vals = np.einsum("ij,jk,ik->i", X, self.Q, X) + X @ self.c + self.b
+        vals = np.einsum("...ij,jk,...ik->...i", X, self.Q, X) + X @ self.c + self.b
         return float(vals[0]) if x.ndim == 1 else vals
 
 
@@ -531,7 +541,8 @@ class LinModel:
     b: float
 
     def predict(self, x):
-        """Value at a point (a float) or at each row of an (m, d) batch."""
+        """Value at a point (a float), or at each row of an (m, d) batch or
+        an (..., m, d) stack; each slice of a stack as on its own, bit for bit."""
         x = np.asarray(x, dtype=float)
         vals = (x[None, :] if x.ndim == 1 else x) @ self.g_hat + self.b
         return float(vals[0]) if x.ndim == 1 else vals

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from surropt import optimizers
 from surropt.core import (
     Bounds,
     ConfigError,
@@ -17,6 +18,8 @@ from surropt.core import (
 from surropt.optimizers import (
     DycorsState,
     TrustRegionState,
+    _lex_best,
+    _pool_minimize,
     _project,
     cobyla_merit,
     dycors_select_probability,
@@ -93,6 +96,120 @@ def test_batched_project_matches_per_row_bit_for_bit(seed, d, m):
         batched = _project(X, bounds, *args)
         reference = np.array([_project_row(x, bounds, *args) for x in X])
         assert batched.tobytes() == reference.tobytes()
+
+
+# ---------------------------------------------------------------- _pool_minimize
+
+# The pattern refinement as it was before its step levels were stacked: one
+# keys call on a 2-D batch per step. The stacked walk must return the same
+# x, bit for bit.
+
+
+def _sequential_pool_minimize(keys_fn, bounds, seed, center=None, radius=None, extra=None):
+    n_pool = optimizers._POOL_PER_DIM * bounds.dim
+    if center is not None:
+        rng = substream(seed, "pool")
+        X = optimizers._ball_candidates(center, radius, bounds, n_pool, rng)
+        step = radius / 4.0
+    else:
+        X = latin_hypercube(bounds, n_pool, derive_seed(seed, "pool"))
+        step = float(np.max(bounds.width)) / 10.0
+    if extra:
+        X = np.vstack([X, _project(extra, bounds, center, radius)])
+    primary, secondary = keys_fn(X)
+    i = _lex_best(primary, secondary)
+    x = X[i]
+    best_key = (primary[i], secondary[i])
+
+    d = bounds.dim
+    j = np.arange(d)
+    for _ in range(optimizers._REFINE_STEPS):
+        trials = np.repeat(x[None, :], 2 * d, axis=0)
+        trials[2 * j, j] += step
+        trials[2 * j + 1, j] -= step
+        trials = _project(trials, bounds, center, radius)
+        p, s = keys_fn(trials)
+        i = _lex_best(p, s)
+        if (p[i], s[i]) < best_key:
+            x = trials[i]
+            best_key = (p[i], s[i])
+        else:
+            step *= 0.5
+    return x
+
+
+def _walk_data(d, seed, n):
+    bounds = Bounds(np.full(d, -2.0), np.full(d, 3.0))
+    X = latin_hypercube(bounds, n, seed)
+    y = np.sum((X - 0.3) ** 2, axis=1) + 0.3 * np.sin(5.0 * X).sum(axis=1)
+    G = np.column_stack([X[:, 0] - 0.1, np.sum(X**2, axis=1) - 1.5 * d])
+    return bounds, X, y, G
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("d", [1, 2, 5, 10])
+@pytest.mark.parametrize("method", ["bo", "cbo", "lsqm", "cuatro", "cobyqa", "cobyla"])
+def test_stacked_refinement_walks_as_the_sequential_loop(method, d, seed, monkeypatch):
+    # the real keys of each method: bo and cbo search the box, the
+    # trust-region kinds a ball
+    searches = []
+
+    def both(keys_fn, *args, **kwargs):
+        shapes = []
+
+        def counted(X):
+            shapes.append(X.shape)
+            return keys_fn(X)
+
+        x = _pool_minimize(counted, *args, **kwargs)
+        ref = _sequential_pool_minimize(keys_fn, *args, **kwargs)
+        searches.append((x.tobytes() == ref.tobytes(), shapes))
+        return x
+
+    monkeypatch.setattr(optimizers, "_pool_minimize", both)
+    if method in ("bo", "cbo"):
+        bounds, X, y, G = _walk_data(d, seed, max(5, 2 * d) + 6)
+        data = Dataset(X, y, G) if method == "cbo" else Dataset(X, y)
+        (propose_cbo if method == "cbo" else propose_bo)(data, bounds, seed=seed)
+    else:
+        n = d + 1 if method == "cobyla" else 2 * d + 4
+        bounds, X, y, G = _walk_data(d, seed, n)
+        tr = TrustRegionState(center=X[int(np.argmin(y))], radius=0.6)
+        trust_region_step(method, Dataset(X, y, G), bounds, tr, seed=seed)
+    [(same, shapes)] = searches
+    assert same
+    # the pool as a stack of one, then stacks of up to 20 // d levels of 2d
+    # trials each, the first one full
+    levels = max(1, 20 // d)
+    assert shapes[0][0] == 1 and shapes[1][0] == levels
+    assert all(1 <= L <= levels and m == 2 * d for L, m, _ in shapes[1:])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    d=st.integers(min_value=1, max_value=6),
+    ball=st.booleans(),
+)
+def test_stacked_refinement_matches_the_sequential_loop_on_row_independent_keys(seed, d, ball):
+    # elementwise keys, rounded so that many trials tie, with a region
+    # ranked infeasible: the walk's rule alone decides, no rounding differs
+    rng = np.random.default_rng(seed)
+    bounds = Bounds(np.full(d, -1.0), np.full(d, 1.0))
+    c, w = rng.uniform(-1.2, 1.2, d), 10.0 ** rng.uniform(-1.0, 1.0, d)
+    digits = int(rng.integers(0, 4))
+
+    def keys(X):
+        v = np.zeros(X.shape[:-1])
+        for k in range(d):
+            v = v + w[k] * (X[..., k] - c[k]) ** 2
+        return (X[..., 0] > c[0] + 0.3).astype(int), np.round(v, digits)
+
+    kwargs = {}
+    if ball:
+        kwargs = {"center": rng.uniform(-1.0, 1.0, d), "radius": float(rng.uniform(0.01, 1.0))}
+    x = _pool_minimize(keys, bounds, seed % 1000, **kwargs)
+    assert x.tobytes() == _sequential_pool_minimize(keys, bounds, seed % 1000, **kwargs).tobytes()
 
 
 # ---------------------------------------------------------------- propose_bo

@@ -10,10 +10,14 @@ from hypothesis.extra.numpy import arrays
 from surropt import surrogates
 from surropt.core import Dataset
 from surropt.surrogates import (
+    LinModel,
+    QuadModel,
     SurrogateFitError,
     _distances,
     _factor,
+    _planes,
     _se_kernel,
+    _unit_kernel,
     fit_gp,
     fit_linear,
     fit_quadratic,
@@ -203,6 +207,13 @@ def _plane_kernel_reference(X, lengthscales, signal_variance, cap=230.0):
     return signal_variance * np.exp(np.maximum(S, -0.5 * cap)).reshape(n, n)
 
 
+def _training_kernel(X, lengthscales, signal_variance):
+    """The training kernel of a GP fit, as _BorderedKernel builds it."""
+    n, d = X.shape
+    ls = np.broadcast_to(lengthscales, (d,))
+    return _unit_kernel(_planes(X), ls).reshape(n, n) * signal_variance
+
+
 def _dense_lml(K, ys):
     sign, logdet = np.linalg.slogdet(K)
     assert sign > 0
@@ -224,10 +235,10 @@ def test_training_kernel_bit_for_bit_and_bordered_factor_properties(seed, n, d):
     ls = 10.0 ** rng.uniform(-1.5, 1.5, d)
     sv = float(10.0 ** rng.uniform(-1.0, 1.0))
     nv = float(10.0 ** rng.uniform(-8.0, -1.0))
-    K = _se_kernel(X, ls, sv)
+    K = _training_kernel(X, ls, sv)
     assert K.tobytes() == _plane_kernel_reference(X, ls, sv).tobytes()
     Xq = rng.uniform(-2.0, 2.0, (int(rng.integers(1, 50)), d))
-    assert (_se_kernel(Xq, ls, sv, B=X).tobytes()
+    assert (_se_kernel(Xq, X, ls, sv).tobytes()
             == _se_kernel_reference(Xq, X, ls, sv).tobytes())
     # nv / sv >= 1e-9 keeps the condition number under 1e12: no jitter
     L, v = _factor(X, ys, ls, sv, nv)
@@ -254,8 +265,8 @@ def test_kernel_floor_keeps_entries_normal_and_moves_only_tiny_ones(seed, n, d):
     ls = 4.0 * 10.0 ** rng.uniform(-3.0, 0.0, d)
     sv = float(10.0 ** rng.uniform(-4.0, 4.0))
     floor = sv * np.exp(-0.5 * 230.0)
-    for K, raw in ((_se_kernel(X, ls, sv), _plane_kernel_reference(X, ls, sv, np.inf)),
-                   (_se_kernel(Xq, ls, sv, B=X), _se_kernel_reference(Xq, X, ls, sv, np.inf))):
+    for K, raw in ((_training_kernel(X, ls, sv), _plane_kernel_reference(X, ls, sv, np.inf)),
+                   (_se_kernel(Xq, X, ls, sv), _se_kernel_reference(Xq, X, ls, sv, np.inf))):
         assert np.all(K >= np.finfo(float).tiny)  # no entry subnormal or 0
         kept = raw >= floor
         assert K[kept].tobytes() == raw[kept].tobytes()
@@ -266,7 +277,7 @@ def test_kernel_floor_applies_where_the_formula_underflows():
     X = np.array([[0.0], [1.0]])
     raw = _se_kernel_reference(X, X, 0.01, 1.0, np.inf)
     assert raw[0, 1] == 0.0  # exp(-5000)
-    K = _se_kernel(X, 0.01, 1.0)
+    K = _training_kernel(X, 0.01, 1.0)
     assert K[0, 1] == np.exp(-115.0) and K[0, 0] == 1.0
 
 
@@ -282,7 +293,7 @@ def test_plane_kernel_symmetric_exact_diagonal_and_close_to_gram(seed, n, d):
     X = rng.uniform(-2.0, 2.0, (n, d))
     ls = 4.0 * 10.0 ** rng.uniform(-3.0, 0.0, d)
     sv = float(10.0 ** rng.uniform(-4.0, 4.0))
-    K = _se_kernel(X, ls, sv)
+    K = _training_kernel(X, ls, sv)
     assert K.tobytes() == K.T.copy().tobytes()
     assert np.all(K.diagonal() == sv)
     assert np.all(K >= sv * np.exp(-115.0))
@@ -342,10 +353,83 @@ def test_posterior_mean_helper_is_gp_posterior_mean(seed, n, d):
     mean, k_star = surrogates._posterior_mean(model, Xq)
     assert mean.tobytes() == mu.tobytes()
     # the formula gp_posterior's mean has always had: k* alpha, de-standardized
-    k_ref = _se_kernel(Xq, model.kernel_lengthscales, model.signal_variance, B=model.X_train)
+    k_ref = _se_kernel(Xq, model.X_train, model.kernel_lengthscales, model.signal_variance)
     assert k_star.tobytes() == k_ref.tobytes()
     assert mean.tobytes() == ((k_ref @ model.alpha) * model.y_std + model.y_mean).tobytes()
     assert surrogates._posterior_mean(model, Xq[:1])[0][0] == gp_posterior(model, Xq[0])[0]
+
+
+# Stacks of batches. The inner search predicts an (L, m, d) stack of trial
+# batches in one call. A stacked matmul makes one BLAS call per (m, d) slice
+# and the row sums run along the last axis, so each slice must get the bits
+# of the 2-D call on that slice. Should a numpy release fold a stack into one
+# gemm, these tests fail instead of trajectories drifting.
+
+
+def _stack_models(rng, n, d):
+    X = rng.uniform(-1.0, 1.0, (n, d))
+    gp = gp_from_hyperparameters(
+        Dataset(X, np.sin(3.0 * X).sum(axis=1) + X[:, 0]),
+        10.0 ** rng.uniform(-1.0, 1.0, d), float(10.0 ** rng.uniform(-1.0, 1.0)), 1e-4,
+    )
+    A = rng.standard_normal((d, d))
+    quad = QuadModel(Q=A + A.T, c=rng.standard_normal(d), b=0.3)
+    lin = LinModel(g_hat=rng.standard_normal(d), b=-0.7)
+    return gp, quad, lin
+
+
+def _assert_slices_match(gp, quad, lin, S, check_quad=True):
+    L, m, _ = S.shape
+    mu, var = gp_posterior(gp, S)
+    mean, k_star = surrogates._posterior_mean(gp, S)
+    q, v = quad.predict(S), lin.predict(S)
+    assert mu.shape == var.shape == mean.shape == q.shape == v.shape == (L, m)
+    for i in range(L):
+        mu_i, var_i = gp_posterior(gp, S[i])
+        mean_i, k_star_i = surrogates._posterior_mean(gp, S[i])
+        assert mu[i].tobytes() == mu_i.tobytes()
+        assert var[i].tobytes() == var_i.tobytes()
+        assert mean[i].tobytes() == mean_i.tobytes()
+        assert k_star[i].tobytes() == k_star_i.tobytes()
+        assert v[i].tobytes() == lin.predict(S[i]).tobytes()
+        if check_quad:
+            assert q[i].tobytes() == quad.predict(S[i]).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    L=st.integers(min_value=1, max_value=12),
+    m=st.integers(min_value=1, max_value=40),
+    d=st.integers(min_value=1, max_value=10),
+    n=st.integers(min_value=1, max_value=60),
+)
+def test_stacked_predictions_match_each_slice_bit_for_bit(seed, L, m, d, n):
+    rng = np.random.default_rng(seed)
+    gp, quad, lin = _stack_models(rng, n, d)
+    S = rng.uniform(-1.5, 1.5, (L, m, d))
+    # numpy's einsum runs a stack as one batch of L * m rows, and at d = 2 it
+    # rounds a batch of one or two rows differently from a longer one; the
+    # search's slices hold 2d rows, 4 at d = 2 (next test)
+    _assert_slices_match(gp, quad, lin, S, check_quad=d != 2 or m > 2 or L == 1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 10, 16, 32])
+def test_stacks_of_the_search_shapes_match_each_slice(d):
+    # the pool is one stack of one; the refinement stacks up to
+    # max(1, 20 // d) levels of 2d trials each
+    rng = np.random.default_rng(d)
+    gp, quad, lin = _stack_models(rng, 40, d)
+    for L, m in [(1, 100 * d + 3), (1, 2 * d)] + [(L, 2 * d) for L in range(2, 20 // d + 1)]:
+        _assert_slices_match(gp, quad, lin, rng.uniform(-1.5, 1.5, (L, m, d)))
+
+
+@pytest.mark.parametrize("d, m", [(1, 1), (2, 1), (2, 2), (2, 4), (3, 1), (5, 7)])
+def test_a_stack_of_one_matches_the_2d_call(d, m):
+    rng = np.random.default_rng(10 * d + m)
+    gp, quad, lin = _stack_models(rng, 12, d)
+    for _ in range(20):
+        _assert_slices_match(gp, quad, lin, rng.uniform(-1.5, 1.5, (1, m, d)))
 
 
 # Posterior oracle: dense solves with K + nv I, no Cholesky. The tolerance is
@@ -372,8 +456,8 @@ def test_posterior_matches_dense_solve_oracle(seed, n, d):
     Xq = np.vstack([rng.uniform(-2.5, 2.5, (int(rng.integers(1, 50)), d)), X[:3]])
     mu, var = gp_posterior(model, Xq)
 
-    Kn = _se_kernel(model.X_train, ls, sv) + nv * np.eye(n_kept)
-    k_star = _se_kernel(Xq, ls, sv, B=model.X_train)
+    Kn = _training_kernel(model.X_train, ls, sv) + nv * np.eye(n_kept)
+    k_star = _se_kernel(Xq, model.X_train, ls, sv)
     a = np.linalg.solve(Kn, model.y_train)
     mu_o = k_star @ a
     var_o = np.maximum(sv - np.sum(k_star * np.linalg.solve(Kn, k_star.T).T, axis=1), 0.0)
@@ -401,7 +485,7 @@ def test_bordered_factor_corner_stays_out_of_the_jitter_ladder():
     y = np.sin(3 * X[:, 0]) + X[:, 1] ** 2 + 1e-3 * rng.standard_normal(18)
     fixed = gp_from_hyperparameters(Dataset(X, y), 1.0, 1.0, 0.0)
     assert fixed.y_train @ fixed.alpha > 1e5
-    K = _se_kernel(fixed.X_train, fixed.kernel_lengthscales, fixed.signal_variance)
+    K = _training_kernel(fixed.X_train, fixed.kernel_lengthscales, fixed.signal_variance)
     _, jitter = surrogates._chol_with_jitter(K)
     L = fixed.chol_factor
     assert np.max(np.abs(L @ L.T - (K + jitter * np.eye(18)))) <= 1e-13 * np.max(np.abs(K))
