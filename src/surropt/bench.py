@@ -16,7 +16,7 @@ Artifacts: ``<out>/<suite>/<problem>/<algorithm>/rep<k>.csv`` (one row per
 evaluation, floats at 17 significant digits), ``scores.json``,
 ``convergence.csv``, and ``cells.json`` with per-cell statuses: ``ok``,
 ``fallback@<k>: <reason>`` (random search from evaluation k on) or
-``failed: <error>``.
+``failed: <Type>: <message>``; both name the exception type.
 """
 
 from __future__ import annotations
@@ -339,8 +339,8 @@ def run_benchmark(
             try:
                 traj = result()
             except Exception as exc:
-                status[cell.name] = f"failed: {exc}"
-                logger.warning("cell %s failed: %s", cell.name, exc)
+                status[cell.name] = f"failed: {type(exc).__name__}: {exc}"
+                logger.warning("cell %s %s", cell.name, status[cell.name])
                 continue
             meta = traj.meta
             status[cell.name] = (f"fallback@{meta['fallback_at']}: {meta['fallback_reason']}"

@@ -114,7 +114,8 @@ def cstr_rhs(state, controls, params: CstrParams | None = None) -> np.ndarray:
 
     ``state`` is a :class:`CstrState` or a length-3 array (CA, CB, T);
     ``controls`` is (F_in, T_c). The B balance has no feed term because the
-    feed contains A only.
+    feed contains A only. The equations are :func:`cstr_objective`'s
+    kernel, with ``math.exp`` for the Arrhenius factors (see ``_rates``).
     """
     if isinstance(state, CstrState):
         CA, CB, T = state.CA, state.CB, state.T
@@ -124,35 +125,52 @@ def cstr_rhs(state, controls, params: CstrParams | None = None) -> np.ndarray:
             raise ConfigError("state must be 3 finite values (CA, CB, T)")
         CA, CB, T = state.tolist()
     Fin, Tc = float(controls[0]), float(controls[1])
-    return np.array(_cstr_rates(CA, CB, T, Fin, Tc, params or CstrParams.from_config()))
+    return np.array(_rates(params or CstrParams.from_config())(CA, CB, T, Fin, Tc))
 
 
-def _cstr_rates(CA, CB, T, Fin, Tc, p: CstrParams):
-    """The balance equations on Python floats: (dCA/dt, dCB/dt, dT/dt).
+def _rates(p: CstrParams):
+    """The balance equations on Python floats, bound to ``p``.
 
-    Each Arrhenius factor goes through ``np.exp``, whose results
-    ``math.exp`` does not always reproduce to the last bit. A state with
-    ``R * T == 0`` takes numpy's division (±inf or nan, as an array state
-    would), since float division by zero raises.
+    Returns ``rates(CA, CB, T, Fin, Tc) -> (dCA/dt, dCB/dt, dT/dt)``. The
+    constants are read from ``p`` once per call of ``_rates``, and the
+    three constant quotients of the energy balance are computed once; each
+    is the same expression whether hoisted or not, so it has the same bits.
+
+    Each Arrhenius factor goes through ``math.exp``. The kernel runs 2,400
+    times per ``cstr-pid`` evaluation, and a scalar ``np.exp`` call costs
+    more than the rest of it. ``np.exp`` was kept only so that objective
+    values would not move: ``math.exp`` rounds some arguments differently
+    in the last bit, and neither is the same on every platform. Every
+    caller shares this kernel, so :func:`cstr_objective` equals
+    :func:`integrate` over :func:`cstr_rhs` bit for bit. A state with
+    ``R * T == 0``, or one whose factor overflows (T < 0), takes numpy's
+    division and exponential instead (±inf or nan, as an array state
+    would), since float division by zero and ``math.exp`` overflow raise.
     """
-    RT = p.R * T
-    if RT:
-        xA, xB = -p.E_AB / RT, -p.E_BC / RT
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xA, xB = float(np.divide(-p.E_AB, RT)), float(np.divide(-p.E_BC, RT))
-    rA = p.k0_AB * float(np.exp(xA)) * CA
-    rB = p.k0_BC * float(np.exp(xB)) * CB
-    q = Fin / p.V
-    dCA = q * (p.CAf - CA) - rA
-    dCB = -q * CB + rA - rB
-    dT = (
-        q * (p.Tf - T)
-        + (p.dH_AB / (p.rho * p.Cp)) * rA
-        + (p.dH_BC / (p.rho * p.Cp)) * rB
-        + (p.UA / (p.V * p.rho * p.Cp)) * (Tc - T)
-    )
-    return dCA, dCB, dT
+    R, E_AB, E_BC, k0_AB, k0_BC = p.R, p.E_AB, p.E_BC, p.k0_AB, p.k0_BC
+    V, CAf, Tf = p.V, p.CAf, p.Tf
+    heat_AB = p.dH_AB / (p.rho * p.Cp)
+    heat_BC = p.dH_BC / (p.rho * p.Cp)
+    jacket = p.UA / (p.V * p.rho * p.Cp)
+    exp = math.exp
+
+    def rates(CA, CB, T, Fin, Tc):
+        RT = R * T
+        try:
+            eA, eB = exp(-E_AB / RT), exp(-E_BC / RT)
+        except (ZeroDivisionError, OverflowError):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                eA, eB = (float(np.exp(np.divide(-E_AB, RT))),
+                          float(np.exp(np.divide(-E_BC, RT))))
+        rA = k0_AB * eA * CA
+        rB = k0_BC * eB * CB
+        q = Fin / V
+        dCA = q * (CAf - CA) - rA
+        dCB = -q * CB + rA - rB
+        dT = q * (Tf - T) + heat_AB * rA + heat_BC * rB + jacket * (Tc - T)
+        return dCA, dCB, dT
+
+    return rates
 
 
 def integrate(rhs, state0, controls_schedule, dt, horizon, substeps=1):
@@ -236,7 +254,7 @@ def cstr_objective(theta, noise: NoiseSpec | None = None, seed: int = 0,
     :func:`pid_control` plus :func:`integrate` over :func:`cstr_rhs`.
     """
     cfg = load_defaults()["cstr"]
-    p = params or CstrParams.from_config()
+    rates = _rates(params or CstrParams.from_config())
     gains = theta_to_gains(theta, cfg).tolist()
     lo = (float(cfg["flow_bounds"][0]), float(cfg["coolant_bounds"][0]))
     hi = (float(cfg["flow_bounds"][1]), float(cfg["coolant_bounds"][1]))
@@ -274,10 +292,10 @@ def cstr_objective(theta, noise: NoiseSpec | None = None, seed: int = 0,
         u_prev = (Fin, Tc)
         e_prev = e
         for _ in range(substeps):  # integrate's RK4 on three floats
-            a1, b1, c1 = _cstr_rates(CA, CB, T, Fin, Tc, p)
-            a2, b2, c2 = _cstr_rates(CA + h2 * a1, CB + h2 * b1, T + h2 * c1, Fin, Tc, p)
-            a3, b3, c3 = _cstr_rates(CA + h2 * a2, CB + h2 * b2, T + h2 * c2, Fin, Tc, p)
-            a4, b4, c4 = _cstr_rates(CA + h * a3, CB + h * b3, T + h * c3, Fin, Tc, p)
+            a1, b1, c1 = rates(CA, CB, T, Fin, Tc)
+            a2, b2, c2 = rates(CA + h2 * a1, CB + h2 * b1, T + h2 * c1, Fin, Tc)
+            a3, b3, c3 = rates(CA + h2 * a2, CB + h2 * b2, T + h2 * c2, Fin, Tc)
+            a4, b4, c4 = rates(CA + h * a3, CB + h * b3, T + h * c3, Fin, Tc)
             CA = CA + h6 * (a1 + 2 * a2 + 2 * a3 + a4)
             CB = CB + h6 * (b1 + 2 * b2 + 2 * b3 + b4)
             T = T + h6 * (c1 + 2 * c2 + 2 * c3 + c4)

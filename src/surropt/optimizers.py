@@ -196,8 +196,12 @@ def _ball_candidates(center, radius, bounds, n, rng):
     norms = np.linalg.norm(directions, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
     radii = radius * rng.uniform(size=(n, 1)) ** (1.0 / d)
-    X = center + directions / norms * radii
-    return np.clip(X, bounds.lower, bounds.upper)
+    # in place on the one (n, d) buffer: the same operations in the same
+    # order as center + directions / norms * radii, so the same bytes
+    directions /= norms
+    directions *= radii
+    directions += center
+    return np.clip(directions, bounds.lower, bounds.upper, out=directions)
 
 
 def _pool_minimize(

@@ -79,7 +79,9 @@ def _merge_duplicates(X: np.ndarray, y: np.ndarray):
     """Merge rows of X closer than ``_DUPLICATE_TOL``, averaging their y.
 
     A row joins the first kept row that close; each kept row's y is the
-    mean of its members in row order.
+    mean of its members in row order. A kept row with no other member
+    keeps its own y plus 0.0: ``np.mean`` of one element sums it onto 0.0,
+    which turns -0.0 into 0.0 and leaves every other value as it is.
     """
     rows = np.arange(X.shape[0])
     close = np.tril(_distances(X, X) < _DUPLICATE_TOL, k=-1)
@@ -89,7 +91,10 @@ def _merge_duplicates(X: np.ndarray, y: np.ndarray):
         if hits.size:
             owner[i] = hits[0]
     kept = rows[owner == rows]
-    return X[kept], np.array([np.mean(y[owner == k]) for k in kept])
+    y_kept = y[kept] + 0.0
+    for j in np.flatnonzero(np.bincount(owner)[kept] > 1):
+        y_kept[j] = np.mean(y[owner == kept[j]])
+    return X[kept], y_kept
 
 
 def _planes(X: np.ndarray) -> np.ndarray:
@@ -464,14 +469,14 @@ class QuadModel:
         """Value at a point (a float), or at each row of an (m, d) batch or
         an (..., m, d) stack.
 
-        Each slice of a stack gets the bits it gets on its own, except
-        slices of one or two rows at d = 2: ``einsum`` runs a stack as one
-        batch, and at d = 2 it rounds batches of one or two rows
-        differently from longer ones.
+        The quadratic term is one gemm ``X @ Q`` and a row sum of its
+        product with X along the last axis. A stacked matmul makes one BLAS
+        call per slice, so each slice of a stack gets, bit for bit, the
+        values it gets on its own.
         """
         x = np.asarray(x, dtype=float)
         X = x[None, :] if x.ndim == 1 else x
-        vals = np.einsum("...ij,jk,...ik->...i", X, self.Q, X) + X @ self.c + self.b
+        vals = np.sum((X @ self.Q) * X, axis=-1) + X @ self.c + self.b
         return float(vals[0]) if x.ndim == 1 else vals
 
 

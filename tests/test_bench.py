@@ -399,6 +399,18 @@ def test_failed_cells_are_skipped(tmp_path):
     assert score_results(tmp_path, suite="fail").cell_status == table.cell_status
 
 
+def test_failed_cell_status_names_the_exception_type():
+    # "failed: <Type>: <message>", the form a fallback@k status has
+    config = BenchmarkConfig(
+        algorithms=["lsqm", "cbo"], problems=["quadratic"], dims=[2], repetitions=1,
+        budgets={2: 8}, warmup={2: 2}, seed=1, suite="fail",
+    )
+    status = run_benchmark(config).cell_status
+    assert status["quadratic-d2/cbo/rep0"] == (
+        "failed: ConfigError: cbo requires a constrained problem"
+    )
+
+
 def test_fallback_cell_is_not_ok(tmp_path, monkeypatch):
     import surropt.optimizers as opt
 

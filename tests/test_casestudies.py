@@ -63,6 +63,13 @@ def test_cstr_rhs_at_zero_temperature_has_no_reaction():
     assert np.array_equal(d[:2], [q * (p.CAf - 0.5), -q * 0.2])
 
 
+def test_cstr_rhs_overflowing_arrhenius_factor_is_inf():
+    # at T < 0, exp(-E / RT) overflows: math.exp raises, numpy gives inf
+    p = CstrParams.from_config()
+    d = cstr_rhs(np.array([0.5, 0.2, -1.0]), (100.0, 300.0), p)
+    assert d[0] == -np.inf
+
+
 def test_cstr_params_validation():
     with pytest.raises(ConfigError):
         replace(CstrParams.from_config(), V=0.0)

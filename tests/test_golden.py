@@ -91,7 +91,7 @@ GOLDEN = {
     ("williams-otto", "cbo", 1, 10): "c2e07527b0251699b554e024683ba777d90d0c81aaf85af8d459573b7fcf765c",
     ("williams-otto", "lsqm", 0, 10): "5925e23b0603746beaa194a88746c2e8d68afd209123b332d684b3d43424524e",
     ("williams-otto", "lsqm", 1, 10): "c4df0574d7cdf90e9725bafbe9482cd0121edc8c27b7589aef25b788dfc0d7e5",
-    ("williams-otto", "cuatro", 0, 10): "b839483fb7f668778063bd2d34945fbce3007df01b8452120649660f657ee461",
+    ("williams-otto", "cuatro", 0, 10): "87b1b0d73f87f91204b68072387b1e8fa463ae364986fb7828b6e8d63acd6b0c",
     ("williams-otto", "cuatro", 1, 10): "938a57e54707f206da54cd302af8e28b7d1825daf1c9997f2b230c7fffe97feb",
     ("williams-otto", "cobyla", 0, 10): "35212c931ff2e031bae2917ec1b8c0aea9dd7bb9f32b44aa3e594672cb8f6baf",
     ("williams-otto", "cobyla", 1, 10): "e8eca468d753084c41a4200daf6e5cc3b306da733d9c3ce673ef311a3b24a9b4",
@@ -127,7 +127,7 @@ def cstr_values() -> np.ndarray:
     return np.array(values)
 
 
-CSTR_VALUES = "1fd85d81852f483b5b8aafc4d595f22bfdd08640a8c763645b4e644b4c5fb46d"
+CSTR_VALUES = "b54dc7b6f1e4c8aa869df5d1090028a676a5513cc38ea0af24938f74ac45cdf3"
 CSTR_GOLDEN = {
     ("cstr-pid", "cobyla", 0, 34): "2dd0772b56931f8069f822b9ea52cf0fbfacf7ddddfaa789ad074ddf996f9675",
     ("cstr-pid", "cuatro", 0, 34): "31fcc28cf914efa84f952fd11348628a7d7225d65e4fb35f37c7266f8e5317a4",

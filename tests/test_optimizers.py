@@ -98,6 +98,33 @@ def test_batched_project_matches_per_row_bit_for_bit(seed, d, m):
         assert batched.tobytes() == reference.tobytes()
 
 
+def _ball_candidates_reference(center, radius, bounds, n, rng):
+    """The ball pool as one out-of-place expression, as it was written first."""
+    d = center.size
+    directions = rng.standard_normal((n, d))
+    norms = np.linalg.norm(directions, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0
+    radii = radius * rng.uniform(size=(n, 1)) ** (1.0 / d)
+    X = center + directions / norms * radii
+    return np.clip(X, bounds.lower, bounds.upper)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 10, 32])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_ball_candidates_in_place_match_the_formula(d, seed):
+    rng = np.random.default_rng(100 * d + seed)
+    bounds = Bounds(-np.ones(d), np.ones(d))
+    for _ in range(5):
+        # some balls reach past the box, so the clip moves rows
+        center = rng.uniform(-1.0, 1.0, d)
+        radius = float(10.0 ** rng.uniform(-3.0, 0.5))
+        n = int(rng.integers(1, 100 * d + 4))
+        pool = optimizers._ball_candidates(center, radius, bounds, n, substream(seed, "pool"))
+        reference = _ball_candidates_reference(center, radius, bounds, n, substream(seed, "pool"))
+        assert pool.shape == (n, d)
+        assert pool.tobytes() == reference.tobytes()
+
+
 # ---------------------------------------------------------------- _pool_minimize
 
 # The pattern refinement as it was before its step levels were stacked: one
