@@ -17,11 +17,15 @@ evaluation, floats at 17 significant digits), ``scores.json``,
 ``convergence.csv``, and ``cells.json`` with per-cell statuses: ``ok``,
 ``fallback@<k>: <reason>`` (random search from evaluation k on) or
 ``failed: <Type>: <message>``; both name the exception type.
+``score_results`` re-scores from the CSVs' ``y`` and ``g`` columns and writes
+nothing; ``rescore_results`` also rewrites scores.json and convergence.csv
+as the run writes them, byte-identical on untouched results.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
 import math
@@ -42,16 +46,19 @@ __all__ = [
     "BenchmarkConfig",
     "ScoreTable",
     "DEFAULT_BUDGETS",
+    "DEFAULT_DIMS",
     "DEFAULT_WARMUP",
     "score_r",
     "score_p",
     "count_violations",
     "run_benchmark",
     "score_results",
+    "rescore_results",
 ]
 
 logger = logging.getLogger(__name__)
 
+DEFAULT_DIMS = [2, 5, 7]
 DEFAULT_BUDGETS = {2: 20, 5: 50, 7: 80, 10: 100}
 DEFAULT_WARMUP = {2: 5, 5: 10, 7: 13, 10: 15}
 
@@ -60,7 +67,7 @@ DEFAULT_WARMUP = {2: 5, 5: 10, 7: 13, 10: 15}
 class BenchmarkConfig:
     algorithms: list
     problems: list
-    dims: list = field(default_factory=lambda: [2])
+    dims: list = field(default_factory=lambda: list(DEFAULT_DIMS))
     repetitions: int = 5
     budgets: dict = field(default_factory=lambda: dict(DEFAULT_BUDGETS))
     warmup: dict = field(default_factory=lambda: dict(DEFAULT_WARMUP))
@@ -253,11 +260,11 @@ def _read_rep_csv(path: Path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     header, body = rows[0], rows[1:]
-    i_bsf = header.index("best_so_far")
+    i_y = header.index("y")  # the curve comes from y, as in the run; best_so_far is not read
     g_cols = [i for i, h in enumerate(header) if h.startswith("g")]
-    bsf = np.array([float(r[i_bsf]) for r in body])
+    y = np.array([float(r[i_y]) for r in body])
     G = np.array([[float(r[j]) for j in g_cols] for r in body]).reshape(len(body), -1)
-    return bsf, G
+    return best_so_far(y), G
 
 
 def _score_table(config: BenchmarkConfig, problems, runs, status) -> ScoreTable:
@@ -352,13 +359,13 @@ def run_benchmark(
     table = _score_table(config, problems, runs, status)
     if root is not None:
         _write_scores(root, config, problems, table)
-        _write_convergence(root / "convergence.csv", table.convergence)
         with open(root / "cells.json", "w") as fh:
             json.dump(status, fh, indent=2, sort_keys=True)
     return table
 
 
-def _write_scores(root: Path, config, problems, table: ScoreTable) -> None:
+def _write_scores(root: Path, config, problems, table: ScoreTable) -> list:
+    """Write scores.json and convergence.csv; return the names of those whose bytes changed."""
     root.mkdir(parents=True, exist_ok=True)
     payload = {
         "suite": config.suite,
@@ -369,25 +376,40 @@ def _write_scores(root: Path, config, problems, table: ScoreTable) -> None:
         },
         "scores": table.to_dict(),
     }
-    with open(root / "scores.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-
-
-def _write_convergence(path: Path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["problem", "algorithm", "iteration", "mean", "p10", "p90"])
-        for key, algo, k, mean, p10, p90 in rows:
-            w.writerow([key, algo, str(k), _fmt(mean), _fmt(p10), _fmt(p90)])
+    rows = io.StringIO(newline="")
+    w = csv.writer(rows)
+    w.writerow(["problem", "algorithm", "iteration", "mean", "p10", "p90"])
+    for key, algo, k, mean, p10, p90 in table.convergence:
+        w.writerow([key, algo, str(k), _fmt(mean), _fmt(p10), _fmt(p90)])
+    changed = []
+    for name, text in (("scores.json", json.dumps(payload, indent=2, sort_keys=True)),
+                       ("convergence.csv", rows.getvalue())):
+        path = root / name
+        if not path.exists() or path.read_bytes() != text.encode():
+            path.write_bytes(text.encode())
+            changed.append(name)
+    return changed
 
 
 def score_results(results_dir: str, suite: Optional[str] = None) -> ScoreTable:
-    """Recompute a ScoreTable from persisted CSVs, bit-identically.
+    """Recompute a ScoreTable from persisted CSVs, bit-identically; writes nothing.
 
     ``results_dir`` points at either the suite directory itself (holding
     scores.json) or its parent, in which case ``suite`` selects the child.
-    Cell statuses come from the run's cells.json (none when it is missing).
+    Each curve is the best-so-far of a CSV's ``y`` column. Cell statuses
+    come from the run's cells.json (none when it is missing).
     """
+    return _rescore(results_dir, suite)[3]
+
+
+def rescore_results(results_dir: str, suite: Optional[str] = None) -> tuple:
+    """:func:`score_results`, then scores.json and convergence.csv rewritten as
+    ``run_benchmark`` writes them: (table, names of the files whose bytes changed)."""
+    root, config, problems, table = _rescore(results_dir, suite)
+    return table, _write_scores(root, config, problems, table)
+
+
+def _rescore(results_dir, suite):
     root = Path(results_dir)
     if suite is not None:
         root = root / suite
@@ -409,4 +431,4 @@ def score_results(results_dir: str, suite: Optional[str] = None) -> ScoreTable:
             runs[cell.key, cell.algo, cell.rep] = _read_rep_csv(path)
     cells_path = root / "cells.json"
     status = json.loads(cells_path.read_text()) if cells_path.exists() else {}
-    return _score_table(config, problems, runs, status)
+    return root, config, problems, _score_table(config, problems, runs, status)

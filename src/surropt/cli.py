@@ -9,8 +9,10 @@ Subcommands::
 
 ``run`` writes a manifest before any cell executes, then the full results
 layout (per-repetition CSVs, scores.json, convergence.csv, cells.json).
-``score`` recomputes scores from the stored trajectories and rewrites
-scores.json; on untouched results the rewrite is bit-identical.
+``score`` recomputes the scores from the ``y`` and ``g`` columns of the
+stored trajectories and rewrites scores.json and convergence.csv; on
+untouched results both come back bit-identical, and otherwise it names the
+files that changed.
 
 Config files are YAML with the keys suite, algorithms, problems, dims,
 repetitions, budgets, warmup, seed, violation_threshold; every key has a
@@ -35,14 +37,15 @@ import yaml
 
 from .bench import (
     DEFAULT_BUDGETS,
+    DEFAULT_DIMS,
     DEFAULT_WARMUP,
     BenchmarkConfig,
     _write_rep_csv,
     check_jobs,
     expand_problems,
     plan_cells,
+    rescore_results,
     run_benchmark,
-    score_results,
 )
 from .core import VIOLATION_THRESHOLD, ConfigError
 from .optimizers import ALGORITHMS, run_optimizer
@@ -66,8 +69,6 @@ SUITES = {
         "warmup": {32: 15},
     },
 }
-
-DEFAULT_DIMS = [2, 5, 7]
 
 _CONFIG_KEYS = tuple(f.name for f in fields(BenchmarkConfig))
 _CONFIG_KINDS = {"budgets": dict, "warmup": dict, "algorithms": list, "problems": list, "dims": list}
@@ -266,22 +267,12 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_score(args) -> int:
-    root = _out_root(args.out)
-    table = score_results(root, suite=args.suite)
-    suite_dir = root / (args.suite or "") if args.suite else root
-    scores_path = suite_dir / "scores.json"
-    with open(scores_path) as fh:
-        payload = json.load(fh)
-    before = json.dumps(payload, indent=2, sort_keys=True)
-    payload["scores"] = table.to_dict()
-    after = json.dumps(payload, indent=2, sort_keys=True)
-    with open(scores_path, "w") as fh:
-        fh.write(after)
+    table, changed = rescore_results(_out_root(args.out), suite=args.suite)
     _print_table(table)
-    if before == after:
-        print("scores.json reproduced bit-identically")
+    if changed:
+        print(f"rewrote {' and '.join(changed)} (stored values differed)")
     else:
-        print("scores.json updated (stored values differed)")
+        print("scores.json and convergence.csv reproduced bit-identically")
     return 0
 
 

@@ -608,80 +608,76 @@ def initial_design_size(algorithm: str, dim: int) -> int:
 
 
 class _BoStrategy:
-    def __init__(self, problem: Problem, constrained: bool):
-        self.problem = problem
-        self.constrained = constrained
-        self.n_init = initial_design_size("bo", problem.dim)
+    """Runner-side state of bo and cbo: the proposal, picked once."""
 
-    def start(self, data: Dataset):
-        pass
+    def __init__(self, bounds: Bounds, constrained: bool):
+        self.bounds = bounds
+        self._propose = propose_cbo if constrained else propose_bo
 
     def propose(self, data: Dataset, seed: int):
-        propose = propose_cbo if self.constrained else propose_bo
-        return propose(data, self.problem.bounds, seed=seed)
+        return self._propose(data, self.bounds, seed=seed)
 
     def update(self, x, y, g):
         pass
 
 
 class _Simplex:
-    """COBYLA's n_x + 1 interpolation points as (x, y, g) vertices.
+    """COBYLA's n_x + 1 interpolation points, the rows of one Dataset.
 
     A degenerate simplex is replaced by a right-angled one around the centre
-    at the current radius, whose ``pending`` points are evaluated one per
-    step.
+    at the current radius. Its other vertices are ``pending`` row indices,
+    evaluated one per step; the rows are read only once none is pending.
     """
 
     def __init__(self, data: Dataset):
-        self.vertices = [
-            (data.X[i].copy(), float(data.y[i]), data.G[i].copy()) for i in range(data.n)
-        ]
+        self.data = data  # the initial design's rows, overwritten in place
         self.pending: list = []
-
-    def dataset(self) -> Dataset:
-        X = np.array([v[0] for v in self.vertices])
-        y = np.array([v[1] for v in self.vertices])
-        G = np.array([v[2] for v in self.vertices])
-        return Dataset(X, y, G)
 
     def degenerate(self) -> bool:
         # a rank-deficient E has a condition number of 1e15 or more, or inf
-        V = np.array([v[0] for v in self.vertices])
-        return np.linalg.cond(V[1:] - V[0]) > 1e8
+        X = self.data.X
+        return np.linalg.cond(X[1:] - X[0]) > 1e8
 
     def queue_rebuild(self, bounds: Bounds, tr: TrustRegionState, center_y, center_g):
         c = tr.center
         room_up, room_dn = bounds.upper - c, c - bounds.lower
         length = np.minimum(tr.radius, np.maximum(room_up, room_dn))
         direction = np.where(room_up >= room_dn, 1.0, -1.0)
-        pts = np.tile(c, (c.size, 1))
-        pts[np.diag_indices(c.size)] += direction * np.maximum(length, 1e-8)
-        self.pending = list(pts)
-        self.vertices = [(c.copy(), center_y, center_g.copy())]
+        X, y, G = self.data.X, self.data.y, self.data.G
+        X[:] = c
+        X[1:][np.diag_indices(c.size)] += direction * np.maximum(length, 1e-8)
+        y[0], G[0] = center_y, center_g
+        self.pending = list(range(1, c.size + 1))
+
+    def fill_pending(self, x, y, g):
+        i = self.pending.pop(0)
+        self.data.X[i], self.data.y[i], self.data.G[i] = x, y, g
 
     def replace_worst(self, x, y, g, center, merit):
         # the worst vertex by merit that is not the centre makes way for x
-        data = self.dataset()
-        merits = merit(data.y, data.G)
-        for idx in np.argsort(merits)[::-1]:
-            if not np.array_equal(self.vertices[idx][0], center):
-                self.vertices[idx] = (x, y, g)
+        for i in np.argsort(merit(self.data.y, self.data.G))[::-1]:
+            if not np.array_equal(self.data.X[i], center):
+                self.data.X[i], self.data.y[i], self.data.G[i] = x, y, g
                 break
 
 
 class _TrustRegionStrategy:
-    """Runner-side state of lsqm, cuatro, cobyqa and cobyla."""
+    """Runner-side state of lsqm, cuatro, cobyqa and cobyla, centred on the
+    initial design's best point; cobyla's simplex is the design itself."""
 
-    def __init__(self, problem: Problem, kind: str):
-        self.problem = problem
+    def __init__(self, kind: str, bounds: Bounds, data: Dataset):
         self.kind = kind
         self.method = _TR_METHODS[kind]
-        self.penalties = _initial_penalties(problem.n_constraints)
-        self.n_init = initial_design_size(kind, problem.dim)
-        self.tr: Optional[TrustRegionState] = None
-        self.center_y = math.inf
-        self.center_g = np.empty(0)
-        self.simplex: Optional[_Simplex] = None
+        self.bounds = bounds
+        self.penalties = _initial_penalties(data.G.shape[1])
+        i = _best_index(data.y, data.G)
+        width = float(np.max(bounds.width))
+        self.tr = TrustRegionState(
+            center=data.X[i].copy(), radius=0.1 * width, min_radius=1e-6, max_radius=width,
+        )
+        self.center_y = float(data.y[i])
+        self.center_g = data.G[i].copy()
+        self.simplex = _Simplex(data) if self.method.simplex else None
         self._step: Optional[TrustRegionStep] = None  # None for a rebuild point
 
     def _merits(self, y: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -693,29 +689,16 @@ class _TrustRegionStrategy:
         g_list = list(G.T) if self.method.sees_constraints else []
         return self.method.merit(y, g_list, self.penalties)
 
-    def start(self, data: Dataset):
-        i = _best_index(data.y, data.G)
-        width = float(np.max(self.problem.bounds.width))
-        self.tr = TrustRegionState(
-            center=data.X[i].copy(), radius=0.1 * width, min_radius=1e-6, max_radius=width,
-        )
-        self.center_y = float(data.y[i])
-        self.center_g = data.G[i].copy()
-        if self.method.simplex:
-            self.simplex = _Simplex(data)
-
     def propose(self, data: Dataset, seed: int):
         if self.simplex is not None:
             if not self.simplex.pending and self.simplex.degenerate():
-                self.simplex.queue_rebuild(
-                    self.problem.bounds, self.tr, self.center_y, self.center_g
-                )
+                self.simplex.queue_rebuild(self.bounds, self.tr, self.center_y, self.center_g)
             if self.simplex.pending:
                 self._step = None
-                return self.simplex.pending[0]
-            data = self.simplex.dataset()
+                return self.simplex.data.X[self.simplex.pending[0]]
+            data = self.simplex.data
         self._step = trust_region_step(
-            self.kind, data, self.problem.bounds, self.tr, self.penalties, seed
+            self.kind, data, self.bounds, self.tr, self.penalties, seed
         )
         return self._step.x
 
@@ -723,8 +706,7 @@ class _TrustRegionStrategy:
         y = float(y)
         g_arr = np.atleast_1d(np.asarray(g, dtype=float))
         if self._step is None:  # a vertex of the rebuilt simplex
-            self.simplex.pending.pop(0)
-            self.simplex.vertices.append((x, y, g_arr.copy()))
+            self.simplex.fill_pending(x, y, g_arr)
             return
         merit_center, merit_new = self._merits(
             np.array([self.center_y, y]), np.array([self.center_g, g_arr])
@@ -732,7 +714,7 @@ class _TrustRegionStrategy:
         actual = float(merit_center - merit_new)
         feasible = g_arr.size == 0 or float(np.max(g_arr)) <= VIOLATION_THRESHOLD
         if self.simplex is not None:
-            self.simplex.replace_worst(x, y, g_arr.copy(), self.tr.center, self._merits)
+            self.simplex.replace_worst(x, y, g_arr, self.tr.center, self._merits)
         self.tr = trust_region_update(
             self.tr, self._step.predicted_reduction, actual, self._step.on_boundary,
             new_point=x, feasible=feasible,
@@ -745,22 +727,18 @@ class _TrustRegionStrategy:
 
 
 class _DycorsStrategy:
-    def __init__(self, problem: Problem, budget: int):
-        self.problem = problem
-        self.n_init = initial_design_size("dycors", problem.dim)
-        self.state: Optional[DycorsState] = None
-        self.budget = budget
-        self.incumbent_y = math.inf
+    """Runner-side state of dycors: its counters over the steps left after the design."""
 
-    def start(self, data: Dataset):
-        steps = max(self.budget - self.n_init, 1)
+    def __init__(self, bounds: Bounds, data: Dataset, budget: int):
+        self.bounds = bounds
+        steps = max(budget - data.n, 1)
         self.state = DycorsState(iteration=0, max_iterations=steps, step_size=_DYCORS_STEP)
         self.incumbent_y = float(np.min(data.y))
 
     def propose(self, data: Dataset, seed: int):
         # the first sample of least y: updates move the incumbent only on strict improvement
         incumbent = data.X[int(np.argmin(data.y))]
-        return dycors_step(data, self.problem.bounds, self.state, incumbent, seed)
+        return dycors_step(data, self.bounds, self.state, incumbent, seed)
 
     def update(self, x, y, g):
         success = y < self.incumbent_y
@@ -769,25 +747,22 @@ class _DycorsStrategy:
         self.state = dycors_update(self.state, success)
 
 
-def _make_strategy(algorithm, problem, budget):
-    if algorithm in ("bo", "cbo"):
-        constrained = algorithm == "cbo"
-        if constrained and problem.n_constraints < 1:
-            raise ConfigError("cbo requires a constrained problem")
-        return _BoStrategy(problem, constrained)
+def _make_strategy(algorithm: str, bounds: Bounds, data: Dataset, budget: int):
+    """The runner state of a checked ``algorithm``, built from its initial design."""
     if algorithm in _TR_METHODS:
-        return _TrustRegionStrategy(problem, algorithm)
+        return _TrustRegionStrategy(algorithm, bounds, data)
     if algorithm == "dycors":
-        return _DycorsStrategy(problem, budget)
-    raise ConfigError(
-        f"unknown algorithm '{algorithm}'; choose from {', '.join(ALGORITHMS)}"
-    )
+        return _DycorsStrategy(bounds, data, budget)
+    return _BoStrategy(bounds, constrained=algorithm == "cbo")
 
 
 def run_optimizer(algorithm: str, problem: Problem, budget: int, seed: int) -> Trajectory:
     """Run one optimizer for exactly ``budget`` evaluations.
 
-    The run starts with a Latin hypercube design, then loops
+    The algorithm, ``cbo``'s need for constraints and the budget are checked
+    before the first evaluation; each raises a ConfigError. The run then
+    evaluates a Latin hypercube design of ``initial_design_size`` points,
+    builds the method's state from it, and loops
     propose -> clip -> evaluate -> update. This is the one failure policy
     of all seven methods, whose steps raise rather than substitute a point:
     a numerical failure inside a proposal (a surrogate fit error,
@@ -797,17 +772,20 @@ def run_optimizer(algorithm: str, problem: Problem, budget: int, seed: int) -> T
     exactly ``budget`` evaluations. Any other exception propagates,
     including :class:`~surropt.core.EvaluationFailed` from the problem.
     """
-    strategy = _make_strategy(algorithm, problem, budget)
-    if budget < strategy.n_init:
+    if algorithm not in ALGORITHMS:
         raise ConfigError(
-            f"budget {budget} is below the initial design size {strategy.n_init}"
+            f"unknown algorithm '{algorithm}'; choose from {', '.join(ALGORITHMS)}"
         )
+    if algorithm == "cbo" and problem.n_constraints < 1:
+        raise ConfigError("cbo requires a constrained problem")
+    n_init = initial_design_size(algorithm, problem.dim)
+    if budget < n_init:
+        raise ConfigError(f"budget {budget} is below the initial design size {n_init}")
     traj = Trajectory(budget=budget, seed=seed)
     noise_rng = substream(seed, "noise")
-    X0 = latin_hypercube(problem.bounds, strategy.n_init, derive_seed(seed, "init"))
-    for x in X0:
+    for x in latin_hypercube(problem.bounds, n_init, derive_seed(seed, "init")):
         evaluate(problem, x, noise_rng, trajectory=traj)
-    strategy.start(Dataset.from_trajectory(traj))
+    strategy = _make_strategy(algorithm, problem.bounds, Dataset.from_trajectory(traj), budget)
 
     k = 0
     while len(traj) < budget:

@@ -2,11 +2,18 @@
 
 import csv
 import json
+import shutil
 
 import pytest
 
 from surropt import ConfigError
-from surropt.bench import DEFAULT_BUDGETS, DEFAULT_WARMUP, BenchmarkConfig, run_benchmark
+from surropt.bench import (
+    DEFAULT_BUDGETS,
+    DEFAULT_WARMUP,
+    BenchmarkConfig,
+    run_benchmark,
+    score_results,
+)
 from surropt.cli import RunManifest, main, parse_config
 
 
@@ -26,6 +33,13 @@ def test_empty_config_gets_documented_defaults(tmp_path):
     assert config.seed == 0
     assert config.budgets == {d: DEFAULT_BUDGETS[d] for d in (2, 5, 7)}
     assert config.warmup == {d: DEFAULT_WARMUP[d] for d in (2, 5, 7)}
+
+
+def test_benchmark_config_defaults_match_parse_config():
+    direct = BenchmarkConfig(["lsqm"], ["quadratic"])
+    parsed = parse_config(flags={"algorithms": ["lsqm"], "problems": ["quadratic"]})
+    for name in ("dims", "repetitions", "seed", "violation_threshold"):
+        assert getattr(direct, name) == getattr(parsed, name), name
 
 
 def test_flags_override_file_values(tmp_path):
@@ -291,6 +305,37 @@ def test_score_reproduces_scores_json(cli_run, capsys):
     before = scores_path.read_bytes()
     assert main(["score", "--out", str(out), "--suite", "custom"]) == 0
     assert scores_path.read_bytes() == before
+    assert "bit-identically" in capsys.readouterr().out
+
+
+SCORE_FILES = ("scores.json", "convergence.csv")
+
+
+def test_score_rewrites_both_files_after_a_y_edit(cli_run, tmp_path, capsys):
+    out, _ = cli_run
+    suite = tmp_path / "custom"
+    shutil.copytree(out / "custom", suite)
+    score = ["score", "--out", str(tmp_path), "--suite", "custom"]
+    stored = {name: (suite / name).read_bytes() for name in SCORE_FILES}
+    capsys.readouterr()
+    assert main(score) == 0
+    assert "scores.json and convergence.csv reproduced bit-identically" in capsys.readouterr().out
+    assert {name: (suite / name).read_bytes() for name in SCORE_FILES} == stored
+
+    # lower dycors's last y below every best so far; its best_so_far column keeps its old value
+    path = suite / "quadratic-d2" / "dycors" / "rep0.csv"
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    i = rows[0].index("y")
+    rows[-1][i] = repr(float(rows[-1][i]) - 1e6)
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    score_results(suite)  # writes nothing
+    assert {name: (suite / name).read_bytes() for name in SCORE_FILES} == stored
+    assert main(score) == 0
+    assert "rewrote scores.json and convergence.csv" in capsys.readouterr().out
+    assert all((suite / name).read_bytes() != stored[name] for name in SCORE_FILES)
+    assert main(score) == 0
     assert "bit-identically" in capsys.readouterr().out
 
 

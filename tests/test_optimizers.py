@@ -828,6 +828,26 @@ def test_run_optimizer_cbo_needs_constraints():
         run_optimizer("cbo", prob, budget=20, seed=0)
 
 
+@pytest.mark.parametrize("algorithm, key, budget", [
+    ("bfgs", "quadratic-d2", 20),  # unknown algorithm
+    ("cbo", "quadratic-d2", 20),  # cbo on an unconstrained problem
+    ("cobyla", "quadratic-c", 2),  # budget below the initial design (3 points)
+    ("dycors", "quadratic-c", 4),  # budget below the initial design (5 points)
+])
+def test_run_optimizer_config_errors_come_before_any_evaluation(algorithm, key, budget):
+    calls = []
+    base = get_problem(key)
+
+    def counted(x):
+        calls.append(x)
+        return base.objective(x)
+
+    prob = Problem(base.name, base.bounds, counted, base.constraints, base.n_constraints)
+    with pytest.raises(ConfigError):
+        run_optimizer(algorithm, prob, budget=budget, seed=0)
+    assert calls == []
+
+
 FIT_OF = {
     "bo": "fit_gp", "cbo": "fit_gp", "lsqm": "fit_quadratic", "cuatro": "fit_quadratic",
     "cobyqa": "fit_quadratic", "cobyla": "fit_linear", "dycors": "fit_rbf",
