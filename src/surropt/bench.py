@@ -20,6 +20,9 @@ evaluation, floats at 17 significant digits), ``scores.json``,
 ``score_results`` re-scores from the CSVs' ``y`` and ``g`` columns and writes
 nothing; ``rescore_results`` also rewrites scores.json and convergence.csv
 as the run writes them, byte-identical on untouched results.
+``compare_results`` pairs the cells of two runs of one config: where each
+trajectory first differs, and the paired difference in final best feasible
+value per cell and per (problem, algorithm).
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ __all__ = [
     "run_benchmark",
     "score_results",
     "rescore_results",
+    "compare_results",
 ]
 
 logger = logging.getLogger(__name__)
@@ -257,14 +261,15 @@ def _write_rep_csv(path: Path, traj: Trajectory) -> None:
 
 
 def _read_rep_csv(path: Path):
+    """(X, y, G) of a rep CSV, each column found by its header."""
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    header, body = rows[0], rows[1:]
-    i_y = header.index("y")  # the curve comes from y, as in the run; best_so_far is not read
-    g_cols = [i for i, h in enumerate(header) if h.startswith("g")]
-    y = np.array([float(r[i_y]) for r in body])
-    G = np.array([[float(r[j]) for j in g_cols] for r in body]).reshape(len(body), -1)
-    return best_so_far(y), G
+        header, *body = list(csv.reader(fh))
+    rows = np.array([[float(v) for v in row] for row in body]).reshape(len(body), -1)
+
+    def cols(prefix):
+        return rows[:, [i for i, h in enumerate(header) if h[:1] == prefix and h[1:].isdigit()]]
+
+    return cols("x"), rows[:, header.index("y")], cols("g")
 
 
 def _score_table(config: BenchmarkConfig, problems, runs, status) -> ScoreTable:
@@ -427,8 +432,150 @@ def _rescore(results_dir, suite):
     runs = {}
     for cell in cells:
         path = root / f"{cell.name}.csv"
-        if path.exists():
-            runs[cell.key, cell.algo, cell.rep] = _read_rep_csv(path)
+        if path.exists():  # the curve comes from y, as in the run; best_so_far is not read
+            _, y, G = _read_rep_csv(path)
+            runs[cell.key, cell.algo, cell.rep] = (best_so_far(y), G)
     cells_path = root / "cells.json"
     status = json.loads(cells_path.read_text()) if cells_path.exists() else {}
     return root, config, problems, _score_table(config, problems, runs, status)
+
+
+# ------------------------------------------------------------------ compare
+
+
+def _suite_dir(results_dir, suite: Optional[str]) -> Path:
+    """The suite directory of a run: ``results_dir/suite``, ``results_dir``
+    itself if it holds manifest.json, or its one child that does."""
+    root = Path(results_dir)
+    if suite is not None:
+        root = root / suite
+    if (root / "manifest.json").exists():
+        return root
+    children = sorted(p for p in root.glob("*") if (p / "manifest.json").exists())
+    if len(children) != 1:
+        found = ", ".join(p.name for p in children) or "none"
+        raise ConfigError(f"no single manifest.json under {root} (suites: {found}); "
+                          "pass the suite directory or --suite")
+    return children[0]
+
+
+def _best_feasible(cell, threshold: float):
+    """The least y over the rows whose worst g is at most ``threshold`` (None if none)."""
+    _, y, G = cell
+    feasible = np.max(G, axis=1) <= threshold if G.shape[1] else np.ones(y.size, bool)
+    return float(np.min(y[feasible])) if feasible.any() else None
+
+
+def _first_difference(a, b):
+    """(first differing 1-based row or None, max |dX| over the rows both have)."""
+    rows_a = np.column_stack(a)
+    rows_b = np.column_stack(b)
+    m = min(len(rows_a), len(rows_b))
+    same = np.all((rows_a[:m] == rows_b[:m]) | (np.isnan(rows_a[:m]) & np.isnan(rows_b[:m])),
+                  axis=1)
+    differ = np.flatnonzero(~same)
+    first = int(differ[0]) + 1 if differ.size else (m + 1 if len(rows_a) != len(rows_b) else None)
+    max_dx = float(np.max(np.abs(a[0][:m] - b[0][:m]), initial=0.0))
+    return first, max_dx
+
+
+def _bootstrap_ci(deltas: np.ndarray, seed: int, resamples: int = 2000):
+    """Percentile 95% bootstrap interval of the mean of ``deltas``."""
+    rng = np.random.default_rng(seed)
+    means = deltas[rng.integers(0, deltas.size, (resamples, deltas.size))].mean(axis=1)
+    return float(np.percentile(means, 2.5)), float(np.percentile(means, 97.5))
+
+
+def compare_results(dir_a, dir_b, suite: Optional[str] = None) -> dict:
+    """Pair the cells of two runs of one config, B against A.
+
+    Both directories are written by ``surropt run`` (or ``run_benchmark``
+    with a manifest); a ConfigError refuses them when their manifests'
+    ``config`` snapshots differ. Per cell: the first row where X, y or G
+    differ, max |dX| over the rows both have, and delta = B's final best
+    feasible y minus A's (feasible: worst g at most the config's violation
+    threshold); negative delta means B found the lower value. Per (problem,
+    algorithm): the mean delta with a 95% percentile bootstrap interval over
+    the paired cells (seeded by the problem and the algorithm), and B's
+    wins, losses and ties. A cell where only one side found a
+    feasible point counts as that side's win and has no delta; a cell
+    missing on either side is counted as missing.
+    """
+    roots = [_suite_dir(d, suite) for d in (dir_a, dir_b)]
+    manifests = [json.loads((r / "manifest.json").read_text()) for r in roots]
+    if manifests[0]["config"] != manifests[1]["config"]:
+        keys = sorted(k for k in set(manifests[0]["config"]) | set(manifests[1]["config"])
+                      if manifests[0]["config"].get(k) != manifests[1]["config"].get(k))
+        raise ConfigError(f"the two runs have different configs (keys: {', '.join(keys)})")
+    threshold = manifests[0]["config"]["violation_threshold"]
+
+    cells, pairs = {}, {}
+    for name in manifests[0]["cells"]:
+        key, algo, _ = name.split("/")
+        a, b = (_read_rep_csv(r / f"{name}.csv") if (r / f"{name}.csv").exists() else None
+                for r in roots)
+        pair = pairs.setdefault((key, algo), {"deltas": [], "b_better": 0, "b_worse": 0,
+                                              "ties": 0, "missing": 0, "differing": 0})
+        if a is None or b is None:
+            cells[name] = {"missing": [side for side, c in (("A", a), ("B", b)) if c is None]}
+            pair["missing"] += 1
+            continue
+        first, max_dx = _first_difference(a, b)
+        best_a, best_b = _best_feasible(a, threshold), _best_feasible(b, threshold)
+        delta = None if best_a is None or best_b is None else best_b - best_a
+        cells[name] = {"first_differing_row": first, "max_abs_dx": max_dx,
+                       "best_a": best_a, "best_b": best_b, "delta": delta}
+        pair["differing"] += first is not None
+        if delta is not None:
+            pair["deltas"].append(delta)
+        sign = (0 if best_a is None and best_b is None else 1 if best_a is None
+                else -1 if best_b is None else np.sign(delta))
+        pair["b_better" if sign < 0 else "b_worse" if sign > 0 else "ties"] += 1
+
+    summary = []
+    for (key, algo), pair in pairs.items():
+        deltas = np.array(pair.pop("deltas"))
+        ci = (_bootstrap_ci(deltas, derive_seed(0, "compare", key, algo))
+              if deltas.size else None)
+        summary.append({"problem": key, "algorithm": algo, "paired": int(deltas.size),
+                        "mean_delta": float(deltas.mean()) if deltas.size else None,
+                        "ci95": ci, **pair})
+    return {
+        "a": str(roots[0]), "b": str(roots[1]), "suite": manifests[0]["suite"],
+        "config": manifests[0]["config"],
+        "differing_cells": sum(1 for c in cells.values() if c.get("first_differing_row")),
+        "cells": cells, "pairs": summary,
+    }
+
+
+def compare_markdown(report: dict) -> str:
+    """The markdown tables of a :func:`compare_results` report."""
+
+    def num(v):
+        return "—" if v is None else f"{v:.6g}"
+
+    lines = [
+        f"{report['differing_cells']} differing cells of {len(report['cells'])} "
+        f"(A = {report['a']}, B = {report['b']})",
+        "",
+        "delta = B's final best feasible y minus A's; negative: B lower.",
+        "",
+        "| problem | algorithm | paired | differing | mean delta | 95% CI | B better | B worse | ties |",
+        "|---|---|---|---|---|---|---|---|---|",
+    ]
+    for p in report["pairs"]:
+        ci = "—" if p["ci95"] is None else f"[{num(p['ci95'][0])}, {num(p['ci95'][1])}]"
+        lines.append(f"| {p['problem']} | {p['algorithm']} | {p['paired']} | {p['differing']} "
+                     f"| {num(p['mean_delta'])} | {ci} | {p['b_better']} | {p['b_worse']} "
+                     f"| {p['ties']} |")
+    moved = [(name, c) for name, c in report["cells"].items() if c.get("first_differing_row")]
+    if moved:
+        lines += ["", "| cell | first differing row | max abs dX | best A | best B | delta |",
+                  "|---|---|---|---|---|---|"]
+        lines += [f"| {name} | {c['first_differing_row']} | {num(c['max_abs_dx'])} "
+                  f"| {num(c['best_a'])} | {num(c['best_b'])} | {num(c['delta'])} |"
+                  for name, c in moved]
+    missing = [name for name, c in report["cells"].items() if "missing" in c]
+    if missing:
+        lines += ["", f"missing cells: {', '.join(missing)}"]
+    return "\n".join(lines) + "\n"

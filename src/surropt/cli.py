@@ -5,6 +5,7 @@ Subcommands::
     surropt run      --suite unconstrained --dims 2 --reps 5 --seed 42
     surropt optimize --algo dycors --problem ackley-d5 --budget 50
     surropt score    --out results --suite unconstrained
+    surropt compare  before/constrained after/constrained --json compare.json
     surropt list
 
 ``run`` writes a manifest before any cell executes, then the full results
@@ -12,7 +13,10 @@ layout (per-repetition CSVs, scores.json, convergence.csv, cells.json).
 ``score`` recomputes the scores from the ``y`` and ``g`` columns of the
 stored trajectories and rewrites scores.json and convergence.csv; on
 untouched results both come back bit-identical, and otherwise it names the
-files that changed.
+files that changed. ``compare`` pairs the cells of two runs of one config
+and prints markdown tables of where trajectories differ and of the paired
+difference in final best feasible value; it writes the same report as JSON
+and exits 0 whatever it finds.
 
 Config files are YAML with the keys suite, algorithms, problems, dims,
 repetitions, budgets, warmup, seed, violation_threshold; every key has a
@@ -42,6 +46,8 @@ from .bench import (
     BenchmarkConfig,
     _write_rep_csv,
     check_jobs,
+    compare_markdown,
+    compare_results,
     expand_problems,
     plan_cells,
     rescore_results,
@@ -276,6 +282,14 @@ def cmd_score(args) -> int:
     return 0
 
 
+def cmd_compare(args) -> int:
+    report = compare_results(args.a, args.b, suite=args.suite)
+    print(compare_markdown(report), end="")
+    Path(args.json).write_text(json.dumps(report, indent=2))
+    print(f"report written to {args.json}")
+    return 0
+
+
 def cmd_list(args) -> int:
     print("algorithms:")
     print("  " + " ".join(ALGORITHMS))
@@ -323,6 +337,13 @@ def _build_parser() -> argparse.ArgumentParser:
     score.add_argument("--out", default=None, help="results root")
     score.add_argument("--suite", default=None)
     score.set_defaults(fn=cmd_score)
+
+    cmp = sub.add_parser("compare", help="pair the cells of two runs of one config")
+    cmp.add_argument("a", help="results of the baseline run (root or suite directory)")
+    cmp.add_argument("b", help="results of the run compared with it")
+    cmp.add_argument("--suite", default=None, help="suite directory under both roots")
+    cmp.add_argument("--json", default="compare.json", help="JSON report path")
+    cmp.set_defaults(fn=cmd_compare)
 
     lst = sub.add_parser("list", help="show algorithms, suites, and problems")
     lst.set_defaults(fn=cmd_list)

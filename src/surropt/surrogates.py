@@ -4,8 +4,9 @@ All fits consume a :class:`~surropt.core.Dataset` (rows are samples) and
 return immutable fitted models with cheap predict contracts. The GP uses a
 squared-exponential kernel with per-dimension lengthscales on standardized
 targets; hyperparameters are chosen by maximizing the log marginal likelihood
-with a seeded multi-start search plus coordinate-wise golden-section
-refinement (derivative-free, deterministic under seed).
+with the signal variance profiled out: seeded starts and per-lengthscale
+grids factored as stacks, and noise-ratio sweeps on one eigendecomposition
+(derivative-free, deterministic under seed).
 
 The quadratic fit optionally projects its Hessian onto the PSD cone by
 eigenvalue clipping; this replaces a semidefinite-programming formulation to
@@ -115,12 +116,16 @@ def _planes(X: np.ndarray) -> np.ndarray:
 def _unit_kernel(planes: np.ndarray, lengthscales) -> np.ndarray:
     """The flat (n*n,) SE training kernel at unit signal variance.
 
-    One gemv weighs the planes by 1 / l_k^2, giving minus half the scaled
+    ``lengthscales`` is (d,), or (s, d) for an (s, n*n) stack of kernels.
+    One product weighs the planes by 1 / l_k^2, giving minus half the scaled
     squared distance; it is bounded below by ``-_SQDIST_CAP / 2`` and
-    exponentiated in place. The diagonal is exactly 1, and so no entry is
-    below exp(-115).
+    exponentiated in place. The weights enter as an (..., 1, d) operand, one
+    gemv per kernel, so each kernel of a stack equals, bit for bit, the
+    kernel of its lengthscales alone. The diagonal is exactly 1, and so no
+    entry is below exp(-115).
     """
-    S = (1.0 / (lengthscales * lengthscales)) @ planes
+    W = 1.0 / (lengthscales * lengthscales)
+    S = (W[..., None, :] @ planes)[..., 0, :]
     np.maximum(S, -0.5 * _SQDIST_CAP, out=S)
     return np.exp(S, out=S)
 
@@ -165,6 +170,26 @@ def _chol_with_jitter(K: np.ndarray):
     )
 
 
+def _chol_stack(M: np.ndarray) -> np.ndarray:
+    """Cholesky factors of an (s, m, m) stack, in one ``np.linalg.cholesky`` call.
+
+    Where a member does not factor, the call raises for the whole stack; then
+    each member is factored on its own through the jitter ladder, and one that
+    fails even there is all nan. Either way each factor has the bytes of the
+    single call on its member.
+    """
+    try:
+        return np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        F = np.full_like(M, np.nan)
+        for i, Mi in enumerate(M):
+            try:
+                F[i] = _chol_with_jitter(Mi)[0]
+            except SurrogateFitError:
+                pass
+        return F
+
+
 # ------------------------------------------------------------------ GP
 
 
@@ -173,8 +198,9 @@ class GpModel:
     """Fitted zero-mean GP on standardized targets (SE-ARD kernel).
 
     ``chol_factor`` is L with L L' = K + nv I, ``chol_inverse`` is L^-1,
-    computed once at fit time so that a posterior needs no solve, and
-    ``alpha`` is (K + nv I)^-1 ys.
+    computed once at fit time so that a posterior needs no solve,
+    ``alpha`` is (K + nv I)^-1 ys, and ``log_marginal_likelihood`` is the
+    LML of that factor (``_lml``).
     """
 
     X_train: np.ndarray
@@ -187,6 +213,7 @@ class GpModel:
     alpha: np.ndarray
     y_mean: float
     y_std: float
+    log_marginal_likelihood: float
 
 
 def _standardize(y):
@@ -198,58 +225,121 @@ def _standardize(y):
     return (y - y_mean) / y_scale, y_mean, y_scale
 
 
+# The box fit_gp searches, in standardized units: the signal and noise
+# variances, and the lengthscales as multiples of each input's spread.
+_SV_BOX = (1e-4, 1e4)
+_NV_BOX = (1e-8, 1.0)
+_LS_BOX = (1e-2, 1e2)
+# Seeded random starts, factored as one stack together with the box centre.
+_STARTS = 8
+# Each lengthscale gets a grid of _GRID points over +-1.5 decades around its
+# value (the box permitting), and later one over a quarter of that span.
+_GRID = 9
+_SPAN = 1.5 * math.log(10.0)
+# The last coordinate is swept on _SWEEP points over its whole box, then on
+# _SWEEP points between the best's two neighbours.
+_SWEEP = 33
+_GRID_UNIT = np.linspace(0.0, 1.0, _GRID)
+_SWEEP_UNIT = np.linspace(0.0, 1.0, _SWEEP)
+_SWEEP_FINE = np.linspace(-1.0, 1.0, _SWEEP + 2)[1:-1]
+
+
 class _BorderedKernel:
-    """The training kernel of one GP fit, bordered by its targets.
+    """The training kernels of one GP fit, bordered by its targets.
 
     One Cholesky of the bordered matrix::
 
-        M = [[K + nv I, ys],      chol(M) = [[L,  0],
-             [ys',      c ]]                 [v', s]]
+        M = [[K, ys],      chol(M) = [[L,  0],
+             [ys', c ]]                [v', s]]
 
-    gives both L, with L L' = K + nv I, and v = L^-1 ys: LAPACK's
-    factorization does the forward substitution, and s^2 = c - v'v. Border
-    row and column are both filled, so the result does not depend on which
-    triangle LAPACK reads. The corner c is ``_BORDER_CORNER`` (1e300).
-    v'v = ys'(K + nv I)^-1 ys is at most ||ys||^2 / lambda_min, where
-    ||ys||^2 = n for standardized targets, so no kernel that factors comes
-    near c. Were v'v >= c, the last pivot would fail and the jitter ladder
-    would run, as for a kernel that is not positive definite.
+    gives both L, with L L' = K, and v = L^-1 ys: LAPACK's factorization
+    does the forward substitution, and s^2 = c - v'v. Border row and column
+    are both filled, so the result does not depend on which triangle LAPACK
+    reads. The corner c is ``_BORDER_CORNER`` (1e300). v'v = ys' K^-1 ys is
+    at most ||ys||^2 / lambda_min, where ||ys||^2 = n for standardized
+    targets, so no kernel that factors comes near c. Were v'v >= c, the last
+    pivot would fail and the jitter ladder would run, as for a kernel that
+    is not positive definite.
 
-    The planes of X, the border and the corner are written once per fit;
-    each factorization writes only the K block, ``E * sv`` for a unit
-    kernel E from :meth:`unit`, and adds nv on its diagonal. A search that
-    varies only sv and nv reuses one E.
+    The planes of X are computed once per fit, bordered by zeros to the
+    (n+1, n+1) layout of M, so a product of the weights with them lays out
+    each kernel as the K block of its bordered matrix; the unit kernels come
+    out bit for bit as from the unbordered planes. :meth:`factor` factors
+    one kernel ``E * sv + nv I`` for a unit kernel E from :meth:`unit`;
+    :meth:`terms` factors a stack of unit kernels ``E_i + r_i I`` in one
+    ``np.linalg.cholesky`` call.
     """
 
     def __init__(self, X: np.ndarray, ys: np.ndarray):
-        n = X.shape[0]
+        n, d = X.shape
         self.X, self.ys = X, ys
-        self.planes = _planes(X)
-        self.M = np.empty((n + 1, n + 1))
-        self.M[:n, n] = self.M[n, :n] = ys
-        self.M[n, n] = _BORDER_CORNER
-        self.K = self.M[:n, :n]
-        self.K_diagonal = self.M.reshape(-1)[:n * (n + 2):n + 2]
+        self.planes = np.zeros((d, n + 1, n + 1))
+        self.planes[:, :n, :n] = _planes(X).reshape(d, n, n)
+        self.planes = self.planes.reshape(d, -1)
 
     def unit(self, lengthscales) -> np.ndarray:
         """The (n, n) training kernel at these lengthscales and unit sv."""
         n = self.X.shape[0]
-        return _unit_kernel(self.planes, lengthscales).reshape(n, n)
+        return _unit_kernel(self.planes, lengthscales).reshape(n + 1, n + 1)[:n, :n]
+
+    def _border(self, M: np.ndarray, diagonal) -> np.ndarray:
+        """Make the (..., n+1, n+1) M with K in its block [[K + diagonal I, ys], [ys', c]]."""
+        n = self.X.shape[0]
+        M.reshape(M.shape[:-2] + (-1,))[..., :n * (n + 2):n + 2] += np.asarray(diagonal)[..., None]
+        M[..., :n, n] = M[..., n, :n] = self.ys
+        M[..., n, n] = _BORDER_CORNER
+        return M
 
     def factor(self, E, signal_variance, noise_variance):
         """L and v = L^-1 ys for the training kernel ``E * sv + nv I``."""
         n = self.X.shape[0]
-        np.multiply(E, signal_variance, out=self.K)
-        self.K_diagonal += noise_variance
-        F, _ = _chol_with_jitter(self.M)
+        M = np.empty((n + 1, n + 1))
+        np.multiply(E, signal_variance, out=M[:n, :n])
+        F, _ = _chol_with_jitter(self._border(M, noise_variance))
         return F[:n, :n], F[n, :n]
 
-    def lml(self, E, signal_variance, noise_variance) -> float:
-        """The log marginal likelihood, or -inf where the kernel does not factor."""
-        try:
-            return _lml(*self.factor(E, signal_variance, noise_variance))
-        except SurrogateFitError:
-            return -np.inf
+    def terms(self, lengthscales: np.ndarray, ratio):
+        """Half log-determinant and v'v = ys'(E_i + r I)^-1 ys of each unit kernel.
+
+        One unit kernel E_i per row of the (s, d) ``lengthscales``, with the
+        ratio r one per row or shared. The s bordered matrices are factored
+        in one call (``_chol_stack``); a member that does not factor gets nan.
+        """
+        n = self.X.shape[0]
+        M = _unit_kernel(self.planes, lengthscales).reshape(-1, n + 1, n + 1)
+        F = _chol_stack(self._border(M, ratio))
+        v = F[:, n, :n]
+        diagonal = F.reshape(F.shape[0], -1)[:, :n * (n + 2):n + 2]
+        return np.log(diagonal).sum(axis=1), (v * v).sum(axis=1)
+
+
+def _profile(half_logdet, vv, n: int, sv_lo, sv_hi):
+    """The LML of sv (E + r I) at its best sv in [sv_lo, sv_hi], and that sv.
+
+    From the half log-determinant of E + r I and vv = ys'(E + r I)^-1 ys,
+    the LML is -vv / (2 sv) - half_logdet - (n/2) log(2 pi sv). It is
+    unimodal in sv with its peak at sv = vv / n (the process variance
+    concentrated out, as in Jones, Schonlau & Welch 1998), so the peak
+    clipped to the box is the best sv in it. nan, a kernel that did not
+    factor, gives -inf.
+    """
+    sv = np.minimum(np.maximum(vv / n, sv_lo), sv_hi)
+    lml = -0.5 * vv / sv - half_logdet - 0.5 * n * np.log(2 * math.pi * sv)
+    return np.fmax(lml, -np.inf), sv
+
+
+def _ratio_box(t, fixed_nv):
+    """(r, sv_lo, sv_hi) at the search's last coordinate t.
+
+    t is log r, r = nv / sv, when the noise is estimated: sv is then
+    profiled out within its box and the bounds that keep nv = r sv in its
+    box. With a fixed nv, t is log sv, and r = nv / sv.
+    """
+    if fixed_nv is None:
+        r = np.exp(t)
+        return r, np.maximum(_SV_BOX[0], _NV_BOX[0] / r), np.minimum(_SV_BOX[1], _NV_BOX[1] / r)
+    sv = np.exp(t)
+    return fixed_nv / sv, sv, sv
 
 
 def _factor(X, ys, lengthscales, signal_variance, noise_variance):
@@ -279,6 +369,7 @@ def _build_gp(bk: _BorderedKernel, lengthscales, signal_variance, noise_variance
         alpha=np.linalg.solve(L.T, v),
         y_mean=float(y_mean),
         y_std=float(y_scale),
+        log_marginal_likelihood=_lml(L, v),
     )
 
 
@@ -309,24 +400,6 @@ def gp_from_hyperparameters(
                      y_mean, y_scale)
 
 
-def _golden_section(f, lo, hi):
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(16):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return (c, fc) if fc < fd else (d, fd)
-
-
 def fit_gp(
     data: Dataset,
     noise_variance: Union[str, float] = "estimated",
@@ -335,19 +408,28 @@ def fit_gp(
     """Fit a GP by maximizing log marginal likelihood on standardized targets.
 
     ``noise_variance`` is either ``"estimated"`` (fitted alongside the kernel
-    hyperparameters) or a fixed float in output units. The search draws 8
-    seeded random starts in the log-hyperparameter box and refines the best
-    with one coordinate-wise golden-section sweep. The fit computes the
-    planes of X once (``_BorderedKernel``); each likelihood it evaluates
-    then costs one gemv for the kernel and one Cholesky, of the kernel
-    bordered by the targets, and no solve. The sweeps over signal and noise
-    variance leave the lengthscales fixed, so they share one unit kernel.
-    ``alpha = K^-1 ys`` is solved for once, for the model returned.
+    hyperparameters) or a fixed float in output units. The kernel is written
+    K = sv (E + r I), with E the unit SE kernel and r = nv / sv. For given
+    lengthscales and r the best sv is closed-form (``_profile``), so the
+    search runs over the log lengthscales and one last coordinate t: log r,
+    or log sv where nv is fixed (Rasmussen & Williams 2006, sec. 5.4). It
+    takes the best of 8 seeded random starts and the box centre, factored as
+    one stack of bordered kernels (``_BorderedKernel.terms``), and then:
+
+    - sweeps t: one ``eigh`` of the unit kernel E, after which each t costs
+      O(n), over t's box and then finer around its best (``sweep``);
+    - gives each lengthscale in turn a grid of 9 points over +-1.5 decades,
+      factored as one stack, and sweeps t again;
+    - does the same with grids over +-3/8 decade, and sweeps t a last time.
+
+    At d = 2 that is 5 stacked Cholesky calls and 3 ``eigh`` calls. The
+    model is then factored once at the chosen hyperparameters
+    (``_build_gp``), and its stored LML is that factor's.
     """
     X, y = _merge_duplicates(data.X, data.y)
     if X.shape[0] < 1:
         raise SurrogateFitError("no samples to fit")
-    d = X.shape[1]
+    n, d = X.shape
     ys, y_mean, y_scale = _standardize(y)
     bk = _BorderedKernel(X, ys)
 
@@ -359,52 +441,73 @@ def fit_gp(
         raise ValueError("noise_variance must be 'estimated' or a float")
     fixed_nv = None if estimate_noise else max(float(noise_variance), 0.0) / y_scale**2
 
-    # log-space search box: lengthscales, signal variance, optional noise
-    lo = np.concatenate([np.log(1e-2 * widths), [math.log(1e-4)]])
-    hi = np.concatenate([np.log(1e2 * widths), [math.log(1e4)]])
-    if estimate_noise:
-        lo = np.concatenate([lo, [math.log(1e-8)]])
-        hi = np.concatenate([hi, [math.log(1.0)]])
+    # log-space search box: the lengthscales, then t
+    t_box = ((_NV_BOX[0] / _SV_BOX[1], _NV_BOX[1] / _SV_BOX[0]) if estimate_noise
+             else _SV_BOX)
+    lo = np.append(np.log(_LS_BOX[0] * widths), math.log(t_box[0]))
+    hi = np.append(np.log(_LS_BOX[1] * widths), math.log(t_box[1]))
 
-    def variances(theta):
-        return math.exp(theta[d]), math.exp(theta[d + 1]) if estimate_noise else fixed_nv
+    def factored(trials):
+        """(LML, sv) of each row of the (s, d + 1) trials, from one stack."""
+        r, sv_lo, sv_hi = _ratio_box(trials[:, d], fixed_nv)
+        return _profile(*bk.terms(np.exp(trials[:, :d]), r), n, sv_lo, sv_hi)
 
-    def objective(theta, E=None):
-        """-LML at theta; E, if given, is the unit kernel of theta's lengthscales."""
-        if E is None:
-            E = bk.unit(np.exp(theta[:d]))
-        return -bk.lml(E, *variances(theta))
+    def improved(best, k, grid, evaluate):
+        """``best``, a (value, theta, sv) triple, or the best trial if that is better.
+
+        Each trial is best's theta with coordinate k set to a grid value.
+        """
+        trials = np.empty((grid.size, d + 1))
+        trials[:] = best[1]
+        trials[:, k] = np.minimum(np.maximum(grid, lo[k]), hi[k])
+        values, svs = evaluate(trials)
+        j = int(values.argmax())
+        return (values[j], trials[j], svs[j]) if values[j] > best[0] else best
+
+    def sweep(best):
+        """``best`` improved along t on one eigendecomposition of its unit kernel.
+
+        With E = Q diag(lam) Q' and z = Q'ys, E + r I has half
+        log-determinant sum(log(lam + r)) / 2 and ys'(E + r I)^-1 ys =
+        sum(z^2 / (lam + r)). A shift lam + r <= 0 does not factor.
+        """
+        lam, Q = np.linalg.eigh(bk.unit(np.exp(best[1][:d])))
+        z2 = np.square(Q.T @ ys)
+
+        def swept(trials):
+            r, sv_lo, sv_hi = _ratio_box(trials[:, d], fixed_nv)
+            shifted = lam + r[:, None]
+            factors = (shifted > 0).all(axis=1)
+            shifted[~factors] = 1.0
+            values, svs = _profile(0.5 * np.log(shifted).sum(axis=1),
+                                   (z2 / shifted).sum(axis=1), n, sv_lo, sv_hi)
+            values[~factors] = -np.inf
+            return values, svs
+
+        best = improved(best, d, lo[d] + (hi[d] - lo[d]) * _SWEEP_UNIT, swept)
+        step = (hi[d] - lo[d]) / (_SWEEP - 1)
+        return improved(best, d, best[1][d] + step * _SWEEP_FINE, swept)
 
     rng = substream(seed, "gp-hypers")
-    starts = rng.uniform(lo, hi, size=(8, lo.size))
-    best_theta, best_obj = None, math.inf
-    for theta in starts:
-        obj = objective(theta)
-        if obj < best_obj:
-            best_theta, best_obj = theta.copy(), obj
-    if best_theta is None or not np.isfinite(best_obj):
+    starts = np.vstack([rng.uniform(lo, hi, size=(_STARTS, d + 1)), 0.5 * (lo + hi)])
+    values, svs = factored(starts)
+    j = int(values.argmax())
+    if not np.isfinite(values[j]):
         raise SurrogateFitError("all hyperparameter starts failed")
+    best = sweep((values[j], starts[j], svs[j]))
 
-    # coordinate-wise golden-section refinement around the best start
-    span = 1.5 * math.log(10.0)
-    E = None
-    for k in range(lo.size):
-        if k == d:  # the lengthscales are final from here on
-            E = bk.unit(np.exp(best_theta[:d]))
-        a = max(lo[k], best_theta[k] - span)
-        b = min(hi[k], best_theta[k] + span)
+    for span in (_SPAN, _SPAN / 4):
+        for k in range(d):
+            a = max(lo[k], best[1][k] - span)
+            b = min(hi[k], best[1][k] + span)
+            best = improved(best, k, a + (b - a) * _GRID_UNIT, factored)
+        best = sweep(best)
+    _, theta, sv = best
 
-        def along(t, k=k):
-            trial = best_theta.copy()
-            trial[k] = t
-            return objective(trial, E)
-
-        t_best, f_best = _golden_section(along, a, b)
-        if f_best < best_obj:
-            best_theta[k] = t_best
-            best_obj = f_best
-
-    return _build_gp(bk, np.exp(best_theta[:d]), *variances(best_theta), y_mean, y_scale)
+    nv = fixed_nv
+    if estimate_noise:
+        nv = min(max(math.exp(theta[d]) * sv, _NV_BOX[0]), _NV_BOX[1])
+    return _build_gp(bk, np.exp(theta[:d]), sv, nv, y_mean, y_scale)
 
 
 def _posterior_mean(model: GpModel, X_query: np.ndarray):
@@ -445,8 +548,9 @@ def gp_log_marginal_likelihood(model: GpModel) -> float:
     """log p(y | X, theta) of the stored (standardized) training targets.
 
     Re-factors the model's X, y and hyperparameters through ``_factor`` and
-    ``_lml``, the one likelihood formula the hyperparameter search uses, so
-    it equals the value the search saw for these hyperparameters bit for bit.
+    ``_lml``, the formula ``fit_gp`` and ``gp_from_hyperparameters`` factor
+    the model with, so it equals the model's stored
+    ``log_marginal_likelihood`` bit for bit.
     """
     return _lml(*_factor(
         model.X_train, model.y_train, model.kernel_lengthscales,

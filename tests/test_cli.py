@@ -11,6 +11,7 @@ from surropt.bench import (
     DEFAULT_BUDGETS,
     DEFAULT_WARMUP,
     BenchmarkConfig,
+    compare_results,
     run_benchmark,
     score_results,
 )
@@ -453,3 +454,88 @@ def test_results_root_env_var(tmp_path, monkeypatch, capsys):
     )
     assert code == 0
     assert (tmp_path / "envroot" / "custom" / "scores.json").exists()
+
+
+# ---------------------------------------------------------------- compare
+
+COMPARE_ARGS = ["run", "--suite", "constrained", "--algos", "cobyla", "cbo", "--problems",
+                "matyas-c", "--reps", "2", "--budget", "10", "--seed", "3", "--jobs", "1"]
+
+
+@pytest.fixture(scope="module")
+def compare_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("compare") / "a"
+    assert main(COMPARE_ARGS + ["--out", str(out)]) == 0
+    return out
+
+
+def test_compare_of_a_run_with_itself_finds_no_difference(compare_run, tmp_path, capsys):
+    report = compare_results(compare_run, compare_run)
+    assert report["differing_cells"] == 0
+    assert len(report["cells"]) == 4
+    for cell in report["cells"].values():
+        assert cell["first_differing_row"] is None
+        assert cell["max_abs_dx"] == 0.0 and cell["delta"] == 0.0
+    for pair in report["pairs"]:
+        assert (pair["paired"], pair["ties"], pair["b_better"], pair["b_worse"]) == (2, 2, 0, 0)
+        assert pair["mean_delta"] == 0.0 and pair["ci95"] == (0.0, 0.0)
+    path = tmp_path / "report.json"
+    assert main(["compare", str(compare_run), str(compare_run), "--json", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("0 differing cells of 4 ")
+    assert json.loads(path.read_text())["differing_cells"] == 0
+
+
+def test_compare_names_the_one_perturbed_cell_and_row(compare_run, tmp_path):
+    other = tmp_path / "b"
+    shutil.copytree(compare_run, other)
+    path = other / "constrained" / "matyas-c" / "cobyla" / "rep1.csv"
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[6][0] == "6"
+    rows[6][1] = repr(float(rows[6][1]) + 0.25)  # x0 at iteration 6
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    report = compare_results(compare_run, other)
+    assert report["differing_cells"] == 1
+    moved = {name: c for name, c in report["cells"].items() if c["first_differing_row"]}
+    assert list(moved) == ["matyas-c/cobyla/rep1"]
+    assert moved["matyas-c/cobyla/rep1"]["first_differing_row"] == 6
+    assert moved["matyas-c/cobyla/rep1"]["max_abs_dx"] == pytest.approx(0.25)
+
+
+def test_compare_pairs_best_feasible_values(compare_run, tmp_path):
+    # lowering y at a feasible row improves B; lowering it at an infeasible row does not
+    other = tmp_path / "b"
+    shutil.copytree(compare_run, other)
+    path = other / "constrained" / "matyas-c" / "cbo" / "rep0.csv"
+    with open(path, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    i_y, i_g = header.index("y"), header.index("g0")
+    feasible = [r for r in rows if float(r[i_g]) <= 1e-3]
+    infeasible = [r for r in rows if float(r[i_g]) > 1e-3]
+    best = min(float(r[i_y]) for r in feasible)
+    feasible[-1][i_y] = repr(best - 1.0)
+    for r in infeasible:
+        r[i_y] = repr(best - 5.0)
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    report = compare_results(compare_run, other)
+    assert report["cells"]["matyas-c/cbo/rep0"]["delta"] == pytest.approx(-1.0)
+    pair = next(p for p in report["pairs"] if p["algorithm"] == "cbo")
+    assert (pair["b_better"], pair["ties"], pair["b_worse"]) == (1, 1, 0)
+    assert pair["mean_delta"] == pytest.approx(-0.5)
+
+
+def test_compare_refuses_runs_of_different_configs(compare_run, tmp_path, capsys):
+    other = tmp_path / "b"
+    shutil.copytree(compare_run, other)
+    manifest = other / "constrained" / "manifest.json"
+    data = json.loads(manifest.read_text())
+    data["config"]["seed"] = 4
+    manifest.write_text(json.dumps(data))
+    with pytest.raises(ConfigError, match="different configs.*seed"):
+        compare_results(compare_run, other)
+    assert main(["compare", str(compare_run), str(other),
+                 "--json", str(tmp_path / "r.json")]) == 2
+    assert "different configs" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()

@@ -47,8 +47,8 @@ def digest(traj) -> str:
 
 
 GOLDEN = {
-    ("quadratic-d2", "bo", 0, 10): "ba889f9999aeefb945b6f3077406757a5f613e03b0f4df513acaf2a7e1ade49c",
-    ("quadratic-d2", "bo", 1, 10): "6ed523bc9e9f7c67f497ecef3d1332141cb2ad78ab9f776ce0d8a3d2bb1a2194",
+    ("quadratic-d2", "bo", 0, 10): "e0469cfff1135ed3aaeaa38313b20c365edeb0d4779a8f82adcf550ff789a272",
+    ("quadratic-d2", "bo", 1, 10): "26a3e4fa16a566c0aac18e6a452530f7aee66ce710c502b8c319527ffc9b8989",
     ("quadratic-d2", "lsqm", 0, 10): "eeb7a74c61dde10b5b9aac9ce064405e3ee817294bd9148a67a488f319fba5cf",
     ("quadratic-d2", "lsqm", 1, 10): "ed0cf6973cae8b7171f85afebff5d02d93031a7361600f5f92d125d374e587b4",
     ("quadratic-d2", "cuatro", 0, 10): "eeb7a74c61dde10b5b9aac9ce064405e3ee817294bd9148a67a488f319fba5cf",
@@ -59,8 +59,8 @@ GOLDEN = {
     ("quadratic-d2", "cobyqa", 1, 10): "c569e9581967eb29fd8521da4ece65244d24b8da3bbacc630ea58d67f521cb7d",
     ("quadratic-d2", "dycors", 0, 10): "553e9f59ee17a31775c0633f73d5ba0b927bc70f325ea950383409ee8b2921b7",
     ("quadratic-d2", "dycors", 1, 10): "605b845cce6c372b30a9a953272180c361439e339333ac0e9657932c77890dab",
-    ("levy-d5", "bo", 0, 13): "7d8dd10b2b02f51eeddb0cfa8836255189b3a8da93172d1140950348904acbb9",
-    ("levy-d5", "bo", 1, 13): "8b5e8da7f651847cc4e1593384530ec356f1a6ef21cf082d0b8187a155a17cb1",
+    ("levy-d5", "bo", 0, 13): "31f0a8a42180d690605ec0e8e416d038279487475d1b692603d007a573a89ab6",
+    ("levy-d5", "bo", 1, 13): "12c5344196bcc68be05e401022547559f26854449e4e5eefa4b965a7679db58e",
     ("levy-d5", "lsqm", 0, 13): "948bf9d793b9df6c81286ff433fb69e863e2b0d3b73972695e3abc7bb82441ce",
     ("levy-d5", "lsqm", 1, 13): "08ed14c8feb72f7b81ad4e9e2faf2e959be64deeb70514bcd83c440e6098d640",
     ("levy-d5", "cuatro", 0, 13): "948bf9d793b9df6c81286ff433fb69e863e2b0d3b73972695e3abc7bb82441ce",
@@ -71,10 +71,10 @@ GOLDEN = {
     ("levy-d5", "cobyqa", 1, 13): "517be91e5d8a9ce591963b8389ce5b2d50b97bfec4306e7d6c204b63bb93f824",
     ("levy-d5", "dycors", 0, 13): "e57922a9d4ec2b0741498c8513427397323fd45500af2ed586c229fce117373e",
     ("levy-d5", "dycors", 1, 13): "62a4b3c8b35df53e0e4055cabd6d2f2b09fe20abc97866a70cf551b814e15e0b",
-    ("matyas-c", "bo", 0, 10): "5ada24968556e0e10c9021007609339b02fb0085c3c01bf90c45e8efc2064b4c",
-    ("matyas-c", "bo", 1, 10): "165b3c55c9c4002d0d980088a45443256cbb38da66c0320d5ca4d47b5286b0fe",
-    ("matyas-c", "cbo", 0, 10): "7468521dc5e289b417fb837727ce7184060f85a8dcd85017bb3532259b4242a9",
-    ("matyas-c", "cbo", 1, 10): "dc594f8a8868f1beb9e48a94b622967ceb9b7f2a6e90d9ac673a95dca49af224",
+    ("matyas-c", "bo", 0, 10): "fec26f377f7945016399ef895982f19d33682e5b9f1d1ba4870098e0a1081666",
+    ("matyas-c", "bo", 1, 10): "58eb20520ee218b94236efb49529e99fd308fb9bace586f652057468ff6995be",
+    ("matyas-c", "cbo", 0, 10): "cf071ef587a5a377f2361555a6ffb78ea7a00f4325c66b734b303096901e3cf3",
+    ("matyas-c", "cbo", 1, 10): "1ef9243bb61040be180c3f2d971b6a9d70391e86e148aae830a26c0a0ff05af6",
     ("matyas-c", "lsqm", 0, 10): "dd6f4a7e52665e353ba8c599033378426de73355e2d5c929ef2aa7a7d0ab7bac",
     ("matyas-c", "lsqm", 1, 10): "ce751f114a8f4d6bc104cc115832341742b70791e7b1cf2400c45471f1294236",
     ("matyas-c", "cuatro", 0, 10): "c0721ab4cdd11148744af5254933524dccc99b4e1ded7950019959c2ebcddf1f",
@@ -85,10 +85,10 @@ GOLDEN = {
     ("matyas-c", "cobyqa", 1, 10): "68b3ba46837041c573cced54b904fe6a2e28e41a54943169fab3b9f28c182b47",
     ("matyas-c", "dycors", 0, 10): "4781936fb9f6d21e999cf3c75f8ff8d3157553219a3dfb1af0d626e272dc6ee2",
     ("matyas-c", "dycors", 1, 10): "f8b76693852ee3599f5c479b9cd7acf36fadce69d5ced296645faab943c8ebf1",
-    ("williams-otto", "bo", 0, 10): "cb6c35f6b5dcb9adbe52d0a4f536ce31610508f1da4666121c435661f21a68ca",
-    ("williams-otto", "bo", 1, 10): "fd6bdcbc3fe0164726bb737bf52e03ca392eaab76063d17dcf91ed0410db1c28",
-    ("williams-otto", "cbo", 0, 10): "7bb56b75370fe0b65689516a0928e6b0b943432f358fe01f2456cd6af256dd8d",
-    ("williams-otto", "cbo", 1, 10): "c2e07527b0251699b554e024683ba777d90d0c81aaf85af8d459573b7fcf765c",
+    ("williams-otto", "bo", 0, 10): "bac0a90c49a93ef52e1b0b7ce659e11e38b0e9421dd5760fbee2f35a6ae602ba",
+    ("williams-otto", "bo", 1, 10): "be0f888e9cc825caa9b48beb3c7dd0b0df8d9dc49d2ba9ed899cf6b36b8b0d8b",
+    ("williams-otto", "cbo", 0, 10): "8567c42eabcbc3f33929ddffa2a8822060afe9e3403887a5bc8be555d5e686bc",
+    ("williams-otto", "cbo", 1, 10): "84dc71529715293409b158ca3fafe83bced7e610ce18fe12aec5413a385f4860",
     ("williams-otto", "lsqm", 0, 10): "5925e23b0603746beaa194a88746c2e8d68afd209123b332d684b3d43424524e",
     ("williams-otto", "lsqm", 1, 10): "c4df0574d7cdf90e9725bafbe9482cd0121edc8c27b7589aef25b788dfc0d7e5",
     ("williams-otto", "cuatro", 0, 10): "87b1b0d73f87f91204b68072387b1e8fa463ae364986fb7828b6e8d63acd6b0c",

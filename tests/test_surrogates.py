@@ -344,17 +344,29 @@ def test_plane_kernel_symmetric_exact_diagonal_and_close_to_gram(seed, n, d):
     assert np.all(np.abs(K - ref) <= 1e-12 * (1.0 + aa[:, None] + aa[None, :]) * ref)
 
 
-def _record_likelihoods():
-    """Patch _BorderedKernel.lml to log (unit kernel, sv, nv, value) per call."""
-    calls = []
-    real = surrogates._BorderedKernel.lml
+def _record_profiles():
+    """Patch _profile to log the LML values of every stack the search evaluates."""
+    values = []
+    real = surrogates._profile
 
-    def spy(self, E, sv, nv):
-        value = real(self, E, sv, nv)
-        calls.append((E, sv, nv, value))
-        return value
+    def spy(*args):
+        lml, sv = real(*args)
+        values.extend(lml)
+        return lml, sv
 
-    return calls, mock.patch.object(surrogates._BorderedKernel, "lml", spy)
+    return values, mock.patch.object(surrogates, "_profile", spy)
+
+
+def _eigen_lml(model):
+    """The LML of a model by the search's eigen path, at its own sv and nv."""
+    n = model.y_train.size
+    bk = surrogates._BorderedKernel(model.X_train, model.y_train)
+    lam, Q = np.linalg.eigh(bk.unit(model.kernel_lengthscales))
+    shifted = lam + model.noise_variance / model.signal_variance
+    z2 = np.square(Q.T @ model.y_train)
+    sv = model.signal_variance
+    lml, _ = surrogates._profile(0.5 * np.log(shifted).sum(), (z2 / shifted).sum(), n, sv, sv)
+    return float(lml)
 
 
 @pytest.mark.parametrize("noise", ["estimated", 1e-6])
@@ -363,19 +375,162 @@ def test_search_and_model_share_one_likelihood_formula(n, d, noise):
     rng = np.random.default_rng(n + d)
     X = rng.uniform(0.0, 1.0, (n, d))
     y = np.sin(3.0 * X).sum(axis=1) + 0.1 * rng.standard_normal(n)
-    calls, patch = _record_likelihoods()
+    values, patch = _record_profiles()
     with patch:
         model = fit_gp(Dataset(X, y), noise_variance=noise, seed=3)
-    # the search's best objective is -LML of the model it returns, bit for bit
-    assert -max(c[3] for c in calls) == -gp_log_marginal_likelihood(model)
-    # the sv and nv sweeps share one unit kernel; each value equals a fresh
-    # evaluation at the model's lengthscales, bit for bit
-    shared = [c for c in calls if sum(e[0] is c[0] for e in calls) > 1]
-    assert len(shared) == (36 if noise == "estimated" else 18)
-    for _, sv, nv, value in shared:
-        fresh = surrogates._lml(*_factor(
-            model.X_train, model.y_train, model.kernel_lengthscales, sv, nv))
-        assert value == fresh
+    # the search's best value is the LML of the model it returns, bit for bit
+    lml = model.log_marginal_likelihood
+    assert lml == gp_log_marginal_likelihood(model)
+    assert max(values) <= lml + 1e-9 * abs(lml)
+    # the eigen path the t sweeps use agrees with the Cholesky path at the
+    # chosen hyperparameters
+    assert abs(_eigen_lml(model) - lml) <= 1e-9 * abs(lml)
+
+
+def test_stacked_cholesky_members_match_single_calls_and_a_failure_is_nan():
+    rng = np.random.default_rng(7)
+    X = rng.uniform(0.0, 1.0, (12, 2))
+    bk = surrogates._BorderedKernel(X, rng.standard_normal(12))
+    ls = 10.0 ** rng.uniform(-1.0, 0.5, (5, 2))
+    ratio = np.full(5, 1e-4)
+    ratio[2] = -5.0  # E - 5 I: not positive definite at any jitter
+    M = _unit_kernel(bk.planes, ls).reshape(5, 13, 13)
+    for i in range(5):  # each unit kernel of the stack as on its own
+        assert M[i].tobytes() == _unit_kernel(bk.planes, ls[i]).tobytes()
+    assert M[1, :12, :12].tobytes() == _training_kernel(X, ls[1], 1.0).tobytes()
+    bk._border(M, ratio)
+    F = surrogates._chol_stack(M)
+    assert np.all(np.isnan(F[2]))
+    for i in (0, 1, 3, 4):
+        assert F[i].tobytes() == np.linalg.cholesky(M[i]).tobytes()
+    # without the failing member the stack goes through in one call, with the same bytes
+    ok = M[[0, 1, 3, 4]]
+    assert np.linalg.cholesky(ok).tobytes() == F[[0, 1, 3, 4]].tobytes()
+    half_logdet, vv = bk.terms(ls, ratio)
+    values, _ = surrogates._profile(half_logdet, vv, 12, 1.0, 1.0)
+    assert values[2] == -np.inf and np.all(np.isfinite(values[[0, 1, 3, 4]]))
+    for i in (0, 1, 3, 4):
+        one = bk.terms(ls[i:i + 1], ratio[i:i + 1])
+        assert one[0].tobytes() == half_logdet[i:i + 1].tobytes()
+        assert one[1].tobytes() == vv[i:i + 1].tobytes()
+
+
+@pytest.mark.parametrize("kept", [[], [4]])
+def test_fit_fails_only_when_every_start_fails(kept):
+    real = surrogates._chol_stack
+    stacks = []
+
+    def starts_fail(M):
+        F = real(M)
+        if not stacks:  # the first stack is the starts'
+            F[[i for i in range(len(F)) if i not in kept]] = np.nan
+        stacks.append(len(F))
+        return F
+
+    rng = np.random.default_rng(2)
+    X = rng.uniform(0.0, 1.0, (10, 2))
+    data = Dataset(X, np.sin(3.0 * X).sum(axis=1))
+    with mock.patch.object(surrogates, "_chol_stack", starts_fail):
+        if not kept:
+            with pytest.raises(SurrogateFitError, match="all hyperparameter starts failed"):
+                fit_gp(data, seed=0)
+        else:
+            model = fit_gp(data, seed=0)
+            assert np.isfinite(model.log_marginal_likelihood)
+    assert stacks[0] == 9  # 8 seeded starts and the box centre
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_fit_makes_few_numpy_factorization_calls(d):
+    counts = {"cholesky": 0, "eigh": 0}
+
+    def counting(name):
+        real = getattr(np.linalg, name)
+
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return mock.patch.object(np.linalg, name, call)
+
+    rng = np.random.default_rng(d)
+    X = rng.uniform(0.0, 1.0, (20, d))
+    with counting("cholesky"), counting("eigh"):
+        fit_gp(Dataset(X, np.cos(2.0 * X).sum(axis=1)), seed=1)
+    # one stack of starts, two stacks per lengthscale, the model's factor;
+    # three sweeps of t on one eigh each
+    assert counts == {"cholesky": 2 * d + 2, "eigh": 3}
+    if d == 2:
+        assert sum(counts.values()) <= 10
+
+
+def _oracle_lml_and_gradient(theta, X, ys):
+    """Dense LML of log (lengthscales, sv, nv) and its gradient (R&W eq. 5.9)."""
+    from scipy.linalg import cho_factor, cho_solve
+
+    n, d = X.shape
+    sv, nv = math.exp(theta[d]), math.exp(theta[d + 1])
+    D = (X[:, None, :] - X[None, :, :]) ** 2 / np.exp(2.0 * theta[:d])
+    K_sv = sv * np.exp(-0.5 * D.sum(axis=2))
+    try:
+        c = cho_factor(K_sv + nv * np.eye(n), lower=True)
+    except np.linalg.LinAlgError:
+        return -1e10, np.zeros(d + 2)
+    alpha = cho_solve(c, ys)
+    lml = -0.5 * ys @ alpha - np.log(np.diag(c[0])).sum() - 0.5 * n * math.log(2 * math.pi)
+    A = np.outer(alpha, alpha) - cho_solve(c, np.eye(n))
+    grad = [0.5 * np.sum(A * K_sv * D[:, :, k]) for k in range(d)]
+    return lml, np.array(grad + [0.5 * np.sum(A * K_sv), 0.5 * nv * np.trace(A)])
+
+
+def _oracle_lml(model, starts=4, seed=0):
+    """Best LML of multi-start L-BFGS-B over fit_gp's box, one start at the fit's own point."""
+    from scipy.optimize import minimize
+
+    X, ys = model.X_train, model.y_train
+    d = X.shape[1]
+    widths = X.max(axis=0) - X.min(axis=0)
+    widths[widths <= 0] = 1.0
+    lo = np.concatenate([np.log(1e-2 * widths), [math.log(1e-4), math.log(1e-8)]])
+    hi = np.concatenate([np.log(1e2 * widths), [math.log(1e4), 0.0]])
+    own = np.concatenate([np.log(model.kernel_lengthscales),
+                          [math.log(model.signal_variance), math.log(model.noise_variance)]])
+    points = [np.clip(own, lo, hi), *np.random.default_rng(seed).uniform(lo, hi, (starts, d + 2))]
+    best = -np.inf
+    for x0 in points:
+        res = minimize(lambda t: tuple(-v for v in _oracle_lml_and_gradient(t, X, ys)), x0,
+                       jac=True, method="L-BFGS-B", bounds=list(zip(lo, hi)))
+        best = max(best, -res.fun)
+    return best
+
+
+def _oracle_datasets(count=20, seed=0):
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n, d = int(rng.integers(10, 61)), int(rng.integers(1, 6))
+        X = rng.uniform(-2.0, 2.0, (n, d))
+        y = (np.sin(3.0 * X).sum(axis=1), (X**2).sum(axis=1) + 0.1 * rng.standard_normal(n),
+             np.exp(-(X**2).sum(axis=1)) + 0.05 * rng.standard_normal(n),
+             np.abs(X).sum(axis=1) + np.cos(5.0 * X[:, 0]))[i % 4]
+        yield X, y
+
+
+# Bounds on the shortfall of fit_gp's LML below the oracle's on
+# _oracle_datasets(), in nats, set from the measured median 2.14 and maximum
+# 15.94 (the previous golden-section search: 3.22 and 45.26). Do not loosen.
+_ORACLE_MEDIAN_GAP = 2.5
+_ORACLE_MAX_GAP = 17.0
+
+
+def test_fit_comes_close_to_a_multistart_lbfgsb_oracle():
+    gaps = []
+    for X, y in _oracle_datasets():
+        model = fit_gp(Dataset(X, y), seed=1)
+        gaps.append(_oracle_lml(model) - model.log_marginal_likelihood)
+    gaps = np.array(gaps)
+    assert np.all(gaps > -1e-6)  # the oracle starts at the fit's own point
+    assert np.median(gaps) <= _ORACLE_MEDIAN_GAP
+    assert gaps.max() <= _ORACLE_MAX_GAP
 
 
 @settings(max_examples=40, deadline=None)
