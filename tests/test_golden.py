@@ -24,8 +24,14 @@ from surropt.problems import get_problem
 BUDGETS = {"quadratic-d2": 10, "levy-d5": 13, "matyas-c": 10, "williams-otto": 10}
 SEEDS = (0, 1)
 # cobyla rebuilds its degenerate simplex on matyas-c seed 1 only past 27
-# evaluations, so one longer run covers the rebuild
-EXTRA = [("matyas-c", "cobyla", 1, 32)]
+# evaluations, so one longer run covers the rebuild. The BUDGETS problems have
+# d <= 5, where _distances sums its planes one by one; ackley-d10 takes the
+# eight-accumulator sum (and cstr-pid, d = 32, below, with four groups of 8).
+EXTRA = [
+    ("matyas-c", "cobyla", 1, 32),
+    ("ackley-d10", "dycors", 0, 30),
+    ("ackley-d10", "dycors", 1, 30),
+]
 
 
 def _cases():
@@ -100,6 +106,8 @@ GOLDEN = {
     ("williams-otto", "dycors", 0, 10): "9d16e0608071ba286399a5852c27088a59abe0577ae2e6a5a376103003f2e21e",
     ("williams-otto", "dycors", 1, 10): "46c8f1d5d183fd993cb5ad9762dbe285d3ced6ce4a655631e2fc8c4d23e38aeb",
     ("matyas-c", "cobyla", 1, 32): "f25ae748fc18bace7546ccf2df9fed22ac1faff85608dc4d7628b2e914003990",
+    ("ackley-d10", "dycors", 0, 30): "30c68d1bb4ae617433952eff50393e1c8fa5c85c5a9f04773e5d9408219c4302",
+    ("ackley-d10", "dycors", 1, 30): "e87d6c6b23c30fc410d19ed78534f2d6a88700d3c86d0acb977f39aae58c9e39",
 }
 
 
@@ -111,7 +119,8 @@ def test_golden_trajectory(case):
 
 
 # The CSTR simulator is locked on its own: objective values at fixed theta,
-# plus two cstr-pid runs whose trust-region steps feed it points off that set.
+# plus cstr-pid runs whose trust-region and DYCORS steps feed it points off
+# that set.
 _HAND_TUNED = np.zeros((4, 2, 4))
 _HAND_TUNED[:, :, 0] = 0.5
 _HAND_TUNED[:, :, 1] = 0.3
@@ -131,6 +140,7 @@ CSTR_VALUES = "b54dc7b6f1e4c8aa869df5d1090028a676a5513cc38ea0af24938f74ac45cdf3"
 CSTR_GOLDEN = {
     ("cstr-pid", "cobyla", 0, 34): "2dd0772b56931f8069f822b9ea52cf0fbfacf7ddddfaa789ad074ddf996f9675",
     ("cstr-pid", "cuatro", 0, 34): "31fcc28cf914efa84f952fd11348628a7d7225d65e4fb35f37c7266f8e5317a4",
+    ("cstr-pid", "dycors", 0, 70): "4c422ecc42c0453e0dace0767df4edc25a17e0820db321db48f33fa97d988eb5",
 }
 
 

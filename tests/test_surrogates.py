@@ -195,7 +195,8 @@ def test_merge_duplicates_matches_one_mean_per_kept_row(seed, n, d, n_near):
     X = X[rng.permutation(X.shape[0])]
     y = rng.standard_normal(X.shape[0]) * 10.0 ** rng.integers(-3, 4)
     y[rng.uniform(size=y.size) < 0.1] = -0.0
-    Xm, ym = surrogates._merge_duplicates(X, y)
+    kept, ym = surrogates._merge_duplicates(_distances(X, X), y)
+    Xm = X[kept]
     Xr, yr = _merge_duplicates_reference(X, y)
     assert Xm.tobytes() == Xr.tobytes()
     assert ym.dtype == yr.dtype and ym.tobytes() == yr.tobytes()
@@ -692,25 +693,44 @@ def _distances_reference(A, B):
 @settings(max_examples=150, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
-    m=st.integers(min_value=1, max_value=60),
-    n=st.integers(min_value=1, max_value=30),
-    d=st.integers(min_value=1, max_value=12),
-    block=st.sampled_from([1, 5, 64, 333, surrogates._BLOCK_FLOATS]),
+    m=st.integers(min_value=0, max_value=60),
+    n=st.integers(min_value=0, max_value=30),
+    # numpy sums below 8 terms one by one, up to 128 in eight partial sums
+    # plus leftovers, and above 128 splits the run in two
+    d=st.one_of(
+        st.integers(min_value=1, max_value=7),
+        st.integers(min_value=8, max_value=128),
+        st.integers(min_value=129, max_value=300),
+    ),
+    block=st.sampled_from([1, 5, 64, 333, surrogates._PLANE_FLOATS]),
 )
 def test_blocked_distances_match_one_shot_bit_for_bit(seed, m, n, d, block):
     rng = np.random.default_rng(seed)
-    A = rng.uniform(-3.0, 3.0, (m, d)) * 10.0 ** rng.uniform(-3.0, 3.0, d)
-    B = np.vstack([A[: n // 2], rng.uniform(-3.0, 3.0, (n - n // 2, d))])  # some zero distances
-    with mock.patch.object(surrogates, "_BLOCK_FLOATS", block):
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, d)  # mixed magnitudes across coordinates
+    A = rng.uniform(-3.0, 3.0, (m, d)) * scale
+    shared = min(n // 2, m)  # rows of B that are rows of A: zero distances
+    B = np.vstack([A[:shared], rng.uniform(-3.0, 3.0, (n - shared, d)) * scale])
+    with mock.patch.object(surrogates, "_PLANE_FLOATS", block):
         assert _distances(A, B).tobytes() == _distances_reference(A, B).tobytes()
 
 
+@pytest.mark.parametrize("d", [1, 7, 8, 9, 15, 16, 17, 127, 128, 129, 135, 136, 137, 256, 257, 300])
+def test_distances_at_each_summation_boundary(d):
+    rng = np.random.default_rng(d)
+    A = rng.uniform(-1.0, 1.0, (7, d)) * 10.0 ** rng.uniform(-4.0, 4.0, d)
+    B = np.vstack([A[:2], rng.uniform(-1.0, 1.0, (4, d))])
+    D = _distances(A, B)
+    assert D.tobytes() == _distances_reference(A, B).tobytes()
+    assert np.all(D[[0, 1], [0, 1]] == 0.0)
+
+
 def test_blocked_distances_at_dycors_size():
-    # d = 32 and 80 points, as on cstr-pid: 102-row blocks, the last one of 88 rows
+    # d = 32 and 80 points, as on cstr-pid: 102-row blocks, the last one of
+    # 88 rows, each summing four groups of eight planes
     rng = np.random.default_rng(12)
     A = rng.uniform(0.0, 1.0, (700, 32))
     B = rng.uniform(0.0, 1.0, (80, 32))
-    assert surrogates._BLOCK_FLOATS // B.size == 102
+    assert surrogates._PLANE_FLOATS // B.shape[0] == 102
     assert _distances(A, B).tobytes() == _distances_reference(A, B).tobytes()
     assert _distances(A[:1], B).tobytes() == _distances_reference(A[:1], B).tobytes()
 
@@ -918,6 +938,23 @@ def test_rbf_rejects_degenerate_geometry():
         fit_rbf(Dataset(X, [0.0, 1.0, 2.0, 3.0]))
     with pytest.raises(SurrogateFitError):
         fit_rbf(Dataset([[0.0, 0.0], [1.0, 0.0]], [0.0, 1.0]))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rbf_with_duplicates_matches_a_fit_on_the_merged_rows(seed):
+    # fit_rbf takes its kernel from the rows and columns of the distance
+    # matrix it merged duplicates with; a fit on the merged rows computes
+    # its own matrix, and every byte of the model must agree
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1.0, 1.0, (12, 3))
+    near = X[rng.integers(12, size=5)] + 0.4 * surrogates._DUPLICATE_TOL
+    X = np.vstack([X, X[rng.integers(12, size=4)], near])[rng.permutation(21)]
+    y = rng.standard_normal(21)
+    kept, ym = surrogates._merge_duplicates(_distances(X, X), y)
+    assert kept.size < 21
+    merged, direct = fit_rbf(Dataset(X[kept], ym)), fit_rbf(Dataset(X, y))
+    for field in ("centers", "lam", "poly_coeffs"):
+        assert getattr(direct, field).tobytes() == getattr(merged, field).tobytes()
 
 
 @settings(max_examples=25, deadline=None)
