@@ -14,6 +14,7 @@ All defaults live in ``defaults.yaml`` next to this module.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -136,16 +137,22 @@ def _rates(p: CstrParams):
     three constant quotients of the energy balance are computed once; each
     is the same expression whether hoisted or not, so it has the same bits.
 
-    Each Arrhenius factor goes through ``math.exp``. The kernel runs 2,400
-    times per ``cstr-pid`` evaluation, and a scalar ``np.exp`` call costs
-    more than the rest of it. ``np.exp`` was kept only so that objective
-    values would not move: ``math.exp`` rounds some arguments differently
-    in the last bit, and neither is the same on every platform. Every
-    caller shares this kernel, so :func:`cstr_objective` equals
-    :func:`integrate` over :func:`cstr_rhs` bit for bit. A state with
-    ``R * T == 0``, or one whose factor overflows (T < 0), takes numpy's
-    division and exponential instead (±inf or nan, as an array state
-    would), since float division by zero and ``math.exp`` overflow raise.
+    Each Arrhenius factor goes through ``math.exp``: a scalar ``np.exp``
+    call costs more than the rest of the kernel. ``np.exp`` was kept only
+    so that objective values would not move: ``math.exp`` rounds some
+    arguments differently in the last bit, and neither is the same on
+    every platform. A state with ``R * T == 0``, or one whose factor
+    overflows (T < 0), takes numpy's division and exponential instead
+    (±inf or nan, as an array state would), since float division by zero
+    and ``math.exp`` overflow raise.
+
+    :func:`cstr_rhs` and :func:`_rk4_interval`'s fallback call this
+    kernel. :func:`_rk4_interval` also has a copy of it, written out inline
+    in each RK4 stage for :func:`cstr_objective`. In
+    ``tests/test_casestudies.py``,
+    ``test_rk4_interval_matches_integrate_bitwise`` (the whole state) and
+    ``test_cstr_objective_matches_array_functions_bitwise`` (the
+    objective) pin the two copies together bit for bit.
     """
     R, E_AB, E_BC, k0_AB, k0_BC = p.R, p.E_AB, p.E_BC, p.k0_AB, p.k0_BC
     V, CAf, Tf = p.V, p.CAf, p.Tf
@@ -173,6 +180,81 @@ def _rates(p: CstrParams):
     return rates
 
 
+def _check_substeps(substeps) -> int:
+    """``substeps`` as an int, or :class:`ConfigError` unless an integer >= 1."""
+    if not isinstance(substeps, numbers.Integral) or substeps < 1:
+        raise ConfigError(f"substeps must be an integer >= 1, got {substeps!r}")
+    return int(substeps)
+
+
+def _rk4_interval(p: CstrParams, h: float, substeps: int):
+    """:func:`integrate`'s RK4 over one control interval, on floats, bound to ``p``.
+
+    Returns ``step(CA, CB, T, Fin, Tc) -> (CA, CB, T)``, the state after
+    ``substeps`` RK4 substeps of length ``h`` under constant controls. Each
+    substep computes its four stages inline, with no call per stage: the
+    expressions of :func:`_rates` in the same order, with ``-E / RT`` read
+    as ``(-E) / RT`` and ``-q * CB`` as ``(-q) * CB``, so every stage has the
+    same bits. The update multiplies by ``2.0``, the same double as
+    :func:`integrate`'s ``2``, since a float-by-float product skips the
+    int conversion. A substep whose stages divide by ``R * T == 0`` or overflow
+    ``math.exp`` is recomputed from its starting state through ``_rates``,
+    whose numpy fallback gives ±inf or nan as an array state would.
+    """
+    rates = _rates(p)
+    R, nE_AB, nE_BC, k0_AB, k0_BC = p.R, -p.E_AB, -p.E_BC, p.k0_AB, p.k0_BC
+    V, CAf, Tf = p.V, p.CAf, p.Tf
+    heat_AB = p.dH_AB / (p.rho * p.Cp)
+    heat_BC = p.dH_BC / (p.rho * p.Cp)
+    jacket = p.UA / (p.V * p.rho * p.Cp)
+    exp = math.exp
+    h2, h6 = h / 2, h / 6
+
+    def step(CA, CB, T, Fin, Tc):
+        q = Fin / V
+        nq = -q
+        for _ in range(substeps):
+            try:
+                RT = R * T
+                rA = k0_AB * exp(nE_AB / RT) * CA
+                rB = k0_BC * exp(nE_BC / RT) * CB
+                a1 = q * (CAf - CA) - rA
+                b1 = nq * CB + rA - rB
+                c1 = q * (Tf - T) + heat_AB * rA + heat_BC * rB + jacket * (Tc - T)
+                x, y, z = CA + h2 * a1, CB + h2 * b1, T + h2 * c1
+                RT = R * z
+                rA = k0_AB * exp(nE_AB / RT) * x
+                rB = k0_BC * exp(nE_BC / RT) * y
+                a2 = q * (CAf - x) - rA
+                b2 = nq * y + rA - rB
+                c2 = q * (Tf - z) + heat_AB * rA + heat_BC * rB + jacket * (Tc - z)
+                x, y, z = CA + h2 * a2, CB + h2 * b2, T + h2 * c2
+                RT = R * z
+                rA = k0_AB * exp(nE_AB / RT) * x
+                rB = k0_BC * exp(nE_BC / RT) * y
+                a3 = q * (CAf - x) - rA
+                b3 = nq * y + rA - rB
+                c3 = q * (Tf - z) + heat_AB * rA + heat_BC * rB + jacket * (Tc - z)
+                x, y, z = CA + h * a3, CB + h * b3, T + h * c3
+                RT = R * z
+                rA = k0_AB * exp(nE_AB / RT) * x
+                rB = k0_BC * exp(nE_BC / RT) * y
+                a4 = q * (CAf - x) - rA
+                b4 = nq * y + rA - rB
+                c4 = q * (Tf - z) + heat_AB * rA + heat_BC * rB + jacket * (Tc - z)
+            except (ZeroDivisionError, OverflowError):
+                a1, b1, c1 = rates(CA, CB, T, Fin, Tc)
+                a2, b2, c2 = rates(CA + h2 * a1, CB + h2 * b1, T + h2 * c1, Fin, Tc)
+                a3, b3, c3 = rates(CA + h2 * a2, CB + h2 * b2, T + h2 * c2, Fin, Tc)
+                a4, b4, c4 = rates(CA + h * a3, CB + h * b3, T + h * c3, Fin, Tc)
+            CA = CA + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+            CB = CB + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            T = T + h6 * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+        return CA, CB, T
+
+    return step
+
+
 def integrate(rhs, state0, controls_schedule, dt, horizon, substeps=1):
     """Fixed-step classical RK4 under a piecewise-constant control schedule.
 
@@ -180,10 +262,12 @@ def integrate(rhs, state0, controls_schedule, dt, horizon, substeps=1):
     ``dt``; ``horizon`` must equal ``len(schedule) * dt``. Returns
     ``(states, failed)`` where states has one row per interval boundary.
     A state that goes non-finite or exceeds 1e6 in magnitude truncates the
-    trajectory with ``failed=True``.
+    trajectory with ``failed=True``. ``substeps`` must be an integer >= 1
+    (:class:`ConfigError` otherwise).
     """
     if dt <= 0:
         raise ConfigError("dt must be > 0")
+    substeps = _check_substeps(substeps)
     schedule = np.atleast_2d(np.asarray(controls_schedule, dtype=float))
     n_steps = schedule.shape[0]
     if abs(n_steps * dt - horizon) > 1e-9 * max(1.0, abs(horizon)):
@@ -250,22 +334,27 @@ def cstr_objective(theta, noise: NoiseSpec | None = None, seed: int = 0,
     ``substream(seed, "cstr-noise")`` is added. Deterministic in
     (theta, seed).
 
-    The loop runs on Python floats and gives the same bits as
-    :func:`pid_control` plus :func:`integrate` over :func:`cstr_rhs`.
+    The loop runs on Python floats: the PID law inline, and each control
+    interval's RK4 substeps through :func:`_rk4_interval`, which writes the
+    balance equations out stage by stage instead of calling
+    :func:`cstr_rhs`'s kernel. It gives the same bits as :func:`pid_control`
+    plus :func:`integrate` over :func:`cstr_rhs`;
+    ``test_cstr_objective_matches_array_functions_bitwise`` checks that on
+    a 64-point Latin hypercube, corner thetas and the noisy path. The
+    config's ``integrator_substeps`` must be an integer >= 1
+    (:class:`ConfigError` otherwise).
     """
     cfg = load_defaults()["cstr"]
-    rates = _rates(params or CstrParams.from_config())
     gains = theta_to_gains(theta, cfg).tolist()
     lo = (float(cfg["flow_bounds"][0]), float(cfg["coolant_bounds"][0]))
     hi = (float(cfg["flow_bounds"][1]), float(cfg["coolant_bounds"][1]))
     setpoints = cfg["setpoints"]
     dt = float(cfg["control_interval"])
-    substeps = int(cfg["integrator_substeps"])
+    substeps = _check_substeps(cfg["integrator_substeps"])
     lam = float(cfg["control_change_weight"])
     n_steps = int(round(float(cfg["horizon"]) / dt))
     seg_len = n_steps // len(setpoints)
-    h = dt / substeps
-    h2, h6 = h / 2, h / 6
+    step = _rk4_interval(params or CstrParams.from_config(), dt / substeps, substeps)
 
     CA, CB, T = (float(v) for v in cfg["initial_state"])
     cost = 0.0
@@ -291,14 +380,7 @@ def cstr_objective(theta, noise: NoiseSpec | None = None, seed: int = 0,
             cost += lam * (d0 * d0 + d1 * d1)
         u_prev = (Fin, Tc)
         e_prev = e
-        for _ in range(substeps):  # integrate's RK4 on three floats
-            a1, b1, c1 = rates(CA, CB, T, Fin, Tc)
-            a2, b2, c2 = rates(CA + h2 * a1, CB + h2 * b1, T + h2 * c1, Fin, Tc)
-            a3, b3, c3 = rates(CA + h2 * a2, CB + h2 * b2, T + h2 * c2, Fin, Tc)
-            a4, b4, c4 = rates(CA + h * a3, CB + h * b3, T + h * c3, Fin, Tc)
-            CA = CA + h6 * (a1 + 2 * a2 + 2 * a3 + a4)
-            CB = CB + h6 * (b1 + 2 * b2 + 2 * b3 + b4)
-            T = T + h6 * (c1 + 2 * c2 + 2 * c3 + c4)
+        CA, CB, T = step(CA, CB, T, Fin, Tc)
         # a non-finite RK4 stage leaves a non-finite state, so this catches it
         if (not (math.isfinite(CA) and math.isfinite(CB) and math.isfinite(T))
                 or CA < -1e-9 or CB < -1e-9 or abs(T) > 1e6):

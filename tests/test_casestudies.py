@@ -1,8 +1,12 @@
+import copy
+import struct
+
 import numpy as np
 import pytest
 from dataclasses import replace
 
-from surropt.core import ConfigError, NoiseSpec, evaluate
+from surropt.core import Bounds, ConfigError, NoiseSpec, evaluate, latin_hypercube, substream
+from surropt.casestudies import cstr as cstr_module
 from surropt.casestudies import (
     CstrParams,
     CstrState,
@@ -131,6 +135,14 @@ def test_integrate_validates_schedule():
         integrate(_decay, np.array([1.0]), np.zeros((10, 1)), -0.1, -1.0)
 
 
+@pytest.mark.parametrize("substeps", [0, -1, 2.5, 3.0])
+def test_integrate_rejects_substeps_that_are_not_a_positive_integer(substeps):
+    # substeps=-1 used to return the initial state at every boundary with
+    # failed=False, and substeps=0 raised a bare ZeroDivisionError
+    with pytest.raises(ConfigError, match="substeps"):
+        integrate(_decay, np.array([1.0]), np.zeros((10, 1)), 0.1, 1.0, substeps=substeps)
+
+
 # ---------------------------------------------------------------- PID
 
 
@@ -195,9 +207,9 @@ def test_cstr_objective_finite_on_random_inputs():
         assert np.isfinite(v)
 
 
-def _array_objective(theta):
+def _array_objective(theta, cfg=None):
     """cstr_objective built from the public array functions, as a reference."""
-    cfg = load_defaults()["cstr"]
+    cfg = cfg or load_defaults()["cstr"]
     p = CstrParams.from_config()
     gains = theta_to_gains(theta, cfg)
     lo = [cfg["flow_bounds"][0], cfg["coolant_bounds"][0]]
@@ -227,10 +239,130 @@ def _array_objective(theta):
     return float(cost)
 
 
+def _bits(values):
+    return struct.pack(f"<{len(values)}d", *values)
+
+
 def test_cstr_objective_matches_array_functions_bitwise():
     rng = np.random.default_rng(3)
     for theta in [HAND_TUNED, *rng.uniform(size=(3, 32))]:
         assert cstr_objective(theta) == _array_objective(theta)
+    # the 64-point design DYCORS starts from, and corners where the PID
+    # output clips at the actuator bounds
+    design = latin_hypercube(Bounds.cube(0.0, 1.0, 32), 64, seed=0)
+    corners = [np.zeros(32), np.ones(32), np.tile([0.0, 1.0], 16)]
+    for theta in [*design, *corners]:
+        assert _bits([cstr_objective(theta)]) == _bits([_array_objective(theta)])
+    noise = NoiseSpec(sigma=5.0)
+    for seed in (0, 1):
+        draw = noise.sigma * float(substream(seed, "cstr-noise").standard_normal())
+        want = _array_objective(HAND_TUNED) + draw
+        assert _bits([cstr_objective(HAND_TUNED, noise=noise, seed=seed)]) == _bits([want])
+
+
+def _with_cstr_config(monkeypatch, **changes):
+    """Point cstr_objective at a copy of the defaults with ``changes`` applied."""
+    cfg = copy.deepcopy(load_defaults())
+    cfg["cstr"].update(changes)
+    monkeypatch.setattr(cstr_module, "load_defaults", lambda: cfg)
+    return cfg["cstr"]
+
+
+def _counting_rates(monkeypatch):
+    """Record every call of the single-stage kernel, as (inputs, outputs)."""
+    calls = []
+    real = cstr_module._rates
+
+    def counted(params):
+        rates = real(params)
+
+        def wrapped(*args):
+            out = rates(*args)
+            calls.append((args, out))
+            return out
+
+        return wrapped
+
+    monkeypatch.setattr(cstr_module, "_rates", counted)
+    return calls
+
+
+def test_rk4_interval_matches_integrate_bitwise():
+    # the whole state, CB included: CB's last bits barely reach T, so the
+    # objective alone would not see a reordered B balance
+    p = CstrParams.from_config()
+    rng = np.random.default_rng(11)
+    step = cstr_module._rk4_interval(p, 0.1 / 3, 3)
+    rhs = lambda y, c: cstr_rhs(y, c, p)  # noqa: E731
+    for _ in range(300):
+        y0 = rng.uniform([0.0, 0.0, 300.0], [1.0, 1.0, 340.0])
+        u = rng.uniform([97.0, 290.0], [105.0, 302.0])
+        states, failed = integrate(rhs, y0, [u], 0.1, 0.1, 3)
+        assert not failed
+        assert _bits(step(*y0.tolist(), *u.tolist())) == _bits(states[-1])
+
+
+def test_rk4_interval_fallback_matches_integrate_stage_by_stage(monkeypatch):
+    # R * T == 0 makes the inline stage divide by zero: the substep is
+    # recomputed through _rates, whose numpy fallback gives exp(-inf) = 0
+    p = CstrParams.from_config()
+    calls = _counting_rates(monkeypatch)
+    dt, substeps, u = 0.1, 3, (100.0, 300.0)
+    got = cstr_module._rk4_interval(p, dt / substeps, substeps)(0.5, 0.2, 0.0, *u)
+    fallback = list(calls)
+    assert len(fallback) == 4  # the first substep only; later stages have T > 0
+    stages = []
+
+    def rhs(y, c):
+        stages.append(y.tolist())
+        return cstr_rhs(y, c, p)
+
+    states, failed = integrate(rhs, np.array([0.5, 0.2, 0.0]), [u], dt, dt, substeps)
+    assert not failed
+    for (args, out), y in zip(fallback, stages):
+        assert _bits(args[:3]) == _bits(y)
+        assert _bits(out) == _bits(cstr_rhs(np.array(y), u, p))
+    assert _bits(got) == _bits(states[-1])
+
+
+def test_rk4_interval_fallback_on_an_overflowing_factor(monkeypatch):
+    # at T < 0, exp(-E / RT) overflows: math.exp raises, numpy gives inf,
+    # and the substep's state turns non-finite
+    p = CstrParams.from_config()
+    calls = _counting_rates(monkeypatch)
+    dt, substeps, u = 0.1, 3, (100.0, 300.0)
+    got = cstr_module._rk4_interval(p, dt / substeps, substeps)(0.5, 0.2, -1.0, *u)
+    assert len(calls) == 4
+    y0 = np.array([0.5, 0.2, -1.0])
+    assert calls[0][0][:3] == (0.5, 0.2, -1.0)
+    assert np.array_equal(calls[0][1], cstr_rhs(y0, u, p), equal_nan=True)
+    assert calls[0][1][0] == -np.inf
+    # integrate over cstr_rhs stops at the second stage, whose state is not finite
+    with pytest.raises(ConfigError, match="finite"):
+        integrate(lambda y, c: cstr_rhs(y, c, p), y0, [u], dt, dt, substeps)
+    assert not all(np.isfinite(got))
+
+
+def test_cstr_objective_through_the_fallback(monkeypatch):
+    # controls at the actuator floor: from T = 0 the reactor heats up and
+    # the run stays finite; from T = -1 the first substep turns non-finite
+    theta = np.zeros(32)
+    cfg = _with_cstr_config(monkeypatch, initial_state=[0.877, 0.0, 0.0])
+    calls = _counting_rates(monkeypatch)
+    value = cstr_objective(theta)
+    assert len(calls) == 4  # one substep took the fallback
+    assert _bits([value]) == _bits([_array_objective(theta, cfg)])
+    cfg = _with_cstr_config(monkeypatch, initial_state=[0.877, 0.0, -1.0])
+    calls.clear()
+    assert cstr_objective(theta) == float(cfg["failure_penalty"])
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("substeps", [0, -1])
+def test_cstr_objective_rejects_bad_integrator_substeps(monkeypatch, substeps):
+    _with_cstr_config(monkeypatch, integrator_substeps=substeps)
+    with pytest.raises(ConfigError, match="substeps"):
+        cstr_objective(np.full(32, 0.5))
 
 
 def test_cstr_objective_failure_penalty():
