@@ -15,6 +15,7 @@ keep the toolkit dependency-free while preserving surrogate convexity.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -30,6 +31,7 @@ __all__ = [
     "LinModel",
     "RbfModel",
     "fit_gp",
+    "fit_gps",
     "gp_from_hyperparameters",
     "gp_posterior",
     "gp_log_marginal_likelihood",
@@ -46,6 +48,14 @@ _JITTERS = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
 # most 16 planes, 1 MB, are live at once. On a 3200 x 80 matrix at d = 32, on
 # one core with 2 MB of L2, 32 KB planes took 6% longer and 128 KB ones 31%.
 _PLANE_FLOATS = 1 << 13
+# Floats in the stack of bordered kernels that one call of
+# _BorderedKernel.terms factors at once (256 KB); a larger stack of k models
+# is factored model by model. On one core with 2 MB of L2, with 9 kernels
+# per model, one stack of k = 2 or 3 models took up to 1.45x as long as the
+# models' stacks one by one from about 36,000 floats on (n = 36 to 100),
+# where each call's arrays come from fresh pages (with glibc's mmap threshold
+# raised, the gap closed), and 0.6-0.94x as long below 31,000 floats.
+_STACK_FLOATS = 1 << 15
 # Corner of the bordered kernel (_BorderedKernel): far above any ys' K^-1 ys it meets.
 _BORDER_CORNER = 1e300
 # Cap on the scaled squared distance in the SE kernel. exp(-230 / 2) is about
@@ -129,24 +139,31 @@ def _sum_planes(At, Bt, lo: int, hi: int, out: np.ndarray, stack: np.ndarray) ->
 def _merge_duplicates(dist: np.ndarray, y: np.ndarray):
     """Merge rows closer than ``_DUPLICATE_TOL``, averaging their y.
 
-    ``dist`` is ``_distances(X, X)`` over the rows of X. A row joins the
-    first kept row that close; each kept row's y is the mean of its members
-    in row order. A kept row with no other member keeps its own y plus 0.0:
-    ``np.mean`` of one element sums it onto 0.0, which turns -0.0 into 0.0
-    and leaves every other value as it is. Returns the indices of the kept
-    rows and their y.
+    ``dist`` is ``_distances(X, X)`` over the rows of X, and y is (n,) or a
+    (k, n) stack of targets. A row joins the first kept row that close;
+    each kept row's y is the mean of its members in row order, one 1-D
+    ``np.mean`` per target (a row mean of the 2-D stack rounds differently
+    from 8 members on). A kept row with no other member keeps its own y
+    plus 0.0: ``np.mean`` of one element sums it onto 0.0, which turns -0.0
+    into 0.0 and leaves every other value as it is. Returns the indices of
+    the kept rows and their y.
     """
     rows = np.arange(dist.shape[0])
-    close = np.tril(dist < _DUPLICATE_TOL, k=-1)
+    close = dist < _DUPLICATE_TOL
+    if np.count_nonzero(close) == rows.size and close.diagonal().all():
+        return rows, y + 0.0  # each row is close to itself alone
+    close = np.tril(close, k=-1)
     owner = rows.copy()
     for i in np.flatnonzero(close.any(axis=1)):
         hits = np.flatnonzero(close[i, :i] & (owner[:i] == rows[:i]))
         if hits.size:
             owner[i] = hits[0]
     kept = rows[owner == rows]
-    y_kept = y[kept] + 0.0
+    y_kept = y[..., kept] + 0.0
     for j in np.flatnonzero(np.bincount(owner)[kept] > 1):
-        y_kept[j] = np.mean(y[owner == kept[j]])
+        members = owner == kept[j]
+        for target, merged in zip(np.atleast_2d(y), np.atleast_2d(y_kept)):
+            merged[j] = np.mean(target[members])
     return kept, y_kept
 
 
@@ -269,12 +286,17 @@ class GpModel:
 
 
 def _standardize(y):
-    """(y - mean) / std with the mean and scale; constant targets keep unit scale."""
-    y_mean = float(np.mean(y))
-    y_scale = float(np.std(y))
+    """(y - mean) / std with the mean and scale; constant targets keep unit scale.
+
+    The mean and the population std are the sums ``np.mean`` and ``np.std``
+    take, written out, so they have the same bytes at a quarter of the cost.
+    """
+    y_mean = float(y.sum() / y.size)
+    centred = y - y_mean
+    y_scale = math.sqrt((centred * centred).sum() / y.size)
     if y_scale <= 0:
         y_scale = 1.0
-    return (y - y_mean) / y_scale, y_mean, y_scale
+    return centred / y_scale, y_mean, y_scale
 
 
 # The box fit_gp searches, in standardized units: the signal and noise
@@ -313,37 +335,49 @@ class _BorderedKernel:
     pivot would fail and the jitter ladder would run, as for a kernel that
     is not positive definite.
 
-    The planes of X are computed once per fit, bordered by zeros to the
-    (n+1, n+1) layout of M, so a product of the weights with them lays out
-    each kernel as the K block of its bordered matrix; the unit kernels come
-    out bit for bit as from the unbordered planes. :meth:`factor` factors
-    one kernel ``E * sv + nv I`` for a unit kernel E from :meth:`unit`;
-    :meth:`terms` factors a stack of unit kernels ``E_i + r_i I`` in one
-    ``np.linalg.cholesky`` call.
+    ``ys`` is a (k, n) stack of targets over the one X, one row per model;
+    a 1-D ys is a stack of one. A stack of kernels lists the models in
+    order, the same number of kernels each, and model i's kernels are
+    bordered by row i. The planes of X are computed once per fit, bordered
+    by zeros to the (n+1, n+1) layout of M, so a product of the weights
+    with them lays out each kernel as the K block of its bordered matrix;
+    the unit kernels come out bit for bit as from the unbordered planes.
+    :meth:`factor` factors one kernel ``E * sv + nv I`` of a stack of one
+    (model i's alone is ``_model(i)``) for a unit kernel E from
+    :meth:`unit`; :meth:`terms` factors a stack of unit kernels
+    ``E_j + r_j I`` in one ``np.linalg.cholesky`` call.
     """
 
     def __init__(self, X: np.ndarray, ys: np.ndarray):
         n, d = X.shape
-        self.X, self.ys = X, ys
+        self.X, self.ys = X, np.atleast_2d(ys)
         self.planes = np.zeros((d, n + 1, n + 1))
         self.planes[:, :n, :n] = _planes(X).reshape(d, n, n)
         self.planes = self.planes.reshape(d, -1)
 
+    def _model(self, i: int) -> "_BorderedKernel":
+        """Model i's kernel alone: the same X and planes, bordered by row i of ys."""
+        one = object.__new__(_BorderedKernel)
+        one.X, one.ys, one.planes = self.X, self.ys[i:i + 1], self.planes
+        return one
+
     def unit(self, lengthscales) -> np.ndarray:
-        """The (n, n) training kernel at these lengthscales and unit sv."""
+        """The (..., n, n) training kernels at these (..., d) lengthscales and unit sv."""
         n = self.X.shape[0]
-        return _unit_kernel(self.planes, lengthscales).reshape(n + 1, n + 1)[:n, :n]
+        E = _unit_kernel(self.planes, lengthscales)
+        return E.reshape(E.shape[:-1] + (n + 1, n + 1))[..., :n, :n]
 
     def _border(self, M: np.ndarray, diagonal) -> np.ndarray:
-        """Make the (..., n+1, n+1) M with K in its block [[K + diagonal I, ys], [ys', c]]."""
-        n = self.X.shape[0]
+        """Make each K of the stack M [[K + diagonal I, ys_i], [ys_i', c]], i its model."""
+        n, k = self.X.shape[0], self.ys.shape[0]
         M.reshape(M.shape[:-2] + (-1,))[..., :n * (n + 2):n + 2] += np.asarray(diagonal)[..., None]
-        M[..., :n, n] = M[..., n, :n] = self.ys
+        by_model = M.reshape(k, -1, n + 1, n + 1)
+        by_model[..., :n, n] = by_model[..., n, :n] = self.ys[:, None, :]
         M[..., n, n] = _BORDER_CORNER
         return M
 
     def factor(self, E, signal_variance, noise_variance):
-        """L and v = L^-1 ys for the training kernel ``E * sv + nv I``."""
+        """L and v = L^-1 ys for the training kernel ``E * sv + nv I`` of a stack of one."""
         n = self.X.shape[0]
         M = np.empty((n + 1, n + 1))
         np.multiply(E, signal_variance, out=M[:n, :n])
@@ -351,13 +385,20 @@ class _BorderedKernel:
         return F[:n, :n], F[n, :n]
 
     def terms(self, lengthscales: np.ndarray, ratio):
-        """Half log-determinant and v'v = ys'(E_i + r I)^-1 ys of each unit kernel.
+        """Half log-determinant and v'v = ys_i'(E_j + r_j I)^-1 ys_i of each unit kernel.
 
-        One unit kernel E_i per row of the (s, d) ``lengthscales``, with the
-        ratio r one per row or shared. The s bordered matrices are factored
-        in one call (``_chol_stack``); a member that does not factor gets nan.
+        One unit kernel E_j per row of the (s, d) ``lengthscales``, s / k
+        per model in model order, with the ratio r_j one per row or shared.
+        The s bordered matrices are factored in one call (``_chol_stack``),
+        or model by model above ``_STACK_FLOATS``; a member that does not
+        factor gets nan.
         """
-        n = self.X.shape[0]
+        (s, _), n, k = lengthscales.shape, self.X.shape[0], self.ys.shape[0]
+        if k > 1 and s * (n + 1) ** 2 > _STACK_FLOATS:
+            ratio = np.broadcast_to(ratio, (s,))
+            parts = [self._model(i).terms(ls, r) for i, (ls, r) in
+                     enumerate(zip(np.split(lengthscales, k), np.split(ratio, k)))]
+            return tuple(np.concatenate(part) for part in zip(*parts))
         M = _unit_kernel(self.planes, lengthscales).reshape(-1, n + 1, n + 1)
         F = _chol_stack(self._border(M, ratio))
         v = F[:, n, :n]
@@ -385,13 +426,14 @@ def _ratio_box(t, fixed_nv):
 
     t is log r, r = nv / sv, when the noise is estimated: sv is then
     profiled out within its box and the bounds that keep nv = r sv in its
-    box. With a fixed nv, t is log sv, and r = nv / sv.
+    box. With a fixed nv, t is log sv, and r = nv / sv; ``fixed_nv`` holds
+    one nv per model, and t the same number of trials for each model.
     """
     if fixed_nv is None:
         r = np.exp(t)
         return r, np.maximum(_SV_BOX[0], _NV_BOX[0] / r), np.minimum(_SV_BOX[1], _NV_BOX[1] / r)
     sv = np.exp(t)
-    return fixed_nv / sv, sv, sv
+    return fixed_nv.repeat(t.size // fixed_nv.size) / sv, sv, sv
 
 
 def _factor(X, ys, lengthscales, signal_variance, noise_variance):
@@ -409,10 +451,11 @@ def _lml(L, v) -> float:
 
 def _build_gp(bk: _BorderedKernel, lengthscales, signal_variance, noise_variance,
               y_mean, y_scale) -> GpModel:
+    """The model of a stack of one, factored once at these hyperparameters."""
     L, v = bk.factor(bk.unit(lengthscales), signal_variance, noise_variance)
     return GpModel(
         X_train=bk.X,
-        y_train=bk.ys,
+        y_train=bk.ys[0],
         kernel_lengthscales=np.asarray(lengthscales, dtype=float),
         signal_variance=float(signal_variance),
         noise_variance=float(noise_variance),
@@ -458,33 +501,69 @@ def fit_gp(
     noise_variance: Union[str, float] = "estimated",
     seed: int = 0,
 ) -> GpModel:
-    """Fit a GP by maximizing log marginal likelihood on standardized targets.
+    """Fit a GP to ``data.y`` by maximizing its log marginal likelihood.
 
-    ``noise_variance`` is either ``"estimated"`` (fitted alongside the kernel
-    hyperparameters) or a fixed float in output units. The kernel is written
-    K = sv (E + r I), with E the unit SE kernel and r = nv / sv. For given
-    lengthscales and r the best sv is closed-form (``_profile``), so the
-    search runs over the log lengthscales and one last coordinate t: log r,
-    or log sv where nv is fixed (Rasmussen & Williams 2006, sec. 5.4). It
-    takes the best of 8 seeded random starts and the box centre, factored as
-    one stack of bordered kernels (``_BorderedKernel.terms``), and then:
+    This is :func:`fit_gps` on a stack of one target, ``data.y``, with this
+    seed; the search is described there. ``noise_variance`` is either
+    ``"estimated"`` (fitted alongside the kernel hyperparameters) or a fixed
+    float in output units. ``fit_gps`` runs the same search for k targets
+    over one X in lockstep, each from its own seed: the models share the
+    merge of duplicate rows, the kernel planes and the search box, and each
+    stacked Cholesky call and each ``eigh`` covers all k of them. ``cbo``
+    fits its objective and constraint GPs so. Where a target is one row of a
+    stack, with the same seed, its model is this one, bit for bit.
+    """
+    return fit_gps(data.X, data.y[None], [seed], noise_variance)[0]
+
+
+def fit_gps(
+    X: np.ndarray,
+    Y: np.ndarray,
+    seeds,
+    noise_variance: Union[str, float] = "estimated",
+) -> list:
+    """Fit one GP per row of the (k, n) targets Y over the one X, in lockstep.
+
+    Each model maximizes the log marginal likelihood of its standardized
+    targets, from its own seed; ``noise_variance`` is ``"estimated"``
+    (fitted alongside the kernel hyperparameters) or a fixed float in
+    output units, for every model. The kernel is written K = sv (E + r I),
+    with E the unit SE kernel and r = nv / sv. For given lengthscales and r
+    the best sv is closed-form (``_profile``), so the search runs over the
+    log lengthscales and one last coordinate t: log r, or log sv where nv is
+    fixed (Rasmussen & Williams 2006, sec. 5.4). Each model takes the best
+    of 8 seeded random starts and the box centre, and then:
 
     - sweeps t: one ``eigh`` of the unit kernel E, after which each t costs
       O(n), over t's box and then finer around its best (``sweep``);
     - gives each lengthscale in turn a grid of 9 points over +-1.5 decades,
-      factored as one stack, and sweeps t again;
+      and sweeps t again;
     - does the same with grids over +-3/8 decade, and sweeps t a last time.
 
-    At d = 2 that is 5 stacked Cholesky calls and 3 ``eigh`` calls. The
-    model is then factored once at the chosen hyperparameters
-    (``_build_gp``), and its stored LML is that factor's.
+    The models share what depends on X alone: the merge of duplicate rows,
+    the planes of the kernel, the input widths and the search box. Each
+    step takes all k models at once, as in batch-mode GP libraries: the
+    starts, and each lengthscale grid, are one stack of k * 9 bordered
+    kernels (``_BorderedKernel.terms``), each sweep takes one stacked
+    ``eigh``, and each model keeps the best of its own trials. At d = 2
+    that is 5 stacked Cholesky calls and 3 ``eigh`` calls for the whole
+    stack. Each model is then factored once at its chosen hyperparameters
+    (``_build_gp``), and its stored LML is that factor's. A model has the
+    bytes it has as a stack of one (``fit_gp``). If every start of any
+    model fails, the fit raises :class:`SurrogateFitError`.
     """
-    kept, y = _merge_duplicates(_distances(data.X, data.X), data.y)
-    X = data.X[kept]
+    X = np.asarray(X, dtype=float)
+    kept, Y = _merge_duplicates(_distances(X, X), np.atleast_2d(Y))
+    X = X[kept]
     if X.shape[0] < 1:
         raise SurrogateFitError("no samples to fit")
-    n, d = X.shape
-    ys, y_mean, y_scale = _standardize(y)
+    (n, d), k = X.shape, Y.shape[0]
+    if len(seeds) != k:
+        raise ValueError("fit_gps needs one seed per row of Y")
+    ys = np.empty(Y.shape)  # C order: a row of Y[:, kept] is strided
+    y_mean, y_scale = np.empty(k), np.empty(k)
+    for i, y in enumerate(Y):
+        ys[i], y_mean[i], y_scale[i] = _standardize(y)
     bk = _BorderedKernel(X, ys)
 
     widths = X.max(axis=0) - X.min(axis=0)
@@ -506,27 +585,51 @@ def fit_gp(
         r, sv_lo, sv_hi = _ratio_box(trials[:, d], fixed_nv)
         return _profile(*bk.terms(np.exp(trials[:, :d]), r), n, sv_lo, sv_hi)
 
-    def improved(best, k, grid, evaluate):
-        """``best``, a (value, theta, sv) triple, or the best trial if that is better.
+    # Each model's best so far, a (value, theta, sv) triple; improve replaces it.
+    best = [(-np.inf, 0.5 * (lo + hi), None)] * k
 
-        Each trial is best's theta with coordinate k set to a grid value.
+    def improve(c, grids, evaluate):
+        """Replace each model's best by its best trial where that is better.
+
+        Model i's trials are its best theta with coordinate c set to each
+        entry of ``grids[i]`` (with a slice c, each row sets those
+        coordinates), clipped to the box. The (k * s, d + 1) trials go to
+        ``evaluate`` as one stack, model after model.
         """
-        trials = np.empty((grid.size, d + 1))
-        trials[:] = best[1]
-        trials[:, k] = np.minimum(np.maximum(grid, lo[k]), hi[k])
+        s = len(grids[0])
+        trials = np.empty((k, s, d + 1))
+        for i, ((_, theta, _), grid) in enumerate(zip(best, grids)):
+            trials[i] = theta
+            trials[i, :, c] = np.minimum(np.maximum(grid, lo[c]), hi[c])
+        trials = trials.reshape(-1, d + 1)
         values, svs = evaluate(trials)
-        j = int(values.argmax())
-        return (values[j], trials[j], svs[j]) if values[j] > best[0] else best
+        for i in range(k):
+            j = i * s + int(values[i * s:(i + 1) * s].argmax())
+            if values[j] > best[i][0]:
+                best[i] = (values[j], trials[j], svs[j])
 
-    def sweep(best):
-        """``best`` improved along t on one eigendecomposition of its unit kernel.
+    # the starts set every coordinate: 8 seeded ones and the box centre
+    starts = [np.vstack([substream(seed, "gp-hypers").uniform(lo, hi, size=(_STARTS, d + 1)),
+                         best[0][1]]) for seed in seeds]
+    improve(slice(None), starts, factored)
+    if not all(math.isfinite(value) for value, _, _ in best):
+        raise SurrogateFitError("all hyperparameter starts failed")
+
+    coarse = [lo[d] + (hi[d] - lo[d]) * _SWEEP_UNIT] * k
+    fine = (hi[d] - lo[d]) / (_SWEEP - 1) * _SWEEP_FINE
+
+    def sweep():
+        """Each model's best improved along t on one eigendecomposition of its unit kernel.
 
         With E = Q diag(lam) Q' and z = Q'ys, E + r I has half
         log-determinant sum(log(lam + r)) / 2 and ys'(E + r I)^-1 ys =
         sum(z^2 / (lam + r)). A shift lam + r <= 0 does not factor.
         """
-        lam, Q = np.linalg.eigh(bk.unit(np.exp(best[1][:d])))
-        z2 = np.square(Q.T @ ys)
+        thetas = np.array([theta for _, theta, _ in best])
+        lam, Q = np.linalg.eigh(bk.unit(np.exp(thetas[:, :d])))
+        z2 = np.square(Q.mT @ ys[..., None])[..., 0]
+        # one row per trial, as improve lays the trials out
+        lam, z2 = lam.repeat(_SWEEP, axis=0), z2.repeat(_SWEEP, axis=0)
 
         def swept(trials):
             r, sv_lo, sv_hi = _ratio_box(trials[:, d], fixed_nv)
@@ -538,30 +641,25 @@ def fit_gp(
             values[~factors] = -np.inf
             return values, svs
 
-        best = improved(best, d, lo[d] + (hi[d] - lo[d]) * _SWEEP_UNIT, swept)
-        step = (hi[d] - lo[d]) / (_SWEEP - 1)
-        return improved(best, d, best[1][d] + step * _SWEEP_FINE, swept)
+        improve(d, coarse, swept)
+        improve(d, [theta[d] + fine for _, theta, _ in best], swept)
 
-    rng = substream(seed, "gp-hypers")
-    starts = np.vstack([rng.uniform(lo, hi, size=(_STARTS, d + 1)), 0.5 * (lo + hi)])
-    values, svs = factored(starts)
-    j = int(values.argmax())
-    if not np.isfinite(values[j]):
-        raise SurrogateFitError("all hyperparameter starts failed")
-    best = sweep((values[j], starts[j], svs[j]))
-
+    sweep()
     for span in (_SPAN, _SPAN / 4):
-        for k in range(d):
-            a = max(lo[k], best[1][k] - span)
-            b = min(hi[k], best[1][k] + span)
-            best = improved(best, k, a + (b - a) * _GRID_UNIT, factored)
-        best = sweep(best)
-    _, theta, sv = best
+        for c in range(d):
+            grids = []
+            for _, theta, _ in best:
+                a, b = max(lo[c], theta[c] - span), min(hi[c], theta[c] + span)
+                grids.append(a + (b - a) * _GRID_UNIT)
+            improve(c, grids, factored)
+        sweep()
 
-    nv = fixed_nv
-    if estimate_noise:
-        nv = min(max(math.exp(theta[d]) * sv, _NV_BOX[0]), _NV_BOX[1])
-    return _build_gp(bk, np.exp(theta[:d]), sv, nv, y_mean, y_scale)
+    models = []
+    for i, (_, theta, sv) in enumerate(best):
+        nv = fixed_nv[i] if fixed_nv is not None else min(
+            max(math.exp(theta[d]) * sv, _NV_BOX[0]), _NV_BOX[1])
+        models.append(_build_gp(bk._model(i), np.exp(theta[:d]), sv, nv, y_mean[i], y_scale[i]))
+    return models
 
 
 def _posterior_mean(model: GpModel, X_query: np.ndarray):
@@ -647,6 +745,19 @@ def psd_project(Q: np.ndarray) -> np.ndarray:
     return 0.5 * (P + P.T)
 
 
+@functools.lru_cache(maxsize=None)
+def _quadratic_terms(d: int):
+    """(iu, ju, iu == ju) of the x_i * x_j terms, i <= j in row-major order.
+
+    Computed once per d and read-only, since every call shares them.
+    """
+    iu, ju = np.triu_indices(d)
+    terms = (iu, ju, iu == ju)
+    for a in terms:
+        a.flags.writeable = False
+    return terms
+
+
 def fit_quadratic(
     data: Dataset, ridge: float = 1e-8, psd: bool = False
 ) -> QuadModel:
@@ -668,7 +779,7 @@ def fit_quadratic(
     X = data.X
     y = data.y
     n, d = X.shape
-    iu, ju = np.triu_indices(d)  # the x_i * x_j terms, i <= j in row-major order
+    iu, ju, diagonal = _quadratic_terms(d)
     A = np.column_stack([np.ones(n), X, X[:, iu] * X[:, ju]])
     p = A.shape[1]
     if ridge > 0 and n < p:
@@ -687,7 +798,7 @@ def fit_quadratic(
     c = beta[1 : 1 + d].copy()
     q = beta[1 + d :]
     Q = np.zeros((d, d))
-    Q[iu, ju] = Q[ju, iu] = np.where(iu == ju, q, 0.5 * q)
+    Q[iu, ju] = Q[ju, iu] = np.where(diagonal, q, 0.5 * q)
     if psd:
         Q = psd_project(Q)
     return QuadModel(Q=Q, c=c, b=float(b))

@@ -525,8 +525,29 @@ def test_make_williams_otto_problem():
     assert prob.bounds.lower[0] == 343.15 and prob.bounds.upper[1] == 6.0
 
 
+def _leaves(node, path=()):
+    """(path, value) of every scalar in a nest of dicts and lists."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaves(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _leaves(value, path + (i,))
+    else:
+        yield path, node
+
+
 def test_defaults_config_loads():
     cfg = load_defaults()
     assert set(cfg) == {"cstr", "williams_otto"}
     assert cfg["cstr"]["gas_constant"] == 8.314462618
     assert len(cfg["cstr"]["setpoints"]) == 4
+    # YAML 1.1 reads an exponent without a sign (1.0e6) as a string
+    leaves = list(_leaves(cfg))
+    assert len(leaves) > 40
+    for path, value in leaves:
+        assert type(value) in (int, float), (path, value)
+    assert cfg["cstr"]["failure_penalty"] == 1.0e6
+    assert cfg["cstr"]["k0_ab"] == 7.2e10 and cfg["cstr"]["k0_bc"] == 8.2e10
+    assert cfg["williams_otto"]["arrhenius_a"] == [1.6599e6, 7.2117e8, 2.6745e12]
+    assert cfg["williams_otto"]["failure_penalty"] == 1.0e6

@@ -849,7 +849,7 @@ def test_run_optimizer_config_errors_come_before_any_evaluation(algorithm, key, 
 
 
 FIT_OF = {
-    "bo": "fit_gp", "cbo": "fit_gp", "lsqm": "fit_quadratic", "cuatro": "fit_quadratic",
+    "bo": "fit_gps", "cbo": "fit_gps", "lsqm": "fit_quadratic", "cuatro": "fit_quadratic",
     "cobyqa": "fit_quadratic", "cobyla": "fit_linear", "dycors": "fit_rbf",
 }
 

@@ -1,9 +1,10 @@
 import math
+import struct
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -203,6 +204,32 @@ def test_merge_duplicates_matches_one_mean_per_kept_row(seed, n, d, n_near):
     assert not np.shares_memory(ym, y)
 
 
+def test_merge_duplicates_averages_each_target_as_on_its_own():
+    # a group of 12 rows: from 8 members on, a row mean of the 2-D stack
+    # rounds differently from the 1-D mean
+    rng = np.random.default_rng(3)
+    X = np.vstack([rng.uniform(0.0, 1.0, (5, 2)), np.full((12, 2), 0.5)])
+    X = X[rng.permutation(len(X))]
+    Y = rng.standard_normal((3, len(X))) * [[1.0], [1e3], [1e-3]]
+    kept, merged = surrogates._merge_duplicates(_distances(X, X), Y)
+    assert merged.shape == (3, 6)
+    for target, row in zip(Y, merged):
+        kept_one, alone = surrogates._merge_duplicates(_distances(X, X), target)
+        assert kept.tobytes() == kept_one.tobytes()
+        assert row.tobytes() == alone.tobytes()
+
+
+def test_merge_duplicates_with_rows_close_to_nothing():
+    # nan rows are not close even to themselves; here there are as many of
+    # them as close pairs, so the close entries still number n
+    X = np.array([[0.0, 0.0], [np.nan, 1.0], [0.3, 0.1], [0.0, 0.0], [1.0, np.nan]])
+    y = np.arange(5.0)
+    kept, ym = surrogates._merge_duplicates(_distances(X, X), y)
+    Xr, yr = _merge_duplicates_reference(X, y)
+    assert kept.tolist() == [0, 1, 2, 4]
+    assert X[kept].tobytes() == Xr.tobytes() and ym.tobytes() == yr.tobytes()
+
+
 def test_gp_variance_never_increases_with_more_data():
     # fixed hyperparameters, zero noise: conditioning reduces variance
     rng = np.random.default_rng(6)
@@ -352,7 +379,7 @@ def _record_profiles():
 
     def spy(*args):
         lml, sv = real(*args)
-        values.extend(lml)
+        values.extend(np.ravel(lml))  # (k, s) per stack of k models
         return lml, sv
 
     return values, mock.patch.object(surrogates, "_profile", spy)
@@ -463,6 +490,153 @@ def test_fit_makes_few_numpy_factorization_calls(d):
     assert counts == {"cholesky": 2 * d + 2, "eigh": 3}
     if d == 2:
         assert sum(counts.values()) <= 10
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=1, max_value=300),
+    scale=st.integers(min_value=-8, max_value=8),
+    constant=st.booleans(),
+)
+def test_standardize_has_the_bytes_of_np_mean_and_np_std(seed, n, scale, constant):
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal(n) * 10.0**scale + rng.standard_normal() * 10.0 ** rng.integers(-3, 6)
+    if constant:
+        y[:] = y[0]
+    ys, y_mean, y_scale = surrogates._standardize(y)
+    assert struct.pack("d", y_mean) == struct.pack("d", float(np.mean(y)))
+    std = float(np.std(y))
+    assert struct.pack("d", y_scale) == struct.pack("d", std if std > 0 else 1.0)
+    assert ys.tobytes() == ((y - float(np.mean(y))) / y_scale).tobytes()
+
+
+def _stack_data(rng, k, n, d, n_dup):
+    """X with exact and near duplicate rows, and k target columns of mixed scale."""
+    X = rng.uniform(-1.0, 1.0, (n, d))
+    for _ in range(n_dup):
+        src = X[rng.integers(X.shape[0])]
+        step = rng.standard_normal(d) * 0.6 * surrogates._DUPLICATE_TOL / math.sqrt(d)
+        X = np.vstack([X, src + step if rng.uniform() < 0.5 else src])
+    X = X[rng.permutation(X.shape[0])]
+    Y = np.empty((k, X.shape[0]))
+    for i in range(k):
+        w = rng.standard_normal(d)
+        Y[i] = np.sin(3.0 * X @ w) * 10.0 ** rng.integers(-3, 4) + 0.1 * rng.standard_normal(X.shape[0])
+        if rng.uniform() < 0.15:
+            Y[i] = rng.standard_normal()  # a constant target keeps unit scale
+    return X, Y
+
+
+def _same_model(a, b):
+    for name in ("X_train", "y_train", "kernel_lengthscales", "chol_factor", "chol_inverse", "alpha"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+    for name in ("signal_variance", "noise_variance", "y_mean", "y_std", "log_marginal_likelihood"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert type(x) is type(y) is float and struct.pack("d", x) == struct.pack("d", y), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    k=st.integers(min_value=1, max_value=3),
+    n=st.integers(min_value=1, max_value=48),
+    d=st.integers(min_value=1, max_value=5),
+    n_dup=st.integers(min_value=0, max_value=4),
+    noise=st.sampled_from(["estimated", 0.0, 1e-6, 1e-2]),
+)
+@example(seed=1, k=2, n=45, d=3, n_dup=2, noise="estimated")
+@example(seed=2, k=3, n=36, d=5, n_dup=0, noise=1e-6)
+def test_each_stack_member_is_its_lone_fit_bit_for_bit(seed, k, n, d, n_dup, noise):
+    # from n = 42 (k = 2) and n = 34 (k = 3) the stack is factored model by model
+    rng = np.random.default_rng(seed)
+    X, Y = _stack_data(rng, k, n, d, n_dup)
+    seeds = [int(s) for s in rng.integers(0, 2**63 - 1, k)]
+    models = surrogates.fit_gps(X, Y, seeds, noise)
+    assert len(models) == k
+    for i, model in enumerate(models):
+        _same_model(model, fit_gp(Dataset(X, Y[i]), noise_variance=noise, seed=seeds[i]))
+
+
+def _counting_chol_with_jitter():
+    """Patch _chol_with_jitter to count its calls, the jitter ladder's entry."""
+    calls = []
+    real = surrogates._chol_with_jitter
+
+    def spy(K):
+        calls.append(K.shape)
+        return real(K)
+
+    return calls, mock.patch.object(surrogates, "_chol_with_jitter", spy)
+
+
+def test_stack_members_match_lone_fits_through_the_jitter_fallback():
+    # Pairs of rows 3e-10 apart are kept apart (the duplicate tolerance is
+    # 1e-10), and with nv = 0 a long lengthscale leaves the kernel singular:
+    # the starts' stack does not factor and falls back to the jitter ladder.
+    rng = np.random.default_rng(5)
+    X = rng.uniform(0.0, 1.0, (6, 2))
+    X = np.vstack([X, X[:3] + 3e-10])
+    Y = np.vstack([np.sin(4.0 * X).sum(axis=1), X[:, 0] - X[:, 1] ** 2])
+    calls, patch = _counting_chol_with_jitter()
+    with patch:
+        models = surrogates.fit_gps(X, Y, [3, 4], noise_variance=0.0)
+    members = [shape for shape in calls if shape == (10, 10)]  # bordered, n = 9
+    assert len(members) >= 2 * 9  # at least the starts of both models, one by one
+    for i, model in enumerate(models):
+        assert np.isfinite(model.log_marginal_likelihood)
+        _same_model(model, fit_gp(Dataset(X, Y[i]), noise_variance=0.0, seed=3 + i))
+
+
+@pytest.mark.parametrize("failing", [0, 1])
+def test_stack_fails_when_every_start_of_one_member_fails(failing):
+    real = surrogates._chol_stack
+    stacks = []
+
+    def member_fails(M):
+        F = real(M)
+        if not stacks:  # the first stack is the starts', 9 per model in model order
+            F[9 * failing:9 * (failing + 1)] = np.nan
+        stacks.append(len(F))
+        return F
+
+    rng = np.random.default_rng(2)
+    X = rng.uniform(0.0, 1.0, (10, 2))
+    Y = np.vstack([np.sin(3.0 * X).sum(axis=1), np.cos(2.0 * X).sum(axis=1)])
+    with mock.patch.object(surrogates, "_chol_stack", member_fails):
+        with pytest.raises(SurrogateFitError, match="all hyperparameter starts failed"):
+            surrogates.fit_gps(X, Y, [0, 1])
+    assert stacks == [18]  # one stack for both models' starts, then nothing
+
+
+def test_fit_gps_needs_one_seed_per_target():
+    X = np.random.default_rng(0).uniform(0.0, 1.0, (5, 2))
+    with pytest.raises(ValueError, match="one seed per row"):
+        surrogates.fit_gps(X, np.ones((2, 5)), [0])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_stack_makes_the_factorization_calls_of_one_fit(k):
+    counts = {"cholesky": 0, "eigh": 0}
+
+    def counting(name):
+        real = getattr(np.linalg, name)
+
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return mock.patch.object(np.linalg, name, call)
+
+    rng = np.random.default_rng(k)
+    X = rng.uniform(0.0, 1.0, (12, 2))
+    Y = np.vstack([np.cos(2.0 * X + i).sum(axis=1) for i in range(k)])
+    with counting("cholesky"), counting("eigh"):
+        surrogates.fit_gps(X, Y, list(range(k)))
+    # at d = 2: one stack of starts and four lengthscale grids for all k
+    # models, then each model's own factor; three stacked eigh
+    assert counts == {"cholesky": 5 + k, "eigh": 3}
 
 
 def _oracle_lml_and_gradient(theta, X, ys):
@@ -736,6 +910,16 @@ def test_blocked_distances_at_dycors_size():
 
 
 # ---------------------------------------------------------------- quadratic
+
+
+def test_quadratic_terms_are_computed_once_per_d_and_read_only():
+    iu, ju, diagonal = surrogates._quadratic_terms(3)
+    assert surrogates._quadratic_terms(3)[0] is iu
+    assert iu.tolist() == [0, 0, 0, 1, 1, 2] and ju.tolist() == [0, 1, 2, 1, 2, 2]
+    assert diagonal.tolist() == [True, False, False, True, False, True]
+    for a in (iu, ju, diagonal):
+        with pytest.raises(ValueError):
+            a[0] = 1
 
 
 def test_quadratic_exact_1d_parabola():
