@@ -57,7 +57,7 @@ from .surrogates import (
     _distances,
     _posterior_mean,
     _rbf_values,
-    fit_gp,  # not called here; perfbench's tracer wraps optimizers.fit_gp
+    fit_gp,  # not called here: perfbench/tracing.py looks up optimizers.fit_gp
     fit_gps,
     fit_linear,
     fit_quadratic,

@@ -48,14 +48,6 @@ _JITTERS = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
 # most 16 planes, 1 MB, are live at once. On a 3200 x 80 matrix at d = 32, on
 # one core with 2 MB of L2, 32 KB planes took 6% longer and 128 KB ones 31%.
 _PLANE_FLOATS = 1 << 13
-# Floats in the stack of bordered kernels that one call of
-# _BorderedKernel.terms factors at once (256 KB); a larger stack of k models
-# is factored model by model. On one core with 2 MB of L2, with 9 kernels
-# per model, one stack of k = 2 or 3 models took up to 1.45x as long as the
-# models' stacks one by one from about 36,000 floats on (n = 36 to 100),
-# where each call's arrays come from fresh pages (with glibc's mmap threshold
-# raised, the gap closed), and 0.6-0.94x as long below 31,000 floats.
-_STACK_FLOATS = 1 << 15
 # Corner of the bordered kernel (_BorderedKernel): far above any ys' K^-1 ys it meets.
 _BORDER_CORNER = 1e300
 # Cap on the scaled squared distance in the SE kernel. exp(-230 / 2) is about
@@ -151,7 +143,8 @@ def _merge_duplicates(dist: np.ndarray, y: np.ndarray):
     rows = np.arange(dist.shape[0])
     close = dist < _DUPLICATE_TOL
     if np.count_nonzero(close) == rows.size and close.diagonal().all():
-        return rows, y + 0.0  # each row is close to itself alone
+        # each row is close to itself alone: about 3% of a fit at n = 12, d = 2
+        return rows, y + 0.0
     close = np.tril(close, k=-1)
     owner = rows.copy()
     for i in np.flatnonzero(close.any(axis=1)):
@@ -289,7 +282,10 @@ def _standardize(y):
     """(y - mean) / std with the mean and scale; constant targets keep unit scale.
 
     The mean and the population std are the sums ``np.mean`` and ``np.std``
-    take, written out, so they have the same bytes at a quarter of the cost.
+    take, written out, so they have the same bytes at a quarter of the cost
+    (a hypothesis test pins the bytes to theirs). That saves about 3% of a
+    fit at n = 12, d = 2; with the early return in ``_merge_duplicates`` it
+    pays for the bookkeeping a stack of one carries in ``fit_gps``.
     """
     y_mean = float(y.sum() / y.size)
     centred = y - y_mean
@@ -389,16 +385,10 @@ class _BorderedKernel:
 
         One unit kernel E_j per row of the (s, d) ``lengthscales``, s / k
         per model in model order, with the ratio r_j one per row or shared.
-        The s bordered matrices are factored in one call (``_chol_stack``),
-        or model by model above ``_STACK_FLOATS``; a member that does not
-        factor gets nan.
+        The s bordered matrices are factored in one call (``_chol_stack``);
+        a member that does not factor gets nan.
         """
-        (s, _), n, k = lengthscales.shape, self.X.shape[0], self.ys.shape[0]
-        if k > 1 and s * (n + 1) ** 2 > _STACK_FLOATS:
-            ratio = np.broadcast_to(ratio, (s,))
-            parts = [self._model(i).terms(ls, r) for i, (ls, r) in
-                     enumerate(zip(np.split(lengthscales, k), np.split(ratio, k)))]
-            return tuple(np.concatenate(part) for part in zip(*parts))
+        n = self.X.shape[0]
         M = _unit_kernel(self.planes, lengthscales).reshape(-1, n + 1, n + 1)
         F = _chol_stack(self._border(M, ratio))
         v = F[:, n, :n]
@@ -627,7 +617,7 @@ def fit_gps(
         """
         thetas = np.array([theta for _, theta, _ in best])
         lam, Q = np.linalg.eigh(bk.unit(np.exp(thetas[:, :d])))
-        z2 = np.square(Q.mT @ ys[..., None])[..., 0]
+        z2 = np.square(np.swapaxes(Q, -1, -2) @ ys[..., None])[..., 0]
         # one row per trial, as improve lays the trials out
         lam, z2 = lam.repeat(_SWEEP, axis=0), z2.repeat(_SWEEP, axis=0)
 

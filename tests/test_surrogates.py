@@ -549,7 +549,6 @@ def _same_model(a, b):
 @example(seed=1, k=2, n=45, d=3, n_dup=2, noise="estimated")
 @example(seed=2, k=3, n=36, d=5, n_dup=0, noise=1e-6)
 def test_each_stack_member_is_its_lone_fit_bit_for_bit(seed, k, n, d, n_dup, noise):
-    # from n = 42 (k = 2) and n = 34 (k = 3) the stack is factored model by model
     rng = np.random.default_rng(seed)
     X, Y = _stack_data(rng, k, n, d, n_dup)
     seeds = [int(s) for s in rng.integers(0, 2**63 - 1, k)]
