@@ -83,6 +83,7 @@ __all__ = [
     "ALGORITHMS",
     "DYCORS_WEIGHTS",
     "initial_design_size",
+    "check_problem",
 ]
 
 logger = logging.getLogger(__name__)
@@ -606,6 +607,12 @@ def initial_design_size(algorithm: str, dim: int) -> int:
     return max(5, 2 * dim)
 
 
+def check_problem(algorithm: str, problem: Problem) -> None:
+    """Raise a ConfigError if ``algorithm`` cannot run on ``problem``: cbo needs constraints."""
+    if algorithm == "cbo" and problem.n_constraints < 1:
+        raise ConfigError("cbo requires a constrained problem")
+
+
 class _BoStrategy:
     """Runner-side state of bo and cbo: the proposal, picked once."""
 
@@ -775,8 +782,7 @@ def run_optimizer(algorithm: str, problem: Problem, budget: int, seed: int) -> T
         raise ConfigError(
             f"unknown algorithm '{algorithm}'; choose from {', '.join(ALGORITHMS)}"
         )
-    if algorithm == "cbo" and problem.n_constraints < 1:
-        raise ConfigError("cbo requires a constrained problem")
+    check_problem(algorithm, problem)
     n_init = initial_design_size(algorithm, problem.dim)
     if budget < n_init:
         raise ConfigError(f"budget {budget} is below the initial design size {n_init}")

@@ -34,7 +34,6 @@ __all__ = [
     "fit_gps",
     "gp_from_hyperparameters",
     "gp_posterior",
-    "gp_log_marginal_likelihood",
     "fit_quadratic",
     "psd_project",
     "fit_linear",
@@ -338,10 +337,9 @@ class _BorderedKernel:
     by zeros to the (n+1, n+1) layout of M, so a product of the weights
     with them lays out each kernel as the K block of its bordered matrix;
     the unit kernels come out bit for bit as from the unbordered planes.
-    :meth:`factor` factors one kernel ``E * sv + nv I`` of a stack of one
-    (model i's alone is ``_model(i)``) for a unit kernel E from
-    :meth:`unit`; :meth:`terms` factors a stack of unit kernels
-    ``E_j + r_j I`` in one ``np.linalg.cholesky`` call.
+    :meth:`terms` factors a stack of unit kernels ``E_j + r_j I`` for the
+    search, and ``_build_gps`` one kernel ``E_i sv_i + nv_i I`` per model
+    for the fitted models, each stack in one ``_chol_stack`` call.
     """
 
     def __init__(self, X: np.ndarray, ys: np.ndarray):
@@ -350,12 +348,6 @@ class _BorderedKernel:
         self.planes = np.zeros((d, n + 1, n + 1))
         self.planes[:, :n, :n] = _planes(X).reshape(d, n, n)
         self.planes = self.planes.reshape(d, -1)
-
-    def _model(self, i: int) -> "_BorderedKernel":
-        """Model i's kernel alone: the same X and planes, bordered by row i of ys."""
-        one = object.__new__(_BorderedKernel)
-        one.X, one.ys, one.planes = self.X, self.ys[i:i + 1], self.planes
-        return one
 
     def unit(self, lengthscales) -> np.ndarray:
         """The (..., n, n) training kernels at these (..., d) lengthscales and unit sv."""
@@ -371,14 +363,6 @@ class _BorderedKernel:
         by_model[..., :n, n] = by_model[..., n, :n] = self.ys[:, None, :]
         M[..., n, n] = _BORDER_CORNER
         return M
-
-    def factor(self, E, signal_variance, noise_variance):
-        """L and v = L^-1 ys for the training kernel ``E * sv + nv I`` of a stack of one."""
-        n = self.X.shape[0]
-        M = np.empty((n + 1, n + 1))
-        np.multiply(E, signal_variance, out=M[:n, :n])
-        F, _ = _chol_with_jitter(self._border(M, noise_variance))
-        return F[:n, :n], F[n, :n]
 
     def terms(self, lengthscales: np.ndarray, ratio):
         """Half log-determinant and v'v = ys_i'(E_j + r_j I)^-1 ys_i of each unit kernel.
@@ -426,12 +410,6 @@ def _ratio_box(t, fixed_nv):
     return fixed_nv.repeat(t.size // fixed_nv.size) / sv, sv, sv
 
 
-def _factor(X, ys, lengthscales, signal_variance, noise_variance):
-    """L with L L' = K + nv I (the noisy training kernel) and v = L^-1 ys."""
-    bk = _BorderedKernel(X, ys)
-    return bk.factor(bk.unit(lengthscales), signal_variance, noise_variance)
-
-
 def _lml(L, v) -> float:
     """-v'v/2 - sum(log L_ii) - (n/2) log(2 pi), with v = L^-1 ys (R&W Alg. 2.1)."""
     return float(
@@ -439,23 +417,50 @@ def _lml(L, v) -> float:
     )
 
 
-def _build_gp(bk: _BorderedKernel, lengthscales, signal_variance, noise_variance,
-              y_mean, y_scale) -> GpModel:
-    """The model of a stack of one, factored once at these hyperparameters."""
-    L, v = bk.factor(bk.unit(lengthscales), signal_variance, noise_variance)
-    return GpModel(
-        X_train=bk.X,
-        y_train=bk.ys[0],
-        kernel_lengthscales=np.asarray(lengthscales, dtype=float),
-        signal_variance=float(signal_variance),
-        noise_variance=float(noise_variance),
-        chol_factor=L,
-        chol_inverse=np.linalg.solve(L, np.eye(L.shape[0])),
-        alpha=np.linalg.solve(L.T, v),
-        y_mean=float(y_mean),
-        y_std=float(y_scale),
-        log_marginal_likelihood=_lml(L, v),
-    )
+def _build_gps(bk: _BorderedKernel, lengthscales, signal_variance, noise_variance,
+               y_mean, y_scale) -> list:
+    """The k models of ``bk``'s stack, factored at their hyperparameters in one call.
+
+    Model i takes row i of the (k, d) ``lengthscales`` and entry i of the
+    other (k,) sequences. Its kernel ``E_i sv_i + nv_i I``, bordered by its
+    targets as in :meth:`_BorderedKernel.terms`, is one member of a
+    ``_chol_stack`` call, which gives L_i and v_i = L_i^-1 ys_i; the model
+    stores L_i^-1, alpha and the LML of that factor (``_lml``). A kernel
+    that does not factor even with jitter raises :class:`SurrogateFitError`.
+    """
+    n = bk.X.shape[0]
+    M = _unit_kernel(bk.planes, lengthscales).reshape(-1, n + 1, n + 1)
+    M *= np.asarray(signal_variance, dtype=float)[:, None, None]
+    F = _chol_stack(bk._border(M, noise_variance))
+    models = []
+    for i, Fi in enumerate(F):
+        if np.isnan(Fi).all():
+            raise SurrogateFitError(
+                "kernel matrix not positive definite after jitter escalation to 1e-4"
+            )
+        L, v = Fi[:n, :n], Fi[n, :n]
+        models.append(GpModel(
+            X_train=bk.X,
+            y_train=bk.ys[i],
+            kernel_lengthscales=lengthscales[i],
+            signal_variance=float(signal_variance[i]),
+            noise_variance=float(noise_variance[i]),
+            chol_factor=L,
+            chol_inverse=np.linalg.solve(L, np.eye(n)),
+            alpha=np.linalg.solve(L.T, v),
+            y_mean=float(y_mean[i]),
+            y_std=float(y_scale[i]),
+            log_marginal_likelihood=_lml(L, v),
+        ))
+    return models
+
+
+def _fixed_noise_variance(noise_variance) -> float:
+    """A fixed noise variance as a float, or a ValueError unless it is finite and >= 0."""
+    nv = float(noise_variance)
+    if not 0.0 <= nv < math.inf:
+        raise ValueError(f"noise_variance must be finite and >= 0, got {noise_variance!r}")
+    return nv
 
 
 def gp_from_hyperparameters(
@@ -469,21 +474,15 @@ def gp_from_hyperparameters(
 
     With ``standardize=False`` the targets are used raw under a zero-mean
     prior, and ``noise_variance``/``signal_variance`` are in output units.
+    A ``noise_variance`` that is negative, nan or inf is a ValueError.
     """
+    nv = _fixed_noise_variance(noise_variance)
     kept, y = _merge_duplicates(_distances(data.X, data.X), data.y)
     X = data.X[kept]
-    lengthscales = np.broadcast_to(
-        np.asarray(lengthscales, dtype=float), (X.shape[1],)
-    ).copy()
-    if standardize:
-        ys, y_mean, y_scale = _standardize(y)
-        nv = noise_variance / y_scale**2
-    else:
-        y_mean, y_scale = 0.0, 1.0
-        ys = y
-        nv = noise_variance
-    return _build_gp(_BorderedKernel(X, ys), lengthscales, signal_variance, nv,
-                     y_mean, y_scale)
+    lengthscales = np.broadcast_to(np.asarray(lengthscales, dtype=float), (1, X.shape[1]))
+    ys, y_mean, y_scale = _standardize(y) if standardize else (y, 0.0, 1.0)
+    return _build_gps(_BorderedKernel(X, ys), lengthscales.copy(), [signal_variance],
+                      [nv / y_scale**2], [y_mean], [y_scale])[0]
 
 
 def fit_gp(
@@ -493,15 +492,9 @@ def fit_gp(
 ) -> GpModel:
     """Fit a GP to ``data.y`` by maximizing its log marginal likelihood.
 
-    This is :func:`fit_gps` on a stack of one target, ``data.y``, with this
-    seed; the search is described there. ``noise_variance`` is either
-    ``"estimated"`` (fitted alongside the kernel hyperparameters) or a fixed
-    float in output units. ``fit_gps`` runs the same search for k targets
-    over one X in lockstep, each from its own seed: the models share the
-    merge of duplicate rows, the kernel planes and the search box, and each
-    stacked Cholesky call and each ``eigh`` covers all k of them. ``cbo``
-    fits its objective and constraint GPs so. Where a target is one row of a
-    stack, with the same seed, its model is this one, bit for bit.
+    This is :func:`fit_gps` on a stack of one target with this seed; the
+    search and ``noise_variance`` are described there. A target that is one
+    row of a stack, with the same seed, gets this model bit for bit.
     """
     return fit_gps(data.X, data.y[None], [seed], noise_variance)[0]
 
@@ -516,11 +509,12 @@ def fit_gps(
 
     Each model maximizes the log marginal likelihood of its standardized
     targets, from its own seed; ``noise_variance`` is ``"estimated"``
-    (fitted alongside the kernel hyperparameters) or a fixed float in
-    output units, for every model. The kernel is written K = sv (E + r I),
-    with E the unit SE kernel and r = nv / sv. For given lengthscales and r
-    the best sv is closed-form (``_profile``), so the search runs over the
-    log lengthscales and one last coordinate t: log r, or log sv where nv is
+    (fitted alongside the kernel hyperparameters) or a fixed float >= 0 in
+    output units, for every model; a negative, nan or inf one is a
+    ValueError. The kernel is written K = sv (E + r I), with E the unit SE
+    kernel and r = nv / sv. For given lengthscales and r the best sv is
+    closed-form (``_profile``), so the search runs over the log
+    lengthscales and one last coordinate t: log r, or log sv where nv is
     fixed (Rasmussen & Williams 2006, sec. 5.4). Each model takes the best
     of 8 seeded random starts and the box centre, and then:
 
@@ -535,12 +529,12 @@ def fit_gps(
     step takes all k models at once, as in batch-mode GP libraries: the
     starts, and each lengthscale grid, are one stack of k * 9 bordered
     kernels (``_BorderedKernel.terms``), each sweep takes one stacked
-    ``eigh``, and each model keeps the best of its own trials. At d = 2
-    that is 5 stacked Cholesky calls and 3 ``eigh`` calls for the whole
-    stack. Each model is then factored once at its chosen hyperparameters
-    (``_build_gp``), and its stored LML is that factor's. A model has the
-    bytes it has as a stack of one (``fit_gp``). If every start of any
-    model fails, the fit raises :class:`SurrogateFitError`.
+    ``eigh``, and each model keeps the best of its own trials. The k chosen
+    models are factored as one more stack (``_build_gps``), and each stores
+    its factor's LML. At d = 2 that is 6 Cholesky calls and 3 ``eigh`` calls
+    for the whole stack. A model has the bytes it has as a stack of one
+    (``fit_gp``). The fit raises :class:`SurrogateFitError` if every start
+    of any model fails, or if a chosen kernel does not factor.
     """
     X = np.asarray(X, dtype=float)
     kept, Y = _merge_duplicates(_distances(X, X), np.atleast_2d(Y))
@@ -562,7 +556,7 @@ def fit_gps(
     estimate_noise = isinstance(noise_variance, str)
     if estimate_noise and noise_variance != "estimated":
         raise ValueError("noise_variance must be 'estimated' or a float")
-    fixed_nv = None if estimate_noise else max(float(noise_variance), 0.0) / y_scale**2
+    fixed_nv = None if estimate_noise else _fixed_noise_variance(noise_variance) / y_scale**2
 
     # log-space search box: the lengthscales, then t
     t_box = ((_NV_BOX[0] / _SV_BOX[1], _NV_BOX[1] / _SV_BOX[0]) if estimate_noise
@@ -644,12 +638,10 @@ def fit_gps(
             improve(c, grids, factored)
         sweep()
 
-    models = []
-    for i, (_, theta, sv) in enumerate(best):
-        nv = fixed_nv[i] if fixed_nv is not None else min(
-            max(math.exp(theta[d]) * sv, _NV_BOX[0]), _NV_BOX[1])
-        models.append(_build_gp(bk._model(i), np.exp(theta[:d]), sv, nv, y_mean[i], y_scale[i]))
-    return models
+    nvs = fixed_nv if fixed_nv is not None else [
+        min(max(math.exp(theta[d]) * sv, _NV_BOX[0]), _NV_BOX[1]) for _, theta, sv in best]
+    return _build_gps(bk, np.array([np.exp(theta[:d]) for _, theta, _ in best]),
+                      [sv for _, _, sv in best], nvs, y_mean, y_scale)
 
 
 def _posterior_mean(model: GpModel, X_query: np.ndarray):
@@ -684,20 +676,6 @@ def gp_posterior(model: GpModel, x):
     if single:
         return float(mu[0]), float(var[0])
     return mu, var
-
-
-def gp_log_marginal_likelihood(model: GpModel) -> float:
-    """log p(y | X, theta) of the stored (standardized) training targets.
-
-    Re-factors the model's X, y and hyperparameters through ``_factor`` and
-    ``_lml``, the formula ``fit_gp`` and ``gp_from_hyperparameters`` factor
-    the model with, so it equals the model's stored
-    ``log_marginal_likelihood`` bit for bit.
-    """
-    return _lml(*_factor(
-        model.X_train, model.y_train, model.kernel_lengthscales,
-        model.signal_variance, model.noise_variance,
-    ))
 
 
 # ------------------------------------------------------------------ quadratic

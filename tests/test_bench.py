@@ -433,6 +433,31 @@ def test_fallback_cell_is_not_ok(tmp_path, monkeypatch):
     assert score_results(tmp_path, suite="fb").cell_status == table.cell_status
 
 
+@pytest.mark.parametrize("failing", [0, 1])
+def test_cbo_falls_back_when_a_chosen_gp_does_not_factor(tmp_path, monkeypatch, failing):
+    import surropt.surrogates as surrogates
+
+    real = surrogates._chol_stack
+
+    def model_fails(M):
+        F = real(M)
+        if len(F) == 2:  # the objective's and the constraint's chosen models
+            F[failing] = np.nan
+        return F
+
+    monkeypatch.setattr(surrogates, "_chol_stack", model_fails)
+    config = BenchmarkConfig(
+        algorithms=["cbo"], problems=["matyas-c"], dims=[2], repetitions=1,
+        budgets={2: 10}, warmup={2: 2}, seed=3, suite="fb",
+    )
+    table = run_benchmark(config, out_dir=tmp_path)  # jobs=1: the patch reaches the cell
+    status = table.cell_status["matyas-c/cbo/rep0"]
+    # the first proposal, after the 5-point design, falls back
+    assert status.startswith("fallback@6: SurrogateFitError: kernel matrix not positive definite")
+    with open(tmp_path / "fb" / "matyas-c" / "cbo" / "rep0.csv", newline="") as fh:
+        assert len(list(csv.reader(fh))) - 1 == 10
+
+
 def test_serial_csvs_written_as_cells_finish(tmp_path, monkeypatch):
     import surropt.bench as bench
 

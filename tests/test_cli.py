@@ -186,6 +186,16 @@ def test_repeated_algorithm_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cbo_on_an_unconstrained_problem_rejected(tmp_path, capsys):
+    out = tmp_path / "out"
+    run = ["run", "--algos", "cbo", "--problems", "ackley", "--dims", "2",
+           "--reps", "1", "--budget", "8", "--jobs", "1", "--out", str(out)]
+    assert main(run) == 2
+    assert ("problem 'ackley-d2': cbo requires a constrained problem"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_suite_presets():
     con = parse_config(None, {"suite": "constrained"})
     assert con.algorithms == ["cbo", "cobyla", "cobyqa", "cuatro"]
@@ -409,12 +419,22 @@ def test_optimize_unknown_algo(capsys):
     assert "dycors" in capsys.readouterr().err
 
 
-def test_strict_flag_fails_on_failed_cells(tmp_path, capsys):
+def test_strict_flag_fails_on_failed_cells(tmp_path, capsys, monkeypatch):
+    import surropt.bench as bench
+
+    real = bench.run_optimizer
+
+    def cobyla_fails(algo, problem, budget, seed):
+        if algo == "cobyla":
+            raise RuntimeError("synthetic failure")
+        return real(algo, problem, budget, seed)
+
+    monkeypatch.setattr(bench, "run_optimizer", cobyla_fails)  # --jobs 1 runs cells here
     args = [
         "run",
         "--algos",
         "lsqm",
-        "cbo",
+        "cobyla",
         "--problems",
         "quadratic",
         "--dims",

@@ -15,7 +15,6 @@ from surropt.surrogates import (
     QuadModel,
     SurrogateFitError,
     _distances,
-    _factor,
     _planes,
     _se_kernel,
     _unit_kernel,
@@ -24,7 +23,6 @@ from surropt.surrogates import (
     fit_quadratic,
     fit_rbf,
     gp_from_hyperparameters,
-    gp_log_marginal_likelihood,
     gp_posterior,
     psd_project,
     rbf_predict,
@@ -101,7 +99,7 @@ def test_gp_lml_scalar_case():
         Dataset([[0.0]], [0.0]), lengthscales=1.0, signal_variance=0.5,
         noise_variance=0.5, standardize=False,
     )
-    assert abs(gp_log_marginal_likelihood(model) + 0.5 * np.log(2 * np.pi)) < 1e-12
+    assert abs(model.log_marginal_likelihood + 0.5 * np.log(2 * np.pi)) < 1e-12
 
 
 def test_gp_lml_matches_dense_formula():
@@ -119,7 +117,7 @@ def test_gp_lml_matches_dense_formula():
     sign, logdet = np.linalg.slogdet(K)
     direct = -0.5 * y @ np.linalg.solve(K, y) - 0.5 * logdet - 3.5 * np.log(2 * np.pi)
     assert sign > 0
-    assert abs(gp_log_marginal_likelihood(model) - direct) < 1e-10
+    assert abs(model.log_marginal_likelihood - direct) < 1e-10
 
 
 def test_gp_noise_increase_trades_fit_for_complexity():
@@ -150,7 +148,7 @@ def test_gp_fit_deterministic():
     assert np.array_equal(m1.kernel_lengthscales, m2.kernel_lengthscales)
     assert m1.signal_variance == m2.signal_variance
     assert m1.noise_variance == m2.noise_variance
-    assert gp_log_marginal_likelihood(m1) == gp_log_marginal_likelihood(m2)
+    assert m1.log_marginal_likelihood == m2.log_marginal_likelihood
 
 
 def test_gp_duplicate_inputs_are_merged():
@@ -309,13 +307,24 @@ def test_training_kernel_bit_for_bit_and_bordered_factor_properties(seed, n, d):
     assert (_se_kernel(Xq, X, ls, sv).tobytes()
             == _se_kernel_reference(Xq, X, ls, sv).tobytes())
     # nv / sv >= 1e-9 keeps the condition number under 1e12: no jitter
-    L, v = _factor(X, ys, ls, sv, nv)
+    factors = []
+    real_lml = surrogates._lml
+
+    def spy(L, v):  # the builder's L and v = L^-1 ys, as its LML takes them
+        factors.append((L, v))
+        return real_lml(L, v)
+
+    with mock.patch.object(surrogates, "_lml", spy):
+        model, = surrogates._build_gps(surrogates._BorderedKernel(X, ys), ls[None],
+                                       [sv], [nv], [0.0], [1.0])
+    (L, v), = factors
+    assert L.tobytes() == model.chol_factor.tobytes()
     Kn = K + nv * np.eye(n)
     assert np.max(np.abs(L @ L.T - Kn)) <= 1e-13 * np.max(np.abs(K))
     assert np.max(np.abs(L @ v - ys)) <= 1e-14 * n * np.max(np.abs(L)) * np.max(np.abs(v))
     if nv >= 1e-3:  # where the dense oracle is itself accurate
         lml, scale = _dense_lml(Kn, ys)
-        assert abs(surrogates._lml(L, v) - lml) <= 1e-10 * scale
+        assert abs(model.log_marginal_likelihood - lml) <= 1e-10 * scale
 
 
 @settings(max_examples=80, deadline=None)
@@ -408,7 +417,6 @@ def test_search_and_model_share_one_likelihood_formula(n, d, noise):
         model = fit_gp(Dataset(X, y), noise_variance=noise, seed=3)
     # the search's best value is the LML of the model it returns, bit for bit
     lml = model.log_marginal_likelihood
-    assert lml == gp_log_marginal_likelihood(model)
     assert max(values) <= lml + 1e-9 * abs(lml)
     # the eigen path the t sweeps use agrees with the Cholesky path at the
     # chosen hyperparameters
@@ -633,9 +641,42 @@ def test_stack_makes_the_factorization_calls_of_one_fit(k):
     Y = np.vstack([np.cos(2.0 * X + i).sum(axis=1) for i in range(k)])
     with counting("cholesky"), counting("eigh"):
         surrogates.fit_gps(X, Y, list(range(k)))
-    # at d = 2: one stack of starts and four lengthscale grids for all k
-    # models, then each model's own factor; three stacked eigh
-    assert counts == {"cholesky": 5 + k, "eigh": 3}
+    # at d = 2: one stack of starts, four lengthscale grids and the models'
+    # factors, each for all k models; three stacked eigh
+    assert counts == {"cholesky": 6, "eigh": 3}
+
+
+@pytest.mark.parametrize("failing", [0, 1])
+def test_fit_fails_when_a_chosen_model_does_not_factor(failing):
+    real = surrogates._chol_stack
+    stacks = []
+
+    def model_fails(M):
+        F = real(M)
+        if len(F) == 2:  # the models' stack; the search's have 9 members per model
+            F[failing] = np.nan
+        stacks.append(len(F))
+        return F
+
+    rng = np.random.default_rng(2)
+    X = rng.uniform(0.0, 1.0, (10, 2))
+    Y = np.vstack([np.sin(3.0 * X).sum(axis=1), np.cos(2.0 * X).sum(axis=1)])
+    with mock.patch.object(surrogates, "_chol_stack", model_fails):
+        with pytest.raises(SurrogateFitError, match="not positive definite"):
+            surrogates.fit_gps(X, Y, [0, 1])
+    assert stacks == [18, 18, 18, 18, 18, 2]  # the starts, four grids, the models
+
+
+@pytest.mark.parametrize("fit", ["fit_gps", "gp_from_hyperparameters"])
+@pytest.mark.parametrize("nv", [-1.0, math.nan, math.inf])
+def test_bad_fixed_noise_variance_is_a_value_error(fit, nv):
+    X = np.random.default_rng(0).uniform(0.0, 1.0, (6, 2))
+    y = np.sin(3.0 * X).sum(axis=1)
+    with pytest.raises(ValueError, match="noise_variance must be finite and >= 0"):
+        if fit == "fit_gps":
+            surrogates.fit_gps(X, y[None], [0], noise_variance=nv)
+        else:
+            gp_from_hyperparameters(Dataset(X, y), 1.0, 1.0, nv)
 
 
 def _oracle_lml_and_gradient(theta, X, ys):
@@ -853,10 +894,10 @@ def test_bordered_factor_corner_stays_out_of_the_jitter_ladder():
     _, jitter = surrogates._chol_with_jitter(K)
     L = fixed.chol_factor
     assert np.max(np.abs(L @ L.T - (K + jitter * np.eye(18)))) <= 1e-13 * np.max(np.abs(K))
-    assert np.isfinite(gp_log_marginal_likelihood(fixed))
+    assert np.isfinite(fixed.log_marginal_likelihood)
     fitted = fit_gp(Dataset(X, y), noise_variance=0.0, seed=0)
     assert fitted.noise_variance == 0.0
-    assert np.isfinite(gp_log_marginal_likelihood(fitted))
+    assert np.isfinite(fitted.log_marginal_likelihood)
 
 
 def _distances_reference(A, B):
