@@ -42,7 +42,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .core import VIOLATION_THRESHOLD, ConfigError, Trajectory, best_so_far, derive_seed
-from .optimizers import run_optimizer
+from .optimizers import check_problem, run_optimizer
 from .problems import BASE_FUNCTIONS, get_problem
 
 __all__ = [
@@ -186,7 +186,24 @@ class Cell(NamedTuple):
     seed: int
 
 
-def expand_problems(names, dims, dim_of=lambda name: get_problem(name).dim):
+def checked_dims(algorithms):
+    """A ``dim_of`` for a run of ``algorithms``: it builds the problem and
+    returns its dimension, or raises a ConfigError naming the problem when
+    one of them cannot run on it (``check_problem``)."""
+
+    def dim_of(key):
+        problem = get_problem(key)
+        for algo in algorithms:
+            try:
+                check_problem(algo, problem)
+            except ConfigError as exc:
+                raise ConfigError(f"problem '{key}': {exc}") from None
+        return problem.dim
+
+    return dim_of
+
+
+def expand_problems(names, dims, dim_of):
     """(key, dim) of each problem name, in order; a base function expands over dims."""
     keys = []
     for name in names:
@@ -199,8 +216,15 @@ def expand_problems(names, dims, dim_of=lambda name: get_problem(name).dim):
     return [(key, dim_of(key)) for key in keys]
 
 
-def plan_cells(config: BenchmarkConfig, dim_of=lambda name: get_problem(name).dim):
-    """The problems (key, dim, n_e, n_c) and the cells of a run, both in run order."""
+def plan_cells(config: BenchmarkConfig, dim_of=None):
+    """The problems (key, dim, n_e, n_c) and the cells of a run, both in run order.
+
+    By default each problem is built and checked against the algorithms
+    (``checked_dims``); re-scoring passes the stored dimensions instead and
+    builds no problem.
+    """
+    if dim_of is None:
+        dim_of = checked_dims(config.algorithms)
     for i, algo in enumerate(config.algorithms):
         if algo in config.algorithms[:i]:
             raise ConfigError(f"algorithm '{algo}' is listed twice; its cells would run twice")

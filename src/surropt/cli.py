@@ -46,6 +46,7 @@ from .bench import (
     BenchmarkConfig,
     _write_rep_csv,
     check_jobs,
+    checked_dims,
     compare_markdown,
     compare_results,
     expand_problems,
@@ -54,7 +55,7 @@ from .bench import (
     run_benchmark,
 )
 from .core import VIOLATION_THRESHOLD, ConfigError
-from .optimizers import ALGORITHMS, check_problem, run_optimizer
+from .optimizers import ALGORITHMS, run_optimizer
 from .problems import BASE_FUNCTIONS, get_problem, list_problems
 
 __all__ = ["RunManifest", "parse_config", "main"]
@@ -192,18 +193,9 @@ def parse_config(path: Optional[str] = None, flags: Optional[dict] = None) -> Be
 
     budgets, warmup = per_dim("budgets", DEFAULT_BUDGETS), per_dim("warmup", DEFAULT_WARMUP)
 
-    def dim_of(key):
-        problem = get_problem(key)
-        for algo in algorithms:
-            try:
-                check_problem(algo, problem)
-            except ConfigError as exc:
-                raise ConfigError(f"problem '{key}': {exc}") from None
-        return problem.dim
-
     # keep only the dimensions this config can actually touch, so a scalar
     # --budget never trips the budget>warmup check for unused presets
-    dims_in_use = {d for _, d in expand_problems(problems, dims, dim_of)}
+    dims_in_use = {d for _, d in expand_problems(problems, dims, checked_dims(algorithms))}
     if "budget" in flags:
         budgets = {d: int(flags["budget"]) for d in dims_in_use}
     else:

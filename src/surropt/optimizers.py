@@ -54,7 +54,7 @@ from .core import (
 )
 from .surrogates import (
     SurrogateFitError,
-    _distances,
+    _centred_distances,
     _posterior_mean,
     _rbf_values,
     fit_gp,  # not called here: perfbench/tracing.py looks up optimizers.fit_gp
@@ -545,10 +545,15 @@ def dycors_step(
     """Perturb incumbent coordinates stochastically, score by RBF value and distance.
 
     One trial-to-center distance matrix serves both scores: the cubic RBF's
-    value and each trial's distance to its nearest sample. The centers are
-    ``data.X`` with rows closer than 1e-10 merged (``fit_rbf``), so the
-    distance score differs from one taken over ``data.X`` itself only when
-    ``data`` holds two points that close, and then by at most 1e-10.
+    value and each trial's distance to its nearest sample. It comes from one
+    gemm in coordinates centred on the incumbent (``_centred_distances``):
+    each squared distance is within 8 eps (|t - incumbent|^2 +
+    |c - incumbent|^2) of the exact one, and the proposal is a row of the
+    trials, so it moves only where two scores tie to about that. The fit's
+    own n x n matrix stays on the exact plane sum of ``_distances``. The
+    centers are ``data.X`` with rows closer than 1e-10 merged (``fit_rbf``),
+    so the distance score differs from one taken over ``data.X`` itself only
+    when ``data`` holds two points that close, and then by at most 1e-10.
     A failed RBF fit raises :class:`~surropt.surrogates.SurrogateFitError`.
     """
     incumbent = np.asarray(incumbent, dtype=float)
@@ -567,7 +572,7 @@ def dycors_step(
     trials = np.clip(trials, bounds.lower, bounds.upper)
 
     model = fit_rbf(data)
-    dist = _distances(trials, model.centers)
+    dist = _centred_distances(trials, model.centers, incumbent)
     v_f = _unit_rescale(_rbf_values(model, trials, dist))
     v_d = _unit_rescale(dist.min(axis=1))
     w = DYCORS_WEIGHTS[state.iteration % len(DYCORS_WEIGHTS)]

@@ -46,6 +46,8 @@ _JITTERS = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
 # Floats per (rows, n) plane of squared differences in _distances (64 KB). At
 # most 16 planes, 1 MB, are live at once. On a 3200 x 80 matrix at d = 32, on
 # one core with 2 MB of L2, 32 KB planes took 6% longer and 128 KB ones 31%.
+# Its callers are the n x n matrices of the fits' duplicate merge and of
+# fit_rbf, and rbf_predict; DYCORS scoring uses _centred_distances.
 _PLANE_FLOATS = 1 << 13
 # Corner of the bordered kernel (_BorderedKernel): far above any ys' K^-1 ys it meets.
 _BORDER_CORNER = 1e300
@@ -70,7 +72,9 @@ def _distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     floats (and at least one row), and ``_sum_planes`` adds the d planes in
     the order of numpy's pairwise sum along a last axis of length d. So each
     entry has the bytes of ``sqrt(np.sum((a - b) ** 2))``, whatever the
-    block size.
+    block size. It serves ``_merge_duplicates`` (through ``fit_gps``,
+    ``gp_from_hyperparameters`` and ``fit_rbf``), ``fit_rbf``'s kernel and
+    ``rbf_predict``.
     """
     (m, d), n = A.shape, B.shape[0]
     out = np.empty((m, n))
@@ -80,6 +84,25 @@ def _distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     for i in range(0, m, rows):
         block = out[i:i + rows]
         _sum_planes(At[:, i:i + rows], Bt, 0, d, block, stack[:, :block.shape[0]])
+    return np.sqrt(out, out=out)
+
+
+def _centred_distances(A: np.ndarray, B: np.ndarray, origin: np.ndarray) -> np.ndarray:
+    """(m, n) Euclidean distances between the rows of A and B, from one gemm.
+
+    With a' = a - origin and b' = b - origin, D^2 = |a'|^2 + |b'|^2 - 2 a'.b',
+    clamped at 0 before the root. Each D^2 is within 8 eps (|a'|^2 + |b'|^2)
+    of the exact one (5.7 eps at most in tests/test_surrogates.py's cases),
+    so an origin near both sets, as DYCORS's incumbent is, keeps the error on
+    the scale of the distances themselves; far from the origin the identity
+    loses the digits the plane sum of ``_distances`` keeps. A row of A equal
+    to the origin is exactly 0 from a row of B equal to it.
+    """
+    A, B = A - origin, B - origin
+    out = A @ (B * -2.0).T
+    out += np.einsum("ij,ij->i", A, A)[:, None]
+    out += np.einsum("ij,ij->i", B, B)
+    np.maximum(out, 0.0, out=out)
     return np.sqrt(out, out=out)
 
 
@@ -463,6 +486,19 @@ def _fixed_noise_variance(noise_variance) -> float:
     return nv
 
 
+def _positive_finite(name: str, value, shape: tuple) -> np.ndarray:
+    """``value`` broadcast to ``shape`` as floats, or a ValueError naming ``name``
+    unless it broadcasts and every entry is finite and > 0."""
+    try:
+        arr = np.broadcast_to(np.asarray(value, dtype=float), shape)
+    except ValueError:
+        raise ValueError(f"{name} must broadcast to shape {shape}, "
+                         f"got shape {np.shape(value)}") from None
+    if not np.all((arr > 0.0) & (arr < math.inf)):
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    return arr
+
+
 def gp_from_hyperparameters(
     data: Dataset,
     lengthscales,
@@ -474,14 +510,17 @@ def gp_from_hyperparameters(
 
     With ``standardize=False`` the targets are used raw under a zero-mean
     prior, and ``noise_variance``/``signal_variance`` are in output units.
-    A ``noise_variance`` that is negative, nan or inf is a ValueError.
+    A ValueError names the argument when ``lengthscales`` does not broadcast
+    to one per dimension or any of them, or ``signal_variance``, is nan, inf
+    or <= 0, and when ``noise_variance`` is negative, nan or inf.
     """
+    lengthscales = _positive_finite("lengthscales", lengthscales, (1, data.X.shape[1]))
+    sv = _positive_finite("signal_variance", signal_variance, (1,))
     nv = _fixed_noise_variance(noise_variance)
     kept, y = _merge_duplicates(_distances(data.X, data.X), data.y)
     X = data.X[kept]
-    lengthscales = np.broadcast_to(np.asarray(lengthscales, dtype=float), (1, X.shape[1]))
     ys, y_mean, y_scale = _standardize(y) if standardize else (y, 0.0, 1.0)
-    return _build_gps(_BorderedKernel(X, ys), lengthscales.copy(), [signal_variance],
+    return _build_gps(_BorderedKernel(X, ys), lengthscales.copy(), sv,
                       [nv / y_scale**2], [y_mean], [y_scale])[0]
 
 
@@ -849,7 +888,7 @@ def fit_rbf(data: Dataset) -> RbfModel:
 
 
 def _rbf_values(model: RbfModel, Xq: np.ndarray, dist: np.ndarray) -> np.ndarray:
-    """The interpolant at the rows of Xq, given ``dist = _distances(Xq, model.centers)``."""
+    """The interpolant at the rows of Xq, given ``dist``, their distances to ``model.centers``."""
     a = model.poly_coeffs[:-1]
     b = model.poly_coeffs[-1]
     return (dist ** 3) @ model.lam + Xq @ a + b

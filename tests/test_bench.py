@@ -375,10 +375,25 @@ def test_constrained_feasibility_metrics(constrained_run):
         assert viol > 1e-3
 
 
-def test_failed_cells_are_skipped(tmp_path):
-    # cbo rejects unconstrained problems, so its cells fail while lsqm scores
+def _fail_cobyla(monkeypatch):
+    """Make every cobyla cell raise; jobs=1 runs the cells where the patch reaches."""
+    import surropt.bench as bench
+
+    real = bench.run_optimizer
+
+    def cobyla_fails(algo, problem, budget, seed):
+        if algo == "cobyla":
+            raise RuntimeError("synthetic failure")
+        return real(algo, problem, budget, seed)
+
+    monkeypatch.setattr(bench, "run_optimizer", cobyla_fails)
+
+
+def test_failed_cells_are_skipped(tmp_path, monkeypatch):
+    # cobyla's cells fail while lsqm scores
+    _fail_cobyla(monkeypatch)
     config = BenchmarkConfig(
-        algorithms=["lsqm", "cbo"],
+        algorithms=["lsqm", "cobyla"],
         problems=["quadratic"],
         dims=[2],
         repetitions=1,
@@ -389,8 +404,8 @@ def test_failed_cells_are_skipped(tmp_path):
     )
     table = run_benchmark(config, out_dir=tmp_path)
     assert table.cell_status["quadratic-d2/lsqm/rep0"] == "ok"
-    assert table.cell_status["quadratic-d2/cbo/rep0"].startswith("failed")
-    assert ("quadratic-d2", "cbo") not in table.p
+    assert table.cell_status["quadratic-d2/cobyla/rep0"].startswith("failed")
+    assert ("quadratic-d2", "cobyla") not in table.p
     # sole surviving algorithm scores 1 by the tie convention
     assert table.p[("quadratic-d2", "lsqm")] == 1.0
     with open(tmp_path / "fail" / "scores.json") as fh:
@@ -399,16 +414,42 @@ def test_failed_cells_are_skipped(tmp_path):
     assert score_results(tmp_path, suite="fail").cell_status == table.cell_status
 
 
-def test_failed_cell_status_names_the_exception_type():
+def test_failed_cell_status_names_the_exception_type(monkeypatch):
     # "failed: <Type>: <message>", the form a fallback@k status has
+    _fail_cobyla(monkeypatch)
     config = BenchmarkConfig(
-        algorithms=["lsqm", "cbo"], problems=["quadratic"], dims=[2], repetitions=1,
+        algorithms=["lsqm", "cobyla"], problems=["quadratic"], dims=[2], repetitions=1,
         budgets={2: 8}, warmup={2: 2}, seed=1, suite="fail",
     )
     status = run_benchmark(config).cell_status
-    assert status["quadratic-d2/cbo/rep0"] == (
-        "failed: ConfigError: cbo requires a constrained problem"
+    assert status["quadratic-d2/cobyla/rep0"] == "failed: RuntimeError: synthetic failure"
+
+
+def test_cbo_on_an_unconstrained_problem_refused_before_any_cell(tmp_path, monkeypatch):
+    import surropt.bench as bench
+
+    ran = []
+    monkeypatch.setattr(bench, "run_optimizer", lambda *args: ran.append(args))
+    config = BenchmarkConfig(
+        algorithms=["lsqm", "cbo"], problems=["matyas-c", "quadratic"], dims=[2],
+        repetitions=1, budgets={2: 8}, warmup={2: 2}, seed=1, suite="refused",
     )
+    with pytest.raises(ConfigError, match="problem 'quadratic-d2': cbo requires a constrained"):
+        run_benchmark(config, out_dir=tmp_path)
+    assert ran == []
+    assert not (tmp_path / "refused").exists()
+
+
+def test_rescoring_builds_no_problem(mini_run, monkeypatch):
+    import surropt.bench as bench
+
+    out, table = mini_run
+
+    def no_problems(key):
+        raise AssertionError(f"re-scoring built problem {key!r}")
+
+    monkeypatch.setattr(bench, "get_problem", no_problems)
+    assert score_results(out, suite="mini").p == table.p
 
 
 def test_fallback_cell_is_not_ok(tmp_path, monkeypatch):

@@ -33,7 +33,7 @@ from surropt.optimizers import (
     trust_region_update,
 )
 from surropt.problems import get_problem
-from surropt.surrogates import SurrogateFitError, fit_gp, fit_linear, fit_quadratic, fit_rbf, gp_posterior, rbf_predict
+from surropt.surrogates import SurrogateFitError, _distances, fit_gp, fit_linear, fit_quadratic, fit_rbf, gp_posterior, rbf_predict
 
 # ---------------------------------------------------------------- lcb
 
@@ -685,6 +685,24 @@ def test_dycors_step_ignores_an_exact_duplicate_row(d, seed):
     yd = np.insert(y, j + 1, y[j])
     x_dup = dycors_step(Dataset(Xd, yd), bounds, state, incumbent, seed=seed)
     assert np.array_equal(x_star, x_dup)
+
+
+@pytest.mark.parametrize("d", [2, 10, 32])
+def test_dycors_step_picks_the_row_exact_distances_pick(d, monkeypatch):
+    # the centred gemm moves distances by ulps; on these steps, from the
+    # initial step size down to the floor, no score tie between trials flips
+    rng = np.random.default_rng(d)
+    lower = rng.uniform(-5.0, 5.0, d)
+    bounds = Bounds(lower, lower + 10.0 ** rng.uniform(-1.0, 2.0, d))
+    X = latin_hypercube(bounds, 2 * d + 6, seed=d)
+    y = np.sum(((X - bounds.lower) / bounds.width - 0.3) ** 2, axis=1)
+    data, incumbent = Dataset(X, y), X[int(np.argmin(y))]
+    steps = [(0, 0.2), (3, 0.05), (9, 0.0125), (20, 1e-3), (39, 2e-4)]
+    states = [_dycors_state(iteration=i, step_size=s) for i, s in steps]
+    picked = [dycors_step(data, bounds, s, incumbent, seed=k) for k, s in enumerate(states)]
+    monkeypatch.setattr(optimizers, "_centred_distances", lambda A, B, origin: _distances(A, B))
+    for k, state in enumerate(states):
+        assert np.array_equal(picked[k], dycors_step(data, bounds, state, incumbent, seed=k))
 
 
 def test_dycors_step_size_rule():
