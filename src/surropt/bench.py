@@ -284,16 +284,31 @@ def _write_rep_csv(path: Path, traj: Trajectory) -> None:
             w.writerow(row)
 
 
-def _read_rep_csv(path: Path):
-    """(X, y, G) of a rep CSV, each column found by its header."""
+def _read_rep_csv(path: Path, budgets: dict):
+    """(X, y, G) of a rep CSV, each column found by its header.
+
+    A run writes one row per evaluation, so a ConfigError naming the file
+    refuses a CSV with no data rows, or with another row count than the
+    budget of its dimension (``budgets``, keyed by the number of x columns),
+    and one with no y column or a row that does not parse.
+    """
     with open(path, newline="") as fh:
-        header, *body = list(csv.reader(fh))
-    rows = np.array([[float(v) for v in row] for row in body]).reshape(len(body), -1)
-
-    def cols(prefix):
-        return rows[:, [i for i, h in enumerate(header) if h[:1] == prefix and h[1:].isdigit()]]
-
-    return cols("x"), rows[:, header.index("y")], cols("g")
+        header, *body = list(csv.reader(fh)) or [[]]
+    if not body:
+        raise ConfigError(f"rep CSV {path} has no data rows")
+    if "y" not in header:
+        raise ConfigError(f"rep CSV {path} has no y column")
+    xs = [i for i, h in enumerate(header) if h[:1] == "x" and h[1:].isdigit()]
+    budget = budgets.get(len(xs))
+    if len(body) != budget:
+        raise ConfigError(f"rep CSV {path} has {len(body)} data rows; the budget at "
+                          f"dimension {len(xs)} is {budget}")
+    try:
+        rows = np.array([[float(v) for v in row] for row in body])
+    except ValueError as exc:  # a field that is not a number, or a row cut short
+        raise ConfigError(f"rep CSV {path}: {exc}") from None
+    gs = [i for i, h in enumerate(header) if h[:1] == "g" and h[1:].isdigit()]
+    return rows[:, xs], rows[:, header.index("y")], rows[:, gs]
 
 
 def _score_table(config: BenchmarkConfig, problems, runs, status) -> ScoreTable:
@@ -457,7 +472,7 @@ def _rescore(results_dir, suite):
     for cell in cells:
         path = root / f"{cell.name}.csv"
         if path.exists():  # the curve comes from y, as in the run; best_so_far is not read
-            _, y, G = _read_rep_csv(path)
+            _, y, G = _read_rep_csv(path, config.budgets)
             runs[cell.key, cell.algo, cell.rep] = (best_so_far(y), G)
     cells_path = root / "cells.json"
     status = json.loads(cells_path.read_text()) if cells_path.exists() else {}
@@ -491,16 +506,12 @@ def _best_feasible(cell, threshold: float):
 
 
 def _first_difference(a, b):
-    """(first differing 1-based row or None, max |dX| over the rows both have)."""
-    rows_a = np.column_stack(a)
-    rows_b = np.column_stack(b)
-    m = min(len(rows_a), len(rows_b))
-    same = np.all((rows_a[:m] == rows_b[:m]) | (np.isnan(rows_a[:m]) & np.isnan(rows_b[:m])),
-                  axis=1)
+    """(first differing 1-based row or None, max |dX|) of two cells of one budget."""
+    rows_a, rows_b = np.column_stack(a), np.column_stack(b)
+    same = np.all((rows_a == rows_b) | (np.isnan(rows_a) & np.isnan(rows_b)), axis=1)
     differ = np.flatnonzero(~same)
-    first = int(differ[0]) + 1 if differ.size else (m + 1 if len(rows_a) != len(rows_b) else None)
-    max_dx = float(np.max(np.abs(a[0][:m] - b[0][:m]), initial=0.0))
-    return first, max_dx
+    first = int(differ[0]) + 1 if differ.size else None
+    return first, float(np.max(np.abs(a[0] - b[0]), initial=0.0))
 
 
 def _bootstrap_ci(deltas: np.ndarray, seed: int, resamples: int = 2000):
@@ -515,15 +526,16 @@ def compare_results(dir_a, dir_b, suite: Optional[str] = None) -> dict:
 
     Both directories are written by ``surropt run`` (or ``run_benchmark``
     with a manifest); a ConfigError refuses them when their manifests'
-    ``config`` snapshots differ. Per cell: the first row where X, y or G
-    differ, max |dX| over the rows both have, and delta = B's final best
-    feasible y minus A's (feasible: worst g at most the config's violation
-    threshold); negative delta means B found the lower value. Per (problem,
-    algorithm): the mean delta with a 95% percentile bootstrap interval over
-    the paired cells (seeded by the problem and the algorithm), and B's
-    wins, losses and ties. A cell where only one side found a
-    feasible point counts as that side's win and has no delta; a cell
-    missing on either side is counted as missing.
+    ``config`` snapshots differ, and so does a rep CSV that is empty or
+    shorter or longer than its budget. Per cell: the first row where X, y or
+    G differ, max |dX|, and delta = B's final best feasible y minus A's
+    (feasible: worst g at most the config's violation threshold); negative
+    delta means B found the lower value. Per (problem, algorithm): the mean
+    delta with a 95% percentile bootstrap interval over the paired cells
+    (seeded by the problem and the algorithm), and B's wins, losses and
+    ties. A cell where only one side found a feasible point counts as that
+    side's win and has no delta; a cell missing on either side is counted
+    as missing.
     """
     roots = [_suite_dir(d, suite) for d in (dir_a, dir_b)]
     manifests = [json.loads((r / "manifest.json").read_text()) for r in roots]
@@ -532,11 +544,12 @@ def compare_results(dir_a, dir_b, suite: Optional[str] = None) -> dict:
                       if manifests[0]["config"].get(k) != manifests[1]["config"].get(k))
         raise ConfigError(f"the two runs have different configs (keys: {', '.join(keys)})")
     threshold = manifests[0]["config"]["violation_threshold"]
+    budgets = {int(d): n for d, n in manifests[0]["config"]["budgets"].items()}
 
     cells, pairs = {}, {}
     for name in manifests[0]["cells"]:
         key, algo, _ = name.split("/")
-        a, b = (_read_rep_csv(r / f"{name}.csv") if (r / f"{name}.csv").exists() else None
+        a, b = (_read_rep_csv(r / f"{name}.csv", budgets) if (r / f"{name}.csv").exists() else None
                 for r in roots)
         pair = pairs.setdefault((key, algo), {"deltas": [], "b_better": 0, "b_worse": 0,
                                               "ties": 0, "missing": 0, "differing": 0})

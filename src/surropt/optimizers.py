@@ -550,7 +550,7 @@ def dycors_step(
     each squared distance is within 8 eps (|t - incumbent|^2 +
     |c - incumbent|^2) of the exact one, and the proposal is a row of the
     trials, so it moves only where two scores tie to about that. The fit's
-    own n x n matrix stays on the exact plane sum of ``_distances``. The
+    own n x n matrix stays on the exact difference sum of ``_distances``. The
     centers are ``data.X`` with rows closer than 1e-10 merged (``fit_rbf``),
     so the distance score differs from one taken over ``data.X`` itself only
     when ``data`` holds two points that close, and then by at most 1e-10.

@@ -43,12 +43,6 @@ __all__ = [
 
 _DUPLICATE_TOL = 1e-10
 _JITTERS = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
-# Floats per (rows, n) plane of squared differences in _distances (64 KB). At
-# most 16 planes, 1 MB, are live at once. On a 3200 x 80 matrix at d = 32, on
-# one core with 2 MB of L2, 32 KB planes took 6% longer and 128 KB ones 31%.
-# Its callers are the n x n matrices of the fits' duplicate merge and of
-# fit_rbf, and rbf_predict; DYCORS scoring uses _centred_distances.
-_PLANE_FLOATS = 1 << 13
 # Corner of the bordered kernel (_BorderedKernel): far above any ys' K^-1 ys it meets.
 _BORDER_CORNER = 1e300
 # Cap on the scaled squared distance in the SE kernel. exp(-230 / 2) is about
@@ -65,26 +59,15 @@ class SurrogateFitError(RuntimeError):
 def _distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """(m, n) Euclidean distances between the rows of A (m, d) and B (n, d).
 
-    Summed over squared differences rather than by the Gram identity, which
-    is not exact at zero distance. No (m, n, d) difference tensor is formed:
-    for a block of rows a of A, coordinate k gives one (rows, n) plane of
-    (a_k - b_k) ** 2 over the rows b of B, of at most ``_PLANE_FLOATS``
-    floats (and at least one row), and ``_sum_planes`` adds the d planes in
-    the order of numpy's pairwise sum along a last axis of length d. So each
-    entry has the bytes of ``sqrt(np.sum((a - b) ** 2))``, whatever the
-    block size. It serves ``_merge_duplicates`` (through ``fit_gps``,
+    ``sqrt(sum((a - b) ** 2, axis=-1))`` over one (m, n, d) difference tensor
+    squared in place, exact at zero distance where the Gram identity is not.
+    It serves ``_merge_duplicates`` (through ``fit_gps``,
     ``gp_from_hyperparameters`` and ``fit_rbf``), ``fit_rbf``'s kernel and
     ``rbf_predict``.
     """
-    (m, d), n = A.shape, B.shape[0]
-    out = np.empty((m, n))
-    At, Bt = np.ascontiguousarray(A.T), np.ascontiguousarray(B.T)
-    rows = max(1, _PLANE_FLOATS // max(n, 1))
-    stack = np.empty((min(d, 16), min(rows, m), n))
-    for i in range(0, m, rows):
-        block = out[i:i + rows]
-        _sum_planes(At[:, i:i + rows], Bt, 0, d, block, stack[:, :block.shape[0]])
-    return np.sqrt(out, out=out)
+    diff = A[:, None, :] - B[None, :, :]
+    diff *= diff
+    return np.sqrt(diff.sum(axis=-1))
 
 
 def _centred_distances(A: np.ndarray, B: np.ndarray, origin: np.ndarray) -> np.ndarray:
@@ -95,8 +78,8 @@ def _centred_distances(A: np.ndarray, B: np.ndarray, origin: np.ndarray) -> np.n
     of the exact one (5.7 eps at most in tests/test_surrogates.py's cases),
     so an origin near both sets, as DYCORS's incumbent is, keeps the error on
     the scale of the distances themselves; far from the origin the identity
-    loses the digits the plane sum of ``_distances`` keeps. A row of A equal
-    to the origin is exactly 0 from a row of B equal to it.
+    loses the digits the difference sum of ``_distances`` keeps. A row of A
+    equal to the origin is exactly 0 from a row of B equal to it.
     """
     A, B = A - origin, B - origin
     out = A @ (B * -2.0).T
@@ -106,61 +89,17 @@ def _centred_distances(A: np.ndarray, B: np.ndarray, origin: np.ndarray) -> np.n
     return np.sqrt(out, out=out)
 
 
-def _square_planes(At, Bt, lo: int, hi: int, out: np.ndarray) -> None:
-    """Planes lo..hi-1 of squared differences, (At[k][:, None] - Bt[k]) ** 2."""
-    np.subtract(At[lo:hi, :, None], Bt[lo:hi, None, :], out=out)
-    np.multiply(out, out, out=out)
-
-
-def _sum_planes(At, Bt, lo: int, hi: int, out: np.ndarray, stack: np.ndarray) -> None:
-    """Write the sum of planes lo..hi-1 to out, in the order of numpy's pairwise sum.
-
-    ``np.sum`` over a last axis of c terms adds them one by one onto 0.0
-    below 8 terms. Up to 128 it keeps eight interleaved partial sums
-    r0..r7, combines them as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 +
-    r7)) and adds the c % 8 leftover terms one by one. Above 128 it splits
-    the run in two at a multiple of 8 and sums each half the same way.
-    ``stack`` holds up to 16 planes of scratch.
-    """
-    count = hi - lo
-    if count > 128:
-        half = count // 2
-        half -= half % 8
-        _sum_planes(At, Bt, lo, lo + half, out, stack)
-        right = np.empty_like(out)
-        _sum_planes(At, Bt, lo + half, hi, right, stack)
-        np.add(out, right, out=out)
-        return
-    if count < 8:
-        end = lo
-        out.fill(0.0)
-    else:
-        end = hi - count % 8
-        r = stack[:8]
-        _square_planes(At, Bt, lo, lo + 8, r)
-        for i in range(lo + 8, end, 8):
-            _square_planes(At, Bt, i, i + 8, stack[8:16])
-            r += stack[8:16]
-        np.add(r[0::2], r[1::2], out=r[0::2])
-        np.add(r[0::4], r[2::4], out=r[0::4])
-        np.add(r[0], r[4], out=out)
-    leftover = stack[:hi - end]
-    _square_planes(At, Bt, end, hi, leftover)
-    for k in range(hi - end):
-        out += leftover[k]
-
-
 def _merge_duplicates(dist: np.ndarray, y: np.ndarray):
     """Merge rows closer than ``_DUPLICATE_TOL``, averaging their y.
 
-    ``dist`` is ``_distances(X, X)`` over the rows of X, and y is (n,) or a
-    (k, n) stack of targets. A row joins the first kept row that close;
-    each kept row's y is the mean of its members in row order, one 1-D
-    ``np.mean`` per target (a row mean of the 2-D stack rounds differently
-    from 8 members on). A kept row with no other member keeps its own y
-    plus 0.0: ``np.mean`` of one element sums it onto 0.0, which turns -0.0
-    into 0.0 and leaves every other value as it is. Returns the indices of
-    the kept rows and their y.
+    ``dist`` is ``_distances(X, X)``, exactly 0 between equal rows, and y
+    is (n,) or a (k, n) stack of targets. A row joins the first kept row
+    that close; each kept row's y is the mean of its members in row order,
+    one 1-D ``np.mean`` per target (a row mean of the 2-D stack rounds
+    differently from 8 members on). A kept row with no other member keeps
+    its own y plus 0.0: ``np.mean`` of one element sums it onto 0.0, which
+    turns -0.0 into 0.0 and leaves every other value as it is. Returns the
+    indices of the kept rows and their y.
     """
     rows = np.arange(dist.shape[0])
     close = dist < _DUPLICATE_TOL
@@ -895,7 +834,8 @@ def _rbf_values(model: RbfModel, Xq: np.ndarray, dist: np.ndarray) -> np.ndarray
 
 
 def rbf_predict(model: RbfModel, x):
-    """Evaluate the RBF interpolant at a point or an (m, d) batch."""
+    """Evaluate the RBF interpolant at a point or an (m, d) batch, through one
+    (m, n, d) difference tensor to its n centers (``_distances``)."""
     x = np.asarray(x, dtype=float)
     Xq = np.atleast_2d(x)
     vals = _rbf_values(model, Xq, _distances(Xq, model.centers))

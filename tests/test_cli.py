@@ -559,3 +559,43 @@ def test_compare_refuses_runs_of_different_configs(compare_run, tmp_path, capsys
                  "--json", str(tmp_path / "r.json")]) == 2
     assert "different configs" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
+
+
+def _damage(run, tmp_path, keep):
+    """A copy of ``run`` whose matyas-c/cbo/rep1.csv keeps its header and ``keep`` rows."""
+    other = tmp_path / "b"
+    shutil.copytree(run, other)
+    path = other / "constrained" / "matyas-c" / "cbo" / "rep1.csv"
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 11  # header and the budget of 10
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows[:1 + keep])
+    return other, path
+
+
+@pytest.mark.parametrize("keep, message", [(0, "has no data rows"),
+                                           (7, "has 7 data rows; the budget at dimension 2 is 10")])
+@pytest.mark.parametrize("command", ["score", "compare"])
+def test_damaged_rep_csv_is_a_config_error_naming_the_file(compare_run, tmp_path, capsys,
+                                                           keep, message, command):
+    other, path = _damage(compare_run, tmp_path, keep)
+    report = tmp_path / "r.json"
+    argv = (["score", "--out", str(other), "--suite", "constrained"] if command == "score"
+            else ["compare", str(compare_run), str(other), "--json", str(report)])
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert f"error: rep CSV {path} {message}" in capsys.readouterr().err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda text: text[:text.rindex(",")] + "\n", ": "),  # the last row loses its last field
+    (lambda text: text.replace(",y,", ",yy,", 1), " has no y column"),
+])
+def test_rep_csv_with_a_bad_row_or_header_is_a_config_error(compare_run, tmp_path, capsys,
+                                                            edit, message):
+    other, path = _damage(compare_run, tmp_path, 10)
+    path.write_text(edit(path.read_text()))
+    assert main(["score", "--out", str(other), "--suite", "constrained"]) == 2
+    assert f"error: rep CSV {path}{message}" in capsys.readouterr().err

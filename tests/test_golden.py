@@ -26,9 +26,8 @@ SEEDS = (0, 1)
 # cobyla rebuilds its degenerate simplex on matyas-c seed 1 only past 27
 # evaluations, so one longer run covers the rebuild. A DYCORS step scores its
 # trials with the centred gemm (_centred_distances), so each DYCORS run
-# exercises _distances' plane sum only through fit_rbf's n x n matrix: one by
-# one at the BUDGETS problems' d <= 5, with eight accumulators on ackley-d10
-# (and on cstr-pid, d = 32, below, in four groups of 8).
+# exercises _distances only through fit_rbf's n x n matrix: at the BUDGETS
+# problems' d <= 5, on ackley-d10 and on cstr-pid (d = 32, below).
 EXTRA = [
     ("matyas-c", "cobyla", 1, 32),
     ("ackley-d10", "dycors", 0, 30),

@@ -928,28 +928,63 @@ def _distances_reference(A, B):
     return np.sqrt(np.sum((A[:, None, :] - B[None, :, :]) ** 2, axis=2))
 
 
+# The benchmark's d (2, 10, 32) and d on each side of numpy's summation
+# boundaries: one by one below 8 terms, eight partial sums up to 128, split
+# in two above
+_DISTANCE_DIMS = [1, 2, 7, 8, 9, 10, 32, 129]
+
+
+def _distance_rows(rng, m, d, shared=0):
+    """m rows at mixed magnitudes across coordinates, the last ``shared`` of
+    them copies of the first ones."""
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, d)
+    A = rng.uniform(-3.0, 3.0, (m - shared, d)) * scale
+    return np.vstack([A, A[:shared]])
+
+
+def _assert_each_entry_alone(A, B, D):
+    for i, j in np.ndindex(D.shape):
+        assert D[i, j].tobytes() == _distances(A[i:i + 1], B[j:j + 1]).tobytes()
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
-    m=st.integers(min_value=0, max_value=60),
-    n=st.integers(min_value=0, max_value=30),
-    # numpy sums below 8 terms one by one, up to 128 in eight partial sums
-    # plus leftovers, and above 128 splits the run in two
-    d=st.one_of(
-        st.integers(min_value=1, max_value=7),
-        st.integers(min_value=8, max_value=128),
-        st.integers(min_value=129, max_value=300),
-    ),
-    block=st.sampled_from([1, 5, 64, 333, surrogates._PLANE_FLOATS]),
+    m=st.integers(min_value=0, max_value=20),
+    n=st.integers(min_value=0, max_value=15),
+    d=st.sampled_from(_DISTANCE_DIMS),
 )
-def test_blocked_distances_match_one_shot_bit_for_bit(seed, m, n, d, block):
+def test_each_distance_is_its_pair_alone_bit_for_bit(seed, m, n, d):
     rng = np.random.default_rng(seed)
-    scale = 10.0 ** rng.uniform(-3.0, 3.0, d)  # mixed magnitudes across coordinates
-    A = rng.uniform(-3.0, 3.0, (m, d)) * scale
+    A = _distance_rows(rng, m, d)
     shared = min(n // 2, m)  # rows of B that are rows of A: zero distances
-    B = np.vstack([A[:shared], rng.uniform(-3.0, 3.0, (n - shared, d)) * scale])
-    with mock.patch.object(surrogates, "_PLANE_FLOATS", block):
-        assert _distances(A, B).tobytes() == _distances_reference(A, B).tobytes()
+    B = np.vstack([A[:shared], _distance_rows(rng, n - shared, d)])
+    D = _distances(A, B)
+    assert D.shape == (m, n)
+    assert D.tobytes() == _distances_reference(A, B).tobytes()
+    _assert_each_entry_alone(A, B, D)
+    assert np.all(D[np.arange(shared), np.arange(shared)] == 0.0)
+
+
+@pytest.mark.parametrize("d", _DISTANCE_DIMS)
+def test_distances_of_a_set_to_itself_symmetric_and_zero_on_shared_rows(d):
+    X = _distance_rows(np.random.default_rng(d), 12, d, shared=3)
+    D = _distances(X, X)
+    assert D.tobytes() == D.T.copy().tobytes()
+    assert np.all(np.diagonal(D) == 0.0)
+    assert np.all(D[np.arange(3), np.arange(9, 12)] == 0.0)
+    assert np.count_nonzero(D == 0.0) == 12 + 2 * 3
+
+
+def test_distances_at_the_largest_rbf_fit_size():
+    # (99, 99, 10): the largest matrix a fit takes in the benchmark, at
+    # budget 100 on the d = 10 problems
+    X = _distance_rows(np.random.default_rng(12), 99, 10, shared=4)
+    D = _distances(X, X)
+    assert D.tobytes() == _distances_reference(X, X).tobytes()
+    assert D.tobytes() == D.T.copy().tobytes()
+    assert np.count_nonzero(D == 0.0) == 99 + 2 * 4
+    _assert_each_entry_alone(X, X, D)
 
 
 @pytest.mark.parametrize("d", [1, 7, 8, 9, 15, 16, 17, 127, 128, 129, 135, 136, 137, 256, 257, 300])
@@ -960,17 +995,6 @@ def test_distances_at_each_summation_boundary(d):
     D = _distances(A, B)
     assert D.tobytes() == _distances_reference(A, B).tobytes()
     assert np.all(D[[0, 1], [0, 1]] == 0.0)
-
-
-def test_blocked_distances_at_dycors_size():
-    # d = 32 and 80 points, as on cstr-pid: 102-row blocks, the last one of
-    # 88 rows, each summing four groups of eight planes
-    rng = np.random.default_rng(12)
-    A = rng.uniform(0.0, 1.0, (700, 32))
-    B = rng.uniform(0.0, 1.0, (80, 32))
-    assert surrogates._PLANE_FLOATS // B.shape[0] == 102
-    assert _distances(A, B).tobytes() == _distances_reference(A, B).tobytes()
-    assert _distances(A[:1], B).tobytes() == _distances_reference(A[:1], B).tobytes()
 
 
 # Measured max of |D^2 - exact D^2| / (eps (|a - o|^2 + |b - o|^2)): 5.7 over
