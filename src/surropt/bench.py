@@ -32,8 +32,8 @@ import io
 import json
 import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+import os
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -41,7 +41,14 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import VIOLATION_THRESHOLD, ConfigError, Trajectory, best_so_far, derive_seed
+from .core import (
+    VIOLATION_THRESHOLD,
+    ConfigError,
+    Trajectory,
+    _keep_heap,
+    best_so_far,
+    derive_seed,
+)
 from .optimizers import check_problem, run_optimizer
 from .problems import BASE_FUNCTIONS, get_problem
 
@@ -368,6 +375,35 @@ def check_jobs(jobs: int) -> int:
     return jobs
 
 
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextmanager
+def _cell_pool(jobs: int):
+    """A pool of ``jobs`` worker processes, each on one BLAS thread with the kept heap.
+
+    Workers are spawned, not forked: a fork would inherit the caller's BLAS,
+    whose thread count was fixed when it loaded. A spawned worker loads its
+    own under the environment it starts with, which holds one thread for as
+    long as the pool is open; then the caller's environment is restored.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    saved = {name: os.environ.get(name) for name in _BLAS_THREADS}
+    os.environ.update(dict.fromkeys(_BLAS_THREADS, "1"))
+    try:
+        with ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("spawn"),
+                                 initializer=_keep_heap) as pool:
+            yield pool
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
 def run_benchmark(
     config: BenchmarkConfig, out_dir: Optional[str] = None, jobs: int = 1
 ) -> ScoreTable:
@@ -375,13 +411,16 @@ def run_benchmark(
 
     A failing cell is recorded in ``cell_status`` and skipped by the
     aggregation; everything else proceeds. Results are bit-reproducible for
-    a fixed config regardless of ``jobs``.
+    a fixed config regardless of ``jobs``: ``jobs > 1`` runs each cell in a
+    worker on one BLAS thread, and ``jobs == 1`` on the calling thread under
+    the caller's BLAS setting, which gives the same bytes unless a cell
+    reaches a fit whose rounding depends on the thread count (see README).
     """
     check_jobs(jobs)
     problems, cells = plan_cells(config)
     root = None if out_dir is None else Path(out_dir) / config.suite
     runs, status = {}, {}
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+    with _cell_pool(jobs) if jobs > 1 else nullcontext() as pool:
         # jobs == 1 runs each cell on the calling thread when the loop reaches it,
         # so thread CPU clocks see it and its CSV is written before the next starts
         results = ([pool.submit(_run_cell, cell).result for cell in cells] if jobs > 1

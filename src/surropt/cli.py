@@ -39,6 +39,7 @@ from typing import Optional
 import numpy as np
 import yaml
 
+from . import __version__
 from .bench import (
     DEFAULT_BUDGETS,
     DEFAULT_DIMS,
@@ -54,7 +55,7 @@ from .bench import (
     rescore_results,
     run_benchmark,
 )
-from .core import VIOLATION_THRESHOLD, ConfigError
+from .core import VIOLATION_THRESHOLD, ConfigError, _keep_heap
 from .optimizers import ALGORITHMS, run_optimizer
 from .problems import BASE_FUNCTIONS, get_problem, list_problems
 
@@ -81,15 +82,6 @@ _CONFIG_KEYS = tuple(f.name for f in fields(BenchmarkConfig))
 _CONFIG_KINDS = {"budgets": dict, "warmup": dict, "algorithms": list, "problems": list, "dims": list}
 
 
-def _version() -> str:
-    try:
-        from importlib.metadata import version
-
-        return version("surropt")
-    except Exception:
-        return "unknown"
-
-
 @dataclass
 class RunManifest:
     """Pre-run snapshot of a benchmark: written before any cell executes,
@@ -107,7 +99,7 @@ class RunManifest:
         _, cells = plan_cells(config)
         return cls(
             suite=config.suite,
-            version=_version(),
+            version=__version__,
             timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
             seed=config.seed,
             config=config.to_dict(),
@@ -352,6 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    _keep_heap()
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

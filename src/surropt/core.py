@@ -13,6 +13,7 @@ independently reproducible.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -40,6 +41,16 @@ __all__ = [
 
 # a sample is feasible when its largest constraint value is at most this
 VIOLATION_THRESHOLD = 1e-3
+
+# glibc's mallopt parameters (malloc.h) and the values _keep_heap gives them.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+# Blocks below 4 MiB come from the heap instead of their own mmap: the largest
+# temporary a preset suite makes is DYCORS's 3200 x 150 distance matrix on
+# cstr-pid (3.84 MB), and numpy asks for huge pages from 4 MiB on.
+_MMAP_THRESHOLD_BYTES = 4 << 20
+# The heap keeps up to 32 MiB free at its top instead of handing it back to the
+# kernel: more than one optimizer step frees.
+_TRIM_THRESHOLD_BYTES = 32 << 20
 
 
 class BudgetExhausted(RuntimeError):
@@ -316,3 +327,24 @@ def best_so_far(trajectory) -> np.ndarray:
     if ys.size == 0:
         raise ConfigError("best_so_far needs a non-empty trajectory")
     return np.minimum.accumulate(ys)
+
+
+def _keep_heap() -> None:
+    """Make glibc's malloc keep freed step temporaries for the next step.
+
+    By default each array of 128 KiB to 32 MiB is mapped on its own or
+    trimmed off the heap's top when freed, so the next step faults its pages
+    back in. Both thresholds are set: either one alone switches off glibc's
+    dynamic threshold and faults more. Called by the command line and in
+    pool workers, never on import, since the allocator belongs to the host
+    process. Does nothing without ``mallopt`` (macOS, Windows); on musl the
+    call is a no-op.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)

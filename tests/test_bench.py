@@ -3,6 +3,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -228,6 +231,38 @@ def test_parallel_run_matches_serial(mini_run, tmp_path):
     assert serial == parallel and len(serial) == 7
     for rel in serial:
         assert (out / rel).read_bytes() == (tmp_path / rel).read_bytes(), rel
+
+
+# From n = 129 the d = 32 quadratic fit solves its n-column dual system with a
+# rounding that depends on the BLAS thread count; pool workers hold one thread
+# whatever the caller's setting, so a budget-150 cstr-pid cell writes one CSV.
+POOL_RUN = """
+import sys
+from surropt.bench import BenchmarkConfig, run_benchmark
+
+config = BenchmarkConfig(algorithms=["cuatro"], problems=["cstr-pid"], repetitions=1,
+                         budgets={32: 150}, warmup={32: 15}, seed=42, suite="casestudies")
+run_benchmark(config, out_dir=sys.argv[1], jobs=2)
+"""
+
+
+def test_pool_run_same_under_one_and_two_blas_threads(tmp_path):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    children = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "MKL_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        children.append(subprocess.Popen(
+            [sys.executable, "-c", POOL_RUN, str(tmp_path / threads)], env=env))
+    try:
+        assert [child.wait(timeout=300) for child in children] == [0, 0]
+    finally:
+        for child in children:
+            child.kill()
+    rel = Path("casestudies", "cstr-pid", "cuatro", "rep0.csv")
+    one, two = ((tmp_path / t / rel).read_bytes() for t in ("1", "2"))
+    assert one.count(b"\n") == 151 and one == two
 
 
 def test_independent_scoring_oracle(mini_run):

@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import surropt
 from surropt import ConfigError
 from surropt.bench import (
     DEFAULT_BUDGETS,
@@ -298,9 +303,21 @@ def test_run_manifest_contents(cli_run):
     }
     assert all(v == "planned" for v in manifest["cells"].values())
     assert manifest["timestamp"]
+    assert manifest["version"] == surropt.__version__
     with open(out / "custom" / "cells.json") as fh:
         cells = json.load(fh)
     assert all(v == "ok" for v in cells.values())
+
+
+def test_import_loads_no_process_pool():
+    # score, compare, list and --jobs 1 runs never start one
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, surropt.cli\n"
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_run_trajectory_row_count(cli_run):

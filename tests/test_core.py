@@ -1,3 +1,9 @@
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -273,3 +279,67 @@ def test_substreams_are_independent_and_reproducible():
     assert np.array_equal(a1, a2)
     assert not np.array_equal(a1, b)
     assert derive_seed(9, "noise") != derive_seed(10, "noise")
+
+
+# ---------------------------------------------------------------- kept heap
+
+# Each cycle frees three 2 MB arrays at once, like an optimizer step's
+# temporaries. glibc's default thresholds hand them back to the kernel and
+# fault them in again next cycle; the kept heap reuses them.
+HEAP_PROBE = """
+import resource, sys
+import numpy as np
+
+def faults(cycles=50, n=(2 << 20) // 8):
+    (np.ones(n) + np.ones(n) * 2.0).sum()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(cycles):
+        (np.ones(n) + np.ones(n) * 2.0).sum()
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+if __name__ == "__main__":
+    from surropt.bench import _cell_pool
+    from surropt.cli import main
+
+    if sys.argv[1] == "cli":
+        main(["list"])
+    if sys.argv[1] == "pool":
+        with _cell_pool(2) as pool:
+            print(pool.submit(faults).result())
+    else:
+        print(faults())
+"""
+
+glibc_only = pytest.mark.skipif(
+    sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+    reason="the kept heap sets glibc's malloc thresholds",
+)
+
+
+def heap_probe_faults(tmp_path, mode):
+    """Minor page faults of 50 allocate-and-free cycles, in a fresh interpreter."""
+    script = tmp_path / "heap_probe.py"
+    script.write_text(HEAP_PROBE)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, str(script), mode], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    return int(out.stdout.split()[-1])
+
+
+@glibc_only
+def test_import_leaves_the_default_heap_faulting(tmp_path):
+    # importing surropt changes nothing of its host's allocator
+    thp = Path("/sys/kernel/mm/transparent_hugepage/enabled")
+    if thp.is_file() and "[always]" in thp.read_text():
+        pytest.skip("huge pages back the heap, so it faults little either way")
+    assert heap_probe_faults(tmp_path, "import") > 100 * 50
+
+
+@glibc_only
+@pytest.mark.parametrize("mode", ["cli", "pool"])
+def test_kept_heap_reuses_freed_arrays(tmp_path, mode):
+    # cli: the command line keeps the heap of its own process;
+    # pool: run_benchmark's workers keep theirs
+    assert heap_probe_faults(tmp_path, mode) < 50
+
