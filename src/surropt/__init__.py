@@ -6,6 +6,8 @@ benchmark problems, and a reproducible benchmarking harness with normalized
 relative scores.
 """
 
+__version__ = "0.1.0"  # before the imports: bench records it in each manifest
+
 from .core import (
     Bounds,
     BudgetExhausted,
@@ -38,5 +40,3 @@ from .bench import (
     score_r,
     score_results,
 )
-
-__version__ = "0.1.0"

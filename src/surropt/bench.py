@@ -12,8 +12,9 @@ so 1 is the best performer and 0 the worst; p is the mean of r over
 iterations. Feasibility metrics count evaluations whose worst constraint
 exceeds the violation threshold.
 
-Artifacts: ``<out>/<suite>/<problem>/<algorithm>/rep<k>.csv`` (one row per
-evaluation, floats at 17 significant digits), ``scores.json``,
+Artifacts, written by ``run_benchmark`` for any caller with an ``out_dir``:
+``manifest.json`` first, then ``<out>/<suite>/<problem>/<algorithm>/rep<k>.csv``
+(one row per evaluation, floats at 17 significant digits), ``scores.json``,
 ``convergence.csv``, and ``cells.json`` with per-cell statuses: ``ok``,
 ``fallback@<k>: <reason>`` (random search from evaluation k on) or
 ``failed: <Type>: <message>``; both name the exception type.
@@ -33,14 +34,17 @@ import json
 import logging
 import math
 import os
+import platform
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
+from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
 from typing import NamedTuple, Optional
 
 import numpy as np
 
+from . import __version__
 from .core import (
     VIOLATION_THRESHOLD,
     ConfigError,
@@ -49,7 +53,7 @@ from .core import (
     best_so_far,
     derive_seed,
 )
-from .optimizers import check_problem, run_optimizer
+from .optimizers import check_problem, initial_design_size, run_optimizer
 from .problems import BASE_FUNCTIONS, get_problem
 
 __all__ = [
@@ -193,21 +197,14 @@ class Cell(NamedTuple):
     seed: int
 
 
-def checked_dims(algorithms):
-    """A ``dim_of`` for a run of ``algorithms``: it builds the problem and
-    returns its dimension, or raises a ConfigError naming the problem when
-    one of them cannot run on it (``check_problem``)."""
+_PLANNED = {}  # registry key -> its problem as planning built it; the registry is fixed
 
-    def dim_of(key):
-        problem = get_problem(key)
-        for algo in algorithms:
-            try:
-                check_problem(algo, problem)
-            except ConfigError as exc:
-                raise ConfigError(f"problem '{key}': {exc}") from None
-        return problem.dim
 
-    return dim_of
+def planned_dim(key: str) -> int:
+    """The dimension of registry ``key``; plans build its problem once per process."""
+    if key not in _PLANNED:
+        _PLANNED[key] = get_problem(key)
+    return _PLANNED[key].dim
 
 
 def expand_problems(names, dims, dim_of):
@@ -226,17 +223,17 @@ def expand_problems(names, dims, dim_of):
 def plan_cells(config: BenchmarkConfig, dim_of=None):
     """The problems (key, dim, n_e, n_c) and the cells of a run, both in run order.
 
-    By default each problem is built and checked against the algorithms
-    (``checked_dims``); re-scoring passes the stored dimensions instead and
-    builds no problem.
+    By default each problem comes from ``planned_dim`` (cells build their
+    own) and a ConfigError naming it refuses an algorithm that cannot run on
+    it (``check_problem``) or whose initial design exceeds its budget;
+    re-scoring passes the stored dimensions instead, builds no problem and
+    checks none.
     """
-    if dim_of is None:
-        dim_of = checked_dims(config.algorithms)
     for i, algo in enumerate(config.algorithms):
         if algo in config.algorithms[:i]:
             raise ConfigError(f"algorithm '{algo}' is listed twice; its cells would run twice")
     problems = []
-    for key, d in expand_problems(config.problems, config.dims, dim_of):
+    for key, d in expand_problems(config.problems, config.dims, dim_of or planned_dim):
         if any(key == k for k, *_ in problems):
             raise ConfigError(f"problem '{key}' is listed twice; its cells would run twice")
         missing = [name for name, table in (("budget", config.budgets),
@@ -247,6 +244,14 @@ def plan_cells(config: BenchmarkConfig, dim_of=None):
                 f"dimensions with both: {sorted(set(config.budgets) & set(config.warmup))}"
             )
         problems.append((key, d, int(config.budgets[d]), int(config.warmup[d])))
+        for algo in () if dim_of else config.algorithms:
+            try:
+                check_problem(algo, _PLANNED[key])
+                if config.budgets[d] < (n_init := initial_design_size(algo, d)):
+                    raise ConfigError(f"budget {config.budgets[d]} is below the initial "
+                                      f"design size {n_init} of '{algo}'")
+            except ConfigError as exc:
+                raise ConfigError(f"problem '{key}': {exc}") from None
     cells = [
         Cell(f"{key}/{algo}/rep{rep}", key, n_e, algo, rep,
              derive_seed(config.seed, algo, key, d, rep))
@@ -255,6 +260,38 @@ def plan_cells(config: BenchmarkConfig, dim_of=None):
         for rep in range(config.repetitions)
     ]
     return problems, cells
+
+
+@dataclass
+class RunManifest:
+    """Pre-run snapshot of a benchmark: ``run_benchmark`` writes it before any
+    cell executes and never modifies it (per-cell outcomes land in cells.json).
+    ``provenance`` holds what the bytes may depend on besides the config."""
+
+    suite: str
+    version: str
+    timestamp: str
+    seed: int
+    config: dict
+    cells: dict
+    provenance: dict
+
+    @classmethod
+    def plan(cls, config: BenchmarkConfig) -> "RunManifest":
+        """The manifest ``run_benchmark(config, out_dir)`` writes at its default ``jobs``."""
+        return cls._from_plan(config, plan_cells(config)[1], jobs=1)
+
+    @classmethod
+    def _from_plan(cls, config: BenchmarkConfig, cells, jobs: int) -> "RunManifest":
+        return cls(
+            suite=config.suite,
+            version=__version__,
+            timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
+            seed=config.seed,
+            config=config.to_dict(),
+            cells={cell.name: "planned" for cell in cells},
+            provenance=_provenance(jobs),
+        )
 
 
 def _run_cell(cell: Cell) -> Trajectory:
@@ -376,6 +413,25 @@ def check_jobs(jobs: int) -> int:
 
 
 _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_POOL_THREADS = dict.fromkeys(_BLAS_THREADS, "1")  # the environment a pool worker starts in
+
+
+def _provenance(jobs: int) -> dict:
+    """The Python, numpy and BLAS versions, ``jobs`` and the BLAS thread
+    setting the cells run under: a fit's rounding can depend on the last."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {"name": blas["name"], "version": blas["version"]}
+    except (TypeError, KeyError):  # numpy before 1.26 has no "dicts" mode
+        blas = None
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas,
+        "jobs": jobs,
+        "blas_threads": (_POOL_THREADS if jobs > 1
+                         else {name: os.environ.get(name) for name in _BLAS_THREADS}),
+    }
 
 
 @contextmanager
@@ -391,7 +447,7 @@ def _cell_pool(jobs: int):
     from concurrent.futures import ProcessPoolExecutor
 
     saved = {name: os.environ.get(name) for name in _BLAS_THREADS}
-    os.environ.update(dict.fromkeys(_BLAS_THREADS, "1"))
+    os.environ.update(_POOL_THREADS)
     try:
         with ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("spawn"),
                                  initializer=_keep_heap) as pool:
@@ -407,7 +463,8 @@ def _cell_pool(jobs: int):
 def run_benchmark(
     config: BenchmarkConfig, out_dir: Optional[str] = None, jobs: int = 1
 ) -> ScoreTable:
-    """Execute all cells, score them, and optionally persist artifacts.
+    """Plan the run once, execute all cells and score them; with ``out_dir``,
+    write manifest.json before the first cell, then the results as they come.
 
     A failing cell is recorded in ``cell_status`` and skipped by the
     aggregation; everything else proceeds. Results are bit-reproducible for
@@ -419,6 +476,10 @@ def run_benchmark(
     check_jobs(jobs)
     problems, cells = plan_cells(config)
     root = None if out_dir is None else Path(out_dir) / config.suite
+    if root is not None:
+        root.mkdir(parents=True, exist_ok=True)
+        manifest = RunManifest._from_plan(config, cells, jobs).__dict__
+        (root / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
     runs, status = {}, {}
     with _cell_pool(jobs) if jobs > 1 else nullcontext() as pool:
         # jobs == 1 runs each cell on the calling thread when the loop reaches it,
@@ -449,7 +510,6 @@ def run_benchmark(
 
 def _write_scores(root: Path, config, problems, table: ScoreTable) -> list:
     """Write scores.json and convergence.csv; return the names of those whose bytes changed."""
-    root.mkdir(parents=True, exist_ok=True)
     payload = {
         "suite": config.suite,
         "config": config.to_dict(),
@@ -563,18 +623,19 @@ def _bootstrap_ci(deltas: np.ndarray, seed: int, resamples: int = 2000):
 def compare_results(dir_a, dir_b, suite: Optional[str] = None) -> dict:
     """Pair the cells of two runs of one config, B against A.
 
-    Both directories are written by ``surropt run`` (or ``run_benchmark``
-    with a manifest); a ConfigError refuses them when their manifests'
+    Both directories are written by ``run_benchmark`` with an ``out_dir``, as
+    ``surropt run`` does; a ConfigError refuses them when their manifests'
     ``config`` snapshots differ, and so does a rep CSV that is empty or
-    shorter or longer than its budget. Per cell: the first row where X, y or
-    G differ, max |dX|, and delta = B's final best feasible y minus A's
-    (feasible: worst g at most the config's violation threshold); negative
-    delta means B found the lower value. Per (problem, algorithm): the mean
-    delta with a 95% percentile bootstrap interval over the paired cells
-    (seeded by the problem and the algorithm), and B's wins, losses and
-    ties. A cell where only one side found a feasible point counts as that
-    side's win and has no delta; a cell missing on either side is counted
-    as missing.
+    shorter or longer than its budget; differing ``provenance`` keys are
+    reported as (A's value, B's value) and refuse nothing. Per cell: the
+    first row where X, y or G differ, max |dX|, and delta = B's final best
+    feasible y minus A's (feasible: worst g at most the config's violation
+    threshold); negative delta means B found the lower value. Per
+    (problem, algorithm): the mean delta with a 95% percentile bootstrap
+    interval over the paired cells (seeded by the problem and the
+    algorithm), and B's wins, losses and ties. A cell where only one side
+    found a feasible point counts as that side's win and has no delta; a
+    cell missing on either side is counted as missing.
     """
     roots = [_suite_dir(d, suite) for d in (dir_a, dir_b)]
     manifests = [json.loads((r / "manifest.json").read_text()) for r in roots]
@@ -582,6 +643,9 @@ def compare_results(dir_a, dir_b, suite: Optional[str] = None) -> dict:
         keys = sorted(k for k in set(manifests[0]["config"]) | set(manifests[1]["config"])
                       if manifests[0]["config"].get(k) != manifests[1]["config"].get(k))
         raise ConfigError(f"the two runs have different configs (keys: {', '.join(keys)})")
+    pa, pb = (m.get("provenance", {}) for m in manifests)
+    provenance = {k: (pa.get(k), pb.get(k)) for k in sorted({*pa, *pb})
+                  if pa.get(k) != pb.get(k)}
     threshold = manifests[0]["config"]["violation_threshold"]
     budgets = {int(d): n for d, n in manifests[0]["config"]["budgets"].items()}
 
@@ -618,7 +682,7 @@ def compare_results(dir_a, dir_b, suite: Optional[str] = None) -> dict:
                         "ci95": ci, **pair})
     return {
         "a": str(roots[0]), "b": str(roots[1]), "suite": manifests[0]["suite"],
-        "config": manifests[0]["config"],
+        "config": manifests[0]["config"], "provenance": provenance,
         "differing_cells": sum(1 for c in cells.values() if c.get("first_differing_row")),
         "cells": cells, "pairs": summary,
     }
@@ -633,6 +697,8 @@ def compare_markdown(report: dict) -> str:
     lines = [
         f"{report['differing_cells']} differing cells of {len(report['cells'])} "
         f"(A = {report['a']}, B = {report['b']})",
+        *(f"provenance {key} differs: A {a}, B {b}"
+          for key, (a, b) in report["provenance"].items()),
         "",
         "delta = B's final best feasible y minus A's; negative: B lower.",
         "",

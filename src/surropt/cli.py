@@ -8,8 +8,9 @@ Subcommands::
     surropt compare  before/constrained after/constrained --json compare.json
     surropt list
 
-``run`` writes a manifest before any cell executes, then the full results
-layout (per-repetition CSVs, scores.json, convergence.csv, cells.json).
+``run`` calls ``run_benchmark``, which writes manifest.json before any cell
+executes, as for every caller with an output directory, then the full
+results layout (per-repetition CSVs, scores.json, convergence.csv, cells.json).
 ``score`` recomputes the scores from the ``y`` and ``g`` columns of the
 stored trajectories and rewrites scores.json and convergence.csv; on
 untouched results both come back bit-identical, and otherwise it names the
@@ -31,27 +32,25 @@ import difflib
 import json
 import os
 import sys
-from dataclasses import dataclass, field, fields
-from datetime import datetime, timezone
+from dataclasses import fields
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 import yaml
 
-from . import __version__
 from .bench import (
     DEFAULT_BUDGETS,
     DEFAULT_DIMS,
     DEFAULT_WARMUP,
     BenchmarkConfig,
+    RunManifest,
     _write_rep_csv,
     check_jobs,
-    checked_dims,
     compare_markdown,
     compare_results,
     expand_problems,
-    plan_cells,
+    planned_dim,
     rescore_results,
     run_benchmark,
 )
@@ -80,36 +79,6 @@ SUITES = {
 
 _CONFIG_KEYS = tuple(f.name for f in fields(BenchmarkConfig))
 _CONFIG_KINDS = {"budgets": dict, "warmup": dict, "algorithms": list, "problems": list, "dims": list}
-
-
-@dataclass
-class RunManifest:
-    """Pre-run snapshot of a benchmark: written before any cell executes,
-    never modified afterwards (per-cell outcomes land in cells.json)."""
-
-    suite: str
-    version: str
-    timestamp: str
-    seed: int
-    config: dict
-    cells: dict = field(default_factory=dict)
-
-    @classmethod
-    def plan(cls, config: BenchmarkConfig) -> "RunManifest":
-        _, cells = plan_cells(config)
-        return cls(
-            suite=config.suite,
-            version=__version__,
-            timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-            seed=config.seed,
-            config=config.to_dict(),
-            cells={cell.name: "planned" for cell in cells},
-        )
-
-    def write(self, path: Path) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w") as fh:
-            json.dump(self.__dict__, fh, indent=2, sort_keys=True)
 
 
 def _suggest(value: str, valid, kind: str) -> ConfigError:
@@ -187,7 +156,7 @@ def parse_config(path: Optional[str] = None, flags: Optional[dict] = None) -> Be
 
     # keep only the dimensions this config can actually touch, so a scalar
     # --budget never trips the budget>warmup check for unused presets
-    dims_in_use = {d for _, d in expand_problems(problems, dims, checked_dims(algorithms))}
+    dims_in_use = {d for _, d in expand_problems(problems, dims, planned_dim)}
     if "budget" in flags:
         budgets = {d: int(flags["budget"]) for d in dims_in_use}
     else:
@@ -231,8 +200,6 @@ def cmd_run(args) -> int:
     config = parse_config(args.config, vars(args))
     jobs = check_jobs((os.cpu_count() or 1) if args.jobs is None else args.jobs)
     root = _out_root(args.out)
-    manifest = RunManifest.plan(config)
-    manifest.write(root / config.suite / "manifest.json")
     table = run_benchmark(config, out_dir=root, jobs=jobs)
     not_ok = sorted(k for k, v in table.cell_status.items() if v != "ok")
     _print_table(table)

@@ -225,12 +225,43 @@ def test_parallel_run_matches_serial(mini_run, tmp_path):
     for key in table.r:
         assert np.array_equal(table.r[key], par.r[key])
         assert table.p[key] == par.p[key]
-    # every file written at jobs=2 is byte-identical to the jobs=1 run
+    # every file written at jobs=2 is byte-identical to the jobs=1 run, but the
+    # manifest, which differs only by its timestamp and its provenance
     serial = sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
     parallel = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p.is_file())
-    assert serial == parallel and len(serial) == 7
+    assert serial == parallel and len(serial) == 8
     for rel in serial:
-        assert (out / rel).read_bytes() == (tmp_path / rel).read_bytes(), rel
+        if rel.name != "manifest.json":
+            assert (out / rel).read_bytes() == (tmp_path / rel).read_bytes(), rel
+    manifests = [json.loads((root / "mini" / "manifest.json").read_text())
+                 for root in (out, tmp_path)]
+    provenance = [m.pop("provenance") for m in manifests]
+    for m in manifests:
+        del m["timestamp"]
+    assert manifests[0] == manifests[1]
+    assert [p["jobs"] for p in provenance] == [1, 2]
+    assert provenance[1]["blas_threads"] == dict.fromkeys(
+        ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"], "1")
+
+
+def test_library_run_writes_the_manifest_compare_reads(mini_run, tmp_path):
+    from surropt.bench import compare_markdown, compare_results
+
+    out, _ = mini_run
+    run_benchmark(BenchmarkConfig(**MINI), out_dir=tmp_path)
+    manifest = json.loads((out / "mini" / "manifest.json").read_text())
+    cells = json.loads((out / "mini" / "cells.json").read_text())
+    assert set(manifest["cells"]) == set(cells) and len(cells) == 4
+    assert compare_results(out, tmp_path)["differing_cells"] == 0
+    # provenance that differs is shown above the table and refuses nothing
+    path = tmp_path / "mini" / "manifest.json"
+    other = json.loads(path.read_text())
+    other["provenance"]["jobs"] = 2
+    path.write_text(json.dumps(other))
+    report = compare_results(out, tmp_path)
+    assert report["differing_cells"] == 0 and report["provenance"] == {"jobs": (1, 2)}
+    text = compare_markdown(report)
+    assert text.index("provenance jobs differs: A 1, B 2") < text.index("| problem |")
 
 
 # From n = 129 the d = 32 quadratic fit solves its n-column dual system with a

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import surropt
@@ -17,6 +18,7 @@ from surropt.bench import (
     DEFAULT_WARMUP,
     BenchmarkConfig,
     compare_results,
+    plan_cells,
     run_benchmark,
     score_results,
 )
@@ -201,6 +203,47 @@ def test_cbo_on_an_unconstrained_problem_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_budget_below_an_initial_design_rejected(tmp_path, capsys):
+    # bo starts with 2d = 20 points at d = 10; cobyla with d + 1 = 11
+    out = tmp_path / "out"
+    run = ["run", "--algos", "bo", "cobyla", "--problems", "ackley", "--dims", "10",
+           "--budget", "16", "--reps", "1", "--jobs", "1", "--out", str(out)]
+    assert main(run) == 2
+    assert ("problem 'ackley-d10': budget 16 is below the initial design size 20 of 'bo'"
+            in capsys.readouterr().err)
+    assert not out.exists()
+    # re-scoring plans from stored dimensions and checks no budget
+    config = parse_config(None, {"algorithms": ["bo"], "problems": ["ackley-d10"],
+                                 "budget": 16})
+    _, cells = plan_cells(config, dim_of=lambda key: 10)
+    assert [cell.name for cell in cells] == [f"ackley-d10/bo/rep{k}" for k in range(5)]
+
+
+def test_run_builds_each_problem_once_before_its_cells(tmp_path, monkeypatch):
+    import surropt.bench as bench
+
+    events = []
+    real_get_problem, real_run_optimizer = bench.get_problem, bench.run_optimizer
+
+    def get_problem(key):
+        events.append(key)
+        return real_get_problem(key)
+
+    def run_optimizer(*args):
+        events.append("cell")
+        return real_run_optimizer(*args)
+
+    monkeypatch.setattr(bench, "_PLANNED", {})  # as in a fresh process
+    monkeypatch.setattr(bench, "get_problem", get_problem)
+    monkeypatch.setattr(bench, "run_optimizer", run_optimizer)
+    run = ["run", "--algos", "lsqm", "dycors", "--problems", "quadratic", "ackley",
+           "--dims", "2", "--budget", "10", "--reps", "1", "--jobs", "1",
+           "--out", str(tmp_path)]
+    assert main(run) == 0
+    q, a = "quadratic-d2", "ackley-d2"
+    assert events == [q, a] + [q, "cell"] * 2 + [a, "cell"] * 2
+
+
 def test_suite_presets():
     con = parse_config(None, {"suite": "constrained"})
     assert con.algorithms == ["cbo", "cobyla", "cobyqa", "cuatro"]
@@ -307,6 +350,17 @@ def test_run_manifest_contents(cli_run):
     with open(out / "custom" / "cells.json") as fh:
         cells = json.load(fh)
     assert all(v == "ok" for v in cells.values())
+
+
+def test_run_manifest_provenance(cli_run):
+    out, _ = cli_run
+    provenance = json.loads((out / "custom" / "manifest.json").read_text())["provenance"]
+    assert set(provenance) == {"python", "numpy", "blas", "jobs", "blas_threads"}
+    assert provenance["jobs"] == 1
+    assert provenance["numpy"] == np.__version__
+    assert set(provenance["blas_threads"]) == {
+        "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+    assert provenance["blas"] is None or set(provenance["blas"]) == {"name", "version"}
 
 
 def test_import_loads_no_process_pool():
