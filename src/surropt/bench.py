@@ -17,7 +17,10 @@ Artifacts, written by ``run_benchmark`` for any caller with an ``out_dir``:
 (one row per evaluation, floats at 17 significant digits), ``scores.json``,
 ``convergence.csv``, and ``cells.json`` with per-cell statuses: ``ok``,
 ``fallback@<k>: <reason>`` (random search from evaluation k on) or
-``failed: <Type>: <message>``; both name the exception type.
+``failed: <Type>: <message>``; both name the exception type. What
+``check_cell`` refuses (an unknown algorithm, cbo without constraints, a
+budget below an initial design) the plan refuses with a ConfigError before
+anything is written, so no ``failed:`` status carries one of its errors.
 ``score_results`` re-scores from the CSVs' ``y`` and ``g`` columns and writes
 nothing; ``rescore_results`` also rewrites scores.json and convergence.csv
 as the run writes them, byte-identical on untouched results.
@@ -52,8 +55,9 @@ from .core import (
     _keep_heap,
     best_so_far,
     derive_seed,
+    feasible,
 )
-from .optimizers import check_problem, initial_design_size, run_optimizer
+from .optimizers import check_cell, run_optimizer
 from .problems import BASE_FUNCTIONS, get_problem
 
 __all__ = [
@@ -177,13 +181,10 @@ def count_violations(trajectory, threshold: float = VIOLATION_THRESHOLD):
         G = trajectory.gs
     else:
         G = np.atleast_2d(np.asarray(trajectory, dtype=float))
-    if G.size == 0:
+    violating = ~feasible(G, threshold)
+    if not violating.any():  # also no evaluations or no constraints
         return 1.0, 0.0
-    worst = np.max(G, axis=1)
-    violating = worst > threshold
-    feasible_fraction = float(1.0 - np.mean(violating))
-    mean_violation = float(np.mean(worst[violating])) if np.any(violating) else 0.0
-    return feasible_fraction, mean_violation
+    return float(1.0 - np.mean(violating)), float(np.mean(np.max(G[violating], axis=1)))
 
 
 class Cell(NamedTuple):
@@ -223,15 +224,17 @@ def expand_problems(names, dims, dim_of):
 def plan_cells(config: BenchmarkConfig, dim_of=None):
     """The problems (key, dim, n_e, n_c) and the cells of a run, both in run order.
 
-    By default each problem comes from ``planned_dim`` (cells build their
-    own) and a ConfigError naming it refuses an algorithm that cannot run on
-    it (``check_problem``) or whose initial design exceeds its budget;
-    re-scoring passes the stored dimensions instead, builds no problem and
-    checks none.
+    By default ``check_cell`` refuses an unknown algorithm before any
+    problem is built, each problem comes from ``planned_dim`` (cells build
+    their own), and a ConfigError naming it refuses a cell ``check_cell``
+    refuses on it; re-scoring passes the stored dimensions instead, builds no
+    problem and checks none.
     """
     for i, algo in enumerate(config.algorithms):
         if algo in config.algorithms[:i]:
             raise ConfigError(f"algorithm '{algo}' is listed twice; its cells would run twice")
+        if dim_of is None:
+            check_cell(algo)
     problems = []
     for key, d in expand_problems(config.problems, config.dims, dim_of or planned_dim):
         if any(key == k for k, *_ in problems):
@@ -246,10 +249,7 @@ def plan_cells(config: BenchmarkConfig, dim_of=None):
         problems.append((key, d, int(config.budgets[d]), int(config.warmup[d])))
         for algo in () if dim_of else config.algorithms:
             try:
-                check_problem(algo, _PLANNED[key])
-                if config.budgets[d] < (n_init := initial_design_size(algo, d)):
-                    raise ConfigError(f"budget {config.budgets[d]} is below the initial "
-                                      f"design size {n_init} of '{algo}'")
+                check_cell(algo, _PLANNED[key], config.budgets[d])
             except ConfigError as exc:
                 raise ConfigError(f"problem '{key}': {exc}") from None
     cells = [
@@ -358,8 +358,9 @@ def _read_rep_csv(path: Path, budgets: dict):
 def _score_table(config: BenchmarkConfig, problems, runs, status) -> ScoreTable:
     """Score every (problem, algorithm) from its repetitions (pure reduction).
 
-    ``runs`` maps (key, algo, rep) to the best-so-far curve and the G rows of
-    each repetition that ran.
+    ``runs`` maps (key, algo, rep) to the y values and the G rows of each
+    repetition that ran; each is scored on its best-so-far curve after the
+    warm-up, whose running minimum still counts the warm-up.
     """
     n_effective, r_all, p_all, feas, mviol, convergence = {}, {}, {}, {}, {}, []
     for key, dim, n_e, n_c in problems:
@@ -368,7 +369,7 @@ def _score_table(config: BenchmarkConfig, problems, runs, status) -> ScoreTable:
             cells = [runs[key, algo, rep] for rep in range(config.repetitions)
                      if (key, algo, rep) in runs]
             if cells:
-                per_algo[algo] = np.array([bsf[n_c:] for bsf, _ in cells])  # warm-up dropped
+                per_algo[algo] = np.array([best_so_far(y)[n_c:] for y, _ in cells])
                 G_rows[algo] = np.vstack([G for _, G in cells])
         if not per_algo:
             continue
@@ -403,13 +404,6 @@ def _score_table(config: BenchmarkConfig, problems, runs, status) -> ScoreTable:
         config.suite, [k for k, *_ in problems], list(config.algorithms), n_effective,
         r_all, p_all, feas, mviol, convergence=convergence, cell_status=status,
     )
-
-
-def check_jobs(jobs: int) -> int:
-    """Return ``jobs``, the number of parallel cells, or raise a ConfigError below 1."""
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    return jobs
 
 
 _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -473,7 +467,8 @@ def run_benchmark(
     the caller's BLAS setting, which gives the same bytes unless a cell
     reaches a fit whose rounding depends on the thread count (see README).
     """
-    check_jobs(jobs)
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     problems, cells = plan_cells(config)
     root = None if out_dir is None else Path(out_dir) / config.suite
     if root is not None:
@@ -496,7 +491,7 @@ def run_benchmark(
             meta = traj.meta
             status[cell.name] = (f"fallback@{meta['fallback_at']}: {meta['fallback_reason']}"
                                  if "fallback_at" in meta else "ok")
-            runs[cell.key, cell.algo, cell.rep] = (best_so_far(traj), traj.gs)
+            runs[cell.key, cell.algo, cell.rep] = (traj.ys, traj.gs)
             if root is not None:
                 _write_rep_csv(root / f"{cell.name}.csv", traj)
 
@@ -538,7 +533,8 @@ def score_results(results_dir: str, suite: Optional[str] = None) -> ScoreTable:
     """Recompute a ScoreTable from persisted CSVs, bit-identically; writes nothing.
 
     ``results_dir`` points at either the suite directory itself (holding
-    scores.json) or its parent, in which case ``suite`` selects the child.
+    scores.json) or its parent, whose child ``suite`` is read, or without
+    ``suite`` its one child holding scores.json.
     Each curve is the best-so-far of a CSV's ``y`` column. Cell statuses
     come from the run's cells.json (none when it is missing).
     """
@@ -553,14 +549,8 @@ def rescore_results(results_dir: str, suite: Optional[str] = None) -> tuple:
 
 
 def _rescore(results_dir, suite):
-    root = Path(results_dir)
-    if suite is not None:
-        root = root / suite
-    scores_path = root / "scores.json"
-    if not scores_path.exists():
-        raise ConfigError(f"no scores.json under {root}")
-    with open(scores_path) as fh:
-        payload = json.load(fh)
+    root = _suite_dir(results_dir, suite, "scores.json")
+    payload = json.loads((root / "scores.json").read_text())
     cfg = dict(payload["config"], suite=payload["suite"])
     for name in ("budgets", "warmup"):
         cfg[name] = {int(d): v for d, v in cfg[name].items()}
@@ -570,9 +560,8 @@ def _rescore(results_dir, suite):
     runs = {}
     for cell in cells:
         path = root / f"{cell.name}.csv"
-        if path.exists():  # the curve comes from y, as in the run; best_so_far is not read
-            _, y, G = _read_rep_csv(path, config.budgets)
-            runs[cell.key, cell.algo, cell.rep] = (best_so_far(y), G)
+        if path.exists():  # scored from y, as in the run; the best_so_far column is not read
+            runs[cell.key, cell.algo, cell.rep] = _read_rep_csv(path, config.budgets)[1:]
     cells_path = root / "cells.json"
     status = json.loads(cells_path.read_text()) if cells_path.exists() else {}
     return root, config, problems, _score_table(config, problems, runs, status)
@@ -581,18 +570,18 @@ def _rescore(results_dir, suite):
 # ------------------------------------------------------------------ compare
 
 
-def _suite_dir(results_dir, suite: Optional[str]) -> Path:
+def _suite_dir(results_dir, suite: Optional[str], name: str) -> Path:
     """The suite directory of a run: ``results_dir/suite``, ``results_dir``
-    itself if it holds manifest.json, or its one child that does."""
+    itself if it holds the file ``name``, or its one child that does."""
     root = Path(results_dir)
     if suite is not None:
         root = root / suite
-    if (root / "manifest.json").exists():
+    if (root / name).exists():
         return root
-    children = sorted(p for p in root.glob("*") if (p / "manifest.json").exists())
+    children = sorted(p for p in root.glob("*") if (p / name).exists())
     if len(children) != 1:
         found = ", ".join(p.name for p in children) or "none"
-        raise ConfigError(f"no single manifest.json under {root} (suites: {found}); "
+        raise ConfigError(f"no single {name} under {root} (suites: {found}); "
                           "pass the suite directory or --suite")
     return children[0]
 
@@ -600,8 +589,8 @@ def _suite_dir(results_dir, suite: Optional[str]) -> Path:
 def _best_feasible(cell, threshold: float):
     """The least y over the rows whose worst g is at most ``threshold`` (None if none)."""
     _, y, G = cell
-    feasible = np.max(G, axis=1) <= threshold if G.shape[1] else np.ones(y.size, bool)
-    return float(np.min(y[feasible])) if feasible.any() else None
+    ok = feasible(G, threshold)
+    return float(np.min(y[ok])) if ok.any() else None
 
 
 def _first_difference(a, b):
@@ -637,7 +626,7 @@ def compare_results(dir_a, dir_b, suite: Optional[str] = None) -> dict:
     found a feasible point counts as that side's win and has no delta; a
     cell missing on either side is counted as missing.
     """
-    roots = [_suite_dir(d, suite) for d in (dir_a, dir_b)]
+    roots = [_suite_dir(d, suite, "manifest.json") for d in (dir_a, dir_b)]
     manifests = [json.loads((r / "manifest.json").read_text()) for r in roots]
     if manifests[0]["config"] != manifests[1]["config"]:
         keys = sorted(k for k in set(manifests[0]["config"]) | set(manifests[1]["config"])

@@ -28,7 +28,6 @@ SURROPT_RESULTS environment variable.
 from __future__ import annotations
 
 import argparse
-import difflib
 import json
 import os
 import sys
@@ -46,7 +45,6 @@ from .bench import (
     BenchmarkConfig,
     RunManifest,
     _write_rep_csv,
-    check_jobs,
     compare_markdown,
     compare_results,
     expand_problems,
@@ -54,8 +52,8 @@ from .bench import (
     rescore_results,
     run_benchmark,
 )
-from .core import VIOLATION_THRESHOLD, ConfigError, _keep_heap
-from .optimizers import ALGORITHMS, run_optimizer
+from .core import VIOLATION_THRESHOLD, ConfigError, _keep_heap, unknown_name
+from .optimizers import ALGORITHMS, check_cell, run_optimizer
 from .problems import BASE_FUNCTIONS, get_problem, list_problems
 
 __all__ = ["RunManifest", "parse_config", "main"]
@@ -79,14 +77,6 @@ SUITES = {
 
 _CONFIG_KEYS = tuple(f.name for f in fields(BenchmarkConfig))
 _CONFIG_KINDS = {"budgets": dict, "warmup": dict, "algorithms": list, "problems": list, "dims": list}
-
-
-def _suggest(value: str, valid, kind: str) -> ConfigError:
-    close = difflib.get_close_matches(value, list(valid), n=1)
-    hint = f"; did you mean '{close[0]}'?" if close else ""
-    return ConfigError(
-        f"unknown {kind} '{value}'{hint} (valid: {', '.join(sorted(valid))})"
-    )
 
 
 def _convert(kind, key: str, value):
@@ -116,7 +106,7 @@ def parse_config(path: Optional[str] = None, flags: Optional[dict] = None) -> Be
             raise ConfigError("config file must be a YAML mapping")
         for key, value in data.items():
             if key not in _CONFIG_KEYS:
-                raise _suggest(key, _CONFIG_KEYS, "config key")
+                raise unknown_name("config key", key, _CONFIG_KEYS)
             kind = _CONFIG_KINDS.get(key)
             if kind is not None and not isinstance(value, kind):
                 raise ConfigError(
@@ -128,7 +118,7 @@ def parse_config(path: Optional[str] = None, flags: Optional[dict] = None) -> Be
     if suite is None and "algorithms" not in flags and "algorithms" not in data:
         suite = "unconstrained"
     if suite is not None and suite not in SUITES:
-        raise _suggest(suite, SUITES, "suite")
+        raise unknown_name("suite", suite, SUITES)
     preset = SUITES.get(suite, {})
 
     def pick(key, default):
@@ -141,8 +131,7 @@ def parse_config(path: Optional[str] = None, flags: Optional[dict] = None) -> Be
     if not problems:
         raise ConfigError("no problems selected; pass --problems or --suite")
     for algo in algorithms:
-        if algo not in ALGORITHMS:
-            raise _suggest(algo, ALGORITHMS, "algorithm")
+        check_cell(algo)
 
     dims = [_convert(int, "dims", d) for d in pick("dims", DEFAULT_DIMS)]
 
@@ -198,7 +187,7 @@ def _print_table(table) -> None:
 
 def cmd_run(args) -> int:
     config = parse_config(args.config, vars(args))
-    jobs = check_jobs((os.cpu_count() or 1) if args.jobs is None else args.jobs)
+    jobs = (os.cpu_count() or 1) if args.jobs is None else args.jobs
     root = _out_root(args.out)
     table = run_benchmark(config, out_dir=root, jobs=jobs)
     not_ok = sorted(k for k, v in table.cell_status.items() if v != "ok")
@@ -214,8 +203,6 @@ def cmd_run(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    if args.algo not in ALGORITHMS:
-        raise _suggest(args.algo, ALGORITHMS, "algorithm")
     problem = get_problem(args.problem)
     budget = args.budget
     if budget is None:

@@ -14,6 +14,7 @@ independently reproducible.
 from __future__ import annotations
 
 import ctypes
+import difflib
 import hashlib
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -31,6 +32,8 @@ __all__ = [
     "EvaluationFailed",
     "ConfigError",
     "VIOLATION_THRESHOLD",
+    "feasible",
+    "unknown_name",
     "derive_seed",
     "substream",
     "latin_hypercube",
@@ -63,6 +66,20 @@ class EvaluationFailed(RuntimeError):
 
 class ConfigError(ValueError):
     """Raised for invalid run or benchmark configuration."""
+
+
+def unknown_name(kind: str, value, valid) -> ConfigError:
+    """The ConfigError refusing ``value`` as a ``kind``: the closest of the
+    ``valid`` names, if one is close, then all of them."""
+    close = difflib.get_close_matches(str(value), valid, n=1)
+    hint = f"; did you mean '{close[0]}'?" if close else ""
+    return ConfigError(f"unknown {kind} '{value}'{hint} (valid: {', '.join(valid)})")
+
+
+def feasible(G, threshold: float = VIOLATION_THRESHOLD) -> np.ndarray:
+    """Per sample, whether max_i g_i <= ``threshold``: the rows of an (n, n_g)
+    array, or one sample's (n_g,) values. No constraints is feasible."""
+    return np.max(G, axis=-1, initial=-np.inf) <= threshold
 
 
 @dataclass(frozen=True)

@@ -46,11 +46,12 @@ from .core import (
     Dataset,
     Problem,
     Trajectory,
-    VIOLATION_THRESHOLD,
     derive_seed,
     evaluate,
+    feasible,
     latin_hypercube,
     substream,
+    unknown_name,
 )
 from .surrogates import (
     SurrogateFitError,
@@ -83,7 +84,7 @@ __all__ = [
     "ALGORITHMS",
     "DYCORS_WEIGHTS",
     "initial_design_size",
-    "check_problem",
+    "check_cell",
 ]
 
 logger = logging.getLogger(__name__)
@@ -296,14 +297,10 @@ def _feasibility_first_keys(values, margins):
 
 def _best_index(y, G):
     """Feasible-first incumbent: min y among feasible, else min total violation."""
-    if G.size == 0:
-        return int(np.argmin(y))
-    viol = np.sum(np.maximum(G, 0.0), axis=1)
-    feasible = np.max(G, axis=1) <= VIOLATION_THRESHOLD
-    if np.any(feasible):
-        idx = np.where(feasible)[0]
+    idx = np.flatnonzero(feasible(G))
+    if idx.size:
         return int(idx[np.argmin(np.asarray(y)[idx])])
-    return int(np.argmin(viol))
+    return int(np.argmin(np.sum(np.maximum(G, 0.0), axis=1)))
 
 
 def propose_bo(
@@ -612,10 +609,20 @@ def initial_design_size(algorithm: str, dim: int) -> int:
     return max(5, 2 * dim)
 
 
-def check_problem(algorithm: str, problem: Problem) -> None:
-    """Raise a ConfigError if ``algorithm`` cannot run on ``problem``: cbo needs constraints."""
+def check_cell(algorithm: str, problem: Optional[Problem] = None,
+               budget: Optional[int] = None) -> None:
+    """Raise the ConfigError that refuses a cell of ``algorithm`` on ``problem``
+    at ``budget``: an unknown algorithm, cbo without constraints, or a budget
+    below the initial design size. Without a problem only the name is checked."""
+    if algorithm not in ALGORITHMS:
+        raise unknown_name("algorithm", algorithm, ALGORITHMS)
+    if problem is None:
+        return
     if algorithm == "cbo" and problem.n_constraints < 1:
         raise ConfigError("cbo requires a constrained problem")
+    if budget < (n_init := initial_design_size(algorithm, problem.dim)):
+        raise ConfigError(f"budget {budget} is below the initial design size {n_init} "
+                          f"of '{algorithm}'")
 
 
 class _BoStrategy:
@@ -723,17 +730,17 @@ class _TrustRegionStrategy:
             np.array([self.center_y, y]), np.array([self.center_g, g_arr])
         )
         actual = float(merit_center - merit_new)
-        feasible = g_arr.size == 0 or float(np.max(g_arr)) <= VIOLATION_THRESHOLD
+        ok = bool(feasible(g_arr))
         if self.simplex is not None:
             self.simplex.replace_worst(x, y, g_arr, self.tr.center, self._merits)
         self.tr = trust_region_update(
             self.tr, self._step.predicted_reduction, actual, self._step.on_boundary,
-            new_point=x, feasible=feasible,
+            new_point=x, feasible=ok,
         )
-        if actual > 0 and feasible:
+        if actual > 0 and ok:
             self.center_y = y
             self.center_g = g_arr.copy()
-        if not feasible and self.method.grows_penalty:
+        if not ok and self.method.grows_penalty:
             self.penalties = np.minimum(self.penalties * _PENALTY_GROWTH, _PENALTY_CAP)
 
 
@@ -770,8 +777,8 @@ def _make_strategy(algorithm: str, bounds: Bounds, data: Dataset, budget: int):
 def run_optimizer(algorithm: str, problem: Problem, budget: int, seed: int) -> Trajectory:
     """Run one optimizer for exactly ``budget`` evaluations.
 
-    The algorithm, ``cbo``'s need for constraints and the budget are checked
-    before the first evaluation; each raises a ConfigError. The run then
+    ``check_cell`` refuses the algorithm, problem and budget before the
+    first evaluation, as it does for a planned benchmark. The run then
     evaluates a Latin hypercube design of ``initial_design_size`` points,
     builds the method's state from it, and loops
     propose -> clip -> evaluate -> update. This is the one failure policy
@@ -783,14 +790,8 @@ def run_optimizer(algorithm: str, problem: Problem, budget: int, seed: int) -> T
     exactly ``budget`` evaluations. Any other exception propagates,
     including :class:`~surropt.core.EvaluationFailed` from the problem.
     """
-    if algorithm not in ALGORITHMS:
-        raise ConfigError(
-            f"unknown algorithm '{algorithm}'; choose from {', '.join(ALGORITHMS)}"
-        )
-    check_problem(algorithm, problem)
+    check_cell(algorithm, problem, budget)
     n_init = initial_design_size(algorithm, problem.dim)
-    if budget < n_init:
-        raise ConfigError(f"budget {budget} is below the initial design size {n_init}")
     traj = Trajectory(budget=budget, seed=seed)
     noise_rng = substream(seed, "noise")
     for x in latin_hypercube(problem.bounds, n_init, derive_seed(seed, "init")):

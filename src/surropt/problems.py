@@ -11,12 +11,11 @@ problems and knows their names.
 
 from __future__ import annotations
 
-import difflib
 import math
 
 import numpy as np
 
-from .core import Bounds, ConfigError, Problem
+from .core import Bounds, Problem, unknown_name
 
 __all__ = [
     "ackley",
@@ -127,11 +126,4 @@ def get_problem(key: str) -> Problem:
             objective=fn,
             known_optimum=(np.full(dim, x_opt), 0.0),
         )
-    raise ConfigError(_unknown_key_message(key))
-
-
-def _unknown_key_message(key: str) -> str:
-    valid = list_problems()
-    close = difflib.get_close_matches(key, valid, n=1)
-    hint = f"; did you mean '{close[0]}'?" if close else ""
-    return f"unknown problem key '{key}'{hint} Valid keys: {', '.join(valid)}"
+    raise unknown_name("problem key", key, list_problems())

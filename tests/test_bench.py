@@ -506,6 +506,14 @@ def test_cbo_on_an_unconstrained_problem_refused_before_any_cell(tmp_path, monke
     assert not (tmp_path / "refused").exists()
 
 
+def test_library_run_refuses_an_unknown_algorithm_before_writing(tmp_path):
+    # as `surropt run` does: no manifest planning the misspelt cells, no failed: status
+    config = BenchmarkConfig(["cobyla", "cobylla"], ["quadratic"], dims=[2], repetitions=2)
+    with pytest.raises(ConfigError, match="unknown algorithm 'cobylla'; did you mean 'cobyla'"):
+        run_benchmark(config, out_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_rescoring_builds_no_problem(mini_run, monkeypatch):
     import surropt.bench as bench
 

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,9 @@ from surropt.bench import (
     run_benchmark,
     score_results,
 )
-from surropt.cli import RunManifest, main, parse_config
+from surropt.cli import SUITES, RunManifest, main, parse_config
+from surropt.optimizers import ALGORITHMS, run_optimizer
+from surropt.problems import get_problem, list_problems
 
 
 # ---------------------------------------------------------------- config
@@ -73,11 +76,52 @@ def test_unknown_algorithm_names_nearest_key():
         parse_config(None, {"algorithms": ["cobila"], "problems": ["quadratic"]})
 
 
+def _yaml_file(tmp_path, text):
+    path = tmp_path / "config.yaml"
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("kind, value, close, valid, refuse", [
+    ("algorithm", "cobylla", "cobyla", ALGORITHMS,
+     lambda tmp: run_optimizer("cobylla", get_problem("quadratic-d2"), budget=20, seed=0)),
+    ("algorithm", "cobylla", "cobyla", ALGORITHMS,
+     lambda tmp: plan_cells(BenchmarkConfig(["cobylla"], ["quadratic"], dims=[2]))),
+    ("algorithm", "cobylla", "cobyla", ALGORITHMS,
+     lambda tmp: parse_config(None, {"algorithms": ["cobylla"], "problems": ["quadratic"]})),
+    ("algorithm", "cobylla", "cobyla", ALGORITHMS,
+     lambda tmp: main(["optimize", "--algo", "cobylla", "--problem", "quadratic-d2"])),
+    ("problem key", "quadratc-d2", "quadratic-d2", list_problems(),
+     lambda tmp: get_problem("quadratc-d2")),
+    ("suite", "constraind", "constrained", list(SUITES),
+     lambda tmp: parse_config(None, {"suite": "constraind"})),
+    ("config key", "repetition", "repetitions", [f.name for f in fields(BenchmarkConfig)],
+     lambda tmp: parse_config(_yaml_file(tmp, "repetition: 3\n"))),
+], ids=["run_optimizer", "plan_cells", "parse_config", "optimize", "problem", "suite",
+        "config_key"])
+def test_unknown_names_share_one_message(tmp_path, capsys, kind, value, close, valid, refuse):
+    expected = f"unknown {kind} '{value}'; did you mean '{close}'? (valid: {', '.join(valid)})"
+    try:
+        code = refuse(tmp_path)
+    except ConfigError as exc:
+        message = str(exc)
+    else:
+        assert code == 2, f"{value!r} was not refused"
+        message = capsys.readouterr().err.strip().removeprefix("error: ")
+    assert message == expected
+
+
 def test_unknown_config_key_rejected(tmp_path):
     path = tmp_path / "c.yaml"
     path.write_text("repititions: 5\n")
     with pytest.raises(ConfigError, match="repetitions"):
         parse_config(str(path))
+
+
+def test_config_key_that_is_no_string_rejected(tmp_path):
+    # YAML reads `5: 1` as an integer key; the message names it like any other
+    with pytest.raises(ConfigError, match=r"^unknown config key '5' \(valid: algorithms, "):
+        parse_config(_yaml_file(tmp_path, "5: 1\n"))
 
 
 @pytest.mark.parametrize(
@@ -424,6 +468,18 @@ def test_score_rewrites_both_files_after_a_y_edit(cli_run, tmp_path, capsys):
 def test_score_missing_directory(tmp_path, capsys):
     assert main(["score", "--out", str(tmp_path), "--suite", "nope"]) == 2
     assert "scores.json" in capsys.readouterr().err
+
+
+def test_score_finds_the_one_suite_under_a_root(cli_run, tmp_path, capsys):
+    # as compare does: without --suite, the root's one child holding scores.json
+    out, _ = cli_run
+    shutil.copytree(out / "custom", tmp_path / "custom")
+    assert main(["score", "--out", str(tmp_path)]) == 0
+    assert "bit-identically" in capsys.readouterr().out
+    shutil.copytree(out / "custom", tmp_path / "again")
+    assert main(["score", "--out", str(tmp_path)]) == 2
+    assert (f"no single scores.json under {tmp_path} (suites: again, custom)"
+            in capsys.readouterr().err)
 
 
 def test_optimize_writes_trajectory(tmp_path, capsys):

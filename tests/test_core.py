@@ -18,11 +18,14 @@ from surropt.core import (
     NoiseSpec,
     Problem,
     Trajectory,
+    VIOLATION_THRESHOLD,
     best_so_far,
     derive_seed,
     evaluate,
+    feasible,
     latin_hypercube,
     substream,
+    unknown_name,
 )
 
 
@@ -267,6 +270,64 @@ def test_best_so_far_idempotent_and_monotone(ys):
     assert np.array_equal(best_so_far(out), out)
     assert np.all(np.diff(out) <= 0)
     assert out.size == len(ys)
+
+
+# ---------------------------------------------------------------- feasibility and names
+
+ABOVE = np.nextafter(VIOLATION_THRESHOLD, 1.0)
+BELOW = np.nextafter(VIOLATION_THRESHOLD, -1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    shape=st.tuples(st.integers(0, 6), st.integers(0, 3)),
+    values=st.lists(
+        st.one_of(
+            st.sampled_from([VIOLATION_THRESHOLD, ABOVE, BELOW, 0.0, -0.0, 1e300, -1e300]),
+            st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+        ),
+        min_size=18,
+        max_size=18,
+    ),
+    threshold=st.sampled_from([VIOLATION_THRESHOLD, 0.0, -0.5, 2.0]),
+)
+def test_feasible_matches_the_expressions_it_replaced(shape, values, threshold):
+    n, n_g = shape
+    G = np.array(values[: n * n_g]).reshape(n, n_g)
+    ok = feasible(G, threshold)
+    assert ok.dtype == bool and ok.shape == (n,)
+    # count_violations: a row violates when its worst g exceeds the threshold
+    violating = np.max(G, axis=1) > threshold if G.size else np.zeros(n, bool)
+    assert np.array_equal(ok, ~violating)
+    # compare's best feasible value: every row feasible without constraint columns
+    old = np.max(G, axis=1) <= threshold if G.shape[1] else np.ones(n, bool)
+    assert np.array_equal(ok, old)
+    # the trust-region update: one sample's g, empty when unconstrained
+    for i, g in enumerate(G):
+        assert feasible(g, threshold) == (g.size == 0 or float(np.max(g)) <= threshold)
+        assert feasible(g, threshold) == ok[i]
+    # the incumbent's default threshold
+    if G.size:
+        assert np.array_equal(feasible(G), np.max(G, axis=1) <= VIOLATION_THRESHOLD)
+
+
+def test_feasible_at_the_threshold_and_without_constraints():
+    assert feasible(np.array([[VIOLATION_THRESHOLD], [ABOVE], [BELOW]])).tolist() == [
+        True, False, True]
+    assert feasible(np.array([[-1.0, VIOLATION_THRESHOLD], [ABOVE, -1.0]])).tolist() == [
+        True, False]
+    assert feasible(np.empty((3, 0))).tolist() == [True, True, True]
+    assert feasible(np.empty((0, 2))).shape == (0,)
+    assert bool(feasible(np.empty(0))) and not feasible(np.array([ABOVE]))
+
+
+def test_unknown_name_hints_the_closest_only_when_one_is_close():
+    assert str(unknown_name("suite", "constraind", ["unconstrained", "constrained"])) == (
+        "unknown suite 'constraind'; did you mean 'constrained'? "
+        "(valid: unconstrained, constrained)")
+    assert str(unknown_name("suite", "zzz", ["a", "b"])) == "unknown suite 'zzz' (valid: a, b)"
+    assert str(unknown_name("config key", 7, ["seed"])) == "unknown config key '7' (valid: seed)"
+    assert isinstance(unknown_name("suite", "x", []), ConfigError)
 
 
 # ---------------------------------------------------------------- rng streams
