@@ -9,8 +9,8 @@ iteration by
     r = (worst_mean - mean) / (worst_mean - best_mean)
 
 so 1 is the best performer and 0 the worst; p is the mean of r over
-iterations. Feasibility metrics count evaluations whose worst constraint
-exceeds the violation threshold.
+iterations. Feasibility metrics count evaluations that ``core.feasible``
+rejects, the rule the optimizers judge their own samples by.
 
 Artifacts, written by ``run_benchmark`` for any caller with an ``out_dir``:
 ``manifest.json`` first, then ``<out>/<suite>/<problem>/<algorithm>/rep<k>.csv``
@@ -35,7 +35,6 @@ import csv
 import io
 import json
 import logging
-import math
 import os
 import platform
 from contextlib import contextmanager, nullcontext
@@ -49,7 +48,6 @@ import numpy as np
 
 from . import __version__
 from .core import (
-    VIOLATION_THRESHOLD,
     ConfigError,
     Trajectory,
     _keep_heap,
@@ -91,7 +89,6 @@ class BenchmarkConfig:
     budgets: dict = field(default_factory=lambda: dict(DEFAULT_BUDGETS))
     warmup: dict = field(default_factory=lambda: dict(DEFAULT_WARMUP))
     seed: int = 0
-    violation_threshold: float = VIOLATION_THRESHOLD
     suite: str = "custom"
 
     def __post_init__(self):
@@ -101,10 +98,6 @@ class BenchmarkConfig:
             raise ConfigError("at least one problem is required")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
-        if not math.isfinite(self.violation_threshold):
-            raise ConfigError(
-                f"violation_threshold must be finite, got {self.violation_threshold}"
-            )
         for d in set(self.budgets) & set(self.warmup):
             if self.budgets[d] <= self.warmup[d]:
                 raise ConfigError(
@@ -122,7 +115,6 @@ class BenchmarkConfig:
             "budgets": {str(k): v for k, v in self.budgets.items()},
             "warmup": {str(k): v for k, v in self.warmup.items()},
             "seed": self.seed,
-            "violation_threshold": self.violation_threshold,
         }
 
 
@@ -171,17 +163,18 @@ def score_p(r_values) -> float:
     return float(np.mean(r))
 
 
-def count_violations(trajectory, threshold: float = VIOLATION_THRESHOLD):
+def count_violations(trajectory):
     """(feasible_fraction, mean_violation) for a trajectory or raw G array.
 
-    An evaluation violates when max_i g_i > threshold; the mean violation
-    averages max_i g_i over violating evaluations only (0 when none).
+    An evaluation violates when ``core.feasible`` rejects it (max_i g_i above
+    ``VIOLATION_THRESHOLD``); the mean violation averages max_i g_i over
+    violating evaluations only (0 when none).
     """
     if isinstance(trajectory, Trajectory):
         G = trajectory.gs
     else:
         G = np.atleast_2d(np.asarray(trajectory, dtype=float))
-    violating = ~feasible(G, threshold)
+    violating = ~feasible(G)
     if not violating.any():  # also no evaluations or no constraints
         return 1.0, 0.0
     return float(1.0 - np.mean(violating)), float(np.mean(np.max(G[violating], axis=1)))
@@ -383,9 +376,7 @@ def _score_table(config: BenchmarkConfig, problems, runs, status) -> ScoreTable:
             r = np.array([score_r(worst[k], best[k], mc[k]) for k in range(n)])
             r_all[(key, algo)] = r
             p_all[(key, algo)] = score_p(r)
-            feas[(key, algo)], mviol[(key, algo)] = count_violations(
-                G_rows[algo], config.violation_threshold
-            )
+            feas[(key, algo)], mviol[(key, algo)] = count_violations(G_rows[algo])
         for algo in sorted(per_algo):
             c = per_algo[algo]
             for k in range(n):
@@ -552,6 +543,7 @@ def _rescore(results_dir, suite):
     root = _suite_dir(results_dir, suite, "scores.json")
     payload = json.loads((root / "scores.json").read_text())
     cfg = dict(payload["config"], suite=payload["suite"])
+    cfg.pop("violation_threshold", None)  # results written while the config had one
     for name in ("budgets", "warmup"):
         cfg[name] = {int(d): v for d, v in cfg[name].items()}
     config = BenchmarkConfig(**cfg)
@@ -586,10 +578,10 @@ def _suite_dir(results_dir, suite: Optional[str], name: str) -> Path:
     return children[0]
 
 
-def _best_feasible(cell, threshold: float):
-    """The least y over the rows whose worst g is at most ``threshold`` (None if none)."""
+def _best_feasible(cell):
+    """The least y over the rows ``core.feasible`` accepts (None if none)."""
     _, y, G = cell
-    ok = feasible(G, threshold)
+    ok = feasible(G)
     return float(np.min(y[ok])) if ok.any() else None
 
 
@@ -614,13 +606,14 @@ def compare_results(dir_a, dir_b, suite: Optional[str] = None) -> dict:
 
     Both directories are written by ``run_benchmark`` with an ``out_dir``, as
     ``surropt run`` does; a ConfigError refuses them when their manifests'
-    ``config`` snapshots differ, and so does a rep CSV that is empty or
-    shorter or longer than its budget; differing ``provenance`` keys are
-    reported as (A's value, B's value) and refuse nothing. Per cell: the
-    first row where X, y or G differ, max |dX|, and delta = B's final best
-    feasible y minus A's (feasible: worst g at most the config's violation
-    threshold); negative delta means B found the lower value. Per
-    (problem, algorithm): the mean delta with a 95% percentile bootstrap
+    ``config`` snapshots differ (so a run written while the config had a
+    feasibility threshold pairs only with another such run), and so does a
+    rep CSV that is empty or shorter or longer than its budget; differing
+    ``provenance`` keys are reported as (A's value, B's value) and refuse
+    nothing. Per cell: the first row where X, y or G differ, max |dX|, and
+    delta = B's final best feasible y minus A's (feasible as ``core.feasible``
+    judges it, the optimizers' rule); negative delta means B found the lower
+    value. Per (problem, algorithm): the mean delta with a 95% percentile bootstrap
     interval over the paired cells (seeded by the problem and the
     algorithm), and B's wins, losses and ties. A cell where only one side
     found a feasible point counts as that side's win and has no delta; a
@@ -635,7 +628,6 @@ def compare_results(dir_a, dir_b, suite: Optional[str] = None) -> dict:
     pa, pb = (m.get("provenance", {}) for m in manifests)
     provenance = {k: (pa.get(k), pb.get(k)) for k in sorted({*pa, *pb})
                   if pa.get(k) != pb.get(k)}
-    threshold = manifests[0]["config"]["violation_threshold"]
     budgets = {int(d): n for d, n in manifests[0]["config"]["budgets"].items()}
 
     cells, pairs = {}, {}
@@ -650,7 +642,7 @@ def compare_results(dir_a, dir_b, suite: Optional[str] = None) -> dict:
             pair["missing"] += 1
             continue
         first, max_dx = _first_difference(a, b)
-        best_a, best_b = _best_feasible(a, threshold), _best_feasible(b, threshold)
+        best_a, best_b = _best_feasible(a), _best_feasible(b)
         delta = None if best_a is None or best_b is None else best_b - best_a
         cells[name] = {"first_differing_row": first, "max_abs_dx": max_dx,
                        "best_a": best_a, "best_b": best_b, "delta": delta}

@@ -20,9 +20,9 @@ difference in final best feasible value; it writes the same report as JSON
 and exits 0 whatever it finds.
 
 Config files are YAML with the keys suite, algorithms, problems, dims,
-repetitions, budgets, warmup, seed, violation_threshold; every key has a
-mirroring flag and flags win. The output root defaults to ./results or the
-SURROPT_RESULTS environment variable.
+repetitions, budgets, warmup, seed; every key has a mirroring flag and flags
+win. None sets feasibility: ``core.feasible`` judges it, as in the optimizers.
+The output root defaults to ./results or the SURROPT_RESULTS environment variable.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .bench import (
     rescore_results,
     run_benchmark,
 )
-from .core import VIOLATION_THRESHOLD, ConfigError, _keep_heap, unknown_name
+from .core import ConfigError, _keep_heap, feasible, unknown_name
 from .optimizers import ALGORITHMS, check_cell, run_optimizer
 from .problems import BASE_FUNCTIONS, get_problem, list_problems
 
@@ -92,8 +92,9 @@ def parse_config(path: Optional[str] = None, flags: Optional[dict] = None) -> Be
     """Merge a YAML config file and command-line flags into a BenchmarkConfig.
 
     Precedence: flags > file > suite preset > documented defaults
-    (repetitions 5, violation threshold 0.001, dims 2/5/7). An empty config
-    selects the unconstrained suite.
+    (repetitions 5, dims 2/5/7). An empty config selects the unconstrained
+    suite. A key that is no ``BenchmarkConfig`` field (none sets feasibility)
+    is refused as an unknown config key.
     """
     flags = {k: v for k, v in (flags or {}).items() if v is not None}
     data = {}
@@ -160,9 +161,6 @@ def parse_config(path: Optional[str] = None, flags: Optional[dict] = None) -> Be
         budgets=budgets,
         warmup=warmup,
         seed=_convert(int, "seed", pick("seed", 0)),
-        violation_threshold=_convert(
-            float, "violation_threshold", pick("violation_threshold", VIOLATION_THRESHOLD)
-        ),
         suite=suite or "custom",
     )
 
@@ -213,8 +211,10 @@ def cmd_optimize(args) -> int:
     traj = run_optimizer(args.algo, problem, budget, args.seed)
     out = Path(args.out or f"{args.problem}_{args.algo}_seed{args.seed}.csv")
     _write_rep_csv(out, traj)
-    best = float(np.min(traj.ys)) if len(traj) else float("nan")
-    print(f"{args.algo} on {args.problem}: best y = {best:.6g} after {len(traj)} evaluations")
+    ok = feasible(traj.gs)
+    best = (f"best y = {np.min(traj.ys[ok]):.6g}, {ok.sum()} of {len(traj)} evaluations feasible"
+            if ok.any() else f"no best y: none of {len(traj)} evaluations feasible")
+    print(f"{args.algo} on {args.problem}: {best}")
     print(f"trajectory written to {out}")
     return 0
 
@@ -266,7 +266,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="override the evaluation budget for every dimension in use")
     run.add_argument("--reps", dest="repetitions", type=int, default=None)
     run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--threshold", dest="violation_threshold", type=float, default=None)
     run.add_argument("--out", default=None, help="output root (default ./results or $SURROPT_RESULTS)")
     run.add_argument("--jobs", type=int, default=None, help="parallel cells (default: cpu count)")
     run.add_argument("--strict", action="store_true", help="nonzero exit if any cell is not ok")

@@ -357,12 +357,11 @@ def _cauchy_point(grad, center, radius):
 
 def _quad_extras(model, center, radius):
     extras = [center]
-    try:  # unconstrained minimizer of the quadratic surrogate, min-norm when singular
-        x_n, *_ = np.linalg.lstsq(2.0 * model.Q, -model.c, rcond=None)
-        if np.all(np.isfinite(x_n)):
-            extras.append(x_n)
-    except np.linalg.LinAlgError:
-        pass
+    # unconstrained minimizer of the quadratic surrogate, min-norm when singular; a
+    # LinAlgError (the SVD did not converge) reaches run_optimizer's fallback
+    x_n, *_ = np.linalg.lstsq(2.0 * model.Q, -model.c, rcond=None)
+    if np.all(np.isfinite(x_n)):
+        extras.append(x_n)
     grad = 2.0 * model.Q @ center + model.c
     x_c = _cauchy_point(grad, center, radius)
     if x_c is not None:

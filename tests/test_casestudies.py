@@ -485,6 +485,31 @@ def test_wo_failure_path(monkeypatch):
     assert np.array_equal(g, [1.0, 1.0])
 
 
+def test_wo_singular_jacobian_is_a_failure(monkeypatch):
+    # the simulator's defined failure outcome, reached through Newton's own exit
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    p = WoParams.from_config()
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    assert solve_wo(360.0, 4.5, p)[1] is False
+    obj, g = wo_objective(360.0, 4.5, p)
+    assert obj == p.failure_penalty
+    assert np.array_equal(g, [1.0, 1.0])
+
+
+def test_wo_newton_out_of_iterations_is_a_failure(monkeypatch):
+    # no residual is below a zero tolerance, so Newton stops after 200 steps
+    solves, solve = [], np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda J, r: solves.append(1) or solve(J, r))
+    p = replace(WoParams.from_config(), residual_tolerance=0.0)
+    assert solve_wo(360.0, 4.5, p)[1] is False
+    assert len(solves) == 200
+    obj, g = wo_objective(360.0, 4.5, p)
+    assert obj == p.failure_penalty
+    assert np.array_equal(g, [1.0, 1.0])
+
+
 def test_wo_newton_converges_over_the_box():
     # solve_wo has one path, damped Newton from the feed split; if changed
     # constants ever need a fallback, a point of this grid fails

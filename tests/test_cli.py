@@ -18,12 +18,14 @@ from surropt.bench import (
     DEFAULT_BUDGETS,
     DEFAULT_WARMUP,
     BenchmarkConfig,
+    _read_rep_csv,
     compare_results,
     plan_cells,
     run_benchmark,
     score_results,
 )
 from surropt.cli import SUITES, RunManifest, main, parse_config
+from surropt.core import Problem, feasible
 from surropt.optimizers import ALGORITHMS, run_optimizer
 from surropt.problems import get_problem, list_problems
 
@@ -40,7 +42,6 @@ def test_empty_config_gets_documented_defaults(tmp_path):
     assert config.problems == ["ackley", "levy", "rosenbrock", "quadratic"]
     assert config.dims == [2, 5, 7]
     assert config.repetitions == 5
-    assert config.violation_threshold == 1e-3
     assert config.seed == 0
     assert config.budgets == {d: DEFAULT_BUDGETS[d] for d in (2, 5, 7)}
     assert config.warmup == {d: DEFAULT_WARMUP[d] for d in (2, 5, 7)}
@@ -49,7 +50,7 @@ def test_empty_config_gets_documented_defaults(tmp_path):
 def test_benchmark_config_defaults_match_parse_config():
     direct = BenchmarkConfig(["lsqm"], ["quadratic"])
     parsed = parse_config(flags={"algorithms": ["lsqm"], "problems": ["quadratic"]})
-    for name in ("dims", "repetitions", "seed", "violation_threshold"):
+    for name in ("dims", "repetitions", "seed"):
         assert getattr(direct, name) == getattr(parsed, name), name
 
 
@@ -158,20 +159,20 @@ def test_config_value_that_does_not_convert_rejected(tmp_path, line):
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
 
 
-@pytest.mark.parametrize(
-    "yaml_value, value", [(".nan", "nan"), (".inf", "inf"), ("-.inf", "-inf")],
-    ids=["nan", "inf", "-inf"],
-)
-def test_non_finite_violation_threshold_rejected(tmp_path, capsys, yaml_value, value):
+def test_violation_threshold_setting_refused(tmp_path, capsys):
+    # feasibility has one rule, core.feasible's: no config key or flag moves it
     path = tmp_path / "c.yaml"
-    path.write_text(f"violation_threshold: {yaml_value}\n")
-    with pytest.raises(ConfigError, match="violation_threshold"):
+    path.write_text("violation_threshold: 0.5\n")
+    with pytest.raises(ConfigError, match="^unknown config key 'violation_threshold' "):
         parse_config(str(path), {"suite": "constrained"})
     out = tmp_path / "out"
     run = ["run", "--suite", "constrained", "--budget", "8", "--reps", "1", "--out", str(out)]
     assert main(run + ["--config", str(path)]) == 2
-    assert main(run + [f"--threshold={value}"]) == 2
-    assert capsys.readouterr().err.count("violation_threshold must be finite") == 2
+    assert "error: unknown config key 'violation_threshold'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(run + ["--threshold", "0.5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threshold 0.5" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -505,6 +506,31 @@ def test_optimize_writes_trajectory(tmp_path, capsys):
     assert len(rows) - 1 == 50
     assert rows[0][:2] == ["iteration", "x0"]
     assert "best y" in capsys.readouterr().out
+
+
+def test_optimize_reports_the_best_feasible_y(tmp_path, capsys):
+    # cobyla's least y on williams-otto at seed 0 (-190.722) is an infeasible row
+    out = tmp_path / "wo.csv"
+    assert main(["optimize", "--algo", "cobyla", "--problem", "williams-otto", "--budget", "20",
+                 "--seed", "0", "--out", str(out)]) == 0
+    _, y, G = _read_rep_csv(out, {2: 20})
+    ok = feasible(G)
+    assert np.min(y) < np.min(y[ok])
+    printed = capsys.readouterr().out
+    assert f"best y = {np.min(y[ok]):.6g}, {ok.sum()} of 20 evaluations feasible" in printed
+    assert "best y = -168.753, 8 of 20 evaluations feasible" in printed
+
+
+def test_optimize_says_when_no_evaluation_is_feasible(tmp_path, capsys, monkeypatch):
+    import surropt.cli as cli
+
+    base = get_problem("quadratic-c")
+    never = Problem(base.name, base.bounds, base.objective, lambda x: np.ones(1), 1)
+    monkeypatch.setattr(cli, "get_problem", lambda key: never)
+    assert main(["optimize", "--algo", "cobyla", "--problem", "quadratic-c", "--budget", "8",
+                 "--out", str(tmp_path / "never.csv")]) == 0
+    assert "cobyla on quadratic-c: no best y: none of 8 evaluations feasible" in (
+        capsys.readouterr().out)
 
 
 def test_optimize_default_budget_for_case_study(tmp_path):

@@ -33,7 +33,7 @@ from surropt.optimizers import (
     trust_region_update,
 )
 from surropt.problems import get_problem
-from surropt.surrogates import SurrogateFitError, _distances, fit_gp, fit_linear, fit_quadratic, fit_rbf, gp_posterior, rbf_predict
+from surropt.surrogates import QuadModel, SurrogateFitError, _distances, fit_gp, fit_linear, fit_quadratic, fit_rbf, gp_posterior, rbf_predict
 
 # ---------------------------------------------------------------- lcb
 
@@ -909,6 +909,37 @@ def test_run_optimizer_programming_error_propagates(monkeypatch):
     monkeypatch.setattr(opt, "fit_quadratic", broken)
     with pytest.raises(TypeError, match="synthetic bug"):
         run_optimizer("lsqm", get_problem("ackley-d2"), budget=12, seed=5)
+
+
+def _nan_quadratic(d=2):
+    Q = np.eye(d)
+    Q[0, 0] = np.nan
+    return QuadModel(Q, np.zeros(d), 0.0)
+
+
+def test_quad_extras_lets_a_failed_svd_through():
+    # lstsq's SVD does not converge on a NaN entry of Q
+    with pytest.raises(np.linalg.LinAlgError):
+        optimizers._quad_extras(_nan_quadratic(), np.zeros(2), 0.5)
+
+
+@pytest.mark.parametrize("algo", ["lsqm", "cuatro", "cobyqa"])
+def test_failed_svd_in_a_quadratic_step_falls_back(algo, monkeypatch, tmp_path):
+    from surropt.bench import BenchmarkConfig, run_benchmark
+
+    monkeypatch.setattr(optimizers, "fit_quadratic", lambda data, psd=False: _nan_quadratic())
+    n_init = optimizers.initial_design_size(algo, 2)
+    traj = run_optimizer(algo, get_problem("ackley-d2"), budget=12, seed=5)
+    assert len(traj) == 12
+    assert traj.meta["fallback_at"] == n_init + 1
+    assert traj.meta["fallback_reason"].startswith("LinAlgError: SVD did not converge")
+
+    config = BenchmarkConfig(
+        algorithms=[algo], problems=["ackley-d2"], dims=[2], repetitions=1,
+        budgets={2: 12}, warmup={2: 3}, seed=5, suite="svd",
+    )
+    table = run_benchmark(config, out_dir=tmp_path)  # jobs=1: the patch reaches the cell
+    assert table.cell_status[f"ackley-d2/{algo}/rep0"].startswith(f"fallback@{n_init + 1}:")
 
 
 def test_run_optimizer_all_algorithms_complete():

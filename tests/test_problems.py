@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import surropt.optimizers as opt
-from surropt.bench import BenchmarkConfig, count_violations
-from surropt.cli import parse_config
+from surropt.bench import count_violations
 from surropt.core import VIOLATION_THRESHOLD, ConfigError
 from surropt.problems import (
     ackley,
@@ -118,10 +117,8 @@ def test_constrained_suite_unknown_name():
 
 
 def test_violation_threshold_default():
-    # one threshold: the scoring, config and optimizer defaults all use it
+    # one threshold: the feasibility metrics and the optimizers' incumbent both use it
     assert VIOLATION_THRESHOLD == 0.001
-    assert BenchmarkConfig(["lsqm"], ["quadratic"]).violation_threshold == VIOLATION_THRESHOLD
-    assert parse_config(None, {"suite": "constrained"}).violation_threshold == VIOLATION_THRESHOLD
     on, above = VIOLATION_THRESHOLD, np.nextafter(VIOLATION_THRESHOLD, 1.0)
     assert count_violations([[on], [above]]) == (0.5, above)
     # incumbent: g == threshold is feasible (row 0 wins on y), g just above is not
