@@ -159,10 +159,15 @@ def test_config_value_that_does_not_convert_rejected(tmp_path, line):
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
 
 
-def test_violation_threshold_setting_refused(tmp_path, capsys):
-    # feasibility has one rule, core.feasible's: no config key or flag moves it
+@pytest.mark.parametrize(
+    "yaml_value, value", [(".nan", "nan"), (".inf", "inf"), ("-.inf", "-inf")],
+    ids=["nan", "inf", "-inf"],
+)
+def test_non_finite_violation_threshold_rejected(tmp_path, capsys, yaml_value, value):
+    # feasibility has one rule, core.feasible's: no config key or flag moves it,
+    # so a violation_threshold of any value, finite or not, is refused
     path = tmp_path / "c.yaml"
-    path.write_text("violation_threshold: 0.5\n")
+    path.write_text(f"violation_threshold: {yaml_value}\n")
     with pytest.raises(ConfigError, match="^unknown config key 'violation_threshold' "):
         parse_config(str(path), {"suite": "constrained"})
     out = tmp_path / "out"
@@ -170,9 +175,9 @@ def test_violation_threshold_setting_refused(tmp_path, capsys):
     assert main(run + ["--config", str(path)]) == 2
     assert "error: unknown config key 'violation_threshold'" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
-        main(run + ["--threshold", "0.5"])
+        main(run + [f"--threshold={value}"])
     assert exc.value.code == 2
-    assert "unrecognized arguments: --threshold 0.5" in capsys.readouterr().err
+    assert f"unrecognized arguments: --threshold={value}" in capsys.readouterr().err
     assert not out.exists()
 
 
