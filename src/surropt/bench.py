@@ -232,11 +232,14 @@ def plan_cells(config: BenchmarkConfig, dim_of=None):
     for key, d in expand_problems(config.problems, config.dims, dim_of or planned_dim):
         if any(key == k for k, *_ in problems):
             raise ConfigError(f"problem '{key}' is listed twice; its cells would run twice")
-        missing = [name for name, table in (("budget", config.budgets),
-                                            ("warm-up", config.warmup)) if d not in table]
+        missing = [(name, field) for name, field, table in (
+            ("budget", "budgets", config.budgets), ("warm-up", "warmup", config.warmup))
+            if d not in table]
         if missing:
             raise ConfigError(
-                f"no {' or '.join(missing)} for dimension {d} (problem '{key}'); "
+                f"no {' or '.join(name for name, _ in missing)} for dimension {d} "
+                f"(problem '{key}'); a config file can set "
+                f"{' and '.join(f'{field}: {{{d}: <n>}}' for _, field in missing)}; "
                 f"dimensions with both: {sorted(set(config.budgets) & set(config.warmup))}"
             )
         problems.append((key, d, int(config.budgets[d]), int(config.warmup[d])))

@@ -146,13 +146,11 @@ def _rates(p: CstrParams):
     (±inf or nan, as an array state would), since float division by zero
     and ``math.exp`` overflow raise.
 
-    :func:`cstr_rhs` and :func:`_rk4_interval`'s fallback call this
-    kernel. :func:`_rk4_interval` also has a copy of it, written out inline
-    in each RK4 stage for :func:`cstr_objective`. In
-    ``tests/test_casestudies.py``,
+    :func:`cstr_rhs` and :func:`_closed_loop`'s fallback call this kernel;
+    :func:`_closed_loop` also writes it out inline in each RK4 stage.
     ``test_rk4_interval_matches_integrate_bitwise`` (the whole state) and
-    ``test_cstr_objective_matches_array_functions_bitwise`` (the
-    objective) pin the two copies together bit for bit.
+    ``test_cstr_objective_matches_array_functions_bitwise`` (the objective)
+    pin the two copies together bit for bit.
     """
     R, E_AB, E_BC, k0_AB, k0_BC = p.R, p.E_AB, p.E_BC, p.k0_AB, p.k0_BC
     V, CAf, Tf = p.V, p.CAf, p.Tf
@@ -185,74 +183,6 @@ def _check_substeps(substeps) -> int:
     if not isinstance(substeps, numbers.Integral) or substeps < 1:
         raise ConfigError(f"substeps must be an integer >= 1, got {substeps!r}")
     return int(substeps)
-
-
-def _rk4_interval(p: CstrParams, h: float, substeps: int):
-    """:func:`integrate`'s RK4 over one control interval, on floats, bound to ``p``.
-
-    Returns ``step(CA, CB, T, Fin, Tc) -> (CA, CB, T)``, the state after
-    ``substeps`` RK4 substeps of length ``h`` under constant controls. Each
-    substep computes its four stages inline, with no call per stage: the
-    expressions of :func:`_rates` in the same order, with ``-E / RT`` read
-    as ``(-E) / RT`` and ``-q * CB`` as ``(-q) * CB``, so every stage has the
-    same bits. The update multiplies by ``2.0``, the same double as
-    :func:`integrate`'s ``2``, since a float-by-float product skips the
-    int conversion. A substep whose stages divide by ``R * T == 0`` or overflow
-    ``math.exp`` is recomputed from its starting state through ``_rates``,
-    whose numpy fallback gives ±inf or nan as an array state would.
-    """
-    rates = _rates(p)
-    R, nE_AB, nE_BC, k0_AB, k0_BC = p.R, -p.E_AB, -p.E_BC, p.k0_AB, p.k0_BC
-    V, CAf, Tf = p.V, p.CAf, p.Tf
-    heat_AB = p.dH_AB / (p.rho * p.Cp)
-    heat_BC = p.dH_BC / (p.rho * p.Cp)
-    jacket = p.UA / (p.V * p.rho * p.Cp)
-    exp = math.exp
-    h2, h6 = h / 2, h / 6
-
-    def step(CA, CB, T, Fin, Tc):
-        q = Fin / V
-        nq = -q
-        for _ in range(substeps):
-            try:
-                RT = R * T
-                rA = k0_AB * exp(nE_AB / RT) * CA
-                rB = k0_BC * exp(nE_BC / RT) * CB
-                a1 = q * (CAf - CA) - rA
-                b1 = nq * CB + rA - rB
-                c1 = q * (Tf - T) + heat_AB * rA + heat_BC * rB + jacket * (Tc - T)
-                x, y, z = CA + h2 * a1, CB + h2 * b1, T + h2 * c1
-                RT = R * z
-                rA = k0_AB * exp(nE_AB / RT) * x
-                rB = k0_BC * exp(nE_BC / RT) * y
-                a2 = q * (CAf - x) - rA
-                b2 = nq * y + rA - rB
-                c2 = q * (Tf - z) + heat_AB * rA + heat_BC * rB + jacket * (Tc - z)
-                x, y, z = CA + h2 * a2, CB + h2 * b2, T + h2 * c2
-                RT = R * z
-                rA = k0_AB * exp(nE_AB / RT) * x
-                rB = k0_BC * exp(nE_BC / RT) * y
-                a3 = q * (CAf - x) - rA
-                b3 = nq * y + rA - rB
-                c3 = q * (Tf - z) + heat_AB * rA + heat_BC * rB + jacket * (Tc - z)
-                x, y, z = CA + h * a3, CB + h * b3, T + h * c3
-                RT = R * z
-                rA = k0_AB * exp(nE_AB / RT) * x
-                rB = k0_BC * exp(nE_BC / RT) * y
-                a4 = q * (CAf - x) - rA
-                b4 = nq * y + rA - rB
-                c4 = q * (Tf - z) + heat_AB * rA + heat_BC * rB + jacket * (Tc - z)
-            except (ZeroDivisionError, OverflowError):
-                a1, b1, c1 = rates(CA, CB, T, Fin, Tc)
-                a2, b2, c2 = rates(CA + h2 * a1, CB + h2 * b1, T + h2 * c1, Fin, Tc)
-                a3, b3, c3 = rates(CA + h2 * a2, CB + h2 * b2, T + h2 * c2, Fin, Tc)
-                a4, b4, c4 = rates(CA + h * a3, CB + h * b3, T + h * c3, Fin, Tc)
-            CA = CA + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-            CB = CB + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            T = T + h6 * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
-        return CA, CB, T
-
-    return step
 
 
 def integrate(rhs, state0, controls_schedule, dt, horizon, substeps=1):
@@ -321,6 +251,119 @@ def theta_to_gains(theta, cfg: dict | None = None) -> np.ndarray:
     return gains
 
 
+def _closed_loop(params: CstrParams | None = None):
+    """:func:`cstr_objective`'s closed loop, bound once to the config and ``params``.
+
+    Returns ``run(theta) -> (value, (CA, CB, T))``: the cost, or the failure
+    penalty once the state diverges, and the final state. A bad
+    ``integrator_substeps``, or fewer control intervals than setpoints, raises
+    :class:`ConfigError` here, and ``run`` whatever :func:`theta_to_gains` refuses.
+
+    ``run`` goes one setpoint segment at a time on Python floats, with the gains
+    of :func:`theta_to_gains` and each RK4 stage written out as :func:`_rates`'
+    expressions in the same order (``-E / RT`` read as ``(-E) / RT``, ``-q * CB``
+    as ``(-q) * CB``, :func:`integrate`'s ``2`` as ``2.0``), so every stage has
+    the same bits. A substep that divides by ``R * T == 0`` or overflows
+    ``math.exp`` is recomputed through ``_rates``, whose numpy fallback gives
+    ±inf or nan as an array state would.
+    """
+    cfg = load_defaults()["cstr"]
+    p = params or CstrParams.from_config()
+    rates = _rates(p)
+    substeps = _check_substeps(cfg["integrator_substeps"])
+    dt = float(cfg["control_interval"])
+    h = dt / substeps
+    h2, h6 = h / 2, h / 6
+    R, nE_AB, nE_BC, k0_AB, k0_BC = p.R, -p.E_AB, -p.E_BC, p.k0_AB, p.k0_BC
+    V, CAf, Tf = p.V, p.CAf, p.Tf
+    heat_AB = p.dH_AB / (p.rho * p.Cp)
+    heat_BC = p.dH_BC / (p.rho * p.Cp)
+    jacket = p.UA / (p.V * p.rho * p.Cp)
+    (lo0, hi0), (lo1, hi1) = ([float(v) for v in cfg[key]]
+                              for key in ("flow_bounds", "coolant_bounds"))
+    lam, penalty = float(cfg["control_change_weight"]), float(cfg["failure_penalty"])
+    CA0, CB0, T0 = (float(v) for v in cfg["initial_state"])
+    setpoints = [float(v) for v in cfg["setpoints"]]
+    n_steps = int(round(float(cfg["horizon"]) / dt))
+    seg_len = n_steps // len(setpoints)
+    if seg_len < 1:
+        raise ConfigError(f"{n_steps} control intervals cannot hold {len(setpoints)} setpoints")
+    # (intervals, setpoint index): the PID memory resets every seg_len
+    # intervals, and a remainder keeps the last setpoint and gains
+    segments = [(min(seg_len, n_steps - start), min(k, len(setpoints) - 1))
+                for k, start in enumerate(range(0, n_steps, seg_len))]
+    exp, inf = math.exp, math.inf
+
+    def run(theta):
+        gains = theta_to_gains(theta, cfg).tolist()
+        CA, CB, T, cost = CA0, CB0, T0, 0.0
+        Fin_prev = Tc_prev = None
+        for n_intervals, j in segments:
+            (kp0, ki0, kd0, u0), (kp1, ki1, kd1, u1) = gains[j]
+            sp = setpoints[j]
+            e_int = e_prev = 0.0
+            for i in range(n_intervals):
+                e = sp - T
+                e_int += e * dt
+                e_der = (e - e_prev) / dt if i else 0.0
+                e_prev = e
+                # pid_control per manipulated variable; its np.clip keeps a NaN
+                Fin = u0 + kp0 * e + ki0 * e_int + kd0 * e_der
+                Fin = lo0 if Fin < lo0 else hi0 if Fin > hi0 else Fin
+                Tc = u1 + kp1 * e + ki1 * e_int + kd1 * e_der
+                Tc = lo1 if Tc < lo1 else hi1 if Tc > hi1 else Tc
+                cost += e * e
+                if Fin_prev is not None:
+                    d0, d1 = Fin - Fin_prev, Tc - Tc_prev
+                    cost += lam * (d0 * d0 + d1 * d1)
+                Fin_prev, Tc_prev = Fin, Tc
+                q = Fin / V
+                nq = -q
+                for _ in range(substeps):
+                    try:
+                        RT = R * T
+                        rA = k0_AB * exp(nE_AB / RT) * CA
+                        rB = k0_BC * exp(nE_BC / RT) * CB
+                        a1 = q * (CAf - CA) - rA
+                        b1 = nq * CB + rA - rB
+                        c1 = q * (Tf - T) + heat_AB * rA + heat_BC * rB + jacket * (Tc - T)
+                        x, y, z = CA + h2 * a1, CB + h2 * b1, T + h2 * c1
+                        RT = R * z
+                        rA = k0_AB * exp(nE_AB / RT) * x
+                        rB = k0_BC * exp(nE_BC / RT) * y
+                        a2 = q * (CAf - x) - rA
+                        b2 = nq * y + rA - rB
+                        c2 = q * (Tf - z) + heat_AB * rA + heat_BC * rB + jacket * (Tc - z)
+                        x, y, z = CA + h2 * a2, CB + h2 * b2, T + h2 * c2
+                        RT = R * z
+                        rA = k0_AB * exp(nE_AB / RT) * x
+                        rB = k0_BC * exp(nE_BC / RT) * y
+                        a3 = q * (CAf - x) - rA
+                        b3 = nq * y + rA - rB
+                        c3 = q * (Tf - z) + heat_AB * rA + heat_BC * rB + jacket * (Tc - z)
+                        x, y, z = CA + h * a3, CB + h * b3, T + h * c3
+                        RT = R * z
+                        rA = k0_AB * exp(nE_AB / RT) * x
+                        rB = k0_BC * exp(nE_BC / RT) * y
+                        a4 = q * (CAf - x) - rA
+                        b4 = nq * y + rA - rB
+                        c4 = q * (Tf - z) + heat_AB * rA + heat_BC * rB + jacket * (Tc - z)
+                    except (ZeroDivisionError, OverflowError):
+                        a1, b1, c1 = rates(CA, CB, T, Fin, Tc)
+                        a2, b2, c2 = rates(CA + h2 * a1, CB + h2 * b1, T + h2 * c1, Fin, Tc)
+                        a3, b3, c3 = rates(CA + h2 * a2, CB + h2 * b2, T + h2 * c2, Fin, Tc)
+                        a4, b4, c4 = rates(CA + h * a3, CB + h * b3, T + h * c3, Fin, Tc)
+                    CA = CA + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+                    CB = CB + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                    T = T + h6 * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+                # a non-finite RK4 stage leaves a non-finite state, so this catches it
+                if not (-1e-9 <= CA < inf and -1e-9 <= CB < inf and -1e6 <= T <= 1e6):
+                    return penalty, (CA, CB, T)
+        return cost, (CA, CB, T)
+
+    return run
+
+
 def cstr_objective(theta, noise: NoiseSpec | None = None, seed: int = 0,
                    params: CstrParams | None = None) -> float:
     """Closed-loop cost of one PID parameterization.
@@ -334,71 +377,27 @@ def cstr_objective(theta, noise: NoiseSpec | None = None, seed: int = 0,
     ``substream(seed, "cstr-noise")`` is added. Deterministic in
     (theta, seed).
 
-    The loop runs on Python floats: the PID law inline, and each control
-    interval's RK4 substeps through :func:`_rk4_interval`, which writes the
-    balance equations out stage by stage instead of calling
-    :func:`cstr_rhs`'s kernel. It gives the same bits as :func:`pid_control`
-    plus :func:`integrate` over :func:`cstr_rhs`;
-    ``test_cstr_objective_matches_array_functions_bitwise`` checks that on
-    a 64-point Latin hypercube, corner thetas and the noisy path. The
-    config's ``integrator_substeps`` must be an integer >= 1
-    (:class:`ConfigError` otherwise).
+    Each call binds :func:`_closed_loop` to the config as read now. It gives
+    the same bits as :func:`pid_control` plus :func:`integrate` over
+    :func:`cstr_rhs`; ``test_cstr_objective_matches_array_functions_bitwise``
+    checks that on a 64-point Latin hypercube, corner thetas and the noisy path.
     """
-    cfg = load_defaults()["cstr"]
-    gains = theta_to_gains(theta, cfg).tolist()
-    lo = (float(cfg["flow_bounds"][0]), float(cfg["coolant_bounds"][0]))
-    hi = (float(cfg["flow_bounds"][1]), float(cfg["coolant_bounds"][1]))
-    setpoints = cfg["setpoints"]
-    dt = float(cfg["control_interval"])
-    substeps = _check_substeps(cfg["integrator_substeps"])
-    lam = float(cfg["control_change_weight"])
-    n_steps = int(round(float(cfg["horizon"]) / dt))
-    seg_len = n_steps // len(setpoints)
-    step = _rk4_interval(params or CstrParams.from_config(), dt / substeps, substeps)
-
-    CA, CB, T = (float(v) for v in cfg["initial_state"])
-    cost = 0.0
-    u_prev = None
-    e_prev = e_int = 0.0
-    first = True
-    failed = False
-    for t in range(n_steps):
-        seg = min(t // seg_len, len(setpoints) - 1)
-        if t % seg_len == 0:
-            e_int, e_prev, first = 0.0, 0.0, True  # PID memory reset per segment
-        e = setpoints[seg] - T
-        e_int += e * dt
-        e_der = 0.0 if first else (e - e_prev) / dt
-        first = False
-        # pid_control per manipulated variable; min(max()) keeps np.clip's NaN
-        g0, g1 = gains[seg]
-        Fin = min(max(g0[3] + g0[0] * e + g0[1] * e_int + g0[2] * e_der, lo[0]), hi[0])
-        Tc = min(max(g1[3] + g1[0] * e + g1[1] * e_int + g1[2] * e_der, lo[1]), hi[1])
-        cost += e * e
-        if u_prev is not None:
-            d0, d1 = Fin - u_prev[0], Tc - u_prev[1]
-            cost += lam * (d0 * d0 + d1 * d1)
-        u_prev = (Fin, Tc)
-        e_prev = e
-        CA, CB, T = step(CA, CB, T, Fin, Tc)
-        # a non-finite RK4 stage leaves a non-finite state, so this catches it
-        if (not (math.isfinite(CA) and math.isfinite(CB) and math.isfinite(T))
-                or CA < -1e-9 or CB < -1e-9 or abs(T) > 1e6):
-            failed = True
-            break
-    value = float(cfg["failure_penalty"]) if failed else cost
+    value = _closed_loop(params)(theta)[0]
     if noise is not None and noise.sigma > 0:
         value += noise.sigma * float(substream(seed, "cstr-noise").standard_normal())
     return float(value)
 
 
 def make_cstr_problem() -> Problem:
-    """The 32-dimensional PID tuning problem over the unit cube."""
-    sigma = float(load_defaults()["cstr"]["noise_sigma"])
-    params = CstrParams.from_config()
+    """The 32-dimensional PID tuning problem over the unit cube.
+
+    Its objective is :func:`cstr_objective`'s loop, bound once here, so a bad
+    config is refused when the problem is built.
+    """
+    run = _closed_loop()
     return Problem(
         name="cstr-pid",
         bounds=Bounds.cube(0.0, 1.0, 32),
-        objective=lambda theta: cstr_objective(theta, params=params),
-        noise=NoiseSpec(sigma=sigma),
+        objective=lambda theta: run(theta)[0],
+        noise=NoiseSpec(sigma=float(load_defaults()["cstr"]["noise_sigma"])),
     )

@@ -74,11 +74,12 @@ def wo_residuals(w, inputs, params: WoParams | None = None) -> np.ndarray:
     point (T_R, M_B_in). Mass-basis stoichiometry: reaction 1 turns 1 kg A +
     1 kg B into 2 kg C, reaction 2 turns 1 kg B + 2 kg C into 2 kg E + 1 kg
     P, reaction 3 turns 1 kg C + 0.5 kg P into 1.5 kg G. Zero residual
-    defines the steady state.
+    defines the steady state. The fractions are read as Python floats, so an
+    array and a list of the same values give the same bits.
     """
     p = params or WoParams.from_config()
     T, FB = float(inputs[0]), float(inputs[1])
-    xA, xB, xC, xE, xG, xP = w
+    xA, xB, xC, xE, xG, xP = np.asarray(w, dtype=float).tolist()
     FA = p.feed_a
     F = FA + FB
     W = p.holdup

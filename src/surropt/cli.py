@@ -20,8 +20,10 @@ difference in final best feasible value; it writes the same report as JSON
 and exits 0 whatever it finds.
 
 Config files are YAML with the keys suite, algorithms, problems, dims,
-repetitions, budgets, warmup, seed; every key has a mirroring flag and flags
-win. None sets feasibility: ``core.feasible`` judges it, as in the optimizers.
+repetitions, budgets, warmup, seed. Every key but warmup has a flag, and flags
+win; ``--budget`` sets one budget for every dimension in use, and a dimension
+without a warm-up preset needs a config file. None sets feasibility:
+``core.feasible`` judges it, as in the optimizers.
 The output root defaults to ./results or the SURROPT_RESULTS environment variable.
 """
 

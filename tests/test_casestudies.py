@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from surropt import bench
+from surropt.bench import BenchmarkConfig
 from surropt.core import Bounds, ConfigError, NoiseSpec, evaluate, latin_hypercube, substream
 from surropt.casestudies import cstr as cstr_module
 from surropt.casestudies import (
@@ -287,19 +289,34 @@ def _counting_rates(monkeypatch):
     return calls
 
 
-def test_rk4_interval_matches_integrate_bitwise():
+def _one_interval(monkeypatch, p, y0, biases):
+    """The closed loop over one control interval from ``y0``: (value, final state, controls).
+
+    Zero P, I and D gains leave the controls at the segment's ``biases``
+    (unit-scaled, as in theta), which theta_to_gains maps to physical values.
+    """
+    cfg = load_defaults()["cstr"]
+    cfg = _with_cstr_config(monkeypatch, horizon=cfg["control_interval"],
+                            setpoints=cfg["setpoints"][:1], initial_state=list(y0))
+    theta = np.zeros(32)
+    theta[3], theta[7] = biases
+    value, state = cstr_module._closed_loop(p)(theta)
+    return value, state, theta_to_gains(theta, cfg)[0, :, 3]
+
+
+def test_rk4_interval_matches_integrate_bitwise(monkeypatch):
     # the whole state, CB included: CB's last bits barely reach T, so the
     # objective alone would not see a reordered B balance
     p = CstrParams.from_config()
     rng = np.random.default_rng(11)
-    step = cstr_module._rk4_interval(p, 0.1 / 3, 3)
     rhs = lambda y, c: cstr_rhs(y, c, p)  # noqa: E731
     for _ in range(300):
         y0 = rng.uniform([0.0, 0.0, 300.0], [1.0, 1.0, 340.0])
-        u = rng.uniform([97.0, 290.0], [105.0, 302.0])
+        _, state, u = _one_interval(monkeypatch, p, y0, rng.uniform(size=2))
+        assert np.all((u >= [97.0, 290.0]) & (u <= [105.0, 302.0]))
         states, failed = integrate(rhs, y0, [u], 0.1, 0.1, 3)
         assert not failed
-        assert _bits(step(*y0.tolist(), *u.tolist())) == _bits(states[-1])
+        assert _bits(state) == _bits(states[-1])
 
 
 def test_rk4_interval_fallback_matches_integrate_stage_by_stage(monkeypatch):
@@ -307,8 +324,9 @@ def test_rk4_interval_fallback_matches_integrate_stage_by_stage(monkeypatch):
     # recomputed through _rates, whose numpy fallback gives exp(-inf) = 0
     p = CstrParams.from_config()
     calls = _counting_rates(monkeypatch)
-    dt, substeps, u = 0.1, 3, (100.0, 300.0)
-    got = cstr_module._rk4_interval(p, dt / substeps, substeps)(0.5, 0.2, 0.0, *u)
+    dt, substeps = 0.1, 3
+    _, got, u = _one_interval(monkeypatch, p, (0.5, 0.2, 0.0), (0.375, 0.75))
+    assert u.tolist() == [100.0, 299.0]
     fallback = list(calls)
     assert len(fallback) == 4  # the first substep only; later stages have T > 0
     stages = []
@@ -327,11 +345,12 @@ def test_rk4_interval_fallback_matches_integrate_stage_by_stage(monkeypatch):
 
 def test_rk4_interval_fallback_on_an_overflowing_factor(monkeypatch):
     # at T < 0, exp(-E / RT) overflows: math.exp raises, numpy gives inf,
-    # and the substep's state turns non-finite
+    # and the substep's state turns non-finite, which scores the penalty
     p = CstrParams.from_config()
     calls = _counting_rates(monkeypatch)
-    dt, substeps, u = 0.1, 3, (100.0, 300.0)
-    got = cstr_module._rk4_interval(p, dt / substeps, substeps)(0.5, 0.2, -1.0, *u)
+    dt, substeps = 0.1, 3
+    value, got, u = _one_interval(monkeypatch, p, (0.5, 0.2, -1.0), (0.375, 0.75))
+    assert value == load_defaults()["cstr"]["failure_penalty"]
     assert len(calls) == 4
     y0 = np.array([0.5, 0.2, -1.0])
     assert calls[0][0][:3] == (0.5, 0.2, -1.0)
@@ -403,6 +422,40 @@ def test_make_cstr_problem():
     assert np.isfinite(prob.objective(np.full(32, 0.5)))
 
 
+def test_cstr_problem_objective_matches_references_bitwise():
+    # the loop make_cstr_problem binds once against the one cstr_objective
+    # binds per call and the public array functions; the tracer files the
+    # objective under the simulator layer by its module
+    prob = make_cstr_problem()
+    assert prob.objective.__module__ == "surropt.casestudies.cstr"
+    design = latin_hypercube(Bounds.cube(0.0, 1.0, 32), 64, seed=0)
+    corners = [np.zeros(32), np.ones(32), np.tile([0.0, 1.0], 16)]
+    for theta in [*design, *corners]:
+        value = prob.objective(theta)
+        assert _bits([value]) == _bits([cstr_objective(theta)])
+        assert _bits([value]) == _bits([_array_objective(theta)])
+
+
+@pytest.mark.parametrize("changes, match", [
+    ({"integrator_substeps": 0}, "substeps"),
+    ({"integrator_substeps": -1}, "substeps"),
+    ({"integrator_substeps": 2.5}, "substeps"),
+    ({"horizon": 0.3}, "3 control intervals cannot hold 4 setpoints"),
+])
+def test_bad_cstr_config_refused_when_the_problem_is_built(monkeypatch, tmp_path, changes,
+                                                          match):
+    _with_cstr_config(monkeypatch, **changes)
+    with pytest.raises(ConfigError, match=match):
+        make_cstr_problem()
+    # so a run refuses it while planning, before any file is written
+    monkeypatch.setattr(bench, "_PLANNED", {})
+    config = BenchmarkConfig(algorithms=["cobyla"], problems=["cstr-pid"], repetitions=1,
+                             budgets={32: 40}, warmup={32: 5})
+    with pytest.raises(ConfigError, match=match):
+        bench.run_benchmark(config, out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------- Williams-Otto
 
 
@@ -425,6 +478,17 @@ def test_wo_residual_sum_is_total_mass_balance():
         r = wo_residuals(w, (T, FB), p)
         total = p.feed_a + FB - (p.feed_a + FB) * w.sum()
         assert abs(r.sum() - total) <= 1e-12
+
+
+def test_wo_residuals_same_bits_for_a_list_and_an_array():
+    p = WoParams.from_config()
+    rng = np.random.default_rng(2)
+    for _ in range(50):
+        w = rng.uniform(0.0, 0.5, size=6)
+        inputs = (rng.uniform(*p.temperature_bounds), rng.uniform(*p.feed_b_bounds))
+        from_list = wo_residuals(w.tolist(), inputs, p)
+        assert from_list.dtype == np.float64
+        assert _bits(from_list.tolist()) == _bits(wo_residuals(w, inputs, p).tolist())
 
 
 def test_wo_solver_converges_and_conserves_mass():

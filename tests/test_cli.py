@@ -253,6 +253,22 @@ def test_cbo_on_an_unconstrained_problem_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_missing_warmup_names_the_config_file_key(tmp_path, capsys):
+    # no flag sets a warm-up, and only d = 2, 5, 7 and 10 have presets
+    out = tmp_path / "out"
+    run = ["run", "--algos", "bo", "--problems", "ackley", "--dims", "3", "--budget", "7",
+           "--jobs", "1", "--out", str(out)]
+    assert main(run) == 2
+    assert capsys.readouterr().err == (
+        "error: no warm-up for dimension 3 (problem 'ackley-d3'); a config file can set "
+        "warmup: {3: <n>}; dimensions with both: []\n")
+    assert not out.exists()
+    # and the key the message names is the one that lets the run through
+    path = tmp_path / "warmup.yaml"
+    path.write_text("warmup: {3: 5}\nrepetitions: 1\n")
+    assert main(run + ["--config", str(path)]) == 0
+
+
 def test_budget_below_an_initial_design_rejected(tmp_path, capsys):
     # bo starts with 2d = 20 points at d = 10; cobyla with d + 1 = 11
     out = tmp_path / "out"

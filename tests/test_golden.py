@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from surropt.casestudies import cstr_objective
+from surropt.casestudies import WoParams, cstr_objective, wo_objective
 from surropt.core import NoiseSpec
 from surropt.optimizers import ALGORITHMS, run_optimizer
 from surropt.problems import get_problem
@@ -156,6 +156,24 @@ def test_golden_cstr_trajectory(case):
     assert digest(run_optimizer(algo, get_problem(key), budget, seed)) == CSTR_GOLDEN[case]
 
 
+def wo_values() -> np.ndarray:
+    """(-profit, g_A, g_G) of ``wo_objective`` on a 9 x 9 grid over its box."""
+    p = WoParams.from_config()
+    values = []
+    for T in np.linspace(*p.temperature_bounds, 9):
+        for FB in np.linspace(*p.feed_b_bounds, 9):
+            f, g = wo_objective(float(T), float(FB), p)
+            values += [f, *g.tolist()]
+    return np.array(values)
+
+
+WO_VALUES = "51420827dafc675cb56860ba40f41f5f484ef1e92abbbde6a3d8ae07992e2a69"
+
+
+def test_golden_wo_values():
+    assert hashlib.sha256(wo_values().tobytes()).hexdigest() == WO_VALUES
+
+
 # Trajectories do not depend on the BLAS thread count: each child process below
 # digests its cases with OpenBLAS (or OMP/MKL) held to one thread or to two. A
 # 561-column primal least-squares fit (d=32, n >= p = 561, past every suite
@@ -205,6 +223,7 @@ if __name__ == "__main__":
         key, algo, seed, budget = case
         print(f"    {case!r}: \"{digest(run_optimizer(algo, get_problem(key), budget, seed))}\",")
     print(f"CSTR_VALUES = \"{hashlib.sha256(cstr_values().tobytes()).hexdigest()}\"")
+    print(f"WO_VALUES = \"{hashlib.sha256(wo_values().tobytes()).hexdigest()}\"")
     for case in CSTR_GOLDEN:
         key, algo, seed, budget = case
         print(f"    {case!r}: \"{digest(run_optimizer(algo, get_problem(key), budget, seed))}\",")
