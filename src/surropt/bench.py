@@ -382,17 +382,13 @@ def _score_table(config: BenchmarkConfig, problems, runs, status) -> ScoreTable:
             feas[(key, algo)], mviol[(key, algo)] = count_violations(G_rows[algo])
         for algo in sorted(per_algo):
             c = per_algo[algo]
+            # one call per quantile: np.percentile(c, [10, 90], axis=0) partitions for
+            # both at once, and where a column holds 0.0 and -0.0 it can return the
+            # other zero than the call on that column alone
+            lo, hi = np.percentile(c, 10, axis=0), np.percentile(c, 90, axis=0)
             for k in range(n):
-                vals = c[:, k]
                 convergence.append(
-                    (
-                        key,
-                        algo,
-                        k + 1,
-                        float(vals.mean()),
-                        float(np.percentile(vals, 10)),
-                        float(np.percentile(vals, 90)),
-                    )
+                    (key, algo, k + 1, float(c[:, k].mean()), float(lo[k]), float(hi[k]))
                 )
     return ScoreTable(
         config.suite, [k for k, *_ in problems], list(config.algorithms), n_effective,

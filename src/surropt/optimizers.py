@@ -25,10 +25,12 @@ levels ahead, several per call as one stack of batches, and takes the moves
 that one level per call would take, bit for bit.
 
 Each method runs at one fixed setting: LCB weight gamma = 2; a search pool
-of 100 * n_x candidates refined for 20 pattern steps; penalties of 100 per
-constraint, multiplied by 10 after each infeasible step (cuatro, cobyqa) up
-to a cap of 1e8; a DYCORS step of 0.2 of each box width to start, which
-is also its cap; and a sample counts as feasible when max_i g_i <= 1e-3.
+of 100 * n_x candidates refined by at most 20 pattern steps, none of them
+shorter than 1e-3 of the radius in a trust-region ball; penalties of 100
+per constraint, multiplied by 10 after each infeasible step (cuatro,
+cobyqa) up to a cap of 1e8; a DYCORS step of 0.2 of each box width to
+start, which is also its cap; and a sample counts as feasible when
+max_i g_i <= 1e-3.
 """
 
 from __future__ import annotations
@@ -95,7 +97,8 @@ DYCORS_WEIGHTS = (0.3, 0.5, 0.8, 0.95)
 
 _POOL_PER_DIM = 100  # inner-search pool: candidates per input dimension
 _DYCORS_STEP = 0.2  # DYCORS's initial step, a fraction of each box width; also its cap
-_REFINE_STEPS = 20  # pattern-refinement steps after the pool
+_REFINE_STEPS = 20  # pattern-refinement steps after the pool, at most
+_STEP_FLOOR = 1e-3  # a ball search refines no step below this fraction of its radius
 _REFINE_ROWS = 40  # trial rows per stack of refinement levels (at least one level)
 _PENALTY_GROWTH = 10.0
 _PENALTY_CAP = 1e8
@@ -221,18 +224,22 @@ def _pool_minimize(
     secondary) arrays of shape (L, m). A seeded pool of 100 * d candidates
     (a Latin hypercube, or uniform draws in the ball around ``center``), plus
     ``extra``, is ranked as a stack of one. Its best point x is refined by
-    ``_REFINE_STEPS`` pattern steps: x moves to the best of its 2d trials
-    x +/- step * e_j if that beats x's key, and otherwise the step halves.
+    at most ``_REFINE_STEPS`` pattern steps: x moves to the best of its 2d
+    trials x +/- step * e_j if that beats x's key, and otherwise the step
+    halves. The step starts at radius/4 in a ball and at a tenth of the
+    widest box side in a box. A ball search stops once the step falls below
+    ``_STEP_FLOOR`` * radius, so a walk that never moves tries the 8 levels
+    radius/4 ... radius/512; a box search always takes all its steps.
 
     The steps are evaluated ahead, r step levels at a time (step, step/2,
     ...) as one (r, 2d, d) stack, with r = min(steps left,
-    max(1, _REFINE_ROWS // 2d)). The walk moves at the first level that
-    beats x, or halves past the last level, and builds the next stack from
-    there, so it takes the same moves as one level per call. Predictions
-    make one BLAS call per slice of a stack and reduce along its last axis,
-    so each level gets the same bits as a (2d, d) batch on its own, and the
-    trajectory does not depend on r (``tests/test_surrogates.py`` checks
-    every prediction at these shapes).
+    max(1, _REFINE_ROWS // 2d)) and no level below the floor. The walk
+    moves at the first level that beats x, or halves past the last level,
+    and builds the next stack from there, so it takes the same moves as one
+    level per call. Predictions make one BLAS call per slice of a stack and
+    reduce along its last axis, so each level gets the same bits as a
+    (2d, d) batch on its own, and the trajectory does not depend on r
+    (``tests/test_surrogates.py`` checks every prediction at these shapes).
     """
     n_pool = _POOL_PER_DIM * bounds.dim
     if center is not None:
@@ -252,10 +259,15 @@ def _pool_minimize(
     d = bounds.dim
     levels = max(1, _REFINE_ROWS // (2 * d))
     halvings = 0.5 ** np.arange(levels)[:, None]
+    floor = _STEP_FLOOR * radius if center is not None else 0.0
     left = _REFINE_STEPS
     while left:
-        r = min(left, levels)
-        steps = step * halvings[:r]  # step, step/2, ...: exact, as halving step by step
+        # step, step/2, ...: exact, as halving step by step; none below the floor
+        steps = step * halvings[:min(left, levels)]
+        steps = steps[steps[:, 0] >= floor]
+        r = len(steps)
+        if not r:
+            break
         trials = np.empty((r, 2 * d, d))
         trials[:] = x
         # trial 2j moves up along axis j, trial 2j + 1 down: in each flat

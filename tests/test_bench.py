@@ -22,12 +22,36 @@ from surropt import (
     score_r,
     score_results,
 )
-from surropt.bench import DEFAULT_BUDGETS, DEFAULT_WARMUP
+from surropt.bench import DEFAULT_BUDGETS, DEFAULT_WARMUP, _score_table
 from surropt.core import Evaluation, Trajectory
 from surropt.surrogates import SurrogateFitError
 
 
 # ---------------------------------------------------------------- score math
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf in a band
+@settings(max_examples=300, deadline=None)
+@given(
+    reps=st.integers(1, 12),
+    n=st.integers(1, 6),
+    digits=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_convergence_band_matches_percentile_per_column(reps, n, digits, seed):
+    # rounded curves tie often, 0.0 with -0.0 too; each row of convergence.csv
+    # must hold the bits of np.percentile on its column alone
+    rng = np.random.default_rng(seed)
+    ys = np.round(rng.standard_normal((reps, n)) * 10.0 ** rng.uniform(-3, 3), digits)
+    ys[rng.uniform(size=ys.shape) < 0.05] = np.inf
+    config = BenchmarkConfig(algorithms=["bo"], problems=["p"], repetitions=reps)
+    runs = {("p", "bo", rep): (ys[rep], np.zeros((n, 0))) for rep in range(reps)}
+    table = _score_table(config, [("p", 2, n, 0)], runs, {})
+    c = np.minimum.accumulate(ys, axis=1)
+    expected = [("p", "bo", k + 1, float(c[:, k].mean()), float(np.percentile(c[:, k], 10)),
+                 float(np.percentile(c[:, k], 90))) for k in range(n)]
+    assert [tuple(map(repr, row)) for row in table.convergence] == \
+        [tuple(map(repr, row)) for row in expected]
 
 
 def test_score_r_worked_example():

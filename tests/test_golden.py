@@ -56,14 +56,14 @@ def digest(traj) -> str:
 GOLDEN = {
     ("quadratic-d2", "bo", 0, 10): "e0469cfff1135ed3aaeaa38313b20c365edeb0d4779a8f82adcf550ff789a272",
     ("quadratic-d2", "bo", 1, 10): "26a3e4fa16a566c0aac18e6a452530f7aee66ce710c502b8c319527ffc9b8989",
-    ("quadratic-d2", "lsqm", 0, 10): "eeb7a74c61dde10b5b9aac9ce064405e3ee817294bd9148a67a488f319fba5cf",
-    ("quadratic-d2", "lsqm", 1, 10): "ed0cf6973cae8b7171f85afebff5d02d93031a7361600f5f92d125d374e587b4",
-    ("quadratic-d2", "cuatro", 0, 10): "eeb7a74c61dde10b5b9aac9ce064405e3ee817294bd9148a67a488f319fba5cf",
-    ("quadratic-d2", "cuatro", 1, 10): "ed0cf6973cae8b7171f85afebff5d02d93031a7361600f5f92d125d374e587b4",
+    ("quadratic-d2", "lsqm", 0, 10): "4c0b536d5bb7ef72cac6424c5ea880cbb68e0f7b7b9564606b3a72da0e80210f",
+    ("quadratic-d2", "lsqm", 1, 10): "6cd1f54030d5a75d939392fbee9796a90f99528f7e4f869ec51905717f0490a9",
+    ("quadratic-d2", "cuatro", 0, 10): "4c0b536d5bb7ef72cac6424c5ea880cbb68e0f7b7b9564606b3a72da0e80210f",
+    ("quadratic-d2", "cuatro", 1, 10): "6cd1f54030d5a75d939392fbee9796a90f99528f7e4f869ec51905717f0490a9",
     ("quadratic-d2", "cobyla", 0, 10): "d13864d1ad84909f478b514304a2f38a1d528d7ccb6603b729107f6b91f7554f",
     ("quadratic-d2", "cobyla", 1, 10): "1afd239b0ca1e666e9c9b2f7aad7ffaafcafc6555d34b9e42efa6f6e1a0ccab5",
-    ("quadratic-d2", "cobyqa", 0, 10): "c01f214e9256ef21430ea3695b566910f68ac9acd364d61f2dc29178afe1595a",
-    ("quadratic-d2", "cobyqa", 1, 10): "c569e9581967eb29fd8521da4ece65244d24b8da3bbacc630ea58d67f521cb7d",
+    ("quadratic-d2", "cobyqa", 0, 10): "fa8766e5379989eacc3312ff1a495ff954e8be8528d8ebd3c363b403784c2846",
+    ("quadratic-d2", "cobyqa", 1, 10): "3700472549227ddfd8e67224e8ec0343faac2d2f5bdf477061e1cb712fcf5dd4",
     ("quadratic-d2", "dycors", 0, 10): "553e9f59ee17a31775c0633f73d5ba0b927bc70f325ea950383409ee8b2921b7",
     ("quadratic-d2", "dycors", 1, 10): "605b845cce6c372b30a9a953272180c361439e339333ac0e9657932c77890dab",
     ("levy-d5", "bo", 0, 13): "31f0a8a42180d690605ec0e8e416d038279487475d1b692603d007a573a89ab6",
@@ -75,38 +75,38 @@ GOLDEN = {
     ("levy-d5", "cobyla", 0, 13): "010b8ee16e6cf9a646a8d0185b8b2f4344e3400e464a035d4b58db7ce3017cce",
     ("levy-d5", "cobyla", 1, 13): "efa3bf8afb70bae0439336155945f2d7dbb0cda7685d4ae66cdf58e49623fb9b",
     ("levy-d5", "cobyqa", 0, 13): "79e0e8a2719b14c63d8a03836924a13999b26b3025bc125feab761232cde8be2",
-    ("levy-d5", "cobyqa", 1, 13): "517be91e5d8a9ce591963b8389ce5b2d50b97bfec4306e7d6c204b63bb93f824",
+    ("levy-d5", "cobyqa", 1, 13): "a1592191896f0041cfb5c2ffd4100199ca1f0e3c76e737b1b9482a6f6869745e",
     ("levy-d5", "dycors", 0, 13): "e57922a9d4ec2b0741498c8513427397323fd45500af2ed586c229fce117373e",
     ("levy-d5", "dycors", 1, 13): "62a4b3c8b35df53e0e4055cabd6d2f2b09fe20abc97866a70cf551b814e15e0b",
     ("matyas-c", "bo", 0, 10): "fec26f377f7945016399ef895982f19d33682e5b9f1d1ba4870098e0a1081666",
     ("matyas-c", "bo", 1, 10): "58eb20520ee218b94236efb49529e99fd308fb9bace586f652057468ff6995be",
     ("matyas-c", "cbo", 0, 10): "cf071ef587a5a377f2361555a6ffb78ea7a00f4325c66b734b303096901e3cf3",
     ("matyas-c", "cbo", 1, 10): "1ef9243bb61040be180c3f2d971b6a9d70391e86e148aae830a26c0a0ff05af6",
-    ("matyas-c", "lsqm", 0, 10): "dd6f4a7e52665e353ba8c599033378426de73355e2d5c929ef2aa7a7d0ab7bac",
-    ("matyas-c", "lsqm", 1, 10): "ce751f114a8f4d6bc104cc115832341742b70791e7b1cf2400c45471f1294236",
-    ("matyas-c", "cuatro", 0, 10): "c0721ab4cdd11148744af5254933524dccc99b4e1ded7950019959c2ebcddf1f",
-    ("matyas-c", "cuatro", 1, 10): "9565c729af9e2bb7879c22b9a680aa85f70abcf2ccc3ff64a7cefef0c3dd0dea",
-    ("matyas-c", "cobyla", 0, 10): "e9f4c7b286cef30406336b6651709a8de4e65baf5884704d9bfa69978dd2b06d",
+    ("matyas-c", "lsqm", 0, 10): "3f2734f40114b40f9b53a8ea1f8bbf0f625221741d8f7ab1128c6ea3ad9a8a64",
+    ("matyas-c", "lsqm", 1, 10): "e45b3a97e0f468c2495a5a133f13b2feeb045f6521ada82da6dc0d6cad23556a",
+    ("matyas-c", "cuatro", 0, 10): "2aeb4b9c321364a45dc66ba30649ea5feac0196c92a6d797fd5412f2bd3762d7",
+    ("matyas-c", "cuatro", 1, 10): "84f2811e356ab3b2e918a7f534bfc5c2d1625e6aafbb713735149b5a203bc1cb",
+    ("matyas-c", "cobyla", 0, 10): "6a2ef7fac9a64edba7bda2342a07c4abae5bde742c1f7fcb81c9923053e0ba88",
     ("matyas-c", "cobyla", 1, 10): "4a75b352edad7edc49b44eb4474f7c90d94e9e41208aed4d4d5e54e82b862563",
-    ("matyas-c", "cobyqa", 0, 10): "01efd351b9180ce959605b602217af12bf9a31163d09bd2d3fc148704b78972f",
-    ("matyas-c", "cobyqa", 1, 10): "68b3ba46837041c573cced54b904fe6a2e28e41a54943169fab3b9f28c182b47",
+    ("matyas-c", "cobyqa", 0, 10): "e4620b7d75d1f9c6bac9deafbf982029587a168b195329c31ec28f5095e34a67",
+    ("matyas-c", "cobyqa", 1, 10): "ddc30eb4bcfb2bbb7e95f0060ac02563bfc606dd4d1436ff14550e9632555a3e",
     ("matyas-c", "dycors", 0, 10): "4781936fb9f6d21e999cf3c75f8ff8d3157553219a3dfb1af0d626e272dc6ee2",
     ("matyas-c", "dycors", 1, 10): "f8b76693852ee3599f5c479b9cd7acf36fadce69d5ced296645faab943c8ebf1",
     ("williams-otto", "bo", 0, 10): "bac0a90c49a93ef52e1b0b7ce659e11e38b0e9421dd5760fbee2f35a6ae602ba",
     ("williams-otto", "bo", 1, 10): "be0f888e9cc825caa9b48beb3c7dd0b0df8d9dc49d2ba9ed899cf6b36b8b0d8b",
     ("williams-otto", "cbo", 0, 10): "8567c42eabcbc3f33929ddffa2a8822060afe9e3403887a5bc8be555d5e686bc",
     ("williams-otto", "cbo", 1, 10): "84dc71529715293409b158ca3fafe83bced7e610ce18fe12aec5413a385f4860",
-    ("williams-otto", "lsqm", 0, 10): "5925e23b0603746beaa194a88746c2e8d68afd209123b332d684b3d43424524e",
-    ("williams-otto", "lsqm", 1, 10): "c4df0574d7cdf90e9725bafbe9482cd0121edc8c27b7589aef25b788dfc0d7e5",
-    ("williams-otto", "cuatro", 0, 10): "87b1b0d73f87f91204b68072387b1e8fa463ae364986fb7828b6e8d63acd6b0c",
-    ("williams-otto", "cuatro", 1, 10): "938a57e54707f206da54cd302af8e28b7d1825daf1c9997f2b230c7fffe97feb",
-    ("williams-otto", "cobyla", 0, 10): "35212c931ff2e031bae2917ec1b8c0aea9dd7bb9f32b44aa3e594672cb8f6baf",
-    ("williams-otto", "cobyla", 1, 10): "e8eca468d753084c41a4200daf6e5cc3b306da733d9c3ce673ef311a3b24a9b4",
-    ("williams-otto", "cobyqa", 0, 10): "7862d2342a792367fba7a0df73a15fd2560625ec016b85cbe975dbd8fe99d1e4",
-    ("williams-otto", "cobyqa", 1, 10): "6eff8c857b8bc984b2e07772b8146442cb077c63b06f1e2d70b85322b3e9c5d4",
+    ("williams-otto", "lsqm", 0, 10): "5d1aa4df662e329a0603bea698a720fd9fa35c3708c0d1eb9cb2665b8a2169f4",
+    ("williams-otto", "lsqm", 1, 10): "8104f8c217d1c63cde8f7a640ca2b4d70d87920e02bee44b730a553cd05f47ca",
+    ("williams-otto", "cuatro", 0, 10): "dfa16669e21aa4664d1e6f1fbc22951653d371bde6b7ae85b402b03f5a7697d8",
+    ("williams-otto", "cuatro", 1, 10): "67301bb06d773b8d6655614f6fc11244df2bab03a409268223c734f7e925e9d1",
+    ("williams-otto", "cobyla", 0, 10): "8f9018971d8498f131ea831e64df7366e4320be3dbde8491073e453c9b64b720",
+    ("williams-otto", "cobyla", 1, 10): "98fd7a4764cb9ee2d02453d5d2c7c74f4811bfdb702c18f5f61dbbd191422754",
+    ("williams-otto", "cobyqa", 0, 10): "3967332c25612ea08304cd16d507118f084ba9aee73b1064182e6006a850f7e6",
+    ("williams-otto", "cobyqa", 1, 10): "f418835931feb3b076590b9bc087005e88e3f85ddeebc7c92d4e3b6e88b229ba",
     ("williams-otto", "dycors", 0, 10): "9d16e0608071ba286399a5852c27088a59abe0577ae2e6a5a376103003f2e21e",
     ("williams-otto", "dycors", 1, 10): "46c8f1d5d183fd993cb5ad9762dbe285d3ced6ce4a655631e2fc8c4d23e38aeb",
-    ("matyas-c", "cobyla", 1, 32): "f25ae748fc18bace7546ccf2df9fed22ac1faff85608dc4d7628b2e914003990",
+    ("matyas-c", "cobyla", 1, 32): "90d8d93cf2de47c0eb896a2444144c8275d7c5f2bf72edfe60a85cd564c8fe0c",
     ("ackley-d10", "dycors", 0, 30): "30c68d1bb4ae617433952eff50393e1c8fa5c85c5a9f04773e5d9408219c4302",
     ("ackley-d10", "dycors", 1, 30): "e87d6c6b23c30fc410d19ed78534f2d6a88700d3c86d0acb977f39aae58c9e39",
 }

@@ -128,8 +128,8 @@ def test_ball_candidates_in_place_match_the_formula(d, seed):
 # ---------------------------------------------------------------- _pool_minimize
 
 # The pattern refinement as it was before its step levels were stacked: one
-# keys call on a 2-D batch per step. The stacked walk must return the same
-# x, bit for bit.
+# keys call on a 2-D batch per step, and in a ball no step below the floor.
+# The stacked walk must return the same x, bit for bit.
 
 
 def _sequential_pool_minimize(keys_fn, bounds, seed, center=None, radius=None, extra=None):
@@ -150,7 +150,10 @@ def _sequential_pool_minimize(keys_fn, bounds, seed, center=None, radius=None, e
 
     d = bounds.dim
     j = np.arange(d)
+    floor = optimizers._STEP_FLOOR * radius if center is not None else 0.0
     for _ in range(optimizers._REFINE_STEPS):
+        if step < floor:
+            break
         trials = np.repeat(x[None, :], 2 * d, axis=0)
         trials[2 * j, j] += step
         trials[2 * j + 1, j] -= step
@@ -206,9 +209,11 @@ def test_stacked_refinement_walks_as_the_sequential_loop(method, d, seed, monkey
     [(same, shapes)] = searches
     assert same
     # the pool as a stack of one, then stacks of up to 20 // d levels of 2d
-    # trials each, the first one full
+    # trials each, the first one full: in a ball it holds no more than the 8
+    # levels radius/4 ... radius/512 at or above the floor
     levels = max(1, 20 // d)
-    assert shapes[0][0] == 1 and shapes[1][0] == levels
+    first = levels if method in ("bo", "cbo") else min(levels, 8)
+    assert shapes[0][0] == 1 and shapes[1][0] == first
     assert all(1 <= L <= levels and m == 2 * d for L, m, _ in shapes[1:])
 
 
@@ -237,6 +242,54 @@ def test_stacked_refinement_matches_the_sequential_loop_on_row_independent_keys(
         kwargs = {"center": rng.uniform(-1.0, 1.0, d), "radius": float(rng.uniform(0.01, 1.0))}
     x = _pool_minimize(keys, bounds, seed % 1000, **kwargs)
     assert x.tobytes() == _sequential_pool_minimize(keys, bounds, seed % 1000, **kwargs).tobytes()
+
+
+def _refined_levels(d, ball):
+    """The step of every level a search refines when no trial beats the pool's best.
+
+    The best is the origin, given as ``extra`` with key 0; every other point
+    has a key > 0, and each trial 2j is the origin plus the step along axis j.
+    """
+    bounds = Bounds(np.full(d, -1.0), np.full(d, 1.0))
+    origin = np.zeros(d)
+    stacks = []
+
+    def keys(X):
+        stacks.append(X)
+        return np.zeros(X.shape[:-1], dtype=int), np.sum(X**2, axis=-1)
+
+    kwargs = {"center": origin, "radius": 0.6} if ball else {}
+    x = _pool_minimize(keys, bounds, 0, extra=[origin], **kwargs)
+    assert x.tobytes() == origin.tobytes()
+    return [level[0, 0] for trials in stacks[1:] for level in trials]
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 10])
+def test_ball_search_stops_refining_at_the_step_floor(d):
+    # radius/4 ... radius/512; radius/1024 is below 1e-3 of the radius
+    assert _refined_levels(d, ball=True) == [0.6 / 4 * 0.5**k for k in range(8)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 10])
+def test_box_search_refines_every_level(d):
+    # a tenth of the box width, halved 19 times
+    assert _refined_levels(d, ball=False) == [0.2 * 0.5**k for k in range(20)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 10])
+def test_ball_search_that_always_moves_takes_every_step(d):
+    # each keys call beats every earlier one, so the walk moves at the first
+    # level of each stack, keeps its step at radius/4 and stops after 20 moves
+    bounds = Bounds(np.full(d, -1.0), np.full(d, 1.0))
+    shapes = []
+
+    def keys(X):
+        shapes.append(X.shape)
+        return np.zeros(X.shape[:-1], dtype=int), np.full(X.shape[:-1], -float(len(shapes)))
+
+    _pool_minimize(keys, bounds, 0, center=np.zeros(d), radius=0.6)
+    levels = min(max(1, 20 // d), 8)
+    assert shapes[1:] == [(min(20 - k, levels), 2 * d, d) for k in range(20)]
 
 
 # ---------------------------------------------------------------- propose_bo
