@@ -35,7 +35,6 @@ import csv
 import io
 import json
 import logging
-import os
 import platform
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
@@ -50,6 +49,7 @@ from . import __version__
 from .core import (
     ConfigError,
     Trajectory,
+    _blas_thread_calls,
     _keep_heap,
     best_so_far,
     derive_seed,
@@ -396,13 +396,10 @@ def _score_table(config: BenchmarkConfig, problems, runs, status) -> ScoreTable:
     )
 
 
-_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-_POOL_THREADS = dict.fromkeys(_BLAS_THREADS, "1")  # the environment a pool worker starts in
-
-
 def _provenance(jobs: int) -> dict:
-    """The Python, numpy and BLAS versions, ``jobs`` and the BLAS thread
-    setting the cells run under: a fit's rounding can depend on the last."""
+    """The Python, numpy and BLAS versions, ``jobs`` and the BLAS thread count
+    the cells run on: 1 where ``run_optimizer`` can pin it, else "unpinned",
+    since a fit's rounding can depend on the count."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = {"name": blas["name"], "version": blas["version"]}
@@ -413,35 +410,26 @@ def _provenance(jobs: int) -> dict:
         "numpy": np.__version__,
         "blas": blas,
         "jobs": jobs,
-        "blas_threads": (_POOL_THREADS if jobs > 1
-                         else {name: os.environ.get(name) for name in _BLAS_THREADS}),
+        "blas_threads": 1 if _blas_thread_calls() else "unpinned",
     }
 
 
 @contextmanager
 def _cell_pool(jobs: int):
-    """A pool of ``jobs`` worker processes, each on one BLAS thread with the kept heap.
+    """A pool of ``jobs`` worker processes, each with the kept heap.
 
-    Workers are spawned, not forked: a fork would inherit the caller's BLAS,
-    whose thread count was fixed when it loaded. A spawned worker loads its
-    own under the environment it starts with, which holds one thread for as
-    long as the pool is open; then the caller's environment is restored.
+    Workers are spawned, not forked: a fork copies a process whose BLAS may
+    hold threads of its own, and a spawned worker starts from a fresh import.
+    ``run_optimizer`` holds each cell at one BLAS thread in the worker as it
+    does in the caller. Keep ``spawn`` unless ``fork`` is shown to give the
+    same bytes and to be faster.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    saved = {name: os.environ.get(name) for name in _BLAS_THREADS}
-    os.environ.update(_POOL_THREADS)
-    try:
-        with ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("spawn"),
-                                 initializer=_keep_heap) as pool:
-            yield pool
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
+    with ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("spawn"),
+                             initializer=_keep_heap) as pool:
+        yield pool
 
 
 def run_benchmark(
@@ -452,10 +440,10 @@ def run_benchmark(
 
     A failing cell is recorded in ``cell_status`` and skipped by the
     aggregation; everything else proceeds. Results are bit-reproducible for
-    a fixed config regardless of ``jobs``: ``jobs > 1`` runs each cell in a
-    worker on one BLAS thread, and ``jobs == 1`` on the calling thread under
-    the caller's BLAS setting, which gives the same bytes unless a cell
-    reaches a fit whose rounding depends on the thread count (see README).
+    a fixed config regardless of ``jobs`` and of the caller's BLAS thread
+    count: ``jobs > 1`` runs each cell in a worker process, ``jobs == 1`` on
+    the calling thread, and either way ``run_optimizer`` holds the cell at
+    one BLAS thread (see README for the builds where it cannot).
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")

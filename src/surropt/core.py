@@ -15,7 +15,10 @@ from __future__ import annotations
 
 import ctypes
 import difflib
+import functools
 import hashlib
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -54,6 +57,17 @@ _MMAP_THRESHOLD_BYTES = 4 << 20
 # The heap keeps up to 32 MiB free at its top instead of handing it back to the
 # kernel: more than one optimizer step frees.
 _TRIM_THRESHOLD_BYTES = 32 << 20
+
+# The (set, get) thread-count functions numpy's BLAS may export: OpenBLAS as
+# numpy's wheels build it (scipy-openblas, 64- and 32-bit integers), as Linux
+# distributions build it (with and without the 64-bit suffix), and MKL.
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+    ("MKL_Set_Num_Threads", "MKL_Get_Max_Threads"),
+)
 
 
 class BudgetExhausted(RuntimeError):
@@ -365,3 +379,69 @@ def _keep_heap() -> None:
     mallopt.restype = ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
     mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+
+
+@functools.cache
+def _blas_thread_calls():
+    """(set, get) of the BLAS thread count numpy loaded, through ``ctypes``, or
+    None where it exports none of ``_BLAS_THREAD_SYMBOLS`` (Accelerate, BLIS).
+
+    Looked up on first use, never on import. The symbols are found through
+    numpy's own extension module, whose handle also resolves the BLAS library
+    it links against, so the library pinned is the one numpy calls.
+    """
+    try:
+        from numpy._core import _multiarray_umath  # numpy 2
+    except ImportError:
+        from numpy.core import _multiarray_umath
+    try:
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+    except OSError:
+        return None
+    for set_name, get_name in _BLAS_THREAD_SYMBOLS:
+        try:
+            set_threads, get_threads = getattr(lib, set_name), getattr(lib, get_name)
+        except AttributeError:
+            continue
+        set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
+        get_threads.argtypes, get_threads.restype = (), ctypes.c_int
+        return set_threads, get_threads
+    return None
+
+
+# The BLAS thread count is one setting per process, so overlapping pins (from
+# threads, or nested) share one: the first to open saves the caller's count and
+# the last to close restores it.
+_pin_lock = threading.Lock()
+_pin_depth = 0
+_pin_saved = 0
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold numpy's BLAS at one thread for the body, then restore the caller's
+    count, also when the body raises.
+
+    Some fits round differently when BLAS splits them across threads (the d = 32
+    dual least-squares fit from n = 129 on), so a trajectory depends only on
+    its (algorithm, problem, budget, seed) when every run takes one thread.
+    Where ``_blas_thread_calls`` finds nothing, the body runs unpinned.
+    """
+    global _pin_depth, _pin_saved
+    calls = _blas_thread_calls()
+    if calls is None:
+        yield
+        return
+    set_threads, get_threads = calls
+    with _pin_lock:
+        if _pin_depth == 0:
+            _pin_saved = get_threads()
+            set_threads(1)
+        _pin_depth += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                set_threads(_pin_saved)

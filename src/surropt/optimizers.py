@@ -48,6 +48,7 @@ from .core import (
     Dataset,
     Problem,
     Trajectory,
+    _one_blas_thread,
     derive_seed,
     evaluate,
     feasible,
@@ -76,7 +77,6 @@ __all__ = [
     "lcb",
     "propose_bo",
     "propose_cbo",
-    "cobyla_merit",
     "trust_region_step",
     "trust_region_update",
     "dycors_select_probability",
@@ -402,12 +402,6 @@ def _max_merit(f_vals, g_list, penalties):
         return np.asarray(f_vals, dtype=float)
     worst = np.max(g_list, axis=0)
     return f_vals + float(np.max(penalties)) * np.maximum(worst, 0.0)
-
-
-def cobyla_merit(f_value: float, g_values, penalty: float) -> float:
-    """Linear-method merit: f + penalty * [max_i g_i]_+ (0 when unconstrained)."""
-    g = np.atleast_1d(np.asarray(g_values, dtype=float))
-    return float(_max_merit(np.array([f_value], dtype=float), list(g[:, None]), penalty)[0])
 
 
 @dataclass(frozen=True)
@@ -800,33 +794,38 @@ def run_optimizer(algorithm: str, problem: Problem, budget: int, seed: int) -> T
     ``fallback_reason`` in ``trajectory.meta``, so the trajectory still has
     exactly ``budget`` evaluations. Any other exception propagates,
     including :class:`~surropt.core.EvaluationFailed` from the problem.
-    """
-    check_cell(algorithm, problem, budget)
-    n_init = initial_design_size(algorithm, problem.dim)
-    traj = Trajectory(budget=budget, seed=seed)
-    noise_rng = substream(seed, "noise")
-    for x in latin_hypercube(problem.bounds, n_init, derive_seed(seed, "init")):
-        evaluate(problem, x, noise_rng, trajectory=traj)
-    strategy = _make_strategy(algorithm, problem.bounds, Dataset.from_trajectory(traj), budget)
 
-    k = 0
-    while len(traj) < budget:
-        step_seed = derive_seed(seed, "step", k)
-        try:
-            x = strategy.propose(Dataset.from_trajectory(traj), step_seed)
-        except (SurrogateFitError, np.linalg.LinAlgError, FloatingPointError) as exc:
-            logger.warning(
-                "%s failed at iteration %d (%s); random search for remaining budget",
-                algorithm, k, exc,
-            )
-            traj.meta["fallback_at"] = len(traj) + 1
-            traj.meta["fallback_reason"] = f"{type(exc).__name__}: {exc}"
-            fb = substream(seed, "fallback")
-            while len(traj) < budget:
-                x_rand = fb.uniform(problem.bounds.lower, problem.bounds.upper)
-                evaluate(problem, x_rand, noise_rng, trajectory=traj)
-            break
-        ev = evaluate(problem, x, noise_rng, trajectory=traj)
-        strategy.update(ev.x, ev.y, ev.g)
-        k += 1
-    return traj
+    The whole run holds numpy's BLAS at one thread and then restores the
+    caller's count (``core._one_blas_thread``), so the trajectory is the same
+    at every thread setting of the caller, in a pool worker or not.
+    """
+    with _one_blas_thread():
+        check_cell(algorithm, problem, budget)
+        n_init = initial_design_size(algorithm, problem.dim)
+        traj = Trajectory(budget=budget, seed=seed)
+        noise_rng = substream(seed, "noise")
+        for x in latin_hypercube(problem.bounds, n_init, derive_seed(seed, "init")):
+            evaluate(problem, x, noise_rng, trajectory=traj)
+        strategy = _make_strategy(algorithm, problem.bounds, Dataset.from_trajectory(traj), budget)
+
+        k = 0
+        while len(traj) < budget:
+            step_seed = derive_seed(seed, "step", k)
+            try:
+                x = strategy.propose(Dataset.from_trajectory(traj), step_seed)
+            except (SurrogateFitError, np.linalg.LinAlgError, FloatingPointError) as exc:
+                logger.warning(
+                    "%s failed at iteration %d (%s); random search for remaining budget",
+                    algorithm, k, exc,
+                )
+                traj.meta["fallback_at"] = len(traj) + 1
+                traj.meta["fallback_reason"] = f"{type(exc).__name__}: {exc}"
+                fb = substream(seed, "fallback")
+                while len(traj) < budget:
+                    x_rand = fb.uniform(problem.bounds.lower, problem.bounds.upper)
+                    evaluate(problem, x_rand, noise_rng, trajectory=traj)
+                break
+            ev = evaluate(problem, x, noise_rng, trajectory=traj)
+            strategy.update(ev.x, ev.y, ev.g)
+            k += 1
+        return traj

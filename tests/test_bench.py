@@ -264,8 +264,7 @@ def test_parallel_run_matches_serial(mini_run, tmp_path):
         del m["timestamp"]
     assert manifests[0] == manifests[1]
     assert [p["jobs"] for p in provenance] == [1, 2]
-    assert provenance[1]["blas_threads"] == dict.fromkeys(
-        ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"], "1")
+    assert [p["blas_threads"] for p in provenance] == [1, 1]
 
 
 def test_library_run_writes_the_manifest_compare_reads(mini_run, tmp_path):
@@ -319,6 +318,56 @@ def test_pool_run_same_under_one_and_two_blas_threads(tmp_path):
     one, two = ((tmp_path / t / rel).read_bytes() for t in ("1", "2"))
     assert one.count(b"\n") == 151 and one == two
 
+
+
+# The same cell on the calling thread, through the library and the command
+# line: run_optimizer pins one BLAS thread itself, so these write one CSV too.
+# Each way: its argv, the path under a child's directory it is given, and the
+# CSV it writes there.
+SERIAL_RUNS = {
+    "run_benchmark": (["-c", POOL_RUN.replace("jobs=2", "jobs=1")], ".",
+                      Path("casestudies", "cstr-pid", "cuatro", "rep0.csv")),
+    "optimize": (["-m", "surropt.cli", "optimize", "--algo", "cuatro", "--problem", "cstr-pid",
+                  "--budget", "150", "--seed", "42", "--out"], "cuatro.csv", "cuatro.csv"),
+}
+
+
+@pytest.mark.parametrize("way", sorted(SERIAL_RUNS))
+def test_serial_run_same_under_one_and_two_blas_threads(tmp_path, way):
+    argv, arg, rel = SERIAL_RUNS[way]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    children = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "MKL_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        (tmp_path / threads).mkdir()
+        children.append(subprocess.Popen([sys.executable, *argv, str(tmp_path / threads / arg)],
+                                         env=env, stdout=subprocess.DEVNULL))
+    try:
+        assert [child.wait(timeout=300) for child in children] == [0, 0]
+    finally:
+        for child in children:
+            child.kill()
+    one, two = ((tmp_path / t / rel).read_bytes() for t in ("1", "2"))
+    assert one.count(b"\n") == 151 and one == two
+
+
+def test_unpinned_run_completes_and_says_so(monkeypatch, tmp_path):
+    # a BLAS that exports no known thread-count function: the cells run as
+    # they are, and the manifest says so
+    from surropt import core
+
+    monkeypatch.setattr(core, "_BLAS_THREAD_SYMBOLS", ())
+    core._blas_thread_calls.cache_clear()
+    try:
+        assert core._blas_thread_calls() is None
+        table = run_benchmark(BenchmarkConfig(**MINI), out_dir=tmp_path)
+    finally:
+        core._blas_thread_calls.cache_clear()
+    manifest = json.loads((tmp_path / "mini" / "manifest.json").read_text())
+    assert manifest["provenance"]["blas_threads"] == "unpinned"
+    assert set(table.cell_status.values()) == {"ok"} and len(table.cell_status) == 4
 
 def test_independent_scoring_oracle(mini_run):
     # recompute r and p from the persisted CSVs with plain python

@@ -424,8 +424,7 @@ def test_run_manifest_provenance(cli_run):
     assert set(provenance) == {"python", "numpy", "blas", "jobs", "blas_threads"}
     assert provenance["jobs"] == 1
     assert provenance["numpy"] == np.__version__
-    assert set(provenance["blas_threads"]) == {
-        "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+    assert provenance["blas_threads"] == 1
     assert provenance["blas"] is None or set(provenance["blas"]) == {"name", "version"}
 
 

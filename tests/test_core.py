@@ -2,6 +2,7 @@ import os
 import platform
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,8 @@ from surropt.core import (
     Problem,
     Trajectory,
     VIOLATION_THRESHOLD,
+    _blas_thread_calls,
+    _one_blas_thread,
     best_so_far,
     derive_seed,
     evaluate,
@@ -340,6 +343,84 @@ def test_substreams_are_independent_and_reproducible():
     assert np.array_equal(a1, a2)
     assert not np.array_equal(a1, b)
     assert derive_seed(9, "noise") != derive_seed(10, "noise")
+
+
+# ---------------------------------------------------------------- one BLAS thread
+
+
+@pytest.fixture
+def blas_at_two():
+    """numpy's BLAS (get, set) with the count set to 2, restored afterwards."""
+    calls = _blas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy's BLAS exports no known thread-count functions")
+    set_threads, get_threads = calls
+    before = get_threads()
+    set_threads(2)
+    try:
+        yield get_threads
+    finally:
+        set_threads(before)
+
+
+def test_import_looks_up_no_blas_symbol():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import surropt.cli\n"
+            "from surropt.core import _blas_thread_calls\n"
+            "print(_blas_thread_calls.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "0"
+
+
+def test_run_optimizer_restores_the_callers_blas_threads(blas_at_two, monkeypatch):
+    from surropt import optimizers
+
+    problem = quad_problem()
+    assert len(optimizers.run_optimizer("cobyla", problem, 10, 0)) == 10
+    assert blas_at_two() == 2
+
+    seen = []
+
+    class Broken:
+        def propose(self, data, seed):
+            seen.append(blas_at_two())
+            raise KeyError("not a numerical failure")
+
+    monkeypatch.setattr(optimizers, "_make_strategy", lambda *args: Broken())
+    with pytest.raises(KeyError):
+        optimizers.run_optimizer("cobyla", problem, 10, 0)
+    assert seen == [1] and blas_at_two() == 2
+
+
+def test_overlapping_pins_restore_the_callers_blas_threads(blas_at_two):
+    # the count is one per process: a pin that closed while another was open
+    # would leave the other unpinned, or leave 1 behind when the other closed
+    inside = []
+
+    def pin_often():
+        for _ in range(200):
+            with _one_blas_thread():
+                inside.append(blas_at_two())
+
+    with _one_blas_thread():
+        with _one_blas_thread():
+            assert blas_at_two() == 1
+        assert blas_at_two() == 1
+    assert blas_at_two() == 2
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=pin_often) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert inside == [1] * 1600 and blas_at_two() == 2
 
 
 # ---------------------------------------------------------------- kept heap

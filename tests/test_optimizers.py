@@ -19,9 +19,9 @@ from surropt.optimizers import (
     DycorsState,
     TrustRegionState,
     _lex_best,
+    _max_merit,
     _pool_minimize,
     _project,
-    cobyla_merit,
     dycors_select_probability,
     dycors_step,
     dycors_update,
@@ -548,10 +548,12 @@ def test_cobyla_closed_form_step():
     assert np.allclose(x_star, [-0.5, 0.0], atol=1e-6)
 
 
-def test_cobyla_merit_arithmetic():
-    assert cobyla_merit(1.0, [0.5, -0.2], 1.0) == pytest.approx(1.5)
-    assert cobyla_merit(1.0, [-0.5, -0.2], 7.0) == pytest.approx(1.0)
-    assert cobyla_merit(2.5, [], 3.0) == pytest.approx(2.5)
+def test_max_merit_arithmetic():
+    # COBYLA's merit f + penalty * [max_i g_i]_+ on one-row batches
+    one = lambda *values: np.array(values, dtype=float)
+    assert _max_merit(one(1.0), [one(0.5), one(-0.2)], 1.0) == pytest.approx([1.5])
+    assert _max_merit(one(1.0), [one(-0.5), one(-0.2)], 7.0) == pytest.approx([1.0])
+    assert _max_merit(one(2.5), [], 3.0) == pytest.approx([2.5])
 
 
 def test_cobyla_constrained_step():

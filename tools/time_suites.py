@@ -10,7 +10,7 @@ runs the parent first when k is even. Every side's output tree is compared,
 file by file without manifest.json, with the parent's output of the same
 suite in pair 0. The report gives per-run wall, CPU (user + system of the run
 and its workers) and minor-fault counts, per-side medians, the CPU count and
-OpenBLAS's default thread count.
+BLAS's default thread count.
 """
 
 from __future__ import annotations
@@ -30,18 +30,13 @@ from pathlib import Path
 
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-# OpenBLAS's thread count in a fresh interpreter, from the library numpy loaded
-OPENBLAS_THREADS = """
-import ctypes, numpy
-libs = {line.split()[-1] for line in open("/proc/self/maps") if "openblas" in line.lower()}
-for lib in map(ctypes.CDLL, sorted(libs)):
-    for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                 "openblas_get_num_threads"):
-        if hasattr(lib, name):
-            print(getattr(lib, name)())
-            raise SystemExit
-print("unknown")
+# BLAS's default thread count in a fresh interpreter, through surropt's own lookup
+DEFAULT_THREADS = """
+from surropt.core import _blas_thread_calls
+calls = _blas_thread_calls()
+print(calls[1]() if calls else "unknown")
 """
+REPO_SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def default_env() -> dict:
@@ -82,7 +77,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True, help="JSON report path")
     args = parser.parse_args(argv)
 
-    threads = subprocess.run([sys.executable, "-c", OPENBLAS_THREADS], env=default_env(),
+    env = dict(default_env(), PYTHONPATH=str(REPO_SRC))
+    threads = subprocess.run([sys.executable, "-c", DEFAULT_THREADS], env=env,
                              capture_output=True, text=True, check=True).stdout.strip()
     report = {
         "command": "surropt run --suite <s> --reps 5 --seed 42",
