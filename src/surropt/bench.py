@@ -35,6 +35,7 @@ import csv
 import io
 import json
 import logging
+import os
 import platform
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
@@ -396,10 +397,13 @@ def _score_table(config: BenchmarkConfig, problems, runs, status) -> ScoreTable:
     )
 
 
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_POOL_THREADS = dict.fromkeys(_BLAS_THREADS, "1")  # the environment a pool worker starts in
+
+
 def _provenance(jobs: int) -> dict:
     """The Python, numpy and BLAS versions, ``jobs`` and the BLAS thread count
-    the cells run on: 1 where ``run_optimizer`` can pin it, else "unpinned",
-    since a fit's rounding can depend on the count."""
+    the cells run on: 1, or "unpinned" where ``run_optimizer`` cannot pin it."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = {"name": blas["name"], "version": blas["version"]}
@@ -416,20 +420,28 @@ def _provenance(jobs: int) -> dict:
 
 @contextmanager
 def _cell_pool(jobs: int):
-    """A pool of ``jobs`` worker processes, each with the kept heap.
+    """A pool of ``jobs`` worker processes, each on one BLAS thread with the kept heap.
 
-    Workers are spawned, not forked: a fork copies a process whose BLAS may
-    hold threads of its own, and a spawned worker starts from a fresh import.
-    ``run_optimizer`` holds each cell at one BLAS thread in the worker as it
-    does in the caller. Keep ``spawn`` unless ``fork`` is shown to give the
-    same bytes and to be faster.
+    Workers are spawned (keep ``spawn`` unless ``fork`` is shown to give the
+    same bytes and to be faster) under an environment that holds their BLAS
+    at one thread while the pool is open. The bytes rest on ``run_optimizer``'s
+    pin; this keeps a worker's BLAS from starting idle threads (see README).
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("spawn"),
-                             initializer=_keep_heap) as pool:
-        yield pool
+    saved = {name: os.environ.get(name) for name in _BLAS_THREADS}
+    os.environ.update(_POOL_THREADS)
+    try:
+        with ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("spawn"),
+                                 initializer=_keep_heap) as pool:
+            yield pool
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
 
 
 def run_benchmark(

@@ -59,11 +59,10 @@ _MMAP_THRESHOLD_BYTES = 4 << 20
 _TRIM_THRESHOLD_BYTES = 32 << 20
 
 # The (set, get) thread-count functions numpy's BLAS may export: OpenBLAS as
-# numpy's wheels build it (scipy-openblas, 64- and 32-bit integers), as Linux
-# distributions build it (with and without the 64-bit suffix), and MKL.
+# numpy's wheels build it (scipy-openblas64), as Linux distributions build it
+# (with and without the 64-bit suffix), and MKL.
 _BLAS_THREAD_SYMBOLS = (
     ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
-    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
     ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
     ("openblas_set_num_threads", "openblas_get_num_threads"),
     ("MKL_Set_Num_Threads", "MKL_Get_Max_Threads"),
@@ -387,8 +386,10 @@ def _blas_thread_calls():
     None where it exports none of ``_BLAS_THREAD_SYMBOLS`` (Accelerate, BLIS).
 
     Looked up on first use, never on import. The symbols are found through
-    numpy's own extension module, whose handle also resolves the BLAS library
-    it links against, so the library pinned is the one numpy calls.
+    numpy's own extension module, whose handle on Linux also resolves the
+    BLAS library it links against, so the library pinned is the one numpy
+    calls. Checked on Linux only: on Windows a module's handle resolves its
+    own exports alone, so there the lookup is expected to find nothing.
     """
     try:
         from numpy._core import _multiarray_umath  # numpy 2
