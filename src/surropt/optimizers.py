@@ -20,9 +20,11 @@ They share one public step, ``trust_region_step(kind, ...)``, which the
 runner calls too, and one runner loop. All inner argmins use the same
 derivative-free candidate-pool search (seeded pool + analytic Newton/Cauchy
 candidates + coordinate pattern refinement), so every step operation is a
-pure function of (data, state, seed). The refinement evaluates its step
-levels ahead, several per call as one stack of batches, and takes the moves
-that one level per call would take, bit for bit.
+pure function of (data, state, seed). A box pool is a Latin hypercube; a
+ball pool is one cached set of unit directions under a fresh random
+rotation, with fresh radii. The refinement evaluates its step levels ahead,
+several per call as one stack of batches, and takes the moves that one
+level per call would take, bit for bit.
 
 Each method runs at one fixed setting: LCB weight gamma = 2; a search pool
 of 100 * n_x candidates refined by at most 20 pattern steps, none of them
@@ -35,6 +37,7 @@ max_i g_i <= 1e-3.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -196,18 +199,42 @@ def _project(X, bounds: Bounds, center=None, radius=None) -> np.ndarray:
     return X
 
 
-def _ball_candidates(center, radius, bounds, n, rng):
-    d = center.size
-    directions = rng.standard_normal((n, d))
-    norms = np.linalg.norm(directions, axis=1, keepdims=True)
+@functools.lru_cache(maxsize=None)
+def _ball_directions(n: int, d: int) -> np.ndarray:
+    """n unit directions in R^d, uniform on the sphere (normal rows, normed).
+
+    Drawn once per (n, d) from a stream of a constant seed, and read-only,
+    since every ball search of that size turns the same set.
+    """
+    U = substream(0, "ball-directions", n, d).standard_normal((n, d))
+    norms = np.linalg.norm(U, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
+    U /= norms
+    U.flags.writeable = False
+    return U
+
+
+def _ball_candidates(center, radius, bounds, n, rng):
+    """n points uniform in the ball around ``center``, clipped into the box.
+
+    The cached directions ``_ball_directions(n, d)`` are turned by one Haar
+    rotation Q, the QR of a d x d normal matrix with each column's sign set
+    by diag(R) (Mezzadri 2007), and scaled by fresh radii radius * u^(1/d).
+    ``rng`` gives the d x d normals, then the n uniforms. Each row is
+    uniform in the ball and each call independent of the others; the rows
+    of one call keep the angles between the cached directions.
+    """
+    d = center.size
+    Q, R = np.linalg.qr(rng.standard_normal((d, d)))
+    Q *= np.copysign(1.0, np.diagonal(R))
     radii = radius * rng.uniform(size=(n, 1)) ** (1.0 / d)
-    # in place on the one (n, d) buffer: the same operations in the same
-    # order as center + directions / norms * radii, so the same bytes
-    directions /= norms
-    directions *= radii
-    directions += center
-    return np.clip(directions, bounds.lower, bounds.upper, out=directions)
+    # in place on the one (n, d) product: the same values as
+    # np.clip(center + radii * (U @ Q), lower, upper), NaN included
+    X = _ball_directions(n, d) @ Q
+    X *= radii
+    X += center
+    np.maximum(X, bounds.lower, out=X)
+    return np.minimum(X, bounds.upper, out=X)
 
 
 def _pool_minimize(
@@ -222,9 +249,10 @@ def _pool_minimize(
 
     ``keys_fn`` maps an (L, m, d) stack of candidate batches to (primary,
     secondary) arrays of shape (L, m). A seeded pool of 100 * d candidates
-    (a Latin hypercube, or uniform draws in the ball around ``center``), plus
-    ``extra``, is ranked as a stack of one. Its best point x is refined by
-    at most ``_REFINE_STEPS`` pattern steps: x moves to the best of its 2d
+    (a Latin hypercube, or ``_ball_candidates``: the cached directions
+    rotated and scaled to uniform points in the ball around ``center``),
+    plus ``extra``, is ranked as a stack of one. Its best point x is refined
+    by at most ``_REFINE_STEPS`` pattern steps: x moves to the best of its 2d
     trials x +/- step * e_j if that beats x's key, and otherwise the step
     halves. The step starts at radius/4 in a ball and at a tenth of the
     widest box side in a box. A ball search stops once the step falls below

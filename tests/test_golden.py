@@ -68,14 +68,14 @@ GOLDEN = {
     ("quadratic-d2", "dycors", 1, 10): "605b845cce6c372b30a9a953272180c361439e339333ac0e9657932c77890dab",
     ("levy-d5", "bo", 0, 13): "31f0a8a42180d690605ec0e8e416d038279487475d1b692603d007a573a89ab6",
     ("levy-d5", "bo", 1, 13): "12c5344196bcc68be05e401022547559f26854449e4e5eefa4b965a7679db58e",
-    ("levy-d5", "lsqm", 0, 13): "948bf9d793b9df6c81286ff433fb69e863e2b0d3b73972695e3abc7bb82441ce",
-    ("levy-d5", "lsqm", 1, 13): "08ed14c8feb72f7b81ad4e9e2faf2e959be64deeb70514bcd83c440e6098d640",
-    ("levy-d5", "cuatro", 0, 13): "948bf9d793b9df6c81286ff433fb69e863e2b0d3b73972695e3abc7bb82441ce",
-    ("levy-d5", "cuatro", 1, 13): "08ed14c8feb72f7b81ad4e9e2faf2e959be64deeb70514bcd83c440e6098d640",
+    ("levy-d5", "lsqm", 0, 13): "62f6011504ab338fba3cd44a458b5ea69e8d59fde0d99e042da970319cc3820c",
+    ("levy-d5", "lsqm", 1, 13): "c0b5c2c8d319902e26fb066756fe807e366a5dc2a49a39c4e559b1c962177bdd",
+    ("levy-d5", "cuatro", 0, 13): "62f6011504ab338fba3cd44a458b5ea69e8d59fde0d99e042da970319cc3820c",
+    ("levy-d5", "cuatro", 1, 13): "c0b5c2c8d319902e26fb066756fe807e366a5dc2a49a39c4e559b1c962177bdd",
     ("levy-d5", "cobyla", 0, 13): "010b8ee16e6cf9a646a8d0185b8b2f4344e3400e464a035d4b58db7ce3017cce",
     ("levy-d5", "cobyla", 1, 13): "efa3bf8afb70bae0439336155945f2d7dbb0cda7685d4ae66cdf58e49623fb9b",
-    ("levy-d5", "cobyqa", 0, 13): "79e0e8a2719b14c63d8a03836924a13999b26b3025bc125feab761232cde8be2",
-    ("levy-d5", "cobyqa", 1, 13): "a1592191896f0041cfb5c2ffd4100199ca1f0e3c76e737b1b9482a6f6869745e",
+    ("levy-d5", "cobyqa", 0, 13): "30b7b01bdc928c3b78b3eafc42fc46cd0976514c972fe20a48b91c49b774319b",
+    ("levy-d5", "cobyqa", 1, 13): "aae0523beebe6d542ad4e52c8569ed0e6f4b04c415de55ca5b29e3d89508fc13",
     ("levy-d5", "dycors", 0, 13): "e57922a9d4ec2b0741498c8513427397323fd45500af2ed586c229fce117373e",
     ("levy-d5", "dycors", 1, 13): "62a4b3c8b35df53e0e4055cabd6d2f2b09fe20abc97866a70cf551b814e15e0b",
     ("matyas-c", "bo", 0, 10): "fec26f377f7945016399ef895982f19d33682e5b9f1d1ba4870098e0a1081666",
@@ -84,29 +84,29 @@ GOLDEN = {
     ("matyas-c", "cbo", 1, 10): "1ef9243bb61040be180c3f2d971b6a9d70391e86e148aae830a26c0a0ff05af6",
     ("matyas-c", "lsqm", 0, 10): "3f2734f40114b40f9b53a8ea1f8bbf0f625221741d8f7ab1128c6ea3ad9a8a64",
     ("matyas-c", "lsqm", 1, 10): "e45b3a97e0f468c2495a5a133f13b2feeb045f6521ada82da6dc0d6cad23556a",
-    ("matyas-c", "cuatro", 0, 10): "2aeb4b9c321364a45dc66ba30649ea5feac0196c92a6d797fd5412f2bd3762d7",
-    ("matyas-c", "cuatro", 1, 10): "84f2811e356ab3b2e918a7f534bfc5c2d1625e6aafbb713735149b5a203bc1cb",
-    ("matyas-c", "cobyla", 0, 10): "6a2ef7fac9a64edba7bda2342a07c4abae5bde742c1f7fcb81c9923053e0ba88",
+    ("matyas-c", "cuatro", 0, 10): "7a7024ddc38a3c0003f030b12ab30f6d5df3d6b9ddf121f259ab5885d0b8d43c",
+    ("matyas-c", "cuatro", 1, 10): "e0d1af1e763ed74e1f9d6ad2cb08cc70713c774bb850f9110fd7dfe8bda21357",
+    ("matyas-c", "cobyla", 0, 10): "9c4355a5e79ee34cba9ef1b315ed49e47df0b54da31918ddcdfae4bf9fbe066f",
     ("matyas-c", "cobyla", 1, 10): "4a75b352edad7edc49b44eb4474f7c90d94e9e41208aed4d4d5e54e82b862563",
-    ("matyas-c", "cobyqa", 0, 10): "e4620b7d75d1f9c6bac9deafbf982029587a168b195329c31ec28f5095e34a67",
-    ("matyas-c", "cobyqa", 1, 10): "ddc30eb4bcfb2bbb7e95f0060ac02563bfc606dd4d1436ff14550e9632555a3e",
+    ("matyas-c", "cobyqa", 0, 10): "173a48dc5c848fd7cef87714e535054916b8a7d138500c21bb5efaae71ba86a2",
+    ("matyas-c", "cobyqa", 1, 10): "fe9d1b722923fa465f452cda72c413cf0fb344a980fc3a2c00b71c74095918b7",
     ("matyas-c", "dycors", 0, 10): "4781936fb9f6d21e999cf3c75f8ff8d3157553219a3dfb1af0d626e272dc6ee2",
     ("matyas-c", "dycors", 1, 10): "f8b76693852ee3599f5c479b9cd7acf36fadce69d5ced296645faab943c8ebf1",
     ("williams-otto", "bo", 0, 10): "bac0a90c49a93ef52e1b0b7ce659e11e38b0e9421dd5760fbee2f35a6ae602ba",
     ("williams-otto", "bo", 1, 10): "be0f888e9cc825caa9b48beb3c7dd0b0df8d9dc49d2ba9ed899cf6b36b8b0d8b",
     ("williams-otto", "cbo", 0, 10): "8567c42eabcbc3f33929ddffa2a8822060afe9e3403887a5bc8be555d5e686bc",
     ("williams-otto", "cbo", 1, 10): "84dc71529715293409b158ca3fafe83bced7e610ce18fe12aec5413a385f4860",
-    ("williams-otto", "lsqm", 0, 10): "5d1aa4df662e329a0603bea698a720fd9fa35c3708c0d1eb9cb2665b8a2169f4",
-    ("williams-otto", "lsqm", 1, 10): "8104f8c217d1c63cde8f7a640ca2b4d70d87920e02bee44b730a553cd05f47ca",
-    ("williams-otto", "cuatro", 0, 10): "dfa16669e21aa4664d1e6f1fbc22951653d371bde6b7ae85b402b03f5a7697d8",
-    ("williams-otto", "cuatro", 1, 10): "67301bb06d773b8d6655614f6fc11244df2bab03a409268223c734f7e925e9d1",
-    ("williams-otto", "cobyla", 0, 10): "8f9018971d8498f131ea831e64df7366e4320be3dbde8491073e453c9b64b720",
-    ("williams-otto", "cobyla", 1, 10): "98fd7a4764cb9ee2d02453d5d2c7c74f4811bfdb702c18f5f61dbbd191422754",
-    ("williams-otto", "cobyqa", 0, 10): "3967332c25612ea08304cd16d507118f084ba9aee73b1064182e6006a850f7e6",
-    ("williams-otto", "cobyqa", 1, 10): "f418835931feb3b076590b9bc087005e88e3f85ddeebc7c92d4e3b6e88b229ba",
+    ("williams-otto", "lsqm", 0, 10): "2a350ef0cf2198aba5872f72f6a63bbafe18b9df89ea31f1a1cd9d1fbc61a049",
+    ("williams-otto", "lsqm", 1, 10): "a08ffbbc0973dd255c5e3445b39494b771cdb1f446cf495b0d20df2a10931712",
+    ("williams-otto", "cuatro", 0, 10): "c3657362989418cec2dd24796d8d6c6fddbf0197348b7576049e38335ee8c576",
+    ("williams-otto", "cuatro", 1, 10): "c402229b01db083b9ebe50fcb807a5dda62fd73fdc44c8022aed827c8754aa8f",
+    ("williams-otto", "cobyla", 0, 10): "186d0726e762763b178da3801dc4cd3f1069a9ac676daa8052e321e741ef8935",
+    ("williams-otto", "cobyla", 1, 10): "8557f5e4ac52a600d3d13ee18a5f2ac6e59f94cf4d07d0aab5cbcdddfdf84486",
+    ("williams-otto", "cobyqa", 0, 10): "2911333cc1378438de4421b033c2aa6199dcb94d412f391918536aa541b3f9dc",
+    ("williams-otto", "cobyqa", 1, 10): "6e91b0ae69c8f5e99f24815e53df98b4f9b3aec408d16f6f30cd351defcfe1ea",
     ("williams-otto", "dycors", 0, 10): "9d16e0608071ba286399a5852c27088a59abe0577ae2e6a5a376103003f2e21e",
     ("williams-otto", "dycors", 1, 10): "46c8f1d5d183fd993cb5ad9762dbe285d3ced6ce4a655631e2fc8c4d23e38aeb",
-    ("matyas-c", "cobyla", 1, 32): "90d8d93cf2de47c0eb896a2444144c8275d7c5f2bf72edfe60a85cd564c8fe0c",
+    ("matyas-c", "cobyla", 1, 32): "9d3dbd214657f49a4473c03a30e0e01da8be3c7e7f5b0cdbf129ff038624eae3",
     ("ackley-d10", "dycors", 0, 30): "30c68d1bb4ae617433952eff50393e1c8fa5c85c5a9f04773e5d9408219c4302",
     ("ackley-d10", "dycors", 1, 30): "e87d6c6b23c30fc410d19ed78534f2d6a88700d3c86d0acb977f39aae58c9e39",
 }

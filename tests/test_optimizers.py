@@ -99,13 +99,13 @@ def test_batched_project_matches_per_row_bit_for_bit(seed, d, m):
 
 
 def _ball_candidates_reference(center, radius, bounds, n, rng):
-    """The ball pool as one out-of-place expression, as it was written first."""
+    """The ball pool as one out-of-place expression: the cached directions
+    turned by the sign-fixed Q of a normal matrix's QR, scaled by fresh radii."""
     d = center.size
-    directions = rng.standard_normal((n, d))
-    norms = np.linalg.norm(directions, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
+    Q, R = np.linalg.qr(rng.standard_normal((d, d)))
+    Q = Q * np.copysign(1.0, np.diagonal(R))
     radii = radius * rng.uniform(size=(n, 1)) ** (1.0 / d)
-    X = center + directions / norms * radii
+    X = center + radii * (optimizers._ball_directions(n, d) @ Q)
     return np.clip(X, bounds.lower, bounds.upper)
 
 
@@ -123,6 +123,78 @@ def test_ball_candidates_in_place_match_the_formula(d, seed):
         reference = _ball_candidates_reference(center, radius, bounds, n, substream(seed, "pool"))
         assert pool.shape == (n, d)
         assert pool.tobytes() == reference.tobytes()
+
+
+_BALL_SEEDS = range(200)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 32])
+def test_ball_candidates_lie_in_the_ball_and_the_box(d):
+    rng = np.random.default_rng(d)
+    bounds = Bounds(-np.ones(d), np.ones(d))
+    for seed in _BALL_SEEDS:
+        # centres near a face and radii up to twice the box, so the clip acts
+        center = rng.uniform(-1.0, 1.0, d)
+        radius = float(10.0 ** rng.uniform(-3.0, 0.3))
+        pool = optimizers._ball_candidates(center, radius, bounds, 100 * d, substream(seed, "pool"))
+        assert np.all((bounds.lower <= pool) & (pool <= bounds.upper))
+        assert np.max(np.linalg.norm(pool - center, axis=1)) <= radius * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 32])
+def test_ball_candidates_are_uniform_in_the_ball(d):
+    # a ball well inside the box, so no row is clipped: over 200 seeds the
+    # radii follow P(r <= t) = (t/R)^d, and each coordinate has mean 0 and
+    # variance R^2 / (d + 2). At these seeds sqrt(N) * KS reads 0.69-1.23
+    # (bound: 1.95, Kolmogorov's 0.1% point), |mean| / R at most 0.0040 and
+    # the variance's relative error at most 0.013.
+    n, R = 100 * d, 0.7
+    bounds = Bounds(np.full(d, -10.0), np.full(d, 10.0))
+    center = np.full(d, 0.25)
+    radii, sums, squares = [], np.zeros(d), np.zeros(d)
+    for seed in _BALL_SEEDS:
+        D = optimizers._ball_candidates(center, R, bounds, n, substream(seed, "pool")) - center
+        radii.append(np.sqrt(np.sum(D**2, axis=1)))
+        sums += D.sum(axis=0)
+        squares += np.sum(D**2, axis=0)
+    u = np.sort((np.concatenate(radii) / R) ** d)
+    N = u.size
+    k = np.arange(1, N + 1)
+    assert np.sqrt(N) * max(np.max(k / N - u), np.max(u - (k - 1) / N)) <= 1.95
+    assert np.max(np.abs(sums / N)) <= 0.01 * R
+    assert np.max(np.abs(squares / N * (d + 2) / R**2 - 1.0)) <= 0.03
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 32])
+def test_ball_candidates_same_seed_same_bytes(d):
+    bounds = Bounds(-np.ones(d), np.ones(d))
+    center = np.full(d, 0.1)
+
+    def pool(seed):
+        return optimizers._ball_candidates(center, 0.5, bounds, 100 * d, substream(seed, "pool"))
+
+    assert pool(3).tobytes() == pool(3).tobytes()
+    # at d = 1 the rotation is +-1, but the radii are fresh: the pool is not
+    # one of the two sign flips of a fixed set
+    a, b = pool(0) - center, pool(1) - center
+    assert a.tobytes() != b.tobytes() and a.tobytes() != (-b).tobytes()
+
+
+def test_ball_directions_are_cached_read_only_unit_rows():
+    U = optimizers._ball_directions(3200, 32)
+    assert U is optimizers._ball_directions(3200, 32)
+    assert U.shape == (3200, 32) and not U.flags.writeable
+    assert np.allclose(np.linalg.norm(U, axis=1), 1.0, rtol=0, atol=1e-14)
+    with pytest.raises(ValueError):
+        U[0, 0] = 0.0
+    # a caller may write to a pool it was given: the next call is unchanged
+    bounds = Bounds(-np.ones(32), np.ones(32))
+    center = np.zeros(32)
+    first = optimizers._ball_candidates(center, 0.5, bounds, 3200, substream(0, "pool"))
+    expected = first.tobytes()
+    first[:] = 7.0
+    again = optimizers._ball_candidates(center, 0.5, bounds, 3200, substream(0, "pool"))
+    assert again.tobytes() == expected
 
 
 # ---------------------------------------------------------------- _pool_minimize

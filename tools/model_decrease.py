@@ -1,0 +1,169 @@
+"""The trust-region pool's share of the exact model decrease, for two source trees.
+
+    python3 tools/model_decrease.py PARENT_SRC CHANGE_SRC --out share.json
+
+The steps are every step of `lsqm` runs on ackley, levy and rosenbrock at
+d = 2, 5 and 7 (the unconstrained suite's budgets: 20, 50, 80), seeds 0, 1
+and 2, as the parent tree's package makes them. A child process records
+each step's data, trust region and seed once; one child per tree then
+repeats every recorded step with that tree's `trust_region_step`, so both
+trees search the same steps. Children run with one BLAS thread.
+
+A step's share is (m(c) - m(x)) / (m(c) - m*), for its convex (PSD)
+quadratic model m, centre c and searched point x. m* is the least model
+value over the ball and the box: SLSQP with the analytic gradient, started
+from the centre and from each tree's x, or a searched point where that is
+lower. A step whose exact decrease is below 1e-12 (1 + |m(c)|) is not
+scored. The report counts the steps where the two trees searched the same
+point, and where the change's share is higher or lower; and gives each
+tree's least share, 1st and 5th percentiles, median, mean, and the count
+below 0.997 and below 0.99.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import pickle
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+PROBLEMS = [f"{f}-d{d}" for f in ("ackley", "levy", "rosenbrock") for d in (2, 5, 7)]
+BUDGETS = {2: 20, 5: 50, 7: 80}
+SEEDS = (0, 1, 2)
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# child: run lsqm and record each step's arguments and model
+RECORD = """
+import json, pickle, sys
+from surropt import optimizers
+from surropt.core import Dataset
+from surropt.problems import get_problem
+from surropt.surrogates import fit_quadratic
+steps = []
+step = optimizers.trust_region_step
+def recorded(kind, data, bounds, tr, penalties=None, seed=0):
+    m = fit_quadratic(Dataset(data.X, data.y), psd=True)
+    steps.append({"X": data.X.copy(), "y": data.y.copy(), "G": data.G.copy(),
+                  "lower": bounds.lower, "upper": bounds.upper,
+                  "tr": (tr.center.copy(), tr.radius, tr.min_radius, tr.max_radius),
+                  "penalties": penalties, "seed": seed, "model": (m.Q, m.c, m.b)})
+    return step(kind, data, bounds, tr, penalties, seed)
+optimizers.trust_region_step = recorded
+for key, budget, seed in json.loads(sys.argv[2]):
+    optimizers.run_optimizer("lsqm", get_problem(key), budget, seed)
+with open(sys.argv[1], "wb") as f:
+    pickle.dump(steps, f)
+"""
+
+# child: search every recorded step with this tree's trust_region_step
+SEARCH = """
+import pickle, sys
+import numpy as np
+from surropt.core import Bounds, Dataset
+from surropt.optimizers import TrustRegionState, trust_region_step
+with open(sys.argv[1], "rb") as f:
+    steps = pickle.load(f)
+xs = []
+for s in steps:
+    center, radius, lo, hi = s["tr"]
+    tr = TrustRegionState(center=center, radius=radius, min_radius=lo, max_radius=hi)
+    data, bounds = Dataset(s["X"], s["y"], s["G"]), Bounds(s["lower"], s["upper"])
+    xs.append(trust_region_step("lsqm", data, bounds, tr, s["penalties"], s["seed"]).x)
+np.save(sys.argv[2], np.array(xs, dtype=object), allow_pickle=True)
+"""
+
+
+def child(src: Path, code: str, *args: str) -> None:
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    env.update(dict.fromkeys(BLAS_THREADS, "1"), PYTHONPATH=str(src))
+    subprocess.run([sys.executable, "-c", code, *args], env=env, check=True)
+
+
+def model_value(model, x) -> float:
+    Q, c, b = model
+    return float(x @ Q @ x + c @ x + b)
+
+
+def exact_minimum(model, center, radius, lower, upper, starts) -> float:
+    from scipy.optimize import minimize
+
+    Q, c, _ = model
+    ball = {"type": "ineq", "fun": lambda x: radius**2 - np.sum((x - center) ** 2),
+            "jac": lambda x: -2.0 * (x - center)}
+    best = min(model_value(model, x) for x in starts)
+    for x0 in starts:
+        res = minimize(lambda x: model_value(model, x), x0, jac=lambda x: 2.0 * Q @ x + c, method="SLSQP",
+                       bounds=list(zip(lower, upper)), constraints=[ball],
+                       options={"ftol": 1e-15, "maxiter": 500})
+        x = np.clip(res.x, lower, upper)
+        if np.linalg.norm(x - center) <= radius * (1.0 + 1e-9):
+            best = min(best, model_value(model, x))
+    return best
+
+
+def summary(shares: np.ndarray) -> dict:
+    return {
+        "min": float(shares.min()),
+        "p1": float(np.percentile(shares, 1)),
+        "p5": float(np.percentile(shares, 5)),
+        "median": float(np.median(shares)),
+        "mean": float(shares.mean()),
+        "below_0.997": int(np.sum(shares < 0.997)),
+        "below_0.99": int(np.sum(shares < 0.99)),
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path, help="src/ directory of the parent tree")
+    parser.add_argument("change", type=Path, help="src/ directory of the changed tree")
+    parser.add_argument("--out", type=Path, required=True, help="JSON report path")
+    args = parser.parse_args(argv)
+
+    cases = [(key, BUDGETS[int(key.rsplit("-d", 1)[1])], seed)
+             for key in PROBLEMS for seed in SEEDS]
+    with tempfile.TemporaryDirectory() as tmp:
+        recorded = Path(tmp) / "steps.pkl"
+        child(args.parent, RECORD, str(recorded), json.dumps(cases))
+        with open(recorded, "rb") as f:
+            steps = pickle.load(f)
+        xs = {}
+        for side in ("parent", "change"):
+            out = Path(tmp) / f"{side}.npy"
+            child(getattr(args, side), SEARCH, str(recorded), str(out))
+            xs[side] = list(np.load(out, allow_pickle=True))
+
+    shares = {"parent": [], "change": []}
+    for k, s in enumerate(steps):
+        center, radius = s["tr"][0], s["tr"][1]
+        points = [xs["parent"][k], xs["change"][k]]
+        m_center = model_value(s["model"], center)
+        exact = m_center - exact_minimum(s["model"], center, radius, s["lower"], s["upper"],
+                                         [center, *points])
+        if exact < 1e-12 * (1.0 + abs(m_center)):
+            continue
+        for side, x in zip(shares, points):
+            shares[side].append((m_center - model_value(s["model"], x)) / exact)
+
+    report = {
+        "steps": len(steps),
+        "scored": len(shares["parent"]),
+        "same_point": sum(xs["parent"][k].tobytes() == xs["change"][k].tobytes()
+                          for k in range(len(steps))),
+        "change_higher": int(np.sum(np.array(shares["change"]) > np.array(shares["parent"]))),
+        "change_lower": int(np.sum(np.array(shares["change"]) < np.array(shares["parent"]))),
+        **{side: summary(np.array(v)) for side, v in shares.items()},
+    }
+    args.out.write_text(json.dumps(report, indent=1) + "\n")
+    print(json.dumps(report, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
