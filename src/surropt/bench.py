@@ -9,8 +9,10 @@ iteration by
     r = (worst_mean - mean) / (worst_mean - best_mean)
 
 so 1 is the best performer and 0 the worst; p is the mean of r over
-iterations. Feasibility metrics count evaluations that ``core.feasible``
-rejects, the rule the optimizers judge their own samples by.
+iterations. Each mean is its iteration's column mean, the value
+convergence.csv writes, so r and p re-derive from that file. Feasibility
+metrics count evaluations that ``core.feasible`` rejects, the rule the
+optimizers judge their own samples by.
 
 Artifacts, written by ``run_benchmark`` for any caller with an ``out_dir``:
 ``manifest.json`` first, then ``<out>/<suite>/<problem>/<algorithm>/rep<k>.csv``
@@ -164,17 +166,14 @@ def score_p(r_values) -> float:
     return float(np.mean(r))
 
 
-def count_violations(trajectory):
-    """(feasible_fraction, mean_violation) for a trajectory or raw G array.
+def count_violations(G):
+    """(feasible_fraction, mean_violation) of the G rows, one per evaluation.
 
     An evaluation violates when ``core.feasible`` rejects it (max_i g_i above
     ``VIOLATION_THRESHOLD``); the mean violation averages max_i g_i over
     violating evaluations only (0 when none).
     """
-    if isinstance(trajectory, Trajectory):
-        G = trajectory.gs
-    else:
-        G = np.atleast_2d(np.asarray(trajectory, dtype=float))
+    G = np.atleast_2d(np.asarray(G, dtype=float))
     violating = ~feasible(G)
     if not violating.any():  # also no evaluations or no constraints
         return 1.0, 0.0
@@ -303,7 +302,7 @@ def _fmt(x: float) -> str:
 
 def _write_rep_csv(path: Path, traj: Trajectory) -> None:
     X, y, G = traj.xs, traj.ys, traj.gs
-    bsf = best_so_far(traj)
+    bsf = best_so_far(y)
     d, n_g = X.shape[1], G.shape[1]
     header = (
         ["iteration"]
@@ -357,40 +356,37 @@ def _score_table(config: BenchmarkConfig, problems, runs, status) -> ScoreTable:
 
     ``runs`` maps (key, algo, rep) to the y values and the G rows of each
     repetition that ran; each is scored on its best-so-far curve after the
-    warm-up, whose running minimum still counts the warm-up.
+    warm-up, whose running minimum still counts the warm-up. Per problem, one
+    pass over the algorithms in sorted order takes r, p, the feasibility
+    metrics and the convergence rows from one mean curve per algorithm: each
+    iteration's own column mean, the value convergence.csv writes.
     """
     n_effective, r_all, p_all, feas, mviol, convergence = {}, {}, {}, {}, {}, []
     for key, dim, n_e, n_c in problems:
-        per_algo, G_rows = {}, {}
-        for algo in config.algorithms:
-            cells = [runs[key, algo, rep] for rep in range(config.repetitions)
-                     if (key, algo, rep) in runs]
-            if cells:
-                per_algo[algo] = np.array([best_so_far(y)[n_c:] for y, _ in cells])
-                G_rows[algo] = np.vstack([G for _, G in cells])
-        if not per_algo:
+        ran = {algo: [runs[key, algo, rep] for rep in range(config.repetitions)
+                      if (key, algo, rep) in runs] for algo in sorted(config.algorithms)}
+        curves = {algo: np.array([best_so_far(y)[n_c:] for y, _ in cells])
+                  for algo, cells in ran.items() if cells}
+        if not curves:
             continue
-        n = next(iter(per_algo.values())).shape[1]
-        n_effective[key] = n
-        mean_curves = {a: c.mean(axis=0) for a, c in per_algo.items()}
-        stacked = np.array([mean_curves[a] for a in sorted(mean_curves)])
-        worst = stacked.max(axis=0)
-        best = stacked.min(axis=0)
-        for algo, mc in mean_curves.items():
-            r = np.array([score_r(worst[k], best[k], mc[k]) for k in range(n)])
-            r_all[(key, algo)] = r
-            p_all[(key, algo)] = score_p(r)
-            feas[(key, algo)], mviol[(key, algo)] = count_violations(G_rows[algo])
-        for algo in sorted(per_algo):
-            c = per_algo[algo]
+        # a mean along the contiguous axis sums each column as c[:, k].mean() does;
+        # c.mean(axis=0) sums in another order and rounds differently from 8 reps on
+        means = {algo: np.ascontiguousarray(c.T).mean(axis=1) for algo, c in curves.items()}
+        stacked = np.array(list(means.values()))
+        worst, best = stacked.max(axis=0), stacked.min(axis=0)
+        n = n_effective[key] = stacked.shape[1]
+        for algo, c in curves.items():
+            mc = means[algo]
+            r = r_all[key, algo] = np.array([score_r(worst[k], best[k], mc[k]) for k in range(n)])
+            p_all[key, algo] = score_p(r)
+            feas[key, algo], mviol[key, algo] = count_violations(
+                np.vstack([G for _, G in ran[algo]]))
             # one call per quantile: np.percentile(c, [10, 90], axis=0) partitions for
             # both at once, and where a column holds 0.0 and -0.0 it can return the
             # other zero than the call on that column alone
             lo, hi = np.percentile(c, 10, axis=0), np.percentile(c, 90, axis=0)
-            for k in range(n):
-                convergence.append(
-                    (key, algo, k + 1, float(c[:, k].mean()), float(lo[k]), float(hi[k]))
-                )
+            convergence += [(key, algo, k + 1, float(mc[k]), float(lo[k]), float(hi[k]))
+                            for k in range(n)]
     return ScoreTable(
         config.suite, [k for k, *_ in problems], list(config.algorithms), n_effective,
         r_all, p_all, feas, mviol, convergence=convergence, cell_status=status,

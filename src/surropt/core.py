@@ -346,14 +346,9 @@ def evaluate(
     return ev
 
 
-def best_so_far(trajectory) -> np.ndarray:
-    """Running minimum of observed objective values.
-
-    Accepts a :class:`Trajectory` or a plain sequence of values.
-    """
-    ys = trajectory.ys if isinstance(trajectory, Trajectory) else np.asarray(
-        trajectory, dtype=float
-    )
+def best_so_far(ys) -> np.ndarray:
+    """Running minimum of a sequence of observed objective values."""
+    ys = np.asarray(ys, dtype=float)
     if ys.size == 0:
         raise ConfigError("best_so_far needs a non-empty trajectory")
     return np.minimum.accumulate(ys)

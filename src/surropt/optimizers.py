@@ -807,7 +807,6 @@ def _make_strategy(algorithm: str, bounds: Bounds, data: Dataset, budget: int):
     return _BoStrategy(bounds, constrained=algorithm == "cbo")
 
 
-@_one_blas_thread()
 def run_optimizer(algorithm: str, problem: Problem, budget: int, seed: int) -> Trajectory:
     """Run one optimizer for exactly ``budget`` evaluations.
 
@@ -826,34 +825,38 @@ def run_optimizer(algorithm: str, problem: Problem, budget: int, seed: int) -> T
 
     The whole run holds numpy's BLAS at one thread and then restores the
     caller's count (``core._one_blas_thread``), so the trajectory is the same
-    at every thread setting of the caller, in a pool worker or not.
+    at every thread setting of the caller, in a pool worker or not. The pin
+    sits inside the body, not on a decorator, so a frame whose code is
+    ``run_optimizer.__code__`` holds ``algorithm``, ``problem`` and ``seed``
+    (perfbench attributes each fallback warning by them).
     """
-    check_cell(algorithm, problem, budget)
-    n_init = initial_design_size(algorithm, problem.dim)
-    traj = Trajectory(budget=budget, seed=seed)
-    noise_rng = substream(seed, "noise")
-    for x in latin_hypercube(problem.bounds, n_init, derive_seed(seed, "init")):
-        evaluate(problem, x, noise_rng, trajectory=traj)
-    strategy = _make_strategy(algorithm, problem.bounds, Dataset.from_trajectory(traj), budget)
+    with _one_blas_thread():
+        check_cell(algorithm, problem, budget)
+        n_init = initial_design_size(algorithm, problem.dim)
+        traj = Trajectory(budget=budget, seed=seed)
+        noise_rng = substream(seed, "noise")
+        for x in latin_hypercube(problem.bounds, n_init, derive_seed(seed, "init")):
+            evaluate(problem, x, noise_rng, trajectory=traj)
+        strategy = _make_strategy(algorithm, problem.bounds, Dataset.from_trajectory(traj), budget)
 
-    k = 0
-    while len(traj) < budget:
-        step_seed = derive_seed(seed, "step", k)
-        try:
-            x = strategy.propose(Dataset.from_trajectory(traj), step_seed)
-        except (SurrogateFitError, np.linalg.LinAlgError, FloatingPointError) as exc:
-            logger.warning(
-                "%s failed at iteration %d (%s); random search for remaining budget",
-                algorithm, k, exc,
-            )
-            traj.meta["fallback_at"] = len(traj) + 1
-            traj.meta["fallback_reason"] = f"{type(exc).__name__}: {exc}"
-            fb = substream(seed, "fallback")
-            while len(traj) < budget:
-                x_rand = fb.uniform(problem.bounds.lower, problem.bounds.upper)
-                evaluate(problem, x_rand, noise_rng, trajectory=traj)
-            break
-        ev = evaluate(problem, x, noise_rng, trajectory=traj)
-        strategy.update(ev.x, ev.y, ev.g)
-        k += 1
-    return traj
+        k = 0
+        while len(traj) < budget:
+            step_seed = derive_seed(seed, "step", k)
+            try:
+                x = strategy.propose(Dataset.from_trajectory(traj), step_seed)
+            except (SurrogateFitError, np.linalg.LinAlgError, FloatingPointError) as exc:
+                logger.warning(
+                    "%s failed at iteration %d (%s); random search for remaining budget",
+                    algorithm, k, exc,
+                )
+                traj.meta["fallback_at"] = len(traj) + 1
+                traj.meta["fallback_reason"] = f"{type(exc).__name__}: {exc}"
+                fb = substream(seed, "fallback")
+                while len(traj) < budget:
+                    x_rand = fb.uniform(problem.bounds.lower, problem.bounds.upper)
+                    evaluate(problem, x_rand, noise_rng, trajectory=traj)
+                break
+            ev = evaluate(problem, x, noise_rng, trajectory=traj)
+            strategy.update(ev.x, ev.y, ev.g)
+            k += 1
+        return traj

@@ -54,6 +54,24 @@ def test_convergence_band_matches_percentile_per_column(reps, n, digits, seed):
         [tuple(map(repr, row)) for row in expected]
 
 
+def test_scores_rederive_from_the_convergence_means():
+    # r and p come from the mean column convergence.csv writes; the mean over
+    # axis 0 of the reps-by-iterations array rounds differently from 8 reps on
+    rng = np.random.default_rng(34)
+    algos, reps, n = ["a", "b", "c"], 10, 12
+    config = BenchmarkConfig(algorithms=algos, problems=["p"], repetitions=reps)
+    runs = {("p", algo, rep): (1.0 + 1e-3 * rng.standard_normal(n), np.zeros((n, 0)))
+            for algo in algos for rep in range(reps)}
+    table = _score_table(config, [("p", 2, n, 0)], runs, {})
+    means = {algo: [row[3] for row in table.convergence if row[1] == algo] for algo in algos}
+    stacked = np.array([means[algo] for algo in algos])
+    worst, best = stacked.max(axis=0), stacked.min(axis=0)
+    for algo in algos:
+        r = [score_r(worst[k], best[k], means[algo][k]) for k in range(n)]
+        assert table.r["p", algo].tobytes() == np.array(r).tobytes()
+        assert repr(table.p["p", algo]) == repr(score_p(r))
+
+
 def test_score_r_worked_example():
     assert score_r(10.0, 2.0, 4.0) == 0.75
 
@@ -120,14 +138,14 @@ def test_count_violations_unconstrained():
 def test_count_violations_empty_trajectory():
     traj = Trajectory(budget=3, seed=0)
     assert traj.gs.shape == (0, 0)
-    assert count_violations(traj) == (1.0, 0.0)
+    assert count_violations(traj.gs) == (1.0, 0.0)
 
 
 def test_count_violations_trajectory_input():
     traj = Trajectory(budget=3, seed=0)
     for i, g in enumerate([0.5, -0.2, 0.003]):
         traj.append(Evaluation(index=i + 1, x=np.array([0.0]), y=1.0, g=np.array([g])))
-    feas, viol = count_violations(traj)
+    feas, viol = count_violations(traj.gs)
     assert feas == pytest.approx(1.0 / 3.0, abs=1e-15)
     assert viol == pytest.approx((0.5 + 0.003) / 2.0, abs=1e-15)
 

@@ -1,4 +1,5 @@
 import logging
+import sys
 
 import numpy as np
 import pytest
@@ -1036,6 +1037,37 @@ def test_run_optimizer_programming_error_propagates(monkeypatch):
     monkeypatch.setattr(opt, "fit_quadratic", broken)
     with pytest.raises(TypeError, match="synthetic bug"):
         run_optimizer("lsqm", get_problem("ackley-d2"), budget=12, seed=5)
+
+
+def test_fallback_warning_is_logged_from_the_run_optimizer_frame(monkeypatch):
+    # perfbench attributes a fallback to its cell by walking back from the
+    # handler to the frame whose code is run_optimizer.__code__ and reading
+    # its locals, so that frame must be the runner's own
+    class FrameLog(logging.Handler):
+        def __init__(self):
+            super().__init__(logging.WARNING)
+            self.cells = []
+
+        def emit(self, record):
+            frame = sys._getframe()
+            while frame.f_code is not run_optimizer.__code__:
+                frame = frame.f_back
+            local = frame.f_locals
+            self.cells.append((local["problem"].name, local["algorithm"], local["seed"]))
+
+    def boom(*args, **kwargs):
+        raise SurrogateFitError("synthetic failure")
+
+    monkeypatch.setattr(optimizers, "fit_quadratic", boom)
+    handler = FrameLog()
+    log = logging.getLogger("surropt.optimizers")
+    log.addHandler(handler)
+    try:
+        traj = run_optimizer("cuatro", get_problem("quadratic-d2"), budget=8, seed=0)
+    finally:
+        log.removeHandler(handler)
+    assert traj.meta["fallback_at"] == optimizers.initial_design_size("cuatro", 2) + 1
+    assert handler.cells == [("quadratic-d2", "cuatro", 0)]
 
 
 def _nan_quadratic(d=2):
