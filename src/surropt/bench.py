@@ -16,13 +16,15 @@ optimizers judge their own samples by.
 
 Artifacts, written by ``run_benchmark`` for any caller with an ``out_dir``:
 ``manifest.json`` first, then ``<out>/<suite>/<problem>/<algorithm>/rep<k>.csv``
-(one row per evaluation, floats at 17 significant digits), ``scores.json``,
-``convergence.csv``, and ``cells.json`` with per-cell statuses: ``ok``,
-``fallback@<k>: <reason>`` (random search from evaluation k on) or
-``failed: <Type>: <message>``; both name the exception type. What
-``check_cell`` refuses (an unknown algorithm, cbo without constraints, a
-budget below an initial design) the plan refuses with a ConfigError before
-anything is written, so no ``failed:`` status carries one of its errors.
+(one row per evaluation; ``np.savetxt`` writes each float at ``%.17g`` and
+``np.loadtxt`` reads back its bits), ``cells.json`` rewritten as each cell
+finishes, then ``scores.json`` and ``convergence.csv``. ``cells.json`` holds
+per-cell statuses: ``ok``, ``fallback@<k>: <reason>`` (random search from
+evaluation k on) or ``failed: <Type>: <message>``; both name the exception
+type. What ``check_cell`` refuses (an unknown algorithm, cbo without
+constraints, a budget below an initial design) the plan refuses with a
+ConfigError before anything is written, so no ``failed:`` status carries one
+of its errors.
 ``score_results`` re-scores from the CSVs' ``y`` and ``g`` columns and writes
 nothing; ``rescore_results`` also rewrites scores.json and convergence.csv
 as the run writes them, byte-identical on untouched results.
@@ -33,7 +35,6 @@ value per cell and per (problem, algorithm).
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import logging
@@ -296,57 +297,44 @@ def _run_cell(cell: Cell) -> Trajectory:
     return run_optimizer(cell.algo, get_problem(cell.key), cell.budget, cell.seed)
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % float(x)
-
-
 def _write_rep_csv(path: Path, traj: Trajectory) -> None:
-    X, y, G = traj.xs, traj.ys, traj.gs
-    bsf = best_so_far(y)
-    d, n_g = X.shape[1], G.shape[1]
-    header = (
-        ["iteration"]
-        + [f"x{i}" for i in range(d)]
-        + ["y"]
-        + [f"g{i}" for i in range(n_g)]
-        + ["best_so_far"]
-    )
+    """One row per evaluation: iteration, x, y, g and best_so_far, each float at
+    ``%.17g``, which reads back to its own bits; CRLF line ends on every platform."""
+    X, G = traj.xs, traj.gs
+    header = ["iteration", *(f"x{i}" for i in range(X.shape[1])), "y",
+              *(f"g{i}" for i in range(G.shape[1])), "best_so_far"]
+    rows = np.column_stack([np.arange(1, len(traj) + 1), X, traj.ys, G, best_so_far(traj.ys)])
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for i in range(len(traj)):
-            row = [str(i + 1)]
-            row += [_fmt(v) for v in X[i]]
-            row.append(_fmt(y[i]))
-            row += [_fmt(v) for v in G[i]]
-            row.append(_fmt(bsf[i]))
-            w.writerow(row)
+        np.savetxt(fh, rows, fmt="%.17g", delimiter=",", newline="\r\n",
+                   header=",".join(header), comments="")
 
 
 def _read_rep_csv(path: Path, budgets: dict):
     """(X, y, G) of a rep CSV, each column found by its header.
 
+    ``np.loadtxt`` parses the rows, each number to the bits ``float`` gives it.
     A run writes one row per evaluation, so a ConfigError naming the file
     refuses a CSV with no data rows, or with another row count than the
     budget of its dimension (``budgets``, keyed by the number of x columns),
-    and one with no y column or a row that does not parse.
+    and one with no y column or a row that does not parse (a quoted number too).
     """
-    with open(path, newline="") as fh:
-        header, *body = list(csv.reader(fh)) or [[]]
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n").split(",")
+        body = fh.readlines()
     if not body:
         raise ConfigError(f"rep CSV {path} has no data rows")
     if "y" not in header:
         raise ConfigError(f"rep CSV {path} has no y column")
-    xs = [i for i, h in enumerate(header) if h[:1] == "x" and h[1:].isdigit()]
-    budget = budgets.get(len(xs))
-    if len(body) != budget:
-        raise ConfigError(f"rep CSV {path} has {len(body)} data rows; the budget at "
-                          f"dimension {len(xs)} is {budget}")
     try:
-        rows = np.array([[float(v) for v in row] for row in body])
+        rows = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
     except ValueError as exc:  # a field that is not a number, or a row cut short
         raise ConfigError(f"rep CSV {path}: {exc}") from None
+    xs = [i for i, h in enumerate(header) if h[:1] == "x" and h[1:].isdigit()]
+    budget = budgets.get(len(xs))
+    if len(rows) != budget:  # loadtxt skips blank lines, so count what it read
+        raise ConfigError(f"rep CSV {path} has {len(rows)} data rows; the budget at "
+                          f"dimension {len(xs)} is {budget}")
     gs = [i for i, h in enumerate(header) if h[:1] == "g" and h[1:].isdigit()]
     return rows[:, xs], rows[:, header.index("y")], rows[:, gs]
 
@@ -473,24 +461,25 @@ def run_benchmark(
             except Exception as exc:
                 status[cell.name] = f"failed: {type(exc).__name__}: {exc}"
                 logger.warning("cell %s %s", cell.name, status[cell.name])
-                continue
-            meta = traj.meta
-            status[cell.name] = (f"fallback@{meta['fallback_at']}: {meta['fallback_reason']}"
-                                 if "fallback_at" in meta else "ok")
-            runs[cell.key, cell.algo, cell.rep] = (traj.ys, traj.gs)
-            if root is not None:
-                _write_rep_csv(root / f"{cell.name}.csv", traj)
+            else:
+                meta = traj.meta
+                status[cell.name] = (f"fallback@{meta['fallback_at']}: {meta['fallback_reason']}"
+                                     if "fallback_at" in meta else "ok")
+                runs[cell.key, cell.algo, cell.rep] = (traj.ys, traj.gs)
+                if root is not None:
+                    _write_rep_csv(root / f"{cell.name}.csv", traj)
+            if root is not None:  # a run cut short keeps the statuses of its finished cells
+                (root / "cells.json").write_text(json.dumps(status, indent=2, sort_keys=True))
 
     table = _score_table(config, problems, runs, status)
     if root is not None:
         _write_scores(root, config, problems, table)
-        with open(root / "cells.json", "w") as fh:
-            json.dump(status, fh, indent=2, sort_keys=True)
     return table
 
 
 def _write_scores(root: Path, config, problems, table: ScoreTable) -> list:
-    """Write scores.json and convergence.csv; return the names of those whose bytes changed."""
+    """Write scores.json and convergence.csv (one ``np.savetxt``, as the rep CSVs; its
+    header line alone where no cell scored); return the names of those whose bytes changed."""
     payload = {
         "suite": config.suite,
         "config": config.to_dict(),
@@ -500,11 +489,10 @@ def _write_scores(root: Path, config, problems, table: ScoreTable) -> list:
         },
         "scores": table.to_dict(),
     }
-    rows = io.StringIO(newline="")
-    w = csv.writer(rows)
-    w.writerow(["problem", "algorithm", "iteration", "mean", "p10", "p90"])
-    for key, algo, k, mean, p10, p90 in table.convergence:
-        w.writerow([key, algo, str(k), _fmt(mean), _fmt(p10), _fmt(p90)])
+    rows = io.StringIO()
+    np.savetxt(rows, np.array(table.convergence, dtype=object).reshape(-1, 6),
+               fmt="%s,%s,%d,%.17g,%.17g,%.17g", newline="\r\n",
+               header="problem,algorithm,iteration,mean,p10,p90", comments="")
     changed = []
     for name, text in (("scores.json", json.dumps(payload, indent=2, sort_keys=True)),
                        ("convergence.csv", rows.getvalue())):

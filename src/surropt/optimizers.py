@@ -455,7 +455,7 @@ _CUATRO = _TrustRegionMethod(
     extras=_quad_extras, feasibility_first=True, grows_penalty=True,
 )
 _TR_METHODS = {
-    "lsqm": replace(_CUATRO, grows_penalty=False, sees_constraints=False),
+    "lsqm": replace(_CUATRO, sees_constraints=False),  # its step reads no penalty
     "cuatro": _CUATRO,
     "cobyqa": _TrustRegionMethod(
         fit=lambda data: fit_quadratic(data), merit=_penalized_merit,

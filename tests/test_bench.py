@@ -684,6 +684,97 @@ def test_serial_csvs_written_as_cells_finish(tmp_path, monkeypatch):
     assert started == [0, 1, 2, 3]
 
 
+def test_cells_json_keeps_the_finished_cells_of_a_run_cut_short(tmp_path, monkeypatch):
+    import surropt.bench as bench
+
+    config = BenchmarkConfig(
+        algorithms=["cobyla"], problems=["quadratic"], dims=[2], repetitions=3,
+        budgets={2: 6}, warmup={2: 2}, suite="cut",
+    )
+    started, real = [], bench._run_cell
+
+    def interrupted_third(cell):
+        started.append(cell.name)
+        if len(started) == 3:
+            raise KeyboardInterrupt
+        return real(cell)
+
+    monkeypatch.setattr(bench, "_run_cell", interrupted_third)
+    with pytest.raises(KeyboardInterrupt):
+        run_benchmark(config, out_dir=tmp_path, jobs=1)
+    status = json.loads((tmp_path / "cut" / "cells.json").read_text())
+    assert status == {"quadratic-d2/cobyla/rep0": "ok", "quadratic-d2/cobyla/rep1": "ok"}
+
+
+# values a run can write that the benchmark suites rarely or never reach
+_EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 0.1, 3.0, -7.0, 1e16]
+
+
+def _reference_rows(path, header, rows):
+    """A CSV written field by field, each number as "%.17g" % float(v)."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([v if isinstance(v, str) else "%.17g" % float(v) for v in row])
+
+
+@pytest.mark.parametrize("n_g", [0, 1, 2])
+@pytest.mark.parametrize("d", [1, 2, 32])
+def test_rep_csv_bytes_and_bits_round_trip(tmp_path, d, n_g):
+    from surropt.bench import _read_rep_csv, _write_rep_csv
+    from surropt.core import best_so_far
+
+    rng = np.random.default_rng(100 * d + n_g)
+    pool = np.concatenate([_EDGE_VALUES,
+                           rng.standard_normal(10) * 10.0 ** rng.integers(-300, 300, 10)])
+    y = rng.permutation(_EDGE_VALUES)  # every edge value is an objective value, -0.0 and 5e-324 too
+    n = y.size
+    traj = Trajectory(budget=n, seed=0)
+    for i in range(n):
+        traj.append(Evaluation(x=rng.choice(pool, d), y=float(y[i]), g=rng.choice(pool, n_g),
+                               index=i + 1))
+    X, G = traj.xs, traj.gs
+    path = tmp_path / "run" / "rep0.csv"
+    _write_rep_csv(path, traj)
+    header = ["iteration", *(f"x{i}" for i in range(d)), "y",
+              *(f"g{i}" for i in range(n_g)), "best_so_far"]
+    _reference_rows(tmp_path / "ref.csv", header,
+                    [[str(i + 1), *X[i], y[i], *G[i], b] for i, b in enumerate(best_so_far(y))])
+    assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    got = _read_rep_csv(path, {d: n})
+    for back, written in zip(got, (X, y, G)):
+        assert back.shape == written.shape and back.tobytes() == written.tobytes()
+
+
+def test_rep_csv_with_a_quoted_number_is_refused(tmp_path):
+    from surropt.bench import _read_rep_csv
+
+    path = tmp_path / "rep0.csv"
+    path.write_text('iteration,x0,y,best_so_far\n1,"0.5",2,2\n')
+    with pytest.raises(ConfigError) as refused:
+        _read_rep_csv(path, {1: 1})
+    assert str(refused.value).startswith(f"rep CSV {path}: could not convert")
+
+
+@pytest.mark.parametrize("rows", [[], [("p-d2", "a", 1, -0.0, 5e-324, 1e300),
+                                       ("p-d2", "b", 12, 0.1, -1e300, 3.0)]])
+def test_convergence_csv_bytes(tmp_path, rows):
+    from surropt.bench import ScoreTable, _write_scores
+
+    config = BenchmarkConfig(["a", "b"], ["p-d2"])
+    table = ScoreTable(config.suite, [], list(config.algorithms), {}, {}, {}, {}, {},
+                       convergence=rows)
+    _write_scores(tmp_path, config, [], table)
+    header = ["problem", "algorithm", "iteration", "mean", "p10", "p90"]
+    _reference_rows(tmp_path / "ref.csv", header, [[key, algo, str(k), *vals]
+                                                   for key, algo, k, *vals in rows])
+    written = (tmp_path / "convergence.csv").read_bytes()
+    assert written == (tmp_path / "ref.csv").read_bytes()
+    if not rows:  # a run where no cell scored: the header line alone
+        assert written == b"problem,algorithm,iteration,mean,p10,p90\r\n"
+
+
 def test_handcrafted_three_algorithm_table(tmp_path):
     # build a results tree by hand: means [6,5,4], [8,7,6], [7,6,5]
     root = tmp_path / "hand"
