@@ -17,7 +17,7 @@ untouched results both come back bit-identical, and otherwise it names the
 files that changed. ``compare`` pairs the cells of two runs of one config
 and prints markdown tables of where trajectories differ and of the paired
 difference in final best feasible value; it writes the same report as JSON
-and exits 0 whatever it finds.
+first and exits 0 whatever it finds. On a closed stdout every command exits 1 quietly.
 
 Config files are YAML with the keys suite, algorithms, problems, dims,
 repetitions, budgets, warmup, seed. Every key but warmup has a flag, and flags
@@ -233,8 +233,8 @@ def cmd_score(args) -> int:
 
 def cmd_compare(args) -> int:
     report = compare_results(args.a, args.b, suite=args.suite)
-    print(compare_markdown(report), end="")
     Path(args.json).write_text(json.dumps(report, indent=2))
+    print(compare_markdown(report), end="")
     print(f"report written to {args.json}")
     return 0
 
@@ -303,10 +303,16 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()
+        return status
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # stdout's reader has closed: quiet the flush at exit, as the signal docs do
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

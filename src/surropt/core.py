@@ -3,8 +3,8 @@
 Everything downstream (surrogates, optimizers, the benchmark harness) works in
 terms of the small set of containers defined here: a ``Problem`` bundles an
 objective with its box bounds, optional constraints, and a noise model; an
-optimizer run produces a ``Trajectory`` of ``Evaluation`` records; surrogate
-fits consume a ``Dataset`` (rows are samples).
+optimizer run writes each ``Evaluation`` as one row of a preallocated
+``Trajectory``; surrogate fits consume a ``Dataset`` (rows are samples).
 
 Randomness is handled through named sub-streams derived from one base seed, so
 observation noise, the initial design, and optimizer-internal draws are
@@ -195,57 +195,52 @@ class Problem:
 
 @dataclass(frozen=True)
 class Evaluation:
-    """One observed point: inputs, noisy objective, constraint values, counter."""
+    """One observed point: inputs, noisy objective, constraint values."""
 
     x: np.ndarray
     y: float
     g: np.ndarray
-    index: int
 
 
 class Trajectory:
-    """Ordered evaluation history of a single run, capped at ``budget``."""
+    """Evaluation history of a single run in preallocated rows, capped at
+    ``budget``; ``xs``, ``ys`` and ``gs`` are read-only views of the filled rows."""
 
-    def __init__(self, budget: int, seed: int):
+    def __init__(self, budget: int, dim: int, n_constraints: int = 0):
         if budget < 1:
             raise ConfigError("budget must be >= 1")
         self.budget = int(budget)
-        self.seed = int(seed)
-        self.evaluations: list[Evaluation] = []
+        self._X, self._y = np.empty((self.budget, dim)), np.empty(self.budget)
+        self._G = np.empty((self.budget, n_constraints))
+        self._n = 0
         self.meta: dict = {}
 
     def __len__(self) -> int:
-        return len(self.evaluations)
+        return self._n
 
-    @property
-    def remaining(self) -> int:
-        return self.budget - len(self.evaluations)
+    def append(self, x, y, g) -> None:
+        if self._n >= self.budget:
+            raise BudgetExhausted(f"budget of {self.budget} evaluations already spent")
+        self._X[self._n], self._y[self._n], self._G[self._n] = x, y, g
+        self._n += 1
 
-    def append(self, ev: Evaluation) -> None:
-        if len(self.evaluations) >= self.budget:
-            raise BudgetExhausted(
-                f"budget of {self.budget} evaluations already spent"
-            )
-        if ev.index != len(self.evaluations) + 1:
-            raise ConfigError(
-                f"evaluation index {ev.index} breaks the 1..n sequence"
-            )
-        self.evaluations.append(ev)
+    def _filled(self, rows: np.ndarray) -> np.ndarray:
+        view = rows[: self._n]
+        view.flags.writeable = False
+        return view
 
     @property
     def xs(self) -> np.ndarray:
-        return np.array([ev.x for ev in self.evaluations])
+        return self._filled(self._X)
 
     @property
     def ys(self) -> np.ndarray:
-        return np.array([ev.y for ev in self.evaluations])
+        return self._filled(self._y)
 
     @property
     def gs(self) -> np.ndarray:
-        # shape (n, n_g); (n, 0) when the problem is unconstrained, (0, 0) when empty
-        if not self.evaluations:
-            return np.empty((0, 0))
-        return np.array([ev.g for ev in self.evaluations]).reshape(len(self), -1)
+        # shape (n, n_g); (n, 0) when the problem is unconstrained
+        return self._filled(self._G)
 
 
 @dataclass
@@ -277,6 +272,7 @@ class Dataset:
 
     @staticmethod
     def from_trajectory(traj: Trajectory) -> "Dataset":
+        """The trajectory's filled rows, without a copy."""
         return Dataset(traj.xs, traj.ys, traj.gs)
 
 
@@ -318,10 +314,8 @@ def evaluate(
     (distinct from :class:`EvaluationFailed`, which signals a non-finite
     objective or constraint value).
     """
-    if trajectory is not None and trajectory.remaining <= 0:
-        raise BudgetExhausted(
-            f"budget of {trajectory.budget} evaluations already spent"
-        )
+    if trajectory is not None and len(trajectory) >= trajectory.budget:
+        raise BudgetExhausted(f"budget of {trajectory.budget} evaluations already spent")
     x = problem.bounds.clip(x)
     y_true = float(problem.objective(x))
     if not np.isfinite(y_true):
@@ -339,11 +333,9 @@ def evaluate(
             raise EvaluationFailed(f"constraints returned non-finite values at x={x}")
     else:
         g = np.empty(0)
-    index = len(trajectory) + 1 if trajectory is not None else 1
-    ev = Evaluation(x=x, y=y, g=g, index=index)
     if trajectory is not None:
-        trajectory.append(ev)
-    return ev
+        trajectory.append(x, y, g)
+    return Evaluation(x, y, g)
 
 
 def best_so_far(ys) -> np.ndarray:

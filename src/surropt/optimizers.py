@@ -681,7 +681,8 @@ class _Simplex:
     """
 
     def __init__(self, data: Dataset):
-        self.data = data  # the initial design's rows, overwritten in place
+        # a copy of the initial design's rows, overwritten in place
+        self.data = Dataset(data.X.copy(), data.y.copy(), data.G.copy())
         self.pending: list = []
 
     def degenerate(self) -> bool:
@@ -754,25 +755,23 @@ class _TrustRegionStrategy:
         return self._step.x
 
     def update(self, x, y, g):
-        y = float(y)
-        g_arr = np.atleast_1d(np.asarray(g, dtype=float))
         if self._step is None:  # a vertex of the rebuilt simplex
-            self.simplex.fill_pending(x, y, g_arr)
+            self.simplex.fill_pending(x, y, g)
             return
         merit_center, merit_new = self._merits(
-            np.array([self.center_y, y]), np.array([self.center_g, g_arr])
+            np.array([self.center_y, y]), np.array([self.center_g, g])
         )
         actual = float(merit_center - merit_new)
-        ok = bool(feasible(g_arr))
+        ok = bool(feasible(g))
         if self.simplex is not None:
-            self.simplex.replace_worst(x, y, g_arr, self.tr.center, self._merits)
+            self.simplex.replace_worst(x, y, g, self.tr.center, self._merits)
         self.tr = trust_region_update(
             self.tr, self._step.predicted_reduction, actual, self._step.on_boundary,
             new_point=x, feasible=ok,
         )
         if actual > 0 and ok:
             self.center_y = y
-            self.center_g = g_arr.copy()
+            self.center_g = g.copy()
         if not ok and self.method.grows_penalty:
             self.penalties = np.minimum(self.penalties * _PENALTY_GROWTH, _PENALTY_CAP)
 
@@ -833,7 +832,7 @@ def run_optimizer(algorithm: str, problem: Problem, budget: int, seed: int) -> T
     with _one_blas_thread():
         check_cell(algorithm, problem, budget)
         n_init = initial_design_size(algorithm, problem.dim)
-        traj = Trajectory(budget=budget, seed=seed)
+        traj = Trajectory(budget, problem.dim, problem.n_constraints)
         noise_rng = substream(seed, "noise")
         for x in latin_hypercube(problem.bounds, n_init, derive_seed(seed, "init")):
             evaluate(problem, x, noise_rng, trajectory=traj)

@@ -23,7 +23,7 @@ from surropt import (
     score_results,
 )
 from surropt.bench import DEFAULT_BUDGETS, DEFAULT_WARMUP, _score_table
-from surropt.core import Evaluation, Trajectory
+from surropt.core import Trajectory
 from surropt.surrogates import SurrogateFitError
 
 
@@ -136,15 +136,15 @@ def test_count_violations_unconstrained():
 
 
 def test_count_violations_empty_trajectory():
-    traj = Trajectory(budget=3, seed=0)
+    traj = Trajectory(budget=3, dim=1)
     assert traj.gs.shape == (0, 0)
     assert count_violations(traj.gs) == (1.0, 0.0)
 
 
-def test_count_violations_trajectory_input():
-    traj = Trajectory(budget=3, seed=0)
-    for i, g in enumerate([0.5, -0.2, 0.003]):
-        traj.append(Evaluation(index=i + 1, x=np.array([0.0]), y=1.0, g=np.array([g])))
+def test_count_violations_of_trajectory_gs():
+    traj = Trajectory(budget=3, dim=1, n_constraints=1)
+    for g in [0.5, -0.2, 0.003]:
+        traj.append(np.array([0.0]), 1.0, np.array([g]))
     feas, viol = count_violations(traj.gs)
     assert feas == pytest.approx(1.0 / 3.0, abs=1e-15)
     assert viol == pytest.approx((0.5 + 0.003) / 2.0, abs=1e-15)
@@ -730,10 +730,9 @@ def test_rep_csv_bytes_and_bits_round_trip(tmp_path, d, n_g):
                            rng.standard_normal(10) * 10.0 ** rng.integers(-300, 300, 10)])
     y = rng.permutation(_EDGE_VALUES)  # every edge value is an objective value, -0.0 and 5e-324 too
     n = y.size
-    traj = Trajectory(budget=n, seed=0)
+    traj = Trajectory(budget=n, dim=d, n_constraints=n_g)
     for i in range(n):
-        traj.append(Evaluation(x=rng.choice(pool, d), y=float(y[i]), g=rng.choice(pool, n_g),
-                               index=i + 1))
+        traj.append(rng.choice(pool, d), float(y[i]), rng.choice(pool, n_g))
     X, G = traj.xs, traj.gs
     path = tmp_path / "run" / "rep0.csv"
     _write_rep_csv(path, traj)

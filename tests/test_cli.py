@@ -696,6 +696,31 @@ def test_compare_names_the_one_perturbed_cell_and_row(compare_run, tmp_path):
     assert moved["matyas-c/cobyla/rep1"]["max_abs_dx"] == pytest.approx(0.25)
 
 
+def test_compare_into_a_closed_stdout_writes_the_json_and_exits_1_quietly(compare_run, tmp_path):
+    other = tmp_path / "b"
+    shutil.copytree(compare_run, other)
+    path = other / "constrained" / "matyas-c" / "cobyla" / "rep1.csv"
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[6][1] = repr(float(rows[6][1]) + 0.25)  # x0 at iteration 6
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    report = tmp_path / "r.json"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the command writes a byte
+    try:
+        proc = subprocess.run([sys.executable, "-m", "surropt.cli", "compare", str(compare_run),
+                               str(other), "--json", str(report)],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == 1
+    assert json.loads(report.read_text())["differing_cells"] == 1
+
+
 def test_compare_pairs_best_feasible_values(compare_run, tmp_path):
     # lowering y at a feasible row improves B; lowering it at an infeasible row does not
     other = tmp_path / "b"

@@ -161,7 +161,7 @@ def test_evaluate_clips_out_of_bounds_proposals():
 
 def test_evaluate_budget_exhaustion_is_distinct_from_failure():
     p = quad_problem()
-    traj = Trajectory(budget=1, seed=0)
+    traj = Trajectory(budget=1, dim=2)
     rng = substream(0, "noise")
     evaluate(p, [0, 0], rng, trajectory=traj)
     with pytest.raises(BudgetExhausted):
@@ -185,7 +185,7 @@ def test_evaluate_rejects_non_finite_constraints(bad_g):
         constraints=lambda x: np.array([x[0], bad_g]),
         n_constraints=2,
     )
-    traj = Trajectory(budget=2, seed=0)
+    traj = Trajectory(budget=2, dim=2, n_constraints=2)
     with pytest.raises(EvaluationFailed, match="constraint"):
         evaluate(p, [0.0, 0.0], substream(0, "noise"), trajectory=traj)
     assert len(traj) == 0
@@ -219,7 +219,7 @@ def test_constraints_without_count_rejected():
 
 
 def test_unconstrained_dataset_has_empty_constraint_columns():
-    traj = Trajectory(budget=2, seed=0)
+    traj = Trajectory(budget=2, dim=2)
     rng = substream(0, "noise")
     for pt in ([0.1, 0.2], [-0.3, 0.0]):
         evaluate(quad_problem(), pt, rng, trajectory=traj)
@@ -227,7 +227,7 @@ def test_unconstrained_dataset_has_empty_constraint_columns():
     assert Dataset(traj.xs, traj.ys).G.shape == (2, 0)
 
 
-def test_trajectory_indices_and_dataset():
+def test_trajectory_rows_views_and_dataset():
     p = Problem(
         name="lin-con",
         bounds=Bounds.cube(-1, 1, 2),
@@ -235,15 +235,26 @@ def test_trajectory_indices_and_dataset():
         constraints=lambda x: np.array([x[0] + x[1]]),
         n_constraints=1,
     )
-    traj = Trajectory(budget=3, seed=5)
+    traj = Trajectory(budget=3, dim=2, n_constraints=1)
+    assert traj.xs.shape == (0, 2) and traj.ys.shape == (0,) and traj.gs.shape == (0, 1)
     rng = substream(5, "noise")
-    for pt in ([0.1, 0.2], [-0.3, 0.0], [0.5, -0.5]):
+    for n, pt in enumerate(([0.1, 0.2], [-0.3, 0.0], [0.5, -0.5]), start=1):
         evaluate(p, pt, rng, trajectory=traj)
-    assert [ev.index for ev in traj.evaluations] == [1, 2, 3]
+        assert len(traj) == n
+        assert traj.xs.shape == (n, 2) and traj.ys.shape == (n,) and traj.gs.shape == (n, 1)
     ds = Dataset.from_trajectory(traj)
     assert ds.X.shape == (3, 2)
     assert ds.G.shape == (3, 1)
     assert np.allclose(ds.G[:, 0], ds.X.sum(axis=1))
+    # the dataset shares the record's memory, and neither can be written through
+    for view, rows in ((ds.X, traj.xs), (ds.y, traj.ys), (ds.G, traj.gs)):
+        assert np.shares_memory(view, rows)
+        for read_only in (view, rows):
+            with pytest.raises(ValueError, match="read-only"):
+                read_only[0] = 0.0
+    with pytest.raises(BudgetExhausted):
+        traj.append(np.zeros(2), 0.0, np.zeros(1))
+    assert len(traj) == 3
 
 
 # ---------------------------------------------------------------- best_so_far

@@ -877,7 +877,7 @@ def test_run_optimizer_exact_budget():
     prob = get_problem("ackley-d2")
     traj = run_optimizer("lsqm", prob, budget=20, seed=0)
     assert len(traj) == 20
-    assert all(ev.index == i + 1 for i, ev in enumerate(traj.evaluations))
+    assert traj.xs.shape == (20, 2) and traj.ys.shape == (20,) and traj.gs.shape == (20, 0)
 
 
 def test_run_optimizer_budget_below_init_rejected():
@@ -1017,7 +1017,7 @@ def test_run_optimizer_fallback_fills_budget(algo, monkeypatch, caplog, tmp_path
     assert len(traj) == 12
     assert traj.meta["fallback_at"] == n_init + 1  # the first proposed point
     assert "synthetic failure" in traj.meta["fallback_reason"]
-    assert all(prob.bounds.contains(ev.x) for ev in traj.evaluations)
+    assert all(prob.bounds.contains(x) for x in traj.xs)
     assert any("random search" in rec.message for rec in caplog.records)
 
     config = BenchmarkConfig(
@@ -1115,7 +1115,7 @@ def test_run_optimizer_all_algorithms_complete():
         prob = get_problem(name)
         traj = run_optimizer(algo, prob, budget=15, seed=1)
         assert len(traj) == 15, algo
-        assert all(prob.bounds.contains(ev.x) for ev in traj.evaluations)
+        assert all(prob.bounds.contains(x) for x in traj.xs)
 
 
 def test_config_validation():
