@@ -204,7 +204,8 @@ class Evaluation:
 
 class Trajectory:
     """Evaluation history of a single run in preallocated rows, capped at
-    ``budget``; ``xs``, ``ys`` and ``gs`` are read-only views of the filled rows."""
+    ``budget``; ``xs``, ``ys`` and ``gs`` are read-only views of the filled rows.
+    A filled row never moves or changes: the runner's strategies hold row indices."""
 
     def __init__(self, budget: int, dim: int, n_constraints: int = 0):
         if budget < 1:

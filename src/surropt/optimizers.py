@@ -103,6 +103,7 @@ _DYCORS_STEP = 0.2  # DYCORS's initial step, a fraction of each box width; also 
 _REFINE_STEPS = 20  # pattern-refinement steps after the pool, at most
 _STEP_FLOOR = 1e-3  # a ball search refines no step below this fraction of its radius
 _REFINE_ROWS = 40  # trial rows per stack of refinement levels (at least one level)
+_PENALTY_START = 100.0  # each constraint's merit penalty before any step
 _PENALTY_GROWTH = 10.0
 _PENALTY_CAP = 1e8
 
@@ -468,10 +469,6 @@ _TR_METHODS = {
 }
 
 
-def _initial_penalties(n_g: int) -> np.ndarray:
-    return np.full(max(n_g, 1), 100.0)
-
-
 def trust_region_step(
     kind: str, data: Dataset, bounds: Bounds, tr: TrustRegionState,
     penalties=None, seed: int = 0,
@@ -481,20 +478,18 @@ def trust_region_step(
     Fits the method's surrogates to ``data``, at least n_x + 1 samples
     (``lsqm`` ignores the constraint columns, ``cobyla`` expects its
     simplex), and searches the trust-region ball within ``bounds``.
-    ``penalties`` holds one value > 0 per constraint column of ``data``, one
-    value when there are none, and defaults to 100 each.
+    ``penalties`` holds one value > 0 per constraint column of ``data``, none
+    when there are none, and defaults to 100 each.
     """
     method = _TR_METHODS[kind]
     if data.n < bounds.dim + 1:
         raise ConfigError(f"the {kind} step needs at least n_x + 1 samples")
     n_g = data.G.shape[1]
     if penalties is None:
-        penalties = _initial_penalties(n_g)
+        penalties = np.full(n_g, _PENALTY_START)
     penalties = np.atleast_1d(np.asarray(penalties, dtype=float))
-    if penalties.shape != (max(n_g, 1),) or not np.all(penalties > 0):
-        raise ConfigError(
-            f"need {max(n_g, 1)} penalties > 0, one per constraint column; got {penalties}"
-        )
+    if penalties.shape != (n_g,) or not np.all(penalties > 0):
+        raise ConfigError(f"need {n_g} penalties > 0, one per constraint column; got {penalties}")
     if not method.sees_constraints:
         data = Dataset(data.X, data.y)
 
@@ -668,68 +663,62 @@ class _BoStrategy:
     def propose(self, data: Dataset, seed: int):
         return self._propose(data, self.bounds, seed=seed)
 
-    def update(self, x, y, g):
+    def update(self, data: Dataset):
         pass
 
 
 class _Simplex:
-    """COBYLA's n_x + 1 interpolation points, the rows of one Dataset.
+    """COBYLA's n_x + 1 interpolation points, as row indices of the run's record.
 
     A degenerate simplex is replaced by a right-angled one around the centre
-    at the current radius. Its other vertices are ``pending`` row indices,
-    evaluated one per step; the rows are read only once none is pending.
+    at the current radius: the centre's row, then the ``pending`` points,
+    evaluated one per step, each one's row added as it comes in. The rows
+    are read only once none is pending.
     """
 
-    def __init__(self, data: Dataset):
-        # a copy of the initial design's rows, overwritten in place
-        self.data = Dataset(data.X.copy(), data.y.copy(), data.G.copy())
+    def __init__(self, n: int):
+        self.rows = list(range(n))  # the initial design
         self.pending: list = []
 
-    def degenerate(self) -> bool:
+    def degenerate(self, X: np.ndarray) -> bool:
         # a rank-deficient E has a condition number of 1e15 or more, or inf
-        X = self.data.X
+        X = X[self.rows]
         return np.linalg.cond(X[1:] - X[0]) > 1e8
 
-    def queue_rebuild(self, bounds: Bounds, tr: TrustRegionState, center_y, center_g):
+    def queue_rebuild(self, bounds: Bounds, tr: TrustRegionState, center: int):
         c = tr.center
         room_up, room_dn = bounds.upper - c, c - bounds.lower
         length = np.minimum(tr.radius, np.maximum(room_up, room_dn))
         direction = np.where(room_up >= room_dn, 1.0, -1.0)
-        X, y, G = self.data.X, self.data.y, self.data.G
-        X[:] = c
-        X[1:][np.diag_indices(c.size)] += direction * np.maximum(length, 1e-8)
-        y[0], G[0] = center_y, center_g
-        self.pending = list(range(1, c.size + 1))
+        P = np.repeat(c[None, :], c.size, axis=0)
+        P[np.diag_indices(c.size)] += direction * np.maximum(length, 1e-8)
+        self.rows, self.pending = [center], list(P)
 
-    def fill_pending(self, x, y, g):
-        i = self.pending.pop(0)
-        self.data.X[i], self.data.y[i], self.data.G[i] = x, y, g
-
-    def replace_worst(self, x, y, g, center, merit):
-        # the worst vertex by merit that is not the centre makes way for x
-        for i in np.argsort(merit(self.data.y, self.data.G))[::-1]:
-            if not np.array_equal(self.data.X[i], center):
-                self.data.X[i], self.data.y[i], self.data.G[i] = x, y, g
+    def replace_worst(self, data: Dataset, center, merit):
+        # the worst vertex by merit that is not the centre makes way for the newest row
+        for i in np.argsort(merit(data.y[self.rows], data.G[self.rows]))[::-1]:
+            if not np.array_equal(data.X[self.rows[i]], center):
+                self.rows[i] = data.n - 1
                 break
 
 
 class _TrustRegionStrategy:
-    """Runner-side state of lsqm, cuatro, cobyqa and cobyla, centred on the
-    initial design's best point; cobyla's simplex is the design itself."""
+    """Runner-side state of lsqm, cuatro, cobyqa and cobyla. The centre is a
+    row of the run's record, at first the initial design's best point, and
+    ``tr.center`` a read-only view of it; cobyla's simplex starts as the
+    design's rows."""
 
     def __init__(self, kind: str, bounds: Bounds, data: Dataset):
         self.kind = kind
         self.method = _TR_METHODS[kind]
         self.bounds = bounds
-        self.penalties = _initial_penalties(data.G.shape[1])
-        i = _best_index(data.y, data.G)
+        self.penalties = np.full(data.G.shape[1], _PENALTY_START)
+        self.center = _best_index(data.y, data.G)
         width = float(np.max(bounds.width))
         self.tr = TrustRegionState(
-            center=data.X[i].copy(), radius=0.1 * width, min_radius=1e-6, max_radius=width,
+            center=data.X[self.center], radius=0.1 * width, min_radius=1e-6, max_radius=width,
         )
-        self.center_y = float(data.y[i])
-        self.center_g = data.G[i].copy()
-        self.simplex = _Simplex(data) if self.method.simplex else None
+        self.simplex = _Simplex(data.n) if self.method.simplex else None
         self._step: Optional[TrustRegionStep] = None  # None for a rebuild point
 
     def _merits(self, y: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -743,35 +732,36 @@ class _TrustRegionStrategy:
 
     def propose(self, data: Dataset, seed: int):
         if self.simplex is not None:
-            if not self.simplex.pending and self.simplex.degenerate():
-                self.simplex.queue_rebuild(self.bounds, self.tr, self.center_y, self.center_g)
+            if not self.simplex.pending and self.simplex.degenerate(data.X):
+                self.simplex.queue_rebuild(self.bounds, self.tr, self.center)
             if self.simplex.pending:
                 self._step = None
-                return self.simplex.data.X[self.simplex.pending[0]]
-            data = self.simplex.data
+                return self.simplex.pending[0]
+            rows = self.simplex.rows
+            data = Dataset(data.X[rows], data.y[rows], data.G[rows])
         self._step = trust_region_step(
             self.kind, data, self.bounds, self.tr, self.penalties, seed
         )
         return self._step.x
 
-    def update(self, x, y, g):
+    def update(self, data: Dataset):
+        new = data.n - 1
         if self._step is None:  # a vertex of the rebuilt simplex
-            self.simplex.fill_pending(x, y, g)
+            self.simplex.pending.pop(0)
+            self.simplex.rows.append(new)
             return
-        merit_center, merit_new = self._merits(
-            np.array([self.center_y, y]), np.array([self.center_g, g])
-        )
+        pair = [self.center, new]
+        merit_center, merit_new = self._merits(data.y[pair], data.G[pair])
         actual = float(merit_center - merit_new)
-        ok = bool(feasible(g))
+        ok = bool(feasible(data.G[new]))
         if self.simplex is not None:
-            self.simplex.replace_worst(x, y, g, self.tr.center, self._merits)
+            self.simplex.replace_worst(data, self.tr.center, self._merits)
         self.tr = trust_region_update(
             self.tr, self._step.predicted_reduction, actual, self._step.on_boundary,
-            new_point=x, feasible=ok,
+            new_point=data.X[new], feasible=ok,
         )
         if actual > 0 and ok:
-            self.center_y = y
-            self.center_g = g.copy()
+            self.center = new
         if not ok and self.method.grows_penalty:
             self.penalties = np.minimum(self.penalties * _PENALTY_GROWTH, _PENALTY_CAP)
 
@@ -783,18 +773,15 @@ class _DycorsStrategy:
         self.bounds = bounds
         steps = max(budget - data.n, 1)
         self.state = DycorsState(iteration=0, max_iterations=steps, step_size=_DYCORS_STEP)
-        self.incumbent_y = float(np.min(data.y))
 
     def propose(self, data: Dataset, seed: int):
         # the first sample of least y: updates move the incumbent only on strict improvement
         incumbent = data.X[int(np.argmin(data.y))]
         return dycors_step(data, self.bounds, self.state, incumbent, seed)
 
-    def update(self, x, y, g):
-        success = y < self.incumbent_y
-        if success:
-            self.incumbent_y = float(y)
-        self.state = dycors_update(self.state, success)
+    def update(self, data: Dataset):
+        # a success beats every earlier sample
+        self.state = dycors_update(self.state, data.y[-1] < data.y[:-1].min())
 
 
 def _make_strategy(algorithm: str, bounds: Bounds, data: Dataset, budget: int):
@@ -836,13 +823,14 @@ def run_optimizer(algorithm: str, problem: Problem, budget: int, seed: int) -> T
         noise_rng = substream(seed, "noise")
         for x in latin_hypercube(problem.bounds, n_init, derive_seed(seed, "init")):
             evaluate(problem, x, noise_rng, trajectory=traj)
-        strategy = _make_strategy(algorithm, problem.bounds, Dataset.from_trajectory(traj), budget)
+        data = Dataset.from_trajectory(traj)
+        strategy = _make_strategy(algorithm, problem.bounds, data, budget)
 
         k = 0
         while len(traj) < budget:
             step_seed = derive_seed(seed, "step", k)
             try:
-                x = strategy.propose(Dataset.from_trajectory(traj), step_seed)
+                x = strategy.propose(data, step_seed)
             except (SurrogateFitError, np.linalg.LinAlgError, FloatingPointError) as exc:
                 logger.warning(
                     "%s failed at iteration %d (%s); random search for remaining budget",
@@ -855,7 +843,8 @@ def run_optimizer(algorithm: str, problem: Problem, budget: int, seed: int) -> T
                     x_rand = fb.uniform(problem.bounds.lower, problem.bounds.upper)
                     evaluate(problem, x_rand, noise_rng, trajectory=traj)
                 break
-            ev = evaluate(problem, x, noise_rng, trajectory=traj)
-            strategy.update(ev.x, ev.y, ev.g)
+            evaluate(problem, x, noise_rng, trajectory=traj)
+            data = Dataset.from_trajectory(traj)  # serves this update and the next proposal
+            strategy.update(data)
             k += 1
         return traj

@@ -562,11 +562,13 @@ def test_trust_region_steps_stay_in_ball():
 def test_trust_region_step_rejects_wrongly_sized_penalties(penalties):
     bounds = Bounds.cube(-2.0, 2.0, 2)
     X = latin_hypercube(bounds, 9, seed=8)
-    data = Dataset(X, np.sum(X**2, axis=1), X - 0.2)  # two constraint columns
+    y = np.sum(X**2, axis=1)
     tr = TrustRegionState(center=X[0].copy(), radius=0.6, max_radius=4.0)
-    for kind in ("lsqm", "cuatro", "cobyqa", "cobyla"):
-        with pytest.raises(ConfigError):
-            trust_region_step(kind, data, bounds, tr, penalties, seed=0)
+    # two constraint columns, then none, which take no penalty
+    for data in (Dataset(X, y, X - 0.2), Dataset(X, y)):
+        for kind in ("lsqm", "cuatro", "cobyqa", "cobyla"):
+            with pytest.raises(ConfigError):
+                trust_region_step(kind, data, bounds, tr, penalties, seed=0)
 
 
 # ---------------------------------------------------------------- trust_region_step("cuatro")
@@ -922,7 +924,7 @@ def test_runner_steps_through_trust_region_step(kind, problem_key):
 
 def test_lsqm_ratio_scores_the_objective_alone(monkeypatch):
     # lsqm's step predicts the objective alone, so the observed reduction its
-    # ratio divides by is center_y - y, with no penalty; at seed 1 every
+    # ratio divides by is the centre's y minus y, with no penalty; at seed 1 every
     # williams-otto sample is infeasible, where a penalized merit would differ
     import surropt.optimizers as opt
 
@@ -944,6 +946,49 @@ def test_lsqm_ratio_scores_the_objective_alone(monkeypatch):
     assert len(calls) == 30 - opt.initial_design_size("lsqm", prob.dim)
     for center, actual, x in calls:
         assert actual == y_at(center) - y_at(x)
+
+
+
+# matyas-c at seed 1, budget 32 is the one golden case whose simplex degenerates
+@pytest.mark.parametrize("seed, budget", [(1, 32), (0, 40)])
+def test_cobyla_rebuilds_a_right_angled_simplex_around_the_centre(seed, budget, monkeypatch):
+    import surropt.optimizers as opt
+
+    events = []
+    real_rebuild, real_step = opt._Simplex.queue_rebuild, opt.trust_region_step
+
+    def rebuild(self, bounds, tr, *rest):
+        events.append(("rebuild", bounds, tr.center.copy(), tr.radius))
+        return real_rebuild(self, bounds, tr, *rest)
+
+    def step(kind, data, *args):
+        events.append(("step", data.X.copy()))
+        return real_step(kind, data, *args)
+
+    monkeypatch.setattr(opt._Simplex, "queue_rebuild", rebuild)
+    monkeypatch.setattr(opt, "trust_region_step", step)
+    prob = get_problem("matyas-c")
+    traj = run_optimizer("cobyla", prob, budget=budget, seed=seed)
+
+    d = prob.dim
+    n = opt.initial_design_size("cobyla", d)  # rows before the next event
+    rebuilds = 0
+    for k, event in enumerate(events):
+        if event[0] == "step":
+            n += 1
+            continue
+        _, bounds, c, radius = event
+        room_up, room_dn = bounds.upper - c, c - bounds.lower
+        direction = np.where(room_up >= room_dn, 1.0, -1.0)
+        length = np.maximum(np.minimum(radius, np.maximum(room_up, room_dn)), 1e-8)
+        vertices = np.repeat(c[None, :], d, axis=0)
+        vertices[np.diag_indices(d)] += direction * length
+        assert np.array_equal(traj.xs[n:n + d], vertices)
+        assert events[k + 1][0] == "step"
+        assert np.array_equal(events[k + 1][1], np.vstack([c, vertices]))
+        n += d
+        rebuilds += 1
+    assert rebuilds >= 1 and n == budget
 
 
 def test_optimizers_all_lists_the_public_names():

@@ -52,7 +52,7 @@ def recorded(kind, data, bounds, tr, penalties=None, seed=0):
     steps.append({"X": data.X.copy(), "y": data.y.copy(), "G": data.G.copy(),
                   "lower": bounds.lower, "upper": bounds.upper,
                   "tr": (tr.center.copy(), tr.radius, tr.min_radius, tr.max_radius),
-                  "penalties": penalties, "seed": seed, "model": (m.Q, m.c, m.b)})
+                  "seed": seed, "model": (m.Q, m.c, m.b)})
     return step(kind, data, bounds, tr, penalties, seed)
 optimizers.trust_region_step = recorded
 for key, budget, seed in json.loads(sys.argv[2]):
@@ -74,7 +74,7 @@ for s in steps:
     center, radius, lo, hi = s["tr"]
     tr = TrustRegionState(center=center, radius=radius, min_radius=lo, max_radius=hi)
     data, bounds = Dataset(s["X"], s["y"], s["G"]), Bounds(s["lower"], s["upper"])
-    xs.append(trust_region_step("lsqm", data, bounds, tr, s["penalties"], s["seed"]).x)
+    xs.append(trust_region_step("lsqm", data, bounds, tr, seed=s["seed"]).x)  # lsqm reads no penalty
 np.save(sys.argv[2], np.array(xs, dtype=object), allow_pickle=True)
 """
 
