@@ -55,6 +55,7 @@ from .core import (
     Trajectory,
     _blas_thread_calls,
     _keep_heap,
+    best_feasible_so_far,
     best_so_far,
     derive_seed,
     feasible,
@@ -564,8 +565,8 @@ def _suite_dir(results_dir, suite: Optional[str], name: str) -> Path:
 def _best_feasible(cell):
     """The least y over the rows ``core.feasible`` accepts (None if none)."""
     _, y, G = cell
-    ok = feasible(G)
-    return float(np.min(y[ok])) if ok.any() else None
+    best = best_feasible_so_far(y, G)[-1]
+    return None if np.isnan(best) else float(best)
 
 
 def _first_difference(a, b):

@@ -54,7 +54,7 @@ from .bench import (
     rescore_results,
     run_benchmark,
 )
-from .core import ConfigError, _keep_heap, feasible, unknown_name
+from .core import ConfigError, _keep_heap, best_feasible_so_far, feasible, unknown_name
 from .optimizers import ALGORITHMS, check_cell, run_optimizer
 from .problems import BASE_FUNCTIONS, get_problem, list_problems
 
@@ -213,10 +213,10 @@ def cmd_optimize(args) -> int:
     traj = run_optimizer(args.algo, problem, budget, args.seed)
     out = Path(args.out or f"{args.problem}_{args.algo}_seed{args.seed}.csv")
     _write_rep_csv(out, traj)
-    ok = feasible(traj.gs)
-    best = (f"best y = {np.min(traj.ys[ok]):.6g}, {ok.sum()} of {len(traj)} evaluations feasible"
-            if ok.any() else f"no best y: none of {len(traj)} evaluations feasible")
-    print(f"{args.algo} on {args.problem}: {best}")
+    ok, best = feasible(traj.gs), best_feasible_so_far(traj.ys, traj.gs)[-1]
+    summary = (f"best y = {best:.6g}, {ok.sum()} of {len(traj)} evaluations feasible"
+               if ok.any() else f"no best y: none of {len(traj)} evaluations feasible")
+    print(f"{args.algo} on {args.problem}: {summary}")
     print(f"trajectory written to {out}")
     return 0
 

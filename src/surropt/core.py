@@ -42,6 +42,7 @@ __all__ = [
     "latin_hypercube",
     "evaluate",
     "best_so_far",
+    "best_feasible_so_far",
 ]
 
 
@@ -345,6 +346,12 @@ def best_so_far(ys) -> np.ndarray:
     if ys.size == 0:
         raise ConfigError("best_so_far needs a non-empty trajectory")
     return np.minimum.accumulate(ys)
+
+
+def best_feasible_so_far(ys, gs) -> np.ndarray:
+    """Per row, the least y so far among the rows ``feasible`` accepts, nan
+    before the first of them. ``gs`` is the (n, n_g) array of the same rows."""
+    return np.fmin.accumulate(np.where(feasible(gs), np.asarray(ys, dtype=float), np.nan))
 
 
 def _keep_heap() -> None:

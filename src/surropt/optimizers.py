@@ -15,9 +15,12 @@ Seven methods are provided:
 - ``dycors``: cubic-RBF surrogate with stochastic coordinate perturbations
   and a cycling value/distance weighted score.
 
-The four trust-region methods differ only in the fields of ``_TR_METHODS``.
-They share one public step, ``trust_region_step(kind, ...)``, which the
-runner calls too, and one runner loop. All inner argmins use the same
+The four trust-region methods differ only in the fields of ``_TR_METHODS``
+and share one public step, ``trust_region_step(kind, ...)``. The runner
+drives each method as one generator over the run's record, whose every
+``next()`` absorbs the newest evaluation and yields the next point to
+evaluate: ``_gp_steps``, ``_trust_region_steps`` or ``_dycors_steps``.
+All inner argmins use the same
 derivative-free candidate-pool search (seeded pool + analytic Newton/Cauchy
 candidates + coordinate pattern refinement), so every step operation is a
 pure function of (data, state, seed). A box pool is a Latin hypercube; a
@@ -653,144 +656,106 @@ def check_cell(algorithm: str, problem: Optional[Problem] = None,
                           f"of '{algorithm}'")
 
 
-class _BoStrategy:
-    """Runner-side state of bo and cbo: the proposal, picked once."""
-
-    def __init__(self, bounds: Bounds, constrained: bool):
-        self.bounds = bounds
-        self._propose = propose_cbo if constrained else propose_bo
-
-    def propose(self, data: Dataset, seed: int):
-        return self._propose(data, self.bounds, seed=seed)
-
-    def update(self, data: Dataset):
-        pass
+def _gp_steps(traj: Trajectory, bounds: Bounds, constrained: bool, step_seed):
+    """bo's and cbo's loop: each proposal fits the run's record anew."""
+    while True:
+        propose = propose_cbo if constrained else propose_bo
+        yield propose(Dataset.from_trajectory(traj), bounds, seed=step_seed())
 
 
-class _Simplex:
-    """COBYLA's n_x + 1 interpolation points, as row indices of the run's record.
+def _simplex_vertices(bounds: Bounds, tr: TrustRegionState) -> np.ndarray:
+    """The n_x points that with the centre make a right-angled simplex: the
+    centre moved along each axis by the radius, towards the side of the box
+    with more room and at most to its edge, and by at least 1e-8."""
+    c = tr.center
+    room_up, room_dn = bounds.upper - c, c - bounds.lower
+    length = np.minimum(tr.radius, np.maximum(room_up, room_dn))
+    direction = np.where(room_up >= room_dn, 1.0, -1.0)
+    P = np.repeat(c[None, :], c.size, axis=0)
+    P[np.diag_indices(c.size)] += direction * np.maximum(length, 1e-8)
+    return P
 
-    A degenerate simplex is replaced by a right-angled one around the centre
-    at the current radius: the centre's row, then the ``pending`` points,
-    evaluated one per step, each one's row added as it comes in. The rows
-    are read only once none is pending.
-    """
 
-    def __init__(self, n: int):
-        self.rows = list(range(n))  # the initial design
-        self.pending: list = []
+def _trust_region_steps(kind: str, traj: Trajectory, bounds: Bounds, step_seed):
+    """The loop of lsqm, cuatro, cobyqa and cobyla. The centre is a row of the
+    record, at first the design's best point, and ``tr.center`` a read-only
+    view of it. cobyla's simplex is a list of rows, at first the design's; a
+    degenerate one becomes the centre's row and those of ``_simplex_vertices``,
+    each evaluated as a step of its own, and is checked again."""
+    method = _TR_METHODS[kind]
+    data = Dataset.from_trajectory(traj)
+    penalties = np.full(data.G.shape[1], _PENALTY_START)
+    center = _best_index(data.y, data.G)
+    width = float(np.max(bounds.width))
+    tr = TrustRegionState(center=data.X[center], radius=0.1 * width, min_radius=1e-6,
+                          max_radius=width)
+    simplex = list(range(data.n))
 
-    def degenerate(self, X: np.ndarray) -> bool:
+    def merits(rows):
+        # the method's merit of observed rows; a step that does not see the
+        # constraints scores y alone, as its predicted reduction does
+        g_list = list(data.G[rows].T) if method.sees_constraints else []
+        return method.merit(data.y[rows], g_list, penalties)
+
+    while True:
         # a rank-deficient E has a condition number of 1e15 or more, or inf
-        X = X[self.rows]
-        return np.linalg.cond(X[1:] - X[0]) > 1e8
+        while method.simplex and np.linalg.cond(data.X[simplex[1:]] - data.X[simplex[0]]) > 1e8:
+            simplex = [center]
+            for x in _simplex_vertices(bounds, tr):
+                yield x
+                data = Dataset.from_trajectory(traj)
+                simplex.append(data.n - 1)
+        step_data = (Dataset(data.X[simplex], data.y[simplex], data.G[simplex])
+                     if method.simplex else data)
+        step = trust_region_step(kind, step_data, bounds, tr, penalties, step_seed())
+        yield step.x
 
-    def queue_rebuild(self, bounds: Bounds, tr: TrustRegionState, center: int):
-        c = tr.center
-        room_up, room_dn = bounds.upper - c, c - bounds.lower
-        length = np.minimum(tr.radius, np.maximum(room_up, room_dn))
-        direction = np.where(room_up >= room_dn, 1.0, -1.0)
-        P = np.repeat(c[None, :], c.size, axis=0)
-        P[np.diag_indices(c.size)] += direction * np.maximum(length, 1e-8)
-        self.rows, self.pending = [center], list(P)
-
-    def replace_worst(self, data: Dataset, center, merit):
-        # the worst vertex by merit that is not the centre makes way for the newest row
-        for i in np.argsort(merit(data.y[self.rows], data.G[self.rows]))[::-1]:
-            if not np.array_equal(data.X[self.rows[i]], center):
-                self.rows[i] = data.n - 1
-                break
-
-
-class _TrustRegionStrategy:
-    """Runner-side state of lsqm, cuatro, cobyqa and cobyla. The centre is a
-    row of the run's record, at first the initial design's best point, and
-    ``tr.center`` a read-only view of it; cobyla's simplex starts as the
-    design's rows."""
-
-    def __init__(self, kind: str, bounds: Bounds, data: Dataset):
-        self.kind = kind
-        self.method = _TR_METHODS[kind]
-        self.bounds = bounds
-        self.penalties = np.full(data.G.shape[1], _PENALTY_START)
-        self.center = _best_index(data.y, data.G)
-        width = float(np.max(bounds.width))
-        self.tr = TrustRegionState(
-            center=data.X[self.center], radius=0.1 * width, min_radius=1e-6, max_radius=width,
-        )
-        self.simplex = _Simplex(data.n) if self.method.simplex else None
-        self._step: Optional[TrustRegionStep] = None  # None for a rebuild point
-
-    def _merits(self, y: np.ndarray, G: np.ndarray) -> np.ndarray:
-        """The method's merit of observed values y (m,) and G (m, n_g).
-
-        A method whose step does not see the constraints scores y alone, as
-        its step's predicted reduction does.
-        """
-        g_list = list(G.T) if self.method.sees_constraints else []
-        return self.method.merit(y, g_list, self.penalties)
-
-    def propose(self, data: Dataset, seed: int):
-        if self.simplex is not None:
-            if not self.simplex.pending and self.simplex.degenerate(data.X):
-                self.simplex.queue_rebuild(self.bounds, self.tr, self.center)
-            if self.simplex.pending:
-                self._step = None
-                return self.simplex.pending[0]
-            rows = self.simplex.rows
-            data = Dataset(data.X[rows], data.y[rows], data.G[rows])
-        self._step = trust_region_step(
-            self.kind, data, self.bounds, self.tr, self.penalties, seed
-        )
-        return self._step.x
-
-    def update(self, data: Dataset):
+        data = Dataset.from_trajectory(traj)
         new = data.n - 1
-        if self._step is None:  # a vertex of the rebuilt simplex
-            self.simplex.pending.pop(0)
-            self.simplex.rows.append(new)
-            return
-        pair = [self.center, new]
-        merit_center, merit_new = self._merits(data.y[pair], data.G[pair])
+        merit_center, merit_new = merits([center, new])
         actual = float(merit_center - merit_new)
         ok = bool(feasible(data.G[new]))
-        if self.simplex is not None:
-            self.simplex.replace_worst(data, self.tr.center, self._merits)
-        self.tr = trust_region_update(
-            self.tr, self._step.predicted_reduction, actual, self._step.on_boundary,
-            new_point=data.X[new], feasible=ok,
-        )
+        if method.simplex:
+            # the worst vertex by merit that is not the centre makes way for the newest row
+            for i in np.argsort(merits(simplex))[::-1]:
+                if not np.array_equal(data.X[simplex[i]], tr.center):
+                    simplex[i] = new
+                    break
+        tr = trust_region_update(tr, step.predicted_reduction, actual, step.on_boundary,
+                                 new_point=data.X[new], feasible=ok)
         if actual > 0 and ok:
-            self.center = new
-        if not ok and self.method.grows_penalty:
-            self.penalties = np.minimum(self.penalties * _PENALTY_GROWTH, _PENALTY_CAP)
+            center = new
+        if not ok and method.grows_penalty:
+            penalties = np.minimum(penalties * _PENALTY_GROWTH, _PENALTY_CAP)
 
 
-class _DycorsStrategy:
-    """Runner-side state of dycors: its counters over the steps left after the design."""
-
-    def __init__(self, bounds: Bounds, data: Dataset, budget: int):
-        self.bounds = bounds
-        steps = max(budget - data.n, 1)
-        self.state = DycorsState(iteration=0, max_iterations=steps, step_size=_DYCORS_STEP)
-
-    def propose(self, data: Dataset, seed: int):
-        # the first sample of least y: updates move the incumbent only on strict improvement
+def _dycors_steps(traj: Trajectory, bounds: Bounds, budget: int, step_seed):
+    """dycors's loop: its counters run over the steps left after the design."""
+    data = Dataset.from_trajectory(traj)
+    state = DycorsState(iteration=0, max_iterations=max(budget - data.n, 1),
+                        step_size=_DYCORS_STEP)
+    while True:
+        # the first sample of least y: the incumbent moves only on strict improvement
         incumbent = data.X[int(np.argmin(data.y))]
-        return dycors_step(data, self.bounds, self.state, incumbent, seed)
-
-    def update(self, data: Dataset):
+        yield dycors_step(data, bounds, state, incumbent, step_seed())
+        data = Dataset.from_trajectory(traj)
         # a success beats every earlier sample
-        self.state = dycors_update(self.state, data.y[-1] < data.y[:-1].min())
+        state = dycors_update(state, data.y[-1] < data.y[:-1].min())
 
 
-def _make_strategy(algorithm: str, bounds: Bounds, data: Dataset, budget: int):
-    """The runner state of a checked ``algorithm``, built from its initial design."""
+def _steps(algorithm: str, traj: Trajectory, bounds: Bounds, budget: int, seed: int):
+    """The loop of a checked ``algorithm`` over ``traj``, which holds its design.
+    Each point it yields takes the seed of its row's index after the design."""
+    n_init = len(traj)
+
+    def step_seed():
+        return derive_seed(seed, "step", len(traj) - n_init)
+
     if algorithm in _TR_METHODS:
-        return _TrustRegionStrategy(algorithm, bounds, data)
+        return _trust_region_steps(algorithm, traj, bounds, step_seed)
     if algorithm == "dycors":
-        return _DycorsStrategy(bounds, data, budget)
-    return _BoStrategy(bounds, constrained=algorithm == "cbo")
+        return _dycors_steps(traj, bounds, budget, step_seed)
+    return _gp_steps(traj, bounds, algorithm == "cbo", step_seed)
 
 
 def run_optimizer(algorithm: str, problem: Problem, budget: int, seed: int) -> Trajectory:
@@ -799,10 +764,11 @@ def run_optimizer(algorithm: str, problem: Problem, budget: int, seed: int) -> T
     ``check_cell`` refuses the algorithm, problem and budget before the
     first evaluation, as it does for a planned benchmark. The run then
     evaluates a Latin hypercube design of ``initial_design_size`` points,
-    builds the method's state from it, and loops
-    propose -> clip -> evaluate -> update. This is the one failure policy
+    starts the method's loop (``_steps``) on it, and evaluates each point
+    the loop yields, clipped into the box. One ``next()`` absorbs the last
+    evaluation and makes the next proposal. This is the one failure policy
     of all seven methods, whose steps raise rather than substitute a point:
-    a numerical failure inside a proposal (a surrogate fit error,
+    a numerical failure inside a ``next()`` (a surrogate fit error,
     ``LinAlgError`` or ``FloatingPointError``) spends the remaining budget
     on random search, logged and recorded as ``fallback_at`` and
     ``fallback_reason`` in ``trajectory.meta``, so the trajectory still has
@@ -823,18 +789,14 @@ def run_optimizer(algorithm: str, problem: Problem, budget: int, seed: int) -> T
         noise_rng = substream(seed, "noise")
         for x in latin_hypercube(problem.bounds, n_init, derive_seed(seed, "init")):
             evaluate(problem, x, noise_rng, trajectory=traj)
-        data = Dataset.from_trajectory(traj)
-        strategy = _make_strategy(algorithm, problem.bounds, data, budget)
-
-        k = 0
+        steps = _steps(algorithm, traj, problem.bounds, budget, seed)
         while len(traj) < budget:
-            step_seed = derive_seed(seed, "step", k)
             try:
-                x = strategy.propose(data, step_seed)
+                x = next(steps)
             except (SurrogateFitError, np.linalg.LinAlgError, FloatingPointError) as exc:
                 logger.warning(
                     "%s failed at iteration %d (%s); random search for remaining budget",
-                    algorithm, k, exc,
+                    algorithm, len(traj) - n_init, exc,
                 )
                 traj.meta["fallback_at"] = len(traj) + 1
                 traj.meta["fallback_reason"] = f"{type(exc).__name__}: {exc}"
@@ -844,7 +806,4 @@ def run_optimizer(algorithm: str, problem: Problem, budget: int, seed: int) -> T
                     evaluate(problem, x_rand, noise_rng, trajectory=traj)
                 break
             evaluate(problem, x, noise_rng, trajectory=traj)
-            data = Dataset.from_trajectory(traj)  # serves this update and the next proposal
-            strategy.update(data)
-            k += 1
         return traj

@@ -22,6 +22,7 @@ from surropt.core import (
     VIOLATION_THRESHOLD,
     _blas_thread_calls,
     _one_blas_thread,
+    best_feasible_so_far,
     best_so_far,
     derive_seed,
     evaluate,
@@ -286,6 +287,28 @@ def test_best_so_far_idempotent_and_monotone(ys):
     assert out.size == len(ys)
 
 
+def test_best_feasible_so_far_skips_infeasible_rows():
+    y = [5.0, -9.0, 4.0, 6.0, 1.0]
+    G = np.array([[1.0], [2.0], [0.0], [-1.0], [VIOLATION_THRESHOLD]])
+    out = best_feasible_so_far(y, G)
+    assert np.array_equal(out, [np.nan, np.nan, 4.0, 4.0, 1.0], equal_nan=True)
+    # no constraint columns: every row is feasible, as best_so_far
+    assert np.array_equal(best_feasible_so_far(y, np.empty((5, 0))), best_so_far(y))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    rows=st.lists(st.tuples(st.floats(-1e9, 1e9), st.floats(-1.0, 1.0)), min_size=1, max_size=40)
+)
+def test_best_feasible_so_far_is_the_least_feasible_y_of_each_prefix(rows):
+    y, g = map(np.array, zip(*rows))
+    out = best_feasible_so_far(y, g[:, None])
+    for k in range(len(y)):
+        ok = feasible(g[:k + 1, None])
+        expected = np.min(y[:k + 1][ok]) if ok.any() else np.nan
+        assert np.array_equal(out[k], expected, equal_nan=True)
+
+
 # ---------------------------------------------------------------- feasibility and names
 
 ABOVE = np.nextafter(VIOLATION_THRESHOLD, 1.0)
@@ -394,12 +417,12 @@ def test_run_optimizer_restores_the_callers_blas_threads(blas_at_two, monkeypatc
 
     seen = []
 
-    class Broken:
-        def propose(self, data, seed):
-            seen.append(blas_at_two())
-            raise KeyError("not a numerical failure")
+    def broken(*args):
+        seen.append(blas_at_two())
+        raise KeyError("not a numerical failure")
+        yield
 
-    monkeypatch.setattr(optimizers, "_make_strategy", lambda *args: Broken())
+    monkeypatch.setattr(optimizers, "_steps", broken)
     with pytest.raises(KeyError):
         optimizers.run_optimizer("cobyla", problem, 10, 0)
     assert seen == [1] and blas_at_two() == 2

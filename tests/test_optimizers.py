@@ -937,13 +937,14 @@ def test_lsqm_ratio_scores_the_objective_alone(monkeypatch):
 
     monkeypatch.setattr(opt, "trust_region_update", spy)
     prob = get_problem("williams-otto")
-    traj = run_optimizer("lsqm", prob, budget=30, seed=1)
+    traj = run_optimizer("lsqm", prob, budget=31, seed=1)
     assert np.all(np.max(traj.gs, axis=1) > 0)
 
     def y_at(x):
         return traj.ys[np.flatnonzero((traj.xs == x).all(axis=1))[0]]
 
-    assert len(calls) == 30 - opt.initial_design_size("lsqm", prob.dim)
+    # every step's evaluation is absorbed but the last one's
+    assert len(calls) == 31 - opt.initial_design_size("lsqm", prob.dim) - 1 == 27
     for center, actual, x in calls:
         assert actual == y_at(center) - y_at(x)
 
@@ -955,17 +956,17 @@ def test_cobyla_rebuilds_a_right_angled_simplex_around_the_centre(seed, budget, 
     import surropt.optimizers as opt
 
     events = []
-    real_rebuild, real_step = opt._Simplex.queue_rebuild, opt.trust_region_step
+    real_rebuild, real_step = opt._simplex_vertices, opt.trust_region_step
 
-    def rebuild(self, bounds, tr, *rest):
+    def rebuild(bounds, tr):
         events.append(("rebuild", bounds, tr.center.copy(), tr.radius))
-        return real_rebuild(self, bounds, tr, *rest)
+        return real_rebuild(bounds, tr)
 
     def step(kind, data, *args):
         events.append(("step", data.X.copy()))
         return real_step(kind, data, *args)
 
-    monkeypatch.setattr(opt._Simplex, "queue_rebuild", rebuild)
+    monkeypatch.setattr(opt, "_simplex_vertices", rebuild)
     monkeypatch.setattr(opt, "trust_region_step", step)
     prob = get_problem("matyas-c")
     traj = run_optimizer("cobyla", prob, budget=budget, seed=seed)
@@ -1071,6 +1072,64 @@ def test_run_optimizer_fallback_fills_budget(algo, monkeypatch, caplog, tmp_path
     )
     table = run_benchmark(config, out_dir=tmp_path)  # jobs=1: the patch reaches the cell
     assert table.cell_status[f"{key}/{algo}/rep0"].startswith(f"fallback@{n_init + 1}:")
+
+
+@pytest.mark.parametrize("algo, key, seed, budget", [
+    ("bo", "ackley-d2", 0, 12), ("cbo", "matyas-c", 2, 12), ("cuatro", "rosenbrock-c", 3, 12),
+    ("dycors", "ackley-d2", 4, 14),
+    ("cobyla", "matyas-c", 1, 32),  # its simplex degenerates: rebuild vertices take indices
+])
+def test_each_step_takes_the_seed_of_its_index_after_the_design(algo, key, seed, budget,
+                                                                 monkeypatch):
+    import inspect
+
+    record, steps = [], []
+    real_evaluate = optimizers.evaluate
+
+    def evaluate(*args, trajectory=None):
+        record[:] = [trajectory]
+        return real_evaluate(*args, trajectory=trajectory)
+
+    def spy(real):
+        def step(*args, **kwargs):
+            steps.append((inspect.signature(real).bind(*args, **kwargs).arguments["seed"],
+                          len(record[0])))
+            return real(*args, **kwargs)
+        return step
+
+    monkeypatch.setattr(optimizers, "evaluate", evaluate)
+    for name in ("trust_region_step", "propose_bo", "propose_cbo", "dycors_step"):
+        monkeypatch.setattr(optimizers, name, spy(getattr(optimizers, name)))
+    traj = run_optimizer(algo, get_problem(key), budget, seed)
+    n_init = optimizers.initial_design_size(algo, traj.xs.shape[1])
+    assert "fallback_at" not in traj.meta and steps
+    for step_seed, rows in steps:
+        assert step_seed == derive_seed(seed, "step", rows - n_init)
+    assert [rows for _, rows in steps][-1] == budget - 1
+    assert (len(steps) < budget - n_init) == (algo == "cobyla")
+
+
+@pytest.mark.parametrize("algo", ["bo", "cuatro", "cobyla", "dycors"])
+def test_a_fit_that_fails_mid_run_falls_back_after_the_rows_it_made(algo, monkeypatch):
+    # the third fit raises inside a resumed step: the rows before it are the
+    # unpatched run's, bit for bit
+    prob = get_problem("ackley-d2")
+    clean = run_optimizer(algo, prob, budget=12, seed=5)
+    real, calls = getattr(optimizers, FIT_OF[algo]), []
+
+    def third_fails(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise SurrogateFitError("synthetic failure")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(optimizers, FIT_OF[algo], third_fails)
+    traj = run_optimizer(algo, prob, budget=12, seed=5)
+    at = traj.meta["fallback_at"]
+    assert at == optimizers.initial_design_size(algo, prob.dim) + 3 and len(traj) == 12
+    for a, b in [(traj.xs, clean.xs), (traj.ys, clean.ys), (traj.gs, clean.gs)]:
+        assert a[:at - 1].tobytes() == b[:at - 1].tobytes()
+    assert traj.xs[at - 1].tobytes() != clean.xs[at - 1].tobytes()
 
 
 def test_run_optimizer_programming_error_propagates(monkeypatch):
