@@ -54,8 +54,8 @@ def digest(traj) -> str:
 
 
 GOLDEN = {
-    ("quadratic-d2", "bo", 0, 10): "e0469cfff1135ed3aaeaa38313b20c365edeb0d4779a8f82adcf550ff789a272",
-    ("quadratic-d2", "bo", 1, 10): "26a3e4fa16a566c0aac18e6a452530f7aee66ce710c502b8c319527ffc9b8989",
+    ("quadratic-d2", "bo", 0, 10): "c13549862f0941456ee50a77df585076e8234dd0cb89b7aafe4647917b897590",
+    ("quadratic-d2", "bo", 1, 10): "467dc655a69bbee64d71866f59435302059ca012b81abc5435d539dadb59fe2d",
     ("quadratic-d2", "lsqm", 0, 10): "4c0b536d5bb7ef72cac6424c5ea880cbb68e0f7b7b9564606b3a72da0e80210f",
     ("quadratic-d2", "lsqm", 1, 10): "6cd1f54030d5a75d939392fbee9796a90f99528f7e4f869ec51905717f0490a9",
     ("quadratic-d2", "cuatro", 0, 10): "4c0b536d5bb7ef72cac6424c5ea880cbb68e0f7b7b9564606b3a72da0e80210f",
@@ -66,8 +66,8 @@ GOLDEN = {
     ("quadratic-d2", "cobyqa", 1, 10): "3700472549227ddfd8e67224e8ec0343faac2d2f5bdf477061e1cb712fcf5dd4",
     ("quadratic-d2", "dycors", 0, 10): "553e9f59ee17a31775c0633f73d5ba0b927bc70f325ea950383409ee8b2921b7",
     ("quadratic-d2", "dycors", 1, 10): "605b845cce6c372b30a9a953272180c361439e339333ac0e9657932c77890dab",
-    ("levy-d5", "bo", 0, 13): "31f0a8a42180d690605ec0e8e416d038279487475d1b692603d007a573a89ab6",
-    ("levy-d5", "bo", 1, 13): "12c5344196bcc68be05e401022547559f26854449e4e5eefa4b965a7679db58e",
+    ("levy-d5", "bo", 0, 13): "916efc5723f60182167f188bb9ea7de72b00ccad6f9169a64e813e11d6a18bdb",
+    ("levy-d5", "bo", 1, 13): "ee2bc2d76afb575cde78569aefed1f0ea5a2e5ea89a07732799438141298c693",
     ("levy-d5", "lsqm", 0, 13): "62f6011504ab338fba3cd44a458b5ea69e8d59fde0d99e042da970319cc3820c",
     ("levy-d5", "lsqm", 1, 13): "c0b5c2c8d319902e26fb066756fe807e366a5dc2a49a39c4e559b1c962177bdd",
     ("levy-d5", "cuatro", 0, 13): "62f6011504ab338fba3cd44a458b5ea69e8d59fde0d99e042da970319cc3820c",
@@ -78,10 +78,10 @@ GOLDEN = {
     ("levy-d5", "cobyqa", 1, 13): "aae0523beebe6d542ad4e52c8569ed0e6f4b04c415de55ca5b29e3d89508fc13",
     ("levy-d5", "dycors", 0, 13): "e57922a9d4ec2b0741498c8513427397323fd45500af2ed586c229fce117373e",
     ("levy-d5", "dycors", 1, 13): "62a4b3c8b35df53e0e4055cabd6d2f2b09fe20abc97866a70cf551b814e15e0b",
-    ("matyas-c", "bo", 0, 10): "fec26f377f7945016399ef895982f19d33682e5b9f1d1ba4870098e0a1081666",
-    ("matyas-c", "bo", 1, 10): "58eb20520ee218b94236efb49529e99fd308fb9bace586f652057468ff6995be",
-    ("matyas-c", "cbo", 0, 10): "cf071ef587a5a377f2361555a6ffb78ea7a00f4325c66b734b303096901e3cf3",
-    ("matyas-c", "cbo", 1, 10): "1ef9243bb61040be180c3f2d971b6a9d70391e86e148aae830a26c0a0ff05af6",
+    ("matyas-c", "bo", 0, 10): "d96b861d6645bc50291b653fc3b1ed8ba3bfaabece9d4c93097659cf89ffee1b",
+    ("matyas-c", "bo", 1, 10): "9e89e98e7b49a082e279172db9a0439c3d02a68ba1853cef56f6aeb75cc9046d",
+    ("matyas-c", "cbo", 0, 10): "6505c45a76eb6349e555359e43874dd409418b30be6ad7694ecc96c8a19a0ded",
+    ("matyas-c", "cbo", 1, 10): "96811cead1f0ae229da49b2b400934016607bfa1b3a15b0b9dc4623dfb34893c",
     ("matyas-c", "lsqm", 0, 10): "3f2734f40114b40f9b53a8ea1f8bbf0f625221741d8f7ab1128c6ea3ad9a8a64",
     ("matyas-c", "lsqm", 1, 10): "e45b3a97e0f468c2495a5a133f13b2feeb045f6521ada82da6dc0d6cad23556a",
     ("matyas-c", "cuatro", 0, 10): "7a7024ddc38a3c0003f030b12ab30f6d5df3d6b9ddf121f259ab5885d0b8d43c",
@@ -92,10 +92,10 @@ GOLDEN = {
     ("matyas-c", "cobyqa", 1, 10): "fe9d1b722923fa465f452cda72c413cf0fb344a980fc3a2c00b71c74095918b7",
     ("matyas-c", "dycors", 0, 10): "4781936fb9f6d21e999cf3c75f8ff8d3157553219a3dfb1af0d626e272dc6ee2",
     ("matyas-c", "dycors", 1, 10): "f8b76693852ee3599f5c479b9cd7acf36fadce69d5ced296645faab943c8ebf1",
-    ("williams-otto", "bo", 0, 10): "bac0a90c49a93ef52e1b0b7ce659e11e38b0e9421dd5760fbee2f35a6ae602ba",
-    ("williams-otto", "bo", 1, 10): "be0f888e9cc825caa9b48beb3c7dd0b0df8d9dc49d2ba9ed899cf6b36b8b0d8b",
-    ("williams-otto", "cbo", 0, 10): "8567c42eabcbc3f33929ddffa2a8822060afe9e3403887a5bc8be555d5e686bc",
-    ("williams-otto", "cbo", 1, 10): "84dc71529715293409b158ca3fafe83bced7e610ce18fe12aec5413a385f4860",
+    ("williams-otto", "bo", 0, 10): "13a36f551b80cb946693462fe39ef25be8ad00bad70ecdc2d8e44333e6db7150",
+    ("williams-otto", "bo", 1, 10): "e0f655f0f4ba7c01f28680fb20b2086798784f4e1552860d00de6fa80cc95957",
+    ("williams-otto", "cbo", 0, 10): "af20148df956fac4ba81f7449192e7f1fc85ed757d48772e8c2ab297fc0df037",
+    ("williams-otto", "cbo", 1, 10): "4764ffa8005bc3d16218b76b25c7031ca2ad9a1105ef996c87625961c7c7b40e",
     ("williams-otto", "lsqm", 0, 10): "2a350ef0cf2198aba5872f72f6a63bbafe18b9df89ea31f1a1cd9d1fbc61a049",
     ("williams-otto", "lsqm", 1, 10): "a08ffbbc0973dd255c5e3445b39494b771cdb1f446cf495b0d20df2a10931712",
     ("williams-otto", "cuatro", 0, 10): "c3657362989418cec2dd24796d8d6c6fddbf0197348b7576049e38335ee8c576",

@@ -647,6 +647,26 @@ def test_stack_makes_the_factorization_calls_of_one_fit(k):
     assert counts == {"cholesky": 6, "eigh": 3}
 
 
+@pytest.mark.parametrize("d", [1, 2, 5, 10])
+def test_fit_factors_10_plus_12d_kernels_per_model(d):
+    real = surrogates._chol_stack
+    stacks = []
+
+    def counting(M):
+        stacks.append(len(M))
+        return real(M)
+
+    rng = np.random.default_rng(d)
+    X = rng.uniform(0.0, 1.0, (12, d))
+    Y = np.vstack([np.cos(2.0 * X).sum(axis=1), np.sin(3.0 * X).sum(axis=1)])
+    with mock.patch.object(surrogates, "_chol_stack", counting):
+        surrogates.fit_gps(X, Y, [0, 1])
+    # per model: 8 seeded starts and the box centre, a 7-point grid for each
+    # lengthscale, then a 5-point one for each, and the chosen model
+    assert stacks == [2 * 9] + [2 * 7] * d + [2 * 5] * d + [2]
+    assert sum(stacks) == 2 * (10 + 12 * d)
+
+
 @pytest.mark.parametrize("failing", [0, 1])
 def test_fit_fails_when_a_chosen_model_does_not_factor(failing):
     real = surrogates._chol_stack
@@ -654,7 +674,7 @@ def test_fit_fails_when_a_chosen_model_does_not_factor(failing):
 
     def model_fails(M):
         F = real(M)
-        if len(F) == 2:  # the models' stack; the search's have 9 members per model
+        if len(F) == 2:  # the models' stack; the search's have 9, 7 or 5 members per model
             F[failing] = np.nan
         stacks.append(len(F))
         return F
@@ -665,7 +685,7 @@ def test_fit_fails_when_a_chosen_model_does_not_factor(failing):
     with mock.patch.object(surrogates, "_chol_stack", model_fails):
         with pytest.raises(SurrogateFitError, match="not positive definite"):
             surrogates.fit_gps(X, Y, [0, 1])
-    assert stacks == [18, 18, 18, 18, 18, 2]  # the starts, four grids, the models
+    assert stacks == [18, 14, 14, 10, 10, 2]  # the starts, four grids, the models
 
 
 @pytest.mark.parametrize("fit", ["fit_gps", "gp_from_hyperparameters"])
@@ -754,22 +774,42 @@ def _oracle_datasets(count=20, seed=0):
         yield X, y
 
 
+def _oracle_gaps(datasets):
+    """The shortfall of each fit's LML below the oracle's, in nats."""
+    gaps = []
+    for X, y in datasets:
+        model = fit_gp(Dataset(X, y), seed=1)
+        gaps.append(_oracle_lml(model) - model.log_marginal_likelihood)
+    gaps = np.array(gaps)
+    assert np.all(gaps > -1e-6)  # the oracle starts at the fit's own point
+    return gaps
+
+
 # Bounds on the shortfall of fit_gp's LML below the oracle's on
 # _oracle_datasets(), in nats, set from the measured median 2.14 and maximum
-# 15.94 (the previous golden-section search: 3.22 and 45.26). Do not loosen.
+# 15.94 (the previous golden-section search: 3.22 and 45.26). The 7- and
+# 5-point lengthscale grids measure 2.18 and 16.64. Do not loosen.
 _ORACLE_MEDIAN_GAP = 2.5
 _ORACLE_MAX_GAP = 17.0
 
 
 def test_fit_comes_close_to_a_multistart_lbfgsb_oracle():
-    gaps = []
-    for X, y in _oracle_datasets():
-        model = fit_gp(Dataset(X, y), seed=1)
-        gaps.append(_oracle_lml(model) - model.log_marginal_likelihood)
-    gaps = np.array(gaps)
-    assert np.all(gaps > -1e-6)  # the oracle starts at the fit's own point
+    gaps = _oracle_gaps(_oracle_datasets())
     assert np.median(gaps) <= _ORACLE_MEDIAN_GAP
     assert gaps.max() <= _ORACLE_MAX_GAP
+
+
+# The same on _oracle_datasets(seed=1), set from the measured median 1.71 and
+# maximum 7.95 of the 7- and 5-point lengthscale grids (the 9- and 9-point
+# grids: 1.13 and 22.50). Do not loosen.
+_ORACLE_SEED1_MEDIAN_GAP = 2.0
+_ORACLE_SEED1_MAX_GAP = 9.0
+
+
+def test_fit_comes_close_to_the_oracle_on_a_second_dataset_draw():
+    gaps = _oracle_gaps(_oracle_datasets(seed=1))
+    assert np.median(gaps) <= _ORACLE_SEED1_MEDIAN_GAP
+    assert gaps.max() <= _ORACLE_SEED1_MAX_GAP
 
 
 @settings(max_examples=40, deadline=None)
