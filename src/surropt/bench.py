@@ -597,8 +597,8 @@ def compare_results(dir_a, dir_b, suite: Optional[str] = None) -> dict:
     nothing. Per cell: the first row where X, y or G differ, max |dX|, and
     delta = B's final best feasible y minus A's (feasible as ``core.feasible``
     judges it, the optimizers' rule); negative delta means B found the lower
-    value. Per (problem, algorithm): the mean delta with a 95% percentile bootstrap
-    interval over the paired cells (seeded by the problem and the
+    value. Per (problem, algorithm): the paired cells' deltas, their mean with a
+    95% percentile bootstrap interval (seeded by the problem and the
     algorithm), and B's wins, losses and ties. A cell where only one side
     found a feasible point counts as that side's win and has no delta; a
     cell missing on either side is counted as missing.
@@ -633,13 +633,13 @@ def compare_results(dir_a, dir_b, suite: Optional[str] = None) -> dict:
         pair["differing"] += first is not None
         if delta is not None:
             pair["deltas"].append(delta)
-        sign = (0 if best_a is None and best_b is None else 1 if best_a is None
-                else -1 if best_b is None else np.sign(delta))
+        sign = (0 if best_a is None and best_b is None else -1 if best_a is None
+                else 1 if best_b is None else np.sign(delta))
         pair["b_better" if sign < 0 else "b_worse" if sign > 0 else "ties"] += 1
 
     summary = []
     for (key, algo), pair in pairs.items():
-        deltas = np.array(pair.pop("deltas"))
+        deltas = np.array(pair["deltas"])
         ci = (_bootstrap_ci(deltas, derive_seed(0, "compare", key, algo))
               if deltas.size else None)
         summary.append({"problem": key, "algorithm": algo, "paired": int(deltas.size),

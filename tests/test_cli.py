@@ -744,6 +744,23 @@ def test_compare_pairs_best_feasible_values(compare_run, tmp_path):
     assert pair["mean_delta"] == pytest.approx(-0.5)
 
 
+def test_compare_counts_a_one_side_feasible_cell_as_that_sides_win(compare_run, tmp_path):
+    other = tmp_path / "b"
+    shutil.copytree(compare_run, other)
+    path = other / "constrained" / "matyas-c" / "cbo" / "rep0.csv"
+    with open(path, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    for r in rows:
+        r[header.index("g0")] = "1.0"  # no row of B's rep0 is feasible
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    for a, b, wins in ((compare_run, other, "b_worse"), (other, compare_run, "b_better")):
+        report = compare_results(a, b)
+        assert report["cells"]["matyas-c/cbo/rep0"]["delta"] is None
+        pair = next(p for p in report["pairs"] if p["algorithm"] == "cbo")
+        assert (pair[wins], pair["ties"], pair["paired"]) == (1, 1, 1)
+
+
 def test_compare_refuses_runs_of_different_configs(compare_run, tmp_path, capsys):
     other = tmp_path / "b"
     shutil.copytree(compare_run, other)

@@ -626,8 +626,6 @@ def test_fit_gps_needs_one_seed_per_target():
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_stack_makes_the_factorization_calls_of_one_fit(k):
-    counts = {"cholesky": 0, "eigh": 0}
-
     def counting(name):
         real = getattr(np.linalg, name)
 
@@ -637,46 +635,36 @@ def test_stack_makes_the_factorization_calls_of_one_fit(k):
 
         return mock.patch.object(np.linalg, name, call)
 
-    rng = np.random.default_rng(k)
-    X = rng.uniform(0.0, 1.0, (12, 2))
-    Y = np.vstack([np.cos(2.0 * X + i).sum(axis=1) for i in range(k)])
-    with counting("cholesky"), counting("eigh"):
-        surrogates.fit_gps(X, Y, list(range(k)))
-    # at d = 2: one stack of starts, four lengthscale grids and the models'
-    # factors, each for all k models; three stacked eigh
-    assert counts == {"cholesky": 6, "eigh": 3}
+    real_stack = surrogates._chol_stack
 
-
-@pytest.mark.parametrize("d", [1, 2, 5, 10])
-def test_fit_factors_10_plus_12d_kernels_per_model(d):
-    real = surrogates._chol_stack
-    stacks = []
-
-    def counting(M):
+    def stacking(M):
         stacks.append(len(M))
-        return real(M)
+        return real_stack(M)
 
-    rng = np.random.default_rng(d)
-    X = rng.uniform(0.0, 1.0, (12, d))
-    Y = np.vstack([np.cos(2.0 * X).sum(axis=1), np.sin(3.0 * X).sum(axis=1)])
-    with mock.patch.object(surrogates, "_chol_stack", counting):
-        surrogates.fit_gps(X, Y, [0, 1])
-    # per model: 8 seeded starts and the box centre, a 7-point grid for each
-    # lengthscale, then a 5-point one for each, and the chosen model
-    assert stacks == [2 * 9] + [2 * 7] * d + [2 * 5] * d + [2]
-    assert sum(stacks) == 2 * (10 + 12 * d)
+    rng = np.random.default_rng(k)
+    for d in (1, 2, 5, 10):
+        counts, stacks = {"cholesky": 0, "eigh": 0}, []
+        X = rng.uniform(0.0, 1.0, (12, d))
+        Y = np.vstack([np.cos(2.0 * X + i).sum(axis=1) for i in range(k)])
+        with counting("cholesky"), counting("eigh"), \
+                mock.patch.object(surrogates, "_chol_stack", stacking):
+            surrogates.fit_gps(X, Y, list(range(k)))
+        # one stack of starts, a grid for each lengthscale in each of the two
+        # passes and the models' factors, each for all k models; three stacked eigh
+        assert counts == {"cholesky": 2 * d + 2, "eigh": 3}
+        # per model: 8 seeded starts and the box centre, a 7-point grid for
+        # each lengthscale, then a 5-point one for each, and the chosen model
+        assert stacks == [9 * k] + [7 * k] * d + [5 * k] * d + [k]
 
 
 @pytest.mark.parametrize("failing", [0, 1])
 def test_fit_fails_when_a_chosen_model_does_not_factor(failing):
     real = surrogates._chol_stack
-    stacks = []
 
     def model_fails(M):
         F = real(M)
         if len(F) == 2:  # the models' stack; the search's have 9, 7 or 5 members per model
             F[failing] = np.nan
-        stacks.append(len(F))
         return F
 
     rng = np.random.default_rng(2)
@@ -685,7 +673,6 @@ def test_fit_fails_when_a_chosen_model_does_not_factor(failing):
     with mock.patch.object(surrogates, "_chol_stack", model_fails):
         with pytest.raises(SurrogateFitError, match="not positive definite"):
             surrogates.fit_gps(X, Y, [0, 1])
-    assert stacks == [18, 14, 14, 10, 10, 2]  # the starts, four grids, the models
 
 
 @pytest.mark.parametrize("fit", ["fit_gps", "gp_from_hyperparameters"])
