@@ -30,7 +30,10 @@ nothing; ``rescore_results`` also rewrites scores.json and convergence.csv
 as the run writes them, byte-identical on untouched results.
 ``compare_results`` pairs the cells of two runs of one config: where each
 trajectory first differs, and the paired difference in final best feasible
-value per cell and per (problem, algorithm).
+value per cell and per (problem, algorithm). Each (problem, algorithm) pair
+gets an exact two-sided Wilcoxon signed-rank test (``signed_rank_p``, numpy
+only), Holm's step-down runs over all pairs of the report at family-wise
+ALPHA, and the report's ``verdict`` names the pairs where B is worse.
 """
 
 from __future__ import annotations
@@ -545,6 +548,8 @@ def _rescore(results_dir, suite):
 
 # ------------------------------------------------------------------ compare
 
+ALPHA = 0.05  # family-wise level of compare's verdict
+
 
 def _suite_dir(results_dir, suite: Optional[str], name: str) -> Path:
     """The suite directory of a run: ``results_dir/suite``, ``results_dir``
@@ -578,11 +583,62 @@ def _first_difference(a, b):
     return first, float(np.max(np.abs(a[0] - b[0]), initial=0.0))
 
 
-def _bootstrap_ci(deltas: np.ndarray, seed: int, resamples: int = 2000):
-    """Percentile 95% bootstrap interval of the mean of ``deltas``."""
-    rng = np.random.default_rng(seed)
-    means = deltas[rng.integers(0, deltas.size, (resamples, deltas.size))].mean(axis=1)
-    return float(np.percentile(means, 2.5)), float(np.percentile(means, 97.5))
+def signed_rank_p(sample) -> float:
+    """Exact two-sided Wilcoxon signed-rank p of ``sample``; zeros are ties, dropped.
+
+    Tied magnitudes (the infinities too) share their average rank, doubled
+    to an integer. Under the null each member's sign is + or - with
+    probability 1/2, so the null law of T, the sum of the positive members'
+    ranks, is one convolution per member; p is its mass where |T - mean| is
+    at least the observed. Unlike scipy's "exact" method this stays exact
+    with tied ranks.
+    """
+    x = np.asarray(sample, dtype=float)
+    x = x[x != 0]
+    mags = np.abs(x)
+    ordered = np.sort(mags)
+    ranks = np.searchsorted(ordered, mags, "left") + np.searchsorted(ordered, mags, "right") + 1
+    total = int(ranks.sum())
+    law = np.zeros(total + 1)  # law[t] = P(T = t), built member by member
+    law[0] = 1.0
+    for r in ranks:
+        law *= 0.5
+        law[r:] += law[:-r]
+    observed = abs(2 * int(ranks[x > 0].sum()) - total)
+    return min(1.0, float(law[np.abs(2 * np.arange(total + 1) - total) >= observed].sum()))
+
+
+def holm(pvalues) -> np.ndarray:
+    """Holm's step-down: which of the pvalues are rejected at family-wise ALPHA."""
+    p = np.asarray(pvalues, dtype=float)
+    m = p.size
+    rejected = np.zeros(m, dtype=bool)
+    for step, i in enumerate(np.argsort(p, kind="stable")):
+        if p[i] > ALPHA / (m - step):
+            break
+        rejected[i] = True
+    return rejected
+
+
+def _test_pairs(pairs) -> list:
+    """Test each pair B against A and return the names of the pairs where B is worse.
+
+    A pair's sample is its deltas, one -inf per cell only B found feasible
+    and one +inf per cell only A did, so a change that loses feasibility
+    counts against B. Each pair gains its ``signed_rank_p`` as ``p``, Holm's
+    decision over all pairs as ``rejected``, and ``worse``: rejected with a
+    positive sample median.
+    """
+    medians = []
+    for pair in pairs:
+        sample = np.concatenate([pair["deltas"], np.full(pair["b_only_feasible"], -np.inf),
+                                 np.full(pair["a_only_feasible"], np.inf)])
+        sample = sample[sample != 0]
+        pair["p"] = signed_rank_p(sample)
+        medians.append(np.median(sample) if sample.size else 0.0)
+    for pair, reject, median in zip(pairs, holm([pair["p"] for pair in pairs]), medians):
+        pair.update(rejected=bool(reject), worse=bool(reject and median > 0))
+    return [f"{pair['problem']}/{pair['algorithm']}" for pair in pairs if pair["worse"]]
 
 
 def compare_results(dir_a, dir_b, suite: Optional[str] = None) -> dict:
@@ -597,11 +653,12 @@ def compare_results(dir_a, dir_b, suite: Optional[str] = None) -> dict:
     nothing. Per cell: the first row where X, y or G differ, max |dX|, and
     delta = B's final best feasible y minus A's (feasible as ``core.feasible``
     judges it, the optimizers' rule); negative delta means B found the lower
-    value. Per (problem, algorithm): the paired cells' deltas, their mean with a
-    95% percentile bootstrap interval (seeded by the problem and the
-    algorithm), and B's wins, losses and ties. A cell where only one side
-    found a feasible point counts as that side's win and has no delta; a
-    cell missing on either side is counted as missing.
+    value. Per (problem, algorithm): the paired cells' deltas and their mean,
+    B's wins, losses and ties, and the cells only A or only B found feasible,
+    each a win of that side with no delta; a cell missing on either side is
+    counted as missing. Each pair then gets the exact signed-rank test of
+    ``_test_pairs`` and Holm's decision at family-wise ALPHA over all pairs;
+    ``verdict`` lists the pairs where B is worse.
     """
     roots = [_suite_dir(d, suite, "manifest.json") for d in (dir_a, dir_b)]
     manifests = [json.loads((r / "manifest.json").read_text()) for r in roots]
@@ -620,7 +677,8 @@ def compare_results(dir_a, dir_b, suite: Optional[str] = None) -> dict:
         a, b = (_read_rep_csv(r / f"{name}.csv", budgets) if (r / f"{name}.csv").exists() else None
                 for r in roots)
         pair = pairs.setdefault((key, algo), {"deltas": [], "b_better": 0, "b_worse": 0,
-                                              "ties": 0, "missing": 0, "differing": 0})
+                                              "ties": 0, "missing": 0, "differing": 0,
+                                              "a_only_feasible": 0, "b_only_feasible": 0})
         if a is None or b is None:
             cells[name] = {"missing": [side for side, c in (("A", a), ("B", b)) if c is None]}
             pair["missing"] += 1
@@ -631,30 +689,33 @@ def compare_results(dir_a, dir_b, suite: Optional[str] = None) -> dict:
         cells[name] = {"first_differing_row": first, "max_abs_dx": max_dx,
                        "best_a": best_a, "best_b": best_b, "delta": delta}
         pair["differing"] += first is not None
-        if delta is not None:
-            pair["deltas"].append(delta)
         sign = (0 if best_a is None and best_b is None else -1 if best_a is None
                 else 1 if best_b is None else np.sign(delta))
         pair["b_better" if sign < 0 else "b_worse" if sign > 0 else "ties"] += 1
+        if delta is not None:
+            pair["deltas"].append(delta)
+        elif sign:
+            pair["b_only_feasible" if sign < 0 else "a_only_feasible"] += 1
 
-    summary = []
-    for (key, algo), pair in pairs.items():
-        deltas = np.array(pair["deltas"])
-        ci = (_bootstrap_ci(deltas, derive_seed(0, "compare", key, algo))
-              if deltas.size else None)
-        summary.append({"problem": key, "algorithm": algo, "paired": int(deltas.size),
-                        "mean_delta": float(deltas.mean()) if deltas.size else None,
-                        "ci95": ci, **pair})
+    summary = [{"problem": key, "algorithm": algo, "paired": len(pair["deltas"]),
+                "mean_delta": float(np.mean(pair["deltas"])) if pair["deltas"] else None, **pair}
+               for (key, algo), pair in pairs.items()]
+    verdict = _test_pairs(summary)
     return {
         "a": str(roots[0]), "b": str(roots[1]), "suite": manifests[0]["suite"],
         "config": manifests[0]["config"], "provenance": provenance,
         "differing_cells": sum(1 for c in cells.values() if c.get("first_differing_row")),
-        "cells": cells, "pairs": summary,
+        "cells": cells, "pairs": summary, "verdict": verdict,
     }
 
 
 def compare_markdown(report: dict) -> str:
-    """The markdown tables of a :func:`compare_results` report."""
+    """The markdown tables of a :func:`compare_results` report, then its verdict.
+
+    With n nonzero members a pair's exact p is at least 2 / 2^n; when that
+    floor is above ALPHA / m for every one of the m pairs, nothing can be
+    rejected, and a note before the verdict says the run needs more reps.
+    """
 
     def num(v):
         return "—" if v is None else f"{v:.6g}"
@@ -667,14 +728,14 @@ def compare_markdown(report: dict) -> str:
         "",
         "delta = B's final best feasible y minus A's; negative: B lower.",
         "",
-        "| problem | algorithm | paired | differing | mean delta | 95% CI | B better | B worse | ties |",
-        "|---|---|---|---|---|---|---|---|---|",
+        "| problem | algorithm | paired | differing | mean delta | p | Holm | B better | B worse "
+        "| ties |",
+        "|---|---|---|---|---|---|---|---|---|---|",
     ]
     for p in report["pairs"]:
-        ci = "—" if p["ci95"] is None else f"[{num(p['ci95'][0])}, {num(p['ci95'][1])}]"
         lines.append(f"| {p['problem']} | {p['algorithm']} | {p['paired']} | {p['differing']} "
-                     f"| {num(p['mean_delta'])} | {ci} | {p['b_better']} | {p['b_worse']} "
-                     f"| {p['ties']} |")
+                     f"| {num(p['mean_delta'])} | {p['p']:.4g} | {'rej' if p['rejected'] else '—'} "
+                     f"| {p['b_better']} | {p['b_worse']} | {p['ties']} |")
     moved = [(name, c) for name, c in report["cells"].items() if c.get("first_differing_row")]
     if moved:
         lines += ["", "| cell | first differing row | max abs dX | best A | best B | delta |",
@@ -685,4 +746,12 @@ def compare_markdown(report: dict) -> str:
     missing = [name for name, c in report["cells"].items() if "missing" in c]
     if missing:
         lines += ["", f"missing cells: {', '.join(missing)}"]
+    m = len(report["pairs"])
+    floor = min(1.0, 2.0 ** (1 - max((p["b_better"] + p["b_worse"] for p in report["pairs"]),
+                                     default=0)))
+    if m and floor > ALPHA / m:
+        lines += ["", f"no pair can be rejected: the smallest attainable p, {floor:.4g}, is above "
+                      f"{ALPHA:g} / {m} pairs = {ALPHA / m:.4g}; this test needs more reps"]
+    lines += ["", f"verdict: B worse at family-wise {ALPHA:g}: "
+                  f"{', '.join(report['verdict']) or 'none'}"]
     return "\n".join(lines) + "\n"

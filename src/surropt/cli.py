@@ -16,8 +16,10 @@ stored trajectories and rewrites scores.json and convergence.csv; on
 untouched results both come back bit-identical, and otherwise it names the
 files that changed. ``compare`` pairs the cells of two runs of one config
 and prints markdown tables of where trajectories differ and of the paired
-difference in final best feasible value; it writes the same report as JSON
-first and exits 0 whatever it finds. On a closed stdout every command exits 1 quietly.
+difference in final best feasible value with each pair's exact signed-rank
+p and Holm's decision; its last line is the verdict, the pairs where B is
+worse at family-wise 5%. It writes the same report as JSON first and exits
+0 whatever it finds. On a closed stdout every command exits 1 quietly.
 
 Config files are YAML with the keys suite, algorithms, problems, dims,
 repetitions, budgets, warmup, seed. Every key but warmup has a flag, and flags
@@ -235,7 +237,6 @@ def cmd_compare(args) -> int:
     report = compare_results(args.a, args.b, suite=args.suite)
     Path(args.json).write_text(json.dumps(report, indent=2))
     print(compare_markdown(report), end="")
-    print(f"report written to {args.json}")
     return 0
 
 

@@ -22,7 +22,15 @@ from surropt import (
     score_r,
     score_results,
 )
-from surropt.bench import DEFAULT_BUDGETS, DEFAULT_WARMUP, _score_table
+from surropt.bench import (
+    ALPHA,
+    DEFAULT_BUDGETS,
+    DEFAULT_WARMUP,
+    _score_table,
+    _test_pairs,
+    holm,
+    signed_rank_p,
+)
 from surropt.core import Trajectory
 from surropt.surrogates import SurrogateFitError
 
@@ -813,3 +821,103 @@ def test_handcrafted_three_algorithm_table(tmp_path):
     )
     assert table.feasibility[("toy", "a1")] == 1.0
     assert table.mean_violation[("toy", "a1")] == 0.0
+
+
+# ---------------------------------------------------------------- compare's paired test
+
+
+def _enumerated_p(sample):
+    """The two-sided signed-rank p by walking all 2^n sign patterns of the nonzero members."""
+    x = np.asarray(sample, dtype=float)
+    x = x[x != 0]
+    mags = np.abs(x)
+    ranks = (mags[:, None] > mags).sum(axis=1) + ((mags[:, None] == mags).sum(axis=1) + 1) / 2
+    flips = (np.arange(2 ** x.size)[:, None] >> np.arange(x.size)) & 1
+    centre = ranks.sum() / 2
+    return float(np.mean(np.abs(flips @ ranks - centre) >= abs(ranks[x > 0].sum() - centre)))
+
+
+def test_signed_rank_p_equals_scipys_exact_test_without_ties():
+    from scipy import stats
+
+    rng = np.random.default_rng(1)
+    for n in range(1, 15):
+        for _ in range(20):
+            sample = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+            assert signed_rank_p(sample) == stats.wilcoxon(sample, method="exact").pvalue
+
+
+def test_signed_rank_p_enumerates_tied_ranks_zeros_and_infinities():
+    # scipy's "exact" method does not enumerate tied ranks: here it gives 0.0068359375
+    assert signed_rank_p([1, 1, 1, 2, 2, -3, 4, 5, 5, 6, 7, 8]) == 11 / 2048
+    assert _enumerated_p([1, 1, 1, 2, 2, -3, 4, 5, 5, 6, 7, 8]) == 11 / 2048
+    rng = np.random.default_rng(2)
+    for _ in range(200):
+        sample = rng.choice([0.0, 1.0, -1.0, 2.0, -2.0, 3.5, -3.5, 9.0, np.inf, -np.inf],
+                            size=rng.integers(0, 13))
+        assert signed_rank_p(sample) == _enumerated_p(sample)
+
+
+_MEMBERS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, np.inf, -np.inf]),
+                     st.floats(-1e3, 1e3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sample=st.lists(_MEMBERS, max_size=14), zeros=st.integers(0, 4))
+def test_signed_rank_p_is_odd_blind_to_zeros_and_floored_by_one_sign(sample, zeros):
+    p = signed_rank_p(sample)
+    assert signed_rank_p([-v for v in sample]) == p
+    assert signed_rank_p(sample + [0.0] * zeros) == p
+    nonzero = [v for v in sample if v != 0]
+    one_sign = all(v > 0 for v in nonzero) or all(v < 0 for v in nonzero)
+    assert (p == min(1.0, 2.0 ** (1 - len(nonzero)))) == one_sign
+
+
+def test_holm_rejects_where_the_adjusted_p_is_at_most_alpha():
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        p = rng.uniform(0.0, 0.03, rng.integers(1, 13)) ** rng.uniform(0.5, 2.0)
+        m = p.size
+        # Holm's adjusted p: running max of (m - i) p_(i) over the sorted p, capped at 1
+        order = np.argsort(p, kind="stable")
+        adjusted = np.empty(m)
+        adjusted[order] = np.minimum(np.maximum.accumulate((m - np.arange(m)) * p[order]), 1.0)
+        assert np.array_equal(holm(p), adjusted <= ALPHA)
+
+
+def _pair(problem, deltas=(), b_only=0, a_only=0):
+    """A report pair as compare_results counts it, before its test."""
+    return {"problem": problem, "algorithm": "x", "deltas": [float(d) for d in deltas],
+            "b_only_feasible": b_only, "a_only_feasible": a_only}
+
+
+def test_pair_tests_reads_one_side_feasible_cells_as_unbounded_deltas():
+    pairs = [
+        _pair("worse", deltas=1.0 + np.arange(11), a_only=1),
+        _pair("loses-feasibility", a_only=12),
+        _pair("gains-feasibility", b_only=12),
+        _pair("never-feasible"),  # cells where neither side is feasible enter no sample
+        _pair("unchanged", deltas=np.zeros(12)),
+    ]
+    assert _test_pairs(pairs) == ["worse/x", "loses-feasibility/x"]
+    worse, loses, gains, never, same = pairs
+    assert worse["p"] == 2.0 ** -11  # the exact two-sided floor at n = 12
+    assert loses["p"] == gains["p"] == 2.0 ** -11
+    assert [r["rejected"] for r in pairs] == [True, True, True, False, False]
+    assert [r["worse"] for r in pairs] == [True, True, False, False, False]
+    assert never["p"] == same["p"] == 1.0  # zero deltas are ties: nothing to test
+
+
+@pytest.mark.parametrize("draw", ["standard_normal", "standard_cauchy"])
+def test_verdict_keeps_its_family_wise_level_on_null_deltas(draw):
+    # 200 reports of 60 pairs at 12 reps, every delta from a symmetric null: a
+    # report errs when Holm rejects any of its pairs, worse or better. At 12
+    # tie-free reps only a one-sign pair can be rejected, so the exact rate is
+    # 1 - (1 - 2^-11)^60 = 0.029
+    rng = np.random.default_rng(40)
+    errs = 0
+    for _ in range(200):
+        pairs = [_pair(str(i), deltas=d) for i, d in enumerate(getattr(rng, draw)((60, 12)))]
+        _test_pairs(pairs)
+        errs += any(pair["rejected"] for pair in pairs)
+    assert errs / 200 <= ALPHA

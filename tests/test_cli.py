@@ -671,7 +671,8 @@ def test_compare_of_a_run_with_itself_finds_no_difference(compare_run, tmp_path,
         assert cell["max_abs_dx"] == 0.0 and cell["delta"] == 0.0
     for pair in report["pairs"]:
         assert (pair["paired"], pair["ties"], pair["b_better"], pair["b_worse"]) == (2, 2, 0, 0)
-        assert pair["mean_delta"] == 0.0 and pair["ci95"] == (0.0, 0.0)
+        assert pair["mean_delta"] == 0.0 and pair["p"] == 1.0 and not pair["rejected"]
+    assert report["verdict"] == []
     path = tmp_path / "report.json"
     assert main(["compare", str(compare_run), str(compare_run), "--json", str(path)]) == 0
     assert capsys.readouterr().out.startswith("0 differing cells of 4 ")
@@ -754,11 +755,39 @@ def test_compare_counts_a_one_side_feasible_cell_as_that_sides_win(compare_run, 
         r[header.index("g0")] = "1.0"  # no row of B's rep0 is feasible
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerows([header, *rows])
-    for a, b, wins in ((compare_run, other, "b_worse"), (other, compare_run, "b_better")):
+    for a, b, wins, only in ((compare_run, other, "b_worse", "a_only_feasible"),
+                             (other, compare_run, "b_better", "b_only_feasible")):
         report = compare_results(a, b)
         assert report["cells"]["matyas-c/cbo/rep0"]["delta"] is None
         pair = next(p for p in report["pairs"] if p["algorithm"] == "cbo")
-        assert (pair[wins], pair["ties"], pair["paired"]) == (1, 1, 1)
+        assert (pair[wins], pair[only], pair["ties"], pair["paired"]) == (1, 1, 1, 1)
+
+
+def test_compare_verdict_reads_the_cells_a_run_lost_feasibility_in(tmp_path, capsys):
+    a = tmp_path / "a"
+    assert main(["run", "--suite", "constrained", "--algos", "cobyla", "--problems", "matyas-c",
+                 "--reps", "2", "--budget", "10", "--seed", "3", "--jobs", "1",
+                 "--out", str(a)]) == 0
+    capsys.readouterr()
+    assert main(["compare", str(a), str(a), "--json", str(tmp_path / "self.json")]) == 0
+    assert capsys.readouterr().out.endswith("verdict: B worse at family-wise 0.05: none\n")
+    b = tmp_path / "b"
+    shutil.copytree(a, b)
+    for rep in (b / "constrained" / "matyas-c" / "cobyla").glob("rep*.csv"):
+        with open(rep, newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        for r in rows:
+            r[header.index("g0")] = "1.0"  # no row of B is feasible
+        with open(rep, "w", newline="") as fh:
+            csv.writer(fh).writerows([header, *rows])
+    path = tmp_path / "report.json"
+    assert main(["compare", str(a), str(b), "--json", str(path)]) == 0
+    (pair,) = json.loads(path.read_text())["pairs"]
+    assert (pair["a_only_feasible"], pair["b_worse"], pair["paired"]) == (2, 2, 0)
+    assert pair["p"] == 0.5  # two reps: the smallest attainable p, not enough to reject
+    out = capsys.readouterr().out
+    assert "this test needs more reps" in out
+    assert out.endswith("verdict: B worse at family-wise 0.05: none\n")
 
 
 def test_compare_refuses_runs_of_different_configs(compare_run, tmp_path, capsys):
