@@ -13,7 +13,6 @@ from .core import (
     BudgetExhausted,
     ConfigError,
     Dataset,
-    Evaluation,
     EvaluationFailed,
     NoiseSpec,
     Problem,

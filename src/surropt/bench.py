@@ -714,7 +714,8 @@ def compare_markdown(report: dict) -> str:
 
     With n nonzero members a pair's exact p is at least 2 / 2^n; when that
     floor is above ALPHA / m for every one of the m pairs, nothing can be
-    rejected, and a note before the verdict says the run needs more reps.
+    rejected, and a note before the verdict says the run needs more reps,
+    or, when no pair has a nonzero member, that no pair differs.
     """
 
     def num(v):
@@ -747,9 +748,11 @@ def compare_markdown(report: dict) -> str:
     if missing:
         lines += ["", f"missing cells: {', '.join(missing)}"]
     m = len(report["pairs"])
-    floor = min(1.0, 2.0 ** (1 - max((p["b_better"] + p["b_worse"] for p in report["pairs"]),
-                                     default=0)))
-    if m and floor > ALPHA / m:
+    nonzero = max((p["b_better"] + p["b_worse"] for p in report["pairs"]), default=0)
+    floor = min(1.0, 2.0 ** (1 - nonzero))
+    if m and not nonzero:
+        lines += ["", "no pair differs: B better and B worse are 0 in every pair"]
+    elif m and floor > ALPHA / m:
         lines += ["", f"no pair can be rejected: the smallest attainable p, {floor:.4g}, is above "
                       f"{ALPHA:g} / {m} pairs = {ALPHA / m:.4g}; this test needs more reps"]
     lines += ["", f"verdict: B worse at family-wise {ALPHA:g}: "

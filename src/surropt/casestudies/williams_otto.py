@@ -26,8 +26,6 @@ __all__ = [
     "make_williams_otto_problem",
 ]
 
-SPECIES = ("A", "B", "C", "E", "G", "P")
-
 
 @dataclass(frozen=True)
 class WoParams:

@@ -2,8 +2,8 @@
 
 Everything downstream (surrogates, optimizers, the benchmark harness) works in
 terms of the small set of containers defined here: a ``Problem`` bundles an
-objective with its box bounds, optional constraints, and a noise model; an
-optimizer run writes each ``Evaluation`` as one row of a preallocated
+objective with its box bounds, optional constraints, and a noise model;
+``evaluate`` writes each observation of a run as one row of its preallocated
 ``Trajectory``; surrogate fits consume a ``Dataset`` (rows are samples).
 
 Randomness is handled through named sub-streams derived from one base seed, so
@@ -28,7 +28,6 @@ __all__ = [
     "Bounds",
     "NoiseSpec",
     "Problem",
-    "Evaluation",
     "Dataset",
     "Trajectory",
     "BudgetExhausted",
@@ -194,17 +193,8 @@ class Problem:
         return self.bounds.dim
 
 
-@dataclass(frozen=True)
-class Evaluation:
-    """One observed point: inputs, noisy objective, constraint values."""
-
-    x: np.ndarray
-    y: float
-    g: np.ndarray
-
-
 class Trajectory:
-    """Evaluation history of a single run in preallocated rows, capped at
+    """The evaluation history of a single run in preallocated rows, capped at
     ``budget``; ``xs``, ``ys`` and ``gs`` are read-only views of the filled rows.
     A filled row never moves or changes: the runner's strategies hold row indices."""
 
@@ -303,20 +293,15 @@ def latin_hypercube(bounds: Bounds, n: int, seed: int) -> np.ndarray:
     return bounds.lower + u * bounds.width
 
 
-def evaluate(
-    problem: Problem,
-    x,
-    rng: np.random.Generator,
-    trajectory: Optional[Trajectory] = None,
-) -> Evaluation:
-    """Evaluate ``problem`` at ``x`` (clipped to bounds) with observation noise.
+def evaluate(problem: Problem, x, rng: np.random.Generator, trajectory: Trajectory) -> None:
+    """Evaluate ``problem`` at ``x`` (clipped to bounds) with observation noise
+    and append the observed (x, y, g) as the next row of ``trajectory``.
 
-    When a trajectory is supplied the evaluation is counted against its
-    budget and appended; exceeding the budget raises :class:`BudgetExhausted`
-    (distinct from :class:`EvaluationFailed`, which signals a non-finite
-    objective or constraint value).
+    A full trajectory raises :class:`BudgetExhausted` before the objective is
+    called; a non-finite objective or constraint value raises
+    :class:`EvaluationFailed` and appends nothing.
     """
-    if trajectory is not None and len(trajectory) >= trajectory.budget:
+    if len(trajectory) >= trajectory.budget:
         raise BudgetExhausted(f"budget of {trajectory.budget} evaluations already spent")
     x = problem.bounds.clip(x)
     y_true = float(problem.objective(x))
@@ -335,9 +320,7 @@ def evaluate(
             raise EvaluationFailed(f"constraints returned non-finite values at x={x}")
     else:
         g = np.empty(0)
-    if trajectory is not None:
-        trajectory.append(x, y, g)
-    return Evaluation(x, y, g)
+    trajectory.append(x, y, g)
 
 
 def best_so_far(ys) -> np.ndarray:

@@ -121,21 +121,6 @@ def _merge_duplicates(dist: np.ndarray, y: np.ndarray):
     return kept, y_kept
 
 
-def _planes(X: np.ndarray) -> np.ndarray:
-    """The (d, n*n) planes P_k[i, j] = -(x_ik - x_jk)^2 / 2 of the rows of X.
-
-    Filled in place on one (d, n, n) buffer, with no (n, n, d) temporary.
-    Each plane is symmetric and zero on its diagonal, exactly.
-    """
-    n, d = X.shape
-    P = np.empty((d, n, n))
-    Xt = X.T
-    np.subtract(Xt[:, :, None], Xt[:, None, :], out=P)
-    np.square(P, out=P)
-    P *= -0.5
-    return P.reshape(d, n * n)
-
-
 def _unit_kernel(planes: np.ndarray, lengthscales) -> np.ndarray:
     """The flat (n*n,) SE training kernel at unit signal variance.
 
@@ -297,10 +282,11 @@ class _BorderedKernel:
     ``ys`` is a (k, n) stack of targets over the one X, one row per model;
     a 1-D ys is a stack of one. A stack of kernels lists the models in
     order, the same number of kernels each, and model i's kernels are
-    bordered by row i. The planes of X are computed once per fit, bordered
-    by zeros to the (n+1, n+1) layout of M, so a product of the weights
-    with them lays out each kernel as the K block of its bordered matrix;
-    the unit kernels come out bit for bit as from the unbordered planes.
+    bordered by row i. The planes P_k[i, j] = -(x_ik - x_jk)^2 / 2 of X are
+    written once per fit, in place, into the K block of a zero-bordered
+    (d, n+1, n+1) buffer, so a product of the weights with them lays out
+    each kernel as the K block of its bordered matrix. Each plane is
+    symmetric and zero on its diagonal, exactly.
     :meth:`terms` factors a stack of unit kernels ``E_j + r_j I`` for the
     search, and ``_build_gps`` one kernel ``E_i sv_i + nv_i I`` per model
     for the fitted models, each stack in one ``_chol_stack`` call.
@@ -309,9 +295,12 @@ class _BorderedKernel:
     def __init__(self, X: np.ndarray, ys: np.ndarray):
         n, d = X.shape
         self.X, self.ys = X, np.atleast_2d(ys)
-        self.planes = np.zeros((d, n + 1, n + 1))
-        self.planes[:, :n, :n] = _planes(X).reshape(d, n, n)
-        self.planes = self.planes.reshape(d, -1)
+        planes = np.zeros((d, n + 1, n + 1))
+        P = planes[:, :n, :n]
+        np.subtract(X.T[:, :, None], X.T[:, None, :], out=P)
+        np.square(P, out=P)
+        P *= -0.5
+        self.planes = planes.reshape(d, -1)
 
     def unit(self, lengthscales) -> np.ndarray:
         """The (..., n, n) training kernels at these (..., d) lengthscales and unit sv."""

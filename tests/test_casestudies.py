@@ -7,7 +7,15 @@ from dataclasses import replace
 
 from surropt import bench
 from surropt.bench import BenchmarkConfig
-from surropt.core import Bounds, ConfigError, NoiseSpec, evaluate, latin_hypercube, substream
+from surropt.core import (
+    Bounds,
+    ConfigError,
+    NoiseSpec,
+    Trajectory,
+    evaluate,
+    latin_hypercube,
+    substream,
+)
 from surropt.casestudies import cstr as cstr_module
 from surropt.casestudies import (
     CstrParams,
@@ -599,10 +607,12 @@ def test_wo_problem_solves_once_per_evaluation(monkeypatch):
     prob = make_williams_otto_problem()
     rng = np.random.default_rng(0)
     xs = [np.array([355.0, 4.0]), np.array([360.0, 4.5]), np.array([360.0, 4.5])]
-    evs = [evaluate(prob, x, rng) for x in xs]
+    traj = Trajectory(budget=3, dim=2, n_constraints=prob.n_constraints)
+    for x in xs:
+        evaluate(prob, x, rng, traj)
     assert calls == [(355.0, 4.0), (360.0, 4.5)]  # the repeated x is not solved again
-    assert evs[1].y == evs[2].y and np.array_equal(evs[1].g, evs[2].g)
-    assert evs[0].y == wo_objective(355.0, 4.0)[0]
+    assert traj.ys[1] == traj.ys[2] and np.array_equal(traj.gs[1], traj.gs[2])
+    assert traj.ys[0] == wo_objective(355.0, 4.0)[0]
 
 
 def test_make_williams_otto_problem():

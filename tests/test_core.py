@@ -132,16 +132,18 @@ def test_evaluate_noiseless_rosenbrock_optimum():
             100 * (x[1] - x[0] ** 2) ** 2 + (1 - x[0]) ** 2
         ),
     )
-    ev = evaluate(p, [1.0, 1.0], substream(0, "noise"))
-    assert ev.y == 0.0
+    traj = Trajectory(budget=1, dim=2)
+    evaluate(p, [1.0, 1.0], substream(0, "noise"), traj)
+    assert traj.ys[0] == 0.0
 
 
 def test_evaluate_pure_when_sigma_zero():
     p = quad_problem(sigma=0.0)
     rng = substream(1, "noise")
-    y1 = evaluate(p, [0.3, -0.2], rng).y
-    y2 = evaluate(p, [0.3, -0.2], rng).y
-    assert y1 == y2
+    traj = Trajectory(budget=2, dim=2)
+    evaluate(p, [0.3, -0.2], rng, traj)
+    evaluate(p, [0.3, -0.2], rng, traj)
+    assert traj.ys[0] == traj.ys[1]
 
 
 def test_evaluate_noise_statistics():
@@ -149,32 +151,46 @@ def test_evaluate_noise_statistics():
     p = quad_problem(sigma=0.1)
     rng = substream(123, "noise")
     x = np.array([0.5, 0.5])
-    ys = np.array([evaluate(p, x, rng).y for _ in range(10_000)])
+    traj = Trajectory(budget=10_000, dim=2)
+    for _ in range(10_000):
+        evaluate(p, x, rng, traj)
+    ys = traj.ys
     assert abs(ys.mean() - 0.5) < 0.01
     assert abs(ys.std() - 0.1) < 0.015
 
 
 def test_evaluate_clips_out_of_bounds_proposals():
     p = quad_problem()
-    ev = evaluate(p, [10.0, -10.0], substream(0, "noise"))
-    assert np.allclose(ev.x, [5.0, -5.0])
+    traj = Trajectory(budget=1, dim=2)
+    evaluate(p, [10.0, -10.0], substream(0, "noise"), traj)
+    assert np.allclose(traj.xs[0], [5.0, -5.0])
 
 
 def test_evaluate_budget_exhaustion_is_distinct_from_failure():
-    p = quad_problem()
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return float(np.sum(x**2))
+
+    p = Problem(name="counted", bounds=Bounds.cube(-5, 5, 2), objective=counted)
     traj = Trajectory(budget=1, dim=2)
     rng = substream(0, "noise")
     evaluate(p, [0, 0], rng, trajectory=traj)
     with pytest.raises(BudgetExhausted):
         evaluate(p, [1, 1], rng, trajectory=traj)
+    # a full record refuses before the objective runs; append alone would not
+    assert len(calls) == 1 and len(traj) == 1
 
     bad = Problem(
         name="nan",
         bounds=Bounds.cube(-1, 1, 1),
         objective=lambda x: float("nan"),
     )
+    bad_traj = Trajectory(budget=1, dim=1)
     with pytest.raises(EvaluationFailed):
-        evaluate(bad, [0.0], rng)
+        evaluate(bad, [0.0], rng, bad_traj)
+    assert len(bad_traj) == 0
 
 
 @pytest.mark.parametrize("bad_g", [float("nan"), float("inf"), -float("inf")])
@@ -202,10 +218,12 @@ def test_evaluate_constraints_are_noiseless():
         noise=NoiseSpec(sigma=0.5),
     )
     rng = substream(3, "noise")
+    traj = Trajectory(budget=5, dim=2, n_constraints=2)
     for x in latin_hypercube(p.bounds, 5, seed=3):
-        ev = evaluate(p, x, rng)
-        assert ev.y != p.objective(ev.x)
-        assert np.array_equal(ev.g, p.constraints(ev.x))
+        evaluate(p, x, rng, traj)
+    for x, y, g in zip(traj.xs, traj.ys, traj.gs):
+        assert y != p.objective(x)
+        assert np.array_equal(g, p.constraints(x))
 
 
 def test_constraints_without_count_rejected():

@@ -16,7 +16,6 @@ from surropt.surrogates import (
     SurrogateFitError,
     _centred_distances,
     _distances,
-    _planes,
     _se_kernel,
     _unit_kernel,
     fit_gp,
@@ -262,15 +261,19 @@ def _se_kernel_reference(A, B, lengthscales, signal_variance, cap=230.0):
 
 # Reference for the training kernel: the planes -(x_ik - x_jk)^2 / 2 built by
 # broadcasting, weighed by 1 / l_k^2 in one gemv, bounded below by -cap / 2.
-# The planes are a C-contiguous (d, n*n) array as in _planes: on the
-# transposed layout the gemv rounds differently.
+# The planes are a C-contiguous (d, n*n) array: on the transposed layout the
+# gemv rounds differently.
+
+
+def _plane_reference(X):
+    """The (d, n, n) planes -(x_ik - x_jk)^2 / 2 of the rows of X, by broadcasting."""
+    diff = X.T[:, :, None] - X.T[:, None, :]
+    return np.ascontiguousarray(-0.5 * diff**2)
 
 
 def _plane_kernel_reference(X, lengthscales, signal_variance, cap=230.0):
     n, d = X.shape
-    diff = X.T[:, :, None] - X.T[:, None, :]
-    planes = np.ascontiguousarray(-0.5 * diff**2).reshape(d, n * n)
-    S = (1.0 / lengthscales**2) @ planes
+    S = (1.0 / lengthscales**2) @ _plane_reference(X).reshape(d, n * n)
     return signal_variance * np.exp(np.maximum(S, -0.5 * cap)).reshape(n, n)
 
 
@@ -278,7 +281,22 @@ def _training_kernel(X, lengthscales, signal_variance):
     """The training kernel of a GP fit, as _BorderedKernel builds it."""
     n, d = X.shape
     ls = np.broadcast_to(lengthscales, (d,))
-    return _unit_kernel(_planes(X), ls).reshape(n, n) * signal_variance
+    return surrogates._BorderedKernel(X, np.zeros(n)).unit(ls) * signal_variance
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=1, max_value=60),
+    d=st.integers(min_value=1, max_value=10),
+)
+def test_bordered_planes_are_the_reference_planes_with_a_zero_border(seed, n, d):
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-2.0, 2.0, (n, d))
+    P = surrogates._BorderedKernel(X, rng.standard_normal(n)).planes.reshape(d, n + 1, n + 1)
+    assert P[:, :n, :n].tobytes() == _plane_reference(X).tobytes()
+    border = np.concatenate([P[:, n, :], P[:, :n, n]], axis=1)
+    assert border.tobytes() == np.zeros_like(border).tobytes()  # +0.0 everywhere
 
 
 def _dense_lml(K, ys):
