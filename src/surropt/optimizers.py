@@ -20,14 +20,19 @@ and share one public step, ``trust_region_step(kind, ...)``. The runner
 drives each method as one generator over the run's record, whose every
 ``next()`` absorbs the newest evaluation and yields the next point to
 evaluate: ``_gp_steps``, ``_trust_region_steps`` or ``_dycors_steps``.
-All inner argmins use the same
-derivative-free candidate-pool search (seeded pool + analytic Newton/Cauchy
-candidates + coordinate pattern refinement), so every step operation is a
-pure function of (data, state, seed). A box pool is a Latin hypercube; a
-ball pool is one cached set of unit directions under a fresh random
-rotation, with fresh radii. The refinement evaluates its step levels ahead,
-several per call as one stack of batches, and takes the moves that one
-level per call would take, bit for bit.
+A trust-region step whose whole key is one convex model solves for its
+point exactly (``_trust_region_subproblem``: an ``eigh``, Newton on the
+secular equation and an active set over the box faces): every ``lsqm``
+step, and ``cuatro`` and ``cobyla`` on data without constraint columns.
+Every other inner argmin (``cobyqa``, whose Hessian can be indefinite, a
+step that reads constraint models, and the acquisition of ``bo`` and
+``cbo``) uses the same derivative-free candidate-pool search (seeded pool +
+analytic Newton/Cauchy candidates + coordinate pattern refinement). Either
+way every step operation is a pure function of (data, state, seed). A box
+pool is a Latin hypercube; a ball pool is one cached set of unit directions
+under a fresh random rotation, with fresh radii. The refinement evaluates
+its step levels ahead, several per call as one stack of batches, and takes
+the moves that one level per call would take, bit for bit.
 
 Each method runs at one fixed setting: LCB weight gamma = 2; a search pool
 of 100 * n_x candidates refined by at most 20 pattern steps, none of them
@@ -106,6 +111,7 @@ _DYCORS_STEP = 0.2  # DYCORS's initial step, a fraction of each box width; also 
 _REFINE_STEPS = 20  # pattern-refinement steps after the pool, at most
 _STEP_FLOOR = 1e-3  # a ball search refines no step below this fraction of its radius
 _REFINE_ROWS = 40  # trial rows per stack of refinement levels (at least one level)
+_NEWTON_STEPS = 50  # secular-equation iterations of an exact ball step, at most
 _PENALTY_START = 100.0  # each constraint's merit penalty before any step
 _PENALTY_GROWTH = 10.0
 _PENALTY_CAP = 1e8
@@ -421,6 +427,113 @@ def _linear_extras(model, center, radius):
     return extras
 
 
+def _ball_subproblem(g, H, radius):
+    """(s, lam): argmin g's + s'Hs/2 over ||s|| <= radius for PSD H, and the
+    ball's multiplier lam (Moré & Sorensen 1983).
+
+    One ``eigh`` H = V diag(w) V'. With a = V'g, s(lam) = -V a / (w + lam).
+    lam = 0 and the least-norm minimizer when that lies in the ball; else the
+    root of 1/||s(lam)|| - 1/radius, which is concave and increasing in lam,
+    by Newton from a lower bound, inside the bracket [lower, ||a|| / radius].
+    Newton from the left stays left of the root, so the bracket only guards
+    rounding. The point is scaled onto the sphere at the end. For H = 0 it
+    is the Cauchy step -radius g / ||g||, in closed form.
+    """
+    if not H.any():
+        norm = float(np.linalg.norm(g))
+        return (-radius * g / norm if norm else np.zeros_like(g)), norm / radius
+    w, V = np.linalg.eigh(H)
+    w = np.maximum(w, 0.0)
+    a = V.T @ g
+    # |s_i(lam)| <= radius for every i needs lam >= |a_i| / radius - w_i
+    lam = max(0.0, float(np.max(np.abs(a) / radius - w)))
+    if lam == 0.0:
+        # every a_i with w_i = 0 is 0: the least-norm minimizer, when it fits
+        z = np.divide(a, w, out=np.zeros_like(a), where=w > 0)
+        if z @ z <= radius * radius:
+            return -(V @ z), 0.0
+    # where a_i = 0, s_i = 0 at every lam; elsewhere w_i + lam > 0
+    keep = a != 0.0
+    a, w, V = a[keep], w[keep], V[:, keep]
+    lo, hi = lam, math.sqrt(a @ a) / radius
+    for _ in range(_NEWTON_STEPS):
+        z = a / (w + lam)
+        norm = math.sqrt(z @ z)
+        if abs(norm - radius) <= 1e-13 * radius:
+            break
+        if norm > radius:
+            lo = lam
+        else:
+            hi = lam
+        # Newton on 1/||s|| - 1/radius: its derivative is z'(z / (w + lam)) / ||s||^3
+        step = lam + (norm - radius) / radius * norm * norm / float(z @ (z / (w + lam)))
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi)
+        if step == lam:
+            break
+        lam = step
+    return -(V @ z) * (radius / norm), lam
+
+
+def _trust_region_subproblem(g, H, radius, lower, upper):
+    """argmin g's + s'Hs/2 over ||s|| <= radius and lower <= s <= upper, for
+    a PSD H (H = 0: a linear model) and lower <= 0 <= upper.
+
+    An active-set loop over the box faces (Conn, Gould & Toint 2000, ch. 7),
+    feasible throughout: from s = 0 it solves the ball problem over the free
+    coordinates (``_ball_subproblem``), with the fixed ones at their bounds
+    and the radius they leave, and walks towards that point. A coordinate
+    that would leave the box on the way stops the walk there and is fixed at
+    its bound. Once the point is reached, a fixed coordinate whose bound
+    multiplier has the wrong sign is released. Each pass lowers the model
+    value or fixes one more coordinate; the loop ends at the KKT point.
+
+    A non-finite g or H raises ``np.linalg.LinAlgError``, as a failed
+    ``eigh`` does, so that ``run_optimizer`` falls back.
+    """
+    if not (np.all(np.isfinite(g)) and np.all(np.isfinite(H))):
+        raise np.linalg.LinAlgError("non-finite trust-region model")
+    d = g.size
+    s = np.zeros(d)
+    fixed = np.zeros(d, dtype=bool)
+    for _ in range(4 * d + 10):  # a bound on rounding-driven cycles only
+        target, lam = s.copy(), 0.0
+        left = radius * radius - s[fixed] @ s[fixed]
+        if not fixed.any():
+            target, lam = _ball_subproblem(g, H, radius)
+        elif left > 0.0 and not fixed.all():
+            free = ~fixed
+            H_free = H[free]
+            target[free], lam = _ball_subproblem(g[free] + H_free[:, fixed] @ s[fixed],
+                                                 H_free[:, free], math.sqrt(left))
+        out = (target < lower) | (target > upper)
+        if out.any():
+            # walk from s towards the target up to the first face it crosses
+            move = target - s
+            moving = move != 0.0
+            face = np.where(move > 0.0, upper, lower)
+            reach = np.full(d, np.inf)
+            reach[moving] = (face[moving] - s[moving]) / move[moving]
+            t = max(float(np.min(reach)), 0.0)  # 0: a rounding put s a hair past a face
+            hit = reach <= t
+            s = s + t * move
+            s[hit] = face[hit]
+            fixed |= hit
+            continue
+        s = target
+        if not fixed.any():
+            break
+        # the Lagrangian's gradient g + Hs + lam s on a fixed coordinate is
+        # minus its bound multiplier at the upper bound, plus it at the lower
+        grad = g + H @ s + lam * s
+        tol = 1e-10 * (math.sqrt(g @ g) + float(np.max(np.abs(grad - g))))
+        wrong = fixed & np.where(s >= upper, grad > tol, grad < -tol)
+        if not wrong.any():
+            break
+        fixed[np.argmax(np.where(wrong, np.abs(grad), -1.0))] = False
+    return s
+
+
 def _penalized_merit(f_vals, g_list, penalties):
     merit = np.array(f_vals, dtype=float, copy=True)
     for i, g in enumerate(g_list):
@@ -446,6 +559,9 @@ class _TrustRegionMethod:
     fit: Callable  # Dataset -> surrogate, for the objective and each constraint
     merit: Callable  # (f (m,), [g_i (m,)], penalties) -> merits (m,)
     extras: Callable  # (model, center, radius) -> analytic pool candidates
+    # (model, center) -> (g, H) of a convex model m(center + s) - m(center) =
+    # g's + s'Hs/2; None: the step searches the pool even without constraints
+    expansion: Optional[Callable] = None
     feasibility_first: bool = False  # rank feasible-first instead of by merit
     radius_scale: float = 1.0  # searched ball radius / trust radius
     grows_penalty: bool = False  # raise the penalties after an infeasible step
@@ -456,7 +572,8 @@ class _TrustRegionMethod:
 # fits are looked up at call time so that wrappers set on this module apply
 _CUATRO = _TrustRegionMethod(
     fit=lambda data: fit_quadratic(data, psd=True), merit=_penalized_merit,
-    extras=_quad_extras, feasibility_first=True, grows_penalty=True,
+    extras=_quad_extras, expansion=lambda m, c: (2.0 * m.Q @ c + m.c, 2.0 * m.Q),
+    feasibility_first=True, grows_penalty=True,
 )
 _TR_METHODS = {
     "lsqm": replace(_CUATRO, sees_constraints=False),  # its step reads no penalty
@@ -467,6 +584,7 @@ _TR_METHODS = {
     ),
     "cobyla": _TrustRegionMethod(
         fit=lambda data: fit_linear(data), merit=_max_merit, extras=_linear_extras,
+        expansion=lambda m, c: (m.g_hat, np.zeros((c.size, c.size))),
         radius_scale=0.5, simplex=True,
     ),
 }
@@ -480,7 +598,9 @@ def trust_region_step(
 
     Fits the method's surrogates to ``data``, at least n_x + 1 samples
     (``lsqm`` ignores the constraint columns, ``cobyla`` expects its
-    simplex), and searches the trust-region ball within ``bounds``.
+    simplex), and minimizes over the trust-region ball within ``bounds``:
+    exactly where the method's one convex model is the whole key
+    (``_trust_region_subproblem``), by the pool search otherwise.
     ``penalties`` holds one value > 0 per constraint column of ``data``, none
     when there are none, and defaults to 100 each.
     """
@@ -512,10 +632,17 @@ def trust_region_step(
     def merit_at(x):
         return float(method.merit(*predict(x[None, :]), penalties)[0])
 
-    x = _pool_minimize(
-        keys, bounds, seed, center=tr.center, radius=radius,
-        extra=method.extras(f_model, tr.center, radius),
-    )
+    if method.expansion is not None and not g_models:
+        # one convex model is the whole key: solve for the step exactly
+        g, H = method.expansion(f_model, tr.center)
+        s = _trust_region_subproblem(g, H, radius, bounds.lower - tr.center,
+                                     bounds.upper - tr.center)
+        x = bounds.clip(tr.center + s)
+    else:
+        x = _pool_minimize(
+            keys, bounds, seed, center=tr.center, radius=radius,
+            extra=method.extras(f_model, tr.center, radius),
+        )
     on_boundary = float(np.linalg.norm(x - tr.center)) >= radius * (1.0 - 1e-3)
     return TrustRegionStep(x, merit_at(tr.center) - merit_at(x), on_boundary)
 

@@ -56,24 +56,24 @@ def digest(traj) -> str:
 GOLDEN = {
     ("quadratic-d2", "bo", 0, 10): "c13549862f0941456ee50a77df585076e8234dd0cb89b7aafe4647917b897590",
     ("quadratic-d2", "bo", 1, 10): "467dc655a69bbee64d71866f59435302059ca012b81abc5435d539dadb59fe2d",
-    ("quadratic-d2", "lsqm", 0, 10): "4c0b536d5bb7ef72cac6424c5ea880cbb68e0f7b7b9564606b3a72da0e80210f",
-    ("quadratic-d2", "lsqm", 1, 10): "6cd1f54030d5a75d939392fbee9796a90f99528f7e4f869ec51905717f0490a9",
-    ("quadratic-d2", "cuatro", 0, 10): "4c0b536d5bb7ef72cac6424c5ea880cbb68e0f7b7b9564606b3a72da0e80210f",
-    ("quadratic-d2", "cuatro", 1, 10): "6cd1f54030d5a75d939392fbee9796a90f99528f7e4f869ec51905717f0490a9",
-    ("quadratic-d2", "cobyla", 0, 10): "d13864d1ad84909f478b514304a2f38a1d528d7ccb6603b729107f6b91f7554f",
-    ("quadratic-d2", "cobyla", 1, 10): "1afd239b0ca1e666e9c9b2f7aad7ffaafcafc6555d34b9e42efa6f6e1a0ccab5",
+    ("quadratic-d2", "lsqm", 0, 10): "a49c7dd9203194b11def2d68a2a9eb36382e6d081c727c0721d887115ae08fb4",
+    ("quadratic-d2", "lsqm", 1, 10): "e903c52f710dc5c501b2cd3fcae599df6181907708bd17a216306f23442530be",
+    ("quadratic-d2", "cuatro", 0, 10): "a49c7dd9203194b11def2d68a2a9eb36382e6d081c727c0721d887115ae08fb4",
+    ("quadratic-d2", "cuatro", 1, 10): "e903c52f710dc5c501b2cd3fcae599df6181907708bd17a216306f23442530be",
+    ("quadratic-d2", "cobyla", 0, 10): "d675f20fcfdc3b59e7ebd387a957d9b62814eaa5e90b3286ef2abf2827497e77",
+    ("quadratic-d2", "cobyla", 1, 10): "a9b4d31f4b5bcb93b0e1da00a068fa84117b162317ab299a15a2a16ac288d753",
     ("quadratic-d2", "cobyqa", 0, 10): "fa8766e5379989eacc3312ff1a495ff954e8be8528d8ebd3c363b403784c2846",
     ("quadratic-d2", "cobyqa", 1, 10): "3700472549227ddfd8e67224e8ec0343faac2d2f5bdf477061e1cb712fcf5dd4",
     ("quadratic-d2", "dycors", 0, 10): "553e9f59ee17a31775c0633f73d5ba0b927bc70f325ea950383409ee8b2921b7",
     ("quadratic-d2", "dycors", 1, 10): "605b845cce6c372b30a9a953272180c361439e339333ac0e9657932c77890dab",
     ("levy-d5", "bo", 0, 13): "916efc5723f60182167f188bb9ea7de72b00ccad6f9169a64e813e11d6a18bdb",
     ("levy-d5", "bo", 1, 13): "ee2bc2d76afb575cde78569aefed1f0ea5a2e5ea89a07732799438141298c693",
-    ("levy-d5", "lsqm", 0, 13): "62f6011504ab338fba3cd44a458b5ea69e8d59fde0d99e042da970319cc3820c",
-    ("levy-d5", "lsqm", 1, 13): "c0b5c2c8d319902e26fb066756fe807e366a5dc2a49a39c4e559b1c962177bdd",
-    ("levy-d5", "cuatro", 0, 13): "62f6011504ab338fba3cd44a458b5ea69e8d59fde0d99e042da970319cc3820c",
-    ("levy-d5", "cuatro", 1, 13): "c0b5c2c8d319902e26fb066756fe807e366a5dc2a49a39c4e559b1c962177bdd",
-    ("levy-d5", "cobyla", 0, 13): "010b8ee16e6cf9a646a8d0185b8b2f4344e3400e464a035d4b58db7ce3017cce",
-    ("levy-d5", "cobyla", 1, 13): "efa3bf8afb70bae0439336155945f2d7dbb0cda7685d4ae66cdf58e49623fb9b",
+    ("levy-d5", "lsqm", 0, 13): "59dd1098cadea35374f51b48178c5986483894230c10f1ca0d51013e0456d732",
+    ("levy-d5", "lsqm", 1, 13): "c978f6eb6ad87b014300285a4f96138dd8216b0aef114757506c7ffbe7377495",
+    ("levy-d5", "cuatro", 0, 13): "59dd1098cadea35374f51b48178c5986483894230c10f1ca0d51013e0456d732",
+    ("levy-d5", "cuatro", 1, 13): "c978f6eb6ad87b014300285a4f96138dd8216b0aef114757506c7ffbe7377495",
+    ("levy-d5", "cobyla", 0, 13): "924095ce0d2c8a365ed28689df5b53d11723cd9b0df690b5fc19cea8fc34d02a",
+    ("levy-d5", "cobyla", 1, 13): "bbf690c6d4439de6365ec1477415982a84f86eab2c0abd164b30e40025d5f623",
     ("levy-d5", "cobyqa", 0, 13): "30b7b01bdc928c3b78b3eafc42fc46cd0976514c972fe20a48b91c49b774319b",
     ("levy-d5", "cobyqa", 1, 13): "aae0523beebe6d542ad4e52c8569ed0e6f4b04c415de55ca5b29e3d89508fc13",
     ("levy-d5", "dycors", 0, 13): "e57922a9d4ec2b0741498c8513427397323fd45500af2ed586c229fce117373e",
@@ -82,8 +82,8 @@ GOLDEN = {
     ("matyas-c", "bo", 1, 10): "9e89e98e7b49a082e279172db9a0439c3d02a68ba1853cef56f6aeb75cc9046d",
     ("matyas-c", "cbo", 0, 10): "6505c45a76eb6349e555359e43874dd409418b30be6ad7694ecc96c8a19a0ded",
     ("matyas-c", "cbo", 1, 10): "96811cead1f0ae229da49b2b400934016607bfa1b3a15b0b9dc4623dfb34893c",
-    ("matyas-c", "lsqm", 0, 10): "3f2734f40114b40f9b53a8ea1f8bbf0f625221741d8f7ab1128c6ea3ad9a8a64",
-    ("matyas-c", "lsqm", 1, 10): "e45b3a97e0f468c2495a5a133f13b2feeb045f6521ada82da6dc0d6cad23556a",
+    ("matyas-c", "lsqm", 0, 10): "7bee15c959cc3516e2e9cf972b2b4d09711e4c5ab10373b9b4db17327db4e9a2",
+    ("matyas-c", "lsqm", 1, 10): "ed0b3cf6a2082c411c65b4bb16793e4441c77842c55cdc38191a099ee4faf3a8",
     ("matyas-c", "cuatro", 0, 10): "7a7024ddc38a3c0003f030b12ab30f6d5df3d6b9ddf121f259ab5885d0b8d43c",
     ("matyas-c", "cuatro", 1, 10): "e0d1af1e763ed74e1f9d6ad2cb08cc70713c774bb850f9110fd7dfe8bda21357",
     ("matyas-c", "cobyla", 0, 10): "9c4355a5e79ee34cba9ef1b315ed49e47df0b54da31918ddcdfae4bf9fbe066f",
@@ -96,8 +96,8 @@ GOLDEN = {
     ("williams-otto", "bo", 1, 10): "e0f655f0f4ba7c01f28680fb20b2086798784f4e1552860d00de6fa80cc95957",
     ("williams-otto", "cbo", 0, 10): "af20148df956fac4ba81f7449192e7f1fc85ed757d48772e8c2ab297fc0df037",
     ("williams-otto", "cbo", 1, 10): "4764ffa8005bc3d16218b76b25c7031ca2ad9a1105ef996c87625961c7c7b40e",
-    ("williams-otto", "lsqm", 0, 10): "2a350ef0cf2198aba5872f72f6a63bbafe18b9df89ea31f1a1cd9d1fbc61a049",
-    ("williams-otto", "lsqm", 1, 10): "a08ffbbc0973dd255c5e3445b39494b771cdb1f446cf495b0d20df2a10931712",
+    ("williams-otto", "lsqm", 0, 10): "7386040682b7ebb5edc38bc21d480c2158d37c13c8fb289755115b064ff5e6d2",
+    ("williams-otto", "lsqm", 1, 10): "c4576f0a4fc56450361b96d1441fec60f543d83fd7244afe8b39658cb46c4437",
     ("williams-otto", "cuatro", 0, 10): "c3657362989418cec2dd24796d8d6c6fddbf0197348b7576049e38335ee8c576",
     ("williams-otto", "cuatro", 1, 10): "c402229b01db083b9ebe50fcb807a5dda62fd73fdc44c8022aed827c8754aa8f",
     ("williams-otto", "cobyla", 0, 10): "186d0726e762763b178da3801dc4cd3f1069a9ac676daa8052e321e741ef8935",
@@ -140,7 +140,7 @@ def cstr_values() -> np.ndarray:
 CSTR_VALUES = "b54dc7b6f1e4c8aa869df5d1090028a676a5513cc38ea0af24938f74ac45cdf3"
 CSTR_GOLDEN = {
     ("cstr-pid", "cobyla", 0, 34): "2dd0772b56931f8069f822b9ea52cf0fbfacf7ddddfaa789ad074ddf996f9675",
-    ("cstr-pid", "cuatro", 0, 34): "31fcc28cf914efa84f952fd11348628a7d7225d65e4fb35f37c7266f8e5317a4",
+    ("cstr-pid", "cuatro", 0, 34): "588c572b077b68e5add44c340292ecea4d029bd8ee46ab5572abb0fbc80b31d8",
     ("cstr-pid", "dycors", 0, 70): "4c422ecc42c0453e0dace0767df4edc25a17e0820db321db48f33fa97d988eb5",
 }
 

@@ -34,7 +34,7 @@ from surropt.optimizers import (
     trust_region_update,
 )
 from surropt.problems import get_problem
-from surropt.surrogates import QuadModel, SurrogateFitError, _distances, fit_gp, fit_linear, fit_quadratic, fit_rbf, gp_posterior, rbf_predict
+from surropt.surrogates import LinModel, QuadModel, SurrogateFitError, _distances, fit_gp, fit_linear, fit_quadratic, fit_rbf, gp_posterior, rbf_predict
 
 # ---------------------------------------------------------------- lcb
 
@@ -251,10 +251,11 @@ def _walk_data(d, seed, n):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("d", [1, 2, 5, 10])
-@pytest.mark.parametrize("method", ["bo", "cbo", "lsqm", "cuatro", "cobyqa", "cobyla"])
+@pytest.mark.parametrize("method", ["bo", "cbo", "cuatro", "cobyqa", "cobyla"])
 def test_stacked_refinement_walks_as_the_sequential_loop(method, d, seed, monkeypatch):
     # the real keys of each method: bo and cbo search the box, the
-    # trust-region kinds a ball
+    # trust-region kinds a ball (cuatro and cobyla read a constraint model
+    # here, so they search the pool; lsqm never does)
     searches = []
 
     def both(keys_fn, *args, **kwargs):
@@ -492,6 +493,113 @@ def test_propose_cbo_requires_constraints():
     data = _quad_1d_data()
     with pytest.raises(ConfigError):
         propose_cbo(data, Bounds.cube(-1, 1, 1), seed=0)
+
+
+# ---------------------------------------------------------------- exact trust-region steps
+#
+# min g's + s'Hs/2 over ||s|| <= radius and lower <= s <= upper, PSD H. The
+# exact point must lie in the ball and the box, match SLSQP's minimum from
+# the centre and from the point to 1e-9 relative, and never trail the pool
+# search on the same keys by more than 1e-8 relative.
+
+
+def _model_value(g, H, s):
+    return float(g @ s + 0.5 * s @ H @ s)
+
+
+def _slsqp_minimum(g, H, radius, lower, upper, starts):
+    from scipy.optimize import minimize
+
+    ball = {"type": "ineq", "fun": lambda s: radius**2 - s @ s, "jac": lambda s: -2.0 * s}
+    values = []
+    for s0 in starts:
+        res = minimize(lambda s: _model_value(g, H, s), s0, jac=lambda s: g + H @ s,
+                       method="SLSQP", bounds=list(zip(lower, upper)), constraints=[ball],
+                       options={"ftol": 1e-15, "maxiter": 500})
+        s = np.clip(res.x, lower, upper)
+        s *= min(1.0, radius / max(float(np.linalg.norm(s)), 1e-300))  # SLSQP may end a hair outside
+        values.append(_model_value(g, H, s))
+    return min(values)
+
+
+def _check_exact(g, H, radius, lower, upper, s, pool_s):
+    assert np.linalg.norm(s) <= radius * (1.0 + 1e-12)
+    assert np.all((lower <= s) & (s <= upper))
+    value = _model_value(g, H, s)
+    slsqp = _slsqp_minimum(g, H, radius, lower, upper, [np.zeros(g.size), s])
+    assert abs(value - slsqp) <= 1e-9 * abs(slsqp)
+    pool = _model_value(g, H, pool_s)
+    assert value <= pool + 1e-8 * abs(pool)
+
+
+def _psd_instance(rng, d, kind):
+    """(g, H) of one kind: full rank, rank-deficient, the hard case g in
+    range(H) (so g is orthogonal to null(H)), or linear (H = 0)."""
+    U = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    rank = {"full": d, "rank-deficient": int(rng.integers(0, d)), "hard": max(1, d // 2),
+            "linear": 0}[kind]
+    w = np.zeros(d)
+    w[:rank] = 10.0 ** rng.uniform(-2.0, 2.0, rank)
+    H = (U * w) @ U.T
+    H = 0.5 * (H + H.T)
+    g = rng.standard_normal(d) * 10.0 ** rng.uniform(-1.0, 1.0)
+    if kind == "hard":
+        g = H @ rng.standard_normal(d)
+    return g, H
+
+
+@pytest.mark.parametrize("kind", ["full", "rank-deficient", "hard", "linear"])
+@pytest.mark.parametrize("d", [1, 2, 5, 10, 32])
+def test_exact_step_is_the_model_minimum_over_ball_and_box(d, kind):
+    rng = np.random.default_rng([d, len(kind)])
+    faces = spheres = 0
+    for k in range(8):
+        g, H = _psd_instance(rng, d, kind)
+        # half-widths of 0.05-3 around the centre, some of them 0 (a centre on
+        # a face), and radii up to 10: the sphere, the faces or both are active
+        lower, upper = -(10.0 ** rng.uniform(-1.3, 0.5, d)), 10.0 ** rng.uniform(-1.3, 0.5, d)
+        lower[rng.uniform(size=d) < 0.1] = 0.0
+        radius = float(10.0 ** rng.uniform(-1.0, 1.0))
+        s = optimizers._trust_region_subproblem(g, H, radius, lower, upper)
+
+        def keys(S):
+            return optimizers._plain_keys(0.5 * np.sum((S @ H) * S, axis=-1) + S @ g)
+
+        pool_s = _pool_minimize(keys, Bounds(lower, upper), k, center=np.zeros(d), radius=radius,
+                                extra=[np.zeros(d)])
+        _check_exact(g, H, radius, lower, upper, s, pool_s)
+        faces += bool(np.any((s == lower) | (s == upper)) and np.any(s))
+        spheres += bool(np.linalg.norm(s) >= radius * (1.0 - 1e-12))
+    if kind != "hard":
+        assert faces and spheres  # both kinds of activity occur among the 8
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("d", [1, 2, 5, 10])
+def test_exact_lsqm_step_is_the_model_minimum(d, seed):
+    # the data of the pool-walk test above, through lsqm's step, against the
+    # pool search on the keys and extras lsqm's step used to rank
+    bounds, X, y, G = _walk_data(d, seed, 2 * d + 4)
+    center = X[int(np.argmin(y))]
+    tr = TrustRegionState(center=center, radius=0.6)
+    step = trust_region_step("lsqm", Dataset(X, y, G), bounds, tr, seed=seed)
+    model = fit_quadratic(Dataset(X, y), psd=True)
+    pool_x = _pool_minimize(lambda S: optimizers._plain_keys(model.predict(S)), bounds, seed,
+                            center=center, radius=0.6,
+                            extra=optimizers._quad_extras(model, center, 0.6))
+    g, H = 2.0 * model.Q @ center + model.c, 2.0 * model.Q
+    _check_exact(g, H, 0.6, bounds.lower - center, bounds.upper - center, step.x - center,
+                 pool_x - center)
+    assert step.predicted_reduction == model.predict(center) - model.predict(step.x)
+    assert step.on_boundary == (np.linalg.norm(step.x - center) >= 0.6 * (1.0 - 1e-3))
+
+
+def test_exact_step_refuses_a_non_finite_model():
+    g, H = np.zeros(2), np.eye(2)
+    lower, upper = -np.ones(2), np.ones(2)
+    for bad_g, bad_H in [(np.array([np.nan, 0.0]), H), (g, np.diag([np.inf, 1.0]))]:
+        with pytest.raises(np.linalg.LinAlgError, match="non-finite trust-region model"):
+            optimizers._trust_region_subproblem(bad_g, bad_H, 1.0, lower, upper)
 
 
 # ---------------------------------------------------------------- trust_region_step("lsqm")
@@ -1186,16 +1294,20 @@ def test_quad_extras_lets_a_failed_svd_through():
         optimizers._quad_extras(_nan_quadratic(), np.zeros(2), 0.5)
 
 
-@pytest.mark.parametrize("algo", ["lsqm", "cuatro", "cobyqa"])
+@pytest.mark.parametrize("algo", ["lsqm", "cuatro", "cobyqa", "cobyla"])
 def test_failed_svd_in_a_quadratic_step_falls_back(algo, monkeypatch, tmp_path):
+    # lsqm, cuatro and cobyla solve an unconstrained step exactly and refuse
+    # a non-finite model before eigh; cobyqa's pool search fails in lstsq
     from surropt.bench import BenchmarkConfig, run_benchmark
 
     monkeypatch.setattr(optimizers, "fit_quadratic", lambda data, psd=False: _nan_quadratic())
+    monkeypatch.setattr(optimizers, "fit_linear", lambda data: LinModel(np.array([np.nan, 1.0]), 0.0))
     n_init = optimizers.initial_design_size(algo, 2)
     traj = run_optimizer(algo, get_problem("ackley-d2"), budget=12, seed=5)
     assert len(traj) == 12
     assert traj.meta["fallback_at"] == n_init + 1
-    assert traj.meta["fallback_reason"].startswith("LinAlgError: SVD did not converge")
+    reason = "SVD did not converge" if algo == "cobyqa" else "non-finite trust-region model"
+    assert traj.meta["fallback_reason"].startswith(f"LinAlgError: {reason}")
 
     config = BenchmarkConfig(
         algorithms=[algo], problems=["ackley-d2"], dims=[2], repetitions=1,

@@ -1,4 +1,4 @@
-"""The trust-region pool's share of the exact model decrease, for two source trees.
+"""The trust-region step's share of the exact model decrease, for two source trees.
 
     python3 tools/model_decrease.py PARENT_SRC CHANGE_SRC --out share.json
 
@@ -18,6 +18,12 @@ scored. The report counts the steps where the two trees searched the same
 point, and where the change's share is higher or lower; and gives each
 tree's least share, 1st and 5th percentiles, median, mean, and the count
 below 0.997 and below 0.99.
+
+A tree whose `lsqm` step searches the ball pool scores below 1 on most
+steps. A tree whose `lsqm` step solves the subproblem exactly
+(`optimizers._trust_region_subproblem`) scores 1 up to rounding: its share
+can exceed 1 by a hair where SLSQP stops short, or fall short of the pool
+by the rounding of the interior Newton point.
 """
 
 from __future__ import annotations
