@@ -20,13 +20,13 @@ and share one public step, ``trust_region_step(kind, ...)``. The runner
 drives each method as one generator over the run's record, whose every
 ``next()`` absorbs the newest evaluation and yields the next point to
 evaluate: ``_gp_steps``, ``_trust_region_steps`` or ``_dycors_steps``.
-A trust-region step whose whole key is one convex model solves for its
-point exactly (``_trust_region_subproblem``: an ``eigh``, Newton on the
-secular equation and an active set over the box faces): every ``lsqm``
-step, and ``cuatro`` and ``cobyla`` on data without constraint columns.
-Every other inner argmin (``cobyqa``, whose Hessian can be indefinite, a
+A trust-region step that reads no constraint model solves for its point
+exactly (``_trust_region_subproblem``: an ``eigh``, Newton on the secular
+equation with the hard case of an indefinite Hessian, and an active set
+over the box faces): every ``lsqm`` step, and ``cuatro``, ``cobyla`` and
+``cobyqa`` on data without constraint columns. The other inner argmins (a
 step that reads constraint models, and the acquisition of ``bo`` and
-``cbo``) uses the same derivative-free candidate-pool search (seeded pool +
+``cbo``) use the same derivative-free candidate-pool search (seeded pool +
 analytic Newton/Cauchy candidates + coordinate pattern refinement). Either
 way every step operation is a pure function of (data, state, seed). A box
 pool is a Latin hypercube; a ball pool is one cached set of unit directions
@@ -68,6 +68,7 @@ from .core import (
     unknown_name,
 )
 from .surrogates import (
+    LinModel,
     SurrogateFitError,
     _centred_distances,
     _posterior_mean,
@@ -112,6 +113,7 @@ _REFINE_STEPS = 20  # pattern-refinement steps after the pool, at most
 _STEP_FLOOR = 1e-3  # a ball search refines no step below this fraction of its radius
 _REFINE_ROWS = 40  # trial rows per stack of refinement levels (at least one level)
 _NEWTON_STEPS = 50  # secular-equation iterations of an exact ball step, at most
+_ZERO_EIG = 1e-12  # an eigenvalue less than this times ||H|| below 0 counts as 0
 _PENALTY_START = 100.0  # each constraint's merit penalty before any step
 _PENALTY_GROWTH = 10.0
 _PENALTY_CAP = 1e8
@@ -428,71 +430,123 @@ def _linear_extras(model, center, radius):
 
 
 def _ball_subproblem(g, H, radius):
-    """(s, lam): argmin g's + s'Hs/2 over ||s|| <= radius for PSD H, and the
-    ball's multiplier lam (Moré & Sorensen 1983).
+    """(s, lam): argmin g's + s'Hs/2 over ||s|| <= radius for a symmetric H,
+    and the ball's multiplier lam (Moré & Sorensen 1983).
 
-    One ``eigh`` H = V diag(w) V'. With a = V'g, s(lam) = -V a / (w + lam).
-    lam = 0 and the least-norm minimizer when that lies in the ball; else the
-    root of 1/||s(lam)|| - 1/radius, which is concave and increasing in lam,
-    by Newton from a lower bound, inside the bracket [lower, ||a|| / radius].
-    Newton from the left stays left of the root, so the bracket only guards
-    rounding. The point is scaled onto the sphere at the end. For H = 0 it
-    is the Cauchy step -radius g / ||g||, in closed form.
+    One ``eigh`` H = V diag(w) V', where eigenvalues less than
+    ``_ZERO_EIG`` ||H|| below 0 count as 0, so a PSD H keeps its rounding. With a = V'g,
+    s(lam) = -V a / (w + lam) for lam above shift = max(0, -w_min). lam = 0
+    and the least-norm minimizer when H is PSD and that lies in the ball.
+    Else the root of 1/||s(lam)|| - 1/radius, which is concave and
+    increasing in lam > shift, by Newton from a lower bound, inside the
+    bracket [lower, ||a|| / radius + shift]; Newton from the left stays left
+    of the root, so the bracket only guards rounding, and the point is
+    scaled onto the sphere at the end. The hard case, for an indefinite H:
+    where a has no component along the lowest eigenvectors and s(shift)
+    over the others lies inside the ball, lam = shift and a multiple of a
+    lowest eigenvector takes the point to the sphere. Where those
+    components are nonzero but lost in the rounding of lam, both points
+    are made and the lower one is returned. For H = 0 the step is the
+    Cauchy step -radius g / ||g||, in closed form.
     """
     if not H.any():
         norm = float(np.linalg.norm(g))
         return (-radius * g / norm if norm else np.zeros_like(g)), norm / radius
     w, V = np.linalg.eigh(H)
-    w = np.maximum(w, 0.0)
+    tol = _ZERO_EIG * float(np.max(np.abs(w)))
+    w = np.where(w < -tol, w, np.maximum(w, 0.0))  # a PSD H stays PSD
     a = V.T @ g
+    shift = max(0.0, -float(w[0]))  # eigh sorts w ascending
     # |s_i(lam)| <= radius for every i needs lam >= |a_i| / radius - w_i
-    lam = max(0.0, float(np.max(np.abs(a) / radius - w)))
+    lam = max(shift, float(np.max(np.abs(a) / radius - w)))
     if lam == 0.0:
         # every a_i with w_i = 0 is 0: the least-norm minimizer, when it fits
         z = np.divide(a, w, out=np.zeros_like(a), where=w > 0)
         if z @ z <= radius * radius:
             return -(V @ z), 0.0
-    # where a_i = 0, s_i = 0 at every lam; elsewhere w_i + lam > 0
-    keep = a != 0.0
-    a, w, V = a[keep], w[keep], V[:, keep]
-    lo, hi = lam, math.sqrt(a @ a) / radius
-    for _ in range(_NEWTON_STEPS):
-        z = a / (w + lam)
-        norm = math.sqrt(z @ z)
-        if abs(norm - radius) <= 1e-13 * radius:
-            break
-        if norm > radius:
-            lo = lam
-        else:
-            hi = lam
-        # Newton on 1/||s|| - 1/radius: its derivative is z'(z / (w + lam)) / ||s||^3
-        step = lam + (norm - radius) / radius * norm * norm / float(z @ (z / (w + lam)))
-        if not lo < step < hi:
-            step = 0.5 * (lo + hi)
-        if step == lam:
-            break
-        lam = step
-    return -(V @ z) * (radius / norm), lam
+    candidates = []
+    if shift > 0.0:
+        # the hard case: lam = shift, the lowest eigenvectors fill the radius
+        low = w <= w[0] + tol
+        y = np.zeros_like(a)
+        y[~low] = -a[~low] / (w[~low] + shift)
+        left = radius * radius - y @ y
+        if left >= 0.0:
+            # along -a's lowest components, the first lowest eigenvector where they are 0
+            u = -a[low]
+            size = math.sqrt(u @ u)
+            y[low] = math.sqrt(left) * (u / size if size else np.eye(u.size)[0])
+            candidates.append((V @ y, shift))
+    if lam > shift or not candidates:
+        # where a_i = 0, s_i = 0 at every lam; elsewhere w_i + lam > 0 but
+        # where a lowest a_i is below the rounding of lam, which counts as 0
+        keep = (a != 0.0) & (w + lam > 0.0)
+        a, w, V = a[keep], w[keep], V[:, keep]
+        lo, hi = lam, math.sqrt(a @ a) / radius + shift
+        for _ in range(_NEWTON_STEPS):
+            z = a / (w + lam)
+            norm = math.sqrt(z @ z)
+            if abs(norm - radius) <= 1e-13 * radius:
+                break
+            if norm > radius:
+                lo = lam
+            else:
+                hi = lam
+            # Newton on 1/||s|| - 1/radius: its derivative is z'(z / (w + lam)) / ||s||^3
+            step = lam + (norm - radius) / radius * norm * norm / float(z @ (z / (w + lam)))
+            if not lo < step < hi:
+                step = 0.5 * (lo + hi)
+            if step == lam:
+                break
+            lam = step
+        candidates.append((-(V @ z) * (radius / norm), lam))
+    return min(candidates, key=lambda c: g @ c[0] + 0.5 * c[0] @ H @ c[0])
 
 
 def _trust_region_subproblem(g, H, radius, lower, upper):
     """argmin g's + s'Hs/2 over ||s|| <= radius and lower <= s <= upper, for
-    a PSD H (H = 0: a linear model) and lower <= 0 <= upper.
+    a symmetric H (H = 0: a linear model) and lower <= 0 <= upper.
 
-    An active-set loop over the box faces (Conn, Gould & Toint 2000, ch. 7),
-    feasible throughout: from s = 0 it solves the ball problem over the free
-    coordinates (``_ball_subproblem``), with the fixed ones at their bounds
-    and the radius they leave, and walks towards that point. A coordinate
-    that would leave the box on the way stops the walk there and is fixed at
-    its bound. Once the point is reached, a fixed coordinate whose bound
-    multiplier has the wrong sign is released. Each pass lowers the model
-    value or fixes one more coordinate; the loop ends at the KKT point.
+    The ball's minimizer (``_ball_subproblem``) when it lies in the box, else
+    the end of ``_box_walk`` towards it. An indefinite H can put the box's
+    minimizer on the far side of its lowest eigenvector v, so the walk also
+    sets out towards the ball's minimizer mirrored along v, and the step is
+    the lower of the two ends. For a PSD H the one walk ends at the minimizer.
 
     A non-finite g or H raises ``np.linalg.LinAlgError``, as a failed
     ``eigh`` does, so that ``run_optimizer`` falls back.
     """
     if not (np.all(np.isfinite(g)) and np.all(np.isfinite(H))):
         raise np.linalg.LinAlgError("non-finite trust-region model")
+    first, _ = _ball_subproblem(g, H, radius)
+    if np.all((lower <= first) & (first <= upper)):
+        return first
+    s = _box_walk(g, H, radius, lower, upper, first)
+    w, V = np.linalg.eigh(H)
+    if w[0] < -_ZERO_EIG * max(-w[0], w[-1]):  # H is indefinite
+        v = V[:, 0]
+        other = _box_walk(g, H, radius, lower, upper, first - 2.0 * (v @ first) * v)
+        if g @ other + 0.5 * other @ H @ other < g @ s + 0.5 * s @ H @ s:
+            s = other
+    return s
+
+
+def _box_walk(g, H, radius, lower, upper, first):
+    """An active-set loop over the box faces (Conn, Gould & Toint 2000,
+    ch. 7), feasible throughout, for the ball-and-box problem.
+
+    From s = 0 it walks towards ``first`` and, once a coordinate is fixed,
+    towards the ball's minimizer over the free coordinates
+    (``_ball_subproblem``), with the fixed ones at their bounds and the
+    radius they leave. A coordinate that would leave the box on the way
+    stops the walk there and is fixed at its bound. The model along a walk
+    is a 1-D quadratic, least at the face unless it is concave there; a walk
+    that would raise it (only an indefinite H can) ends the loop where s
+    is, so no walk ends above the value it starts from. Once a target is
+    reached, a fixed coordinate whose bound multiplier has the wrong sign is
+    released. Each pass lowers the model value or fixes one more coordinate;
+    short of such a stop the loop ends at a KKT point.
+    """
     d = g.size
     s = np.zeros(d)
     fixed = np.zeros(d, dtype=bool)
@@ -500,7 +554,7 @@ def _trust_region_subproblem(g, H, radius, lower, upper):
         target, lam = s.copy(), 0.0
         left = radius * radius - s[fixed] @ s[fixed]
         if not fixed.any():
-            target, lam = _ball_subproblem(g, H, radius)
+            target = first
         elif left > 0.0 and not fixed.all():
             free = ~fixed
             H_free = H[free]
@@ -515,6 +569,8 @@ def _trust_region_subproblem(g, H, radius, lower, upper):
             reach = np.full(d, np.inf)
             reach[moving] = (face[moving] - s[moving]) / move[moving]
             t = max(float(np.min(reach)), 0.0)  # 0: a rounding put s a hair past a face
+            if t * ((g + H @ s) @ move + 0.5 * t * (move @ H @ move)) > 0.0:
+                break  # the model would rise from s to the face
             hit = reach <= t
             s = s + t * move
             s[hit] = face[hit]
@@ -532,6 +588,13 @@ def _trust_region_subproblem(g, H, radius, lower, upper):
             break
         fixed[np.argmax(np.where(wrong, np.abs(grad), -1.0))] = False
     return s
+
+
+def _expansion(model, center):
+    """(g, H) of m(center + s) - m(center) = g's + s'Hs/2."""
+    if isinstance(model, LinModel):
+        return model.g_hat, np.zeros((center.size, center.size))
+    return 2.0 * model.Q @ center + model.c, 2.0 * model.Q
 
 
 def _penalized_merit(f_vals, g_list, penalties):
@@ -559,9 +622,6 @@ class _TrustRegionMethod:
     fit: Callable  # Dataset -> surrogate, for the objective and each constraint
     merit: Callable  # (f (m,), [g_i (m,)], penalties) -> merits (m,)
     extras: Callable  # (model, center, radius) -> analytic pool candidates
-    # (model, center) -> (g, H) of a convex model m(center + s) - m(center) =
-    # g's + s'Hs/2; None: the step searches the pool even without constraints
-    expansion: Optional[Callable] = None
     feasibility_first: bool = False  # rank feasible-first instead of by merit
     radius_scale: float = 1.0  # searched ball radius / trust radius
     grows_penalty: bool = False  # raise the penalties after an infeasible step
@@ -572,8 +632,7 @@ class _TrustRegionMethod:
 # fits are looked up at call time so that wrappers set on this module apply
 _CUATRO = _TrustRegionMethod(
     fit=lambda data: fit_quadratic(data, psd=True), merit=_penalized_merit,
-    extras=_quad_extras, expansion=lambda m, c: (2.0 * m.Q @ c + m.c, 2.0 * m.Q),
-    feasibility_first=True, grows_penalty=True,
+    extras=_quad_extras, feasibility_first=True, grows_penalty=True,
 )
 _TR_METHODS = {
     "lsqm": replace(_CUATRO, sees_constraints=False),  # its step reads no penalty
@@ -584,7 +643,6 @@ _TR_METHODS = {
     ),
     "cobyla": _TrustRegionMethod(
         fit=lambda data: fit_linear(data), merit=_max_merit, extras=_linear_extras,
-        expansion=lambda m, c: (m.g_hat, np.zeros((c.size, c.size))),
         radius_scale=0.5, simplex=True,
     ),
 }
@@ -599,8 +657,11 @@ def trust_region_step(
     Fits the method's surrogates to ``data``, at least n_x + 1 samples
     (``lsqm`` ignores the constraint columns, ``cobyla`` expects its
     simplex), and minimizes over the trust-region ball within ``bounds``:
-    exactly where the method's one convex model is the whole key
-    (``_trust_region_subproblem``), by the pool search otherwise.
+    exactly where the objective model is the whole key, on data without
+    constraint columns (``_trust_region_subproblem``, with the (g, H) of the
+    model's type: 2Qc + c and 2Q for a QuadModel, which ``cobyqa``'s can
+    make indefinite, g_hat and 0 for a LinModel), by the pool search
+    otherwise.
     ``penalties`` holds one value > 0 per constraint column of ``data``, none
     when there are none, and defaults to 100 each.
     """
@@ -632,9 +693,9 @@ def trust_region_step(
     def merit_at(x):
         return float(method.merit(*predict(x[None, :]), penalties)[0])
 
-    if method.expansion is not None and not g_models:
-        # one convex model is the whole key: solve for the step exactly
-        g, H = method.expansion(f_model, tr.center)
+    if not g_models:
+        # the objective model is the whole key: solve for the step exactly
+        g, H = _expansion(f_model, tr.center)
         s = _trust_region_subproblem(g, H, radius, bounds.lower - tr.center,
                                      bounds.upper - tr.center)
         x = bounds.clip(tr.center + s)

@@ -62,8 +62,8 @@ GOLDEN = {
     ("quadratic-d2", "cuatro", 1, 10): "e903c52f710dc5c501b2cd3fcae599df6181907708bd17a216306f23442530be",
     ("quadratic-d2", "cobyla", 0, 10): "d675f20fcfdc3b59e7ebd387a957d9b62814eaa5e90b3286ef2abf2827497e77",
     ("quadratic-d2", "cobyla", 1, 10): "a9b4d31f4b5bcb93b0e1da00a068fa84117b162317ab299a15a2a16ac288d753",
-    ("quadratic-d2", "cobyqa", 0, 10): "fa8766e5379989eacc3312ff1a495ff954e8be8528d8ebd3c363b403784c2846",
-    ("quadratic-d2", "cobyqa", 1, 10): "3700472549227ddfd8e67224e8ec0343faac2d2f5bdf477061e1cb712fcf5dd4",
+    ("quadratic-d2", "cobyqa", 0, 10): "02519d1b0f5a6949736f016bcb42efa543e33231446990b750e33454edcc59ea",
+    ("quadratic-d2", "cobyqa", 1, 10): "ee7f09bce149deaa4e4be8241c13c85c7c9346b490453931702350addde01521",
     ("quadratic-d2", "dycors", 0, 10): "553e9f59ee17a31775c0633f73d5ba0b927bc70f325ea950383409ee8b2921b7",
     ("quadratic-d2", "dycors", 1, 10): "605b845cce6c372b30a9a953272180c361439e339333ac0e9657932c77890dab",
     ("levy-d5", "bo", 0, 13): "916efc5723f60182167f188bb9ea7de72b00ccad6f9169a64e813e11d6a18bdb",
@@ -74,8 +74,8 @@ GOLDEN = {
     ("levy-d5", "cuatro", 1, 13): "c978f6eb6ad87b014300285a4f96138dd8216b0aef114757506c7ffbe7377495",
     ("levy-d5", "cobyla", 0, 13): "924095ce0d2c8a365ed28689df5b53d11723cd9b0df690b5fc19cea8fc34d02a",
     ("levy-d5", "cobyla", 1, 13): "bbf690c6d4439de6365ec1477415982a84f86eab2c0abd164b30e40025d5f623",
-    ("levy-d5", "cobyqa", 0, 13): "30b7b01bdc928c3b78b3eafc42fc46cd0976514c972fe20a48b91c49b774319b",
-    ("levy-d5", "cobyqa", 1, 13): "aae0523beebe6d542ad4e52c8569ed0e6f4b04c415de55ca5b29e3d89508fc13",
+    ("levy-d5", "cobyqa", 0, 13): "acde23b64664afdf645961b050508133b7c598aca0cfa06c370113cfaee1be82",
+    ("levy-d5", "cobyqa", 1, 13): "9997e0cb25fefc2f264d35417a00bfe3b057e4e045a0076cabbdedb65ebc1a79",
     ("levy-d5", "dycors", 0, 13): "e57922a9d4ec2b0741498c8513427397323fd45500af2ed586c229fce117373e",
     ("levy-d5", "dycors", 1, 13): "62a4b3c8b35df53e0e4055cabd6d2f2b09fe20abc97866a70cf551b814e15e0b",
     ("matyas-c", "bo", 0, 10): "d96b861d6645bc50291b653fc3b1ed8ba3bfaabece9d4c93097659cf89ffee1b",

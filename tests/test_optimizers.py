@@ -602,6 +602,127 @@ def test_exact_step_refuses_a_non_finite_model():
             optimizers._trust_region_subproblem(bad_g, bad_H, 1.0, lower, upper)
 
 
+# An indefinite H (cobyqa's model): the ball's minimizer is global, so it
+# must match the least of SLSQP runs from the centre, the point and random
+# points on the sphere.
+
+
+def _indefinite_instance(rng, d):
+    U = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    w = rng.standard_normal(d) * 10.0 ** rng.uniform(-2.0, 2.0, d)
+    w[0] = -abs(w[0])  # at least one negative eigenvalue
+    H = (U * w) @ U.T
+    return rng.standard_normal(d) * 10.0 ** rng.uniform(-1.0, 1.0), 0.5 * (H + H.T)
+
+
+def _sphere_starts(rng, d, radius, n=8):
+    U = rng.standard_normal((n, d))
+    return list(radius * U / np.linalg.norm(U, axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("d", [2, 5, 10, 32])
+def test_indefinite_ball_step_is_the_global_minimum(d):
+    rng = np.random.default_rng([d, 43])
+    for _ in range(6):
+        g, H = _indefinite_instance(rng, d)
+        radius = float(10.0 ** rng.uniform(-1.0, 1.0))
+        s, lam = optimizers._ball_subproblem(g, H, radius)
+        # Moré & Sorensen's conditions: on the sphere, H + lam I PSD, (H + lam I) s = -g
+        assert np.linalg.norm(s) == pytest.approx(radius, rel=1e-12)
+        w_min = np.linalg.eigvalsh(H)[0]
+        assert lam >= -w_min - 1e-12 * abs(w_min)
+        assert np.linalg.norm(H @ s + lam * s + g) <= 1e-9 * (np.linalg.norm(g) + lam * radius)
+        wide = np.full(d, 2.0 * radius)  # a box the ball does not reach
+        starts = [np.zeros(d), s, *_sphere_starts(rng, d, radius)]
+        oracle = _slsqp_minimum(g, H, radius, -wide, wide, starts)
+        assert _model_value(g, H, s) <= oracle + 1e-9 * abs(oracle)
+        assert np.array_equal(optimizers._trust_region_subproblem(g, H, radius, -wide, wide), s)
+
+
+@pytest.mark.parametrize("d", [2, 5, 10])
+def test_hard_case_fills_the_sphere_along_the_lowest_eigenvector(d):
+    # g orthogonal to the lowest eigenvector, and s(-w_min) over the other
+    # eigenvectors inside the ball: lam = -w_min, and the step adds a multiple
+    # of that eigenvector to reach the sphere
+    rng = np.random.default_rng([d, 3])
+    U = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    w = np.concatenate([[-1.0], np.sort(rng.uniform(0.5, 3.0, d - 1))])
+    H = (U * w) @ U.T
+    H = 0.5 * (H + H.T)
+    a = rng.standard_normal(d - 1)
+    g = U[:, 1:] @ a
+    inner = U[:, 1:] @ (a / (w[1:] + 1.0))  # s(-w_min) = -inner
+    radius = 2.0 * float(np.linalg.norm(inner))
+    s, lam = optimizers._ball_subproblem(g, H, radius)
+    assert np.linalg.norm(s) == pytest.approx(radius, rel=1e-12)
+    assert lam == pytest.approx(1.0, rel=1e-12)
+    assert np.allclose(s + inner, (U[:, 0] @ s) * U[:, 0], atol=1e-12 * radius)
+    starts = [np.zeros(d), s, *_sphere_starts(rng, d, radius)]
+    wide = np.full(d, 2.0 * radius)
+    oracle = _slsqp_minimum(g, H, radius, -wide, wide, starts)
+    value = _model_value(g, H, s)
+    assert abs(value - oracle) <= 1e-9 * abs(oracle)
+    # scaling s(-w_min) up to the sphere instead misses the decrease
+    assert _model_value(g, H, -inner * 2.0) > value + 0.1 * abs(value)
+
+
+def test_indefinite_step_searches_the_far_side_of_the_lowest_eigenvector():
+    # the ball's minimizer (-0.5, 0) lies past the face s_0 = -0.1, where the
+    # walk towards it ends at m = -0.06; the mirrored point (0.5, 0) lies in
+    # the box and is the minimizer over ball and box, m = -1.2
+    g, H = np.array([0.1, 0.0]), np.diag([-10.0, 1.0])
+    lower, upper = np.array([-0.1, -1.0]), np.ones(2)
+    s = optimizers._trust_region_subproblem(g, H, 0.5, lower, upper)
+    assert np.allclose(s, [0.5, 0.0], rtol=0.0, atol=1e-15)
+    assert _model_value(g, H, s) == pytest.approx(-1.2, rel=1e-15)
+
+
+def test_box_walk_stops_where_the_model_would_rise():
+    # an indefinite H (d = 3): after the first face, a walk on to the next
+    # face would climb the concave model; stopping ends at m = -3.6718, where
+    # walking on regardless ends at m = -1.4097
+    rng = np.random.default_rng(5421)
+    d = int(rng.integers(2, 5))
+    A = rng.standard_normal((d, d))
+    H = 0.5 * (A + A.T) * 10.0 ** rng.uniform(-1.0, 1.0)
+    g, radius = rng.standard_normal(d), float(10.0 ** rng.uniform(-0.5, 0.5))
+    lower, upper = -(10.0 ** rng.uniform(-1.3, 0.5, d)), 10.0 ** rng.uniform(-1.3, 0.5, d)
+    first, _ = optimizers._ball_subproblem(g, H, radius)
+    s = optimizers._box_walk(g, H, radius, lower, upper, first)
+    assert np.linalg.norm(s) <= radius and np.all((lower <= s) & (s <= upper))
+    assert _model_value(g, H, s) == pytest.approx(-3.671841065282626, rel=1e-9)
+
+
+@settings(max_examples=80, deadline=None)
+@given(d=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_exact_step_on_random_symmetric_models(d, seed):
+    # any symmetric H, a ball and a box around the centre, as in the PSD test
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((d, d)) * 10.0 ** rng.uniform(-2.0, 2.0)
+    H = 0.5 * (A + A.T)
+    g = rng.standard_normal(d) * 10.0 ** rng.uniform(-2.0, 1.0)
+    radius = float(10.0 ** rng.uniform(-1.0, 1.0))
+    lower, upper = -(10.0 ** rng.uniform(-1.3, 0.5, d)), 10.0 ** rng.uniform(-1.3, 0.5, d)
+    lower[rng.uniform(size=d) < 0.1] = 0.0
+    s = optimizers._trust_region_subproblem(g, H, radius, lower, upper)
+    assert np.linalg.norm(s) <= radius * (1.0 + 1e-12)
+    assert np.all((lower <= s) & (s <= upper))
+    value = _model_value(g, H, s)
+    assert value <= 0.0
+
+    def keys(S):
+        return optimizers._plain_keys(0.5 * np.sum((S @ H) * S, axis=-1) + S @ g)
+
+    pool = _pool_minimize(keys, Bounds(lower, upper), seed, center=np.zeros(d), radius=radius,
+                          extra=[np.zeros(d)])
+    ball, _ = optimizers._ball_subproblem(g, H, radius)
+    # the solve is exact for a PSD H, or where the ball's minimizer lies in
+    # the box; an indefinite H whose box cuts that minimizer off can leave
+    # the active set at a face the pool beats
+    if np.linalg.eigvalsh(H)[0] >= 0.0 or np.all((lower <= ball) & (ball <= upper)):
+        assert value <= _model_value(g, H, pool) + 1e-9 * (1.0 + abs(value))
+
+
 # ---------------------------------------------------------------- trust_region_step("lsqm")
 
 
@@ -767,7 +888,10 @@ def test_cobyqa_interior_minimum():
     y = (X[:, 0] - 0.4) ** 2 + 2.0 * (X[:, 1] + 0.3) ** 2
     tr = TrustRegionState(center=np.zeros(2), radius=3.0, max_radius=8.0)
     x_star = trust_region_step("cobyqa", Dataset(X, y), bounds, tr, seed=3).x
-    assert np.allclose(x_star, [0.4, -0.3], atol=1e-3)
+    # the exact step is the model's minimizer; the fit's rounding stays below 1e-8
+    model = fit_quadratic(Dataset(X, y))
+    assert np.allclose(x_star, np.linalg.solve(2.0 * model.Q, -model.c), rtol=0.0, atol=1e-12)
+    assert np.allclose(x_star, [0.4, -0.3], rtol=0.0, atol=1e-8)
 
 
 def test_cobyqa_inactive_constraints_match_unconstrained():
@@ -776,9 +900,14 @@ def test_cobyqa_inactive_constraints_match_unconstrained():
     y = np.sum((X - 0.2) ** 2, axis=1)
     g = np.full((12, 1), -1.0)
     tr = TrustRegionState(center=np.zeros(2), radius=1.0, max_radius=4.0)
-    a = trust_region_step("cobyqa", Dataset(X, y), bounds, tr, seed=6).x
-    b = trust_region_step("cobyqa", Dataset(X, y, g), bounds, tr, seed=6).x
-    assert np.array_equal(a, b)
+    # without constraint columns the step solves for the model's minimizer
+    # (one eigh); with them the pool search finds it through its Newton
+    # candidate (lstsq), so the two agree up to the rounding of the two solves
+    a = trust_region_step("cobyqa", Dataset(X, y), bounds, tr, seed=6)
+    b = trust_region_step("cobyqa", Dataset(X, y, g), bounds, tr, seed=6)
+    assert np.allclose(a.x, b.x, rtol=0.0, atol=1e-12)
+    assert a.predicted_reduction == pytest.approx(b.predicted_reduction, rel=1e-12)
+    assert a.on_boundary == b.on_boundary
 
 
 def test_cobyqa_merit_not_worse_than_center():
@@ -1296,8 +1425,8 @@ def test_quad_extras_lets_a_failed_svd_through():
 
 @pytest.mark.parametrize("algo", ["lsqm", "cuatro", "cobyqa", "cobyla"])
 def test_failed_svd_in_a_quadratic_step_falls_back(algo, monkeypatch, tmp_path):
-    # lsqm, cuatro and cobyla solve an unconstrained step exactly and refuse
-    # a non-finite model before eigh; cobyqa's pool search fails in lstsq
+    # every trust-region method solves an unconstrained step exactly and
+    # refuses a non-finite model before eigh
     from surropt.bench import BenchmarkConfig, run_benchmark
 
     monkeypatch.setattr(optimizers, "fit_quadratic", lambda data, psd=False: _nan_quadratic())
@@ -1306,8 +1435,7 @@ def test_failed_svd_in_a_quadratic_step_falls_back(algo, monkeypatch, tmp_path):
     traj = run_optimizer(algo, get_problem("ackley-d2"), budget=12, seed=5)
     assert len(traj) == 12
     assert traj.meta["fallback_at"] == n_init + 1
-    reason = "SVD did not converge" if algo == "cobyqa" else "non-finite trust-region model"
-    assert traj.meta["fallback_reason"].startswith(f"LinAlgError: {reason}")
+    assert traj.meta["fallback_reason"].startswith("LinAlgError: non-finite trust-region model")
 
     config = BenchmarkConfig(
         algorithms=[algo], problems=["ackley-d2"], dims=[2], repetitions=1,

@@ -2,28 +2,32 @@
 
     python3 tools/model_decrease.py PARENT_SRC CHANGE_SRC --out share.json
 
-The steps are every step of `lsqm` runs on ackley, levy and rosenbrock at
-d = 2, 5 and 7 (the unconstrained suite's budgets: 20, 50, 80), seeds 0, 1
-and 2, as the parent tree's package makes them. A child process records
-each step's data, trust region and seed once; one child per tree then
-repeats every recorded step with that tree's `trust_region_step`, so both
-trees search the same steps. Children run with one BLAS thread.
+The steps are every step of `lsqm` and of `cobyqa` runs on ackley, levy and
+rosenbrock at d = 2, 5 and 7 (the unconstrained suite's budgets: 20, 50,
+80), seeds 0, 1 and 2, as the parent tree's package makes them. A child
+process records each step's data, trust region, seed and objective model
+once; one child per tree then repeats every recorded step with that tree's
+`trust_region_step`, so both trees search the same steps. Children run with
+one BLAS thread.
 
-A step's share is (m(c) - m(x)) / (m(c) - m*), for its convex (PSD)
-quadratic model m, centre c and searched point x. m* is the least model
-value over the ball and the box: SLSQP with the analytic gradient, started
-from the centre and from each tree's x, or a searched point where that is
-lower. A step whose exact decrease is below 1e-12 (1 + |m(c)|) is not
-scored. The report counts the steps where the two trees searched the same
-point, and where the change's share is higher or lower; and gives each
-tree's least share, 1st and 5th percentiles, median, mean, and the count
-below 0.997 and below 0.99.
+A step's share is (m(c) - m(x)) / (m(c) - m*), for its quadratic model m
+(PSD for `lsqm`, indefinite wherever `cobyqa`'s fit is), centre c and
+searched point x. m* is the least model value found over the ball and the
+box: SLSQP with the analytic gradient, started from the centre, from each
+tree's x and from 4 seeded points on the sphere, or a searched point where
+that is lower. A step whose decrease m(c) - m* is below 1e-12 (1 + |m(c)|)
+is not scored. For each method the report counts the steps where the two
+trees searched the same point, and where the change's share is higher or
+lower (lower: the parent was ahead); and gives each tree's least share,
+1st and 5th percentiles, median, mean, and the count below 0.997 and
+below 0.99.
 
-A tree whose `lsqm` step searches the ball pool scores below 1 on most
-steps. A tree whose `lsqm` step solves the subproblem exactly
-(`optimizers._trust_region_subproblem`) scores 1 up to rounding: its share
-can exceed 1 by a hair where SLSQP stops short, or fall short of the pool
-by the rounding of the interior Newton point.
+A tree whose step searches the ball pool scores below 1 on most steps. A
+tree whose step solves the subproblem exactly
+(`optimizers._trust_region_subproblem`) scores 1 up to rounding where the
+model is convex or its ball minimizer lies in the box: its share can
+exceed 1 by a hair where SLSQP stops short, or fall short of the pool by
+the rounding of the interior Newton point.
 """
 
 from __future__ import annotations
@@ -39,12 +43,13 @@ from pathlib import Path
 
 import numpy as np
 
+KINDS = ("lsqm", "cobyqa")
 PROBLEMS = [f"{f}-d{d}" for f in ("ackley", "levy", "rosenbrock") for d in (2, 5, 7)]
 BUDGETS = {2: 20, 5: 50, 7: 80}
 SEEDS = (0, 1, 2)
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-# child: run lsqm and record each step's arguments and model
+# child: run lsqm and cobyqa, and record each step's arguments and model
 RECORD = """
 import json, pickle, sys
 from surropt import optimizers
@@ -54,15 +59,15 @@ from surropt.surrogates import fit_quadratic
 steps = []
 step = optimizers.trust_region_step
 def recorded(kind, data, bounds, tr, penalties=None, seed=0):
-    m = fit_quadratic(Dataset(data.X, data.y), psd=True)
-    steps.append({"X": data.X.copy(), "y": data.y.copy(), "G": data.G.copy(),
+    m = fit_quadratic(Dataset(data.X, data.y), psd=kind == "lsqm")
+    steps.append({"kind": kind, "X": data.X.copy(), "y": data.y.copy(), "G": data.G.copy(),
                   "lower": bounds.lower, "upper": bounds.upper,
                   "tr": (tr.center.copy(), tr.radius, tr.min_radius, tr.max_radius),
                   "seed": seed, "model": (m.Q, m.c, m.b)})
     return step(kind, data, bounds, tr, penalties, seed)
 optimizers.trust_region_step = recorded
-for key, budget, seed in json.loads(sys.argv[2]):
-    optimizers.run_optimizer("lsqm", get_problem(key), budget, seed)
+for kind, key, budget, seed in json.loads(sys.argv[2]):
+    optimizers.run_optimizer(kind, get_problem(key), budget, seed)
 with open(sys.argv[1], "wb") as f:
     pickle.dump(steps, f)
 """
@@ -80,7 +85,8 @@ for s in steps:
     center, radius, lo, hi = s["tr"]
     tr = TrustRegionState(center=center, radius=radius, min_radius=lo, max_radius=hi)
     data, bounds = Dataset(s["X"], s["y"], s["G"]), Bounds(s["lower"], s["upper"])
-    xs.append(trust_region_step("lsqm", data, bounds, tr, seed=s["seed"]).x)  # lsqm reads no penalty
+    # unconstrained data: no penalties
+    xs.append(trust_region_step(s["kind"], data, bounds, tr, seed=s["seed"]).x)
 np.save(sys.argv[2], np.array(xs, dtype=object), allow_pickle=True)
 """
 
@@ -96,10 +102,16 @@ def model_value(model, x) -> float:
     return float(x @ Q @ x + c @ x + b)
 
 
+def sphere_points(center, radius, seed, n=4) -> list:
+    U = np.random.default_rng(seed).standard_normal((n, center.size))
+    return list(center + radius * U / np.linalg.norm(U, axis=1, keepdims=True))
+
+
 def exact_minimum(model, center, radius, lower, upper, starts) -> float:
     from scipy.optimize import minimize
 
     Q, c, _ = model
+    starts = [np.clip(x, lower, upper) for x in starts]
     ball = {"type": "ineq", "fun": lambda x: radius**2 - np.sum((x - center) ** 2),
             "jac": lambda x: -2.0 * (x - center)}
     best = min(model_value(model, x) for x in starts)
@@ -132,8 +144,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True, help="JSON report path")
     args = parser.parse_args(argv)
 
-    cases = [(key, BUDGETS[int(key.rsplit("-d", 1)[1])], seed)
-             for key in PROBLEMS for seed in SEEDS]
+    cases = [(kind, key, BUDGETS[int(key.rsplit("-d", 1)[1])], seed)
+             for kind in KINDS for key in PROBLEMS for seed in SEEDS]
     with tempfile.TemporaryDirectory() as tmp:
         recorded = Path(tmp) / "steps.pkl"
         child(args.parent, RECORD, str(recorded), json.dumps(cases))
@@ -145,27 +157,33 @@ def main(argv=None) -> int:
             child(getattr(args, side), SEARCH, str(recorded), str(out))
             xs[side] = list(np.load(out, allow_pickle=True))
 
-    shares = {"parent": [], "change": []}
-    for k, s in enumerate(steps):
-        center, radius = s["tr"][0], s["tr"][1]
-        points = [xs["parent"][k], xs["change"][k]]
-        m_center = model_value(s["model"], center)
-        exact = m_center - exact_minimum(s["model"], center, radius, s["lower"], s["upper"],
-                                         [center, *points])
-        if exact < 1e-12 * (1.0 + abs(m_center)):
-            continue
-        for side, x in zip(shares, points):
-            shares[side].append((m_center - model_value(s["model"], x)) / exact)
-
-    report = {
-        "steps": len(steps),
-        "scored": len(shares["parent"]),
-        "same_point": sum(xs["parent"][k].tobytes() == xs["change"][k].tobytes()
-                          for k in range(len(steps))),
-        "change_higher": int(np.sum(np.array(shares["change"]) > np.array(shares["parent"]))),
-        "change_lower": int(np.sum(np.array(shares["change"]) < np.array(shares["parent"]))),
-        **{side: summary(np.array(v)) for side, v in shares.items()},
-    }
+    report = {}
+    for kind in KINDS:
+        ks = [k for k, s in enumerate(steps) if s["kind"] == kind]
+        shares = {"parent": [], "change": []}
+        for k in ks:
+            s = steps[k]
+            center, radius = s["tr"][0], s["tr"][1]
+            points = [xs["parent"][k], xs["change"][k]]
+            m_center = model_value(s["model"], center)
+            starts = [center, *points, *sphere_points(center, radius, k)]
+            exact = m_center - exact_minimum(s["model"], center, radius, s["lower"], s["upper"],
+                                             starts)
+            if exact < 1e-12 * (1.0 + abs(m_center)):
+                continue
+            for side, x in zip(shares, points):
+                shares[side].append((m_center - model_value(s["model"], x)) / exact)
+        parent, change = np.array(shares["parent"]), np.array(shares["change"])
+        report[kind] = {
+            "steps": len(ks),
+            "scored": len(parent),
+            "same_point": sum(xs["parent"][k].tobytes() == xs["change"][k].tobytes() for k in ks),
+            "change_higher": int(np.sum(change > parent)),
+            "change_lower": int(np.sum(change < parent)),
+            "change_at_least_parent": float(np.mean(change >= parent)),
+            "parent": summary(parent),
+            "change": summary(change),
+        }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     print(json.dumps(report, indent=1))
     return 0
