@@ -24,11 +24,14 @@ A trust-region step that reads no constraint model solves for its point
 exactly (``_trust_region_subproblem``: an ``eigh``, Newton on the secular
 equation with the hard case of an indefinite Hessian, and an active set
 over the box faces): every ``lsqm`` step, and ``cuatro``, ``cobyla`` and
-``cobyqa`` on data without constraint columns. The other inner argmins (a
-step that reads constraint models, and the acquisition of ``bo`` and
-``cbo``) use the same derivative-free candidate-pool search (seeded pool +
-analytic Newton/Cauchy candidates + coordinate pattern refinement). Either
-way every step operation is a pure function of (data, state, seed). A box
+``cobyqa`` on data without constraint columns. Where ``cobyqa``'s model is
+indefinite, the box cuts off its ball minimizer and the active set's end
+carries no certificate of being the least, that step also runs the pool
+and keeps the lower point. The other inner argmins (a step that reads
+constraint models, and the acquisition of ``bo`` and ``cbo``) use the same
+derivative-free candidate-pool search (seeded pool + analytic Newton/Cauchy
+candidates + coordinate pattern refinement). Either way every step
+operation is a pure function of (data, state, seed). A box
 pool is a Latin hypercube; a ball pool is one cached set of unit directions
 under a fresh random rotation, with fresh radii. The refinement evaluates
 its step levels ahead, several per call as one stack of batches, and takes
@@ -430,8 +433,9 @@ def _linear_extras(model, center, radius):
 
 
 def _ball_subproblem(g, H, radius):
-    """(s, lam): argmin g's + s'Hs/2 over ||s|| <= radius for a symmetric H,
-    and the ball's multiplier lam (Moré & Sorensen 1983).
+    """(s, lam, shift): argmin g's + s'Hs/2 over ||s|| <= radius for a
+    symmetric H, the ball's multiplier lam (Moré & Sorensen 1983), and
+    shift = max(0, -w_min), which is > 0 exactly where H counts as indefinite.
 
     One ``eigh`` H = V diag(w) V', where eigenvalues less than
     ``_ZERO_EIG`` ||H|| below 0 count as 0, so a PSD H keeps its rounding. With a = V'g,
@@ -451,7 +455,7 @@ def _ball_subproblem(g, H, radius):
     """
     if not H.any():
         norm = float(np.linalg.norm(g))
-        return (-radius * g / norm if norm else np.zeros_like(g)), norm / radius
+        return (-radius * g / norm if norm else np.zeros_like(g)), norm / radius, 0.0
     w, V = np.linalg.eigh(H)
     tol = _ZERO_EIG * float(np.max(np.abs(w)))
     w = np.where(w < -tol, w, np.maximum(w, 0.0))  # a PSD H stays PSD
@@ -463,7 +467,7 @@ def _ball_subproblem(g, H, radius):
         # every a_i with w_i = 0 is 0: the least-norm minimizer, when it fits
         z = np.divide(a, w, out=np.zeros_like(a), where=w > 0)
         if z @ z <= radius * radius:
-            return -(V @ z), 0.0
+            return -(V @ z), 0.0, 0.0
     candidates = []
     if shift > 0.0:
         # the hard case: lam = shift, the lowest eigenvectors fill the radius
@@ -500,32 +504,35 @@ def _ball_subproblem(g, H, radius):
                 break
             lam = step
         candidates.append((-(V @ z) * (radius / norm), lam))
-    return min(candidates, key=lambda c: g @ c[0] + 0.5 * c[0] @ H @ c[0])
+    s, lam = min(candidates, key=lambda c: g @ c[0] + 0.5 * c[0] @ H @ c[0])
+    return s, lam, shift
 
 
-def _trust_region_subproblem(g, H, radius, lower, upper):
+def _trust_region_subproblem(g, H, radius, lower, upper, pool):
     """argmin g's + s'Hs/2 over ||s|| <= radius and lower <= s <= upper, for
     a symmetric H (H = 0: a linear model) and lower <= 0 <= upper.
 
     The ball's minimizer (``_ball_subproblem``) when it lies in the box, else
-    the end of ``_box_walk`` towards it. An indefinite H can put the box's
-    minimizer on the far side of its lowest eigenvector v, so the walk also
-    sets out towards the ball's minimizer mirrored along v, and the step is
-    the lower of the two ends. For a PSD H the one walk ends at the minimizer.
+    the end of ``_box_walk`` towards it, which is the minimizer for a PSD H.
+    For an indefinite H the walk's end is the minimizer where it is a KKT
+    point whose ball multiplier lam makes H + lam I PSD: the Lagrangian is
+    then convex and least there, and no point of ball and box lies below
+    it. Short of that (the box can cut the ball's minimizer off on one side
+    of the lowest eigenvector and leave a lower point on the other),
+    ``pool()``, a step found by a search over the same ball and box, is
+    called and the lower of the two is returned.
 
     A non-finite g or H raises ``np.linalg.LinAlgError``, as a failed
     ``eigh`` does, so that ``run_optimizer`` falls back.
     """
     if not (np.all(np.isfinite(g)) and np.all(np.isfinite(H))):
         raise np.linalg.LinAlgError("non-finite trust-region model")
-    first, _ = _ball_subproblem(g, H, radius)
+    first, _, shift = _ball_subproblem(g, H, radius)
     if np.all((lower <= first) & (first <= upper)):
         return first
-    s = _box_walk(g, H, radius, lower, upper, first)
-    w, V = np.linalg.eigh(H)
-    if w[0] < -_ZERO_EIG * max(-w[0], w[-1]):  # H is indefinite
-        v = V[:, 0]
-        other = _box_walk(g, H, radius, lower, upper, first - 2.0 * (v @ first) * v)
+    s, lam = _box_walk(g, H, radius, lower, upper, first)
+    if shift > 0.0 and (lam is None or lam < shift):  # an indefinite H, no certificate
+        other = pool()
         if g @ other + 0.5 * other @ H @ other < g @ s + 0.5 * s @ H @ s:
             s = other
     return s
@@ -540,12 +547,18 @@ def _box_walk(g, H, radius, lower, upper, first):
     (``_ball_subproblem``), with the fixed ones at their bounds and the
     radius they leave. A coordinate that would leave the box on the way
     stops the walk there and is fixed at its bound. The model along a walk
-    is a 1-D quadratic, least at the face unless it is concave there; a walk
-    that would raise it (only an indefinite H can) ends the loop where s
-    is, so no walk ends above the value it starts from. Once a target is
-    reached, a fixed coordinate whose bound multiplier has the wrong sign is
-    released. Each pass lowers the model value or fixes one more coordinate;
-    short of such a stop the loop ends at a KKT point.
+    is a 1-D quadratic phi(t), and phi(1) is its least value on [0, 1],
+    since the target minimizes the model over a ball that holds the whole
+    segment. A convex phi is then falling up to the face at t < 1, and a
+    concave one is least at 0 or at the face; where the face lies above s
+    (only an indefinite H can do that) the loop ends at s. So each walk
+    stops at its least value on [0, face] and none raises the model. Once
+    a target is reached, a fixed coordinate whose bound multiplier has the
+    wrong sign is released. Each pass lowers the model value or fixes one
+    more coordinate; short of such a stop the loop ends at a KKT point.
+
+    Returns (s, lam): lam is the ball's multiplier where the loop ends at a
+    KKT point, and None where it ends short of one.
     """
     d = g.size
     s = np.zeros(d)
@@ -558,8 +571,8 @@ def _box_walk(g, H, radius, lower, upper, first):
         elif left > 0.0 and not fixed.all():
             free = ~fixed
             H_free = H[free]
-            target[free], lam = _ball_subproblem(g[free] + H_free[:, fixed] @ s[fixed],
-                                                 H_free[:, free], math.sqrt(left))
+            target[free], lam, _ = _ball_subproblem(g[free] + H_free[:, fixed] @ s[fixed],
+                                                    H_free[:, free], math.sqrt(left))
         out = (target < lower) | (target > upper)
         if out.any():
             # walk from s towards the target up to the first face it crosses
@@ -570,7 +583,7 @@ def _box_walk(g, H, radius, lower, upper, first):
             reach[moving] = (face[moving] - s[moving]) / move[moving]
             t = max(float(np.min(reach)), 0.0)  # 0: a rounding put s a hair past a face
             if t * ((g + H @ s) @ move + 0.5 * t * (move @ H @ move)) > 0.0:
-                break  # the model would rise from s to the face
+                return s, None  # the model would rise from s to the face
             hit = reach <= t
             s = s + t * move
             s[hit] = face[hit]
@@ -578,16 +591,16 @@ def _box_walk(g, H, radius, lower, upper, first):
             continue
         s = target
         if not fixed.any():
-            break
+            return s, None
         # the Lagrangian's gradient g + Hs + lam s on a fixed coordinate is
         # minus its bound multiplier at the upper bound, plus it at the lower
         grad = g + H @ s + lam * s
         tol = 1e-10 * (math.sqrt(g @ g) + float(np.max(np.abs(grad - g))))
         wrong = fixed & np.where(s >= upper, grad > tol, grad < -tol)
         if not wrong.any():
-            break
+            return s, lam
         fixed[np.argmax(np.where(wrong, np.abs(grad), -1.0))] = False
-    return s
+    return s, None
 
 
 def _expansion(model, center):
@@ -661,7 +674,9 @@ def trust_region_step(
     constraint columns (``_trust_region_subproblem``, with the (g, H) of the
     model's type: 2Qc + c and 2Q for a QuadModel, which ``cobyqa``'s can
     make indefinite, g_hat and 0 for a LinModel), by the pool search
-    otherwise.
+    otherwise. Where an indefinite model's ball minimizer lies outside the
+    box and the active set's end is not certified as the least, the step is
+    the lower of that end and the pool's point.
     ``penalties`` holds one value > 0 per constraint column of ``data``, none
     when there are none, and defaults to 100 each.
     """
@@ -693,17 +708,21 @@ def trust_region_step(
     def merit_at(x):
         return float(method.merit(*predict(x[None, :]), penalties)[0])
 
+    def pool_point():
+        return _pool_minimize(
+            keys, bounds, seed, center=tr.center, radius=radius,
+            extra=method.extras(f_model, tr.center, radius),
+        )
+
     if not g_models:
         # the objective model is the whole key: solve for the step exactly
         g, H = _expansion(f_model, tr.center)
         s = _trust_region_subproblem(g, H, radius, bounds.lower - tr.center,
-                                     bounds.upper - tr.center)
+                                     bounds.upper - tr.center,
+                                     lambda: pool_point() - tr.center)
         x = bounds.clip(tr.center + s)
     else:
-        x = _pool_minimize(
-            keys, bounds, seed, center=tr.center, radius=radius,
-            extra=method.extras(f_model, tr.center, radius),
-        )
+        x = pool_point()
     on_boundary = float(np.linalg.norm(x - tr.center)) >= radius * (1.0 - 1e-3)
     return TrustRegionStep(x, merit_at(tr.center) - merit_at(x), on_boundary)
 

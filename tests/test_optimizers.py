@@ -1,4 +1,5 @@
 import logging
+import math
 import sys
 
 import numpy as np
@@ -507,6 +508,10 @@ def _model_value(g, H, s):
     return float(g @ s + 0.5 * s @ H @ s)
 
 
+def _unused_pool():
+    raise AssertionError("the exact solve ran the pool search")
+
+
 def _slsqp_minimum(g, H, radius, lower, upper, starts):
     from scipy.optimize import minimize
 
@@ -560,7 +565,7 @@ def test_exact_step_is_the_model_minimum_over_ball_and_box(d, kind):
         lower, upper = -(10.0 ** rng.uniform(-1.3, 0.5, d)), 10.0 ** rng.uniform(-1.3, 0.5, d)
         lower[rng.uniform(size=d) < 0.1] = 0.0
         radius = float(10.0 ** rng.uniform(-1.0, 1.0))
-        s = optimizers._trust_region_subproblem(g, H, radius, lower, upper)
+        s = optimizers._trust_region_subproblem(g, H, radius, lower, upper, _unused_pool)
 
         def keys(S):
             return optimizers._plain_keys(0.5 * np.sum((S @ H) * S, axis=-1) + S @ g)
@@ -599,7 +604,7 @@ def test_exact_step_refuses_a_non_finite_model():
     lower, upper = -np.ones(2), np.ones(2)
     for bad_g, bad_H in [(np.array([np.nan, 0.0]), H), (g, np.diag([np.inf, 1.0]))]:
         with pytest.raises(np.linalg.LinAlgError, match="non-finite trust-region model"):
-            optimizers._trust_region_subproblem(bad_g, bad_H, 1.0, lower, upper)
+            optimizers._trust_region_subproblem(bad_g, bad_H, 1.0, lower, upper, _unused_pool)
 
 
 # An indefinite H (cobyqa's model): the ball's minimizer is global, so it
@@ -626,17 +631,19 @@ def test_indefinite_ball_step_is_the_global_minimum(d):
     for _ in range(6):
         g, H = _indefinite_instance(rng, d)
         radius = float(10.0 ** rng.uniform(-1.0, 1.0))
-        s, lam = optimizers._ball_subproblem(g, H, radius)
+        s, lam, shift = optimizers._ball_subproblem(g, H, radius)
         # Moré & Sorensen's conditions: on the sphere, H + lam I PSD, (H + lam I) s = -g
         assert np.linalg.norm(s) == pytest.approx(radius, rel=1e-12)
         w_min = np.linalg.eigvalsh(H)[0]
+        assert shift == pytest.approx(-w_min, rel=1e-12)
         assert lam >= -w_min - 1e-12 * abs(w_min)
         assert np.linalg.norm(H @ s + lam * s + g) <= 1e-9 * (np.linalg.norm(g) + lam * radius)
         wide = np.full(d, 2.0 * radius)  # a box the ball does not reach
         starts = [np.zeros(d), s, *_sphere_starts(rng, d, radius)]
         oracle = _slsqp_minimum(g, H, radius, -wide, wide, starts)
         assert _model_value(g, H, s) <= oracle + 1e-9 * abs(oracle)
-        assert np.array_equal(optimizers._trust_region_subproblem(g, H, radius, -wide, wide), s)
+        assert np.array_equal(
+            optimizers._trust_region_subproblem(g, H, radius, -wide, wide, _unused_pool), s)
 
 
 @pytest.mark.parametrize("d", [2, 5, 10])
@@ -653,9 +660,9 @@ def test_hard_case_fills_the_sphere_along_the_lowest_eigenvector(d):
     g = U[:, 1:] @ a
     inner = U[:, 1:] @ (a / (w[1:] + 1.0))  # s(-w_min) = -inner
     radius = 2.0 * float(np.linalg.norm(inner))
-    s, lam = optimizers._ball_subproblem(g, H, radius)
+    s, lam, shift = optimizers._ball_subproblem(g, H, radius)
     assert np.linalg.norm(s) == pytest.approx(radius, rel=1e-12)
-    assert lam == pytest.approx(1.0, rel=1e-12)
+    assert lam == pytest.approx(1.0, rel=1e-12) and shift == pytest.approx(1.0, rel=1e-12)
     assert np.allclose(s + inner, (U[:, 0] @ s) * U[:, 0], atol=1e-12 * radius)
     starts = [np.zeros(d), s, *_sphere_starts(rng, d, radius)]
     wide = np.full(d, 2.0 * radius)
@@ -666,15 +673,36 @@ def test_hard_case_fills_the_sphere_along_the_lowest_eigenvector(d):
     assert _model_value(g, H, -inner * 2.0) > value + 0.1 * abs(value)
 
 
-def test_indefinite_step_searches_the_far_side_of_the_lowest_eigenvector():
+def test_indefinite_step_takes_the_pool_where_the_box_cuts_off_the_ball_minimizer():
     # the ball's minimizer (-0.5, 0) lies past the face s_0 = -0.1, where the
-    # walk towards it ends at m = -0.06; the mirrored point (0.5, 0) lies in
-    # the box and is the minimizer over ball and box, m = -1.2
+    # active set ends at a KKT point, m = -0.06; the least over ball and box
+    # is (0.5, 0), m = -1.2, on the far side of the lowest eigenvector, and
+    # the pool search gets there
     g, H = np.array([0.1, 0.0]), np.diag([-10.0, 1.0])
     lower, upper = np.array([-0.1, -1.0]), np.ones(2)
-    s = optimizers._trust_region_subproblem(g, H, 0.5, lower, upper)
-    assert np.allclose(s, [0.5, 0.0], rtol=0.0, atol=1e-15)
-    assert _model_value(g, H, s) == pytest.approx(-1.2, rel=1e-15)
+    walk, lam = optimizers._box_walk(g, H, 0.5, lower, upper, np.array([-0.5, 0.0]))
+    assert lam < 10.0  # H + lam I is not PSD: no certificate
+    assert _model_value(g, H, walk) == pytest.approx(-0.06, rel=1e-12)
+
+    def keys(S):
+        return optimizers._plain_keys(0.5 * np.sum((S @ H) * S, axis=-1) + S @ g)
+
+    pool = _pool_minimize(keys, Bounds(lower, upper), 0, center=np.zeros(2), radius=0.5,
+                          extra=[np.zeros(2)])
+    s = optimizers._trust_region_subproblem(g, H, 0.5, lower, upper, lambda: pool)
+    assert s is pool
+    assert _model_value(g, H, s) == pytest.approx(-1.2, rel=1e-3)
+    # a PSD H on the same ball and box also walks to a face, and never runs the pool
+    s = optimizers._trust_region_subproblem(np.array([5.0, 0.0]), np.diag([10.0, 1.0]), 0.5,
+                                            lower, upper, _unused_pool)
+    assert np.array_equal(s, [-0.1, 0.0])
+    # an indefinite H whose walk ends on the sphere at s_1 = -sqrt(0.24), with
+    # lam = 3 / sqrt(0.24) - 1 >= 1 = -w_min: certified, the minimizer without the pool
+    g, H = np.array([5.0, 3.0]), np.diag([-1.0, 1.0])
+    s = optimizers._trust_region_subproblem(g, H, 0.5, lower, upper, _unused_pool)
+    assert np.allclose(s, [-0.1, -math.sqrt(0.24)], rtol=0.0, atol=1e-15)
+    oracle = _slsqp_minimum(g, H, 0.5, lower, upper, [np.zeros(2), s, np.array([0.5, 0.0])])
+    assert _model_value(g, H, s) <= oracle + 1e-12
 
 
 def test_box_walk_stops_where_the_model_would_rise():
@@ -687,8 +715,8 @@ def test_box_walk_stops_where_the_model_would_rise():
     H = 0.5 * (A + A.T) * 10.0 ** rng.uniform(-1.0, 1.0)
     g, radius = rng.standard_normal(d), float(10.0 ** rng.uniform(-0.5, 0.5))
     lower, upper = -(10.0 ** rng.uniform(-1.3, 0.5, d)), 10.0 ** rng.uniform(-1.3, 0.5, d)
-    first, _ = optimizers._ball_subproblem(g, H, radius)
-    s = optimizers._box_walk(g, H, radius, lower, upper, first)
+    first, _, _ = optimizers._ball_subproblem(g, H, radius)
+    s, _ = optimizers._box_walk(g, H, radius, lower, upper, first)
     assert np.linalg.norm(s) <= radius and np.all((lower <= s) & (s <= upper))
     assert _model_value(g, H, s) == pytest.approx(-3.671841065282626, rel=1e-9)
 
@@ -704,23 +732,18 @@ def test_exact_step_on_random_symmetric_models(d, seed):
     radius = float(10.0 ** rng.uniform(-1.0, 1.0))
     lower, upper = -(10.0 ** rng.uniform(-1.3, 0.5, d)), 10.0 ** rng.uniform(-1.3, 0.5, d)
     lower[rng.uniform(size=d) < 0.1] = 0.0
-    s = optimizers._trust_region_subproblem(g, H, radius, lower, upper)
-    assert np.linalg.norm(s) <= radius * (1.0 + 1e-12)
-    assert np.all((lower <= s) & (s <= upper))
-    value = _model_value(g, H, s)
-    assert value <= 0.0
 
     def keys(S):
         return optimizers._plain_keys(0.5 * np.sum((S @ H) * S, axis=-1) + S @ g)
 
     pool = _pool_minimize(keys, Bounds(lower, upper), seed, center=np.zeros(d), radius=radius,
                           extra=[np.zeros(d)])
-    ball, _ = optimizers._ball_subproblem(g, H, radius)
-    # the solve is exact for a PSD H, or where the ball's minimizer lies in
-    # the box; an indefinite H whose box cuts that minimizer off can leave
-    # the active set at a face the pool beats
-    if np.linalg.eigvalsh(H)[0] >= 0.0 or np.all((lower <= ball) & (ball <= upper)):
-        assert value <= _model_value(g, H, pool) + 1e-9 * (1.0 + abs(value))
+    s = optimizers._trust_region_subproblem(g, H, radius, lower, upper, lambda: pool)
+    assert np.linalg.norm(s) <= radius * (1.0 + 1e-12)
+    assert np.all((lower <= s) & (s <= upper))
+    value = _model_value(g, H, s)
+    assert value <= 0.0
+    assert value <= _model_value(g, H, pool) + 1e-9 * (1.0 + abs(value))
 
 
 # ---------------------------------------------------------------- trust_region_step("lsqm")
@@ -900,14 +923,37 @@ def test_cobyqa_inactive_constraints_match_unconstrained():
     y = np.sum((X - 0.2) ** 2, axis=1)
     g = np.full((12, 1), -1.0)
     tr = TrustRegionState(center=np.zeros(2), radius=1.0, max_radius=4.0)
-    # without constraint columns the step solves for the model's minimizer
-    # (one eigh); with them the pool search finds it through its Newton
-    # candidate (lstsq), so the two agree up to the rounding of the two solves
-    a = trust_region_step("cobyqa", Dataset(X, y), bounds, tr, seed=6)
+    # inactive constraints add nothing to the merit: the step that reads them
+    # is, bit for bit, the pool search on the objective's model alone
     b = trust_region_step("cobyqa", Dataset(X, y, g), bounds, tr, seed=6)
+    model = fit_quadratic(Dataset(X, y))
+    pool_x = _pool_minimize(lambda S: optimizers._plain_keys(model.predict(S)), bounds, 6,
+                            center=tr.center, radius=1.0,
+                            extra=optimizers._quad_extras(model, tr.center, 1.0))
+    assert np.array_equal(b.x, pool_x)
+    assert b.predicted_reduction == model.predict(tr.center[None])[0] - model.predict(pool_x[None])[0]
+    # without constraint columns the step solves for the same model's
+    # minimizer exactly (eigh, where the pool's Newton candidate is lstsq)
+    a = trust_region_step("cobyqa", Dataset(X, y), bounds, tr, seed=6)
     assert np.allclose(a.x, b.x, rtol=0.0, atol=1e-12)
-    assert a.predicted_reduction == pytest.approx(b.predicted_reduction, rel=1e-12)
     assert a.on_boundary == b.on_boundary
+
+
+def test_cobyqa_indefinite_step_keeps_the_lower_of_walk_and_pool():
+    # y = 0.1 x0 - 5 x0^2 + 0.5 x1^2 is fitted exactly; the box cuts the ball's
+    # minimizer (-0.5, 0) off at x0 = -0.1, and the pool's point near (0.5, 0)
+    # is lower than the active set's end, so the step is that point, bit for bit
+    bounds = Bounds(np.array([-0.1, -1.0]), np.ones(2))
+    X = latin_hypercube(bounds, 12, seed=4)
+    y = 0.1 * X[:, 0] - 5.0 * X[:, 0] ** 2 + 0.5 * X[:, 1] ** 2
+    tr = TrustRegionState(center=np.zeros(2), radius=0.5, max_radius=4.0)
+    step = trust_region_step("cobyqa", Dataset(X, y), bounds, tr, seed=2)
+    model = fit_quadratic(Dataset(X, y))
+    pool_x = _pool_minimize(lambda S: optimizers._plain_keys(model.predict(S)), bounds, 2,
+                            center=tr.center, radius=0.5,
+                            extra=optimizers._quad_extras(model, tr.center, 0.5))
+    assert np.array_equal(step.x, pool_x)
+    assert model.predict(step.x[None])[0] == pytest.approx(-1.2, rel=1e-3)
 
 
 def test_cobyqa_merit_not_worse_than_center():
