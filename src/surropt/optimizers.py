@@ -20,17 +20,19 @@ and share one public step, ``trust_region_step(kind, ...)``. The runner
 drives each method as one generator over the run's record, whose every
 ``next()`` absorbs the newest evaluation and yields the next point to
 evaluate: ``_gp_steps``, ``_trust_region_steps`` or ``_dycors_steps``.
-A trust-region step that reads no constraint model solves for its point
-exactly (``_trust_region_subproblem``: an ``eigh``, Newton on the secular
-equation with the hard case of an indefinite Hessian, and an active set
-over the box faces): every ``lsqm`` step, and ``cuatro``, ``cobyla`` and
-``cobyqa`` on data without constraint columns. Where ``cobyqa``'s model is
-indefinite, the box cuts off its ball minimizer and the active set's end
-carries no certificate of being the least, that step also runs the pool
-and keeps the lower point. The other inner argmins (a step that reads
-constraint models, and the acquisition of ``bo`` and ``cbo``) use the same
-derivative-free candidate-pool search (seeded pool + analytic Newton/Cauchy
-candidates + coordinate pattern refinement). Either way every step
+Every trust-region step first solves its objective model exactly over
+the ball and the box (``_trust_region_subproblem``: an ``eigh``, Newton on
+the secular equation with the hard case of an indefinite Hessian, and an
+active set over the box faces). That point is the step where the objective
+model is the whole key: every ``lsqm`` step, and ``cuatro``, ``cobyla`` and
+``cobyqa`` on data without constraint columns. A step that reads constraint
+models passes it, with the centre, to the candidate-pool search as its
+analytic seeds. Where ``cobyqa``'s model is indefinite, the box cuts off
+its ball minimizer and the active set's end carries no certificate of
+being the least, the step also runs the pool, seeded with the centre
+alone, and keeps the lower point. The acquisition of ``bo`` and ``cbo``
+uses the same derivative-free search (a seeded pool plus given candidates,
+then coordinate pattern refinement). Either way every step
 operation is a pure function of (data, state, seed). A box
 pool is a Latin hypercube; a ball pool is one cached set of unit directions
 under a fresh random rotation, with fresh radii. The refinement evaluates
@@ -266,13 +268,17 @@ def _pool_minimize(
     secondary) arrays of shape (L, m). A seeded pool of 100 * d candidates
     (a Latin hypercube, or ``_ball_candidates``: the cached directions
     rotated and scaled to uniform points in the ball around ``center``),
-    plus ``extra``, is ranked as a stack of one. Its best point x is refined
-    by at most ``_REFINE_STEPS`` pattern steps: x moves to the best of its 2d
-    trials x +/- step * e_j if that beats x's key, and otherwise the step
-    halves. The step starts at radius/4 in a ball and at a tenth of the
-    widest box side in a box. A ball search stops once the step falls below
-    ``_STEP_FLOOR`` * radius, so a walk that never moves tries the 8 levels
-    radius/4 ... radius/512; a box search always takes all its steps.
+    plus the analytic candidates ``extra`` (the incumbent of a GP search;
+    the centre and the exact objective step of a trust-region search), each
+    projected into the box and the ball, is ranked as a stack of one, so the
+    result is never above the best of ``extra`` by ``keys_fn``. Its best
+    point x is refined by at most ``_REFINE_STEPS`` pattern steps: x moves
+    to the best of its 2d trials x +/- step * e_j if that beats x's key,
+    and otherwise the step halves. The step starts at radius/4 in a ball
+    and at a tenth of the widest box side in a box. A ball search stops once
+    the step falls below ``_STEP_FLOOR`` * radius, so a walk that never
+    moves tries the 8 levels radius/4 ... radius/512; a box search always
+    takes all its steps.
 
     The steps are evaluated ahead, r step levels at a time (step, step/2,
     ...) as one (r, 2d, d) stack, with r = min(steps left,
@@ -403,35 +409,6 @@ def _propose_gp(data, bounds, gamma, seed):
 # ------------------------------------------------------------------ trust region
 
 
-def _cauchy_point(grad, center, radius):
-    norm = float(np.linalg.norm(grad))
-    if norm == 0:
-        return None
-    return center - radius * grad / norm
-
-
-def _quad_extras(model, center, radius):
-    extras = [center]
-    # unconstrained minimizer of the quadratic surrogate, min-norm when singular; a
-    # LinAlgError (the SVD did not converge) reaches run_optimizer's fallback
-    x_n, *_ = np.linalg.lstsq(2.0 * model.Q, -model.c, rcond=None)
-    if np.all(np.isfinite(x_n)):
-        extras.append(x_n)
-    grad = 2.0 * model.Q @ center + model.c
-    x_c = _cauchy_point(grad, center, radius)
-    if x_c is not None:
-        extras.append(x_c)
-    return extras
-
-
-def _linear_extras(model, center, radius):
-    extras = [center]
-    x_c = _cauchy_point(model.g_hat, center, radius)
-    if x_c is not None:
-        extras.append(x_c)
-    return extras
-
-
 def _ball_subproblem(g, H, radius):
     """(s, lam, shift): argmin g's + s'Hs/2 over ||s|| <= radius for a
     symmetric H, the ball's multiplier lam (Moré & Sorensen 1983), and
@@ -450,8 +427,8 @@ def _ball_subproblem(g, H, radius):
     over the others lies inside the ball, lam = shift and a multiple of a
     lowest eigenvector takes the point to the sphere. Where those
     components are nonzero but lost in the rounding of lam, both points
-    are made and the lower one is returned. For H = 0 the step is the
-    Cauchy step -radius g / ||g||, in closed form.
+    are made and the lower one is returned. For H = 0 the minimizer is
+    -radius g / ||g||, in closed form, with lam = ||g|| / radius.
     """
     if not H.any():
         norm = float(np.linalg.norm(g))
@@ -508,19 +485,19 @@ def _ball_subproblem(g, H, radius):
     return s, lam, shift
 
 
-def _trust_region_subproblem(g, H, radius, lower, upper, pool):
-    """argmin g's + s'Hs/2 over ||s|| <= radius and lower <= s <= upper, for
-    a symmetric H (H = 0: a linear model) and lower <= 0 <= upper.
+def _trust_region_subproblem(g, H, radius, lower, upper):
+    """(s, certified): argmin g's + s'Hs/2 over ||s|| <= radius and
+    lower <= s <= upper, for a symmetric H (H = 0: a linear model) and
+    lower <= 0 <= upper, and whether s is certified as that minimizer.
 
-    The ball's minimizer (``_ball_subproblem``) when it lies in the box, else
-    the end of ``_box_walk`` towards it, which is the minimizer for a PSD H.
-    For an indefinite H the walk's end is the minimizer where it is a KKT
-    point whose ball multiplier lam makes H + lam I PSD: the Lagrangian is
-    then convex and least there, and no point of ball and box lies below
-    it. Short of that (the box can cut the ball's minimizer off on one side
-    of the lowest eigenvector and leave a lower point on the other),
-    ``pool()``, a step found by a search over the same ball and box, is
-    called and the lower of the two is returned.
+    s is the ball's minimizer (``_ball_subproblem``) when it lies in the box,
+    else the end of ``_box_walk`` towards it, which is the minimizer for a
+    PSD H. For an indefinite H the walk's end is the minimizer where it is a
+    KKT point whose ball multiplier lam makes H + lam I PSD: the Lagrangian
+    is then convex and least there, and no point of ball and box lies below
+    it. Short of that certificate (the box can cut the ball's minimizer off
+    on one side of the lowest eigenvector and leave a lower point on the
+    other) ``certified`` is False; it is True in every other case.
 
     A non-finite g or H raises ``np.linalg.LinAlgError``, as a failed
     ``eigh`` does, so that ``run_optimizer`` falls back.
@@ -529,13 +506,9 @@ def _trust_region_subproblem(g, H, radius, lower, upper, pool):
         raise np.linalg.LinAlgError("non-finite trust-region model")
     first, _, shift = _ball_subproblem(g, H, radius)
     if np.all((lower <= first) & (first <= upper)):
-        return first
+        return first, True
     s, lam = _box_walk(g, H, radius, lower, upper, first)
-    if shift > 0.0 and (lam is None or lam < shift):  # an indefinite H, no certificate
-        other = pool()
-        if g @ other + 0.5 * other @ H @ other < g @ s + 0.5 * s @ H @ s:
-            s = other
-    return s
+    return s, shift == 0.0 or (lam is not None and lam >= shift)
 
 
 def _box_walk(g, H, radius, lower, upper, first):
@@ -634,7 +607,6 @@ class _TrustRegionMethod:
 
     fit: Callable  # Dataset -> surrogate, for the objective and each constraint
     merit: Callable  # (f (m,), [g_i (m,)], penalties) -> merits (m,)
-    extras: Callable  # (model, center, radius) -> analytic pool candidates
     feasibility_first: bool = False  # rank feasible-first instead of by merit
     radius_scale: float = 1.0  # searched ball radius / trust radius
     grows_penalty: bool = False  # raise the penalties after an infeasible step
@@ -645,18 +617,16 @@ class _TrustRegionMethod:
 # fits are looked up at call time so that wrappers set on this module apply
 _CUATRO = _TrustRegionMethod(
     fit=lambda data: fit_quadratic(data, psd=True), merit=_penalized_merit,
-    extras=_quad_extras, feasibility_first=True, grows_penalty=True,
+    feasibility_first=True, grows_penalty=True,
 )
 _TR_METHODS = {
     "lsqm": replace(_CUATRO, sees_constraints=False),  # its step reads no penalty
     "cuatro": _CUATRO,
     "cobyqa": _TrustRegionMethod(
-        fit=lambda data: fit_quadratic(data), merit=_penalized_merit,
-        extras=_quad_extras, grows_penalty=True,
+        fit=lambda data: fit_quadratic(data), merit=_penalized_merit, grows_penalty=True,
     ),
     "cobyla": _TrustRegionMethod(
-        fit=lambda data: fit_linear(data), merit=_max_merit, extras=_linear_extras,
-        radius_scale=0.5, simplex=True,
+        fit=lambda data: fit_linear(data), merit=_max_merit, radius_scale=0.5, simplex=True,
     ),
 }
 
@@ -669,14 +639,17 @@ def trust_region_step(
 
     Fits the method's surrogates to ``data``, at least n_x + 1 samples
     (``lsqm`` ignores the constraint columns, ``cobyla`` expects its
-    simplex), and minimizes over the trust-region ball within ``bounds``:
-    exactly where the objective model is the whole key, on data without
-    constraint columns (``_trust_region_subproblem``, with the (g, H) of the
-    model's type: 2Qc + c and 2Q for a QuadModel, which ``cobyqa``'s can
-    make indefinite, g_hat and 0 for a LinModel), by the pool search
-    otherwise. Where an indefinite model's ball minimizer lies outside the
-    box and the active set's end is not certified as the least, the step is
-    the lower of that end and the pool's point.
+    simplex), and minimizes over the trust-region ball within ``bounds``.
+    The objective model is minimized exactly first
+    (``_trust_region_subproblem``, with the (g, H) of the model's type:
+    2Qc + c and 2Q for a QuadModel, which ``cobyqa``'s can make indefinite,
+    g_hat and 0 for a LinModel), and that point x is the step on data
+    without constraint columns. With constraint columns the step is the
+    pool search's point, with the centre and x as its analytic candidates,
+    so its key is never worse than that of x projected into the ball. Where
+    an indefinite model's ball minimizer lies outside the box and the
+    active set's end is not certified as the least, the step is the lower
+    of x and the point of a pool search seeded with the centre alone.
     ``penalties`` holds one value > 0 per constraint column of ``data``, none
     when there are none, and defaults to 100 each.
     """
@@ -708,21 +681,21 @@ def trust_region_step(
     def merit_at(x):
         return float(method.merit(*predict(x[None, :]), penalties)[0])
 
-    def pool_point():
-        return _pool_minimize(
-            keys, bounds, seed, center=tr.center, radius=radius,
-            extra=method.extras(f_model, tr.center, radius),
-        )
-
-    if not g_models:
-        # the objective model is the whole key: solve for the step exactly
-        g, H = _expansion(f_model, tr.center)
-        s = _trust_region_subproblem(g, H, radius, bounds.lower - tr.center,
-                                     bounds.upper - tr.center,
-                                     lambda: pool_point() - tr.center)
-        x = bounds.clip(tr.center + s)
-    else:
-        x = pool_point()
+    g, H = _expansion(f_model, tr.center)
+    s, certified = _trust_region_subproblem(g, H, radius, bounds.lower - tr.center,
+                                            bounds.upper - tr.center)
+    x = bounds.clip(tr.center + s)
+    if g_models:
+        # the pool ranks the exact objective step among its candidates
+        x = _pool_minimize(keys, bounds, seed, center=tr.center, radius=radius,
+                           extra=[tr.center, x])
+    elif not certified:
+        # a pool seeded with x would only refine that KKT point; one seeded
+        # with the centre alone can reach the lower side of the cut-off ball
+        pool = _pool_minimize(keys, bounds, seed, center=tr.center, radius=radius,
+                              extra=[tr.center])
+        if merit_at(pool) < merit_at(x):
+            x = pool
     on_boundary = float(np.linalg.norm(x - tr.center)) >= radius * (1.0 - 1e-3)
     return TrustRegionStep(x, merit_at(tr.center) - merit_at(x), on_boundary)
 

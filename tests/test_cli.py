@@ -538,7 +538,7 @@ def test_optimize_reports_the_best_feasible_y(tmp_path, capsys):
     assert np.min(y) < np.min(y[ok])
     printed = capsys.readouterr().out
     assert f"best y = {np.min(y[ok]):.6g}, {ok.sum()} of 20 evaluations feasible" in printed
-    assert "best y = -168.757, 8 of 20 evaluations feasible" in printed
+    assert "best y = -168.752, 8 of 20 evaluations feasible" in printed
 
 
 def test_optimize_says_when_no_evaluation_is_feasible(tmp_path, capsys, monkeypatch):

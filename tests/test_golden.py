@@ -84,12 +84,12 @@ GOLDEN = {
     ("matyas-c", "cbo", 1, 10): "96811cead1f0ae229da49b2b400934016607bfa1b3a15b0b9dc4623dfb34893c",
     ("matyas-c", "lsqm", 0, 10): "7bee15c959cc3516e2e9cf972b2b4d09711e4c5ab10373b9b4db17327db4e9a2",
     ("matyas-c", "lsqm", 1, 10): "ed0b3cf6a2082c411c65b4bb16793e4441c77842c55cdc38191a099ee4faf3a8",
-    ("matyas-c", "cuatro", 0, 10): "7a7024ddc38a3c0003f030b12ab30f6d5df3d6b9ddf121f259ab5885d0b8d43c",
-    ("matyas-c", "cuatro", 1, 10): "e0d1af1e763ed74e1f9d6ad2cb08cc70713c774bb850f9110fd7dfe8bda21357",
+    ("matyas-c", "cuatro", 0, 10): "3e763fd7458b6f5d3030e6fdc163c57811736fe113c37544badc1d272532151a",
+    ("matyas-c", "cuatro", 1, 10): "3dcd35ba6fa55f1abd4f96ae6507da304ed7258bf6865696ae3a27fca2402c52",
     ("matyas-c", "cobyla", 0, 10): "9c4355a5e79ee34cba9ef1b315ed49e47df0b54da31918ddcdfae4bf9fbe066f",
     ("matyas-c", "cobyla", 1, 10): "4a75b352edad7edc49b44eb4474f7c90d94e9e41208aed4d4d5e54e82b862563",
-    ("matyas-c", "cobyqa", 0, 10): "173a48dc5c848fd7cef87714e535054916b8a7d138500c21bb5efaae71ba86a2",
-    ("matyas-c", "cobyqa", 1, 10): "fe9d1b722923fa465f452cda72c413cf0fb344a980fc3a2c00b71c74095918b7",
+    ("matyas-c", "cobyqa", 0, 10): "e24ef21ef67f13627b33d6e5b23bbab99623818f5b71f3e6431045ea91efa466",
+    ("matyas-c", "cobyqa", 1, 10): "2ad3034adc3db0ce306ca015f50618f856f6fa921108dcc3764c946e03f60b4f",
     ("matyas-c", "dycors", 0, 10): "4781936fb9f6d21e999cf3c75f8ff8d3157553219a3dfb1af0d626e272dc6ee2",
     ("matyas-c", "dycors", 1, 10): "f8b76693852ee3599f5c479b9cd7acf36fadce69d5ced296645faab943c8ebf1",
     ("williams-otto", "bo", 0, 10): "13a36f551b80cb946693462fe39ef25be8ad00bad70ecdc2d8e44333e6db7150",
@@ -100,10 +100,10 @@ GOLDEN = {
     ("williams-otto", "lsqm", 1, 10): "c4576f0a4fc56450361b96d1441fec60f543d83fd7244afe8b39658cb46c4437",
     ("williams-otto", "cuatro", 0, 10): "c3657362989418cec2dd24796d8d6c6fddbf0197348b7576049e38335ee8c576",
     ("williams-otto", "cuatro", 1, 10): "c402229b01db083b9ebe50fcb807a5dda62fd73fdc44c8022aed827c8754aa8f",
-    ("williams-otto", "cobyla", 0, 10): "186d0726e762763b178da3801dc4cd3f1069a9ac676daa8052e321e741ef8935",
-    ("williams-otto", "cobyla", 1, 10): "8557f5e4ac52a600d3d13ee18a5f2ac6e59f94cf4d07d0aab5cbcdddfdf84486",
-    ("williams-otto", "cobyqa", 0, 10): "2911333cc1378438de4421b033c2aa6199dcb94d412f391918536aa541b3f9dc",
-    ("williams-otto", "cobyqa", 1, 10): "6e91b0ae69c8f5e99f24815e53df98b4f9b3aec408d16f6f30cd351defcfe1ea",
+    ("williams-otto", "cobyla", 0, 10): "64372947f1011c5913c9590932e5137a5e9475a068ad4f62d5a2509ea709dd6e",
+    ("williams-otto", "cobyla", 1, 10): "74e5f8eb4ad6ffe8faf9f9a49e63bd5ec54cf6aabbb264e9a21095022aa99423",
+    ("williams-otto", "cobyqa", 0, 10): "d1e81805fb91dd70b39e80ac3ecd0112705f3f71c89dd7a5d80bc9976502cdd3",
+    ("williams-otto", "cobyqa", 1, 10): "52dd08509fdcabcf204f2e0a7fef9d8cc6873209e3777873b4378a32031eabf6",
     ("williams-otto", "dycors", 0, 10): "9d16e0608071ba286399a5852c27088a59abe0577ae2e6a5a376103003f2e21e",
     ("williams-otto", "dycors", 1, 10): "46c8f1d5d183fd993cb5ad9762dbe285d3ced6ce4a655631e2fc8c4d23e38aeb",
     ("matyas-c", "cobyla", 1, 32): "9d3dbd214657f49a4473c03a30e0e01da8be3c7e7f5b0cdbf129ff038624eae3",

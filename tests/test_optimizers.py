@@ -508,10 +508,6 @@ def _model_value(g, H, s):
     return float(g @ s + 0.5 * s @ H @ s)
 
 
-def _unused_pool():
-    raise AssertionError("the exact solve ran the pool search")
-
-
 def _slsqp_minimum(g, H, radius, lower, upper, starts):
     from scipy.optimize import minimize
 
@@ -565,7 +561,8 @@ def test_exact_step_is_the_model_minimum_over_ball_and_box(d, kind):
         lower, upper = -(10.0 ** rng.uniform(-1.3, 0.5, d)), 10.0 ** rng.uniform(-1.3, 0.5, d)
         lower[rng.uniform(size=d) < 0.1] = 0.0
         radius = float(10.0 ** rng.uniform(-1.0, 1.0))
-        s = optimizers._trust_region_subproblem(g, H, radius, lower, upper, _unused_pool)
+        s, certified = optimizers._trust_region_subproblem(g, H, radius, lower, upper)
+        assert certified  # a PSD H
 
         def keys(S):
             return optimizers._plain_keys(0.5 * np.sum((S @ H) * S, axis=-1) + S @ g)
@@ -579,11 +576,19 @@ def test_exact_step_is_the_model_minimum_over_ball_and_box(d, kind):
         assert faces and spheres  # both kinds of activity occur among the 8
 
 
+def _newton_and_cauchy(model, center, radius):
+    # the analytic points a quadratic step's pool was seeded with before the
+    # exact solve: the least-norm minimizer of the model and the Cauchy point
+    x_n, *_ = np.linalg.lstsq(2.0 * model.Q, -model.c, rcond=None)
+    grad = 2.0 * model.Q @ center + model.c
+    return [center, x_n, center - radius * grad / np.linalg.norm(grad)]
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("d", [1, 2, 5, 10])
 def test_exact_lsqm_step_is_the_model_minimum(d, seed):
     # the data of the pool-walk test above, through lsqm's step, against the
-    # pool search on the keys and extras lsqm's step used to rank
+    # pool search on the keys and analytic points lsqm's step used to rank
     bounds, X, y, G = _walk_data(d, seed, 2 * d + 4)
     center = X[int(np.argmin(y))]
     tr = TrustRegionState(center=center, radius=0.6)
@@ -591,7 +596,7 @@ def test_exact_lsqm_step_is_the_model_minimum(d, seed):
     model = fit_quadratic(Dataset(X, y), psd=True)
     pool_x = _pool_minimize(lambda S: optimizers._plain_keys(model.predict(S)), bounds, seed,
                             center=center, radius=0.6,
-                            extra=optimizers._quad_extras(model, center, 0.6))
+                            extra=_newton_and_cauchy(model, center, 0.6))
     g, H = 2.0 * model.Q @ center + model.c, 2.0 * model.Q
     _check_exact(g, H, 0.6, bounds.lower - center, bounds.upper - center, step.x - center,
                  pool_x - center)
@@ -604,7 +609,7 @@ def test_exact_step_refuses_a_non_finite_model():
     lower, upper = -np.ones(2), np.ones(2)
     for bad_g, bad_H in [(np.array([np.nan, 0.0]), H), (g, np.diag([np.inf, 1.0]))]:
         with pytest.raises(np.linalg.LinAlgError, match="non-finite trust-region model"):
-            optimizers._trust_region_subproblem(bad_g, bad_H, 1.0, lower, upper, _unused_pool)
+            optimizers._trust_region_subproblem(bad_g, bad_H, 1.0, lower, upper)
 
 
 # An indefinite H (cobyqa's model): the ball's minimizer is global, so it
@@ -642,8 +647,8 @@ def test_indefinite_ball_step_is_the_global_minimum(d):
         starts = [np.zeros(d), s, *_sphere_starts(rng, d, radius)]
         oracle = _slsqp_minimum(g, H, radius, -wide, wide, starts)
         assert _model_value(g, H, s) <= oracle + 1e-9 * abs(oracle)
-        assert np.array_equal(
-            optimizers._trust_region_subproblem(g, H, radius, -wide, wide, _unused_pool), s)
+        exact, certified = optimizers._trust_region_subproblem(g, H, radius, -wide, wide)
+        assert certified and np.array_equal(exact, s)
 
 
 @pytest.mark.parametrize("d", [2, 5, 10])
@@ -673,6 +678,22 @@ def test_hard_case_fills_the_sphere_along_the_lowest_eigenvector(d):
     assert _model_value(g, H, -inner * 2.0) > value + 0.1 * abs(value)
 
 
+def _model_keys(g, H):
+    return lambda S: optimizers._plain_keys(0.5 * np.sum((S @ H) * S, axis=-1) + S @ g)
+
+
+def _composed_step(g, H, radius, lower, upper, seed):
+    # the step trust_region_step takes where the model is the whole key: the
+    # exact point, or where that is uncertified the lower of it and the point
+    # of a pool search seeded with the centre
+    s, certified = optimizers._trust_region_subproblem(g, H, radius, lower, upper)
+    if certified:
+        return s
+    pool = _pool_minimize(_model_keys(g, H), Bounds(lower, upper), seed, center=np.zeros(g.size),
+                          radius=radius, extra=[np.zeros(g.size)])
+    return pool if _model_value(g, H, pool) < _model_value(g, H, s) else s
+
+
 def test_indefinite_step_takes_the_pool_where_the_box_cuts_off_the_ball_minimizer():
     # the ball's minimizer (-0.5, 0) lies past the face s_0 = -0.1, where the
     # active set ends at a KKT point, m = -0.06; the least over ball and box
@@ -683,23 +704,21 @@ def test_indefinite_step_takes_the_pool_where_the_box_cuts_off_the_ball_minimize
     walk, lam = optimizers._box_walk(g, H, 0.5, lower, upper, np.array([-0.5, 0.0]))
     assert lam < 10.0  # H + lam I is not PSD: no certificate
     assert _model_value(g, H, walk) == pytest.approx(-0.06, rel=1e-12)
-
-    def keys(S):
-        return optimizers._plain_keys(0.5 * np.sum((S @ H) * S, axis=-1) + S @ g)
-
-    pool = _pool_minimize(keys, Bounds(lower, upper), 0, center=np.zeros(2), radius=0.5,
-                          extra=[np.zeros(2)])
-    s = optimizers._trust_region_subproblem(g, H, 0.5, lower, upper, lambda: pool)
-    assert s is pool
-    assert _model_value(g, H, s) == pytest.approx(-1.2, rel=1e-3)
-    # a PSD H on the same ball and box also walks to a face, and never runs the pool
-    s = optimizers._trust_region_subproblem(np.array([5.0, 0.0]), np.diag([10.0, 1.0]), 0.5,
-                                            lower, upper, _unused_pool)
-    assert np.array_equal(s, [-0.1, 0.0])
+    s, certified = optimizers._trust_region_subproblem(g, H, 0.5, lower, upper)
+    assert not certified and np.array_equal(s, walk)
+    pool = _pool_minimize(_model_keys(g, H), Bounds(lower, upper), 0, center=np.zeros(2),
+                          radius=0.5, extra=[np.zeros(2)])
+    assert np.array_equal(_composed_step(g, H, 0.5, lower, upper, 0), pool)
+    assert _model_value(g, H, pool) == pytest.approx(-1.2, rel=1e-3)
+    # a PSD H on the same ball and box also walks to a face, certified
+    s, certified = optimizers._trust_region_subproblem(np.array([5.0, 0.0]),
+                                                       np.diag([10.0, 1.0]), 0.5, lower, upper)
+    assert certified and np.array_equal(s, [-0.1, 0.0])
     # an indefinite H whose walk ends on the sphere at s_1 = -sqrt(0.24), with
-    # lam = 3 / sqrt(0.24) - 1 >= 1 = -w_min: certified, the minimizer without the pool
+    # lam = 3 / sqrt(0.24) - 1 >= 1 = -w_min: certified as the minimizer
     g, H = np.array([5.0, 3.0]), np.diag([-1.0, 1.0])
-    s = optimizers._trust_region_subproblem(g, H, 0.5, lower, upper, _unused_pool)
+    s, certified = optimizers._trust_region_subproblem(g, H, 0.5, lower, upper)
+    assert certified
     assert np.allclose(s, [-0.1, -math.sqrt(0.24)], rtol=0.0, atol=1e-15)
     oracle = _slsqp_minimum(g, H, 0.5, lower, upper, [np.zeros(2), s, np.array([0.5, 0.0])])
     assert _model_value(g, H, s) <= oracle + 1e-12
@@ -732,13 +751,9 @@ def test_exact_step_on_random_symmetric_models(d, seed):
     radius = float(10.0 ** rng.uniform(-1.0, 1.0))
     lower, upper = -(10.0 ** rng.uniform(-1.3, 0.5, d)), 10.0 ** rng.uniform(-1.3, 0.5, d)
     lower[rng.uniform(size=d) < 0.1] = 0.0
-
-    def keys(S):
-        return optimizers._plain_keys(0.5 * np.sum((S @ H) * S, axis=-1) + S @ g)
-
-    pool = _pool_minimize(keys, Bounds(lower, upper), seed, center=np.zeros(d), radius=radius,
-                          extra=[np.zeros(d)])
-    s = optimizers._trust_region_subproblem(g, H, radius, lower, upper, lambda: pool)
+    pool = _pool_minimize(_model_keys(g, H), Bounds(lower, upper), seed, center=np.zeros(d),
+                          radius=radius, extra=[np.zeros(d)])
+    s = _composed_step(g, H, radius, lower, upper, seed)
     assert np.linalg.norm(s) <= radius * (1.0 + 1e-12)
     assert np.all((lower <= s) & (s <= upper))
     value = _model_value(g, H, s)
@@ -821,6 +836,31 @@ def test_trust_region_step_rejects_wrongly_sized_penalties(penalties):
         for kind in ("lsqm", "cuatro", "cobyqa", "cobyla"):
             with pytest.raises(ConfigError):
                 trust_region_step(kind, data, bounds, tr, penalties, seed=0)
+
+
+@pytest.mark.parametrize("d", [2, 5])
+@pytest.mark.parametrize("kind", ["cuatro", "cobyla", "cobyqa"])
+def test_constrained_step_seeds_the_pool_with_the_exact_objective_step(kind, d, monkeypatch):
+    # a step that reads constraint models ranks two analytic points among its
+    # pool's candidates: the centre and the exact step of the objective's model
+    extras = []
+
+    def spy(keys_fn, *args, extra=None, **kwargs):
+        extras.append(extra)
+        return _pool_minimize(keys_fn, *args, extra=extra, **kwargs)
+
+    monkeypatch.setattr(optimizers, "_pool_minimize", spy)
+    bounds, X, y, G = _walk_data(d, 1, d + 1 if kind == "cobyla" else 2 * d + 4)
+    tr = TrustRegionState(center=X[int(np.argmin(y))], radius=0.6)
+    trust_region_step(kind, Dataset(X, y, G), bounds, tr, seed=1)
+    [extra] = extras
+    assert len(extra) == 2
+    method = optimizers._TR_METHODS[kind]
+    g, H = optimizers._expansion(method.fit(Dataset(X, y)), tr.center)
+    s, _ = optimizers._trust_region_subproblem(g, H, 0.6 * method.radius_scale,
+                                               bounds.lower - tr.center, bounds.upper - tr.center)
+    assert np.array_equal(extra[0], tr.center)
+    assert np.array_equal(extra[1], bounds.clip(tr.center + s))
 
 
 # ---------------------------------------------------------------- trust_region_step("cuatro")
@@ -923,36 +963,40 @@ def test_cobyqa_inactive_constraints_match_unconstrained():
     y = np.sum((X - 0.2) ** 2, axis=1)
     g = np.full((12, 1), -1.0)
     tr = TrustRegionState(center=np.zeros(2), radius=1.0, max_radius=4.0)
+    # without constraint columns the step is the exact point of the objective's model
+    a = trust_region_step("cobyqa", Dataset(X, y), bounds, tr, seed=6)
     # inactive constraints add nothing to the merit: the step that reads them
-    # is, bit for bit, the pool search on the objective's model alone
+    # is, bit for bit, the pool search on the objective's model alone, seeded
+    # with the centre and that exact point
     b = trust_region_step("cobyqa", Dataset(X, y, g), bounds, tr, seed=6)
     model = fit_quadratic(Dataset(X, y))
     pool_x = _pool_minimize(lambda S: optimizers._plain_keys(model.predict(S)), bounds, 6,
-                            center=tr.center, radius=1.0,
-                            extra=optimizers._quad_extras(model, tr.center, 1.0))
+                            center=tr.center, radius=1.0, extra=[tr.center, a.x])
     assert np.array_equal(b.x, pool_x)
     assert b.predicted_reduction == model.predict(tr.center[None])[0] - model.predict(pool_x[None])[0]
-    # without constraint columns the step solves for the same model's
-    # minimizer exactly (eigh, where the pool's Newton candidate is lstsq)
-    a = trust_region_step("cobyqa", Dataset(X, y), bounds, tr, seed=6)
     assert np.allclose(a.x, b.x, rtol=0.0, atol=1e-12)
     assert a.on_boundary == b.on_boundary
 
 
 def test_cobyqa_indefinite_step_keeps_the_lower_of_walk_and_pool():
     # y = 0.1 x0 - 5 x0^2 + 0.5 x1^2 is fitted exactly; the box cuts the ball's
-    # minimizer (-0.5, 0) off at x0 = -0.1, and the pool's point near (0.5, 0)
-    # is lower than the active set's end, so the step is that point, bit for bit
+    # minimizer (-0.5, 0) off at x0 = -0.1, where the active set's end is
+    # uncertified; the pool search seeded with the centre finds a point near
+    # (0.5, 0), lower than that end, and the step is that point, bit for bit
     bounds = Bounds(np.array([-0.1, -1.0]), np.ones(2))
     X = latin_hypercube(bounds, 12, seed=4)
     y = 0.1 * X[:, 0] - 5.0 * X[:, 0] ** 2 + 0.5 * X[:, 1] ** 2
     tr = TrustRegionState(center=np.zeros(2), radius=0.5, max_radius=4.0)
     step = trust_region_step("cobyqa", Dataset(X, y), bounds, tr, seed=2)
     model = fit_quadratic(Dataset(X, y))
+    g, H = optimizers._expansion(model, tr.center)
+    s, certified = optimizers._trust_region_subproblem(g, H, 0.5, bounds.lower - tr.center,
+                                                       bounds.upper - tr.center)
+    assert not certified
     pool_x = _pool_minimize(lambda S: optimizers._plain_keys(model.predict(S)), bounds, 2,
-                            center=tr.center, radius=0.5,
-                            extra=optimizers._quad_extras(model, tr.center, 0.5))
+                            center=tr.center, radius=0.5, extra=[tr.center])
     assert np.array_equal(step.x, pool_x)
+    assert model.predict(pool_x[None])[0] < model.predict(bounds.clip(tr.center + s)[None])[0]
     assert model.predict(step.x[None])[0] == pytest.approx(-1.2, rel=1e-3)
 
 
@@ -1461,12 +1505,6 @@ def _nan_quadratic(d=2):
     Q = np.eye(d)
     Q[0, 0] = np.nan
     return QuadModel(Q, np.zeros(d), 0.0)
-
-
-def test_quad_extras_lets_a_failed_svd_through():
-    # lstsq's SVD does not converge on a NaN entry of Q
-    with pytest.raises(np.linalg.LinAlgError):
-        optimizers._quad_extras(_nan_quadratic(), np.zeros(2), 0.5)
 
 
 @pytest.mark.parametrize("algo", ["lsqm", "cuatro", "cobyqa", "cobyla"])

@@ -16,11 +16,14 @@ searched point x. m* is the least model value found over the ball and the
 box: SLSQP with the analytic gradient, started from the centre, from each
 tree's x and from 4 seeded points on the sphere, or a searched point where
 that is lower. A step whose decrease m(c) - m* is below 1e-12 (1 + |m(c)|)
-is not scored. For each method the report counts the steps where the two
-trees searched the same point, and where the change's share is higher or
-lower (lower: the parent was ahead), with the parent's largest lead; and
-gives each tree's least share, 1st and 5th percentiles, median, mean, and
-the count below 0.997 and below 0.99.
+is not scored. Model values, shares and leads are taken in long double
+(`np.longdouble`): float64 rounds the model values by as much as the leads
+it would count at radii near 1e-6. SLSQP itself runs in float64. For each
+method the report counts the steps where the two trees searched the same
+point, and where the change's share is higher or lower (lower: the parent
+was ahead), with the parent's largest lead; and gives each tree's least
+share, 1st and 5th percentiles, median, mean, and the count below 0.997
+and below 0.99.
 
 A tree whose step searches the ball pool scores below 1 on most steps. A
 tree whose step solves the subproblem exactly
@@ -28,8 +31,7 @@ tree whose step solves the subproblem exactly
 can exceed 1 by a hair where SLSQP stops short, or fall short of the
 pool's where the point x = c + s rounds (a radius near 1e-6 at |c| of a few
 units, where the pool's pick among many rounded points can lie a hair
-outside the ball) or where g = 2Qc + c cancels near an interior minimizer,
-which the pool's Newton candidate solves for in absolute coordinates.
+outside the ball) or where g = 2Qc + c cancels near an interior minimizer.
 """
 
 from __future__ import annotations
@@ -99,9 +101,10 @@ def child(src: Path, code: str, *args: str) -> None:
     subprocess.run([sys.executable, "-c", code, *args], env=env, check=True)
 
 
-def model_value(model, x) -> float:
-    Q, c, b = model
-    return float(x @ Q @ x + c @ x + b)
+def model_value(model, x) -> np.longdouble:
+    Q, c, b = (np.asarray(a, dtype=np.longdouble) for a in model)
+    x = np.asarray(x, dtype=np.longdouble)
+    return x @ Q @ x + c @ x + b
 
 
 def sphere_points(center, radius, seed, n=4) -> list:
@@ -118,7 +121,7 @@ def exact_minimum(model, center, radius, lower, upper, starts) -> float:
             "jac": lambda x: -2.0 * (x - center)}
     best = min(model_value(model, x) for x in starts)
     for x0 in starts:
-        res = minimize(lambda x: model_value(model, x), x0, jac=lambda x: 2.0 * Q @ x + c, method="SLSQP",
+        res = minimize(lambda x: float(model_value(model, x)), x0, jac=lambda x: 2.0 * Q @ x + c, method="SLSQP",
                        bounds=list(zip(lower, upper)), constraints=[ball],
                        options={"ftol": 1e-15, "maxiter": 500})
         x = np.clip(res.x, lower, upper)
@@ -175,7 +178,8 @@ def main(argv=None) -> int:
                 continue
             for side, x in zip(shares, points):
                 shares[side].append((m_center - model_value(s["model"], x)) / exact)
-        parent, change = np.array(shares["parent"]), np.array(shares["change"])
+        parent = np.array(shares["parent"], dtype=np.longdouble)
+        change = np.array(shares["change"], dtype=np.longdouble)
         report[kind] = {
             "steps": len(ks),
             "scored": len(parent),
