@@ -34,10 +34,10 @@ alone, and keeps the lower point. The acquisition of ``bo`` and ``cbo``
 uses the same derivative-free search (a seeded pool plus given candidates,
 then coordinate pattern refinement). Either way every step
 operation is a pure function of (data, state, seed). A box
-pool is a Latin hypercube; a ball pool is one cached set of unit directions
-under a fresh random rotation, with fresh radii. The refinement evaluates
-its step levels ahead, several per call as one stack of batches, and takes
-the moves that one level per call would take, bit for bit.
+pool is a Latin hypercube; a ball pool is normed normal directions with
+radii radius * u^(1/d). The refinement evaluates its step levels ahead,
+several per call as one stack of batches, and takes the moves that one
+level per call would take, bit for bit.
 
 Each method runs at one fixed setting: LCB weight gamma = 2; a search pool
 of 100 * n_x candidates refined by at most 20 pattern steps, none of them
@@ -50,7 +50,6 @@ max_i g_i <= 1e-3.
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -216,42 +215,22 @@ def _project(X, bounds: Bounds, center=None, radius=None) -> np.ndarray:
     return X
 
 
-@functools.lru_cache(maxsize=None)
-def _ball_directions(n: int, d: int) -> np.ndarray:
-    """n unit directions in R^d, uniform on the sphere (normal rows, normed).
-
-    Drawn once per (n, d) from a stream of a constant seed, and read-only,
-    since every ball search of that size turns the same set.
-    """
-    U = substream(0, "ball-directions", n, d).standard_normal((n, d))
-    norms = np.linalg.norm(U, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    U /= norms
-    U.flags.writeable = False
-    return U
-
-
 def _ball_candidates(center, radius, bounds, n, rng):
     """n points uniform in the ball around ``center``, clipped into the box.
 
-    The cached directions ``_ball_directions(n, d)`` are turned by one Haar
-    rotation Q, the QR of a d x d normal matrix with each column's sign set
-    by diag(R) (Mezzadri 2007), and scaled by fresh radii radius * u^(1/d).
-    ``rng`` gives the d x d normals, then the n uniforms. Each row is
-    uniform in the ball and each call independent of the others; the rows
-    of one call keep the angles between the cached directions.
+    ``rng`` gives n normal directions, each normed, then n radii
+    radius * u^(1/d) (Muller 1959).
     """
     d = center.size
-    Q, R = np.linalg.qr(rng.standard_normal((d, d)))
-    Q *= np.copysign(1.0, np.diagonal(R))
+    X = rng.standard_normal((n, d))
+    norms = np.linalg.norm(X, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0
     radii = radius * rng.uniform(size=(n, 1)) ** (1.0 / d)
-    # in place on the one (n, d) product: the same values as
-    # np.clip(center + radii * (U @ Q), lower, upper), NaN included
-    X = _ball_directions(n, d) @ Q
+    # in place: the bytes of np.clip(center + X / norms * radii, lower, upper)
+    X /= norms
     X *= radii
     X += center
-    np.maximum(X, bounds.lower, out=X)
-    return np.minimum(X, bounds.upper, out=X)
+    return np.clip(X, bounds.lower, bounds.upper, out=X)
 
 
 def _pool_minimize(
@@ -266,19 +245,18 @@ def _pool_minimize(
 
     ``keys_fn`` maps an (L, m, d) stack of candidate batches to (primary,
     secondary) arrays of shape (L, m). A seeded pool of 100 * d candidates
-    (a Latin hypercube, or ``_ball_candidates``: the cached directions
-    rotated and scaled to uniform points in the ball around ``center``),
-    plus the analytic candidates ``extra`` (the incumbent of a GP search;
-    the centre and the exact objective step of a trust-region search), each
-    projected into the box and the ball, is ranked as a stack of one, so the
-    result is never above the best of ``extra`` by ``keys_fn``. Its best
-    point x is refined by at most ``_REFINE_STEPS`` pattern steps: x moves
-    to the best of its 2d trials x +/- step * e_j if that beats x's key,
-    and otherwise the step halves. The step starts at radius/4 in a ball
-    and at a tenth of the widest box side in a box. A ball search stops once
-    the step falls below ``_STEP_FLOOR`` * radius, so a walk that never
-    moves tries the 8 levels radius/4 ... radius/512; a box search always
-    takes all its steps.
+    (a Latin hypercube, or ``_ball_candidates``: uniform points in the ball
+    around ``center``), plus the analytic candidates ``extra`` (the
+    incumbent of a GP search; the centre and the exact objective step of a
+    trust-region search), each projected into the box and the ball, is
+    ranked as a stack of one, so the result is never above the best of
+    ``extra`` by ``keys_fn``. Its best point x is refined by at most
+    ``_REFINE_STEPS`` pattern steps: x moves to the best of its 2d trials
+    x +/- step * e_j if that beats x's key, and otherwise the step halves.
+    The step starts at radius/4 in a ball and at a tenth of the widest box
+    side in a box. A ball search stops once the step falls below
+    ``_STEP_FLOOR`` * radius, so a walk that never moves tries the 8 levels
+    radius/4 ... radius/512; a box search always takes all its steps.
 
     The steps are evaluated ahead, r step levels at a time (step, step/2,
     ...) as one (r, 2d, d) stack, with r = min(steps left,

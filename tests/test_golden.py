@@ -23,13 +23,14 @@ from surropt.problems import get_problem
 
 BUDGETS = {"quadratic-d2": 10, "levy-d5": 13, "matyas-c": 10, "williams-otto": 10}
 SEEDS = (0, 1)
-# cobyla rebuilds its degenerate simplex on matyas-c seed 1 only past 27
-# evaluations, so one longer run covers the rebuild. A DYCORS step scores its
+# cobyla rebuilds its degenerate simplex on matyas-c seed 1 only past 23
+# evaluations, so one longer run covers the rebuild; budget 33 ends on the step
+# after its third rebuild, not inside a rebuild. A DYCORS step scores its
 # trials with the centred gemm (_centred_distances), so each DYCORS run
 # exercises _distances only through fit_rbf's n x n matrix: at the BUDGETS
 # problems' d <= 5, on ackley-d10 and on cstr-pid (d = 32, below).
 EXTRA = [
-    ("matyas-c", "cobyla", 1, 32),
+    ("matyas-c", "cobyla", 1, 33),
     ("ackley-d10", "dycors", 0, 30),
     ("ackley-d10", "dycors", 1, 30),
 ]
@@ -84,12 +85,12 @@ GOLDEN = {
     ("matyas-c", "cbo", 1, 10): "96811cead1f0ae229da49b2b400934016607bfa1b3a15b0b9dc4623dfb34893c",
     ("matyas-c", "lsqm", 0, 10): "7bee15c959cc3516e2e9cf972b2b4d09711e4c5ab10373b9b4db17327db4e9a2",
     ("matyas-c", "lsqm", 1, 10): "ed0b3cf6a2082c411c65b4bb16793e4441c77842c55cdc38191a099ee4faf3a8",
-    ("matyas-c", "cuatro", 0, 10): "3e763fd7458b6f5d3030e6fdc163c57811736fe113c37544badc1d272532151a",
-    ("matyas-c", "cuatro", 1, 10): "3dcd35ba6fa55f1abd4f96ae6507da304ed7258bf6865696ae3a27fca2402c52",
-    ("matyas-c", "cobyla", 0, 10): "9c4355a5e79ee34cba9ef1b315ed49e47df0b54da31918ddcdfae4bf9fbe066f",
+    ("matyas-c", "cuatro", 0, 10): "463b13a1e8ab7bbb033760bb2fdcb1c3c7a20c48fdcd7791c551a0becd9c8b70",
+    ("matyas-c", "cuatro", 1, 10): "44ba1b3da54447a7ec19bf4ceeee83b4a46a13574c8a60db33878805b1bb92ab",
+    ("matyas-c", "cobyla", 0, 10): "6a2ef7fac9a64edba7bda2342a07c4abae5bde742c1f7fcb81c9923053e0ba88",
     ("matyas-c", "cobyla", 1, 10): "4a75b352edad7edc49b44eb4474f7c90d94e9e41208aed4d4d5e54e82b862563",
-    ("matyas-c", "cobyqa", 0, 10): "e24ef21ef67f13627b33d6e5b23bbab99623818f5b71f3e6431045ea91efa466",
-    ("matyas-c", "cobyqa", 1, 10): "2ad3034adc3db0ce306ca015f50618f856f6fa921108dcc3764c946e03f60b4f",
+    ("matyas-c", "cobyqa", 0, 10): "a117b32823ea0029d672db237cc263e5832d71ab184c6dbc9fe052772d6d341f",
+    ("matyas-c", "cobyqa", 1, 10): "6139b3b410e9566b3b0503989322f59c50639db2885f6d4dfcaf3840cd8a5313",
     ("matyas-c", "dycors", 0, 10): "4781936fb9f6d21e999cf3c75f8ff8d3157553219a3dfb1af0d626e272dc6ee2",
     ("matyas-c", "dycors", 1, 10): "f8b76693852ee3599f5c479b9cd7acf36fadce69d5ced296645faab943c8ebf1",
     ("williams-otto", "bo", 0, 10): "13a36f551b80cb946693462fe39ef25be8ad00bad70ecdc2d8e44333e6db7150",
@@ -98,15 +99,15 @@ GOLDEN = {
     ("williams-otto", "cbo", 1, 10): "4764ffa8005bc3d16218b76b25c7031ca2ad9a1105ef996c87625961c7c7b40e",
     ("williams-otto", "lsqm", 0, 10): "7386040682b7ebb5edc38bc21d480c2158d37c13c8fb289755115b064ff5e6d2",
     ("williams-otto", "lsqm", 1, 10): "c4576f0a4fc56450361b96d1441fec60f543d83fd7244afe8b39658cb46c4437",
-    ("williams-otto", "cuatro", 0, 10): "c3657362989418cec2dd24796d8d6c6fddbf0197348b7576049e38335ee8c576",
-    ("williams-otto", "cuatro", 1, 10): "c402229b01db083b9ebe50fcb807a5dda62fd73fdc44c8022aed827c8754aa8f",
+    ("williams-otto", "cuatro", 0, 10): "dfa16669e21aa4664d1e6f1fbc22951653d371bde6b7ae85b402b03f5a7697d8",
+    ("williams-otto", "cuatro", 1, 10): "67301bb06d773b8d6655614f6fc11244df2bab03a409268223c734f7e925e9d1",
     ("williams-otto", "cobyla", 0, 10): "64372947f1011c5913c9590932e5137a5e9475a068ad4f62d5a2509ea709dd6e",
     ("williams-otto", "cobyla", 1, 10): "74e5f8eb4ad6ffe8faf9f9a49e63bd5ec54cf6aabbb264e9a21095022aa99423",
-    ("williams-otto", "cobyqa", 0, 10): "d1e81805fb91dd70b39e80ac3ecd0112705f3f71c89dd7a5d80bc9976502cdd3",
-    ("williams-otto", "cobyqa", 1, 10): "52dd08509fdcabcf204f2e0a7fef9d8cc6873209e3777873b4378a32031eabf6",
+    ("williams-otto", "cobyqa", 0, 10): "f35fa9e24d764492e99390ac25b19b7219dddffbd1647848e5c1b93a1e818d0e",
+    ("williams-otto", "cobyqa", 1, 10): "fe91b11e6437689c44becec8eb56ce9bae1071160b05d668f75725e0b613f651",
     ("williams-otto", "dycors", 0, 10): "9d16e0608071ba286399a5852c27088a59abe0577ae2e6a5a376103003f2e21e",
     ("williams-otto", "dycors", 1, 10): "46c8f1d5d183fd993cb5ad9762dbe285d3ced6ce4a655631e2fc8c4d23e38aeb",
-    ("matyas-c", "cobyla", 1, 32): "9d3dbd214657f49a4473c03a30e0e01da8be3c7e7f5b0cdbf129ff038624eae3",
+    ("matyas-c", "cobyla", 1, 33): "92c42899fe7993b48e2169ec0c85755df7b0c67ad276ee3c63cccdb51e799e6a",
     ("ackley-d10", "dycors", 0, 30): "30c68d1bb4ae617433952eff50393e1c8fa5c85c5a9f04773e5d9408219c4302",
     ("ackley-d10", "dycors", 1, 30): "e87d6c6b23c30fc410d19ed78534f2d6a88700d3c86d0acb977f39aae58c9e39",
 }

@@ -101,14 +101,14 @@ def test_batched_project_matches_per_row_bit_for_bit(seed, d, m):
 
 
 def _ball_candidates_reference(center, radius, bounds, n, rng):
-    """The ball pool as one out-of-place expression: the cached directions
-    turned by the sign-fixed Q of a normal matrix's QR, scaled by fresh radii."""
+    """The ball pool as one out-of-place expression: normal directions, each
+    normed, scaled by radii radius * u^(1/d)."""
     d = center.size
-    Q, R = np.linalg.qr(rng.standard_normal((d, d)))
-    Q = Q * np.copysign(1.0, np.diagonal(R))
+    X = rng.standard_normal((n, d))
+    norms = np.linalg.norm(X, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0
     radii = radius * rng.uniform(size=(n, 1)) ** (1.0 / d)
-    X = center + radii * (optimizers._ball_directions(n, d) @ Q)
-    return np.clip(X, bounds.lower, bounds.upper)
+    return np.clip(center + X / norms * radii, bounds.lower, bounds.upper)
 
 
 @pytest.mark.parametrize("d", [1, 2, 5, 10, 32])
@@ -176,27 +176,15 @@ def test_ball_candidates_same_seed_same_bytes(d):
         return optimizers._ball_candidates(center, 0.5, bounds, 100 * d, substream(seed, "pool"))
 
     assert pool(3).tobytes() == pool(3).tobytes()
-    # at d = 1 the rotation is +-1, but the radii are fresh: the pool is not
-    # one of the two sign flips of a fixed set
+    # at d = 1 every direction is +-1, but the radii are fresh: the pool is
+    # not one of the two sign flips of a fixed set
     a, b = pool(0) - center, pool(1) - center
     assert a.tobytes() != b.tobytes() and a.tobytes() != (-b).tobytes()
-
-
-def test_ball_directions_are_cached_read_only_unit_rows():
-    U = optimizers._ball_directions(3200, 32)
-    assert U is optimizers._ball_directions(3200, 32)
-    assert U.shape == (3200, 32) and not U.flags.writeable
-    assert np.allclose(np.linalg.norm(U, axis=1), 1.0, rtol=0, atol=1e-14)
-    with pytest.raises(ValueError):
-        U[0, 0] = 0.0
     # a caller may write to a pool it was given: the next call is unchanged
-    bounds = Bounds(-np.ones(32), np.ones(32))
-    center = np.zeros(32)
-    first = optimizers._ball_candidates(center, 0.5, bounds, 3200, substream(0, "pool"))
+    first = pool(0)
     expected = first.tobytes()
     first[:] = 7.0
-    again = optimizers._ball_candidates(center, 0.5, bounds, 3200, substream(0, "pool"))
-    assert again.tobytes() == expected
+    assert pool(0).tobytes() == expected
 
 
 # ---------------------------------------------------------------- _pool_minimize
@@ -863,6 +851,24 @@ def test_constrained_step_seeds_the_pool_with_the_exact_objective_step(kind, d, 
     assert np.array_equal(extra[1], bounds.clip(tr.center + s))
 
 
+@pytest.mark.parametrize("algo", ["lsqm", "cuatro", "cobyqa", "cobyla"])
+def test_case_study_steps_build_no_pool(algo, monkeypatch):
+    # cstr-pid has no constraints, so each d = 32 step is the exact solve (for
+    # cobyqa's indefinite models, a certified one) and draws no ball pool
+    pools, steps = [], []
+    real_step = optimizers.trust_region_step
+
+    def step(*args, **kwargs):
+        steps.append(None)
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(optimizers, "_pool_minimize", lambda *args, **kwargs: pools.append(None))
+    monkeypatch.setattr(optimizers, "trust_region_step", step)
+    traj = run_optimizer(algo, get_problem("cstr-pid"), budget=40, seed=0)
+    assert "fallback_at" not in traj.meta and steps
+    assert pools == []
+
+
 # ---------------------------------------------------------------- trust_region_step("cuatro")
 
 
@@ -1277,8 +1283,8 @@ def test_lsqm_ratio_scores_the_objective_alone(monkeypatch):
 
 
 
-# matyas-c at seed 1, budget 32 is the one golden case whose simplex degenerates
-@pytest.mark.parametrize("seed, budget", [(1, 32), (0, 40)])
+# matyas-c at seed 1, budget 33 is the one golden case whose simplex degenerates
+@pytest.mark.parametrize("seed, budget", [(1, 33), (0, 40)])
 def test_cobyla_rebuilds_a_right_angled_simplex_around_the_centre(seed, budget, monkeypatch):
     import surropt.optimizers as opt
 
@@ -1404,7 +1410,7 @@ def test_run_optimizer_fallback_fills_budget(algo, monkeypatch, caplog, tmp_path
 @pytest.mark.parametrize("algo, key, seed, budget", [
     ("bo", "ackley-d2", 0, 12), ("cbo", "matyas-c", 2, 12), ("cuatro", "rosenbrock-c", 3, 12),
     ("dycors", "ackley-d2", 4, 14),
-    ("cobyla", "matyas-c", 1, 32),  # its simplex degenerates: rebuild vertices take indices
+    ("cobyla", "matyas-c", 1, 33),  # its simplex degenerates: rebuild vertices take indices
 ])
 def test_each_step_takes_the_seed_of_its_index_after_the_design(algo, key, seed, budget,
                                                                  monkeypatch):
