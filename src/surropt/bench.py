@@ -33,7 +33,8 @@ trajectory first differs, and the paired difference in final best feasible
 value per cell and per (problem, algorithm). Each (problem, algorithm) pair
 gets an exact two-sided Wilcoxon signed-rank test (``signed_rank_p``, numpy
 only), Holm's step-down runs over all pairs of the report at family-wise
-ALPHA, and the report's ``verdict`` names the pairs where B is worse.
+ALPHA; the report's ``verdict`` names the pairs where B is worse, and its
+``better`` those where B is better.
 """
 
 from __future__ import annotations
@@ -626,8 +627,8 @@ def _test_pairs(pairs) -> list:
     A pair's sample is its deltas, one -inf per cell only B found feasible
     and one +inf per cell only A did, so a change that loses feasibility
     counts against B. Each pair gains its ``signed_rank_p`` as ``p``, Holm's
-    decision over all pairs as ``rejected``, and ``worse``: rejected with a
-    positive sample median.
+    decision over all pairs as ``rejected``, ``worse``: rejected with a
+    positive sample median, and ``better``: rejected with a negative one.
     """
     medians = []
     for pair in pairs:
@@ -637,7 +638,8 @@ def _test_pairs(pairs) -> list:
         pair["p"] = signed_rank_p(sample)
         medians.append(np.median(sample) if sample.size else 0.0)
     for pair, reject, median in zip(pairs, holm([pair["p"] for pair in pairs]), medians):
-        pair.update(rejected=bool(reject), worse=bool(reject and median > 0))
+        pair.update(rejected=bool(reject), worse=bool(reject and median > 0),
+                    better=bool(reject and median < 0))
     return [f"{pair['problem']}/{pair['algorithm']}" for pair in pairs if pair["worse"]]
 
 
@@ -658,7 +660,8 @@ def compare_results(dir_a, dir_b, suite: Optional[str] = None) -> dict:
     each a win of that side with no delta; a cell missing on either side is
     counted as missing. Each pair then gets the exact signed-rank test of
     ``_test_pairs`` and Holm's decision at family-wise ALPHA over all pairs;
-    ``verdict`` lists the pairs where B is worse.
+    ``verdict`` lists the pairs where B is worse and ``better`` those where B
+    is better.
     """
     roots = [_suite_dir(d, suite, "manifest.json") for d in (dir_a, dir_b)]
     manifests = [json.loads((r / "manifest.json").read_text()) for r in roots]
@@ -706,11 +709,13 @@ def compare_results(dir_a, dir_b, suite: Optional[str] = None) -> dict:
         "config": manifests[0]["config"], "provenance": provenance,
         "differing_cells": sum(1 for c in cells.values() if c.get("first_differing_row")),
         "cells": cells, "pairs": summary, "verdict": verdict,
+        "better": [f"{p['problem']}/{p['algorithm']}" for p in summary if p["better"]],
     }
 
 
 def compare_markdown(report: dict) -> str:
-    """The markdown tables of a :func:`compare_results` report, then its verdict.
+    """The markdown tables of a :func:`compare_results` report, the pairs where
+    B is better, then its verdict: the pairs where B is worse, on the last line.
 
     With n nonzero members a pair's exact p is at least 2 / 2^n; when that
     floor is above ALPHA / m for every one of the m pairs, nothing can be
@@ -755,6 +760,7 @@ def compare_markdown(report: dict) -> str:
     elif m and floor > ALPHA / m:
         lines += ["", f"no pair can be rejected: the smallest attainable p, {floor:.4g}, is above "
                       f"{ALPHA:g} / {m} pairs = {ALPHA / m:.4g}; this test needs more reps"]
-    lines += ["", f"verdict: B worse at family-wise {ALPHA:g}: "
-                  f"{', '.join(report['verdict']) or 'none'}"]
+    lines += ["", f"B better at family-wise {ALPHA:g}: {', '.join(report['better']) or 'none'}",
+              f"verdict: B worse at family-wise {ALPHA:g}: "
+              f"{', '.join(report['verdict']) or 'none'}"]
     return "\n".join(lines) + "\n"

@@ -17,9 +17,10 @@ untouched results both come back bit-identical, and otherwise it names the
 files that changed. ``compare`` pairs the cells of two runs of one config
 and prints markdown tables of where trajectories differ and of the paired
 difference in final best feasible value with each pair's exact signed-rank
-p and Holm's decision; its last line is the verdict, the pairs where B is
-worse at family-wise 5%. It writes the same report as JSON first and exits
-0 whatever it finds. On a closed stdout every command exits 1 quietly.
+p and Holm's decision; the line before the last names the pairs where B is
+better at family-wise 5%, and the last is the verdict, the pairs where B is
+worse. It writes the same report as JSON first and exits 0 whatever it
+finds. On a closed stdout every command exits 1 quietly.
 
 Config files are YAML with the keys suite, algorithms, problems, dims,
 repetitions, budgets, warmup, seed. Every key but warmup has a flag, and flags

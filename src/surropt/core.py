@@ -401,9 +401,10 @@ def _one_blas_thread():
     """Hold numpy's BLAS at one thread for the body, then restore the caller's
     count, also when the body raises.
 
-    Some fits round differently when BLAS splits them across threads (the d = 32
-    dual least-squares fit from n = 129 on), so a trajectory depends only on
-    its (algorithm, problem, budget, seed) when every run takes one thread.
+    Some fits round differently when BLAS splits them across threads (the QR
+    of the d = 32 dual quadratic fit from n = 128 on), so a trajectory depends
+    only on its (algorithm, problem, budget, seed) when every run takes one
+    thread.
     Where ``_blas_thread_calls`` finds nothing, the body runs unpinned.
     """
     global _pin_depth, _pin_saved

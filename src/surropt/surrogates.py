@@ -704,13 +704,20 @@ def fit_quadratic(
     """Ridge least-squares quadratic fit; optionally PSD-project the Hessian.
 
     The n x p feature matrix A has p = 1 + d + d(d+1)/2 columns. With
-    ``ridge > 0`` the coefficients are beta = (A'A + ridge I)^-1 A'y, found
-    by an SVD least-squares solve of one of two systems:
+    ``ridge > 0`` the coefficients are beta = (A'A + ridge I)^-1 A'y, the
+    least-squares solution of one of two augmented systems, written with
+    their right-hand side b into one buffer [M | b] (s = sqrt(ridge)):
 
-    - n >= p (primal): [A; sqrt(ridge) I_p] beta = [y; 0_p], p columns;
-    - n < p (dual): [A'; sqrt(ridge) I_n] w = [0_p; y / sqrt(ridge)], n
-      columns, then beta = A'w. Both minimizers are the same beta, and the
-      dual solve costs O(p n^2) instead of O(p^3) (p = 561 at d = 32).
+    - n >= p (primal): [A, y; s I_p, 0], p unknowns: beta itself;
+    - n < p (dual): [A', 0; s I_n, y / s], n unknowns w, then beta = A'w.
+      Both minimizers are the same beta, and the dual solve costs O(p n^2)
+      instead of O(p^3) (p = 561 at d = 32).
+
+    The s I block gives M full column rank, with no singular value below s,
+    so no rank-revealing solve is needed: one Householder QR of [M | b]
+    keeps only R, and back substitution in its leading block against its
+    last column gives the minimizer, backward stable as the SVD
+    least-squares solve is, at about half its flops.
 
     With ``ridge == 0`` it is plain ``lstsq(A, y)``: the minimum-norm
     least-squares solution. Either way the fit is well-posed from n_x + 1
@@ -720,19 +727,27 @@ def fit_quadratic(
     y = data.y
     n, d = X.shape
     iu, ju, diagonal = _quadratic_terms(d)
-    A = np.column_stack([np.ones(n), X, X[:, iu] * X[:, ju]])
-    p = A.shape[1]
-    if ridge > 0 and n < p:
+    p = 1 + d + iu.size
+    if ridge > 0:
         s = math.sqrt(ridge)
-        A_aug = np.vstack([A.T, s * np.eye(n)])
-        y_aug = np.concatenate([np.zeros(p), y / s])
-        w, *_ = np.linalg.lstsq(A_aug, y_aug, rcond=None)
-        beta = A.T @ w
-    elif ridge > 0:
-        A_aug = np.vstack([A, math.sqrt(ridge) * np.eye(p)])
-        y_aug = np.concatenate([y, np.zeros(p)])
-        beta, *_ = np.linalg.lstsq(A_aug, y_aug, rcond=None)
+        dual = n < p
+        k = n if dual else p  # unknowns: w or beta
+        M = np.zeros((n + p, k + 1))
+        A = M[:p, :n].T if dual else M[:n, :p]  # the features, written in place
+        A[:, 0] = 1.0
+        A[:, 1 : 1 + d] = X
+        np.multiply(X.T[iu], X.T[ju], out=A[:, 1 + d :].T)
+        if dual:
+            M[p:, n] = y / s
+        else:
+            M[:n, p] = y
+        np.fill_diagonal(M[-k:], s)
+        R = np.linalg.qr(M, mode="r")
+        beta = np.linalg.solve(R[:k, :k], R[:k, k])
+        if dual:
+            beta = A.T @ beta
     else:
+        A = np.column_stack([np.ones(n), X, X[:, iu] * X[:, ju]])
         beta, *_ = np.linalg.lstsq(A, y, rcond=None)
     b = beta[0]
     c = beta[1 : 1 + d].copy()

@@ -793,6 +793,35 @@ def test_compare_verdict_reads_the_cells_a_run_lost_feasibility_in(tmp_path, cap
     assert out.endswith("verdict: B worse at family-wise 0.05: none\n")
 
 
+def test_compare_names_a_pair_b_wins_in_every_rep(tmp_path, capsys):
+    # B's y is A's less 1 on every row of 12 reps: each rep's best feasible
+    # value drops by 1, p = 2^-11, and Holm rejects the pair in B's favour
+    a = tmp_path / "a"
+    assert main(["run", "--suite", "constrained", "--algos", "cobyla", "--problems", "matyas-c",
+                 "--reps", "12", "--budget", "10", "--seed", "3", "--jobs", "1",
+                 "--out", str(a)]) == 0
+    b = tmp_path / "b"
+    shutil.copytree(a, b)
+    for rep in (b / "constrained" / "matyas-c" / "cobyla").glob("rep*.csv"):
+        with open(rep, newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        for r in rows:
+            r[header.index("y")] = repr(float(r[header.index("y")]) - 1.0)
+        with open(rep, "w", newline="") as fh:
+            csv.writer(fh).writerows([header, *rows])
+    capsys.readouterr()
+    path = tmp_path / "report.json"
+    assert main(["compare", str(a), str(b), "--json", str(path)]) == 0
+    report = json.loads(path.read_text())
+    (pair,) = report["pairs"]
+    assert (pair["b_better"], pair["b_worse"], pair["ties"]) == (12, 0, 0)
+    assert pair["p"] == 2.0 ** -11 and pair["rejected"] and pair["better"]
+    assert report["better"] == ["matyas-c/cobyla"] and report["verdict"] == []
+    assert capsys.readouterr().out.endswith(
+        "B better at family-wise 0.05: matyas-c/cobyla\n"
+        "verdict: B worse at family-wise 0.05: none\n")
+
+
 def test_compare_refuses_runs_of_different_configs(compare_run, tmp_path, capsys):
     other = tmp_path / "b"
     shutil.copytree(compare_run, other)

@@ -57,53 +57,53 @@ def digest(traj) -> str:
 GOLDEN = {
     ("quadratic-d2", "bo", 0, 10): "c13549862f0941456ee50a77df585076e8234dd0cb89b7aafe4647917b897590",
     ("quadratic-d2", "bo", 1, 10): "467dc655a69bbee64d71866f59435302059ca012b81abc5435d539dadb59fe2d",
-    ("quadratic-d2", "lsqm", 0, 10): "a49c7dd9203194b11def2d68a2a9eb36382e6d081c727c0721d887115ae08fb4",
-    ("quadratic-d2", "lsqm", 1, 10): "e903c52f710dc5c501b2cd3fcae599df6181907708bd17a216306f23442530be",
-    ("quadratic-d2", "cuatro", 0, 10): "a49c7dd9203194b11def2d68a2a9eb36382e6d081c727c0721d887115ae08fb4",
-    ("quadratic-d2", "cuatro", 1, 10): "e903c52f710dc5c501b2cd3fcae599df6181907708bd17a216306f23442530be",
+    ("quadratic-d2", "lsqm", 0, 10): "c1ae66f5f6ca2343199b3312fc60ecb03004eed89fff7315bbb5b7cf9ed0e98a",
+    ("quadratic-d2", "lsqm", 1, 10): "1a6f2930fdbd6336ca4e7e3a48bfce95ece854cb9d628178745d1ba37e39efb0",
+    ("quadratic-d2", "cuatro", 0, 10): "c1ae66f5f6ca2343199b3312fc60ecb03004eed89fff7315bbb5b7cf9ed0e98a",
+    ("quadratic-d2", "cuatro", 1, 10): "1a6f2930fdbd6336ca4e7e3a48bfce95ece854cb9d628178745d1ba37e39efb0",
     ("quadratic-d2", "cobyla", 0, 10): "d675f20fcfdc3b59e7ebd387a957d9b62814eaa5e90b3286ef2abf2827497e77",
     ("quadratic-d2", "cobyla", 1, 10): "a9b4d31f4b5bcb93b0e1da00a068fa84117b162317ab299a15a2a16ac288d753",
-    ("quadratic-d2", "cobyqa", 0, 10): "02519d1b0f5a6949736f016bcb42efa543e33231446990b750e33454edcc59ea",
-    ("quadratic-d2", "cobyqa", 1, 10): "ee7f09bce149deaa4e4be8241c13c85c7c9346b490453931702350addde01521",
+    ("quadratic-d2", "cobyqa", 0, 10): "03a0d8cd7183dbe45a217a52a72cb00f93ced48cde7c51a8600f7bb3fea57913",
+    ("quadratic-d2", "cobyqa", 1, 10): "cdc788eb36090381f680cacf8c4b7fd4832e4b577a714e0bef2e4f8b6a562000",
     ("quadratic-d2", "dycors", 0, 10): "553e9f59ee17a31775c0633f73d5ba0b927bc70f325ea950383409ee8b2921b7",
     ("quadratic-d2", "dycors", 1, 10): "605b845cce6c372b30a9a953272180c361439e339333ac0e9657932c77890dab",
     ("levy-d5", "bo", 0, 13): "916efc5723f60182167f188bb9ea7de72b00ccad6f9169a64e813e11d6a18bdb",
     ("levy-d5", "bo", 1, 13): "ee2bc2d76afb575cde78569aefed1f0ea5a2e5ea89a07732799438141298c693",
-    ("levy-d5", "lsqm", 0, 13): "59dd1098cadea35374f51b48178c5986483894230c10f1ca0d51013e0456d732",
-    ("levy-d5", "lsqm", 1, 13): "c978f6eb6ad87b014300285a4f96138dd8216b0aef114757506c7ffbe7377495",
-    ("levy-d5", "cuatro", 0, 13): "59dd1098cadea35374f51b48178c5986483894230c10f1ca0d51013e0456d732",
-    ("levy-d5", "cuatro", 1, 13): "c978f6eb6ad87b014300285a4f96138dd8216b0aef114757506c7ffbe7377495",
+    ("levy-d5", "lsqm", 0, 13): "6f3e9ed47d04cec66d8e7eb964faf4e14654b1e62f6452b799a77c20d526b05f",
+    ("levy-d5", "lsqm", 1, 13): "1b99790dfb7548279617dc3f692b7883df89641993c514bb9995fe0cd01be01d",
+    ("levy-d5", "cuatro", 0, 13): "6f3e9ed47d04cec66d8e7eb964faf4e14654b1e62f6452b799a77c20d526b05f",
+    ("levy-d5", "cuatro", 1, 13): "1b99790dfb7548279617dc3f692b7883df89641993c514bb9995fe0cd01be01d",
     ("levy-d5", "cobyla", 0, 13): "924095ce0d2c8a365ed28689df5b53d11723cd9b0df690b5fc19cea8fc34d02a",
     ("levy-d5", "cobyla", 1, 13): "bbf690c6d4439de6365ec1477415982a84f86eab2c0abd164b30e40025d5f623",
-    ("levy-d5", "cobyqa", 0, 13): "acde23b64664afdf645961b050508133b7c598aca0cfa06c370113cfaee1be82",
-    ("levy-d5", "cobyqa", 1, 13): "9997e0cb25fefc2f264d35417a00bfe3b057e4e045a0076cabbdedb65ebc1a79",
+    ("levy-d5", "cobyqa", 0, 13): "45c08ee4d977433b1cb5f31caa8c21765dace518757bd8d348dfa0ea2ae58d99",
+    ("levy-d5", "cobyqa", 1, 13): "735f32698ef18e7e1c5ca268b72d0c067b9b22b911bb97602ccb55e7b0e7112b",
     ("levy-d5", "dycors", 0, 13): "e57922a9d4ec2b0741498c8513427397323fd45500af2ed586c229fce117373e",
     ("levy-d5", "dycors", 1, 13): "62a4b3c8b35df53e0e4055cabd6d2f2b09fe20abc97866a70cf551b814e15e0b",
     ("matyas-c", "bo", 0, 10): "d96b861d6645bc50291b653fc3b1ed8ba3bfaabece9d4c93097659cf89ffee1b",
     ("matyas-c", "bo", 1, 10): "9e89e98e7b49a082e279172db9a0439c3d02a68ba1853cef56f6aeb75cc9046d",
     ("matyas-c", "cbo", 0, 10): "6505c45a76eb6349e555359e43874dd409418b30be6ad7694ecc96c8a19a0ded",
     ("matyas-c", "cbo", 1, 10): "96811cead1f0ae229da49b2b400934016607bfa1b3a15b0b9dc4623dfb34893c",
-    ("matyas-c", "lsqm", 0, 10): "7bee15c959cc3516e2e9cf972b2b4d09711e4c5ab10373b9b4db17327db4e9a2",
-    ("matyas-c", "lsqm", 1, 10): "ed0b3cf6a2082c411c65b4bb16793e4441c77842c55cdc38191a099ee4faf3a8",
-    ("matyas-c", "cuatro", 0, 10): "463b13a1e8ab7bbb033760bb2fdcb1c3c7a20c48fdcd7791c551a0becd9c8b70",
-    ("matyas-c", "cuatro", 1, 10): "44ba1b3da54447a7ec19bf4ceeee83b4a46a13574c8a60db33878805b1bb92ab",
+    ("matyas-c", "lsqm", 0, 10): "9d121792076eb6eee70be5b891d817e2caf9328e666588cc8e907d8e72f66ad2",
+    ("matyas-c", "lsqm", 1, 10): "ec2b392a42c0c765f8eb94bf271541940223a4e002daefd207728a4a2ee553e5",
+    ("matyas-c", "cuatro", 0, 10): "b11b510e9e47e787d0ebcddfe2a3519a07d0e5690dc94dfeed7aa3c096c0382b",
+    ("matyas-c", "cuatro", 1, 10): "7611536486808a5cf4be73126cb09de97490902cc6e581e8460900e6f64db2b8",
     ("matyas-c", "cobyla", 0, 10): "6a2ef7fac9a64edba7bda2342a07c4abae5bde742c1f7fcb81c9923053e0ba88",
     ("matyas-c", "cobyla", 1, 10): "4a75b352edad7edc49b44eb4474f7c90d94e9e41208aed4d4d5e54e82b862563",
-    ("matyas-c", "cobyqa", 0, 10): "a117b32823ea0029d672db237cc263e5832d71ab184c6dbc9fe052772d6d341f",
-    ("matyas-c", "cobyqa", 1, 10): "6139b3b410e9566b3b0503989322f59c50639db2885f6d4dfcaf3840cd8a5313",
+    ("matyas-c", "cobyqa", 0, 10): "d6668dbf6522bdc0e255fe8ed3ccd16b306f0e46259e23d323784d2ab64f2346",
+    ("matyas-c", "cobyqa", 1, 10): "b06b1eca244661988f3790929c459f4cc7302ca62af5f1645c3f0a6392347ee6",
     ("matyas-c", "dycors", 0, 10): "4781936fb9f6d21e999cf3c75f8ff8d3157553219a3dfb1af0d626e272dc6ee2",
     ("matyas-c", "dycors", 1, 10): "f8b76693852ee3599f5c479b9cd7acf36fadce69d5ced296645faab943c8ebf1",
     ("williams-otto", "bo", 0, 10): "13a36f551b80cb946693462fe39ef25be8ad00bad70ecdc2d8e44333e6db7150",
     ("williams-otto", "bo", 1, 10): "e0f655f0f4ba7c01f28680fb20b2086798784f4e1552860d00de6fa80cc95957",
     ("williams-otto", "cbo", 0, 10): "af20148df956fac4ba81f7449192e7f1fc85ed757d48772e8c2ab297fc0df037",
     ("williams-otto", "cbo", 1, 10): "4764ffa8005bc3d16218b76b25c7031ca2ad9a1105ef996c87625961c7c7b40e",
-    ("williams-otto", "lsqm", 0, 10): "7386040682b7ebb5edc38bc21d480c2158d37c13c8fb289755115b064ff5e6d2",
-    ("williams-otto", "lsqm", 1, 10): "c4576f0a4fc56450361b96d1441fec60f543d83fd7244afe8b39658cb46c4437",
-    ("williams-otto", "cuatro", 0, 10): "dfa16669e21aa4664d1e6f1fbc22951653d371bde6b7ae85b402b03f5a7697d8",
+    ("williams-otto", "lsqm", 0, 10): "765c3c19a7d627973d983ee68428db9f22766e70e9980c94fe4a4e29d404d2de",
+    ("williams-otto", "lsqm", 1, 10): "d85c0942b32429622fd39d48f56052d161874d9dfa60c75a29867b14f3a430a5",
+    ("williams-otto", "cuatro", 0, 10): "3bc392a891f460f0363bc6f30ca9d4b92c09084f5a9e3381f09b207e4659c5e8",
     ("williams-otto", "cuatro", 1, 10): "67301bb06d773b8d6655614f6fc11244df2bab03a409268223c734f7e925e9d1",
     ("williams-otto", "cobyla", 0, 10): "64372947f1011c5913c9590932e5137a5e9475a068ad4f62d5a2509ea709dd6e",
     ("williams-otto", "cobyla", 1, 10): "74e5f8eb4ad6ffe8faf9f9a49e63bd5ec54cf6aabbb264e9a21095022aa99423",
-    ("williams-otto", "cobyqa", 0, 10): "f35fa9e24d764492e99390ac25b19b7219dddffbd1647848e5c1b93a1e818d0e",
+    ("williams-otto", "cobyqa", 0, 10): "c06b65507503d9c04ac8fc81bb78ab81594c0f55bd73ff7febf854d0af95faca",
     ("williams-otto", "cobyqa", 1, 10): "fe91b11e6437689c44becec8eb56ce9bae1071160b05d668f75725e0b613f651",
     ("williams-otto", "dycors", 0, 10): "9d16e0608071ba286399a5852c27088a59abe0577ae2e6a5a376103003f2e21e",
     ("williams-otto", "dycors", 1, 10): "46c8f1d5d183fd993cb5ad9762dbe285d3ced6ce4a655631e2fc8c4d23e38aeb",
@@ -141,7 +141,7 @@ def cstr_values() -> np.ndarray:
 CSTR_VALUES = "b54dc7b6f1e4c8aa869df5d1090028a676a5513cc38ea0af24938f74ac45cdf3"
 CSTR_GOLDEN = {
     ("cstr-pid", "cobyla", 0, 34): "2dd0772b56931f8069f822b9ea52cf0fbfacf7ddddfaa789ad074ddf996f9675",
-    ("cstr-pid", "cuatro", 0, 34): "588c572b077b68e5add44c340292ecea4d029bd8ee46ab5572abb0fbc80b31d8",
+    ("cstr-pid", "cuatro", 0, 34): "382b5ffbaee7732035b31b9fd4abad64e8bbc2da8403c49b8040ae44480700b9",
     ("cstr-pid", "dycors", 0, 70): "4c422ecc42c0453e0dace0767df4edc25a17e0820db321db48f33fa97d988eb5",
 }
 

@@ -1137,19 +1137,36 @@ def _quadratic_features(X):
     return np.column_stack(cols)
 
 
-def _primal_ridge_beta(A, y, ridge):
+def _primal_system(A, y, ridge):
+    # [A, y; sqrt(ridge) I_p, 0]: p unknowns, beta itself
     p = A.shape[1]
-    A_aug = np.vstack([A, math.sqrt(ridge) * np.eye(p)])
-    beta, *_ = np.linalg.lstsq(A_aug, np.concatenate([y, np.zeros(p)]), rcond=None)
-    return beta
+    return np.vstack([np.column_stack([A, y]),
+                      np.column_stack([math.sqrt(ridge) * np.eye(p), np.zeros(p)])])
+
+
+def _dual_system(A, y, ridge):
+    # [A', 0; sqrt(ridge) I_n, y / sqrt(ridge)]: n unknowns w, beta = A'w
+    n, p = A.shape
+    s = math.sqrt(ridge)
+    return np.vstack([np.column_stack([A.T, np.zeros(p)]),
+                      np.column_stack([s * np.eye(n), y / s])])
+
+
+def _qr_solve(M):
+    # the least-squares solution of [M | b] from its QR's R alone
+    c = M.shape[1] - 1
+    R = np.linalg.qr(M, mode="r")
+    return np.linalg.solve(R[:c, :c], R[:c, c])
+
+
+def _primal_ridge_beta(A, y, ridge):
+    return _qr_solve(_primal_system(A, y, ridge))
 
 
 def _dual_ridge_beta(A, y, ridge):
     n, p = A.shape
-    s = math.sqrt(ridge)
-    A_aug = np.vstack([A.T, s * np.eye(n)])
-    w, *_ = np.linalg.lstsq(A_aug, np.concatenate([np.zeros(p), y / s]), rcond=None)
-    return A.T @ w
+    M = _dual_system(A, y, ridge)
+    return M[:p, :n] @ _qr_solve(M)
 
 
 # at d = 4 there are p = 15 coefficients: n = 9 takes the dual solve, n = 20 the primal
@@ -1194,6 +1211,54 @@ def test_quadratic_dual_fit_matches_primal_solve(d, design):
         q = np.where(iu == ju, m.Q[iu, ju], 2.0 * m.Q[iu, ju])
         beta = np.concatenate([[m.b], m.c, q])
         assert np.max(np.abs(beta - ref)) <= 1e-7 * np.max(np.abs(ref))
+
+
+def _lstsq_ridge_beta(A, y, ridge):
+    # the SVD least-squares solve of the system fit_quadratic factors by QR
+    n, p = A.shape
+    M = _dual_system(A, y, ridge) if n < p else _primal_system(A, y, ridge)
+    x, *_ = np.linalg.lstsq(M[:, :-1], M[:, -1], rcond=None)
+    return M[:p, :n] @ x if n < p else x
+
+
+def _ridge_residual(A, y, ridge, beta):
+    # ||A'(y - A beta) - ridge beta|| / ((||A||^2 + ridge) ||beta|| + ||A|| ||y||),
+    # Frobenius norms, all in long double
+    A, y, beta = (np.asarray(v, dtype=np.longdouble) for v in (A, y, beta))
+    r = A.T @ (y - A @ beta) - ridge * beta
+    norm_a = np.sqrt(np.sum(A * A))
+    scale = (norm_a**2 + ridge) * np.sqrt(np.sum(beta**2)) + norm_a * np.sqrt(np.sum(y**2))
+    return float(np.sqrt(np.sum(r**2)) / scale)
+
+
+@pytest.mark.parametrize("regime", ["dual", "primal"])
+@pytest.mark.parametrize("design", ["random", "clustered"])
+@pytest.mark.parametrize("d", [2, 5, 10, 32])
+def test_quadratic_ridge_fit_as_accurate_as_svd_least_squares(d, design, regime):
+    # The ridge normal equations' scaled residual of the QR fit against that
+    # of lstsq on the same augmented system: the largest of 8 fits each. Over
+    # 192 groups drawn as these are (12 other seeds) the QR maximum was at
+    # most 2.9 times lstsq's, and below it in most. Both stay near rounding:
+    # up to 1e-14 on random designs, 1e-16 on clustered primal ones, and
+    # 1e-10 to 1e-9 on clustered dual ones, whose y / sqrt(ridge) is large.
+    rng = np.random.default_rng([d, design == "clustered", regime == "primal"])
+    p = 1 + d + d * (d + 1) // 2
+    sizes = (d + 1, min((d + 1 + p) // 2, 80)) if regime == "dual" else (p, p + d)
+    qr, svd = [], []
+    for n in sizes:
+        for _ in range(4):
+            if design == "random":
+                X = rng.uniform(-2, 2, size=(n, d))
+            else:
+                X = 0.5 + 1e-4 * rng.standard_normal((n, d))
+            y = rng.standard_normal(n)
+            m = fit_quadratic(Dataset(X, y), ridge=1e-8)
+            iu, ju = np.triu_indices(d)
+            q = np.where(iu == ju, m.Q[iu, ju], 2.0 * m.Q[iu, ju])
+            A = _quadratic_features(X)
+            qr.append(_ridge_residual(A, y, 1e-8, np.concatenate([[m.b], m.c, q])))
+            svd.append(_ridge_residual(A, y, 1e-8, _lstsq_ridge_beta(A, y, 1e-8)))
+    assert max(qr) <= 4.0 * max(svd)
 
 
 def test_predict_of_a_point_is_a_batch_of_one():
