@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
+import weakref
 from dataclasses import dataclass
 from typing import Union
 
@@ -698,6 +700,114 @@ def _quadratic_terms(d: int):
     return terms
 
 
+def _write_features(X: np.ndarray, A: np.ndarray) -> None:
+    """Write the quadratic features of each row of X into the rows of A:
+    1, x_i, then x_i * x_j for i <= j."""
+    d = X.shape[1]
+    iu, ju, _ = _quadratic_terms(d)
+    A[:, 0] = 1.0
+    A[:, 1 : 1 + d] = X
+    np.multiply(X.T[iu], X.T[ju], out=A[:, 1 + d :].T)
+
+
+class _DualFactor:
+    """The Q of a thin QR factor M = QR of the dual ridge system
+    M = [A'; s I_n] of the rows it was built from, grown by one column per
+    appended row.
+
+    Column k of M is [a_k; s e_k], a_k the p features of row k. ``Qt`` holds
+    Q' by rows, and q_k is zero past entry p + k, so a row is written once
+    and a later append never changes it: the factor of the first k rows is
+    the first k rows of ``Qt`` of any longer one, bit for bit. R is never
+    formed: s I_n = Q_bot R gives R^-1 = Q_bot / s, so the dual solution is
+    w = Q_bot Q_bot' y / s^2 and beta = A'w = Q_top Q_bot' y / s.
+
+    The buffers are sized once for the dual route's largest n, p - 1, and
+    written only as far as the rows go: at d = 32 that is 5 MB of address
+    space, of which a run touches about 9 KB per row, and no smaller
+    buffers are left behind in the heap as a growing one would.
+    """
+
+    def __init__(self, d: int, s: float):
+        self.d, self.s = d, s
+        self.p = 1 + d + _quadratic_terms(d)[0].size
+        self.n = 0
+        self.rows = np.empty((self.p - 1, d))  # the rows appended, bit for bit
+        self.Qt = np.empty((self.p - 1, 2 * self.p - 1))
+
+    def extend(self, X: np.ndarray) -> None:
+        """Append the rows of X past the first ``self.n``, one at a time.
+
+        Each new column is orthogonalized against Q by two classical
+        Gram-Schmidt passes ("twice is enough": Giraud, Langou and
+        Rozloznik 2005), at O((p + n) n) each, and normalized.
+        """
+        n, p, k0 = X.shape[0], self.p, self.n
+        if n <= k0:
+            return
+        Qt = self.Qt
+        self.rows[k0:n] = X[k0:n]
+        _write_features(X[k0:n], Qt[k0:n, :p])
+        Qt[k0:n, p:] = 0.0
+        for k in range(k0, n):
+            Qt[k, p + k] = self.s
+            v, Qk = Qt[k, : p + k + 1], Qt[:k, : p + k + 1]
+            v -= (Qk @ v) @ Qk
+            v -= (Qk @ v) @ Qk
+            v /= math.sqrt(v @ v)
+            self.n = k + 1
+
+    def beta(self, y: np.ndarray) -> np.ndarray:
+        """The ridge coefficients Q_top Q_bot' y / s for the first y.size rows."""
+        n, p = y.size, self.p
+        return (self.Qt[:n, p : p + n] @ (y / self.s)) @ self.Qt[:n, :p]
+
+
+class _FactorMemo:
+    """One thread's dual factor and a weak reference to the record (the array
+    that owns the fitted rows' memory) it last served; the factor is dropped
+    when that record is."""
+
+    def __init__(self):
+        self.factor = self.record = None
+
+    def forget(self, record) -> None:
+        if self.record is record:
+            self.factor = self.record = None
+
+
+_memos = threading.local()
+
+
+def _dual_factor(X: np.ndarray, s: float) -> _DualFactor:
+    """This thread's dual factor, grown to X's rows.
+
+    The rows it shares with X from the first on are kept, and it appends
+    X's rows from the first that differs (all of them for a new factor).
+    Since a factor's first k columns depend only on its first k rows, the
+    result is the factor of X alone, bit for bit.
+    """
+    memo = getattr(_memos, "memo", None)
+    if memo is None:
+        memo = _memos.memo = _FactorMemo()
+    n, d = X.shape
+    f = memo.factor
+    if f is None or f.d != d or f.s != s:
+        f = _DualFactor(d, s)
+    m = min(f.n, n)
+    same = np.all(f.rows[:m].view(np.int64) == X[:m].view(np.int64), axis=1)
+    if not same.all():
+        f.n = int(np.argmin(same))
+    f.extend(X)
+    record = X
+    while isinstance(record.base, np.ndarray):
+        record = record.base
+    if memo.record is None or memo.record() is not record:
+        memo.record = weakref.ref(record, memo.forget)
+    memo.factor = f
+    return f
+
+
 def fit_quadratic(
     data: Dataset, ridge: float = 1e-8, psd: bool = False
 ) -> QuadModel:
@@ -705,49 +815,49 @@ def fit_quadratic(
 
     The n x p feature matrix A has p = 1 + d + d(d+1)/2 columns. With
     ``ridge > 0`` the coefficients are beta = (A'A + ridge I)^-1 A'y, the
-    least-squares solution of one of two augmented systems, written with
-    their right-hand side b into one buffer [M | b] (s = sqrt(ridge)):
+    least-squares solution of one of two augmented systems (s = sqrt(ridge)):
 
-    - n >= p (primal): [A, y; s I_p, 0], p unknowns: beta itself;
-    - n < p (dual): [A', 0; s I_n, y / s], n unknowns w, then beta = A'w.
-      Both minimizers are the same beta, and the dual solve costs O(p n^2)
-      instead of O(p^3) (p = 561 at d = 32).
-
-    The s I block gives M full column rank, with no singular value below s,
-    so no rank-revealing solve is needed: one Householder QR of [M | b]
-    keeps only R, and back substitution in its leading block against its
-    last column gives the minimizer, backward stable as the SVD
-    least-squares solve is, at about half its flops.
+    - n >= p (primal): [A; s I_p] beta = [y; 0], p unknowns. The system and
+      its right-hand side are written into one buffer [M | b]; one
+      Householder QR keeps only R, and back substitution in its leading
+      block against its last column gives beta. The s I block gives M full
+      column rank, with no singular value below s, so no rank-revealing
+      solve is needed.
+    - n < p (dual): [A'; s I_n] w = [0; y / s], n unknowns, then beta = A'w,
+      the same minimizer at O(p n^2) instead of O(p^3) (p = 561 at d = 32).
+      Its thin QR factor grows by one column per row (:class:`_DualFactor`),
+      so a fit on a record one row longer than the last costs O((p + n) n),
+      not a new QR, and beta = Q_top Q_bot' y / s needs neither R nor A.
+      Each thread keeps its last factor: a call appends only the rows from
+      the first one that differs from the factor's, and the factor is
+      dropped with the record its rows were last read from. A factor's
+      first k columns depend only on its first k rows, so a fit's bytes
+      depend only on its data, and one factor serves a step's objective and
+      every constraint model.
 
     With ``ridge == 0`` it is plain ``lstsq(A, y)``: the minimum-norm
     least-squares solution. Either way the fit is well-posed from n_x + 1
-    samples onward.
+    samples onward. A ValueError names ``ridge`` unless 0 <= ridge < inf.
     """
+    if not 0.0 <= ridge < math.inf:
+        raise ValueError(f"ridge must be finite and >= 0, got {ridge!r}")
     X = data.X
     y = data.y
     n, d = X.shape
     iu, ju, diagonal = _quadratic_terms(d)
     p = 1 + d + iu.size
-    if ridge > 0:
-        s = math.sqrt(ridge)
-        dual = n < p
-        k = n if dual else p  # unknowns: w or beta
-        M = np.zeros((n + p, k + 1))
-        A = M[:p, :n].T if dual else M[:n, :p]  # the features, written in place
-        A[:, 0] = 1.0
-        A[:, 1 : 1 + d] = X
-        np.multiply(X.T[iu], X.T[ju], out=A[:, 1 + d :].T)
-        if dual:
-            M[p:, n] = y / s
-        else:
-            M[:n, p] = y
-        np.fill_diagonal(M[-k:], s)
+    if ridge > 0 and n < p:
+        beta = _dual_factor(X, math.sqrt(ridge)).beta(y)
+    elif ridge > 0:
+        M = np.zeros((n + p, p + 1))
+        _write_features(X, M[:n, :p])
+        M[:n, p] = y
+        np.fill_diagonal(M[n:], math.sqrt(ridge))
         R = np.linalg.qr(M, mode="r")
-        beta = np.linalg.solve(R[:k, :k], R[:k, k])
-        if dual:
-            beta = A.T @ beta
+        beta = np.linalg.solve(R[:p, :p], R[:p, p])
     else:
-        A = np.column_stack([np.ones(n), X, X[:, iu] * X[:, ju]])
+        A = np.empty((n, p))
+        _write_features(X, A)
         beta, *_ = np.linalg.lstsq(A, y, rcond=None)
     b = beta[0]
     c = beta[1 : 1 + d].copy()

@@ -313,9 +313,9 @@ def test_library_run_writes_the_manifest_compare_reads(mini_run, tmp_path):
     assert text.index("provenance jobs differs: A 1, B 2") < text.index("| problem |")
 
 
-# From n = 128 the d = 32 quadratic fit factors its n-column dual system with a
-# rounding that depends on the BLAS thread count; pool workers hold one thread
-# whatever the caller's setting, so a budget-150 cstr-pid cell writes one CSV.
+# Some fits round by the BLAS thread count (the d = 32 quadratic fit from
+# n = 455 on); pool workers hold one thread whatever the caller's setting, so
+# a budget-150 cstr-pid cell writes one CSV.
 POOL_RUN = """
 import sys
 from surropt.bench import BenchmarkConfig, run_benchmark

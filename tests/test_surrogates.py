@@ -1,5 +1,7 @@
 import math
 import struct
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -1164,9 +1166,20 @@ def _primal_ridge_beta(A, y, ridge):
 
 
 def _dual_ridge_beta(A, y, ridge):
+    # [A'; sqrt(ridge) I_n] = QR with its columns [a_k; sqrt(ridge) e_k]
+    # appended one at a time, each by two classical Gram-Schmidt passes;
+    # sqrt(ridge) I_n = Q_bot R, so beta = A'w = Q_top Q_bot' y / sqrt(ridge)
     n, p = A.shape
-    M = _dual_system(A, y, ridge)
-    return M[:p, :n] @ _qr_solve(M)
+    s = math.sqrt(ridge)
+    Qt = np.zeros((n, p + n))  # Q' by rows
+    for k in range(n):
+        v, Qk = Qt[k, : p + k + 1], Qt[:k, : p + k + 1]
+        v[:p] = A[k]
+        v[p + k] = s
+        v -= (Qk @ v) @ Qk
+        v -= (Qk @ v) @ Qk
+        v /= math.sqrt(v @ v)
+    return (Qt[:, p:] @ (y / s)) @ Qt[:, :p]
 
 
 # at d = 4 there are p = 15 coefficients: n = 9 takes the dual solve, n = 20 the primal
@@ -1231,34 +1244,175 @@ def _ridge_residual(A, y, ridge, beta):
     return float(np.sqrt(np.sum(r**2)) / scale)
 
 
-@pytest.mark.parametrize("regime", ["dual", "primal"])
-@pytest.mark.parametrize("design", ["random", "clustered"])
-@pytest.mark.parametrize("d", [2, 5, 10, 32])
+def _trust_region_rows(rng, d, n):
+    # rows as a trust-region run leaves them: d + 1 around the start, then one
+    # per step in the ball around a centre that moves on some steps, with a
+    # radius that mostly halves, so the later rows cluster down to 1e-3
+    X = np.empty((n, d))
+    centre, radius = rng.uniform(-1, 1, d), 0.5
+    X[: d + 1] = centre + radius * rng.uniform(-1, 1, (d + 1, d))
+    for k in range(d + 1, n):
+        step = rng.standard_normal(d)
+        X[k] = centre + radius * rng.uniform(0.2, 1.0) / np.linalg.norm(step) * step
+        if rng.uniform() < 0.3:
+            centre = X[k]
+        radius = max(radius * (0.5 if rng.uniform() < 0.6 else 2.0), 1e-3)
+    return X
+
+
+def _quadratic_beta(m):
+    iu, ju = np.triu_indices(m.c.size)
+    q = np.where(iu == ju, m.Q[iu, ju], 2.0 * m.Q[iu, ju])
+    return np.concatenate([[m.b], m.c, q])
+
+
+_ACCURACY_CASES = [
+    (d, design, regime)
+    for regime in ("dual", "primal")
+    for design in ("random", "clustered")
+    for d in (2, 5, 10, 32)
+] + [(32, "trust-region", "dual"), (10, "trust-region", "dual")]
+
+
+@pytest.mark.parametrize("d, design, regime", _ACCURACY_CASES)
 def test_quadratic_ridge_fit_as_accurate_as_svd_least_squares(d, design, regime):
-    # The ridge normal equations' scaled residual of the QR fit against that
-    # of lstsq on the same augmented system: the largest of 8 fits each. Over
-    # 192 groups drawn as these are (12 other seeds) the QR maximum was at
-    # most 2.9 times lstsq's, and below it in most. Both stay near rounding:
-    # up to 1e-14 on random designs, 1e-16 on clustered primal ones, and
-    # 1e-10 to 1e-9 on clustered dual ones, whose y / sqrt(ridge) is large.
+    # The ridge normal equations' scaled residual of the fit against that of
+    # lstsq on the same augmented system: the largest of the group's fits (8
+    # each, or every prefix of a trust-region design: one growing record up
+    # to n = 150 at d = 32 and n = 65 = p - 1 at d = 10, so the dual factor
+    # grows by one row per fit). Over 12 other seeds per group the dual
+    # route's maximum was at most 0.23 times lstsq's, and below 1e-3 of it
+    # on clustered and trust-region designs; the primal QR's at most 1.5
+    # times at d <= 10. lstsq's stays near rounding: up to 1e-14 on random designs,
+    # 1e-16 on clustered primal ones, and 1e-10 to 1e-9 on clustered dual
+    # ones, whose y / sqrt(ridge) is large.
     rng = np.random.default_rng([d, design == "clustered", regime == "primal"])
     p = 1 + d + d * (d + 1) // 2
-    sizes = (d + 1, min((d + 1 + p) // 2, 80)) if regime == "dual" else (p, p + d)
+    if design == "trust-region":
+        X = _trust_region_rows(rng, d, min(150, p - 1))
+        Y = rng.standard_normal(X.shape[0])
+        datasets = [(X[:n], Y[:n]) for n in range(d + 1, X.shape[0] + 1)]
+    else:
+        sizes = (d + 1, min((d + 1 + p) // 2, 80)) if regime == "dual" else (p, p + d)
+        datasets = []
+        for n in sizes:
+            for _ in range(4):
+                if design == "random":
+                    X = rng.uniform(-2, 2, size=(n, d))
+                else:
+                    X = 0.5 + 1e-4 * rng.standard_normal((n, d))
+                datasets.append((X, rng.standard_normal(n)))
     qr, svd = [], []
-    for n in sizes:
-        for _ in range(4):
-            if design == "random":
-                X = rng.uniform(-2, 2, size=(n, d))
-            else:
-                X = 0.5 + 1e-4 * rng.standard_normal((n, d))
-            y = rng.standard_normal(n)
-            m = fit_quadratic(Dataset(X, y), ridge=1e-8)
-            iu, ju = np.triu_indices(d)
-            q = np.where(iu == ju, m.Q[iu, ju], 2.0 * m.Q[iu, ju])
-            A = _quadratic_features(X)
-            qr.append(_ridge_residual(A, y, 1e-8, np.concatenate([[m.b], m.c, q])))
-            svd.append(_ridge_residual(A, y, 1e-8, _lstsq_ridge_beta(A, y, 1e-8)))
+    for X, y in datasets:
+        m = fit_quadratic(Dataset(X, y), ridge=1e-8)
+        A = _quadratic_features(X)
+        qr.append(_ridge_residual(A, y, 1e-8, _quadratic_beta(m)))
+        svd.append(_ridge_residual(A, y, 1e-8, _lstsq_ridge_beta(A, y, 1e-8)))
     assert max(qr) <= 4.0 * max(svd)
+
+
+@pytest.mark.parametrize("ridge", [-1.0, math.nan, math.inf])
+def test_quadratic_fit_refuses_a_negative_or_non_finite_ridge(ridge):
+    data = Dataset([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [0.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="ridge"):
+        fit_quadratic(data, ridge=ridge)
+
+
+def _on_new_thread(fit, *args, **kwargs):
+    # a thread starts with no dual factor of its own
+    out = []
+    thread = threading.Thread(target=lambda: out.append(fit(*args, **kwargs)))
+    thread.start()
+    thread.join()
+    return out[0]
+
+
+def _same_bytes(a, b):
+    return a.Q.tobytes() == b.Q.tobytes() and a.c.tobytes() == b.c.tobytes() and a.b == b.b
+
+
+@pytest.mark.parametrize("d, n", [(5, 20), (32, 70)])
+def test_quadratic_warm_fits_give_cold_bytes(d, n):
+    # every prefix of one record is fitted on this thread, so each fit below
+    # p rows appends one row to the last one's factor; between them come
+    # other targets over the same rows, fits of unrelated rows (the prefix
+    # after one builds a new factor) and fits on other threads, which keep
+    # factors of their own. The last fit, one row past the factor, has the
+    # bytes of one on a thread that never fitted before.
+    rng = np.random.default_rng(d)
+    X = _trust_region_rows(rng, d, n)
+    Y = rng.standard_normal((n, 2))
+    for k in range(d + 1, n):
+        if k % 5 == 0:
+            fit_quadratic(Dataset(rng.uniform(-1, 1, (k, d)), Y[:k, 0]))
+        fit_quadratic(Dataset(X[:k], Y[:k, 0]), psd=True)
+        fit_quadratic(Dataset(X[:k], Y[:k, 1]))
+        if k % 7 == 0 or k == n - 1:
+            _on_new_thread(fit_quadratic, Dataset(X[:k] + 0.5, Y[:k, 1]))
+    assert surrogates._memos.memo.factor.n == n - 1
+    warm = fit_quadratic(Dataset(X, Y[:, 0]))
+    assert surrogates._memos.memo.factor.n == n
+    assert _same_bytes(warm, _on_new_thread(fit_quadratic, Dataset(X, Y[:, 0])))
+    # a prefix of the factor's rows is fitted from its first columns
+    assert _same_bytes(fit_quadratic(Dataset(X[:-3], Y[:-3, 1])),
+                       _on_new_thread(fit_quadratic, Dataset(X[:-3], Y[:-3, 1])))
+    assert surrogates._memos.memo.factor.n == n
+
+
+def test_quadratic_fits_on_concurrent_threads_keep_their_bytes():
+    # more threads than cores each grow their own factor over their own
+    # record while the others run; every last fit has its cold bytes
+    rng = np.random.default_rng(4)
+    records = [(_trust_region_rows(rng, 5, 20), rng.standard_normal(20)) for _ in range(6)]
+    cold = [_on_new_thread(fit_quadratic, Dataset(X, y)) for X, y in records]
+    warm = [None] * len(records)
+
+    def grow(i):
+        X, y = records[i]
+        for k in range(6, 21):
+            warm[i] = fit_quadratic(Dataset(X[:k], y[:k]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=grow, args=(i,)) for i in range(len(records))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(_same_bytes(w, c) for w, c in zip(warm, cold))
+
+
+def test_quadratic_dual_factor_grows_once_per_record_row(monkeypatch):
+    # one cuatro run on cstr-pid (d = 32, p = 561): the first fit builds the
+    # factor from the initial design, each later one appends the newest row
+    from surropt.optimizers import run_optimizer
+    from surropt.problems import get_problem
+
+    built, appended = [], []
+
+    class Counted(surrogates._DualFactor):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+        def extend(self, X):
+            appended.extend(row.tobytes() for row in X[self.n :])
+            super().extend(X)
+
+    monkeypatch.setattr(surrogates, "_DualFactor", Counted)
+    monkeypatch.setattr(surrogates, "_memos", threading.local())
+    traj = run_optimizer("cuatro", get_problem("cstr-pid"), 40, seed=0)
+    assert len(built) == 1
+    # every row but the last, fitted by no step, once and in order
+    assert appended == [row.tobytes() for row in traj.xs[:-1]]
+    # the factor goes with the record it was built from
+    assert surrogates._memos.memo.factor is built[0]
+    del traj
+    assert surrogates._memos.memo.factor is None
 
 
 def test_predict_of_a_point_is_a_batch_of_one():
